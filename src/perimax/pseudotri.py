@@ -41,15 +41,15 @@ DERIVATIVE_RTOL = 1e-8
 
 
 def incident_directions(fw, v):
-    """Direction vectors of all edges leaving any one copy of vertex v."""
-    dirs = []
+    """Direction vectors of all edges leaving any one copy of vertex v.
+
+    Ordered by edge index; a loop at v gives its tail direction first.
+    """
     evecs = fw.edge_vectors()
-    for k in range(fw.m):
-        if fw.tails[k] == v:
-            dirs.append(evecs[k])
-        if fw.heads[k] == v:
-            dirs.append(-evecs[k])
-    return np.array(dirs).reshape(len(dirs), 2)
+    # (m, 2 ends, 2): the direction leaving v when v is the tail / the head
+    by_end = np.stack([evecs, -evecs], axis=1)
+    at_v = np.stack([fw.tails == v, fw.heads == v], axis=1)
+    return by_end[at_v]
 
 
 def pointedness_margin(fw, v):

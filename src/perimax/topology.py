@@ -33,6 +33,9 @@ __all__ = [
 CORNER_ANGLE_TOL = 1e-9
 # Interior angles of a k-gon must sum to (k-2)*pi within this.
 ANGLE_SUM_TOL = 1e-8
+# Window cells (edge pair x lattice shift) screened per numpy batch in
+# check_noncrossing; bounds its working arrays to about 128 KB each.
+_SCREEN_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -164,55 +167,88 @@ def _segments_cross(p1, p2, q1, q2, shared, eps):
 def check_noncrossing(fw, eps_rel=1e-9):
     """Check that no two edge segments intersect except at shared endpoints.
 
-    Periodicity reduces the test to pairs with one copy held fixed; for
-    each edge pair the shift window is centered at the lattice-coordinate
-    offset of their tails and sized by the two edges' extents, so distant
-    representatives and long edges are both handled.
+    Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
+    with b1 <= b2.  Each pair has its own shift window: centered at the
+    rounded lattice-coordinate offset of the two tails, with half-width
+    ceil(ext1 + ext2 + 0.5), where ext is an edge's largest lattice
+    coordinate; so distant representatives and long edges are both
+    handled.
+
+    The broad phase is batched: the pairs, in row-major order of
+    (b1, b2), are taken in chunks of at most ``_SCREEN_CELLS`` window
+    cells.  One window sized to the largest pair radius of the chunk is
+    laid over every pair, each pair is masked back to its own window, and
+    the eps-padded bounding-box test runs on all candidates at once.
+    Survivors reach the exact segment test in the order (b1, b2, then
+    shift in row-major order), which is the order of ``crossings``.
     """
+    m = fw.m
+    if m == 0:
+        return NoncrossingReport(True, [])
     lat = fw.lattice
-    pos = fw.positions
+    tails, heads, cshift = fw.tails, fw.heads, fw.shifts
     evecs = fw.edge_vectors()
     lengths = np.linalg.norm(evecs, axis=1)
     eps = eps_rel * max(float(lengths.max()), fw.geometry_scale)
     # per-edge extent in lattice coordinates
     coords = np.linalg.solve(lat, evecs.T).T
     extents = np.abs(coords).max(axis=1)
-    tail_coords = np.linalg.solve(lat, pos[fw.tails].T).T
+    tail_pos = fw.positions[tails]
+    tail_coords = np.linalg.solve(lat, tail_pos.T).T
+    head_pos = tail_pos + evecs
+    box_lo = np.minimum(tail_pos, head_pos) - eps
+    box_hi = np.maximum(tail_pos, head_pos) + eps
+    # a copy's box runs from its tail + ev_lo to its tail + ev_hi
+    ev_lo = np.minimum(evecs, 0.0)
+    ev_hi = np.maximum(evecs, 0.0)
 
+    # pair k = (b1, b2) in row-major order; row b1 starts at row_start[b1]
+    rows = np.arange(m)
+    row_start = rows * m - rows * (rows - 1) // 2
+    n_pairs = m * (m + 1) // 2
+    # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
+    # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
+    max_radius = math.ceil(2 * extents.max() + 0.5)
+    step = max(1, _SCREEN_CELLS // (2 * max_radius + 1) ** 2)
     crossings = []
-    for b1 in range(fw.m):
-        t1, h1 = int(fw.tails[b1]), int(fw.heads[b1])
-        c1 = fw.shifts[b1]
-        p1 = pos[t1]
-        p2 = p1 + evecs[b1]
-        lo1 = np.minimum(p1, p2) - eps
-        hi1 = np.maximum(p1, p2) + eps
-        id1 = {(t1, 0, 0), (h1, int(c1[0]), int(c1[1]))}
-        for b2 in range(b1, fw.m):
-            t2, h2 = int(fw.tails[b2]), int(fw.heads[b2])
-            c2 = fw.shifts[b2]
-            center = np.round(tail_coords[b1] - tail_coords[b2]).astype(int)
-            radius = int(math.ceil(extents[b1] + extents[b2] + 0.5))
-            grid = np.arange(-radius, radius + 1)
-            shifts = np.stack(np.meshgrid(grid + center[0], grid + center[1],
-                                          indexing="ij"), axis=-1).reshape(-1, 2)
-            q1s = pos[t2] + shifts @ lat.T
-            q2s = q1s + evecs[b2]
-            # bounding-box screen (necessary condition for intersection)
-            los = np.minimum(q1s, q2s)
-            his = np.maximum(q1s, q2s)
-            mask = np.all(los <= hi1, axis=1) & np.all(his >= lo1, axis=1)
-            for idx in np.nonzero(mask)[0]:
-                s = (int(shifts[idx, 0]), int(shifts[idx, 1]))
-                if b1 == b2 and s == (0, 0):
-                    continue
-                id2 = {(t2, s[0], s[1]),
-                       (h2, s[0] + int(c2[0]), s[1] + int(c2[1]))}
-                shared = len(id1 & id2)
-                if shared == 2:
-                    continue
-                if _segments_cross(p1, p2, q1s[idx], q2s[idx], shared == 1, eps):
-                    crossings.append(((b1, (0, 0)), (b2, s)))
+    for lo in range(0, n_pairs, step):
+        k = np.arange(lo, min(lo + step, n_pairs))
+        b1 = np.searchsorted(row_start, k, side="right") - 1
+        b2 = k - row_start[b1] + b1
+        centers = np.round(tail_coords[b1] - tail_coords[b2]).astype(int)
+        radii = np.ceil(extents[b1] + extents[b2] + 0.5).astype(int)
+        # one window for the chunk, cells in row-major (meshgrid "ij") order
+        grid = np.arange(-radii.max(), radii.max() + 1)
+        wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+        sx = centers[:, :1] + wx
+        sy = centers[:, 1:] + wy
+        # (pair, cell) arrays of the x and y of each candidate copy's tail
+        q1x = tail_pos[b2, :1] + (sx * lat[0, 0] + sy * lat[0, 1])
+        q1y = tail_pos[b2, 1:] + (sx * lat[1, 0] + sy * lat[1, 1])
+        # each pair's own window, then the bounding-box screen (a
+        # necessary condition for intersection)
+        hit = ((np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None])
+               & (q1x + ev_lo[b2, :1] <= box_hi[b1, :1])
+               & (q1x + ev_hi[b2, :1] >= box_lo[b1, :1])
+               & (q1y + ev_lo[b2, 1:] <= box_hi[b1, 1:])
+               & (q1y + ev_hi[b2, 1:] >= box_lo[b1, 1:]))
+        pair, cell = np.nonzero(hit)
+        b1, b2 = b1[pair], b2[pair]
+        shifts = np.stack([sx[pair, cell], sy[pair, cell]], axis=1)
+        q1s = np.stack([q1x[pair, cell], q1y[pair, cell]], axis=1)
+        q2s = q1s + evecs[b2]
+        # vertex copies the two segments share; 2 means the same edge
+        head_shifts = shifts + cshift[b2]
+        shared = ((tails[b2] == tails[b1]) & ~shifts.any(axis=1)).astype(int)
+        shared += (tails[b2] == heads[b1]) & np.all(shifts == cshift[b1], axis=1)
+        shared += (heads[b2] == tails[b1]) & ~head_shifts.any(axis=1)
+        shared += (heads[b2] == heads[b1]) & np.all(head_shifts == cshift[b1], axis=1)
+        for i in np.nonzero(shared < 2)[0]:
+            e1, e2 = int(b1[i]), int(b2[i])
+            if _segments_cross(tail_pos[e1], head_pos[e1], q1s[i], q2s[i],
+                               shared[i] == 1, eps):
+                s = (int(shifts[i, 0]), int(shifts[i, 1]))
+                crossings.append(((e1, (0, 0)), (e2, s)))
     return NoncrossingReport(not crossings, crossings)
 
 

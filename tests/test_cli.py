@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import perimax
 from perimax.cli import main
 
 
@@ -164,3 +168,21 @@ def test_numerical_exit_code(tmp_path, capsys):
     code, rep = run(capsys, "deform", path, "--steps", "3")
     assert code == 2
     assert "not a certified" in rep["error"]
+
+
+def test_analyze_edgeless_framework(tmp_path):
+    from perimax import PeriodicFramework, serialize_framework
+
+    path = tmp_path / "empty.json"
+    path.write_text(serialize_framework(
+        PeriodicFramework(np.eye(2), [[0.0, 0.0]], [])))
+    # a separate interpreter, so an uncaught exception shows as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perimax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "perimax.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in (0, 2, 3)
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    # no edges leave no faces, so the Euler count n - m + n* = 1 fails
+    assert rep["kind"] == "validation" and "Euler" in rep["error"]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from perimax import (
@@ -15,10 +16,15 @@ from perimax import (
     periodic_stress_space,
     pointedness_margin,
 )
-from perimax.pseudotri import candidate_pairs, oriented_flex, pair_length_derivative
+from perimax.pseudotri import (
+    candidate_pairs,
+    incident_directions,
+    oriented_flex,
+    pair_length_derivative,
+)
 from perimax.relax import relax, sublattices_up_to
 
-from conftest import right_angle_pair
+from conftest import random_connected_framework, right_angle_pair
 
 PPT_NAMES = ("kagome", "ppt3")
 
@@ -37,6 +43,33 @@ def test_kagome_pointedness_by_angle():
     assert not is_pointed(k0, 0)
     k = fixture("kagome", theta=math.pi / 2)
     assert all(is_pointed(k, v) for v in range(3))
+
+
+def _incident_directions_loop(fw, v):
+    """Reference: one pass over the edges, tail end before head end."""
+    evecs = fw.edge_vectors()
+    dirs = []
+    for k in range(fw.m):
+        if fw.tails[k] == v:
+            dirs.append(evecs[k])
+        if fw.heads[k] == v:
+            dirs.append(-evecs[k])
+    return np.array(dirs).reshape(len(dirs), 2)
+
+
+def test_incident_directions_match_loop_reference(rng):
+    # square grid: both loops sit at vertex 0, each gives +e then -e
+    sq = fixture("square_grid")
+    assert np.array_equal(incident_directions(sq, 0),
+                          [sq.edge_vector(0), -sq.edge_vector(0),
+                           sq.edge_vector(1), -sq.edge_vector(1)])
+    frameworks = [fixture(name) for name in ("kagome", "ppt3", "cubes", "reentrant")]
+    frameworks += [random_connected_framework(rng) for _ in range(20)]
+    for fw in frameworks:
+        for v in range(fw.n):
+            ref = _incident_directions_loop(fw, v)
+            got = incident_directions(fw, v)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_certify_examples():

@@ -1,9 +1,12 @@
 """Non-crossing detection, face tracing, corner counts, SVG export."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from perimax import (
     FrameworkError,
@@ -13,6 +16,8 @@ from perimax import (
     render_svg,
     trace_faces,
 )
+
+from perimax.relax import Sublattice, relax
 
 from conftest import crossed_grid, oracle_noncrossing, subdivided_grid
 
@@ -28,6 +33,7 @@ def test_crossed_diagonals_detected():
     # the two diagonal orbits (ids 2 and 3) must appear in some crossing
     flat = {(a[0], b[0]) for a, b in report.crossings}
     assert any(2 in pair and 3 in pair for pair in flat)
+    assert report.crossings == [((2, (0, 0)), (3, (0, 1)))]
 
 
 def test_kagome_noncrossing_matches_oracle():
@@ -146,6 +152,107 @@ def test_crossing_with_distant_representatives():
     # the vertical loop at the far representative crosses the horizontal
     # lines through the origin
     assert any(set(pair) == {0, 4} for pair in flat)
+    # the full ordered list: first orbit, then partner orbit, then the
+    # partner's shift in row-major order
+    assert report.crossings == [
+        ((0, (0, 0)), (4, (-6, -1))),
+        ((1, (0, 0)), (2, (-3, 0))), ((1, (0, 0)), (2, (-2, 0))),
+        ((1, (0, 0)), (2, (-1, 0))),
+        ((1, (0, 0)), (3, (-6, 0))), ((1, (0, 0)), (3, (-5, 0))),
+        ((1, (0, 0)), (3, (-4, 0))),
+        ((2, (0, 0)), (4, (-6, -1))), ((2, (0, 0)), (4, (-5, -1))),
+        ((2, (0, 0)), (4, (-4, -1))),
+        ((3, (0, 0)), (4, (-3, -1))), ((3, (0, 0)), (4, (-2, -1))),
+        ((3, (0, 0)), (4, (-1, -1))),
+    ]
+
+
+@pytest.mark.parametrize("theta, count, first, last, digest", [
+    (2.9, 225,
+     ((0, (0, 0)), (1, (-2, 4))), ((4, (0, 0)), (5, (5, -3))),
+     "bfe321028f21ff6fb185636a329aa90d2dd7a0a033467236006e5fd56152b3c2"),
+    (3.1, 7017,
+     ((0, (0, 0)), (1, (-13, 26))), ((4, (0, 0)), (5, (28, -14))),
+     "ec07b3d10dd90670a1ab9a3d11ca65491f790911bf44d3887d9bd228c078b529"),
+])
+def test_folded_kagome_crossing_lists_pinned(theta, count, first, last, digest):
+    # near theta = pi the kagome triangles fold over each other and the
+    # edges grow long in lattice coordinates; the digest pins the exact
+    # ordered list (it is too long to spell out)
+    crossings = check_noncrossing(fixture("kagome", theta=theta)).crossings
+    assert len(crossings) == count
+    assert crossings[0] == first and crossings[-1] == last
+    assert hashlib.sha256(repr(crossings).encode()).hexdigest() == digest
+
+
+def test_sheared_ppt3_relaxation_noncrossing():
+    fw = relax(fixture("ppt3"), Sublattice(4, 1, 4))
+    assert fw.m == 96
+    report = check_noncrossing(fw)
+    assert report.ok and report.crossings == []
+
+
+def test_edgeless_framework_noncrossing():
+    from perimax import PeriodicFramework
+    report = check_noncrossing(PeriodicFramework(np.eye(2), [[0.0, 0.0]], []))
+    assert report.ok and report.crossings == []
+
+
+# index <= 2 sublattices in canonical form (a, b, d), 0 <= b < d
+SMALL_SUBLATTICES = [(1, 0, 1), (2, 0, 1), (1, 0, 2), (1, 1, 2)]
+
+
+def _perturbed_relaxation(name, abd, scale, seed):
+    """A relaxation of a fixture with every vertex moved by up to ``scale``
+    along each axis; the lattice is kept."""
+    fw = relax(fixture(name), Sublattice(*abd))
+    rng = np.random.default_rng(seed)
+    moved = fw.positions + scale * rng.uniform(-1.0, 1.0, fw.positions.shape)
+    return fw.with_geometry(moved)
+
+
+def _lattice_span(fw):
+    """Per-axis spread, in lattice coordinates, of all edge endpoints of
+    the representative copies."""
+    tails = np.linalg.solve(fw.lattice, fw.positions[fw.tails].T).T
+    heads = tails + np.linalg.solve(fw.lattice, fw.edge_vectors().T).T
+    pts = np.vstack([tails, heads])
+    return pts.max(axis=0) - pts.min(axis=0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["kagome", "cubes", "ppt3", "reentrant"]),
+       abd=st.sampled_from(SMALL_SUBLATTICES),
+       scale=st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_noncrossing_property_against_oracle(name, abd, scale, seed):
+    fw = _perturbed_relaxation(name, abd, scale, seed)
+    # with every representative inside a box narrower than 3 lattice
+    # units, crossing copies differ by shifts of at most 2, so a
+    # translate of every crossing pair lies in the oracle's +-1 patch
+    assume(bool(np.all(_lattice_span(fw) < 3.0)))
+    assert check_noncrossing(fw).ok == oracle_noncrossing(fw)
+
+
+def test_perturbed_relaxations_include_crossings():
+    # the property above draws from both sides of the verdict
+    verdicts = {oracle_noncrossing(_perturbed_relaxation(name, (1, 0, 1), 0.5, seed))
+                for name in ("kagome", "cubes", "ppt3") for seed in range(3)}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("cells", [1, 40, 1 << 20])
+def test_screen_chunking_keeps_crossings(monkeypatch, cells):
+    # chunk boundaries that split rows, or one chunk for everything, give
+    # the same ordered list as the default chunking
+    from perimax import topology
+    frameworks = [fixture("kagome", theta=2.9), crossed_grid(),
+                  _perturbed_relaxation("ppt3", (1, 1, 2), 0.5, 0)]
+    expected = [check_noncrossing(fw).crossings for fw in frameworks]
+    assert all(expected)
+    monkeypatch.setattr(topology, "_SCREEN_CELLS", cells)
+    assert [check_noncrossing(fw).crossings for fw in frameworks] == expected
 
 
 def test_subdivided_grid_faces():
@@ -157,7 +264,6 @@ def test_subdivided_grid_faces():
 
 def test_euler_on_perturbed_relaxations(rng):
     # face tracing stays consistent on unfolded, slightly deformed inputs
-    from perimax.relax import Sublattice, relax
     for name in ("kagome", "cubes", "reentrant"):
         base = fixture(name)
         for _ in range(4):
