@@ -22,6 +22,7 @@ __all__ = [
     "PeriodicFramework",
     "FinitePatch",
     "canonical_edge",
+    "validate_geometry",
     "parse_framework",
     "framework_from_dict",
     "framework_to_dict",
@@ -82,6 +83,28 @@ def canonical_edge(tail, head, shift):
     return tail, head, (c1, c2)
 
 
+def validate_geometry(lattice, positions, tails, heads, shifts):
+    """Geometry scale and (m, 2) edge vectors of a placement of fixed edge
+    orbits; FrameworkError for non-finite entries, a singular lattice, a
+    zero-length edge or vertex orbits that all coincide."""
+    if not np.all(np.isfinite(lattice)):
+        raise FrameworkError("lattice must be a finite 2x2 matrix")
+    if not np.all(np.isfinite(positions)):
+        raise FrameworkError("positions must be finite")
+    col_norms = np.linalg.norm(lattice, axis=0)
+    scale = max(float(col_norms.max()), float(np.abs(positions).max())) or 1.0
+    det = float(np.linalg.det(lattice))
+    if abs(det) < LATTICE_RANK_RTOL * float(col_norms.max()) ** 2 or det == 0.0:
+        raise FrameworkError("singular lattice: |det| = %g" % abs(det))
+    evecs = positions[heads] + shifts @ lattice.T - positions[tails]
+    bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
+    if bad.size:
+        raise FrameworkError("zero-length edge orbit %d" % int(bad[0]))
+    if len(positions) >= 2 and np.abs(positions - positions[0]).max() <= EDGE_LENGTH_RTOL * scale:
+        raise FrameworkError("degenerate placement: all vertex orbits coincide")
+    return scale, evecs
+
+
 class PeriodicFramework:
     """A connected planar periodic framework given by quotient data.
 
@@ -99,21 +122,11 @@ class PeriodicFramework:
 
     def __init__(self, lattice, positions, edges):
         lattice = np.array(lattice, dtype=float)
-        if lattice.shape != (2, 2) or not np.all(np.isfinite(lattice)):
+        if lattice.shape != (2, 2):
             raise FrameworkError("lattice must be a finite 2x2 matrix")
         positions = np.array(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] < 1:
             raise FrameworkError("positions must be an (n, 2) array with n >= 1")
-        if not np.all(np.isfinite(positions)):
-            raise FrameworkError("positions must be finite")
-
-        col_norms = np.linalg.norm(lattice, axis=0)
-        scale = max(float(col_norms.max()), float(np.abs(positions).max()))
-        if scale == 0.0:
-            scale = 1.0
-        det = float(np.linalg.det(lattice))
-        if abs(det) < LATTICE_RANK_RTOL * float(col_norms.max()) ** 2 or det == 0.0:
-            raise FrameworkError("singular lattice: |det| = %g" % abs(det))
 
         n = positions.shape[0]
         canon = []
@@ -140,17 +153,10 @@ class PeriodicFramework:
         self._tails = np.array([e[0] for e in canon], dtype=int)
         self._heads = np.array([e[1] for e in canon], dtype=int)
         self._shifts = np.array([e[2] for e in canon], dtype=int).reshape(len(canon), 2)
-        self._scale = scale
         for a in (self._lattice, self._positions, self._tails, self._heads, self._shifts):
             a.setflags(write=False)
-
-        # geometric degeneracies
-        lengths = np.linalg.norm(self.edge_vectors(), axis=1) if canon else np.zeros(0)
-        bad = np.nonzero(lengths <= EDGE_LENGTH_RTOL * scale)[0]
-        if bad.size:
-            raise FrameworkError("zero-length edge orbit %d" % int(bad[0]))
-        if n >= 2 and np.abs(positions - positions[0]).max() <= EDGE_LENGTH_RTOL * scale:
-            raise FrameworkError("degenerate placement: all vertex orbits coincide")
+        self._scale, _ = validate_geometry(lattice, positions, self._tails,
+                                           self._heads, self._shifts)
 
         # quotient multigraph connectivity (shifts ignored)
         adj = [[] for _ in range(n)]

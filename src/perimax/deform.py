@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError
+from .core import FrameworkError, NumericalError, validate_geometry
 from .pseudotri import certify_ppt, pointedness_margin
-from .rigidity import gauge_reduced_kernel
+from .rigidity import gauge_reduced_kernel, gauge_rows, pair_table, rigidity_rows
 from .topology import trace_faces
 
 __all__ = [
@@ -71,26 +71,18 @@ class Configuration:
         return self.positions.shape[0]
 
     def as_vector(self):
-        z = np.empty(2 * self.n + 4)
-        z[:2 * self.n] = self.positions.ravel()
-        z[2 * self.n:2 * self.n + 2] = self.lattice[:, 0]
-        z[2 * self.n + 2:] = self.lattice[:, 1]
-        return z
+        return np.concatenate([self.positions.ravel(), self.lattice[:, 0], self.lattice[:, 1]])
 
     @classmethod
     def from_vector(cls, z, n):
-        positions = z[:2 * n].reshape(n, 2).copy()
-        lattice = np.column_stack([z[2 * n:2 * n + 2], z[2 * n + 2:]])
-        return cls(positions, lattice)
+        return cls(z[:2 * n].reshape(n, 2).copy(), _lattice_rate(z, n))
 
     def gram(self):
         return self.lattice.T @ self.lattice
 
     def gauge_ok(self, tol=1e-12):
-        return (abs(self.positions[0, 0]) <= tol
-                and abs(self.positions[0, 1]) <= tol
-                and abs(self.lattice[1, 0]) <= tol
-                and self.lattice[0, 0] > 0)
+        return (abs(self.positions[0, 0]) <= tol and abs(self.positions[0, 1]) <= tol
+                and abs(self.lattice[1, 0]) <= tol and self.lattice[0, 0] > 0)
 
 
 def _lattice_rate(tangent, n):
@@ -125,41 +117,27 @@ class ExpansiveReport:
     top_pair: tuple | None = None
 
 
-def _pair_set(n, cutoff):
-    pairs = []
-    for u in range(n):
-        for v in range(u, n):
-            for c1 in range(-cutoff, cutoff + 1):
-                for c2 in range(-cutoff, cutoff + 1):
-                    if u == v:
-                        if c1 < 0 or (c1 == 0 and c2 <= 0):
-                            continue
-                    pairs.append((u, v, (c1, c2)))
-    return pairs
-
-
 def expansive_check(cfg, tangent, cutoff=2):
     """Rate of change of squared distances over all vertex-copy pairs
-    within the shift cutoff; expansive when none decreases."""
+    within the shift cutoff (``pair_table``); expansive when none
+    decreases.  Ties go to the first pair in table order."""
     n = cfg.n
-    dlat = _lattice_rate(tangent, n)
-    vel = tangent[:2 * n].reshape(n, 2)
-    min_rate, min_pair = math.inf, None
-    max_abs, max_pair = -1.0, None
-    for (u, v, c) in _pair_set(n, cutoff):
-        cvec = np.array(c, dtype=float)
-        sep = cfg.positions[v] + cfg.lattice @ cvec - cfg.positions[u]
-        rate = 2.0 * float(sep @ (vel[v] + dlat @ cvec - vel[u]))
-        if rate < min_rate:
-            min_rate, min_pair = rate, (u, v, c)
-        if abs(rate) > max_abs:
-            max_abs, max_pair = abs(rate), (u, v, c)
-            top_signed = rate
-    if min_pair is None:
+    table = pair_table(n, cutoff)
+    if not len(table):
         return ExpansiveReport(True, 0.0, None)
-    tol = EXPANSIVE_TOL * max(1.0, max_abs)
-    return ExpansiveReport(min_rate >= -tol, min_rate, min_pair,
-                           top_signed, max_pair)
+    u, v, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
+    vel = tangent[:2 * n].reshape(n, 2)
+    # stacked matmuls round each row like the single products lattice @ c, sep @ dsep
+    sep = cfg.positions[v] + np.matmul(cfg.lattice, c)[:, :, 0] - cfg.positions[u]
+    dsep = vel[v] + np.matmul(_lattice_rate(tangent, n), c)[:, :, 0] - vel[u]
+    rates = 2.0 * np.matmul(sep[:, None], dsep[:, :, None])[:, 0, 0]
+    if not np.all(np.isfinite(rates)):
+        raise NumericalError("non-finite squared-distance rate")
+    lo, top = int(np.argmin(rates)), int(np.argmax(np.abs(rates)))
+    lo_pair, top_pair = [(a, b, (c1, c2)) for a, b, c1, c2 in table[[lo, top]].tolist()]
+    tol = EXPANSIVE_TOL * max(1.0, abs(float(rates[top])))
+    return ExpansiveReport(bool(rates[lo] >= -tol), float(rates[lo]), lo_pair,
+                           float(rates[top]), top_pair)
 
 
 def gram_derivative(cfg, tangent):
@@ -215,31 +193,20 @@ class DeformationPath:
 
 
 def _edge_lengths_sq(fw, cfg):
-    gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    e = gauged.edge_vectors()
+    _, e = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
     return np.einsum("ij,ij->i", e, e)
 
 
 def _constraint_system(fw, z, ref_sq, n):
-    cfg = Configuration.from_vector(z, n)
-    gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    evecs = gauged.edge_vectors()
-    F = np.empty(fw.m + 3)
-    F[:fw.m] = np.einsum("ij,ij->i", evecs, evecs) - ref_sq
-    F[fw.m] = z[0]
-    F[fw.m + 1] = z[1]
-    F[fw.m + 2] = z[2 * n + 1]
-    J = np.zeros((fw.m + 3, 2 * n + 4))
-    for k in range(fw.m):
-        e = evecs[k]
-        t, h = fw.tails[k], fw.heads[k]
-        J[k, 2 * t:2 * t + 2] -= 2 * e
-        J[k, 2 * h:2 * h + 2] += 2 * e
-        J[k, 2 * n:2 * n + 2] += 2 * fw.shifts[k, 0] * e
-        J[k, 2 * n + 2:2 * n + 4] += 2 * fw.shifts[k, 1] * e
-    J[fw.m, 0] = 1.0
-    J[fw.m + 1, 1] = 1.0
-    J[fw.m + 2, 2 * n + 1] = 1.0
+    """Edge-length and gauge residuals at the raw configuration vector z,
+    and their Jacobian: twice the rigidity matrix over the gauge rows.  The
+    iterate gets the geometric checks of a framework's constructor."""
+    _, evecs = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
+                                 fw.tails, fw.heads, fw.shifts)
+    F = np.concatenate([np.einsum("ij,ij->i", evecs, evecs) - ref_sq,
+                        [z[0], z[1], z[2 * n + 1]]])
+    J = np.vstack([2 * rigidity_rows(n, fw.tails, fw.heads, fw.shifts, evecs),
+                   gauge_rows(fw)])
     return F, J
 
 
@@ -257,8 +224,7 @@ def _newton_correct(fw, z, ref_sq, n, tol_abs):
 def _angle_classes(fw):
     """Corner/reflex classification of every face angle at the start;
     keeps the boundary margins signed (transversal) along the path."""
-    fc = trace_faces(fw)
-    return [[a < math.pi for a in face.corner_angles] for face in fc.faces]
+    return [[a < math.pi for a in face.corner_angles] for face in trace_faces(fw).faces]
 
 
 def _ppt_margin(fw, cfg, classes):
@@ -268,19 +234,12 @@ def _ppt_margin(fw, cfg, classes):
     pi relative to its initial corner/reflex class.
     """
     gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    margins = []
-    reasons = []
-    for v in range(fw.n):
-        margins.append(pointedness_margin(gauged, v))
-        reasons.append("pointedness lost at vertex %d" % v)
-    fc = trace_faces(gauged)
-    for face in fc.faces:
-        for i, a in enumerate(face.corner_angles):
-            is_corner = classes[face.id][i]
-            margins.append((math.pi - a) if is_corner else (a - math.pi))
-            reasons.append("flat corner on face %d" % face.id)
-    i = int(np.argmin(margins))
-    return margins[i], reasons[i]
+    margins = [(pointedness_margin(gauged, v), "pointedness lost at vertex %d" % v)
+               for v in range(fw.n)]
+    margins += [((math.pi - a) if corner else (a - math.pi), "flat corner on face %d" % face.id)
+                for face in trace_faces(gauged).faces
+                for a, corner in zip(face.corner_angles, classes[face.id])]
+    return margins[int(np.argmin([margin for margin, _ in margins]))]
 
 
 def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
@@ -319,12 +278,10 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
         return t
 
     if steps <= 0:
-        samples.append(make_sample(cfg, None))
-        return DeformationPath(samples, "step count reached")
+        return DeformationPath([make_sample(cfg, None)], "step count reached")
 
     classes = _angle_classes(fw.with_geometry(cfg.positions, cfg.lattice))
-    tangent = tangent_at(cfg)
-    prev_tangent = tangent
+    prev_tangent = tangent = tangent_at(cfg)
     samples.append(make_sample(cfg, tangent))
 
     termination = "step count reached"
@@ -365,8 +322,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
                 tau += lo
                 cfg = lo_cfg
                 try:
-                    tangent = tangent_at(cfg)
-                    prev_tangent = tangent
+                    prev_tangent = tangent = tangent_at(cfg)
                 except NumericalError:
                     tangent = prev_tangent
                 samples.append(make_sample(cfg, tangent))
@@ -375,8 +331,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
             break
         tau += step
         cfg = new_cfg
-        tangent = tangent_at(cfg)
-        prev_tangent = tangent
+        prev_tangent = tangent = tangent_at(cfg)
         samples.append(make_sample(cfg, tangent))
         k += 1
 

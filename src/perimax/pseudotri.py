@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, PeriodicFramework, canonical_edge
-from .rigidity import flex_space, gauge_reduced_kernel
-from .topology import check_noncrossing, corner_count, trace_faces
+from .core import FrameworkError, NumericalError, PeriodicFramework, canonical_edge
+from .rigidity import flex_space, gauge_reduced_kernel, pair_table
+from .topology import _EdgeScreen, check_noncrossing, corner_count, trace_faces
 
 __all__ = [
     "POINTED_TOL",
@@ -154,11 +154,10 @@ def insert_edge_orbit(fw, candidate):
     else:
         tail, head, shift = candidate
     key = canonical_edge(tail, head, shift)
-    existing = {fw.edge_key(k) for k in range(fw.m)}
-    if key in existing:
+    edges = [fw.edge_key(k) for k in range(fw.m)]
+    if key in edges:
         raise FrameworkError("duplicate orbit: %r already present" % (key,))
-    edges = [fw.edge_key(k) for k in range(fw.m)] + [key]
-    new_fw = PeriodicFramework(fw.lattice, fw.positions, edges)
+    new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [key])
     report = check_noncrossing(new_fw)
     if not report.ok:
         involved = [c for c in report.crossings
@@ -172,50 +171,55 @@ def insert_edge_orbit(fw, candidate):
     return new_fw
 
 
+def _length_derivatives(fw, motion, table):
+    """``pair_length_derivative`` of every row of a pair table."""
+    n = fw.n
+    motion = np.asarray(motion, dtype=float)
+    tails, heads, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
+    vel = motion[:2 * n].reshape(n, 2)
+    dlat = np.column_stack([motion[2 * n:2 * n + 2], motion[2 * n + 2:]])
+    # stacked matmuls round each pair like the single products would
+    e = fw.positions[heads] + np.matmul(fw.lattice, c)[:, :, 0] - fw.positions[tails]
+    de = vel[heads] - vel[tails] + np.matmul(dlat, c)[:, :, 0]
+    e_de, e_e = np.matmul(e[:, None], np.stack([de, e], axis=2))[:, 0].T
+    return e_de / np.sqrt(e_e)
+
+
 def pair_length_derivative(fw, motion, tail, head, shift):
     """Rate of change of |p_head + Lambda shift - p_tail| under a motion.
 
     ``motion`` is a configuration velocity (2n + 4 vector, lattice columns
     last).
     """
-    n = fw.n
-    c = np.asarray(shift, dtype=float)
-    e = fw.positions[head] + fw.lattice @ c - fw.positions[tail]
-    ln = float(np.linalg.norm(e))
-    dlat = np.array([[motion[2 * n], motion[2 * n + 2]],
-                     [motion[2 * n + 1], motion[2 * n + 3]]])
-    de = (motion[2 * head:2 * head + 2] - motion[2 * tail:2 * tail + 2]
-          + dlat @ c)
-    return float(e @ de) / ln
+    row = np.array([[tail, head, shift[0], shift[1]]])
+    return float(_length_derivatives(fw, motion, row)[0])
+
+
+def _candidate_table(fw, cutoff):
+    """Rows of ``pair_table`` that are not edge orbits of ``fw``."""
+    table = pair_table(fw.n, cutoff)
+    edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
+    edges = edges[np.abs(fw.shifts).max(axis=1, initial=0) <= cutoff]
+    # one integer per key: mixed radix (n, n, w, w), digits c1, c2 in [-cutoff, cutoff]
+    w = 2 * cutoff + 1
+    radix = np.array([fw.n * w * w, w * w, w, 1])
+    return table[~np.isin(table @ radix, edges @ radix)]
 
 
 def candidate_pairs(fw, cutoff=2):
     """All vertex pairs (u, v + Lambda c) with |c| <= cutoff in each
-    coordinate, in canonical form, existing orbits excluded."""
-    existing = {fw.edge_key(k) for k in range(fw.m)}
-    out = []
-    seen = set()
-    for u in range(fw.n):
-        for v in range(u, fw.n):
-            for c1 in range(-cutoff, cutoff + 1):
-                for c2 in range(-cutoff, cutoff + 1):
-                    if u == v and (c1, c2) == (0, 0):
-                        continue
-                    key = canonical_edge(u, v, (c1, c2))
-                    if key in seen or key in existing:
-                        continue
-                    seen.add(key)
-                    out.append(key)
-    return sorted(out)
+    coordinate, in canonical form, existing orbits excluded, sorted."""
+    return [(u, v, (c1, c2)) for u, v, c1, c2 in _candidate_table(fw, cutoff).tolist()]
 
 
 def oriented_flex(fw, cutoff=2):
     """Unit generator of the one-dimensional flex, oriented expansively.
 
     The framework is moved into gauge position first; the sign makes the
-    candidate pair with the largest |length derivative| expand.  Derivatives
-    of candidate pairs are gauge invariant, so the result can be used for
-    ranking insertions on the original framework.
+    candidate pair with the largest |length derivative| expand (ties: the
+    largest pair).  Derivatives of candidate pairs are gauge invariant, so
+    the result can be used for ranking insertions on the original
+    framework.
     """
     from .deform import Configuration  # local import to avoid a cycle
 
@@ -226,15 +230,17 @@ def oriented_flex(fw, cutoff=2):
         raise FrameworkError(
             "flex space is not one-dimensional (dimension %d)" % basis.shape[1])
     tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
-    pairs = candidate_pairs(fw, cutoff)
-    derivs = [pair_length_derivative(gauged, tangent, *key[:2], key[2])
-              for key in pairs]
-    if derivs:
-        top = max(range(len(derivs)), key=lambda i: (abs(derivs[i]), pairs[i]))
-        if derivs[top] < 0:
+    table = _candidate_table(fw, cutoff)
+    derivs = _length_derivatives(gauged, tangent, table)
+    if not np.all(np.isfinite(derivs)):
+        raise NumericalError("non-finite length derivative of a candidate pair")
+    if len(derivs):
+        mags = np.abs(derivs)
+        if derivs[np.flatnonzero(mags == mags.max())[-1]] < 0:
             tangent = -tangent
-            derivs = [-d for d in derivs]
-    return gauged, tangent, pairs, derivs
+            derivs = -derivs
+    pairs = [(u, v, (c1, c2)) for u, v, c1, c2 in table.tolist()]
+    return gauged, tangent, pairs, derivs.tolist()
 
 
 def find_rigidifying_edges(fw, cutoff=2):
@@ -242,28 +248,30 @@ def find_rigidifying_edges(fw, cutoff=2):
 
     Requires a valid pseudo-triangulation certificate.  Candidates whose
     derivative is negligible or whose insertion would cross are skipped.
+    After one crossing check of ``fw`` itself, a candidate only needs its
+    new orbit screened against every orbit and its own copies (with the
+    tolerance of the extended framework; base pairs get that of ``fw``).
     """
     cert = certify_ppt(fw)
     if not cert.valid:
         raise FrameworkError(
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
     _, _, pairs, derivs = oriented_flex(fw, cutoff)
-    if not pairs:
-        raise FrameworkError("no candidate found within cutoff %d" % cutoff)
-    dmax = max(abs(d) for d in derivs)
-    floor = DERIVATIVE_RTOL * max(1.0, dmax)
-    ranked = sorted(
-        (EdgeCandidate(key[0], key[1], key[2], d)
-         for key, d in zip(pairs, derivs) if abs(d) > floor),
-        key=lambda cand: (-abs(cand.derivative), cand.key),
-    )
     out = []
-    for cand in ranked:
-        try:
-            insert_edge_orbit(fw, cand)
-        except FrameworkError:
-            continue
-        out.append(cand)
+    if pairs and check_noncrossing(fw).ok:
+        mags = np.abs(derivs)
+        floor = DERIVATIVE_RTOL * max(1.0, float(mags.max()))
+        # by decreasing |derivative|, ties in key order (pairs are sorted)
+        ranked = np.argsort(-mags, kind="stable")
+        edges = [fw.edge_key(k) for k in range(fw.m)]
+        new_pairs = np.arange(fw.m + 1), np.full(fw.m + 1, fw.m)
+        for i in ranked[mags[ranked] > floor].tolist():
+            try:
+                new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [pairs[i]])
+            except FrameworkError:
+                continue
+            if not _EdgeScreen(new_fw).crossings([new_pairs]):
+                out.append(EdgeCandidate(*pairs[i], derivs[i]))
     if not out:
         raise FrameworkError("no candidate found within cutoff %d" % cutoff)
     return out

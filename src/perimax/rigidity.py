@@ -10,6 +10,7 @@ periodic stresses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .core import FrameworkError, NumericalError
 __all__ = [
     "RANK_RTOL",
     "rigidity_matrix",
+    "rigidity_rows",
+    "pair_table",
     "equilibrium_matrix",
     "SpectralReport",
     "flex_space",
@@ -45,17 +48,33 @@ def rigidity_matrix(fw):
     Row of edge orbit beta carries -e in the tail block, +e in the head
     block (cancelling for loops) and c^1 e, c^2 e in the lattice columns.
     """
-    n, m = fw.n, fw.m
-    evecs = fw.edge_vectors()
+    return rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, fw.edge_vectors())
+
+
+def rigidity_rows(n, tails, heads, shifts, evecs):
+    """Rigidity matrix of edge orbits with realized vectors ``evecs``."""
+    m = len(tails)
+    rows = np.arange(m)[:, None]
     R = np.zeros((m, 2 * n + 4))
-    for k in range(m):
-        e = evecs[k]
-        t, h = fw.tails[k], fw.heads[k]
-        R[k, 2 * t:2 * t + 2] -= e
-        R[k, 2 * h:2 * h + 2] += e
-        R[k, 2 * n:2 * n + 2] += fw.shifts[k, 0] * e
-        R[k, 2 * n + 2:2 * n + 4] += fw.shifts[k, 1] * e
+    R[rows, 2 * tails[:, None] + [0, 1]] -= evecs
+    R[rows, 2 * heads[:, None] + [0, 1]] += evecs
+    R[:, 2 * n:2 * n + 2] += shifts[:, :1] * evecs
+    R[:, 2 * n + 2:] += shifts[:, 1:] * evecs
     return R
+
+
+@lru_cache(maxsize=16)
+def pair_table(n, cutoff):
+    """(P, 4) read-only table of the vertex-copy pairs (u, v, c1, c2) with
+    u <= v and |c1|, |c2| <= cutoff, a loop pair (u == v) once with its
+    lexicographically positive shift: canonical edge keys, sorted."""
+    r = np.arange(-cutoff, cutoff + 1)
+    u, v, c1, c2 = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), r, r,
+                                                   indexing="ij"))
+    loop_ok = (c1 > 0) | ((c1 == 0) & (c2 > 0))
+    table = np.column_stack([u, v, c1, c2])[(u < v) | ((u == v) & loop_ok)]
+    table.setflags(write=False)
+    return table
 
 
 def equilibrium_matrix(fw):

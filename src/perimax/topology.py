@@ -164,91 +164,103 @@ def _segments_cross(p1, p2, q1, q2, shared, eps):
     return False
 
 
+class _EdgeScreen:
+    """Crossing screen of edge pairs (b1 at shift 0, b2 at every shift of
+    the pair's window) over shared per-edge geometry.  A pair's window is
+    centered at the rounded lattice-coordinate offset of the two tails,
+    with half-width ceil(ext1 + ext2 + 0.5), where ext is an edge's largest
+    lattice coordinate; so distant representatives and long edges are both
+    handled."""
+
+    def __init__(self, fw, eps_rel=1e-9):
+        self.fw = fw
+        self.evecs = evecs = fw.edge_vectors()
+        self.eps = eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max()),
+                                       fw.geometry_scale)
+        self.extents = np.abs(np.linalg.solve(fw.lattice, evecs.T)).max(axis=0)
+        self.tail_pos = tail_pos = fw.positions[fw.tails]
+        self.tail_coords = np.linalg.solve(fw.lattice, tail_pos.T).T
+        self.head_pos = head_pos = tail_pos + evecs
+        self.box_lo = np.minimum(tail_pos, head_pos) - eps
+        self.box_hi = np.maximum(tail_pos, head_pos) + eps
+        # a copy's box runs from its tail + ev_lo to its tail + ev_hi
+        self.ev_lo, self.ev_hi = np.minimum(evecs, 0.0), np.maximum(evecs, 0.0)
+
+    def crossings(self, chunks):
+        """Crossings among the pairs (b1[i], b2[i]) of each chunk (b1, b2),
+        by chunk, pair and shift.  A chunk lays one window (its largest pair
+        radius) over all its pairs, masks each back to its own, runs the
+        eps-padded bounding-box test on every cell at once and gives the
+        survivors the exact test.  One loop keeps a chunk's arrays alive
+        until the next chunk has replaced them: the allocator does not return
+        their memory to the system in between, which cost about 30% at
+        m = 384 on a 2-core Xeon."""
+        lat, tails, heads, cshift = self.fw.lattice, self.fw.tails, self.fw.heads, self.fw.shifts
+        tail_pos, head_pos, ev_lo, ev_hi = self.tail_pos, self.head_pos, self.ev_lo, self.ev_hi
+        out = []
+        for b1, b2 in chunks:
+            centers = np.round(self.tail_coords[b1] - self.tail_coords[b2]).astype(int)
+            radii = np.ceil(self.extents[b1] + self.extents[b2] + 0.5).astype(int)
+            # cells in row-major (meshgrid "ij") order
+            grid = np.arange(-radii.max(), radii.max() + 1)
+            wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+            sx, sy = centers[:, :1] + wx, centers[:, 1:] + wy
+            # (pair, cell) arrays of the x and y of each candidate copy's tail
+            q1x = tail_pos[b2, :1] + (sx * lat[0, 0] + sy * lat[0, 1])
+            q1y = tail_pos[b2, 1:] + (sx * lat[1, 0] + sy * lat[1, 1])
+            hit = ((np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None])
+                   & (q1x + ev_lo[b2, :1] <= self.box_hi[b1, :1])
+                   & (q1x + ev_hi[b2, :1] >= self.box_lo[b1, :1])
+                   & (q1y + ev_lo[b2, 1:] <= self.box_hi[b1, 1:])
+                   & (q1y + ev_hi[b2, 1:] >= self.box_lo[b1, 1:]))
+            pair, cell = np.nonzero(hit)
+            b1, b2 = b1[pair], b2[pair]
+            shifts = np.stack([sx[pair, cell], sy[pair, cell]], axis=1)
+            q1s = np.stack([q1x[pair, cell], q1y[pair, cell]], axis=1)
+            q2s = q1s + self.evecs[b2]
+            # vertex copies the two segments share; 2 means the same edge
+            head_shifts = shifts + cshift[b2]
+            shared = ((tails[b2] == tails[b1]) & ~shifts.any(axis=1)).astype(int)
+            shared += (tails[b2] == heads[b1]) & np.all(shifts == cshift[b1], axis=1)
+            shared += (heads[b2] == tails[b1]) & ~head_shifts.any(axis=1)
+            shared += (heads[b2] == heads[b1]) & np.all(head_shifts == cshift[b1], axis=1)
+            for i in np.nonzero(shared < 2)[0]:
+                e1, e2 = int(b1[i]), int(b2[i])
+                if _segments_cross(tail_pos[e1], head_pos[e1], q1s[i], q2s[i],
+                                   shared[i] == 1, self.eps):
+                    out.append(((e1, (0, 0)), (e2, (int(shifts[i, 0]), int(shifts[i, 1])))))
+        return out
+
+
 def check_noncrossing(fw, eps_rel=1e-9):
     """Check that no two edge segments intersect except at shared endpoints.
 
     Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
-    with b1 <= b2.  Each pair has its own shift window: centered at the
-    rounded lattice-coordinate offset of the two tails, with half-width
-    ceil(ext1 + ext2 + 0.5), where ext is an edge's largest lattice
-    coordinate; so distant representatives and long edges are both
-    handled.
-
-    The broad phase is batched: the pairs, in row-major order of
-    (b1, b2), are taken in chunks of at most ``_SCREEN_CELLS`` window
-    cells.  One window sized to the largest pair radius of the chunk is
-    laid over every pair, each pair is masked back to its own window, and
-    the eps-padded bounding-box test runs on all candidates at once.
-    Survivors reach the exact segment test in the order (b1, b2, then
-    shift in row-major order), which is the order of ``crossings``.
+    with b1 <= b2, each over its own shift window (see ``_EdgeScreen``).
+    The pairs are screened in row-major order of (b1, b2), in chunks of
+    at most ``_SCREEN_CELLS`` window cells; ``crossings`` is in the order
+    (b1, b2, then shift in row-major order).
     """
     m = fw.m
     if m == 0:
         return NoncrossingReport(True, [])
-    lat = fw.lattice
-    tails, heads, cshift = fw.tails, fw.heads, fw.shifts
-    evecs = fw.edge_vectors()
-    lengths = np.linalg.norm(evecs, axis=1)
-    eps = eps_rel * max(float(lengths.max()), fw.geometry_scale)
-    # per-edge extent in lattice coordinates
-    coords = np.linalg.solve(lat, evecs.T).T
-    extents = np.abs(coords).max(axis=1)
-    tail_pos = fw.positions[tails]
-    tail_coords = np.linalg.solve(lat, tail_pos.T).T
-    head_pos = tail_pos + evecs
-    box_lo = np.minimum(tail_pos, head_pos) - eps
-    box_hi = np.maximum(tail_pos, head_pos) + eps
-    # a copy's box runs from its tail + ev_lo to its tail + ev_hi
-    ev_lo = np.minimum(evecs, 0.0)
-    ev_hi = np.maximum(evecs, 0.0)
-
+    screen = _EdgeScreen(fw, eps_rel)
     # pair k = (b1, b2) in row-major order; row b1 starts at row_start[b1]
     rows = np.arange(m)
     row_start = rows * m - rows * (rows - 1) // 2
     n_pairs = m * (m + 1) // 2
     # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
     # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
-    max_radius = math.ceil(2 * extents.max() + 0.5)
+    max_radius = math.ceil(2 * screen.extents.max() + 0.5)
     step = max(1, _SCREEN_CELLS // (2 * max_radius + 1) ** 2)
-    crossings = []
-    for lo in range(0, n_pairs, step):
-        k = np.arange(lo, min(lo + step, n_pairs))
-        b1 = np.searchsorted(row_start, k, side="right") - 1
-        b2 = k - row_start[b1] + b1
-        centers = np.round(tail_coords[b1] - tail_coords[b2]).astype(int)
-        radii = np.ceil(extents[b1] + extents[b2] + 0.5).astype(int)
-        # one window for the chunk, cells in row-major (meshgrid "ij") order
-        grid = np.arange(-radii.max(), radii.max() + 1)
-        wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-        sx = centers[:, :1] + wx
-        sy = centers[:, 1:] + wy
-        # (pair, cell) arrays of the x and y of each candidate copy's tail
-        q1x = tail_pos[b2, :1] + (sx * lat[0, 0] + sy * lat[0, 1])
-        q1y = tail_pos[b2, 1:] + (sx * lat[1, 0] + sy * lat[1, 1])
-        # each pair's own window, then the bounding-box screen (a
-        # necessary condition for intersection)
-        hit = ((np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None])
-               & (q1x + ev_lo[b2, :1] <= box_hi[b1, :1])
-               & (q1x + ev_hi[b2, :1] >= box_lo[b1, :1])
-               & (q1y + ev_lo[b2, 1:] <= box_hi[b1, 1:])
-               & (q1y + ev_hi[b2, 1:] >= box_lo[b1, 1:]))
-        pair, cell = np.nonzero(hit)
-        b1, b2 = b1[pair], b2[pair]
-        shifts = np.stack([sx[pair, cell], sy[pair, cell]], axis=1)
-        q1s = np.stack([q1x[pair, cell], q1y[pair, cell]], axis=1)
-        q2s = q1s + evecs[b2]
-        # vertex copies the two segments share; 2 means the same edge
-        head_shifts = shifts + cshift[b2]
-        shared = ((tails[b2] == tails[b1]) & ~shifts.any(axis=1)).astype(int)
-        shared += (tails[b2] == heads[b1]) & np.all(shifts == cshift[b1], axis=1)
-        shared += (heads[b2] == tails[b1]) & ~head_shifts.any(axis=1)
-        shared += (heads[b2] == heads[b1]) & np.all(head_shifts == cshift[b1], axis=1)
-        for i in np.nonzero(shared < 2)[0]:
-            e1, e2 = int(b1[i]), int(b2[i])
-            if _segments_cross(tail_pos[e1], head_pos[e1], q1s[i], q2s[i],
-                               shared[i] == 1, eps):
-                s = (int(shifts[i, 0]), int(shifts[i, 1]))
-                crossings.append(((e1, (0, 0)), (e2, s)))
+
+    def chunks():
+        for lo in range(0, n_pairs, step):
+            k = np.arange(lo, min(lo + step, n_pairs))
+            b1 = np.searchsorted(row_start, k, side="right") - 1
+            yield b1, k - row_start[b1] + b1
+
+    crossings = screen.crossings(chunks())
     return NoncrossingReport(not crossings, crossings)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line checks (in-process, via main())."""
 
+import hashlib
 import json
 import math
 import os
@@ -186,3 +187,44 @@ def test_analyze_edgeless_framework(tmp_path):
     rep = json.loads(proc.stdout)
     # no edges leave no faces, so the Euler count n - m + n* = 1 fails
     assert rep["kind"] == "validation" and "Euler" in rep["error"]
+
+
+# sha256 of the reports as the per-pair loop implementation of the
+# deformation and insertion search wrote them; the array version must give
+# the same bytes (path samples, verdicts, ranked candidates and derivatives).
+PINNED_DEFORM = {
+    "ppt3": (100, "435402cf19a1306f7a443fc2e8ad2ae15d40aa0a6b3bc7542e6df9be3313674b"),
+    "kagome": (100, "0d7f484ffc4e5946495986d31fe38eefe929d5070c729829a05bb5264688d677"),
+    "ppt3_2x2": (40, "b291c61252871f4b19932013e6b2433b906117a43c881c37f1cede32d8c87f7c"),
+}
+PINNED_RIGIDIFY = {
+    "ppt3": "66e4cb561d91318bda688fb1cb342c36a18494f53868062c0b6cfd4484bdea75",
+    "kagome": "eb84c0b6e070ac8d0431bc2dca7e62732dedd048c4d1bd613343111bd729be2b",
+}
+
+
+def _pinned_inputs(tmp_path, capsys):
+    paths = {name: fixture_file(tmp_path, capsys, name) for name in ("ppt3", "kagome")}
+    paths["ppt3_2x2"] = str(tmp_path / "ppt3_2x2.json")
+    code, _ = run(capsys, "relax", paths["ppt3"], "--matrix", "2,0,0,2",
+                  "--out", paths["ppt3_2x2"], "--quiet")
+    assert code == 0
+    return paths
+
+
+def test_deform_reports_pinned(tmp_path, capsys):
+    paths = _pinned_inputs(tmp_path, capsys)
+    for name, (steps, digest) in PINNED_DEFORM.items():
+        out = tmp_path / ("%s_path.json" % name)
+        code, _ = run(capsys, "deform", paths[name], "--steps", str(steps),
+                      "--out", str(out), "--quiet")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+def test_rigidify_reports_pinned(tmp_path, capsys):
+    paths = _pinned_inputs(tmp_path, capsys)
+    for name, digest in PINNED_RIGIDIFY.items():
+        assert main(["rigidify", paths[name], "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimax import (
     Configuration,
+    FrameworkError,
     NumericalError,
     auxetic_tangent_check,
     continue_path,
@@ -16,7 +19,9 @@ from perimax import (
     flex_tangent,
     gram_derivative,
 )
+from perimax.deform import ExpansiveReport, _constraint_system, _edge_lengths_sq
 from perimax.pseudotri import pair_length_derivative
+from perimax.relax import Sublattice, relax
 from perimax.rigidity import gauge_reduced_kernel
 
 from conftest import oracle_gram_rate_fd
@@ -236,3 +241,121 @@ def test_auxetic_but_not_expansive_tangent_exists():
             found = True
             break
     assert found
+
+
+def _expansive_check_loop(cfg, tangent, cutoff=2):
+    """Reference: the per-pair loop over (u, v, c) in table order."""
+    n = cfg.n
+    dlat = np.column_stack([tangent[2 * n:2 * n + 2], tangent[2 * n + 2:]])
+    vel = tangent[:2 * n].reshape(n, 2)
+    min_rate, min_pair = math.inf, None
+    max_abs, max_pair, top_signed = -1.0, None, 0.0
+    for u in range(n):
+        for v in range(u, n):
+            for c1 in range(-cutoff, cutoff + 1):
+                for c2 in range(-cutoff, cutoff + 1):
+                    if u == v and (c1 < 0 or (c1 == 0 and c2 <= 0)):
+                        continue
+                    cvec = np.array([c1, c2], dtype=float)
+                    sep = cfg.positions[v] + cfg.lattice @ cvec - cfg.positions[u]
+                    rate = 2.0 * float(sep @ (vel[v] + dlat @ cvec - vel[u]))
+                    if rate < min_rate:
+                        min_rate, min_pair = rate, (u, v, (c1, c2))
+                    if abs(rate) > max_abs:
+                        max_abs, max_pair, top_signed = abs(rate), (u, v, (c1, c2)), rate
+    if min_pair is None:
+        return ExpansiveReport(True, 0.0, None)
+    tol = 1e-9 * max(1.0, max_abs)
+    return ExpansiveReport(min_rate >= -tol, min_rate, min_pair, top_signed, max_pair)
+
+
+def _assert_same_report(got, ref):
+    assert got.ok == ref.ok
+    assert got.min_pair == ref.min_pair and got.top_pair == ref.top_pair
+    assert np.sign(got.top_rate) == np.sign(ref.top_rate)
+    assert abs(got.min_rate - ref.min_rate) <= 1e-12 * max(1.0, abs(ref.top_rate))
+
+
+def _configurations():
+    ppt3 = fixture("ppt3")
+    return {
+        "kagome": fixture("kagome", theta=math.pi / 2),
+        "kagome-1.2": fixture("kagome", theta=1.2),
+        "ppt3": ppt3,
+        "ppt3-index2": relax(ppt3, Sublattice(1, 1, 2)),
+        "reentrant": fixture("reentrant"),
+    }
+
+
+def test_expansive_check_matches_loop_along_paths():
+    fws = _configurations()
+    for name in ("kagome", "ppt3", "ppt3-index2"):
+        fw = fws[name]
+        for s in continue_path(fw, steps=15, ds=2e-2).samples:
+            cfg = s.configuration
+            t = flex_tangent(cfg, fw)
+            for cutoff in (1, 2):
+                _assert_same_report(expansive_check(cfg, t, cutoff),
+                                    _expansive_check_loop(cfg, t, cutoff))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["kagome", "kagome-1.2", "ppt3", "ppt3-index2",
+                             "reentrant"]),
+       cutoff=st.integers(0, 3), data=st.data())
+def test_expansive_check_matches_loop_on_drawn_tangents(name, cutoff, data):
+    cfg = Configuration.from_framework(_configurations()[name])
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    t = np.array(data.draw(st.lists(entries, min_size=2 * cfg.n + 4,
+                                    max_size=2 * cfg.n + 4)))
+    _assert_same_report(expansive_check(cfg, t, cutoff),
+                        _expansive_check_loop(cfg, t, cutoff))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_expansive_check_rejects_nan_motion():
+    cfg = gauged_kagome(math.pi / 2)
+    with pytest.raises(NumericalError, match="non-finite"):
+        expansive_check(cfg, np.full(2 * cfg.n + 4, np.nan))
+    t = np.zeros(2 * cfg.n + 4)
+    t[-1] = np.inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        expansive_check(cfg, t)
+
+
+def test_newton_iterate_gets_framework_checks():
+    """A corrector iterate fails with the messages of the framework
+    constructor, which validated every iterate before."""
+    fw = fixture("ppt3")
+    cfg = Configuration.from_framework(fw)
+    n, z = fw.n, cfg.as_vector()
+    ref_sq = _edge_lengths_sq(fw, cfg)
+    F, J = _constraint_system(fw, z, ref_sq, n)
+    assert np.abs(F).max() < 1e-12 and J.shape == (fw.m + 3, 2 * n + 4)
+    bad = {
+        "positions must be finite": (1, np.nan),
+        "lattice must be a finite 2x2 matrix": (2 * n + 3, np.inf),
+        "singular lattice": (2 * n + 2, None),
+    }
+    for message, (index, value) in bad.items():
+        w = z.copy()
+        if value is None:   # second generator parallel to the first
+            w[2 * n + 2:] = 2.0 * w[2 * n:2 * n + 2]
+        else:
+            w[index] = value
+        with pytest.raises(FrameworkError, match=message):
+            _constraint_system(fw, w, ref_sq, n)
+    w = z.copy()
+    w[:2 * n] = 0.0     # every vertex orbit at the origin
+    with pytest.raises(FrameworkError, match="zero-length edge orbit|coincide"):
+        _constraint_system(fw, w, ref_sq, n)
+
+
+def test_newton_jacobian_is_twice_the_rigidity_matrix():
+    from perimax.rigidity import gauge_rows, rigidity_matrix
+
+    fw = fixture("cubes")
+    cfg = Configuration.from_framework(fw)
+    gauged = fw.with_geometry(cfg.positions, cfg.lattice)
+    _, J = _constraint_system(fw, cfg.as_vector(), _edge_lengths_sq(fw, cfg), fw.n)
+    assert np.array_equal(J, np.vstack([2 * rigidity_matrix(gauged), gauge_rows(gauged)]))

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from perimax import (
+    FIXTURES,
+    EdgeCandidate,
     FrameworkError,
+    NumericalError,
+    PeriodicFramework,
     certify_ppt,
+    check_noncrossing,
     find_rigidifying_edges,
     fixture,
     flex_space,
@@ -16,13 +21,17 @@ from perimax import (
     periodic_stress_space,
     pointedness_margin,
 )
+from perimax import pseudotri
 from perimax.pseudotri import (
+    DERIVATIVE_RTOL,
+    PPTCertificate,
     candidate_pairs,
     incident_directions,
     oriented_flex,
     pair_length_derivative,
 )
-from perimax.relax import relax, sublattices_up_to
+from perimax.core import canonical_edge
+from perimax.relax import Sublattice, relax, sublattices_up_to
 
 from conftest import random_connected_framework, right_angle_pair
 
@@ -199,3 +208,82 @@ def test_insertion_order_of_new_orbit():
     fw1 = insert_edge_orbit(fw, cand)
     assert fw1.m == fw.m + 1
     assert fw1.edge_key(fw1.m - 1) == cand.key
+
+
+def _candidate_pairs_loop(fw, cutoff):
+    """Reference: canonical keys of every pair within the cutoff, deduplicated,
+    existing orbits left out, sorted."""
+    existing = {fw.edge_key(k) for k in range(fw.m)}
+    out = set()
+    for u in range(fw.n):
+        for v in range(u, fw.n):
+            for c1 in range(-cutoff, cutoff + 1):
+                for c2 in range(-cutoff, cutoff + 1):
+                    if u == v and (c1, c2) == (0, 0):
+                        continue
+                    key = canonical_edge(u, v, (c1, c2))
+                    if key not in existing:
+                        out.add(key)
+    return sorted(out)
+
+
+def test_candidate_pairs_match_loop_reference():
+    for name in sorted(FIXTURES):
+        fw = fixture(name)
+        for cutoff in (1, 2):
+            got = candidate_pairs(fw, cutoff)
+            assert got == _candidate_pairs_loop(fw, cutoff), (name, cutoff)
+            assert all(type(x) is int for u, v, c in got for x in (u, v) + c)
+
+
+def _search_by_insertion(fw, cutoff):
+    """Reference: every ranked candidate that insert_edge_orbit accepts."""
+    _, _, pairs, derivs = oriented_flex(fw, cutoff)
+    floor = DERIVATIVE_RTOL * max(1.0, max(abs(d) for d in derivs))
+    ranked = sorted((EdgeCandidate(*key, d) for key, d in zip(pairs, derivs)
+                     if abs(d) > floor),
+                    key=lambda cand: (-abs(cand.derivative), cand.key))
+    out = []
+    for cand in ranked:
+        try:
+            insert_edge_orbit(fw, cand)
+        except FrameworkError:
+            continue
+        out.append(cand)
+    return out
+
+
+def test_search_matches_insertion_reference():
+    ppt3 = fixture("ppt3")
+    cases = [(fixture("ppt3"), 2), (fixture("kagome"), 2),
+             (relax(ppt3, Sublattice(1, 1, 2)), 1),
+             (relax(ppt3, Sublattice(2, 0, 2)), 1)]
+    for fw, cutoff in cases:
+        ref = _search_by_insertion(fw, cutoff)
+        assert ref and find_rigidifying_edges(fw, cutoff) == ref, (fw, cutoff)
+
+
+def test_search_on_crossing_base_raises_as_before(monkeypatch):
+    # crossing (its faces do not trace), yet one candidate orbit crosses
+    # nothing: only the check of the framework itself rejects it
+    fw = fixture("kagome", theta=2.7)
+    assert not check_noncrossing(fw).ok
+    with pytest.raises(FrameworkError, match="Euler violation"):
+        find_rigidifying_edges(fw)
+    # past the certificate, every insertion fails, so no candidate is left
+    monkeypatch.setattr(pseudotri, "certify_ppt", lambda fw: PPTCertificate(
+        True, [], [], (fw.n, fw.m, fw.n), True, 1, []))
+    assert _search_by_insertion(fw, 2) == []
+    with pytest.raises(FrameworkError, match="no candidate found within cutoff 2"):
+        find_rigidifying_edges(fw)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_zero_length_candidate_pair_rejected():
+    # vertex 1 sits on the lattice translate of vertex 0 that the candidate
+    # pair (0, 1, (-1, 0)) joins, so that pair has no length to differentiate
+    fw = PeriodicFramework(np.eye(2), [[0.0, 0.0], [1.0, 0.0], [0.3, 0.55]],
+                           [(0, 2, (0, 0)), (1, 2, (-1, 0)), (0, 2, (0, -1)),
+                            (1, 2, (0, 0)), (0, 1, (0, 1)), (2, 2, (1, 0))])
+    with pytest.raises(NumericalError, match="non-finite length derivative"):
+        oriented_flex(fw, 1)
