@@ -93,6 +93,26 @@ def reentrant(alpha=math.pi / 8, beta=7 * math.pi / 8):
     return PeriodicFramework(lattice, positions, edges)
 
 
+# ppt3's frozen quotient data, shared with ultrarigid.
+_PPT3_LATTICE = [
+    [0.81155551, -0.45602917],
+    [0.97736481, 1.3921752],
+]
+_PPT3_POSITIONS = [
+    [0.0, 0.0],
+    [-1.0088, -0.0659],
+    [-0.5259, -0.8912254],
+]
+_PPT3_EDGES = [
+    (0, 1, (0, 0)),
+    (0, 2, (0, 0)),
+    (1, 2, (0, 0)),
+    (0, 1, (1, 0)),
+    (0, 2, (0, 1)),
+    (1, 2, (-1, 1)),
+]
+
+
 def ppt3():
     """A pseudo-triangulation with three vertex orbits and six edge orbits.
 
@@ -100,24 +120,7 @@ def ppt3():
     all its symmetries and certifying the result (pointed, two triangles
     plus one pseudo-triangular hexagon, stress-free, one-dimensional flex).
     """
-    positions = np.array([
-        [0.0, 0.0],
-        [-1.0088, -0.0659],
-        [-0.5259, -0.8912254],
-    ])
-    lattice = np.array([
-        [0.81155551, -0.45602917],
-        [0.97736481, 1.3921752],
-    ])
-    edges = [
-        (0, 1, (0, 0)),
-        (0, 2, (0, 0)),
-        (1, 2, (0, 0)),
-        (0, 1, (1, 0)),
-        (0, 2, (0, 1)),
-        (1, 2, (-1, 1)),
-    ]
-    return PeriodicFramework(lattice, positions, edges)
+    return PeriodicFramework(_PPT3_LATTICE, _PPT3_POSITIONS, _PPT3_EDGES)
 
 
 def cubes():
@@ -155,10 +158,14 @@ _ULTRARIGID_EDGE = (1, 2, (0, 1))
 
 def ultrarigid():
     """ppt3 plus its top rigidifying edge orbit; rigid under every
-    relaxation probed up to index four."""
-    from .pseudotri import insert_edge_orbit
+    relaxation probed up to index four.
 
-    return insert_edge_orbit(ppt3(), _ULTRARIGID_EDGE)
+    Built straight from ppt3's data; the tests check once that it equals
+    insert_edge_orbit(ppt3(), _ULTRARIGID_EDGE), which certifies that the
+    new orbit crosses nothing.
+    """
+    return PeriodicFramework(_PPT3_LATTICE, _PPT3_POSITIONS,
+                             _PPT3_EDGES + [_ULTRARIGID_EDGE])
 
 
 @dataclass

@@ -4,17 +4,19 @@ A finite-index sublattice is kept in the canonical triangular form with
 generators a*g1 + b*g2 and d*g2 (0 <= b < d), enumerated so that index k
 yields exactly sigma_1(k) = sum of divisors distinct sublattices.  Unfolding
 multiplies the quotient data by the index while realizing the identical
-infinite point set.
+infinite point set.  The ultrarigidity probe unfolds nothing: it ranks one
+small complex block per character of the quotient group instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import FrameworkError, PeriodicFramework
-from .rigidity import check_periodic_stress, flex_space
+from .rigidity import _require_gap, _svd_rank, check_periodic_stress, flex_space
 
 def _ext_gcd(p, q):
     """g = gcd(p, q) >= 0 together with x, y such that x*p + y*q = g."""
@@ -153,33 +155,25 @@ def relax(fw, sub):
     index.
     """
     rho = sub.index
-    cosets = sub.cosets()
     lat = fw.lattice
+    # coset r = (r1, r2) sits at coset_index(r1, r2) = r1 * d + r2
+    r1, r2 = np.divmod(np.arange(rho), sub.d)
+    cosets = np.column_stack([r1, r2]).astype(float)
+    # stacked matmuls round each copy like the single product lat @ r
+    offsets = np.matmul(lat, cosets[:, :, None])[:, :, 0]
+    positions = (fw.positions[:, None, :] + offsets).reshape(-1, 2)
 
-    positions = np.empty((fw.n * rho, 2))
-    parent_vertex = np.empty(fw.n * rho, dtype=int)
-    for i in range(fw.n):
-        for (r1, r2) in cosets:
-            vid = i * rho + sub.coset_index(r1, r2)
-            positions[vid] = fw.positions[i] + lat @ np.array([r1, r2], dtype=float)
-            parent_vertex[vid] = i
-
-    edges = []
-    parent_edge = []
-    for k in range(fw.m):
-        t, h = int(fw.tails[k]), int(fw.heads[k])
-        c1, c2 = int(fw.shifts[k, 0]), int(fw.shifts[k, 1])
-        for (r1, r2) in cosets:
-            z1, z2 = r1 + c1, r2 + c2
-            q1, q2, k1, k2 = sub.reduce(z1, z2)
-            tail_id = t * rho + sub.coset_index(r1, r2)
-            head_id = h * rho + sub.coset_index(q1, q2)
-            edges.append((tail_id, head_id, (k1, k2)))
-            parent_edge.append(k)
+    # edge orbit k from coset r reaches the head copy r + c_k
+    q1, q2, k1, k2 = sub.reduce(r1 + fw.shifts[:, :1], r2 + fw.shifts[:, 1:])
+    tails = fw.tails[:, None] * rho + np.arange(rho)
+    heads = fw.heads[:, None] * rho + sub.coset_index(q1, q2)
+    edges = list(zip(tails.ravel().tolist(), heads.ravel().tolist(),
+                     zip(k1.ravel().tolist(), k2.ravel().tolist())))
 
     new_lattice = lat @ sub.matrix.astype(float)
     return UnfoldedFramework(new_lattice, positions, edges, sub,
-                             parent_vertex, parent_edge)
+                             np.repeat(np.arange(fw.n), rho),
+                             np.repeat(np.arange(fw.m), rho))
 
 
 def copy_stress(unfolded, s):
@@ -213,17 +207,126 @@ class UltrarigidityReport:
     first_failure: UltraProbeEntry | None
 
 
+def _code(x, y, order):
+    """Slot of the character (x, y) of exact order ``order`` in a flat table
+    holding order**2 slots for every order in turn."""
+    return (order - 1) * order * (2 * order - 1) // 6 + x * order + y
+
+
+@lru_cache(maxsize=64)
+def _index_characters(k):
+    """Characters of the index-k sublattices as exact integer keys.
+
+    The characters of Z^2 / Gamma' for Gamma' = (a, b, d) are
+    chi(z) = exp(2 pi i (theta1 z1 + theta2 z2)) with theta2 = j / d and
+    theta1 = (l - b j / d) / a.  Each is keyed by its reduced form
+    (x, y, N) with theta = (x, y) / N and gcd(x, y, N) = 1; its kernel has
+    index N, so it first appears at index N.  Returns the sublattices of
+    index k, the (sigma_1(k), k) slot codes of the characters of each, and
+    the (x, y) pairs and codes of the nontrivial characters of exact
+    order k.
+    """
+    codes = []
+    for a in range(1, k + 1):
+        if k % a:
+            continue
+        d = k // a
+        b, j, l = np.ix_(np.arange(d), np.arange(d), np.arange(a))
+        x = (l * d - b * j) % k
+        y = np.broadcast_to(j * a % k, x.shape)
+        g = np.gcd(np.gcd(x, y), k)
+        codes.append(_code(x // g, y // g, k // g).reshape(d, k))
+    x, y = np.divmod(np.arange(k * k), k)
+    fresh = (np.gcd(np.gcd(x, y), k) == 1) & (x + y > 0)
+    xy = np.column_stack([x[fresh], y[fresh]])
+    out = (np.vstack(codes), xy, _code(xy[:, 0], xy[:, 1], k))
+    for a in out:
+        a.setflags(write=False)
+    return (tuple(sublattices_of_index(k)),) + out
+
+
+def _cycle_shifts(fw):
+    """(m, 2) net shift of the closed walk that each edge orbit makes with a
+    spanning tree of the quotient graph (zero on tree edges); together
+    they generate the shifts of all closed walks."""
+    adj = [[] for _ in range(fw.n)]
+    for k, (t, h) in enumerate(zip(fw.tails.tolist(), fw.heads.tolist())):
+        adj[t].append((k, h, 1))
+        adj[h].append((k, t, -1))
+    pot = np.zeros((fw.n, 2), dtype=int)
+    reached = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for k, w, sign in adj[v]:
+            if w not in reached:
+                reached.add(w)
+                pot[w] = pot[v] + sign * fw.shifts[k]
+                stack.append(w)
+    return pot[fw.tails] + fw.shifts - pot[fw.heads]
+
+
 def ultrarigidity_probe(fw, max_index=4):
-    """Compute the flex dimension of every relaxation up to max_index."""
+    """Compute the flex dimension of every relaxation up to max_index.
+
+    The rigidity matrix of the relaxation to Gamma' splits into one block
+    per character chi of Z^2 / Gamma'.  The trivial block is R itself; the
+    block of chi != 1 is the complex m x 2n matrix R_chi whose row k holds
+    -e_k in the tail columns and chi(c_k) e_k in the head columns.  So
+    phi' = phi + sum (2n - rank R_chi) and sigma' = sigma + sum
+    (m - rank R_chi).  Characters are shared between sublattices; each
+    block is ranked once, all blocks of one order in a batched SVD, with
+    RANK_RTOL relative to the block's largest singular value.
+
+    Raises FrameworkError at the first relaxation whose quotient graph is
+    disconnected (a character trivial on every closed-walk shift) and
+    NumericalError when a kept/dropped singular value ratio of any block
+    is below RANK_GAP_MIN.
+    """
     if max_index < 1:
         raise FrameworkError("max_index must be >= 1")
+    _, base = flex_space(fw)
+    gap = base.rank_gap
+    # 2n - rank R_chi by character slot; 0 in the trivial slot
+    flex_def = np.zeros(_code(0, 0, max_index + 1), dtype=int)
+    cycles = _cycle_shifts(fw)
+    # row k of R_chi is chi(c_k) * head_part[k] - tail_part[k]
+    rows = np.arange(fw.m)
+    evecs = fw.edge_vectors()
+    tail_part = np.zeros((fw.m, fw.n, 2))
+    tail_part[rows, fw.tails] = evecs
+    head_part = np.zeros((fw.m, fw.n, 2))
+    head_part[rows, fw.heads] = evecs
+
     entries = []
     first_failure = None
-    for sub in sublattices_up_to(max_index):
-        _, spectral = flex_space(relax(fw, sub))
-        entry = UltraProbeEntry(sub, spectral.phi, spectral.sigma)
-        entries.append(entry)
-        if spectral.phi != 0 and first_failure is None:
-            first_failure = entry
+    for k in range(1, max_index + 1):
+        subs, codes, xy, fresh = _index_characters(k)
+        # a character trivial on every closed-walk shift cuts the relaxed
+        # quotient graph; one of lower order would have stopped at its index
+        cuts = fresh[~((xy @ cycles.T) % k).any(axis=1)]
+        if cuts.size:
+            sub = subs[int(np.argmax(np.isin(codes, cuts).any(axis=1)))]
+            raise FrameworkError(
+                "disconnected quotient graph: relaxation to sublattice "
+                "(a=%d, b=%d, d=%d)" % (sub.a, sub.b, sub.d))
+        if fresh.size:
+            roots = np.exp(2j * np.pi * np.arange(k) / k)
+            chi = roots[(xy @ fw.shifts.T) % k]
+            blocks = chi[:, :, None, None] * head_part - tail_part
+            _, rank, block_gap = _svd_rank(blocks.reshape(fresh.size, fw.m, 2 * fw.n))
+            flex_def[fresh] = 2 * fw.n - rank
+            gap = min(gap, float(block_gap.min()))
+        added = flex_def[codes].sum(axis=1)
+        # m - rank R_chi = (2n - rank R_chi) + (m - 2n) for each of k - 1 blocks
+        phis = base.phi + added
+        sigmas = base.sigma + added + (k - 1) * (fw.m - 2 * fw.n)
+        for sub, phi, sigma in zip(subs, phis.tolist(), sigmas.tolist()):
+            entry = UltraProbeEntry(sub, phi, sigma)
+            entries.append(entry)
+            if phi != 0 and first_failure is None:
+                first_failure = entry
+    # refused only after the loop, so a disconnected relaxation wins
+    _require_gap(gap)
     return UltrarigidityReport(max_index, first_failure is None, entries,
                                first_failure)

@@ -83,20 +83,35 @@ def equilibrium_matrix(fw):
 
 
 def _svd_rank(A, rtol=RANK_RTOL):
-    """Singular values, numerical rank and the kept/dropped gap ratio."""
-    if A.size == 0:
-        return np.zeros(0), 0, np.inf
-    sv = np.linalg.svd(A, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0:
-        return sv, 0, np.inf
-    rank = int((sv > rtol * top).sum())
-    if rank == sv.size:
-        gap = np.inf
+    """Singular values, numerical rank and the kept/dropped gap ratio of a
+    matrix, or elementwise for a stack of matrices (shape (..., M, N))."""
+    A = np.asarray(A)
+    stack = A.shape[:-2]
+    if 0 in A.shape[-2:]:
+        sv = np.zeros(stack + (0,))
+        rank = np.zeros(stack, dtype=int)
+        gap = np.full(stack, np.inf)
     else:
-        dropped = sv[rank]
-        gap = np.inf if dropped == 0.0 else sv[rank - 1] / dropped if rank else np.inf
+        sv = np.linalg.svd(A, compute_uv=False)
+        kept = sv > rtol * sv[..., :1]
+        rank = kept.sum(axis=-1)
+        # smallest kept over largest dropped; inf when either is missing
+        dropped = np.where(kept, 0.0, sv).max(axis=-1)
+        gap = np.divide(np.where(kept, sv, np.inf).min(axis=-1), dropped,
+                        out=np.full(stack, np.inf), where=(rank > 0) & (dropped > 0))
+    if A.ndim == 2:
+        return sv, int(rank), float(gap)
     return sv, rank, gap
+
+
+def _require_gap(gap):
+    """Refuse integer dimensions read across a kept/dropped singular value
+    ratio below RANK_GAP_MIN."""
+    if gap < RANK_GAP_MIN:
+        raise NumericalError(
+            "rank instability: singular value gap ratio %.3g below %g"
+            % (gap, RANK_GAP_MIN)
+        )
 
 
 def _nullspace(A, rtol=RANK_RTOL):
@@ -123,12 +138,14 @@ def _fix_signs(basis, rtol=RANK_RTOL):
 @dataclass
 class SpectralReport:
     """Dimensions of the stress and flex spaces with the singular values
-    they were read off from."""
+    they were read off from; ``rank_gap`` is the ratio of the last kept to
+    the first dropped one (inf when none is dropped)."""
 
     sigma: int
     delta: int
     phi: int
     singular_values: np.ndarray
+    rank_gap: float = np.inf
 
 
 def flex_space(fw, rtol=RANK_RTOL):
@@ -138,11 +155,11 @@ def flex_space(fw, rtol=RANK_RTOL):
     report's phi subtracts the three trivial isometry motions.
     """
     R = rigidity_matrix(fw)
-    sv, rank, _ = _svd_rank(R, rtol)
+    sv, rank, gap = _svd_rank(R, rtol)
     basis = _fix_signs(_nullspace(R, rtol), rtol)
     delta = basis.shape[1]
     sigma = fw.m - rank
-    return basis, SpectralReport(sigma, delta, delta - 3, sv)
+    return basis, SpectralReport(sigma, delta, delta - 3, sv, gap)
 
 
 @dataclass
@@ -254,11 +271,7 @@ def count_identity_check(fw, rtol=RANK_RTOL):
     R = rigidity_matrix(fw)
     _, rank_r, gap_r = _svd_rank(R, rtol)
     _, rank_rt, gap_rt = _svd_rank(R.T, rtol)
-    if min(gap_r, gap_rt) < RANK_GAP_MIN:
-        raise NumericalError(
-            "rank instability: singular value gap ratio %.3g below %g"
-            % (min(gap_r, gap_rt), RANK_GAP_MIN)
-        )
+    _require_gap(min(gap_r, gap_rt))
     delta = 2 * fw.n + 4 - rank_r
     sigma = fw.m - rank_rt
     phi = delta - 3

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from perimax import PeriodicFramework
+from perimax import PeriodicFramework, flex_space, sublattices_up_to
+from perimax.relax import UnfoldedFramework
 
 
 # -- extra fixtures --------------------------------------------------------
@@ -53,6 +54,17 @@ def single_edge():
     """Two orbits joined by one unshifted edge."""
     return PeriodicFramework(
         np.eye(2), [[0.0, 0.0], [1.0, 0.0]], [(0, 1, (0, 0))])
+
+
+def straddling_framework(eps=1.5e-9):
+    """A well-conditioned rigidity matrix whose relaxations are not: the
+    index-2 block of the character (1/2, 0) has two singular values near
+    1.4e-9 and 0.7e-9 of its largest, on both sides of the rank cutoff (a
+    long thin lattice whose two loops at each vertex are nearly parallel)."""
+    return PeriodicFramework(
+        [[1.0, -2.0], [0.0, eps]], [[0.0, 0.0], [0.5, 0.0]],
+        [(0, 0, (1, 0)), (0, 0, (3, 1)), (1, 1, (1, 0)), (1, 1, (5, 2)),
+         (0, 1, (0, 0))])
 
 
 @pytest.fixture
@@ -190,6 +202,43 @@ def oracle_rank(matrix, rtol=1e-9):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int((s > rtol * s[0]).sum())
+
+
+def oracle_relax(fw, sub):
+    """Unfolding by explicit loops over vertex and edge coset copies."""
+    rho = sub.index
+    cosets = sub.cosets()
+    lat = fw.lattice
+    positions = np.empty((fw.n * rho, 2))
+    parent_vertex = np.empty(fw.n * rho, dtype=int)
+    for i in range(fw.n):
+        for (r1, r2) in cosets:
+            vid = i * rho + sub.coset_index(r1, r2)
+            positions[vid] = fw.positions[i] + lat @ np.array([r1, r2], dtype=float)
+            parent_vertex[vid] = i
+    edges = []
+    parent_edge = []
+    for k in range(fw.m):
+        t, h = int(fw.tails[k]), int(fw.heads[k])
+        c1, c2 = int(fw.shifts[k, 0]), int(fw.shifts[k, 1])
+        for (r1, r2) in cosets:
+            q1, q2, k1, k2 = sub.reduce(r1 + c1, r2 + c2)
+            edges.append((t * rho + sub.coset_index(r1, r2),
+                          h * rho + sub.coset_index(q1, q2), (k1, k2)))
+            parent_edge.append(k)
+    return UnfoldedFramework(lat @ sub.matrix.astype(float), positions, edges,
+                             sub, parent_vertex, parent_edge)
+
+
+def oracle_probe_entries(fw, max_index):
+    """(a, b, d, phi, sigma) of every relaxation up to max_index, from a
+    dense SVD of each unfolded framework's full rigidity matrix; raises
+    FrameworkError where an unfolding is invalid."""
+    out = []
+    for sub in sublattices_up_to(max_index):
+        rep = flex_space(oracle_relax(fw, sub))[1]
+        out.append((sub.a, sub.b, sub.d, rep.phi, rep.sigma))
+    return out
 
 
 def oracle_gram_rate_fd(cfg_of_tau, tau, h=1e-5):

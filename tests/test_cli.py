@@ -171,17 +171,22 @@ def test_numerical_exit_code(tmp_path, capsys):
     assert "not a certified" in rep["error"]
 
 
+def _run_module(module, *argv):
+    """Run ``python -m module`` in a separate interpreter, so an uncaught
+    exception shows as a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perimax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_analyze_edgeless_framework(tmp_path):
     from perimax import PeriodicFramework, serialize_framework
 
     path = tmp_path / "empty.json"
     path.write_text(serialize_framework(
         PeriodicFramework(np.eye(2), [[0.0, 0.0]], [])))
-    # a separate interpreter, so an uncaught exception shows as a traceback
-    src = os.path.dirname(os.path.dirname(os.path.abspath(perimax.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "perimax.cli", "analyze", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_module("perimax.cli", "analyze", str(path))
     assert proc.returncode in (0, 2, 3)
     assert "Traceback" not in proc.stderr
     rep = json.loads(proc.stdout)
@@ -228,3 +233,55 @@ def test_rigidify_reports_pinned(tmp_path, capsys):
         assert main(["rigidify", paths[name], "--quiet"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# sha256 of `perimax ultra <fixture> --max-index 8` stdout as the dense
+# unfold-and-SVD probe printed it; the character probe must print the same.
+PINNED_ULTRA = {
+    "square_grid": "a9e958ff56e1d7d5039acce3120276f92c0eefcbed2389401d592dcdfff7c56f",
+    "kagome": "97f2f983967ff0e10858e5e161482fa4b7c3d203f0cece6c419caef551466f1b",
+    "reentrant": "d1f93520033f549f52a9d9591c3710cb6b4835ca5ac7b806f2c13d0ea1c9a8d1",
+    "ppt3": "97f2f983967ff0e10858e5e161482fa4b7c3d203f0cece6c419caef551466f1b",
+    "cubes": "37e15ea81ed20ca710fc3d5eaeebe3800b000ae6f8aebeeac1f703ca78e32d32",
+    "ultrarigid": "d04eed355fb1ea83e412ff0f54e5bac1eba658826a483e985087cb7dc04d8653",
+}
+
+
+def test_ultra_reports_pinned(tmp_path, capsys):
+    for name, digest in PINNED_ULTRA.items():
+        path = fixture_file(tmp_path, capsys, name)
+        assert main(["ultra", path, "--max-index", "8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_python_m_perimax():
+    proc = _run_module("perimax", "fixture", "ppt3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == perimax.framework_to_dict(perimax.fixture("ppt3"))
+    proc = _run_module("perimax", "--help")
+    assert proc.returncode == 0 and "ultra" in proc.stdout
+
+
+def test_ultra_refusals_exit_with_json(tmp_path):
+    from perimax import PeriodicFramework, serialize_framework
+
+    from conftest import straddling_framework
+
+    cases = [
+        # edgeless: the index-2 relaxations are disconnected
+        (PeriodicFramework(np.eye(2), [[0.0, 0.0]], []), 2, "validation",
+         "disconnected quotient graph"),
+        # closed walks shift by (2, 0) and (0, 1) only
+        (PeriodicFramework(np.eye(2), [[0.0, 0.0]], [(0, 0, (2, 0)), (0, 0, (0, 1))]),
+         2, "validation", "disconnected quotient graph"),
+        (straddling_framework(), 3, "numerical", "rank instability"),
+    ]
+    for i, (fw, code, kind, message) in enumerate(cases):
+        path = tmp_path / ("refused%d.json" % i)
+        path.write_text(serialize_framework(fw))
+        proc = _run_module("perimax", "ultra", str(path), "--max-index", "4")
+        assert proc.returncode == code, i
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["kind"] == kind and message in rep["error"], i

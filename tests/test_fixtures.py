@@ -143,3 +143,14 @@ def test_ultrarigid_fixture():
     _, rep = flex_space(fw)
     assert (rep.sigma, rep.phi) == (0, 0)
     assert ultrarigidity_probe(fw, 4).ultrarigid
+
+
+def test_ultrarigid_fixture_is_the_certified_insertion():
+    # the fixture is built from ppt3's data directly; inserting the frozen
+    # edge through insert_edge_orbit (which checks crossings) must give the
+    # same document byte for byte
+    from perimax import insert_edge_orbit, serialize_framework
+    from perimax.fixtures import _ULTRARIGID_EDGE
+
+    inserted = insert_edge_orbit(fixture("ppt3"), _ULTRARIGID_EDGE)
+    assert serialize_framework(fixture("ultrarigid")) == serialize_framework(inserted)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimax import (
     FrameworkError,
+    NumericalError,
+    PeriodicFramework,
     check_periodic_stress,
     copy_stress,
     fixture,
@@ -18,7 +22,13 @@ from perimax import (
 )
 from perimax.relax import Sublattice
 
-from conftest import oracle_sublattices, subdivided_grid
+from conftest import (
+    oracle_probe_entries,
+    oracle_relax,
+    oracle_sublattices,
+    straddling_framework,
+    subdivided_grid,
+)
 
 FIXTURE_NAMES = ("square_grid", "kagome", "reentrant", "ppt3", "cubes",
                  "ultrarigid")
@@ -173,3 +183,96 @@ def test_ultrarigidity_probe_examples():
 
     with pytest.raises(FrameworkError):
         ultrarigidity_probe(fixture("square_grid"), 0)
+
+
+def _same_unfolding(a, b):
+    return (a.positions.tobytes() == b.positions.tobytes()
+            and a.lattice.tobytes() == b.lattice.tobytes()
+            and all(np.array_equal(x, y) for x, y in (
+                (a.tails, b.tails), (a.heads, b.heads), (a.shifts, b.shifts),
+                (a.parent_vertex, b.parent_vertex),
+                (a.parent_edge, b.parent_edge))))
+
+
+def test_relax_matches_loop_reference():
+    # bitwise: same vertex and edge order, positions rounded like lat @ r
+    for name in FIXTURE_NAMES:
+        fw = fixture(name)
+        for sub in sublattices_up_to(8):
+            assert _same_unfolding(relax(fw, sub), oracle_relax(fw, sub)), (name, sub)
+    fw = fixture("ppt3")
+    for a in range(1, 9):
+        for d in range(1, 9):
+            for b in range(d):
+                sub = Sublattice(a, b, d)
+                assert _same_unfolding(relax(fw, sub), oracle_relax(fw, sub)), sub
+
+
+def _probe_entries(fw, max_index):
+    return [(e.sublattice.a, e.sublattice.b, e.sublattice.d, e.phi, e.sigma)
+            for e in ultrarigidity_probe(fw, max_index).entries]
+
+
+@pytest.mark.parametrize("name, max_index", [
+    ("square_grid", 12), ("kagome", 12), ("reentrant", 12), ("cubes", 12),
+    ("ppt3", 16), ("ultrarigid", 16)])
+def test_probe_matches_dense_oracle(name, max_index):
+    fw = fixture(name)
+    assert _probe_entries(fw, max_index) == oracle_probe_entries(fw, max_index)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["kagome", "cubes", "ppt3", "reentrant"]),
+       abd=st.sampled_from([(1, 0, 1), (2, 0, 1), (1, 0, 2), (1, 1, 2)]),
+       scale=st.sampled_from([0.0, 0.01, 0.1]),
+       seed=st.integers(0, 2**32 - 1),
+       max_index=st.integers(1, 6))
+def test_character_counts_equal_dense_counts(name, abd, scale, seed, max_index):
+    fw = relax(fixture(name), Sublattice(*abd))
+    rng = np.random.default_rng(seed)
+    fw = fw.with_geometry(fw.positions + scale * rng.uniform(-1.0, 1.0, fw.positions.shape),
+                          fw.lattice + scale * rng.uniform(-1.0, 1.0, (2, 2)))
+    assert _probe_entries(fw, max_index) == oracle_probe_entries(fw, max_index)
+
+
+def _first_refused(fw, max_index):
+    """First sublattice at which the dense oracle's unfolding is refused."""
+    for sub in sublattices_up_to(max_index):
+        try:
+            oracle_relax(fw, sub)
+        except FrameworkError:
+            return sub
+    return None
+
+
+@pytest.mark.parametrize("fw, first", [
+    # no edges: every relaxation of index > 1 falls apart
+    (PeriodicFramework(np.eye(2), [[0.0, 0.0]], []), (1, 0, 2)),
+    # closed walks shift by (2, 0) and (0, 1) only
+    (PeriodicFramework(np.eye(2), [[0.0, 0.0]], [(0, 0, (2, 0)), (0, 0, (0, 1))]),
+     (2, 0, 1)),
+    # closed walks shift by (3, 0) and (0, 1): two orbits joined twice
+    (PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.4, 0.3]],
+                       [(0, 1, (0, 0)), (0, 1, (3, 0)), (0, 0, (0, 1))]),
+     (3, 0, 1)),
+    # closed walks shift by (1, 1) and (0, 2): the third index-2 sublattice
+    (PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.4, 0.3]],
+                       [(0, 1, (0, 0)), (0, 1, (1, 1)), (0, 1, (0, 2))]),
+     (1, 1, 2)),
+])
+def test_probe_refuses_disconnected_relaxations(fw, first):
+    sub = _first_refused(fw, 4)
+    assert (sub.a, sub.b, sub.d) == first
+    ultrarigidity_probe(fw, sub.index - 1)
+    with pytest.raises(FrameworkError, match="disconnected quotient graph.*"
+                       r"\(a=%d, b=%d, d=%d\)" % first):
+        ultrarigidity_probe(fw, 4)
+
+
+def test_probe_refuses_straddling_character_block():
+    fw = straddling_framework()
+    assert flex_space(fw)[1].rank_gap > 1e6
+    rep = ultrarigidity_probe(fw, 1)
+    assert [(e.phi, e.sigma) for e in rep.entries] == [(2, 2)]
+    with pytest.raises(NumericalError, match="rank instability"):
+        ultrarigidity_probe(fw, 2)

@@ -201,3 +201,25 @@ def test_rank_instability_detected():
         [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 1, (0, 0)), (0, 2, (0, 0))])
     with pytest.raises(NumericalError, match="rank instability"):
         count_identity_check(fw)
+
+
+def test_svd_rank_of_a_stack_matches_each_matrix(rng):
+    from perimax.rigidity import _svd_rank
+
+    # full rank, rank deficient, exactly zero and a straddling spectrum
+    mats = [rng.standard_normal((5, 4)),
+            rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4)),
+            np.zeros((5, 4)),
+            np.diag([1.0, 0.5, 3e-9, 6e-10]).repeat([2, 1, 1, 1], axis=0)]
+    stack = np.stack(mats)
+    sv, rank, gap = _svd_rank(stack)
+    for i, A in enumerate(mats):
+        sv_i, rank_i, gap_i = _svd_rank(A)
+        assert np.array_equal(sv[i], sv_i)
+        assert (rank[i], gap[i]) == (rank_i, gap_i)
+    assert list(rank) == [4, 2, 0, 3]
+    assert gap[3] == pytest.approx(5.0)
+    assert np.isinf(gap[[0, 2]]).all()
+    # empty matrices have rank 0 and no gap
+    sv, rank, gap = _svd_rank(np.zeros((3, 0, 4)))
+    assert sv.shape == (3, 0) and list(rank) == [0, 0, 0] and np.isinf(gap).all()
