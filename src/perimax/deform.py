@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import FrameworkError, NumericalError, validate_geometry
 from .pseudotri import certify_ppt, pointedness_margin
-from .rigidity import gauge_reduced_kernel, gauge_rows, pair_table, rigidity_rows
+from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, _pair_rates,
+                       gauge_rows, pair_table, rigidity_rows)
 from .topology import trace_faces
 
 __all__ = [
@@ -55,16 +56,7 @@ class Configuration:
     def from_framework(cls, fw):
         """Gauge-fix a framework's placement: translate vertex 0 to the
         origin and rotate the first generator onto the positive x-axis."""
-        lam1 = fw.lattice[:, 0]
-        norm = float(np.linalg.norm(lam1))
-        if norm == 0.0:
-            raise FrameworkError("first lattice generator is zero")
-        c, s = lam1[0] / norm, lam1[1] / norm
-        rot = np.array([[c, s], [-s, c]])
-        positions = (fw.positions - fw.positions[0]) @ rot.T
-        lattice = rot @ fw.lattice
-        lattice[1, 0] = 0.0
-        return cls(positions, lattice)
+        return cls(*_gauge_position(fw))
 
     @property
     def n(self):
@@ -85,27 +77,13 @@ class Configuration:
                 and abs(self.lattice[1, 0]) <= tol and self.lattice[0, 0] > 0)
 
 
-def _lattice_rate(tangent, n):
-    return np.column_stack([tangent[2 * n:2 * n + 2], tangent[2 * n + 2:]])
-
-
 def flex_tangent(cfg, fw, cutoff=2):
     """Unit generator of the gauge-reduced motion space, oriented so the
     vertex pair with the largest |distance rate| expands.
 
-    Raises when the reduced kernel is not one-dimensional.
+    Raises NumericalError when the reduced kernel is not one-dimensional.
     """
-    gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    basis = gauge_reduced_kernel(gauged)
-    if basis.shape[1] != 1:
-        raise NumericalError(
-            "deformation space is not one-dimensional (dimension %d)"
-            % basis.shape[1])
-    tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
-    report = expansive_check(cfg, tangent, cutoff)
-    if report.top_pair is not None and report.top_rate < 0:
-        tangent = -tangent
-    return tangent
+    return _oriented_flex(fw, cfg.positions, cfg.lattice, cutoff)[0]
 
 
 @dataclass
@@ -121,18 +99,13 @@ def expansive_check(cfg, tangent, cutoff=2):
     """Rate of change of squared distances over all vertex-copy pairs
     within the shift cutoff (``pair_table``); expansive when none
     decreases.  Ties go to the first pair in table order."""
-    n = cfg.n
-    table = pair_table(n, cutoff)
+    table = pair_table(cfg.n, cutoff)
+    return _expansive_report(_pair_rates(cfg.positions, cfg.lattice, tangent, table), table)
+
+
+def _expansive_report(rates, table):
     if not len(table):
         return ExpansiveReport(True, 0.0, None)
-    u, v, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
-    vel = tangent[:2 * n].reshape(n, 2)
-    # stacked matmuls round each row like the single products lattice @ c, sep @ dsep
-    sep = cfg.positions[v] + np.matmul(cfg.lattice, c)[:, :, 0] - cfg.positions[u]
-    dsep = vel[v] + np.matmul(_lattice_rate(tangent, n), c)[:, :, 0] - vel[u]
-    rates = 2.0 * np.matmul(sep[:, None], dsep[:, :, None])[:, 0, 0]
-    if not np.all(np.isfinite(rates)):
-        raise NumericalError("non-finite squared-distance rate")
     lo, top = int(np.argmin(rates)), int(np.argmax(np.abs(rates)))
     lo_pair, top_pair = [(a, b, (c1, c2)) for a, b, c1, c2 in table[[lo, top]].tolist()]
     tol = EXPANSIVE_TOL * max(1.0, abs(float(rates[top])))
@@ -261,28 +234,27 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
 
     samples = []
     tau = 0.0
-    prev_tangent = None
+    tangent = None
 
-    def make_sample(cfg, tangent):
-        if tangent is None:
-            return PathSample(tau, cfg, cfg.gram(), None, None, None)
-        rep = expansive_check(cfg, tangent, cutoff)
+    def make_sample(cfg, report):
         dom = gram_derivative(cfg, tangent)
-        return PathSample(tau, cfg, cfg.gram(), dom, rep.ok,
-                          auxetic_tangent_check(dom), rep.min_rate)
+        return PathSample(tau, cfg, cfg.gram(), dom, report.ok,
+                          auxetic_tangent_check(dom), report.min_rate)
 
     def tangent_at(cfg):
-        t = flex_tangent(cfg, fw, cutoff)
-        if prev_tangent is not None and float(t @ prev_tangent) < 0:
-            t = -t
-        return t
+        # the flex turned to follow the previous sample, its rates with it
+        t, rates = _oriented_flex(fw, cfg.positions, cfg.lattice, cutoff)
+        if tangent is not None and float(t @ tangent) < 0:
+            t, rates = -t, -rates
+        return t, _expansive_report(rates, pair_table(n, cutoff))
 
     if steps <= 0:
-        return DeformationPath([make_sample(cfg, None)], "step count reached")
+        return DeformationPath([PathSample(tau, cfg, cfg.gram(), None, None, None)],
+                               "step count reached")
 
     classes = _angle_classes(fw.with_geometry(cfg.positions, cfg.lattice))
-    prev_tangent = tangent = tangent_at(cfg)
-    samples.append(make_sample(cfg, tangent))
+    tangent, report = tangent_at(cfg)
+    samples.append(make_sample(cfg, report))
 
     termination = "step count reached"
     event_margin = None
@@ -322,17 +294,17 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
                 tau += lo
                 cfg = lo_cfg
                 try:
-                    prev_tangent = tangent = tangent_at(cfg)
+                    tangent, report = tangent_at(cfg)
                 except NumericalError:
-                    tangent = prev_tangent
-                samples.append(make_sample(cfg, tangent))
+                    report = expansive_check(cfg, tangent, cutoff)
+                samples.append(make_sample(cfg, report))
             termination = "event: %s" % reason
             event_margin = new_margin
             break
         tau += step
         cfg = new_cfg
-        prev_tangent = tangent = tangent_at(cfg)
-        samples.append(make_sample(cfg, tangent))
+        tangent, report = tangent_at(cfg)
+        samples.append(make_sample(cfg, report))
         k += 1
 
     return DeformationPath(samples, termination, event_margin)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameworkError, NumericalError, PeriodicFramework, canonical_edge
-from .rigidity import flex_space, gauge_reduced_kernel, pair_table
+from .rigidity import _gauge_position, _oriented_flex, flex_space, pair_table
 from .topology import _EdgeScreen, check_noncrossing, corner_count, trace_faces
 
 __all__ = [
@@ -216,29 +216,18 @@ def oriented_flex(fw, cutoff=2):
     """Unit generator of the one-dimensional flex, oriented expansively.
 
     The framework is moved into gauge position first; the sign makes the
-    candidate pair with the largest |length derivative| expand (ties: the
-    largest pair).  Derivatives of candidate pairs are gauge invariant, so
-    the result can be used for ranking insertions on the original
-    framework.
+    vertex pair with the largest |distance rate| expand, as in
+    ``deform.flex_tangent``.  Derivatives of candidate pairs are gauge
+    invariant, so the result can be used for ranking insertions on the
+    original framework.  Raises NumericalError when the flex is not
+    one-dimensional.
     """
-    from .deform import Configuration  # local import to avoid a cycle
-
-    cfg = Configuration.from_framework(fw)
-    gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    basis = gauge_reduced_kernel(gauged)
-    if basis.shape[1] != 1:
-        raise FrameworkError(
-            "flex space is not one-dimensional (dimension %d)" % basis.shape[1])
-    tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
+    gauged = fw.with_geometry(*_gauge_position(fw))
+    tangent, _ = _oriented_flex(fw, gauged.positions, gauged.lattice, cutoff)
     table = _candidate_table(fw, cutoff)
     derivs = _length_derivatives(gauged, tangent, table)
     if not np.all(np.isfinite(derivs)):
         raise NumericalError("non-finite length derivative of a candidate pair")
-    if len(derivs):
-        mags = np.abs(derivs)
-        if derivs[np.flatnonzero(mags == mags.max())[-1]] < 0:
-            tangent = -tangent
-            derivs = -derivs
     pairs = [(u, v, (c1, c2)) for u, v, c1, c2 in table.tolist()]
     return gauged, tangent, pairs, derivs.tolist()
 

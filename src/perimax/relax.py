@@ -46,6 +46,10 @@ __all__ = [
     "ultrarigidity_probe",
 ]
 
+# Largest max_index the probe accepts: its character-slot table holds
+# about max_index**3 / 3 slots and is allocated up front.
+_MAX_PROBE_INDEX = 64
+
 
 @dataclass(frozen=True)
 class Sublattice:
@@ -283,8 +287,8 @@ def ultrarigidity_probe(fw, max_index=4):
     NumericalError when a kept/dropped singular value ratio of any block
     is below RANK_GAP_MIN.
     """
-    if max_index < 1:
-        raise FrameworkError("max_index must be >= 1")
+    if not 1 <= max_index <= _MAX_PROBE_INDEX:
+        raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
     _, base = flex_space(fw)
     gap = base.rank_gap
     # 2n - rank R_chi by character slot; 0 in the trivial slot

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError
+from .core import FrameworkError, NumericalError, validate_geometry
 
 __all__ = [
     "RANK_RTOL",
@@ -82,26 +82,27 @@ def equilibrium_matrix(fw):
     return rigidity_matrix(fw)[:, :2 * fw.n].T.copy()
 
 
-def _svd_rank(A, rtol=RANK_RTOL):
+def _svd_rank(A, rtol=RANK_RTOL, kernel=False):
     """Singular values, numerical rank and the kept/dropped gap ratio of a
-    matrix, or elementwise for a stack of matrices (shape (..., M, N))."""
+    matrix, or elementwise for a stack of matrices (shape (..., M, N)).
+    With ``kernel``, one full SVD of a single matrix also gives an
+    orthonormal basis (columns) of its kernel, returned fourth."""
     A = np.asarray(A)
-    stack = A.shape[:-2]
-    if 0 in A.shape[-2:]:
-        sv = np.zeros(stack + (0,))
-        rank = np.zeros(stack, dtype=int)
-        gap = np.full(stack, np.inf)
+    if kernel:
+        _, sv, vt = np.linalg.svd(A)
     else:
         sv = np.linalg.svd(A, compute_uv=False)
-        kept = sv > rtol * sv[..., :1]
-        rank = kept.sum(axis=-1)
-        # smallest kept over largest dropped; inf when either is missing
-        dropped = np.where(kept, 0.0, sv).max(axis=-1)
-        gap = np.divide(np.where(kept, sv, np.inf).min(axis=-1), dropped,
-                        out=np.full(stack, np.inf), where=(rank > 0) & (dropped > 0))
-    if A.ndim == 2:
-        return sv, int(rank), float(gap)
-    return sv, rank, gap
+    kept = sv > rtol * sv[..., :1]
+    rank = kept.sum(axis=-1)
+    # smallest kept over largest dropped; inf when either is missing
+    dropped = np.where(kept, 0.0, sv).max(axis=-1, initial=0.0)
+    gap = np.divide(np.where(kept, sv, np.inf).min(axis=-1, initial=np.inf), dropped,
+                    out=np.full(A.shape[:-2], np.inf), where=(rank > 0) & (dropped > 0))
+    if A.ndim > 2:
+        return sv, rank, gap
+    if kernel:
+        return sv, int(rank), float(gap), vt[rank:].T.copy()
+    return sv, int(rank), float(gap)
 
 
 def _require_gap(gap):
@@ -112,16 +113,6 @@ def _require_gap(gap):
             "rank instability: singular value gap ratio %.3g below %g"
             % (gap, RANK_GAP_MIN)
         )
-
-
-def _nullspace(A, rtol=RANK_RTOL):
-    """Orthonormal basis (columns) of the kernel of A."""
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1])
-    u, sv, vt = np.linalg.svd(A)
-    top = sv[0] if sv.size else 0.0
-    rank = int((sv > rtol * top).sum()) if top > 0 else 0
-    return vt[rank:].T.copy()
 
 
 def _fix_signs(basis, rtol=RANK_RTOL):
@@ -154,9 +145,8 @@ def flex_space(fw, rtol=RANK_RTOL):
     Returns (basis, report) with basis columns of length 2n + 4; the
     report's phi subtracts the three trivial isometry motions.
     """
-    R = rigidity_matrix(fw)
-    sv, rank, gap = _svd_rank(R, rtol)
-    basis = _fix_signs(_nullspace(R, rtol), rtol)
+    sv, rank, gap, basis = _svd_rank(rigidity_matrix(fw), rtol, kernel=True)
+    basis = _fix_signs(basis, rtol)
     delta = basis.shape[1]
     sigma = fw.m - rank
     return basis, SpectralReport(sigma, delta, delta - 3, sv, gap)
@@ -178,7 +168,7 @@ def periodic_stress_space(fw, rtol=RANK_RTOL):
     Vectors are unit norm with the first significant entry positive.
     """
     R = rigidity_matrix(fw)
-    basis = _fix_signs(_nullspace(R.T, rtol), rtol)
+    basis = _fix_signs(_svd_rank(R.T, rtol, kernel=True)[3], rtol)
     return [StressVector(basis[:, j].copy(), True, True, True)
             for j in range(basis.shape[1])]
 
@@ -190,7 +180,7 @@ def invariant_equilibrium_stress_space(fw, rtol=RANK_RTOL):
     lattice conditions; the periodic stresses form a subspace.
     """
     E = equilibrium_matrix(fw)
-    basis = _fix_signs(_nullspace(E, rtol), rtol)
+    basis = _fix_signs(_svd_rank(E, rtol, kernel=True)[3], rtol)
     out = []
     for j in range(basis.shape[1]):
         s = basis[:, j].copy()
@@ -315,6 +305,63 @@ def gauge_reduced_kernel(fw, rtol=RANK_RTOL):
     generator on the positive x-axis) the gauge kills exactly the trivial
     motions, so the result has dimension phi.
     """
-    R = rigidity_matrix(fw)
+    return _gauge_kernel(fw, rigidity_matrix(fw), rtol)
+
+
+def _gauge_kernel(fw, R, rtol=RANK_RTOL):
     A = np.vstack([R / max(1.0, np.abs(R).max()), gauge_rows(fw)])
-    return _fix_signs(_nullspace(A, rtol), rtol)
+    return _fix_signs(_svd_rank(A, rtol, kernel=True)[3], rtol)
+
+
+def _gauge_position(fw):
+    """(positions, lattice) of fw moved to gauge position: vertex 0 at the
+    origin, the first generator rotated onto the positive x-axis."""
+    lam1 = fw.lattice[:, 0]
+    norm = float(np.linalg.norm(lam1))
+    if norm == 0.0:
+        raise FrameworkError("first lattice generator is zero")
+    c, s = lam1[0] / norm, lam1[1] / norm
+    rot = np.array([[c, s], [-s, c]])
+    positions = (fw.positions - fw.positions[0]) @ rot.T
+    lattice = rot @ fw.lattice
+    lattice[1, 0] = 0.0
+    return positions, lattice
+
+
+def _lattice_rate(motion, n):
+    return np.column_stack([motion[2 * n:2 * n + 2], motion[2 * n + 2:]])
+
+
+def _pair_rates(positions, lattice, motion, table):
+    """Rate of change of the squared distance of every pair (u, v, c1, c2)
+    of a pair table under a motion (2n + 4 vector, lattice columns last)."""
+    n = len(positions)
+    u, v, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
+    vel = motion[:2 * n].reshape(n, 2)
+    # stacked matmuls round each row like the single products lattice @ c, sep @ dsep
+    sep = positions[v] + np.matmul(lattice, c)[:, :, 0] - positions[u]
+    dsep = vel[v] + np.matmul(_lattice_rate(motion, n), c)[:, :, 0] - vel[u]
+    rates = 2.0 * np.matmul(sep[:, None], dsep[:, :, None])[:, 0, 0]
+    if not np.all(np.isfinite(rates)):
+        raise NumericalError("non-finite squared-distance rate")
+    return rates
+
+
+def _oriented_flex(fw, positions, lattice, cutoff):
+    """Unit flex of fw's edge orbits placed at (positions, lattice), in
+    gauge position, and its squared-distance rates over ``pair_table``:
+    the gauge-reduced kernel, which must be one-dimensional, oriented so
+    that the pair with the largest |rate| expands (ties: the first in table
+    order).  The flex of a pseudo-triangulation is expansive, so this one
+    rule serves paths and the rigidifying search alike."""
+    _, evecs = validate_geometry(lattice, positions, fw.tails, fw.heads, fw.shifts)
+    basis = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
+    if basis.shape[1] != 1:
+        raise NumericalError(
+            "deformation space is not one-dimensional (dimension %d)"
+            % basis.shape[1])
+    tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
+    rates = _pair_rates(positions, lattice, tangent, pair_table(fw.n, cutoff))
+    if len(rates) and rates[np.argmax(np.abs(rates))] < 0:
+        tangent, rates = -tangent, -rates
+    return tangent, rates

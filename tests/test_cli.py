@@ -285,3 +285,13 @@ def test_ultra_refusals_exit_with_json(tmp_path):
         assert "Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["kind"] == kind and message in rep["error"], i
+
+
+def test_ultra_index_bound_exits_with_json(tmp_path, capsys):
+    # the character-slot table grows as max_index**3: refused before allocation
+    path = fixture_file(tmp_path, capsys, "ppt3")
+    proc = _run_module("perimax", "ultra", str(path), "--max-index", "100000")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["kind"] == "validation" and "max_index must be between 1 and" in rep["error"]

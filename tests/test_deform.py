@@ -19,9 +19,10 @@ from perimax import (
     flex_tangent,
     gram_derivative,
 )
+from perimax import deform, rigidity
 from perimax.deform import ExpansiveReport, _constraint_system, _edge_lengths_sq
-from perimax.pseudotri import pair_length_derivative
-from perimax.relax import Sublattice, relax
+from perimax.pseudotri import certify_ppt, oriented_flex, pair_length_derivative
+from perimax.relax import Sublattice, relax, sublattices_up_to
 from perimax.rigidity import gauge_reduced_kernel
 
 from conftest import oracle_gram_rate_fd
@@ -79,6 +80,26 @@ def test_flex_tangent_rejects_rigid():
     cfg = Configuration.from_framework(fw)
     with pytest.raises(NumericalError, match="not one-dimensional"):
         flex_tangent(cfg, fw)
+    with pytest.raises(NumericalError, match="not one-dimensional"):
+        oriented_flex(fw)
+
+
+@pytest.mark.parametrize("name", ["ppt3", "kagome"])
+def test_flex_tangent_and_oriented_flex_agree(name):
+    """Both callers orient the flex by one rule: bitwise-equal tangents on
+    every certified relaxation of index <= 4, at cutoffs 1 and 2."""
+    base = fixture(name)
+    checked = 0
+    for sub in sublattices_up_to(4):
+        fw = relax(base, sub)
+        if not certify_ppt(fw).valid:
+            continue
+        cfg = Configuration.from_framework(fw)
+        for cutoff in (1, 2):
+            _, tangent, _, _ = oriented_flex(fw, cutoff)
+            assert np.array_equal(flex_tangent(cfg, fw, cutoff), tangent), (sub, cutoff)
+            checked += 1
+    assert checked == 30
 
 
 def test_ppt3_tangent_unique():
@@ -161,6 +182,23 @@ def test_zero_step_path():
     assert len(path.samples) == 1
     assert path.samples[0].gram_rate is None
     assert path.samples[0].expansive is None
+
+
+def test_path_evaluates_pair_rates_once_per_sample(monkeypatch):
+    """Each sample's expansive verdict comes from the rates that orient its
+    tangent: one evaluation of the shared rate kernel per sample."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rates(*args)
+
+    rates = rigidity._pair_rates
+    monkeypatch.setattr(rigidity, "_pair_rates", counted)
+    monkeypatch.setattr(deform, "_pair_rates", counted)
+    path = continue_path(fixture("ppt3"), steps=100, ds=0.01)
+    assert len(path.samples) > 1
+    assert len(calls) == len(path.samples)
 
 
 def test_kagome_path_terminates_at_boundary():
