@@ -38,7 +38,7 @@ def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_framework(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FrameworkError("cannot read %s: %s" % (path, exc)) from None
 
 

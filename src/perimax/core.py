@@ -315,6 +315,15 @@ def realize_patch(fw, tiles):
 
 # -- JSON round trip -----------------------------------------------------
 
+# Largest |shift| entry: a shift and its negation (canonical form) both
+# fit the int64 arrays of a framework.
+_MAX_SHIFT = 2 ** 63 - 1
+
+
+def _is_int(value):
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 def _parse_number(value, where):
     if isinstance(value, str):
@@ -322,8 +331,11 @@ def _parse_number(value, where):
             return float(value)
         except ValueError:
             raise FrameworkError("%s: bad decimal string %r" % (where, value)) from None
-    if isinstance(value, (int, float)):
-        return float(value)
+    if _is_int(value) or isinstance(value, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise FrameworkError("%s: number out of range" % where) from None
     raise FrameworkError("%s: expected a decimal string, got %r" % (where, value))
 
 
@@ -351,7 +363,7 @@ def framework_from_dict(doc):
         if not isinstance(rec, dict) or "id" not in rec or "pos" not in rec:
             raise FrameworkError("vertex records need 'id' and 'pos'")
         vid = rec["id"]
-        if not isinstance(vid, int) or not 0 <= vid < len(verts) or vid in seen_ids:
+        if not _is_int(vid) or not 0 <= vid < len(verts) or vid in seen_ids:
             raise FrameworkError("vertex ids must be unique and consecutive; got %r" % (vid,))
         seen_ids.add(vid)
         pos = rec["pos"]
@@ -371,11 +383,11 @@ def framework_from_dict(doc):
             tail, head, shift = rec["tail"], rec["head"], rec["shift"]
         except KeyError as exc:
             raise FrameworkError("edge %d: missing key %s" % (k, exc)) from None
-        if not (isinstance(tail, int) and isinstance(head, int)):
+        if not (_is_int(tail) and _is_int(head)):
             raise FrameworkError("edge %d: tail/head must be integers" % k)
         if (not isinstance(shift, list) or len(shift) != 2
-                or any(not isinstance(c, int) for c in shift)):
-            raise FrameworkError("edge %d: shift must be a pair of integers" % k)
+                or any(not _is_int(c) or abs(c) > _MAX_SHIFT for c in shift)):
+            raise FrameworkError("edge %d: shift must be a pair of 64-bit integers" % k)
         edges.append((tail, head, (shift[0], shift[1])))
     return PeriodicFramework(lattice, positions, edges)
 
@@ -384,7 +396,8 @@ def parse_framework(text):
     """Parse the JSON document format into a validated framework."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise FrameworkError("invalid JSON: %s" % exc) from None
     return framework_from_dict(doc)
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameworkError, NumericalError, validate_geometry
-from .pseudotri import certify_ppt, pointedness_margin
+from .pseudotri import certify_ppt
 from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, _pair_rates,
                        gauge_rows, pair_table, rigidity_rows)
-from .topology import trace_faces
+from .topology import ANGLE_SUM_TOL
 
 __all__ = [
     "Configuration",
@@ -172,47 +172,72 @@ def _edge_lengths_sq(fw, cfg):
 
 def _constraint_system(fw, z, ref_sq, n):
     """Edge-length and gauge residuals at the raw configuration vector z,
-    and their Jacobian: twice the rigidity matrix over the gauge rows.  The
-    iterate gets the geometric checks of a framework's constructor."""
+    their Jacobian (twice the rigidity matrix over the gauge rows) and the
+    edge vectors, with the geometric checks of a framework's constructor."""
     _, evecs = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
                                  fw.tails, fw.heads, fw.shifts)
     F = np.concatenate([np.einsum("ij,ij->i", evecs, evecs) - ref_sq,
                         [z[0], z[1], z[2 * n + 1]]])
     J = np.vstack([2 * rigidity_rows(n, fw.tails, fw.heads, fw.shifts, evecs),
                    gauge_rows(fw)])
-    return F, J
+    return F, J, evecs
 
 
 def _newton_correct(fw, z, ref_sq, n, tol_abs):
+    """Corrected iterate, whether it converged, and its edge vectors."""
     for _ in range(NEWTON_MAX_ITER):
-        F, J = _constraint_system(fw, z, ref_sq, n)
+        F, J, evecs = _constraint_system(fw, z, ref_sq, n)
         if float(np.abs(F).max()) <= tol_abs:
-            return z, True
+            return z, True, evecs
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         z = z + step
-    F, _ = _constraint_system(fw, z, ref_sq, n)
-    return z, float(np.abs(F).max()) <= tol_abs
+    F, _, evecs = _constraint_system(fw, z, ref_sq, n)
+    return z, float(np.abs(F).max()) <= tol_abs, evecs
 
 
-def _angle_classes(fw):
-    """Corner/reflex classification of every face angle at the start;
-    keeps the boundary margins signed (transversal) along the path."""
-    return [[a < math.pi for a in face.corner_angles] for face in trace_faces(fw).faces]
+def _corner_table(faces, m):
+    """The face corners of a pseudo-triangulation, fixed along its path.
 
-
-def _ppt_margin(fw, cfg, classes):
-    """Smallest signed margin to the pseudo-triangulation boundary.
-
-    Positive while every vertex stays pointed and no face angle has crossed
-    pi relative to its initial corner/reflex class.
+    Columns: the half-edges (orbit k forward at k, reversed at k + m) of
+    the twin of the incoming and of the outgoing edge, the face, the margin
+    sign (+1 convex, -1 reflex) and the event text.  Reflex corners come
+    first, by vertex: a pointed vertex has exactly one, and while the stars
+    stay fixed its margin is the vertex's pointedness margin.
     """
-    gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    margins = [(pointedness_margin(gauged, v), "pointedness lost at vertex %d" % v)
-               for v in range(fw.n)]
-    margins += [((math.pi - a) if corner else (a - math.pi), "flat corner on face %d" % face.id)
-                for face in trace_faces(gauged).faces
-                for a, corner in zip(face.corner_angles, classes[face.id])]
-    return margins[int(np.argmin([margin for margin, _ in margins]))]
+    rows = []
+    for face in faces:
+        for h_in, h_out, angle in zip(face.boundary[-1:] + face.boundary[:-1],
+                                      face.boundary, face.corner_angles):
+            v = h_out.tail[0]
+            if angle > math.pi:
+                key, sign, reason = (0, v), -1.0, "pointedness lost at vertex %d" % v
+            else:
+                key, sign, reason = (1, len(rows)), 1.0, "flat corner on face %d" % face.id
+            rows.append((key, h_in.orbit + m * h_in.forward,
+                         h_out.orbit + m * (not h_out.forward), face.id, sign, reason))
+    _, *columns, reasons = zip(*sorted(rows))
+    return [np.array(c) for c in columns] + [reasons]
+
+
+def _ppt_margin(table, evecs):
+    """Smallest signed margin to the pseudo-triangulation boundary at the
+    given edge vectors, and its event text; the first row wins a tie.
+    Raises NumericalError when a face's angle sum is off (k - 2) pi: a
+    corner left (0, 2 pi), so the stars changed."""
+    twin_in, out, face, sign, reasons = table
+    d = np.concatenate([evecs, -evecs])
+    angles = np.arctan2(d[:, 1], d[:, 0])
+    # a corner that wraps past the cut at pi is (a + 2 pi) - b, as the
+    # largest gap in pointedness_margin is, so the two agree bit for bit
+    a, b = angles[twin_in], angles[out]
+    corners = np.where(a < b, a + 2 * math.pi, a) - b
+    off = np.abs(np.bincount(face, corners) - (np.bincount(face) - 2) * math.pi)
+    if off.max() > ANGLE_SUM_TOL:
+        raise NumericalError("corner order changed along the path: face %d angle sum "
+                             "off (k-2)pi by %.3g" % (np.argmax(off), off.max()))
+    margins = sign * (math.pi - corners)
+    i = int(np.argmin(margins))
+    return float(margins[i]), reasons[i]
 
 
 def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
@@ -227,6 +252,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
     if not cert.valid:
         raise FrameworkError(
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
+    table = _corner_table(cert.faces, fw.m)
     n = fw.n
     cfg = Configuration.from_framework(fw)
     ref_sq = _edge_lengths_sq(fw, cfg)
@@ -252,7 +278,6 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
         return DeformationPath([PathSample(tau, cfg, cfg.gram(), None, None, None)],
                                "step count reached")
 
-    classes = _angle_classes(fw.with_geometry(cfg.positions, cfg.lattice))
     tangent, report = tangent_at(cfg)
     samples.append(make_sample(cfg, report))
 
@@ -262,37 +287,34 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
     k = 0
     while k < steps:
         z_pred = cfg.as_vector() + step * tangent
-        z_new, ok = _newton_correct(fw, z_pred, ref_sq, n, tol_abs)
+        z_new, ok, evecs = _newton_correct(fw, z_pred, ref_sq, n, tol_abs)
         if not ok:
             if abs(step) > MIN_STEP:
                 step *= 0.5
                 continue
             termination = "corrector divergence"
             break
-        new_cfg = Configuration.from_vector(z_new, n)
-        new_margin, reason = _ppt_margin(fw, new_cfg, classes)
+        new_margin, reason = _ppt_margin(table, evecs)
         if stop_at_event and new_margin <= 0.0:
             # bisect the step length until the boundary is bracketed tightly
-            lo, hi = 0.0, step
-            lo_cfg = cfg
+            lo, hi, z_lo = 0.0, step, None
             while hi - lo > EVENT_TAU_TOL:
                 mid = 0.5 * (lo + hi)
-                z_mid, okm = _newton_correct(
+                z_mid, okm, evecs = _newton_correct(
                     fw, cfg.as_vector() + mid * tangent, ref_sq, n, tol_abs)
                 if not okm:
                     hi = mid
                     continue
-                mid_cfg = Configuration.from_vector(z_mid, n)
-                m_mid, reason_mid = _ppt_margin(fw, mid_cfg, classes)
+                m_mid, reason_mid = _ppt_margin(table, evecs)
                 if m_mid <= 0.0:
                     hi = mid
                     new_margin, reason = m_mid, reason_mid
                 else:
-                    lo, lo_cfg = mid, mid_cfg
+                    lo, z_lo = mid, z_mid
             if lo > 0.0:
                 # boundary sample (the last configuration still inside)
                 tau += lo
-                cfg = lo_cfg
+                cfg = Configuration.from_vector(z_lo, n)
                 try:
                     tangent, report = tangent_at(cfg)
                 except NumericalError:
@@ -302,7 +324,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
             event_margin = new_margin
             break
         tau += step
-        cfg = new_cfg
+        cfg = Configuration.from_vector(z_new, n)
         tangent, report = tangent_at(cfg)
         samples.append(make_sample(cfg, report))
         k += 1

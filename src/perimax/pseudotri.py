@@ -11,7 +11,7 @@ inserting an edge orbit whose length varies under the flex rigidifies them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class PPTCertificate:
     stress_free: bool
     flex_dim: int
     failures: list
+    faces: list = field(default_factory=list)   # traced FaceOrbits
 
     def __bool__(self):
         return self.valid
@@ -125,6 +126,7 @@ def certify_ppt(fw):
         stress_free=spectral.sigma == 0,
         flex_dim=spectral.phi,
         failures=failures,
+        faces=fc.faces,
     )
 
 

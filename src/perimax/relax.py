@@ -49,6 +49,9 @@ __all__ = [
 # Largest max_index the probe accepts: its character-slot table holds
 # about max_index**3 / 3 slots and is allocated up front.
 _MAX_PROBE_INDEX = 64
+# Block entries (characters x m x 2n) built and ranked per batched SVD;
+# bounds each complex working array of the probe to about 4 MB.
+_PROBE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -279,8 +282,9 @@ def ultrarigidity_probe(fw, max_index=4):
     -e_k in the tail columns and chi(c_k) e_k in the head columns.  So
     phi' = phi + sum (2n - rank R_chi) and sigma' = sigma + sum
     (m - rank R_chi).  Characters are shared between sublattices; each
-    block is ranked once, all blocks of one order in a batched SVD, with
-    RANK_RTOL relative to the block's largest singular value.
+    block is ranked once, the blocks of one order in batched SVDs of at
+    most ``_PROBE_CELLS`` entries (or one block), with RANK_RTOL relative
+    to the block's largest singular value.
 
     Raises FrameworkError at the first relaxation whose quotient graph is
     disconnected (a character trivial on every closed-walk shift) and
@@ -301,6 +305,7 @@ def ultrarigidity_probe(fw, max_index=4):
     tail_part[rows, fw.tails] = evecs
     head_part = np.zeros((fw.m, fw.n, 2))
     head_part[rows, fw.heads] = evecs
+    chunk = max(1, _PROBE_CELLS // max(1, 2 * fw.m * fw.n))
 
     entries = []
     first_failure = None
@@ -314,12 +319,12 @@ def ultrarigidity_probe(fw, max_index=4):
             raise FrameworkError(
                 "disconnected quotient graph: relaxation to sublattice "
                 "(a=%d, b=%d, d=%d)" % (sub.a, sub.b, sub.d))
-        if fresh.size:
-            roots = np.exp(2j * np.pi * np.arange(k) / k)
-            chi = roots[(xy @ fw.shifts.T) % k]
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        for lo in range(0, fresh.size, chunk):
+            chi = roots[(xy[lo:lo + chunk] @ fw.shifts.T) % k]
             blocks = chi[:, :, None, None] * head_part - tail_part
-            _, rank, block_gap = _svd_rank(blocks.reshape(fresh.size, fw.m, 2 * fw.n))
-            flex_def[fresh] = 2 * fw.n - rank
+            _, rank, block_gap = _svd_rank(blocks.reshape(len(chi), fw.m, 2 * fw.n))
+            flex_def[fresh[lo:lo + chunk]] = 2 * fw.n - rank
             gap = min(gap, float(block_gap.min()))
         added = flex_def[codes].sum(axis=1)
         # m - rank R_chi = (2n - rank R_chi) + (m - 2n) for each of k - 1 blocks

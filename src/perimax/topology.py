@@ -272,7 +272,7 @@ def _half_edges(fw, angle_tol=1e-12):
 
     Returns (stars, data) where stars[v] is the ordered list of keys
     (orbit, forward) and data maps keys to (head vertex, shift delta,
-    direction angle, direction vector).
+    direction angle).
     """
     data = {}
     stars = [[] for _ in range(fw.n)]
@@ -281,10 +281,8 @@ def _half_edges(fw, angle_tol=1e-12):
         t, h = int(fw.tails[k]), int(fw.heads[k])
         c = (int(fw.shifts[k, 0]), int(fw.shifts[k, 1]))
         d = evecs[k]
-        ang = math.atan2(d[1], d[0])
-        rev = math.atan2(-d[1], -d[0])
-        data[(k, True)] = (h, c, ang, d)
-        data[(k, False)] = (t, (-c[0], -c[1]), rev, -d)
+        data[(k, True)] = (h, c, math.atan2(d[1], d[0]))
+        data[(k, False)] = (t, (-c[0], -c[1]), math.atan2(-d[1], -d[0]))
         stars[t].append((k, True))
         stars[h].append((k, False))
     for v in range(fw.n):
@@ -308,17 +306,12 @@ def trace_faces(fw):
     non-simple faces; these signal a crossing or a degenerate placement.
     """
     stars, data = _half_edges(fw)
-    pos_in_star = {}
-    for v, star in enumerate(stars):
-        for i, key in enumerate(star):
-            pos_in_star[key] = (v, i)
+    pos_in_star = {key: i for star in stars for i, key in enumerate(star)}
 
     def successor(key):
-        head = data[key][0]
-        twin = (key[0], not key[1])
-        _, i = pos_in_star[twin]
-        star = stars[head]
-        return star[(i - 1) % len(star)]
+        # the rotational predecessor of the twin in the head's star
+        star = stars[data[key][0]]
+        return star[(pos_in_star[(key[0], not key[1])] - 1) % len(star)]
 
     visited = {}
     faces = []
@@ -334,21 +327,18 @@ def trace_faces(fw):
             boundary = []
             key = start
             shift = (0, 0)
-            tail_v = int(fw.tails[k0]) if fwd0 else int(fw.heads[k0])
-            copies = []
             while True:
                 visited[key] = fid
-                head_v, delta, _, _ = data[key]
-                tail_copy = (tail_v, shift)
+                head_v, delta, _ = data[key]
+                # a half-edge leaves the head of its twin
+                tail_copy = (data[(key[0], not key[1])][0], shift)
                 head_shift = (shift[0] + delta[0], shift[1] + delta[1])
                 boundary.append(HalfEdge(key[0], key[1], tail_copy, (head_v, head_shift)))
-                copies.append(tail_copy)
                 # copy offset at which this edge orbit occurs in the face:
                 # forward slots start at the copy's tail, backward slots end there
                 slot_map = left_slot if key[1] else right_slot
                 slot_map[key[0]] = (fid, shift if key[1] else head_shift)
                 key = successor(key)
-                tail_v = head_v
                 shift = head_shift
                 if key == start:
                     break
@@ -357,11 +347,14 @@ def trace_faces(fw):
                     "Euler violation: face %d is non-contractible (net shift %r)"
                     % (fid, shift)
                 )
-            if len(set(copies)) != len(copies):
+            if len({slot.tail for slot in boundary}) != len(boundary):
                 raise FrameworkError("non-simple face %d: repeated vertex copy" % fid)
-            angles = _interior_angles(boundary, data)
-            kgon = len(boundary)
-            if abs(sum(angles) - (kgon - 2) * math.pi) > ANGLE_SUM_TOL:
+            # interior angle at a corner: from the outgoing half-edge
+            # counterclockwise to the twin of the incoming one
+            angles = [(data[(h_in.orbit, not h_in.forward)][2]
+                       - data[(h_out.orbit, h_out.forward)][2]) % (2 * math.pi)
+                      for h_in, h_out in zip(boundary[-1:] + boundary[:-1], boundary)]
+            if abs(sum(angles) - (len(boundary) - 2) * math.pi) > ANGLE_SUM_TOL:
                 raise FrameworkError(
                     "Euler violation: face %d angle sum %.12g != (k-2)pi"
                     % (fid, sum(angles))
@@ -383,18 +376,6 @@ def trace_faces(fw):
         tetrads.append(Tetrad(k, int(fw.tails[k]), int(fw.heads[k]),
                               lf, rf, lcopy, rcopy))
     return FaceComplex(faces, tetrads, vertex_slot)
-
-
-def _interior_angles(boundary, data):
-    """Interior angle at each boundary corner of a counterclockwise face."""
-    angles = []
-    kgon = len(boundary)
-    for i in range(kgon):
-        d_in = data[(boundary[i - 1].orbit, boundary[i - 1].forward)][3]
-        d_out = data[(boundary[i].orbit, boundary[i].forward)][3]
-        a = math.atan2(-d_in[1], -d_in[0]) - math.atan2(d_out[1], d_out[0])
-        angles.append(a % (2 * math.pi))
-    return angles
 
 
 @dataclass

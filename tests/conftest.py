@@ -8,11 +8,15 @@ numpy's SVD, and derivatives are central finite differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from perimax import PeriodicFramework, flex_space, sublattices_up_to
+from perimax.pseudotri import pointedness_margin
 from perimax.relax import UnfoldedFramework
+from perimax.topology import trace_faces
 
 
 # -- extra fixtures --------------------------------------------------------
@@ -272,3 +276,19 @@ def oracle_sublattices(index, box=None):
                     )
                     found.setdefault(pts, ((a11, a12), (a21, a22)))
     return list(found.values())
+
+
+def oracle_ppt_margin(fw, positions, lattice):
+    """Smallest signed margin to the pseudo-triangulation boundary, and its
+    event text, from a framework rebuilt at (positions, lattice) and traced
+    again: the pointedness margin of every vertex, then every face corner
+    against its corner/reflex class in ``fw``; the first entry wins a tie."""
+    classes = [[a < math.pi for a in face.corner_angles] for face in trace_faces(fw).faces]
+    moved = fw.with_geometry(positions, lattice)
+    margins = [(pointedness_margin(moved, v), "pointedness lost at vertex %d" % v)
+               for v in range(fw.n)]
+    margins += [((math.pi - a) if corner else (a - math.pi),
+                 "flat corner on face %d" % face.id)
+                for face in trace_faces(moved).faces
+                for a, corner in zip(face.corner_angles, classes[face.id])]
+    return margins[int(np.argmin([margin for margin, _ in margins]))]

@@ -194,6 +194,26 @@ def test_analyze_edgeless_framework(tmp_path):
     assert rep["kind"] == "validation" and "Euler" in rep["error"]
 
 
+def test_analyze_malformed_documents(tmp_path):
+    """Integers beyond int64 (a shift) or beyond a float (a lattice entry),
+    and bytes that are not UTF-8, exit 2 with a JSON report instead of a
+    traceback."""
+    doc = perimax.framework_to_dict(perimax.fixture("square_grid"))
+    bad_shift = json.loads(json.dumps(doc))
+    bad_shift["edges"][0]["shift"] = [2 ** 63, 0]
+    bad_lattice = json.loads(json.dumps(doc))
+    bad_lattice["lattice"][1][1] = 10 ** 400
+    inputs = {"shift": json.dumps(bad_shift).encode(),
+              "lattice": json.dumps(bad_lattice).encode(), "bytes": b"\xff\xfe{"}
+    for name, data in inputs.items():
+        path = tmp_path / ("%s.json" % name)
+        path.write_bytes(data)
+        proc = _run_module("perimax.cli", "analyze", str(path))
+        assert proc.returncode == 2, name
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["kind"] == "validation"
+
+
 # sha256 of the reports as the per-pair loop implementation of the
 # deformation and insertion search wrote them; the array version must give
 # the same bytes (path samples, verdicts, ranked candidates and derivatives).

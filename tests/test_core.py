@@ -4,17 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimax import (
     FrameworkError,
     PeriodicFramework,
     canonical_edge,
     fixture,
+    framework_from_dict,
     framework_to_dict,
     parse_framework,
     realize_patch,
     serialize_framework,
 )
+from perimax.fixtures import FIXTURES
 
 from conftest import oracle_patch_counts
 
@@ -66,6 +70,76 @@ def test_parse_schema_errors():
     doc["edges"].append({"tail": 0, "head": 0, "shift": [-1, 0]})
     with pytest.raises(FrameworkError, match="duplicate edge orbit 2"):
         parse_framework(json.dumps(doc))
+    # integers outside int64 (also after the canonical negation), integers
+    # too large for a float, and booleans, which Python counts as integers
+    for shift in ([2 ** 63, 0], [0, -2 ** 63], [10 ** 400, 0]):
+        doc = json.loads(SQUARE_GRID_DOC)
+        doc["edges"][0]["shift"] = shift
+        with pytest.raises(FrameworkError, match="edge 0: shift must be a pair of 64-bit"):
+            parse_framework(json.dumps(doc))
+    doc = json.loads(SQUARE_GRID_DOC)
+    doc["edges"][0]["shift"] = [True, 0]
+    with pytest.raises(FrameworkError, match="edge 0: shift"):
+        parse_framework(json.dumps(doc))
+    doc = json.loads(SQUARE_GRID_DOC)
+    doc["lattice"][0][0] = 10 ** 400
+    with pytest.raises(FrameworkError, match="lattice column 0: number out of range"):
+        parse_framework(json.dumps(doc))
+    doc = json.loads(SQUARE_GRID_DOC)
+    doc["lattice"][0][0] = True
+    with pytest.raises(FrameworkError, match="lattice column 0: expected a decimal"):
+        parse_framework(json.dumps(doc))
+    doc = json.loads(SQUARE_GRID_DOC)
+    doc["vertices"][0]["pos"][1] = True
+    with pytest.raises(FrameworkError, match="vertex 0 pos: expected a decimal"):
+        parse_framework(json.dumps(doc))
+    doc = json.loads(SQUARE_GRID_DOC)
+    doc["vertices"].append({"id": True, "pos": ["0.5", "0.5"]})
+    with pytest.raises(FrameworkError, match="consecutive; got True"):
+        parse_framework(json.dumps(doc))
+    doc = json.loads(SQUARE_GRID_DOC)
+    doc["edges"][0]["head"] = False
+    with pytest.raises(FrameworkError, match="tail/head must be integers"):
+        parse_framework(json.dumps(doc))
+    # integer literals beyond the interpreter's digit limit, and nesting
+    # beyond its recursion limit, fail inside the JSON decoder
+    with pytest.raises(FrameworkError, match="invalid JSON"):
+        parse_framework('{"dimension": %s}' % ("1" * 5000))
+    with pytest.raises(FrameworkError, match="invalid JSON"):
+        parse_framework("[" * 100000)
+
+
+# edge cases of the JSON number model first, then any JSON value
+_JSON_VALUES = st.sampled_from([2 ** 63, -2 ** 63, 10 ** 400, True, "1e400", "nan"])
+_JSON_VALUES |= st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(FIXTURES)), data=st.data())
+def test_mutated_documents_raise_only_framework_error(name, data):
+    """Replacing or deleting any one entry of a fixture document gives a
+    framework or FrameworkError, never another exception."""
+    doc = framework_to_dict(fixture(name))
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            break
+        node = child
+    if isinstance(node, dict) and data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(_JSON_VALUES)
+    try:
+        framework_from_dict(doc)
+    except FrameworkError:
+        pass
 
 
 def test_disconnected_quotient_rejected():

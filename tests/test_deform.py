@@ -19,13 +19,14 @@ from perimax import (
     flex_tangent,
     gram_derivative,
 )
-from perimax import deform, rigidity
+from perimax import core, deform, pseudotri, rigidity, topology
 from perimax.deform import ExpansiveReport, _constraint_system, _edge_lengths_sq
-from perimax.pseudotri import certify_ppt, oriented_flex, pair_length_derivative
+from perimax.pseudotri import (certify_ppt, oriented_flex, pair_length_derivative,
+                               pointedness_margin)
 from perimax.relax import Sublattice, relax, sublattices_up_to
 from perimax.rigidity import gauge_reduced_kernel
 
-from conftest import oracle_gram_rate_fd
+from conftest import oracle_gram_rate_fd, oracle_ppt_margin
 
 GRAM_SHAPE = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -211,6 +212,74 @@ def test_kagome_path_terminates_at_boundary():
     assert abs(theta_star - math.pi / 3) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["ppt3", "kagome"])
+def test_path_traces_faces_once_and_builds_no_framework(name, monkeypatch):
+    """The corner table comes from the certificate's faces: one trace per
+    path, through the event and its bisection, and no framework built."""
+    fw = fixture(name)
+    traces, builds = [], []
+
+    def traced(*args):
+        traces.append(1)
+        return trace(*args)
+
+    def built(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    trace, init = topology.trace_faces, core.PeriodicFramework.__init__
+    monkeypatch.setattr(topology, "trace_faces", traced)
+    monkeypatch.setattr(pseudotri, "trace_faces", traced)
+    monkeypatch.setattr(core.PeriodicFramework, "__init__", built)
+    path = continue_path(fw, steps=200, ds=2e-2)
+    assert path.termination.startswith("event: pointedness lost")
+    assert len(traces) == 1 and not builds
+
+
+def _corner_table(fw):
+    return deform._corner_table(certify_ppt(fw).faces, fw.m)
+
+
+@pytest.mark.parametrize("name", ["ppt3", "kagome", "ppt3-2x2"])
+def test_corner_table_margin_matches_retracing_oracle(name):
+    """The table's margin is that of a framework rebuilt and traced again at
+    every path sample.  The oracle lists each reflex corner twice, as its
+    vertex's pointedness margin and again as a face corner whose angle is
+    rounded differently; where the second copy came out below the first, it
+    named the corner "flat corner on face f".  The table names a reflex
+    corner by its vertex, with that vertex's pointedness margin bit for bit."""
+    fws = {"ppt3": fixture("ppt3"), "kagome": fixture("kagome", theta=math.pi / 2),
+           "ppt3-2x2": relax(fixture("ppt3"), Sublattice(2, 0, 2))}
+    fw = fws[name]
+    table = _corner_table(fw)
+    samples = continue_path(fw, steps=100, ds=1e-2).samples
+    renamed = 0
+    for s in samples:
+        cfg = s.configuration
+        moved = fw.with_geometry(cfg.positions, cfg.lattice)
+        margin, reason = deform._ppt_margin(table, moved.edge_vectors())
+        ref_margin, ref_reason = oracle_ppt_margin(fw, cfg.positions, cfg.lattice)
+        if (margin, reason) != (ref_margin, ref_reason):
+            renamed += 1
+            assert reason.startswith("pointedness lost at vertex ")
+            assert ref_reason.startswith("flat corner on face ")
+            assert margin == pointedness_margin(moved, int(reason.split()[-1]))
+            assert abs(margin - ref_margin) <= 4 * np.spacing(math.pi)
+    assert renamed < len(samples) // 4
+
+
+def test_corner_table_refuses_changed_corner_order():
+    """A mirrored placement reverses every star: each face's angle sum
+    becomes (k + 2) pi, which no fixed corner order allows."""
+    fw = fixture("ppt3")
+    table = _corner_table(fw)
+    margin, _ = deform._ppt_margin(table, fw.edge_vectors())
+    assert margin > 0
+    mirrored = fw.edge_vectors() * np.array([-1.0, 1.0])
+    with pytest.raises(NumericalError, match="corner order changed"):
+        deform._ppt_margin(table, mirrored)
+
+
 def test_path_conserves_lengths_and_verdicts():
     fw = fixture("ppt3")
     path = continue_path(fw, steps=100, ds=1e-2)
@@ -368,7 +437,7 @@ def test_newton_iterate_gets_framework_checks():
     cfg = Configuration.from_framework(fw)
     n, z = fw.n, cfg.as_vector()
     ref_sq = _edge_lengths_sq(fw, cfg)
-    F, J = _constraint_system(fw, z, ref_sq, n)
+    F, J, _ = _constraint_system(fw, z, ref_sq, n)
     assert np.abs(F).max() < 1e-12 and J.shape == (fw.m + 3, 2 * n + 4)
     bad = {
         "positions must be finite": (1, np.nan),
@@ -395,5 +464,5 @@ def test_newton_jacobian_is_twice_the_rigidity_matrix():
     fw = fixture("cubes")
     cfg = Configuration.from_framework(fw)
     gauged = fw.with_geometry(cfg.positions, cfg.lattice)
-    _, J = _constraint_system(fw, cfg.as_vector(), _edge_lengths_sq(fw, cfg), fw.n)
+    _, J, _ = _constraint_system(fw, cfg.as_vector(), _edge_lengths_sq(fw, cfg), fw.n)
     assert np.array_equal(J, np.vstack([2 * rigidity_matrix(gauged), gauge_rows(gauged)]))
