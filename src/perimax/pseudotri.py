@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FrameworkError, NumericalError, PeriodicFramework, canonical_edge
 from .rigidity import _gauge_position, _oriented_flex, flex_space, pair_table
-from .topology import _EdgeScreen, check_noncrossing, corner_count, trace_faces
+from .topology import _orbit_crossings, check_noncrossing, corner_count, trace_faces
 
 __all__ = [
     "POINTED_TOL",
@@ -160,13 +160,12 @@ def insert_edge_orbit(fw, candidate):
     if key in edges:
         raise FrameworkError("duplicate orbit: %r already present" % (key,))
     new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [key])
-    report = check_noncrossing(new_fw)
+    involved, = _orbit_crossings(fw, np.array([[key[0], key[1], *key[2]]]))
+    if involved:
+        raise FrameworkError(
+            "crossing insertion: new orbit intersects %r" % (involved[0],))
+    report = check_noncrossing(fw)
     if not report.ok:
-        involved = [c for c in report.crossings
-                    if c[0][0] == new_fw.m - 1 or c[1][0] == new_fw.m - 1]
-        if involved:
-            raise FrameworkError(
-                "crossing insertion: new orbit intersects %r" % (involved[0],))
         raise FrameworkError(
             "framework has crossings independent of the insertion: %r"
             % (report.crossings[0],))
@@ -238,10 +237,9 @@ def find_rigidifying_edges(fw, cutoff=2):
     """Insertable candidates ranked by |length derivative| under the flex.
 
     Requires a valid pseudo-triangulation certificate.  Candidates whose
-    derivative is negligible or whose insertion would cross are skipped.
-    After one crossing check of ``fw`` itself, a candidate only needs its
-    new orbit screened against every orbit and its own copies (with the
-    tolerance of the extended framework; base pairs get that of ``fw``).
+    derivative is negligible, whose length is zero or whose insertion
+    would cross are skipped.  After one crossing check of ``fw`` itself,
+    all candidates share one new-orbit screen, as ``insert_edge_orbit``.
     """
     cert = certify_ppt(fw)
     if not cert.valid:
@@ -254,15 +252,11 @@ def find_rigidifying_edges(fw, cutoff=2):
         floor = DERIVATIVE_RTOL * max(1.0, float(mags.max()))
         # by decreasing |derivative|, ties in key order (pairs are sorted)
         ranked = np.argsort(-mags, kind="stable")
-        edges = [fw.edge_key(k) for k in range(fw.m)]
-        new_pairs = np.arange(fw.m + 1), np.full(fw.m + 1, fw.m)
-        for i in ranked[mags[ranked] > floor].tolist():
-            try:
-                new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [pairs[i]])
-            except FrameworkError:
-                continue
-            if not _EdgeScreen(new_fw).crossings([new_pairs]):
-                out.append(EdgeCandidate(*pairs[i], derivs[i]))
+        ranked = ranked[mags[ranked] > floor]
+        crossings = _orbit_crossings(fw, _candidate_table(fw, cutoff)[ranked])
+        # None marks a zero-length candidate, [] one that crosses nothing
+        out = [EdgeCandidate(*pairs[i], derivs[i])
+               for i, found in zip(ranked.tolist(), crossings) if found == []]
     if not out:
         raise FrameworkError("no candidate found within cutoff %d" % cutoff)
     return out

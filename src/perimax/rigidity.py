@@ -67,7 +67,11 @@ def rigidity_rows(n, tails, heads, shifts, evecs):
 def pair_table(n, cutoff):
     """(P, 4) read-only table of the vertex-copy pairs (u, v, c1, c2) with
     u <= v and |c1|, |c2| <= cutoff, a loop pair (u == v) once with its
-    lexicographically positive shift: canonical edge keys, sorted."""
+    lexicographically positive shift: canonical edge keys, sorted.  A
+    negative cutoff, whose empty table makes every verdict vacuous, is
+    refused."""
+    if cutoff < 0:
+        raise FrameworkError("cutoff must be >= 0, got %d" % cutoff)
     r = np.arange(-cutoff, cutoff + 1)
     u, v, c1, c2 = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), r, r,
                                                    indexing="ij"))
@@ -254,16 +258,17 @@ class CountIdentityReport:
 def count_identity_check(fw, rtol=RANK_RTOL):
     """Check sigma - delta = m - 2n - 4 and sigma = phi - 1 + (m - 2n).
 
-    The two sides are computed from independent SVDs of R and R^t.
-    Raises NumericalError when the singular spectrum straddles the rank
-    tolerance too closely to trust the integer dimensions.
+    sigma = m - rank R and delta = 2n + 4 - rank R come from one SVD (R and
+    R^t share their singular values), so both identities hold by
+    rank-nullity for any rank: they test the dimension bookkeeping, not
+    the numerical rank.  That rests on the singular value gap: raises
+    NumericalError when the spectrum straddles the rank tolerance too
+    closely to trust the integer dimensions.
     """
-    R = rigidity_matrix(fw)
-    _, rank_r, gap_r = _svd_rank(R, rtol)
-    _, rank_rt, gap_rt = _svd_rank(R.T, rtol)
-    _require_gap(min(gap_r, gap_rt))
-    delta = 2 * fw.n + 4 - rank_r
-    sigma = fw.m - rank_rt
+    _, rank, gap = _svd_rank(rigidity_matrix(fw), rtol)
+    _require_gap(gap)
+    delta = 2 * fw.n + 4 - rank
+    sigma = fw.m - rank
     phi = delta - 3
     rep = CountIdentityReport(fw.n, fw.m, sigma, delta, phi)
     rep.stress_flex_identity = (sigma - delta) == (fw.m - 2 * fw.n - 4)

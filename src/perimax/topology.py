@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameworkError
+from .core import EDGE_LENGTH_RTOL, FrameworkError
 
 __all__ = [
     "HalfEdge",
@@ -33,8 +33,10 @@ __all__ = [
 CORNER_ANGLE_TOL = 1e-9
 # Interior angles of a k-gon must sum to (k-2)*pi within this.
 ANGLE_SUM_TOL = 1e-8
+# Crossing tolerance, relative to the longest edge or the geometry scale.
+_CROSSING_RTOL = 1e-9
 # Window cells (edge pair x lattice shift) screened per numpy batch in
-# check_noncrossing; bounds its working arrays to about 128 KB each.
+# the crossing screen; bounds its working arrays to about 128 KB each.
 _SCREEN_CELLS = 1 << 14
 
 
@@ -107,161 +109,154 @@ class NoncrossingReport:
         return self.ok
 
 
-def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+def _narrow_phase(p1, p2, q1, q2, shared, eps):
+    """Closed-segment intersection of the rows (p1, p2) and (q1, q2),
+    allowing contact only at a shared vertex copy (where ``shared``), with
+    each row's absolute length tolerance ``eps``: an orientation within
+    eps * max(length, eps) of zero is collinear, a point within eps of a
+    segment's box is on it."""
+    dp, dq = p2 - p1, q2 - q1
+    lp, lq = np.hypot(dp[:, 0], dp[:, 1]), np.hypot(dq[:, 0], dq[:, 1])
 
-
-def _collinear_overlap(p1, p2, q1, q2, eps):
-    """1D overlap test for collinear segments; True if they share more
-    than a point."""
-    d = p2 - p1
-    axis = 0 if abs(d[0]) >= abs(d[1]) else 1
-    a0, a1 = sorted((p1[axis], p2[axis]))
-    b0, b1 = sorted((q1[axis], q2[axis]))
-    return min(a1, b1) - max(a0, b0) > eps
-
-
-def _on_segment(a, b, c, eps):
-    return (min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps)
-
-
-def _segments_cross(p1, p2, q1, q2, shared, eps):
-    """Closed-segment intersection, allowing contact only at a shared
-    vertex copy.  ``eps`` is an absolute length tolerance."""
-    dp = p2 - p1
-    dq = q2 - q1
-    lp = float(np.hypot(dp[0], dp[1]))
-    lq = float(np.hypot(dq[0], dq[1]))
-    if shared:
-        # straight segments through a common endpoint meet elsewhere only
-        # when collinear and overlapping
-        if abs(_cross(dp, dq)) <= eps * max(lp, lq):
-            return _collinear_overlap(p1, p2, q1, q2, eps)
-        return False
-    o1 = _cross(dq, p1 - q1)
-    o2 = _cross(dq, p2 - q1)
-    o3 = _cross(dp, q1 - p1)
-    o4 = _cross(dp, q2 - p1)
+    def cross(a, b):
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
 
     def sign(o, length):
-        if abs(o) <= eps * max(length, eps):
-            return 0
-        return 1 if o > 0 else -1
+        return np.where(np.abs(o) <= eps * np.maximum(length, eps), 0.0, np.sign(o))
 
-    s1, s2 = sign(o1, lq), sign(o2, lq)
-    s3, s4 = sign(o3, lp), sign(o4, lp)
-    if s1 * s2 < 0 and s3 * s4 < 0:
-        return True
-    if s1 == 0 and _on_segment(q1, q2, p1, eps):
-        return True
-    if s2 == 0 and _on_segment(q1, q2, p2, eps):
-        return True
-    if s3 == 0 and _on_segment(p1, p2, q1, eps):
-        return True
-    if s4 == 0 and _on_segment(p1, p2, q2, eps):
-        return True
-    return False
+    def on_segment(a, b, c):
+        pad = eps[:, None]
+        return np.all((np.minimum(a, b) - pad <= c) & (c <= np.maximum(a, b) + pad), axis=1)
 
-
-class _EdgeScreen:
-    """Crossing screen of edge pairs (b1 at shift 0, b2 at every shift of
-    the pair's window) over shared per-edge geometry.  A pair's window is
-    centered at the rounded lattice-coordinate offset of the two tails,
-    with half-width ceil(ext1 + ext2 + 0.5), where ext is an edge's largest
-    lattice coordinate; so distant representatives and long edges are both
-    handled."""
-
-    def __init__(self, fw, eps_rel=1e-9):
-        self.fw = fw
-        self.evecs = evecs = fw.edge_vectors()
-        self.eps = eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max()),
-                                       fw.geometry_scale)
-        self.extents = np.abs(np.linalg.solve(fw.lattice, evecs.T)).max(axis=0)
-        self.tail_pos = tail_pos = fw.positions[fw.tails]
-        self.tail_coords = np.linalg.solve(fw.lattice, tail_pos.T).T
-        self.head_pos = head_pos = tail_pos + evecs
-        self.box_lo = np.minimum(tail_pos, head_pos) - eps
-        self.box_hi = np.maximum(tail_pos, head_pos) + eps
-        # a copy's box runs from its tail + ev_lo to its tail + ev_hi
-        self.ev_lo, self.ev_hi = np.minimum(evecs, 0.0), np.maximum(evecs, 0.0)
-
-    def crossings(self, chunks):
-        """Crossings among the pairs (b1[i], b2[i]) of each chunk (b1, b2),
-        by chunk, pair and shift.  A chunk lays one window (its largest pair
-        radius) over all its pairs, masks each back to its own, runs the
-        eps-padded bounding-box test on every cell at once and gives the
-        survivors the exact test.  One loop keeps a chunk's arrays alive
-        until the next chunk has replaced them: the allocator does not return
-        their memory to the system in between, which cost about 30% at
-        m = 384 on a 2-core Xeon."""
-        lat, tails, heads, cshift = self.fw.lattice, self.fw.tails, self.fw.heads, self.fw.shifts
-        tail_pos, head_pos, ev_lo, ev_hi = self.tail_pos, self.head_pos, self.ev_lo, self.ev_hi
-        out = []
-        for b1, b2 in chunks:
-            centers = np.round(self.tail_coords[b1] - self.tail_coords[b2]).astype(int)
-            radii = np.ceil(self.extents[b1] + self.extents[b2] + 0.5).astype(int)
-            # cells in row-major (meshgrid "ij") order
-            grid = np.arange(-radii.max(), radii.max() + 1)
-            wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-            sx, sy = centers[:, :1] + wx, centers[:, 1:] + wy
-            # (pair, cell) arrays of the x and y of each candidate copy's tail
-            q1x = tail_pos[b2, :1] + (sx * lat[0, 0] + sy * lat[0, 1])
-            q1y = tail_pos[b2, 1:] + (sx * lat[1, 0] + sy * lat[1, 1])
-            hit = ((np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None])
-                   & (q1x + ev_lo[b2, :1] <= self.box_hi[b1, :1])
-                   & (q1x + ev_hi[b2, :1] >= self.box_lo[b1, :1])
-                   & (q1y + ev_lo[b2, 1:] <= self.box_hi[b1, 1:])
-                   & (q1y + ev_hi[b2, 1:] >= self.box_lo[b1, 1:]))
-            pair, cell = np.nonzero(hit)
-            b1, b2 = b1[pair], b2[pair]
-            shifts = np.stack([sx[pair, cell], sy[pair, cell]], axis=1)
-            q1s = np.stack([q1x[pair, cell], q1y[pair, cell]], axis=1)
-            q2s = q1s + self.evecs[b2]
-            # vertex copies the two segments share; 2 means the same edge
-            head_shifts = shifts + cshift[b2]
-            shared = ((tails[b2] == tails[b1]) & ~shifts.any(axis=1)).astype(int)
-            shared += (tails[b2] == heads[b1]) & np.all(shifts == cshift[b1], axis=1)
-            shared += (heads[b2] == tails[b1]) & ~head_shifts.any(axis=1)
-            shared += (heads[b2] == heads[b1]) & np.all(head_shifts == cshift[b1], axis=1)
-            for i in np.nonzero(shared < 2)[0]:
-                e1, e2 = int(b1[i]), int(b2[i])
-                if _segments_cross(tail_pos[e1], head_pos[e1], q1s[i], q2s[i],
-                                   shared[i] == 1, self.eps):
-                    out.append(((e1, (0, 0)), (e2, (int(shifts[i, 0]), int(shifts[i, 1])))))
-        return out
+    s1, s2 = sign(cross(dq, p1 - q1), lq), sign(cross(dq, p2 - q1), lq)
+    s3, s4 = sign(cross(dp, q1 - p1), lp), sign(cross(dp, q2 - p1), lp)
+    meet = (((s1 * s2 < 0) & (s3 * s4 < 0))
+            | ((s1 == 0) & on_segment(q1, q2, p1)) | ((s2 == 0) & on_segment(q1, q2, p2))
+            | ((s3 == 0) & on_segment(p1, p2, q1)) | ((s4 == 0) & on_segment(p1, p2, q2)))
+    # straight segments through a common endpoint meet elsewhere only when
+    # collinear and overlapping by more than eps along p's major axis
+    major = np.abs(dp[:, 0]) >= np.abs(dp[:, 1])
+    pa, pb, qa, qb = (np.where(major, x[:, 0], x[:, 1]) for x in (p1, p2, q1, q2))
+    overlap = (np.minimum(np.maximum(pa, pb), np.maximum(qa, qb))
+               - np.maximum(np.minimum(pa, pb), np.minimum(qa, qb)) > eps)
+    collinear = np.abs(cross(dp, dq)) <= eps * np.maximum(lp, lq)
+    return np.where(shared, collinear & overlap, meet)
 
 
-def check_noncrossing(fw, eps_rel=1e-9):
+def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pairs, pairs):
+    """Crossings ((b1, (0, 0)), (b2, shift)) among pairs of edge rows.
+
+    ``pairs`` maps pair indices k < n_pairs to rows (b1, b2): b1 at shift
+    0, b2 at every shift of the pair's window (centered at the rounded
+    lattice-coordinate offset of the tails, half-width ceil(ext1 + ext2 +
+    0.5) for ext a row's largest lattice coordinate, so distant
+    representatives and long edges are both handled), tested with b2's
+    tolerance ``eps``.  Chunks of pairs in index order, of at most
+    ``_SCREEN_CELLS`` cells, share one window (their largest radius), run
+    the eps-padded box test on all cells at once and one ``_narrow_phase``
+    on the survivors; crossings come by pair, then shift in row-major
+    order.  One loop keeps a chunk's arrays alive until the next chunk
+    replaces them: freeing them in between cost about 30% at m = 384 on a
+    2-core Xeon."""
+    tail_pos = positions[tails]
+    head_pos = tail_pos + evecs
+    tail_coords = np.linalg.solve(lattice, tail_pos.T).T
+    extents = np.abs(np.linalg.solve(lattice, evecs.T)).max(axis=0)
+    lo, hi = np.minimum(tail_pos, head_pos), np.maximum(tail_pos, head_pos)
+    # a copy's box runs from its tail + ev_lo to its tail + ev_hi
+    ev_lo, ev_hi = np.minimum(evecs, 0.0), np.maximum(evecs, 0.0)
+    # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
+    # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
+    max_radius = math.ceil(2 * extents.max(initial=0.0) + 0.5)
+    step = max(1, _SCREEN_CELLS // (2 * max_radius + 1) ** 2)
+    out = []
+    for start in range(0, n_pairs, step):
+        b1, b2 = pairs(np.arange(start, min(start + step, n_pairs)))
+        centers = np.round(tail_coords[b1] - tail_coords[b2]).astype(int)
+        radii = np.ceil(extents[b1] + extents[b2] + 0.5).astype(int)
+        # cells in row-major (meshgrid "ij") order
+        grid = np.arange(-radii.max(), radii.max() + 1)
+        wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+        sx, sy = centers[:, :1] + wx, centers[:, 1:] + wy
+        # (pair, cell) arrays of the x and y of each candidate copy's tail
+        q1x = tail_pos[b2, :1] + (sx * lattice[0, 0] + sy * lattice[0, 1])
+        q1y = tail_pos[b2, 1:] + (sx * lattice[1, 0] + sy * lattice[1, 1])
+        pad = eps[b2, None]
+        hit = ((np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None])
+               & (q1x + ev_lo[b2, :1] <= hi[b1, :1] + pad)
+               & (q1x + ev_hi[b2, :1] >= lo[b1, :1] - pad)
+               & (q1y + ev_lo[b2, 1:] <= hi[b1, 1:] + pad)
+               & (q1y + ev_hi[b2, 1:] >= lo[b1, 1:] - pad))
+        pair, cell = np.nonzero(hit)
+        b1, b2 = b1[pair], b2[pair]
+        copy_shifts = np.stack([sx[pair, cell], sy[pair, cell]], axis=1)
+        q1s = np.stack([q1x[pair, cell], q1y[pair, cell]], axis=1)
+        # vertex copies the two segments share; 2 means the same edge
+        head_shifts = copy_shifts + shifts[b2]
+        shared = ((tails[b2] == tails[b1]) & ~copy_shifts.any(axis=1)).astype(int)
+        shared += (tails[b2] == heads[b1]) & np.all(copy_shifts == shifts[b1], axis=1)
+        shared += (heads[b2] == tails[b1]) & ~head_shifts.any(axis=1)
+        shared += (heads[b2] == heads[b1]) & np.all(head_shifts == shifts[b1], axis=1)
+        crossed = (shared < 2) & _narrow_phase(tail_pos[b1], head_pos[b1], q1s, q1s + evecs[b2],
+                                               shared == 1, eps[b2])
+        out += [((e1, (0, 0)), (e2, (c1, c2))) for e1, e2, (c1, c2)
+                in zip(b1[crossed].tolist(), b2[crossed].tolist(),
+                       copy_shifts[crossed].tolist())]
+    return out
+
+
+def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
     """Check that no two edge segments intersect except at shared endpoints.
 
     Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
-    with b1 <= b2, each over its own shift window (see ``_EdgeScreen``).
-    The pairs are screened in row-major order of (b1, b2), in chunks of
-    at most ``_SCREEN_CELLS`` window cells; ``crossings`` is in the order
-    (b1, b2, then shift in row-major order).
+    with b1 <= b2, each over its own shift window (see
+    ``_crossing_screen``), with the tolerance eps_rel times the longest
+    edge or the geometry scale, whichever is larger.  ``crossings`` is in
+    the order (b1, b2, then shift in row-major order).
     """
     m = fw.m
-    if m == 0:
-        return NoncrossingReport(True, [])
-    screen = _EdgeScreen(fw, eps_rel)
+    evecs = fw.edge_vectors()
+    eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max(initial=0.0)),
+                        fw.geometry_scale)
     # pair k = (b1, b2) in row-major order; row b1 starts at row_start[b1]
     rows = np.arange(m)
     row_start = rows * m - rows * (rows - 1) // 2
-    n_pairs = m * (m + 1) // 2
-    # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
-    # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
-    max_radius = math.ceil(2 * screen.extents.max() + 0.5)
-    step = max(1, _SCREEN_CELLS // (2 * max_radius + 1) ** 2)
 
-    def chunks():
-        for lo in range(0, n_pairs, step):
-            k = np.arange(lo, min(lo + step, n_pairs))
-            b1 = np.searchsorted(row_start, k, side="right") - 1
-            yield b1, k - row_start[b1] + b1
+    def pairs(k):
+        b1 = np.searchsorted(row_start, k, side="right") - 1
+        return b1, k - row_start[b1] + b1
 
-    crossings = screen.crossings(chunks())
+    crossings = _crossing_screen(fw.lattice, fw.positions, fw.tails, fw.heads, fw.shifts,
+                                 evecs, np.full(m, eps), m * (m + 1) // 2, pairs)
     return NoncrossingReport(not crossings, crossings)
+
+
+def _orbit_crossings(fw, rows):
+    """Crossings of new edge orbits (rows of canonical (tail, head, c1,
+    c2)), all screened in one pass: for each row, what ``check_noncrossing``
+    of fw plus that orbit at index m would list for the pairs (k, m), in
+    its order and with its tolerance; None for a row of zero length by
+    ``validate_geometry``'s rule, which no framework holds."""
+    m = fw.m
+    tails = np.concatenate([fw.tails, rows[:, 0]])
+    heads = np.concatenate([fw.heads, rows[:, 1]])
+    shifts = np.concatenate([fw.shifts, rows[:, 2:]])
+    evecs = fw.positions[heads] + shifts @ fw.lattice.T - fw.positions[tails]
+    lengths = np.linalg.norm(evecs, axis=1)
+    longest = max(fw.geometry_scale, float(lengths[:m].max(initial=0.0)))
+    eps = _CROSSING_RTOL * np.maximum(lengths, longest)
+
+    def pairs(k):
+        # new row m + k // (m + 1) against base orbit k % (m + 1), or itself
+        b1, b2 = k % (m + 1), m + k // (m + 1)
+        return np.where(b1 == m, b2, b1), b2
+
+    out = [[] for _ in rows]
+    for (b1, s1), (b2, s2) in _crossing_screen(fw.lattice, fw.positions, tails, heads,
+                                               shifts, evecs, eps, len(rows) * (m + 1), pairs):
+        out[b2 - m].append(((min(b1, m), s1), (m, s2)))
+    short = lengths[m:] <= EDGE_LENGTH_RTOL * fw.geometry_scale
+    return [None if refused else found for refused, found in zip(short.tolist(), out)]
 
 
 # -- face tracing ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library code paths they check:
 patch enumeration is brute force over explicit copies, segment crossing is
-a from-scratch parametric intersection, nullspaces come straight from
+a from-scratch parametric intersection (and, per pair, the scalar form of
+the library's tolerance rules), nullspaces come straight from
 numpy's SVD, and derivatives are central finite differences.
 """
 
@@ -150,6 +151,44 @@ def _oracle_segments_intersect(p1, p2, q1, q2, eps=1e-12):
     a0, a1 = sorted((p1[t_axis], p2[t_axis]))
     b0, b1 = sorted((q1[t_axis], q2[t_axis]))
     return min(a1, b1) - max(a0, b0) >= -eps
+
+
+def oracle_segments_cross(p1, p2, q1, q2, shared, eps):
+    """Closed-segment intersection of one pair, allowing contact only at a
+    shared vertex copy; ``eps`` is an absolute length tolerance.  The scalar
+    form of ``topology._narrow_phase``, one Python call per pair."""
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def on_segment(a, b, c):
+        return (min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
+                and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps)
+
+    dp = p2 - p1
+    dq = q2 - q1
+    lp = float(np.hypot(dp[0], dp[1]))
+    lq = float(np.hypot(dq[0], dq[1]))
+    if shared:
+        # straight segments through a common endpoint meet elsewhere only
+        # when collinear and overlapping
+        if abs(cross(dp, dq)) > eps * max(lp, lq):
+            return False
+        axis = 0 if abs(dp[0]) >= abs(dp[1]) else 1
+        a0, a1 = sorted((p1[axis], p2[axis]))
+        b0, b1 = sorted((q1[axis], q2[axis]))
+        return min(a1, b1) - max(a0, b0) > eps
+
+    def sign(o, length):
+        if abs(o) <= eps * max(length, eps):
+            return 0
+        return 1 if o > 0 else -1
+
+    s1, s2 = sign(cross(dq, p1 - q1), lq), sign(cross(dq, p2 - q1), lq)
+    s3, s4 = sign(cross(dp, q1 - p1), lp), sign(cross(dp, q2 - p1), lp)
+    if s1 * s2 < 0 and s3 * s4 < 0:
+        return True
+    return ((s1 == 0 and on_segment(q1, q2, p1)) or (s2 == 0 and on_segment(q1, q2, p2))
+            or (s3 == 0 and on_segment(p1, p2, q1)) or (s4 == 0 and on_segment(p1, p2, q2)))
 
 
 def oracle_noncrossing(fw, halfwidth=1):

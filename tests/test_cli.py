@@ -214,6 +214,18 @@ def test_analyze_malformed_documents(tmp_path):
         assert json.loads(proc.stdout)["kind"] == "validation"
 
 
+def test_negative_cutoff_exits_with_json(tmp_path, capsys):
+    """A negative cutoff leaves no vertex pair to test: refused with exit 2
+    instead of a vacuous expansive verdict."""
+    path = fixture_file(tmp_path, capsys, "ppt3")
+    for command in ("deform", "rigidify"):
+        proc = _run_module("perimax", command, path, "--cutoff", "-1", "--quiet")
+        assert proc.returncode == 2, command
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["kind"] == "validation" and "cutoff must be >= 0" in rep["error"]
+
+
 # sha256 of the reports as the per-pair loop implementation of the
 # deformation and insertion search wrote them; the array version must give
 # the same bytes (path samples, verdicts, ranked candidates and derivatives).

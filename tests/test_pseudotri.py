@@ -21,7 +21,7 @@ from perimax import (
     periodic_stress_space,
     pointedness_margin,
 )
-from perimax import pseudotri
+from perimax import core, pseudotri, topology
 from perimax.pseudotri import (
     DERIVATIVE_RTOL,
     PPTCertificate,
@@ -276,6 +276,55 @@ def test_search_on_crossing_base_raises_as_before(monkeypatch):
     assert _search_by_insertion(fw, 2) == []
     with pytest.raises(FrameworkError, match="no candidate found within cutoff 2"):
         find_rigidifying_edges(fw)
+
+
+@pytest.mark.parametrize("abd, cutoff", [((1, 0, 1), 2), ((2, 0, 2), 1)])
+def test_search_builds_one_framework(abd, cutoff, monkeypatch):
+    """The gauged copy in oriented_flex is the only framework the search
+    builds, whatever the number of candidates it screens."""
+    fw = relax(fixture("ppt3"), Sublattice(*abd))
+    builds = []
+
+    def built(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    init = core.PeriodicFramework.__init__
+    monkeypatch.setattr(core.PeriodicFramework, "__init__", built)
+    assert len(find_rigidifying_edges(fw, cutoff)) >= fw.m
+    assert len(candidate_pairs(fw, cutoff)) > 100
+    assert len(builds) == 1
+
+
+def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
+    """With every screen in one chunk, the search makes two narrow-phase
+    calls, one for the check of the framework and one for all candidates,
+    over hundreds of broad-phase survivors."""
+    fw = relax(fixture("ppt3"), Sublattice(2, 0, 2))
+    expected = find_rigidifying_edges(fw, 1)
+    rows = []
+
+    def narrow(*args):
+        rows.append(len(args[-1]))
+        return narrow_phase(*args)
+
+    narrow_phase = topology._narrow_phase
+    monkeypatch.setattr(topology, "_narrow_phase", narrow)
+    monkeypatch.setattr(topology, "_SCREEN_CELLS", 1 << 30)
+    assert find_rigidifying_edges(fw, 1) == expected
+    assert len(rows) == 2 and sum(rows) > 1000
+
+
+def test_insertion_on_crossing_base_names_the_cause():
+    # kagome folded to theta = 2.7 crosses itself; an orbit that crosses
+    # too is refused for its own crossing, one that does not for the base's
+    fw = fixture("kagome", theta=2.7)
+    with pytest.raises(FrameworkError, match=r"crossing insertion: new orbit "
+                       r"intersects \(\(0, \(0, 0\)\), \(6, \(-1, 1\)\)\)"):
+        insert_edge_orbit(fw, (0, 0, (0, 1)))
+    with pytest.raises(FrameworkError, match=r"crossings independent of the insertion: "
+                       r"\(\(0, \(0, 0\)\), \(1, \(-1, 2\)\)\)"):
+        insert_edge_orbit(fw, (1, 2, (1, 2)))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -19,7 +19,8 @@ from perimax import (
 
 from perimax.relax import Sublattice, relax
 
-from conftest import crossed_grid, oracle_noncrossing, subdivided_grid
+from conftest import (crossed_grid, oracle_noncrossing, oracle_segments_cross,
+                      subdivided_grid)
 
 
 def test_square_grid_noncrossing():
@@ -253,6 +254,58 @@ def test_screen_chunking_keeps_crossings(monkeypatch, cells):
     assert all(expected)
     monkeypatch.setattr(topology, "_SCREEN_CELLS", cells)
     assert [check_noncrossing(fw).crossings for fw in frameworks] == expected
+
+
+# positions along a segment: before, at and between its ends, and past them
+LINE_PARAMS = [-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]
+# normal offsets in units of eps: inside, at and outside the dead band
+EPS_OFFSETS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def segment_pairs(draw):
+    """(p1, p2, q1, q2, shared, eps): segment q placed freely, through an
+    endpoint of p (shared), along p's line (collinear, overlapping or not),
+    or with an endpoint within a few eps of p; each offset by multiples of
+    eps across p."""
+    coord = st.integers(-8, 8).map(lambda i: i / 4)
+    p1 = np.array([draw(coord), draw(coord)])
+    p2 = p1 + np.array([draw(coord), draw(coord)])
+    assume(np.any(p2 != p1))
+    eps = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    d = p2 - p1
+    normal = np.array([-d[1], d[0]]) / np.hypot(d[0], d[1])
+
+    def near_line():
+        t, off = draw(st.sampled_from(LINE_PARAMS)), draw(st.sampled_from(EPS_OFFSETS))
+        return p1 + t * d + off * eps * normal
+
+    kind = draw(st.sampled_from(["free", "shared", "collinear", "touch"]))
+    shared = kind == "shared"
+    if kind == "free":
+        q1, q2 = (np.array([draw(coord), draw(coord)]) for _ in range(2))
+    elif kind == "shared":
+        q1 = draw(st.sampled_from([p1, p2])).copy()
+        q2 = near_line() if draw(st.booleans()) else np.array([draw(coord), draw(coord)])
+    elif kind == "collinear":
+        q1, q2 = near_line(), near_line()
+    else:
+        q1, q2 = near_line(), np.array([draw(coord), draw(coord)])
+    if draw(st.booleans()):
+        q1, q2 = q2, q1
+    assume(np.any(q2 != q1))
+    return p1, p2, q1, q2, shared, eps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(segment_pairs(), min_size=1, max_size=30))
+def test_narrow_phase_matches_scalar_oracle(rows):
+    """The array narrow phase gives every row the scalar test's verdict."""
+    from perimax.topology import _narrow_phase
+
+    p1, p2, q1, q2, shared, eps = (np.array(col) for col in zip(*rows))
+    got = _narrow_phase(p1, p2, q1, q2, shared, eps)
+    assert got.tolist() == [oracle_segments_cross(*row) for row in rows]
 
 
 def test_subdivided_grid_faces():
