@@ -10,6 +10,7 @@ of the lattice generators.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = [
 LATTICE_RANK_RTOL = 1e-12
 # Scale-relative tolerance below which a realized edge counts as zero length.
 EDGE_LENGTH_RTOL = 1e-12
+# Largest |shift| entry: a shift and its negation (canonical form) both
+# fit the int64 arrays of a framework.
+_MAX_SHIFT = 2 ** 63 - 1
 
 
 class FrameworkError(ValueError):
@@ -71,16 +75,41 @@ class EdgeOrbit:
 
 def canonical_edge(tail, head, shift):
     """Return the canonical (tail, head, shift) triple for an edge orbit."""
-    tail = int(tail)
-    head = int(head)
-    c1, c2 = int(shift[0]), int(shift[1])
-    if tail > head:
-        tail, head = head, tail
-        c1, c2 = -c1, -c2
-    elif tail == head:
-        if c1 < 0 or (c1 == 0 and c2 < 0):
-            c1, c2 = -c1, -c2
-    return tail, head, (c1, c2)
+    tail, head, shift = int(tail), int(head), (int(shift[0]), int(shift[1]))
+    if tail > head or (tail == head and shift < (0, 0)):
+        return head, tail, (-shift[0], -shift[1])
+    return tail, head, shift
+
+
+_AS_INTEGERS = np.frompyfunc(lambda x: int(x) if isinstance(x, numbers.Integral) or (
+    isinstance(x, (float, np.floating)) and x.is_integer()) else None, 1, 1)
+
+
+def _edge_rows(edges):
+    """(m, 4) int64 rows (tail, head, c1, c2) of edges given as such rows or as
+    (tail, head, (c1, c2)) triples, and the exact entries.  Refuses non-integers
+    and shifts beyond +-_MAX_SHIFT; a tail or head beyond it becomes -1."""
+    try:
+        if not (isinstance(edges, np.ndarray) and edges.shape[1:] == (4,)):
+            tails, heads, shifts = tuple(zip(*edges, strict=True)) or ((),) * 3
+            cols = (tails, heads, *(tuple(zip(*shifts, strict=True)) or ((),) * 2))
+            # entries that numpy does not read as int64 keep their objects
+            edges = np.array(cols)
+            edges = (edges if edges.dtype.kind == "i" else np.array(cols, dtype=object)).T
+            edges = edges.reshape(len(tails), 4)
+    except (TypeError, ValueError):
+        raise FrameworkError("edges must be (tail, head, (c1, c2)) triples") from None
+    # int64 entries need one check: a shift whose negation wraps around
+    if edges.dtype.kind == "i" and not (edges[:, 2:] == -_MAX_SHIFT - 1).any():
+        return edges.astype(np.int64), edges
+    given = _AS_INTEGERS(edges)
+    vals = np.where(np.equal(given, None), 0, given)
+    wide = np.abs(vals) > _MAX_SHIFT
+    bad = np.argwhere(np.equal(given, None) | wide & [False, False, True, True])
+    if bad.size:
+        raise FrameworkError("edge orbit %d: %r is not an integer within +-(2**63 - 1)"
+                             % (bad[0, 0], np.asarray(edges[tuple(bad[0])]).tolist()))
+    return np.where(wide, -1, vals).astype(np.int64), given
 
 
 def validate_geometry(lattice, positions, tails, heads, shifts):
@@ -114,7 +143,7 @@ class PeriodicFramework:
         Columns are the two lattice generators.
     positions : (n, 2) array_like
         One representative position per vertex orbit, in id order.
-    edges : sequence of (tail, head, (c1, c2))
+    edges : sequence of (tail, head, (c1, c2)), or (m, 4) array of such rows
         Edge orbits; canonicalized internally, order preserved.
 
     All data is validated on construction and immutable afterwards.
@@ -127,56 +156,54 @@ class PeriodicFramework:
         positions = np.array(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] < 1:
             raise FrameworkError("positions must be an (n, 2) array with n >= 1")
-
         n = positions.shape[0]
-        canon = []
-        seen = {}
-        for k, (tail, head, shift) in enumerate(edges):
-            tail, head, cshift = canonical_edge(tail, head, shift)
-            if not (0 <= tail < n and 0 <= head < n):
-                raise FrameworkError(
-                    "edge orbit %d refers to an unknown vertex (%d, %d)"
-                    % (k, tail, head)
-                )
-            if tail == head and cshift == (0, 0):
+        rows, given = _edge_rows(edges)
+        # canonical form as canonical_edge, written through the views t, h, c1, c2
+        t, h, c1, c2 = rows.T
+        flip = (t > h) | ((t == h) & ((c1 < 0) | ((c1 == 0) & (c2 < 0))))
+        if flip.any():
+            rows[flip] = rows[flip][:, [1, 0, 2, 3]] * [1, 1, -1, -1]
+        unknown = (t < 0) | (h >= n)    # a canonical row has t <= h
+        zero_loop = (t == h) & (c1 == 0) & (c2 == 0)
+        # a stable sort puts each orbit after the equal orbits before it
+        order = np.lexsort((c2, c1, h, t))
+        ranked = rows[order]
+        dup = np.zeros(len(rows), dtype=bool)
+        dup[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+        failed = unknown | zero_loop | dup
+        if failed.any():
+            k = int(failed.argmax())
+            if unknown[k]:
+                raise FrameworkError("edge orbit %d refers to an unknown vertex (%d, %d)"
+                                     % (k, *sorted(int(v) for v in given[k, :2])))
+            if zero_loop[k]:
                 raise FrameworkError("degenerate edge orbit %d: loop with zero shift" % k)
-            key = (tail, head, cshift)
-            if key in seen:
-                raise FrameworkError(
-                    "duplicate edge orbit %d (same as orbit %d)" % (k, seen[key])
-                )
-            seen[key] = k
-            canon.append(key)
+            raise FrameworkError("duplicate edge orbit %d (same as orbit %d)"
+                                 % (k, np.flatnonzero((rows == rows[k]).all(axis=1))[0]))
 
         self._lattice = lattice
         self._positions = positions
-        self._tails = np.array([e[0] for e in canon], dtype=int)
-        self._heads = np.array([e[1] for e in canon], dtype=int)
-        self._shifts = np.array([e[2] for e in canon], dtype=int).reshape(len(canon), 2)
+        self._tails, self._heads = rows[:, 0].copy(), rows[:, 1].copy()
+        self._shifts = rows[:, 2:].copy()
         for a in (self._lattice, self._positions, self._tails, self._heads, self._shifts):
             a.setflags(write=False)
         self._scale, _ = validate_geometry(lattice, positions, self._tails,
                                            self._heads, self._shifts)
 
-        # quotient multigraph connectivity (shifts ignored)
+        # quotient multigraph connectivity (shifts ignored), walked over plain ints
         adj = [[] for _ in range(n)]
-        for t, h in zip(self._tails, self._heads):
+        for t, h in zip(self._tails.tolist(), self._heads.tolist()):
             adj[t].append(h)
             adj[h].append(t)
-        reached = np.zeros(n, dtype=bool)
-        stack = [0]
-        reached[0] = True
+        reached, stack = [True] + [False] * (n - 1), [0]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
+            for w in adj[stack.pop()]:
                 if not reached[w]:
                     reached[w] = True
                     stack.append(w)
-        if not reached.all():
+        if not all(reached):
             raise FrameworkError(
-                "disconnected quotient graph: vertex %d unreachable"
-                % int(np.nonzero(~reached)[0][0])
-            )
+                "disconnected quotient graph: vertex %d unreachable" % reached.index(False))
 
     # -- basic accessors -------------------------------------------------
 
@@ -219,11 +246,7 @@ class PeriodicFramework:
 
     @property
     def edges(self):
-        return [
-            EdgeOrbit(k, int(self._tails[k]), int(self._heads[k]),
-                      (int(self._shifts[k, 0]), int(self._shifts[k, 1])))
-            for k in range(self.m)
-        ]
+        return [EdgeOrbit(k, *self.edge_key(k)) for k in range(self.m)]
 
     def edge_key(self, k):
         return (int(self._tails[k]), int(self._heads[k]),
@@ -261,7 +284,7 @@ class PeriodicFramework:
         """Same combinatorics with replaced positions and/or lattice."""
         pos = self._positions if positions is None else positions
         lat = self._lattice if lattice is None else lattice
-        return PeriodicFramework(lat, pos, [self.edge_key(k) for k in range(self.m)])
+        return PeriodicFramework(lat, pos, np.column_stack([self._tails, self._heads, self._shifts]))
 
     def __repr__(self):
         return "PeriodicFramework(n=%d, m=%d)" % (self.n, self.m)
@@ -314,10 +337,6 @@ def realize_patch(fw, tiles):
 
 
 # -- JSON round trip -----------------------------------------------------
-
-# Largest |shift| entry: a shift and its negation (canonical form) both
-# fit the int64 arrays of a framework.
-_MAX_SHIFT = 2 ** 63 - 1
 
 
 def _is_int(value):

@@ -174,13 +174,9 @@ def relax(fw, sub):
     q1, q2, k1, k2 = sub.reduce(r1 + fw.shifts[:, :1], r2 + fw.shifts[:, 1:])
     tails = fw.tails[:, None] * rho + np.arange(rho)
     heads = fw.heads[:, None] * rho + sub.coset_index(q1, q2)
-    edges = list(zip(tails.ravel().tolist(), heads.ravel().tolist(),
-                     zip(k1.ravel().tolist(), k2.ravel().tolist())))
-
-    new_lattice = lat @ sub.matrix.astype(float)
-    return UnfoldedFramework(new_lattice, positions, edges, sub,
-                             np.repeat(np.arange(fw.n), rho),
-                             np.repeat(np.arange(fw.m), rho))
+    rows = np.column_stack([tails.ravel(), heads.ravel(), k1.ravel(), k2.ravel()])
+    return UnfoldedFramework(lat @ sub.matrix.astype(float), positions, rows, sub,
+                             np.repeat(np.arange(fw.n), rho), np.repeat(np.arange(fw.m), rho))
 
 
 def copy_stress(unfolded, s):

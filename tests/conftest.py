@@ -3,20 +3,23 @@
 The oracles here deliberately avoid the library code paths they check:
 patch enumeration is brute force over explicit copies, segment crossing is
 a from-scratch parametric intersection (and, per pair, the scalar form of
-the library's tolerance rules), nullspaces come straight from
-numpy's SVD, and derivatives are central finite differences.
+the library's tolerance rules), edge orbits are validated one at a time,
+nullspaces come straight from numpy's SVD, and derivatives are central
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import pytest
 
-from perimax import PeriodicFramework, flex_space, sublattices_up_to
+from perimax import FrameworkError, PeriodicFramework, flex_space, sublattices_up_to
 from perimax.pseudotri import pointedness_margin
 from perimax.relax import UnfoldedFramework
+from perimax.rigidity import equilibrium_matrix
 from perimax.topology import trace_faces
 
 
@@ -113,6 +116,82 @@ def random_connected_framework(rng, max_n=6, max_m=14):
 
 
 # -- oracles ---------------------------------------------------------------
+
+
+def oracle_edge_orbits(n, edges):
+    """Canonical (tails, heads, shifts) int64 arrays of (tail, head, (c1, c2))
+    edge orbits on n vertex orbits, or the constructor's FrameworkError,
+    validated one scalar at a time: first every entry in order (an integer or
+    integral float, a shift within +-(2**63 - 1)), then orbit by orbit an
+    unknown vertex, a loop with zero shift and a duplicate, then
+    connectivity of the quotient graph by a stack walk.  Geometry is not
+    checked."""
+    rows = []
+    for k, (tail, head, shift) in enumerate(edges):
+        row = []
+        for j, x in enumerate((tail, head, shift[0], shift[1])):
+            if isinstance(x, numbers.Integral):
+                value = int(x)
+            elif isinstance(x, (float, np.floating)) and float(x).is_integer():
+                value = int(x)
+            else:
+                value = None
+            if value is None or (j >= 2 and abs(value) > 2 ** 63 - 1):
+                plain = x.item() if isinstance(x, np.generic) else x
+                raise FrameworkError(
+                    "edge orbit %d: %r is not an integer within +-(2**63 - 1)" % (k, plain))
+            row.append(value)
+        rows.append(row)
+    canon = []
+    seen = {}
+    for k, (tail, head, c1, c2) in enumerate(rows):
+        if tail > head or (tail == head and (c1 < 0 or (c1 == 0 and c2 < 0))):
+            tail, head, c1, c2 = head, tail, -c1, -c2
+        if not (0 <= tail < n and 0 <= head < n):
+            raise FrameworkError(
+                "edge orbit %d refers to an unknown vertex (%d, %d)" % (k, tail, head))
+        if tail == head and c1 == c2 == 0:
+            raise FrameworkError("degenerate edge orbit %d: loop with zero shift" % k)
+        key = (tail, head, c1, c2)
+        if key in seen:
+            raise FrameworkError(
+                "duplicate edge orbit %d (same as orbit %d)" % (k, seen[key]))
+        seen[key] = k
+        canon.append(key)
+    adj = [[] for _ in range(n)]
+    for tail, head, _, _ in canon:
+        adj[tail].append(head)
+        adj[head].append(tail)
+    reached = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    for v in range(n):
+        if v not in reached:
+            raise FrameworkError("disconnected quotient graph: vertex %d unreachable" % v)
+    table = np.array(canon, dtype=np.int64).reshape(len(canon), 4)
+    return table[:, 0], table[:, 1], table[:, 2:]
+
+
+def oracle_stress_check(fw, s, rtol=1e-9):
+    """(ok, verdicts_agree) of ``check_periodic_stress`` from the dense
+    equilibrium matrix and explicit per-generator and tensor sums."""
+    evecs = fw.edge_vectors()
+    elen = np.linalg.norm(evecs, axis=1)
+    eq = equilibrium_matrix(fw) @ s
+    ok_eq = float(np.abs(eq).max()) <= rtol * max(1.0, float((np.abs(s) * elen).sum()))
+    ok_lat = True
+    for j in range(2):
+        res = np.linalg.norm(((s * fw.shifts[:, j])[:, None] * evecs).sum(axis=0))
+        ok_lat &= res <= rtol * max(1.0, float((np.abs(s * fw.shifts[:, j]) * elen).sum()))
+    periods = fw.shifts @ fw.lattice.T
+    tensor = np.einsum("k,ki,kj->ij", s, periods, evecs)
+    ten_scale = (np.abs(s) * np.linalg.norm(periods, axis=1) * elen).sum()
+    ok_ten = float(np.abs(tensor).max()) <= rtol * max(1.0, float(ten_scale))
+    return bool(ok_eq and ok_lat and ok_ten and ok_lat == ok_ten), bool(ok_lat == ok_ten)
 
 
 def oracle_patch_counts(fw, rows, cols):
@@ -247,8 +326,10 @@ def oracle_rank(matrix, rtol=1e-9):
     return int((s > rtol * s[0]).sum())
 
 
-def oracle_relax(fw, sub):
-    """Unfolding by explicit loops over vertex and edge coset copies."""
+def oracle_unfolding(fw, sub):
+    """(lattice, positions, edges, parent_vertex, parent_edge) of the
+    unfolding, by explicit loops over vertex and edge coset copies; edges
+    are (tail, head, (k1, k2)) triples as found, not canonicalized."""
     rho = sub.index
     cosets = sub.cosets()
     lat = fw.lattice
@@ -269,8 +350,13 @@ def oracle_relax(fw, sub):
             edges.append((t * rho + sub.coset_index(r1, r2),
                           h * rho + sub.coset_index(q1, q2), (k1, k2)))
             parent_edge.append(k)
-    return UnfoldedFramework(lat @ sub.matrix.astype(float), positions, edges,
-                             sub, parent_vertex, parent_edge)
+    return lat @ sub.matrix.astype(float), positions, edges, parent_vertex, parent_edge
+
+
+def oracle_relax(fw, sub):
+    """Unfolding by explicit loops over vertex and edge coset copies."""
+    lattice, positions, edges, parent_vertex, parent_edge = oracle_unfolding(fw, sub)
+    return UnfoldedFramework(lattice, positions, edges, sub, parent_vertex, parent_edge)
 
 
 def oracle_probe_entries(fw, max_index):

@@ -12,6 +12,8 @@ import numpy as np
 import perimax
 from perimax.cli import main
 
+from conftest import straddling_framework
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -169,6 +171,18 @@ def test_numerical_exit_code(tmp_path, capsys):
     code, rep = run(capsys, "deform", path, "--steps", "3")
     assert code == 2
     assert "not a certified" in rep["error"]
+
+
+def test_stress_refuses_thin_gap(tmp_path, capsys):
+    # the equilibrium matrix of this relaxation reads its rank across a
+    # singular value gap ratio of 2: numerical failure (3), as JSON
+    fw = perimax.relax(straddling_framework(), perimax.Sublattice(2, 0, 1))
+    path = tmp_path / "straddle-relaxed.json"
+    path.write_text(perimax.serialize_framework(fw))
+    code, rep = run(capsys, "stress", str(path))
+    assert code == 3
+    assert rep["kind"] == "numerical"
+    assert "rank instability" in rep["error"]
 
 
 def _run_module(module, *argv):

@@ -1,6 +1,7 @@
 """Framework data model, validation and JSON round trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from perimax import (
 )
 from perimax.fixtures import FIXTURES
 
-from conftest import oracle_patch_counts
+from conftest import oracle_edge_orbits, oracle_patch_counts
 
 SQUARE_GRID_DOC = """
 {
@@ -230,3 +231,89 @@ def test_realize_patch_positions_exact():
 def test_realize_patch_empty_range():
     with pytest.raises(FrameworkError, match="empty tile range"):
         realize_patch(fixture("square_grid"), (0, 3))
+
+
+def test_constructor_refuses_bad_integers():
+    eye, pos = np.eye(2), [[0.0, 0.0], [0.3, 0.1]]
+    for edges, message in [
+            ([(0, 1, (0.7, 0))], "edge orbit 0: 0.7 is not an integer"),
+            ([(1, 0, (-2 ** 63, 0))], "edge orbit 0: -9223372036854775808 is not"),
+            ([(0, 1, (0, 0)), (0, 1, (2 ** 63, 0))], "edge orbit 1: 9223372036854775808"),
+            ([(0, 1, (0, 0)), ("1", 0, (1, 0))], "edge orbit 1: '1' is not an integer"),
+            ([(0, 1, (float("nan"), 0))], "edge orbit 0: nan is not an integer"),
+            (np.array([[0, 1, 0, -2 ** 63]]), "edge orbit 0: -9223372036854775808"),
+            ([(2 ** 70, 0, (1, 0))], "edge orbit 0 refers to an unknown vertex (0, %d)"
+             % 2 ** 70),
+            ([(0, 1)], "edges must be (tail, head, (c1, c2)) triples"),
+            ([(0, 1, (0, 0)), (0, 1, (1, 0), 7)], "edges must be"),
+            ([(0, 1, (0, 0, 1))], "edges must be")]:
+        with pytest.raises(FrameworkError, match=re.escape(message)):
+            PeriodicFramework(eye, pos, edges)
+    # integral floats and numpy integers are integers; rows may come as an array
+    fw = PeriodicFramework(eye, pos, [(1.0, np.int32(0), (np.int64(-1), 2.0))])
+    assert fw.edge_key(0) == (0, 1, (1, -2)) and fw.tails.dtype == np.int64
+    rows = np.array([[1, 0, -1, 2]])
+    assert PeriodicFramework(eye, pos, rows).edge_key(0) == (0, 1, (1, -2))
+    assert rows.tolist() == [[1, 0, -1, 2]]
+
+
+_LATTICE = [[1.0, 0.31], [0.17, 1.13]]
+_POSITIONS = [[0.0, 0.0], [0.413, 0.127], [0.271, 0.689], [0.853, 0.452]]
+_WIDE = (2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 63, -2 ** 63, 2 ** 70, -2 ** 70)
+
+
+@st.composite
+def _edge_lists(draw, n):
+    """(tail, head, (c1, c2)) triples on n vertex orbits: reversed ends,
+    loops, duplicates in both orientations, disconnected graphs and, in
+    half of the lists, unknown vertices, entries at and beyond the int64
+    range and non-integral floats.  Integral floats and numpy integers
+    appear throughout."""
+    dirty = draw(st.booleans())
+
+    def entry(lo, hi):
+        wide = dirty and draw(st.integers(0, 15)) == 0
+        value = draw(st.sampled_from(_WIDE) if wide else st.integers(lo, hi))
+        form = draw(st.sampled_from(["int"] * 6 + ["float", "numpy"] + ["half"] * dirty))
+        if form == "float":
+            return float(value)
+        if form == "numpy" and abs(value) <= 2 ** 63 - 1:
+            return np.int64(value)
+        return value + 0.5 if form == "half" else value
+
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        if edges and draw(st.integers(0, 3)) == 0:
+            t, h, (c1, c2) = edges[draw(st.integers(0, len(edges) - 1))]
+            edges.append((h, t, (-c1, -c2)) if draw(st.booleans()) else (t, h, (c1, c2)))
+        else:
+            edges.append((entry(-dirty, n - 1 + dirty), entry(-dirty, n - 1 + dirty),
+                          (entry(-1, 1), entry(-1, 1))))
+    return edges
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_constructor_matches_scalar_edge_oracle(data):
+    """The array validation gives the scalar oracle's canonical arrays or its
+    exact message, for triples and, where every entry is an int64, for the
+    same rows as an (m, 4) array."""
+    n = data.draw(st.integers(1, 4))
+    edges = data.draw(_edge_lists(n))
+    try:
+        expected = oracle_edge_orbits(n, edges)
+    except FrameworkError as exc:
+        expected = str(exc)
+    inputs = [edges]
+    flat = [x for t, h, c in edges for x in (t, h, *c)]
+    if all(isinstance(x, (int, np.integer)) and abs(x) < 2 ** 63 for x in flat):
+        inputs.append(np.array(flat, dtype=np.int64).reshape(len(edges), 4))
+    for given_edges in inputs:
+        try:
+            fw = PeriodicFramework(_LATTICE, _POSITIONS[:n], given_edges)
+        except FrameworkError as exc:
+            assert str(exc) == expected
+        else:
+            assert not isinstance(expected, str), expected
+            for got, want in zip((fw.tails, fw.heads, fw.shifts), expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -81,6 +81,46 @@ def test_incident_directions_match_loop_reference(rng):
             assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+def _pointedness_margin_loop(fw, v):
+    """Reference: the sorted angles of v's incident directions, their
+    largest gap (the last wrapping to the first + 2 pi) minus pi."""
+    dirs = _incident_directions_loop(fw, v)
+    if len(dirs) == 0:
+        return math.pi
+    angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    gaps = np.diff(np.concatenate([angles, angles[:1] + 2 * math.pi]))
+    return float(gaps.max()) - math.pi
+
+
+def test_pointedness_in_one_pass_matches_per_vertex_reference(rng):
+    # one pass over all 2m incident directions gives every vertex's margin
+    # bit for bit, and certify_ppt the same pointed list and failures
+    frameworks = [fixture(name) for name in sorted(FIXTURES)]
+    frameworks += [relax(fixture(name), sub) for name in ("kagome", "ppt3", "reentrant")
+                   for sub in sublattices_up_to(4)]
+    # non-pointed vertices, a vertex without edges and one with a single edge
+    frameworks += [fixture("kagome", theta=0.0), right_angle_pair(),
+                   PeriodicFramework(np.eye(2), [[0.0, 0.0]], []),
+                   PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.3, 0.2]],
+                                     [(0, 0, (1, 0)), (0, 1, (0, 0))])]
+    frameworks += [random_connected_framework(rng) for _ in range(40)]
+    certified = 0
+    for fw in frameworks:
+        ref = [_pointedness_margin_loop(fw, v) for v in range(fw.n)]
+        assert pseudotri._pointedness_margins(fw).tolist() == ref
+        assert [pointedness_margin(fw, v) for v in range(fw.n)] == ref
+        try:
+            cert = certify_ppt(fw)
+        except FrameworkError:
+            continue    # faces that do not trace: no certificate to compare
+        assert cert.pointed == [margin > pseudotri.POINTED_TOL for margin in ref]
+        assert [f for f in cert.failures if "pointed" in f] == [
+            "vertex %d is not pointed" % v for v, margin in enumerate(ref)
+            if not margin > pseudotri.POINTED_TOL]
+        certified += 1
+    assert certified > 30
+
+
 def test_certify_examples():
     cert = certify_ppt(fixture("ppt3"))
     assert cert.valid and cert.counts == (3, 6, 3)

@@ -1,5 +1,8 @@
 """Sublattice enumeration, unfolding, stress persistence, ultrarigidity."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,11 @@ from perimax import (
 from perimax.relax import Sublattice
 
 from conftest import (
+    oracle_edge_orbits,
     oracle_probe_entries,
     oracle_relax,
     oracle_sublattices,
+    oracle_unfolding,
     straddling_framework,
     subdivided_grid,
 )
@@ -206,6 +211,50 @@ def test_relax_matches_loop_reference():
             for b in range(d):
                 sub = Sublattice(a, b, d)
                 assert _same_unfolding(relax(fw, sub), oracle_relax(fw, sub)), sub
+
+
+def test_relax_rows_match_scalar_oracle():
+    # the unfolded rows, validated as arrays, equal the loop-built triples
+    # validated one orbit at a time, bit for bit
+    for name in FIXTURE_NAMES:
+        fw = fixture(name)
+        for sub in sublattices_up_to(6):
+            lattice, positions, edges, _, _ = oracle_unfolding(fw, sub)
+            got = relax(fw, sub)
+            assert got.lattice.tobytes() == lattice.tobytes()
+            assert got.positions.tobytes() == positions.tobytes()
+            for a, b in zip((got.tails, got.heads, got.shifts),
+                            oracle_edge_orbits(len(positions), edges)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, sub)
+
+
+def _count_calls(monkeypatch, calls, original):
+    """Count calls of ``original`` through every perimax module holding it."""
+    def counted(*args, **kwargs):
+        calls[original.__name__] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "perimax" or name.startswith("perimax."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_stress_sweep_builds_no_matrix_and_no_scalar_edge(monkeypatch):
+    from perimax import core, rigidity
+    calls = Counter()
+    _count_calls(monkeypatch, calls, core.canonical_edge)
+    _count_calls(monkeypatch, calls, rigidity.rigidity_matrix)
+    fw = relax(fixture("cubes"), Sublattice(1, 1, 2))
+    s = periodic_stress_space(fw)[0].values
+    calls.clear()
+    assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(6))
+    assert calls == Counter()
+    # the counters see calls made through the modules
+    periodic_stress_space(fw)
+    core.canonical_edge(1, 0, (0, 0))
+    assert calls == Counter(rigidity_matrix=1, canonical_edge=1)
 
 
 def _probe_entries(fw, max_index):

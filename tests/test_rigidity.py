@@ -1,26 +1,34 @@
 """Rigidity matrix, spectral dimensions, stress spaces and identities."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from perimax import (
     NumericalError,
     check_periodic_stress,
+    copy_stress,
     count_identity_check,
     equilibrium_matrix,
     fixture,
     flex_space,
     invariant_equilibrium_stress_space,
     periodic_stress_space,
+    relax,
     rigidity_matrix,
+    sublattices_up_to,
     trivial_motion_basis,
 )
+from perimax.relax import Sublattice
 
 from conftest import (
     oracle_nullspace,
     oracle_rank,
+    oracle_stress_check,
     random_connected_framework,
     single_edge,
+    straddling_framework,
     subdivided_grid,
 )
 
@@ -223,3 +231,33 @@ def test_svd_rank_of_a_stack_matches_each_matrix(rng):
     # empty matrices have rank 0 and no gap
     sv, rank, gap = _svd_rank(np.zeros((3, 0, 4)))
     assert sv.shape == (3, 0) and list(rank) == [0, 0, 0] and np.isinf(gap).all()
+
+
+def test_stress_check_matches_dense_reference(rng):
+    # the scattered balance and the matrix-free lattice and tensor sums give
+    # the dense reference's verdicts on periodic, invariant-only, random,
+    # nearly periodic and zero stresses
+    bases = [fixture(name) for name in FIXTURE_NAMES] + [subdivided_grid()]
+    checked = Counter()
+    for base in bases:
+        for sub in sublattices_up_to(3):
+            fw = relax(base, sub)
+            stresses = [copy_stress(fw, v.values) for v in periodic_stress_space(base)]
+            stresses += [copy_stress(fw, v.values)
+                         for v in invariant_equilibrium_stress_space(base)]
+            stresses += [s + 1e-6 * rng.standard_normal(fw.m) for s in stresses[:1]]
+            stresses += [rng.standard_normal(fw.m), np.zeros(fw.m)]
+            for s in stresses:
+                rep = check_periodic_stress(fw, s)
+                assert (rep.ok, rep.verdicts_agree) == oracle_stress_check(fw, s)
+                checked[rep.ok] += 1
+    assert checked[True] > 50 and checked[False] > 50
+
+
+def test_stress_spaces_refuse_straddling_spectrum():
+    # the equilibrium matrix of this relaxation reads its rank across a
+    # singular value gap ratio of 2
+    fw = relax(straddling_framework(), Sublattice(2, 0, 1))
+    with pytest.raises(NumericalError, match="rank instability"):
+        invariant_equilibrium_stress_space(fw)
+    assert len(periodic_stress_space(fw)) == 5
