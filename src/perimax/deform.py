@@ -21,7 +21,7 @@ from .core import FrameworkError, NumericalError, validate_geometry
 from .pseudotri import certify_ppt
 from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, _pair_rates,
                        gauge_rows, pair_table, rigidity_rows)
-from .topology import ANGLE_SUM_TOL
+from .topology import ANGLE_SUM_TOL, _corner, _direction_angles
 
 __all__ = [
     "Configuration",
@@ -225,12 +225,10 @@ def _ppt_margin(table, evecs):
     Raises NumericalError when a face's angle sum is off (k - 2) pi: a
     corner left (0, 2 pi), so the stars changed."""
     twin_in, out, face, sign, reasons = table
-    d = np.concatenate([evecs, -evecs])
-    angles = np.arctan2(d[:, 1], d[:, 0])
-    # a corner that wraps past the cut at pi is (a + 2 pi) - b, as the
-    # largest gap in pointedness_margin is, so the two agree bit for bit
-    a, b = angles[twin_in], angles[out]
-    corners = np.where(a < b, a + 2 * math.pi, a) - b
+    angles = _direction_angles(evecs)
+    # the stars move along the path: a corner wraps where its next angle is below its own
+    a, a_next = angles[out], angles[twin_in]
+    corners = _corner(a, a_next, a_next < a)
     off = np.abs(np.bincount(face, corners) - (np.bincount(face) - 2) * math.pi)
     if off.max() > ANGLE_SUM_TOL:
         raise NumericalError("corner order changed along the path: face %d angle sum "

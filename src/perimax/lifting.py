@@ -162,19 +162,14 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
                 continue
             visited[g] = True
             tree_edges.add(orbit)
-            e = evecs[orbit]
-            if f == tet.right_face:
-                copy = (tau[f][0] + tet.right_copy[0], tau[f][1] + tet.right_copy[1])
-                p, q = _edge_copy_endpoints(fw, orbit, copy)
-                nu_rel[g] = nu_rel[f] + s[orbit] * _perp(e)
-                c_hat[g] = c_hat[f] - s[orbit] * _det2(q, p)
-                tau[g] = (copy[0] - tet.left_copy[0], copy[1] - tet.left_copy[1])
-            else:
-                copy = (tau[f][0] + tet.left_copy[0], tau[f][1] + tet.left_copy[1])
-                p, q = _edge_copy_endpoints(fw, orbit, copy)
-                nu_rel[g] = nu_rel[f] - s[orbit] * _perp(e)
-                c_hat[g] = c_hat[f] + s[orbit] * _det2(q, p)
-                tau[g] = (copy[0] - tet.right_copy[0], copy[1] - tet.right_copy[1])
+            # right -> left adds s perp(e), left -> right subtracts it
+            sign, here, there = ((1.0, tet.right_copy, tet.left_copy) if f == tet.right_face
+                                 else (-1.0, tet.left_copy, tet.right_copy))
+            copy = (tau[f][0] + here[0], tau[f][1] + here[1])
+            p, q = _edge_copy_endpoints(fw, orbit, copy)
+            nu_rel[g] = nu_rel[f] + sign * s[orbit] * _perp(evecs[orbit])
+            c_hat[g] = c_hat[f] - sign * s[orbit] * _det2(q, p)
+            tau[g] = (copy[0] - there[0], copy[1] - there[1])
             queue.append(g)
     if not all(visited):
         raise FrameworkError("dual graph is disconnected")  # cannot happen for valid input

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import FrameworkError, NumericalError, PeriodicFramework, canonical_edge
 from .rigidity import _gauge_position, _oriented_flex, flex_space, pair_table
-from .topology import _orbit_crossings, check_noncrossing, corner_count, trace_faces
+from .topology import (_orbit_crossings, _star_table, check_noncrossing, corner_count,
+                       trace_faces)
 
 __all__ = [
     "POINTED_TOL",
@@ -45,6 +46,8 @@ def incident_directions(fw, v):
 
     Ordered by edge index; a loop at v gives its tail direction first.
     """
+    if not 0 <= v < fw.n:
+        raise FrameworkError("vertex index %d out of range" % v)
     evecs = fw.edge_vectors()
     # (m, 2 ends, 2): the direction leaving v when v is the tail / the head
     by_end = np.stack([evecs, -evecs], axis=1)
@@ -53,25 +56,18 @@ def incident_directions(fw, v):
 
 
 def _pointedness_margins(fw):
-    """``pointedness_margin`` of every vertex from one pass over the 2m
-    incident directions, grouped by vertex and sorted by angle."""
-    evecs = fw.edge_vectors()
-    d = np.concatenate([evecs, -evecs])
-    ends = np.concatenate([fw.tails, fw.heads])
-    angles = np.arctan2(d[:, 1], d[:, 0])
-    order = np.lexsort((angles, ends))
-    ends, angles = ends[order], angles[order]
-    firsts = np.flatnonzero(np.diff(ends, prepend=-1))
-    # gap to the next angle at the vertex; the last one wraps to the first + 2 pi
-    nxt = np.roll(angles, -1)
-    nxt[np.flatnonzero(np.diff(ends, append=fw.n))] = angles[firsts] + 2 * math.pi
-    margins = np.full(fw.n, math.pi)
-    margins[ends[firsts]] = np.maximum.reduceat(nxt - angles, firsts) - math.pi
-    return margins
+    """``pointedness_margin`` of every vertex: its largest star corner
+    minus pi, or pi at a vertex without edges."""
+    tails, _, corners = _star_table(fw)
+    largest = np.full(fw.n, -np.inf)
+    np.maximum.at(largest, tails, corners)
+    return np.where(np.isinf(largest), math.pi, largest - math.pi)
 
 
 def pointedness_margin(fw, v):
     """Largest angular gap between consecutive incident directions, minus pi."""
+    if not 0 <= v < fw.n:
+        raise FrameworkError("vertex index %d out of range" % v)
     return float(_pointedness_margins(fw)[v])
 
 

@@ -35,6 +35,8 @@ CORNER_ANGLE_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-8
 # Crossing tolerance, relative to the longest edge or the geometry scale.
 _CROSSING_RTOL = 1e-9
+# Two half-edges at a vertex closer in direction than this are degenerate.
+_DIRECTION_TOL = 1e-12
 # Window cells (edge pair x lattice shift) screened per numpy batch in
 # the crossing screen; bounds its working arrays to about 128 KB each.
 _SCREEN_CELLS = 1 << 14
@@ -262,114 +264,100 @@ def _orbit_crossings(fw, rows):
 # -- face tracing ---------------------------------------------------------
 
 
-def _half_edges(fw, angle_tol=1e-12):
-    """Outgoing half-edges per vertex, sorted counterclockwise by angle.
+def _direction_angles(evecs):
+    """Direction angles of half-edges: orbit k forward at k, reversed at k + m."""
+    d = np.concatenate([evecs, -evecs])
+    return np.arctan2(d[:, 1], d[:, 0])
 
-    Returns (stars, data) where stars[v] is the ordered list of keys
-    (orbit, forward) and data maps keys to (head vertex, shift delta,
-    direction angle).
+
+def _corner(a, a_next, wrap):
+    """Angle from direction a counterclockwise to a_next, past the cut at pi where wrap."""
+    return np.where(wrap, a_next + 2 * math.pi, a_next) - a
+
+
+def _star_table(fw):
+    """The star of every vertex as arrays over the 2m half-edges.
+
+    Returns (tails, nxt, corners): the vertex half-edge h leaves, the next
+    half-edge counterclockwise around that vertex (one lexsort by vertex,
+    then angle), and the corner from h to it, which wraps for the last
+    half-edge of each star.
     """
-    data = {}
-    stars = [[] for _ in range(fw.n)]
-    evecs = fw.edge_vectors()
-    for k in range(fw.m):
-        t, h = int(fw.tails[k]), int(fw.heads[k])
-        c = (int(fw.shifts[k, 0]), int(fw.shifts[k, 1]))
-        d = evecs[k]
-        data[(k, True)] = (h, c, math.atan2(d[1], d[0]))
-        data[(k, False)] = (t, (-c[0], -c[1]), math.atan2(-d[1], -d[0]))
-        stars[t].append((k, True))
-        stars[h].append((k, False))
-    for v in range(fw.n):
-        stars[v].sort(key=lambda key: data[key][2])
-        angs = [data[key][2] for key in stars[v]]
-        for i in range(len(angs)):
-            gap = angs[i] - angs[i - 1]
-            if i == 0:
-                gap += 2 * math.pi
-            if len(angs) > 1 and abs(gap) <= angle_tol:
-                raise FrameworkError(
-                    "degenerate placement: two edges at vertex %d share a direction" % v
-                )
-    return stars, data
+    tails = np.concatenate([fw.tails, fw.heads])
+    angles = _direction_angles(fw.edge_vectors())
+    order = np.lexsort((angles, tails))
+    # in sorted order: the last of each star steps to the first of it
+    grouped = tails[order]
+    last = grouped != np.append(grouped[1:], -1)
+    lasts = np.flatnonzero(last)
+    following = np.arange(1, len(order) + 1)
+    following[lasts] = np.append(0, lasts[:-1] + 1)
+    nxt, wrap = np.empty_like(order), np.empty_like(last)
+    nxt[order], wrap[order] = order[following], last
+    return tails, nxt, _corner(angles, angles[nxt], wrap)
 
 
 def trace_faces(fw):
     """Trace all face orbits and assemble the face complex.
 
-    Raises FrameworkError for Euler violations, non-contractible or
-    non-simple faces; these signal a crossing or a degenerate placement.
+    The successor of a half-edge is the clockwise neighbour of its twin;
+    faces start at orbit k forward, then reversed, for k = 0..m-1.  Raises
+    FrameworkError for two edges sharing a direction at a vertex, Euler
+    violations, non-contractible or non-simple faces; these signal a
+    crossing or a degenerate placement.
     """
-    stars, data = _half_edges(fw)
-    pos_in_star = {key: i for star in stars for i, key in enumerate(star)}
-
-    def successor(key):
-        # the rotational predecessor of the twin in the head's star
-        star = stars[data[key][0]]
-        return star[(pos_in_star[(key[0], not key[1])] - 1) % len(star)]
-
-    visited = {}
-    faces = []
-    left_slot = {}
-    right_slot = {}
-    vertex_slot = {}
-    for k0 in range(fw.m):
-        for fwd0 in (True, False):
-            start = (k0, fwd0)
-            if start in visited:
-                continue
-            fid = len(faces)
-            boundary = []
-            key = start
-            shift = (0, 0)
-            while True:
-                visited[key] = fid
-                head_v, delta, _ = data[key]
-                # a half-edge leaves the head of its twin
-                tail_copy = (data[(key[0], not key[1])][0], shift)
-                head_shift = (shift[0] + delta[0], shift[1] + delta[1])
-                boundary.append(HalfEdge(key[0], key[1], tail_copy, (head_v, head_shift)))
-                # copy offset at which this edge orbit occurs in the face:
-                # forward slots start at the copy's tail, backward slots end there
-                slot_map = left_slot if key[1] else right_slot
-                slot_map[key[0]] = (fid, shift if key[1] else head_shift)
-                key = successor(key)
-                shift = head_shift
-                if key == start:
-                    break
-            if shift != (0, 0):
-                raise FrameworkError(
-                    "Euler violation: face %d is non-contractible (net shift %r)"
-                    % (fid, shift)
-                )
-            if len({slot.tail for slot in boundary}) != len(boundary):
-                raise FrameworkError("non-simple face %d: repeated vertex copy" % fid)
-            # interior angle at a corner: from the outgoing half-edge
-            # counterclockwise to the twin of the incoming one
-            angles = [(data[(h_in.orbit, not h_in.forward)][2]
-                       - data[(h_out.orbit, h_out.forward)][2]) % (2 * math.pi)
-                      for h_in, h_out in zip(boundary[-1:] + boundary[:-1], boundary)]
-            if abs(sum(angles) - (len(boundary) - 2) * math.pi) > ANGLE_SUM_TOL:
-                raise FrameworkError(
-                    "Euler violation: face %d angle sum %.12g != (k-2)pi"
-                    % (fid, sum(angles))
-                )
-            faces.append(FaceOrbit(fid, boundary, angles))
-            for slot in boundary:
-                vertex_slot.setdefault(slot.tail[0], (fid, slot.tail[1]))
-
-    n_star = len(faces)
-    if fw.n - fw.m + n_star != 0:
+    m = fw.m
+    tails, nxt, corners = _star_table(fw)
+    shared = tails[corners <= _DIRECTION_TOL]
+    if len(shared):
         raise FrameworkError(
-            "Euler violation: n - m + n* = %d - %d + %d != 0" % (fw.n, fw.m, n_star)
-        )
+            "degenerate placement: two edges at vertex %d share a direction" % shared.min())
+    twin = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
+    # the clockwise neighbour of the twin; argsort inverts the permutation nxt
+    succ = np.argsort(nxt)[twin].tolist()
+    tails, heads = tails.tolist(), tails[twin].tolist()
+    deltas = np.concatenate([fw.shifts, -fw.shifts]).tolist()
+    corners = corners.tolist()
 
-    tetrads = []
-    for k in range(fw.m):
-        lf, lcopy = left_slot[k]
-        rf, rcopy = right_slot[k]
-        tetrads.append(Tetrad(k, int(fw.tails[k]), int(fw.heads[k]),
-                              lf, rf, lcopy, rcopy))
+    face_of = [-1] * (2 * m)
+    copy_of = [None] * (2 * m)
+    faces = []
+    vertex_slot = {}
+    for start in (h for k in range(m) for h in (k, k + m)):
+        if face_of[start] >= 0:
+            continue
+        fid = len(faces)
+        boundary, angles = [], []
+        h, shift = start, (0, 0)
+        while True:
+            face_of[h] = fid
+            head_shift = (shift[0] + deltas[h][0], shift[1] + deltas[h][1])
+            boundary.append(HalfEdge(h % m, h < m, (tails[h], shift), (heads[h], head_shift)))
+            angles.append(corners[h])
+            # copy offset at which this edge orbit occurs in the face:
+            # forward slots start at the copy's tail, backward slots end there
+            copy_of[h] = shift if h < m else head_shift
+            h, shift = succ[h], head_shift
+            if h == start:
+                break
+        if shift != (0, 0):
+            raise FrameworkError("Euler violation: face %d is non-contractible "
+                                 "(net shift %r)" % (fid, shift))
+        if len({slot.tail for slot in boundary}) != len(boundary):
+            raise FrameworkError("non-simple face %d: repeated vertex copy" % fid)
+        if abs(sum(angles) - (len(boundary) - 2) * math.pi) > ANGLE_SUM_TOL:
+            raise FrameworkError("Euler violation: face %d angle sum %.12g != (k-2)pi"
+                                 % (fid, sum(angles)))
+        faces.append(FaceOrbit(fid, boundary, angles))
+        for slot in boundary:
+            vertex_slot.setdefault(slot.tail[0], (fid, slot.tail[1]))
+
+    if fw.n - m + len(faces) != 0:
+        raise FrameworkError("Euler violation: n - m + n* = %d - %d + %d != 0"
+                             % (fw.n, m, len(faces)))
+
+    tetrads = [Tetrad(k, tails[k], heads[k], face_of[k], face_of[k + m],
+                      copy_of[k], copy_of[k + m]) for k in range(m)]
     return FaceComplex(faces, tetrads, vertex_slot)
 
 

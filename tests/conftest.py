@@ -1,7 +1,8 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately avoid the library code paths they check:
-patch enumeration is brute force over explicit copies, segment crossing is
+patch enumeration is brute force over explicit copies, faces are traced
+over dicts of half-edges with per-edge ``math.atan2``, segment crossing is
 a from-scratch parametric intersection (and, per pair, the scalar form of
 the library's tolerance rules), edge orbits are validated one at a time,
 nullspaces come straight from numpy's SVD, and derivatives are central
@@ -20,7 +21,7 @@ from perimax import FrameworkError, PeriodicFramework, flex_space, sublattices_u
 from perimax.pseudotri import pointedness_margin
 from perimax.relax import UnfoldedFramework
 from perimax.rigidity import equilibrium_matrix
-from perimax.topology import trace_faces
+from perimax.topology import ANGLE_SUM_TOL, FaceComplex, FaceOrbit, HalfEdge, Tetrad, trace_faces
 
 
 # -- extra fixtures --------------------------------------------------------
@@ -417,3 +418,113 @@ def oracle_ppt_margin(fw, positions, lattice):
                 for face in trace_faces(moved).faces
                 for a, corner in zip(face.corner_angles, classes[face.id])]
     return margins[int(np.argmin([margin for margin, _ in margins]))]
+
+
+def _oracle_half_edges(fw, angle_tol=1e-12):
+    """Outgoing half-edges per vertex, sorted counterclockwise by angle.
+
+    Returns (stars, data) where stars[v] is the ordered list of keys
+    (orbit, forward) and data maps keys to (head vertex, shift delta,
+    direction angle).
+    """
+    data = {}
+    stars = [[] for _ in range(fw.n)]
+    evecs = fw.edge_vectors()
+    for k in range(fw.m):
+        t, h = int(fw.tails[k]), int(fw.heads[k])
+        c = (int(fw.shifts[k, 0]), int(fw.shifts[k, 1]))
+        d = evecs[k]
+        data[(k, True)] = (h, c, math.atan2(d[1], d[0]))
+        data[(k, False)] = (t, (-c[0], -c[1]), math.atan2(-d[1], -d[0]))
+        stars[t].append((k, True))
+        stars[h].append((k, False))
+    for v in range(fw.n):
+        stars[v].sort(key=lambda key: data[key][2])
+        angs = [data[key][2] for key in stars[v]]
+        for i in range(len(angs)):
+            gap = angs[i] - angs[i - 1]
+            if i == 0:
+                gap += 2 * math.pi
+            if len(angs) > 1 and abs(gap) <= angle_tol:
+                raise FrameworkError(
+                    "degenerate placement: two edges at vertex %d share a direction" % v
+                )
+    return stars, data
+
+
+def oracle_trace_faces(fw):
+    """Face complex traced over dicts keyed by (orbit, forward): the
+    successor of a half-edge is the rotational predecessor of its twin,
+    corner angles are differences of ``math.atan2`` directions mod 2 pi.
+    Raises ``trace_faces``'s FrameworkErrors with its messages."""
+    stars, data = _oracle_half_edges(fw)
+    pos_in_star = {key: i for star in stars for i, key in enumerate(star)}
+
+    def successor(key):
+        # the rotational predecessor of the twin in the head's star
+        star = stars[data[key][0]]
+        return star[(pos_in_star[(key[0], not key[1])] - 1) % len(star)]
+
+    visited = {}
+    faces = []
+    left_slot = {}
+    right_slot = {}
+    vertex_slot = {}
+    for k0 in range(fw.m):
+        for fwd0 in (True, False):
+            start = (k0, fwd0)
+            if start in visited:
+                continue
+            fid = len(faces)
+            boundary = []
+            key = start
+            shift = (0, 0)
+            while True:
+                visited[key] = fid
+                head_v, delta, _ = data[key]
+                # a half-edge leaves the head of its twin
+                tail_copy = (data[(key[0], not key[1])][0], shift)
+                head_shift = (shift[0] + delta[0], shift[1] + delta[1])
+                boundary.append(HalfEdge(key[0], key[1], tail_copy, (head_v, head_shift)))
+                # copy offset at which this edge orbit occurs in the face:
+                # forward slots start at the copy's tail, backward slots end there
+                slot_map = left_slot if key[1] else right_slot
+                slot_map[key[0]] = (fid, shift if key[1] else head_shift)
+                key = successor(key)
+                shift = head_shift
+                if key == start:
+                    break
+            if shift != (0, 0):
+                raise FrameworkError(
+                    "Euler violation: face %d is non-contractible (net shift %r)"
+                    % (fid, shift)
+                )
+            if len({slot.tail for slot in boundary}) != len(boundary):
+                raise FrameworkError("non-simple face %d: repeated vertex copy" % fid)
+            # interior angle at a corner: from the outgoing half-edge
+            # counterclockwise to the twin of the incoming one
+            angles = [(data[(h_in.orbit, not h_in.forward)][2]
+                       - data[(h_out.orbit, h_out.forward)][2]) % (2 * math.pi)
+                      for h_in, h_out in zip(boundary[-1:] + boundary[:-1], boundary)]
+            if abs(sum(angles) - (len(boundary) - 2) * math.pi) > ANGLE_SUM_TOL:
+                raise FrameworkError(
+                    "Euler violation: face %d angle sum %.12g != (k-2)pi"
+                    % (fid, sum(angles))
+                )
+            faces.append(FaceOrbit(fid, boundary, angles))
+            for slot in boundary:
+                vertex_slot.setdefault(slot.tail[0], (fid, slot.tail[1]))
+
+    n_star = len(faces)
+    if fw.n - fw.m + n_star != 0:
+        raise FrameworkError(
+            "Euler violation: n - m + n* = %d - %d + %d != 0" % (fw.n, fw.m, n_star)
+        )
+
+    tetrads = []
+    for k in range(fw.m):
+        lf, lcopy = left_slot[k]
+        rf, rcopy = right_slot[k]
+        tetrads.append(Tetrad(k, int(fw.tails[k]), int(fw.heads[k]),
+                              lf, rf, lcopy, rcopy))
+    return FaceComplex(faces, tetrads, vertex_slot)

@@ -18,3 +18,18 @@ def test_no_imports_inside_functions():
                 found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, found
+
+
+def test_direction_angles_in_one_place():
+    """Every direction angle of the package comes from one ``arctan2`` call
+    in ``topology``, so faces, pointedness and the path margin read corner
+    angles with the same rounding."""
+    found = []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("arctan2", "atan2"):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert len(found) == 1 and found[0].startswith("topology.py:"), found

@@ -121,6 +121,14 @@ def test_pointedness_in_one_pass_matches_per_vertex_reference(rng):
     assert certified > 30
 
 
+def test_vertex_index_range_checked():
+    fw = fixture("ppt3")
+    for v in (-1, fw.n):
+        for query in (pointedness_margin, is_pointed, incident_directions):
+            with pytest.raises(FrameworkError, match="vertex index %d out of range" % v):
+                query(fw, v)
+
+
 def test_certify_examples():
     cert = certify_ppt(fixture("ppt3"))
     assert cert.valid and cert.counts == (3, 6, 3)

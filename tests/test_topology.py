@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from perimax import (
+    FIXTURES,
     FrameworkError,
     check_noncrossing,
     corner_count,
@@ -17,10 +18,11 @@ from perimax import (
     trace_faces,
 )
 
-from perimax.relax import Sublattice, relax
+from perimax.pseudotri import pointedness_margin
+from perimax.relax import Sublattice, relax, sublattices_up_to
 
 from conftest import (crossed_grid, oracle_noncrossing, oracle_segments_cross,
-                      subdivided_grid)
+                      oracle_trace_faces, subdivided_grid)
 
 
 def test_square_grid_noncrossing():
@@ -135,6 +137,55 @@ def test_degenerate_direction_rejected():
                            [(0, 1, (0, 0)), (0, 0, (1, 0))])
     with pytest.raises(FrameworkError, match="share a direction"):
         trace_faces(fw)
+
+
+def _traced_or_refused(trace, fw):
+    try:
+        return trace(fw)
+    except FrameworkError as exc:
+        return str(exc)
+
+
+def test_star_table_trace_matches_dict_oracle():
+    """Fixtures (kagome at four angles) relaxed to every sublattice of
+    index <= 4, each as given, under a seeded rigid motion and perturbed:
+    faces, tetrads and vertex slots equal the dict tracer's, refusals carry
+    its message, corner angles stay within 4 ulp of 2 pi, and every reflex
+    corner minus pi is its vertex's pointedness margin bit for bit."""
+    rng = np.random.default_rng(9)
+    bases = [fixture(name) for name in sorted(FIXTURES) if name != "kagome"]
+    bases += [fixture("kagome", theta=theta) for theta in (0.0, 0.9, math.pi / 2, 2.4)]
+    traced = refused = 0
+    for base in bases:
+        for sub in sublattices_up_to(4):
+            fw = relax(base, sub)
+            theta = rng.uniform(0, 2 * math.pi)
+            rot = np.array([[math.cos(theta), -math.sin(theta)],
+                            [math.sin(theta), math.cos(theta)]])
+            moved = fw.with_geometry(fw.positions @ rot.T + rng.uniform(-1, 1, 2),
+                                     rot @ fw.lattice)
+            scale = 0.1 * fw.geometry_scale / math.sqrt(fw.n)
+            perturbed = fw.with_geometry(
+                fw.positions + scale * rng.uniform(-1, 1, fw.positions.shape))
+            for variant in (fw, moved, perturbed):
+                got = _traced_or_refused(trace_faces, variant)
+                ref = _traced_or_refused(oracle_trace_faces, variant)
+                if isinstance(ref, str):
+                    assert got == ref
+                    refused += 1
+                    continue
+                traced += 1
+                assert (got.tetrads, got.vertex_slot) == (ref.tetrads, ref.vertex_slot)
+                assert [f.boundary for f in got.faces] == [f.boundary for f in ref.faces]
+                got_angles = np.concatenate([f.corner_angles for f in got.faces])
+                ref_angles = np.concatenate([f.corner_angles for f in ref.faces])
+                assert np.abs(got_angles - ref_angles).max() <= 4 * np.spacing(2 * math.pi)
+                for face in got.faces:
+                    for slot, angle in zip(face.boundary, face.corner_angles):
+                        if angle > math.pi:
+                            v = slot.tail[0]
+                            assert angle - math.pi == pointedness_margin(variant, v)
+    assert traced > 300 and refused > 10
 
 
 def test_crossing_with_distant_representatives():
