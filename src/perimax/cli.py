@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import fixtures as fixtures_mod
 from .core import (
     FrameworkError,
     NumericalError,
-    framework_to_dict,
     parse_framework,
     serialize_framework,
 )
@@ -44,8 +44,7 @@ def _load(path):
 
 def _save_framework(fw, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_framework(fw))
-        fh.write("\n")
+        fh.write(serialize_framework(fw) + "\n")
 
 
 def _emit(report):
@@ -261,24 +260,21 @@ def cmd_deform(args):
 
 
 def cmd_fixture(args):
-    params = {}
-    if args.theta is not None:
-        params["theta"] = args.theta
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.beta is not None:
-        params["beta"] = args.beta
+    params = {key: getattr(args, key) for key in ("theta", "alpha", "beta")
+              if getattr(args, key) is not None}
     fw = fixtures_mod.fixture(args.name, **params)
     if args.out:
         _save_framework(fw, args.out)
         _log(args, "wrote %s" % args.out)
         _emit({"name": args.name, "n": fw.n, "m": fw.m, "out": args.out})
     else:
-        _emit(framework_to_dict(fw))
+        sys.stdout.write(serialize_framework(fw) + "\n")
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process for every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="perimax",
         description="Planar periodic framework analysis: rigidity, stresses, "
@@ -355,8 +351,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FrameworkError as exc:

@@ -10,6 +10,7 @@ of the lattice generators.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -116,14 +117,16 @@ def validate_geometry(lattice, positions, tails, heads, shifts):
     """Geometry scale and (m, 2) edge vectors of a placement of fixed edge
     orbits; FrameworkError for non-finite entries, a singular lattice, a
     zero-length edge or vertex orbits that all coincide."""
-    if not np.all(np.isfinite(lattice)):
+    (a, b), (c, d) = lattice.tolist()    # scalars: numpy calls cost more on 2 x 2
+    if not all(map(math.isfinite, (a, b, c, d))):
         raise FrameworkError("lattice must be a finite 2x2 matrix")
-    if not np.all(np.isfinite(positions)):
+    largest = float(np.abs(positions).max())    # NaN when any entry is NaN
+    if not math.isfinite(largest):
         raise FrameworkError("positions must be finite")
-    col_norms = np.linalg.norm(lattice, axis=0)
-    scale = max(float(col_norms.max()), float(np.abs(positions).max())) or 1.0
-    det = float(np.linalg.det(lattice))
-    if abs(det) < LATTICE_RANK_RTOL * float(col_norms.max()) ** 2 or det == 0.0:
+    col_max = max(math.sqrt(a * a + c * c), math.sqrt(b * b + d * d))
+    scale = max(col_max, largest) or 1.0
+    det = a * d - b * c
+    if abs(det) < LATTICE_RANK_RTOL * col_max ** 2 or det == 0.0:
         raise FrameworkError("singular lattice: |det| = %g" % abs(det))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]
     bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
@@ -439,6 +442,17 @@ def framework_to_dict(fw):
     }
 
 
-def serialize_framework(fw, indent=2):
-    """Serialize to the canonical JSON text form (round-trips bit-exactly)."""
-    return json.dumps(framework_to_dict(fw), indent=indent)
+_VERTEX = '    {\n      "id": %d,\n      "pos": [\n        "%r",\n        "%r"\n      ]\n    }'
+_EDGE = ('    {\n      "tail": %d,\n      "head": %d,\n      "shift": [\n        %d,\n'
+         '        %d\n      ]\n    }')
+
+
+def serialize_framework(fw):
+    """Serialize to the canonical JSON text form (round-trips bit-exactly):
+    the text of ``json.dumps(framework_to_dict(fw), indent=2)``."""
+    vertices = ",\n".join(_VERTEX % (i, x, y) for i, (x, y) in enumerate(fw.positions.tolist()))
+    rows = np.column_stack([fw.tails, fw.heads, fw.shifts]).tolist()
+    edges = "[\n%s\n  ]" % ",\n".join(_EDGE % tuple(r) for r in rows) if rows else "[]"
+    return ('{\n  "dimension": 2,\n  "lattice": [\n    [\n      "%r",\n      "%r"\n    ],\n'
+            '    [\n      "%r",\n      "%r"\n    ]\n  ],\n  "vertices": [\n%s\n  ],\n'
+            '  "edges": %s\n}' % (*fw.lattice.ravel(order="F").tolist(), vertices, edges))

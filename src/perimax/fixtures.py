@@ -57,15 +57,7 @@ def kagome(theta=math.pi / 2):
     u = np.array([1.0, 0.0])
     v = np.array([0.5, 0.5 * math.sqrt(3.0)])
     lattice = np.column_stack([u + rot @ u, v + rot @ v])
-    edges = [
-        (0, 1, (0, 0)),
-        (0, 2, (0, 0)),
-        (1, 2, (0, 0)),
-        (0, 1, (1, 0)),
-        (0, 2, (0, 1)),
-        (1, 2, (-1, 1)),
-    ]
-    return PeriodicFramework(lattice, positions, edges)
+    return PeriodicFramework(lattice, positions, _PPT3_EDGES)
 
 
 def reentrant(alpha=math.pi / 8, beta=7 * math.pi / 8):
@@ -93,7 +85,8 @@ def reentrant(alpha=math.pi / 8, beta=7 * math.pi / 8):
     return PeriodicFramework(lattice, positions, edges)
 
 
-# ppt3's frozen quotient data, shared with ultrarigid.
+# ppt3's frozen quotient data, shared with ultrarigid; kagome has the same
+# edge orbits.
 _PPT3_LATTICE = [
     [0.81155551, -0.45602917],
     [0.97736481, 1.3921752],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FrameworkError, NumericalError, PeriodicFramework, canonical_edge
-from .rigidity import _gauge_position, _oriented_flex, flex_space, pair_table
+from .rigidity import _gauge_position, _oriented_flex, count_identity_check, pair_table
 from .topology import (_orbit_crossings, _star_table, check_noncrossing, corner_count,
                        trace_faces)
 
@@ -96,10 +96,12 @@ class PPTCertificate:
 def certify_ppt(fw):
     """Certify a periodic pointed pseudo-triangulation.
 
-    Collects every failed clause rather than stopping at the first.
-    Propagates face-tracing errors (non-crossing input is a precondition).
+    Collects every failed clause rather than stopping at the first.  A rank
+    read across a thin gap is refused (NumericalError) before any face is
+    traced; face-tracing errors propagate (non-crossing is a precondition).
     """
     failures = []
+    spectral = count_identity_check(fw)
     fc = trace_faces(fw)
     report = corner_count(fw, fc)
 
@@ -119,7 +121,6 @@ def certify_ppt(fw):
     if fw.m != 2 * fw.n:
         failures.append("edge count %d != 2n = %d" % (fw.m, 2 * fw.n))
 
-    _, spectral = flex_space(fw)
     if spectral.sigma != 0:
         failures.append("periodic stress space has dimension %d" % spectral.sigma)
     if spectral.phi != 1:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FrameworkError, PeriodicFramework
-from .rigidity import _require_gap, _svd_rank, check_periodic_stress, flex_space
+from .rigidity import _require_gap, _svd_rank, check_periodic_stress, rigidity_matrix
 
 def _ext_gcd(p, q):
     """g = gcd(p, q) >= 0 together with x, y such that x*p + y*q = g."""
@@ -289,8 +289,8 @@ def ultrarigidity_probe(fw, max_index=4):
     """
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
-    _, base = flex_space(fw)
-    gap = base.rank_gap
+    _, rank, gap = _svd_rank(rigidity_matrix(fw))
+    phi0, sigma0 = 2 * fw.n + 1 - rank, fw.m - rank
     # 2n - rank R_chi by character slot; 0 in the trivial slot
     flex_def = np.zeros(_code(0, 0, max_index + 1), dtype=int)
     cycles = _cycle_shifts(fw)
@@ -324,8 +324,8 @@ def ultrarigidity_probe(fw, max_index=4):
             gap = min(gap, float(block_gap.min()))
         added = flex_def[codes].sum(axis=1)
         # m - rank R_chi = (2n - rank R_chi) + (m - 2n) for each of k - 1 blocks
-        phis = base.phi + added
-        sigmas = base.sigma + added + (k - 1) * (fw.m - 2 * fw.n)
+        phis = phi0 + added
+        sigmas = sigma0 + added + (k - 1) * (fw.m - 2 * fw.n)
         for sub, phi, sigma in zip(subs, phis.tolist(), sigmas.tolist()):
             entry = UltraProbeEntry(sub, phi, sigma)
             entries.append(entry)

@@ -147,9 +147,11 @@ def flex_space(fw, rtol=RANK_RTOL):
     """Orthonormal basis of the infinitesimal motion space ker R.
 
     Returns (basis, report) with basis columns of length 2n + 4; the
-    report's phi subtracts the three trivial isometry motions.
+    report's phi subtracts the three trivial isometry motions.  Raises
+    NumericalError when the spectrum straddles the rank tolerance.
     """
     sv, rank, gap, basis = _svd_rank(rigidity_matrix(fw), rtol, kernel=True)
+    _require_gap(gap)
     basis = _fix_signs(basis, rtol)
     delta = basis.shape[1]
     sigma = fw.m - rank
@@ -301,14 +303,19 @@ def gauge_reduced_kernel(fw, rtol=RANK_RTOL):
 
     For a framework in gauge position (vertex 0 at the origin, first
     generator on the positive x-axis) the gauge kills exactly the trivial
-    motions, so the result has dimension phi.
+    motions, so the result has dimension phi.  Raises NumericalError when
+    the spectrum straddles the rank tolerance.
     """
-    return _gauge_kernel(fw, rigidity_matrix(fw), rtol)
+    basis, gap = _gauge_kernel(fw, rigidity_matrix(fw), rtol)
+    _require_gap(gap)
+    return basis
 
 
 def _gauge_kernel(fw, R, rtol=RANK_RTOL):
+    """Sign-fixed kernel basis of R over the gauge rows, and its rank gap."""
     A = np.vstack([R / max(1.0, np.abs(R).max()), gauge_rows(fw)])
-    return _fix_signs(_svd_rank(A, rtol, kernel=True)[3], rtol)
+    _, _, gap, basis = _svd_rank(A, rtol, kernel=True)
+    return _fix_signs(basis, rtol), gap
 
 
 def _gauge_position(fw):
@@ -353,7 +360,7 @@ def _oriented_flex(fw, positions, lattice, cutoff):
     order).  The flex of a pseudo-triangulation is expansive, so this one
     rule serves paths and the rigidifying search alike."""
     _, evecs = validate_geometry(lattice, positions, fw.tails, fw.heads, fw.shifts)
-    basis = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
+    basis, _ = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"

@@ -1,15 +1,22 @@
 """End-to-end command line checks (in-process, via main())."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perimax
+from perimax import cli
 from perimax.cli import main
 
 from conftest import straddling_framework
@@ -44,6 +51,7 @@ def test_fixture_prints_document_without_out(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["dimension"] == 2 and len(doc["edges"]) == 2
+    assert out == perimax.serialize_framework(perimax.fixture("square_grid")) + "\n"
 
 
 def test_ppt_certificate(tmp_path, capsys):
@@ -341,3 +349,121 @@ def test_ultra_index_bound_exits_with_json(tmp_path, capsys):
     assert "Traceback" not in proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["kind"] == "validation" and "max_index must be between 1 and" in rep["error"]
+
+
+def test_parser_built_once_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    path = fixture_file(tmp_path, capsys, "kagome")
+    first = run(capsys, "ppt", path)
+    for _ in range(3):
+        assert run(capsys, "ppt", path) == first
+    assert cli.build_parser.cache_info().misses == 1
+    # after successful calls a bad argv still exits 2 with a fresh parser's usage
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["ppt"], ["ppt", path, "--bogus"], ["nosuch"],
+                 ["ultra", path, "--max-index", "x"]):
+        errors = []
+        for parse in (main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("usage: perimax"), argv
+    # the options of one call do not carry over to the next
+    code, bent = run(capsys, "fixture", "kagome", "--theta", "1.2")
+    code, plain = run(capsys, "fixture", "kagome")
+    assert plain == perimax.framework_to_dict(perimax.fixture("kagome")) != bent
+    assert run(capsys, "ppt", path) == first
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_ppt_refuses_straddling_rank(tmp_path, capsys):
+    # R of this relaxation reads its rank across a singular value gap ratio
+    # of 1.8: no certificate, a numerical failure (3) as JSON
+    fw = perimax.relax(straddling_framework(2e-9), perimax.Sublattice(2, 0, 1))
+    path = tmp_path / "straddle-relaxed.json"
+    path.write_text(perimax.serialize_framework(fw))
+    code, rep = run(capsys, "ppt", str(path))
+    assert code == 3
+    assert rep["kind"] == "numerical" and "rank instability" in rep["error"]
+
+
+# -- malformed input through the command line --------------------------------
+
+_LOADING_COMMANDS = ("analyze", "ppt", "stress", "lift", "ultra", "rigidify", "deform")
+_BAD_NUMBERS = st.sampled_from(["x", "", "1,5", "nan", "inf", "-inf", None, True, [], {}, 1e400])
+
+
+@st.composite
+def _broken_documents(draw):
+    """A fixture document with one change that no framework survives."""
+    fw = perimax.fixture(draw(st.sampled_from(sorted(perimax.FIXTURES))))
+    doc = perimax.framework_to_dict(fw)
+    vertex = draw(st.sampled_from(doc["vertices"]))
+    edge = draw(st.sampled_from(doc["edges"]))
+    kind = draw(st.sampled_from(["root key", "vertex key", "edge key", "dimension", "lattice",
+                                 "position", "id", "end", "shift", "duplicate", "singular",
+                                 "root"]))
+    if kind == "root key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "vertex key":
+        del vertex[draw(st.sampled_from(["id", "pos"]))]
+    elif kind == "edge key":
+        del edge[draw(st.sampled_from(["tail", "head", "shift"]))]
+    elif kind == "dimension":
+        doc["dimension"] = draw(st.sampled_from([3, 1, "2", None, [2], True]))
+    elif kind == "lattice":
+        doc["lattice"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(_BAD_NUMBERS)
+    elif kind == "position":
+        vertex["pos"][draw(st.integers(0, 1))] = draw(_BAD_NUMBERS)
+    elif kind == "id":
+        vertex["id"] = draw(st.sampled_from([-1, fw.n, "0", True, 0.5, None]))
+    elif kind == "end":
+        edge[draw(st.sampled_from(["tail", "head"]))] = draw(
+            st.sampled_from([-1, fw.n, "0", True, 1.0, None, 2 ** 70]))
+    elif kind == "shift":
+        edge["shift"][draw(st.integers(0, 1))] = draw(
+            st.sampled_from([0.5, 1.0, "1", True, None, 2 ** 63, -2 ** 63, 10 ** 30]))
+    elif kind == "duplicate":
+        doc["edges"].append(dict(edge))
+    elif kind == "singular":
+        doc["lattice"] = [doc["lattice"][0], list(doc["lattice"][0])]
+    else:
+        doc = draw(st.sampled_from([[doc], 2, "framework", None]))
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 2]))).encode()
+
+
+@st.composite
+def _broken_bytes(draw):
+    """A serialized fixture cut short, or with one byte inserted that no
+    JSON framework document can hold (a NUL, invalid UTF-8 or a brace)."""
+    name = draw(st.sampled_from(sorted(perimax.FIXTURES)))
+    text = perimax.serialize_framework(perimax.fixture(name)).encode()
+    at = draw(st.integers(0, len(text) - 1))
+    if draw(st.booleans()):
+        return text[:at]
+    return text[:at] + draw(st.sampled_from([b"\x00", b"\xff", b"{"])) + text[at:]
+
+
+def _refused(command, data):
+    """Run ``command`` in-process on a file holding ``data``; returns the exit
+    code, the parsed stdout and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "broken.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(_LOADING_COMMANDS), data=_broken_documents() | _broken_bytes())
+def test_broken_input_exits_with_json(command, data):
+    """Every command that reads a framework answers a broken document or a
+    broken file with exit 2 and a JSON validation error, never a traceback."""
+    code, rep, err = _refused(command, data)
+    assert code == 2
+    assert rep["kind"] == "validation" and rep["error"]
+    assert "Traceback" not in err

@@ -1,11 +1,13 @@
 """Framework data model, validation and JSON round trip."""
 
 import json
+import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perimax import (
@@ -19,6 +21,7 @@ from perimax import (
     realize_patch,
     serialize_framework,
 )
+from perimax.core import EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, validate_geometry
 from perimax.fixtures import FIXTURES
 
 from conftest import oracle_edge_orbits, oracle_patch_counts
@@ -317,3 +320,143 @@ def test_constructor_matches_scalar_edge_oracle(data):
             assert not isinstance(expected, str), expected
             for got, want in zip((fw.tails, fw.heads, fw.shifts), expected):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+_MAX_SHIFT = 2 ** 63 - 1
+# -0.0, subnormals and the largest magnitudes first, then any finite float
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                                -1e308, 0.1, -1.0 / 3.0])
+_COORDS = _EDGE_FLOATS | st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False)
+_SHIFT_ENTRIES = st.sampled_from([_MAX_SHIFT, -_MAX_SHIFT, 0, 1, -1]) \
+    | st.integers(-_MAX_SHIFT, _MAX_SHIFT)
+
+
+@st.composite
+def _any_frameworks(draw):
+    """Valid frameworks with extreme coordinates and shifts."""
+    n = draw(st.integers(1, 4))
+    diagonal = st.sampled_from([1.0, -2.5, 1e-150, 1e150]) | st.floats(1e-3, 1e3)
+    off_diagonal = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1])
+    lattice = [[draw(diagonal), draw(off_diagonal)], [draw(off_diagonal), draw(diagonal)]]
+    positions = draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=n, max_size=n))
+    shifts = st.tuples(_SHIFT_ENTRIES, _SHIFT_ENTRIES)
+    edges = [(v - 1, v, draw(shifts)) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), shifts),
+                           max_size=3))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return PeriodicFramework(lattice, positions, edges)
+    except FrameworkError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fw=_any_frameworks())
+def test_serialize_matches_indented_json_oracle(fw):
+    """The direct writer gives the text of the indented JSON encoder, and
+    that text reads back bit-exactly."""
+    text = serialize_framework(fw)
+    assert text == json.dumps(framework_to_dict(fw), indent=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        back = parse_framework(text)
+    assert back.lattice.tobytes() == fw.lattice.tobytes()
+    assert back.positions.tobytes() == fw.positions.tobytes()
+    assert np.array_equal(back.shifts, fw.shifts)
+
+
+def test_serialize_extreme_values_and_empty_edges():
+    with np.errstate(over="ignore"):    # both edge vectors overflow to -inf
+        fw = PeriodicFramework([[1e150, -0.0], [5e-324, -2.5e145]],
+                               [[1e308, -0.0], [-1e308, 5e-324]],
+                               [(0, 1, (_MAX_SHIFT, -_MAX_SHIFT)), (0, 1, (0, 0))])
+    text = serialize_framework(fw)
+    assert text == json.dumps(framework_to_dict(fw), indent=2)
+    assert '"-0.0"' in text and '"5e-324"' in text and '"1e+308"' in text
+    assert str(-_MAX_SHIFT) in text
+    edgeless = PeriodicFramework(np.eye(2), [[0.0, 0.0]], [])
+    assert serialize_framework(edgeless) == json.dumps(framework_to_dict(edgeless), indent=2)
+    assert serialize_framework(edgeless).endswith('"edges": []\n}')
+
+
+def _numpy_validate_geometry(lattice, positions, tails, heads, shifts):
+    """``validate_geometry`` in its numpy formulation (determinant by LU,
+    ``np.linalg.norm`` columns): the oracle of the scalar one."""
+    if not np.all(np.isfinite(lattice)):
+        raise FrameworkError("lattice must be a finite 2x2 matrix")
+    if not np.all(np.isfinite(positions)):
+        raise FrameworkError("positions must be finite")
+    col_norms = np.linalg.norm(lattice, axis=0)
+    scale = max(float(col_norms.max()), float(np.abs(positions).max())) or 1.0
+    det = float(np.linalg.det(lattice))
+    if abs(det) < LATTICE_RANK_RTOL * float(col_norms.max()) ** 2 or det == 0.0:
+        raise FrameworkError("singular lattice: |det| = %g" % abs(det))
+    evecs = positions[heads] + shifts @ lattice.T - positions[tails]
+    bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
+    if bad.size:
+        raise FrameworkError("zero-length edge orbit %d" % int(bad[0]))
+    if len(positions) >= 2 and np.abs(positions - positions[0]).max() <= EDGE_LENGTH_RTOL * scale:
+        raise FrameworkError("degenerate placement: all vertex orbits coincide")
+    return scale, evecs
+
+
+def _same_geometry_verdict(lattice, positions, edges):
+    """Scalar and numpy validation agree: the same message (the singular
+    lattice up to its printed determinant), else bitwise equal scale and
+    edge vectors.  Returns the verdict."""
+    lattice, positions = np.array(lattice, dtype=float), np.array(positions, dtype=float)
+    tails, heads, shifts = edges[:, 0], edges[:, 1], edges[:, 2:]
+    results = []
+    for check in (validate_geometry, _numpy_validate_geometry):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                results.append(check(lattice, positions, tails, heads, shifts))
+        except FrameworkError as exc:
+            results.append(str(exc).split(": |det|")[0])
+    got, want = results
+    if isinstance(want, str):
+        assert got == want
+        return want
+    assert not isinstance(got, str), got
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    return "ok"
+
+
+_PPT3_ROWS = np.array([(t, h, *c) for t, h, c in
+                       (fixture("ppt3").edge_key(k) for k in range(6))])
+
+
+def test_validate_geometry_matches_numpy_near_singular():
+    """Lattices whose |det| / (largest column)**2 lies a factor 4 or more
+    below, or 10 or more above, the threshold LATTICE_RANK_RTOL get the
+    verdict of the numpy formulation, at every rotation and scale tried."""
+    positions = fixture("ppt3").positions
+    verdicts = Counter()
+    for sin_delta in (0.0, 1e-17, 1e-15, 1e-14, 2.5e-13, 4e-11, 1e-9, 1e-6, 0.3, 1.0):
+        for turn in np.linspace(-math.pi, math.pi, 7):
+            for r1, r2, scale in ((1.0, 1.0, 1.0), (0.5, 2.0, 1e-3), (2.0, 0.5, 1e3),
+                                  (1.3, 0.7, 1e120)):
+                delta = math.asin(sin_delta)
+                lattice = scale * np.array(
+                    [[r1 * math.cos(turn), r2 * math.cos(turn + delta)],
+                     [r1 * math.sin(turn), r2 * math.sin(turn + delta)]])
+                verdict = _same_geometry_verdict(lattice, scale * positions, _PPT3_ROWS)
+                verdicts[verdict] += 1
+                assert (verdict == "ok") == (sin_delta >= 4e-11), (sin_delta, turn, scale)
+    assert verdicts["ok"] and verdicts["singular lattice"]
+
+
+_GEOMETRY_ENTRIES = st.sampled_from([0.0, -0.0, 1e-300, 1e200, math.nan, math.inf, -math.inf]) \
+    | st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lattice=st.lists(_GEOMETRY_ENTRIES, min_size=4, max_size=4),
+       positions=st.lists(_GEOMETRY_ENTRIES, min_size=6, max_size=6),
+       coincide=st.booleans())
+def test_validate_geometry_matches_numpy_oracle(lattice, positions, coincide):
+    """Any lattice and placement, non-finite entries included, gets the
+    numpy formulation's message or its bitwise scale and edge vectors."""
+    positions = np.reshape(positions, (3, 2))
+    if coincide:
+        positions = np.repeat(positions[:1], 3, axis=0)
+    _same_geometry_verdict(np.reshape(lattice, (2, 2)), positions, _PPT3_ROWS)

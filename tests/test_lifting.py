@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimax import (
     NumericalError,
@@ -14,7 +16,9 @@ from perimax import (
     is_pointed,
     lifting_from_stress,
     periodic_stress_space,
+    relax,
     stress_from_lifting,
+    sublattices_up_to,
     trace_faces,
     vertex_heights,
 )
@@ -267,3 +271,20 @@ def test_export_terrain_lattice_invariance_and_bumps():
     assert len(frows) == 2 * 2 * fc.n_faces * 2
     # non-flat terrain
     assert vrows[:, 2].max() - vrows[:, 2].min() > 0.1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sub=st.sampled_from(sublattices_up_to(4)), data=st.data())
+def test_lifting_round_trip_on_cubes_relaxations(sub, data):
+    """Every periodic stress of a relaxation of cubes (each basis vector and
+    a drawn combination) comes back from its lifting within 1e-9."""
+    fw = relax(fixture("cubes"), sub)
+    fc = trace_faces(fw)
+    basis = np.array([v.values for v in periodic_stress_space(fw)])
+    assert len(basis)
+    coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(basis),
+                                max_size=len(basis)))
+    c0 = data.draw(st.floats(-10.0, 10.0))
+    for s in [*basis, np.array(coeffs) @ basis]:
+        back = stress_from_lifting(fw, fc, lifting_from_stress(fw, fc, s, c0=c0))
+        assert np.abs(back - s).max() <= 1e-9

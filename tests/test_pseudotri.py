@@ -31,7 +31,7 @@ from perimax.pseudotri import (
     pair_length_derivative,
 )
 from perimax.core import canonical_edge
-from perimax.relax import Sublattice, relax, sublattices_up_to
+from perimax.relax import Sublattice, relax, sublattices_up_to, ultrarigidity_probe
 
 from conftest import random_connected_framework, right_angle_pair
 
@@ -384,3 +384,20 @@ def test_zero_length_candidate_pair_rejected():
                             (1, 2, (0, 0)), (0, 1, (0, 1)), (2, 2, (1, 0))])
     with pytest.raises(NumericalError, match="non-finite length derivative"):
         oriented_flex(fw, 1)
+
+
+def test_dimension_verdicts_compute_no_kernel_basis(monkeypatch):
+    """The certificate and the ultrarigidity probe read sigma and phi from
+    singular values alone: no SVD of theirs computes singular vectors."""
+    computes_uv = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        computes_uv.append(kwargs.get("compute_uv", args[1] if len(args) > 1 else True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for fw in (fixture("ppt3"), relax(fixture("kagome"), Sublattice(2, 1, 2))):
+        assert certify_ppt(fw).valid
+        assert not ultrarigidity_probe(fw, 3).ultrarigid
+    assert computes_uv and not any(computes_uv)

@@ -21,6 +21,7 @@ from perimax import (
     trivial_motion_basis,
 )
 from perimax.relax import Sublattice
+from perimax.rigidity import gauge_reduced_kernel
 
 from conftest import (
     oracle_nullspace,
@@ -261,3 +262,14 @@ def test_stress_spaces_refuse_straddling_spectrum():
     with pytest.raises(NumericalError, match="rank instability"):
         invariant_equilibrium_stress_space(fw)
     assert len(periodic_stress_space(fw)) == 5
+
+
+def test_kernel_bases_refuse_straddling_spectrum():
+    # R of this relaxation reads its rank across a singular value gap ratio
+    # of 1.8 and R over the gauge rows across one of 2.4; the unrelaxed
+    # framework's spectrum is well separated
+    fw = relax(straddling_framework(2e-9), Sublattice(2, 0, 1))
+    for kernel in (flex_space, gauge_reduced_kernel):
+        with pytest.raises(NumericalError, match="rank instability"):
+            kernel(fw)
+    assert flex_space(straddling_framework(2e-9))[1].rank_gap > 1e6
