@@ -123,11 +123,16 @@ def validate_geometry(lattice, positions, tails, heads, shifts):
     largest = float(np.abs(positions).max())    # NaN when any entry is NaN
     if not math.isfinite(largest):
         raise FrameworkError("positions must be finite")
+    # squares of entries above 2**510 can overflow: then measure the lattice
+    # in a power-of-two unit, which rescales exactly (unit 1 otherwise)
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    unit = math.ldexp(1.0, math.frexp(big)[1]) if big > 2.0 ** 510 else 1.0
+    a, b, c, d = a / unit, b / unit, c / unit, d / unit
     col_max = max(math.sqrt(a * a + c * c), math.sqrt(b * b + d * d))
-    scale = max(col_max, largest) or 1.0
+    scale = max(unit * col_max, largest) or 1.0
     det = a * d - b * c
     if abs(det) < LATTICE_RANK_RTOL * col_max ** 2 or det == 0.0:
-        raise FrameworkError("singular lattice: |det| = %g" % abs(det))
+        raise FrameworkError("singular lattice: |det| = %g" % (abs(det) * unit * unit))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]
     bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
     if bad.size:

@@ -98,10 +98,13 @@ def certify_ppt(fw):
 
     Collects every failed clause rather than stopping at the first.  A rank
     read across a thin gap is refused (NumericalError) before any face is
-    traced; face-tracing errors propagate (non-crossing is a precondition).
+    traced.  Crossing edge orbits fail the certificate, which names the
+    first crossing pair of ``check_noncrossing``; face-tracing errors, which
+    crossings usually cause, propagate.
     """
-    failures = []
     spectral = count_identity_check(fw)
+    crossings = check_noncrossing(fw).crossings
+    failures = ["edge orbits cross: %r" % (crossings[0],)] if crossings else []
     fc = trace_faces(fw)
     report = corner_count(fw, fc)
 
@@ -246,8 +249,10 @@ def find_rigidifying_edges(fw, cutoff=2):
 
     Requires a valid pseudo-triangulation certificate.  Candidates whose
     derivative is negligible, whose length is zero or whose insertion
-    would cross are skipped.  After one crossing check of ``fw`` itself,
-    all candidates share one new-orbit screen, as ``insert_edge_orbit``.
+    would cross are skipped.  After a crossing check of ``fw`` itself (its
+    own, besides the certificate's, so that a certificate bypassed still
+    finds a crossing base), all candidates share one new-orbit screen, as
+    ``insert_edge_orbit``.
     """
     cert = certify_ppt(fw)
     if not cert.valid:

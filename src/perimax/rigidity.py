@@ -358,9 +358,11 @@ def _oriented_flex(fw, positions, lattice, cutoff):
     the gauge-reduced kernel, which must be one-dimensional, oriented so
     that the pair with the largest |rate| expands (ties: the first in table
     order).  The flex of a pseudo-triangulation is expansive, so this one
-    rule serves paths and the rigidifying search alike."""
+    rule serves paths and the rigidifying search alike.  A kernel read
+    across a thin gap is refused (NumericalError)."""
     _, evecs = validate_geometry(lattice, positions, fw.tails, fw.heads, fw.shifts)
-    basis, _ = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
+    basis, gap = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
+    _require_gap(gap)
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"

@@ -38,7 +38,8 @@ _CROSSING_RTOL = 1e-9
 # Two half-edges at a vertex closer in direction than this are degenerate.
 _DIRECTION_TOL = 1e-12
 # Window cells (edge pair x lattice shift) screened per numpy batch in
-# the crossing screen; bounds its working arrays to about 128 KB each.
+# the crossing screen, and box survivors per narrow-phase batch in the
+# non-crossing check; bounds those working arrays to about 128 KB each.
 _SCREEN_CELLS = 1 << 14
 
 
@@ -116,33 +117,52 @@ def _narrow_phase(p1, p2, q1, q2, shared, eps):
     allowing contact only at a shared vertex copy (where ``shared``), with
     each row's absolute length tolerance ``eps``: an orientation within
     eps * max(length, eps) of zero is collinear, a point within eps of a
-    segment's box is on it."""
-    dp, dq = p2 - p1, q2 - q1
-    lp, lq = np.hypot(dp[:, 0], dp[:, 1]), np.hypot(dq[:, 0], dq[:, 1])
-
-    def cross(a, b):
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-    def sign(o, length):
-        return np.where(np.abs(o) <= eps * np.maximum(length, eps), 0.0, np.sign(o))
-
-    def on_segment(a, b, c):
-        pad = eps[:, None]
-        return np.all((np.minimum(a, b) - pad <= c) & (c <= np.maximum(a, b) + pad), axis=1)
-
-    s1, s2 = sign(cross(dq, p1 - q1), lq), sign(cross(dq, p2 - q1), lq)
-    s3, s4 = sign(cross(dp, q1 - p1), lp), sign(cross(dp, q2 - p1), lp)
-    meet = (((s1 * s2 < 0) & (s3 * s4 < 0))
-            | ((s1 == 0) & on_segment(q1, q2, p1)) | ((s2 == 0) & on_segment(q1, q2, p2))
-            | ((s3 == 0) & on_segment(p1, p2, q1)) | ((s4 == 0) & on_segment(p1, p2, q2)))
+    segment's box is on it.  The four orientations and the four endpoint
+    tests each run as one stacked pass over both segments."""
+    # ends[0] is segment q, ends[1] segment p; ends[::-1] the other's ends
+    ends = np.stack((q1, q2, p1, p2)).reshape(2, 2, -1, 2)
+    first, second = ends[:, 0], ends[:, 1]
+    d = second - first
+    length = np.hypot(d[..., 0], d[..., 1])
+    rel = ends[::-1] - first[:, None]
+    o = d[:, None, :, 0] * rel[..., 1] - d[:, None, :, 1] * rel[..., 0]
+    tol = (eps * np.maximum(length, eps))[:, None]
+    pos, neg = o > tol, o < -tol
+    pad = eps[:, None]
+    inside = (((np.minimum(first, second) - pad)[:, None] <= ends[::-1])
+              & (ends[::-1] <= (np.maximum(first, second) + pad)[:, None]))
+    # an end of one segment on the other's line and within its padded box
+    touch = inside[..., 0] & inside[..., 1] & (np.abs(o) <= tol)
+    # the ends of one segment strictly on opposite sides of the other
+    straddle = (pos[:, 0] & neg[:, 1]) | (neg[:, 0] & pos[:, 1])
+    meet = (straddle[0] & straddle[1]) | touch.reshape(4, -1).any(axis=0)
     # straight segments through a common endpoint meet elsewhere only when
     # collinear and overlapping by more than eps along p's major axis
-    major = np.abs(dp[:, 0]) >= np.abs(dp[:, 1])
-    pa, pb, qa, qb = (np.where(major, x[:, 0], x[:, 1]) for x in (p1, p2, q1, q2))
-    overlap = (np.minimum(np.maximum(pa, pb), np.maximum(qa, qb))
-               - np.maximum(np.minimum(pa, pb), np.minimum(qa, qb)) > eps)
-    collinear = np.abs(cross(dp, dq)) <= eps * np.maximum(lp, lq)
+    major = np.abs(d[1, :, 0]) >= np.abs(d[1, :, 1])
+    along = np.where(major, ends[..., 0], ends[..., 1])
+    top, bottom = np.maximum(along[:, 0], along[:, 1]), np.minimum(along[:, 0], along[:, 1])
+    overlap = np.minimum(top[0], top[1]) - np.maximum(bottom[0], bottom[1]) > eps
+    collinear = (np.abs(d[1, :, 0] * d[0, :, 1] - d[1, :, 1] * d[0, :, 0])
+                 <= eps * np.maximum(length[1], length[0]))
     return np.where(shared, collinear & overlap, meet)
+
+
+def _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1, b2, cx, cy,
+                     q1s):
+    """Crossings ((b1, (0, 0)), (b2, (cx, cy))) among box survivors, b2's
+    copy with its tail at ``q1s``, tested with b2's tolerance ``eps`` by one
+    ``_narrow_phase``, in row order."""
+    # vertex copies the two segments share; 2 means the same edge
+    t1, h1, t2, h2 = tails[b1], heads[b1], tails[b2], heads[b2]
+    (s1x, s1y), (hx, hy) = shifts[b1].T, shifts[b2].T + (cx, cy)
+    shared = ((t2 == t1) & (cx == 0) & (cy == 0)).astype(int)
+    shared += (t2 == h1) & (cx == s1x) & (cy == s1y)
+    shared += (h2 == t1) & (hx == 0) & (hy == 0)
+    shared += (h2 == h1) & (hx == s1x) & (hy == s1y)
+    crossed = (shared < 2) & _narrow_phase(tail_pos[b1], head_pos[b1], q1s, q1s + evecs[b2],
+                                           shared == 1, eps[b2])
+    return [((e1, (0, 0)), (e2, (c1, c2))) for e1, e2, c1, c2
+            in zip(*(x[crossed].tolist() for x in (b1, b2, cx, cy)))]
 
 
 def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pairs, pairs):
@@ -155,7 +175,7 @@ def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pai
     representatives and long edges are both handled), tested with b2's
     tolerance ``eps``.  Chunks of pairs in index order, of at most
     ``_SCREEN_CELLS`` cells, share one window (their largest radius), run
-    the eps-padded box test on all cells at once and one ``_narrow_phase``
+    the eps-padded box test on all cells at once and ``_exact_crossings``
     on the survivors; crossings come by pair, then shift in row-major
     order.  One loop keeps a chunk's arrays alive until the next chunk
     replaces them: freeing them in between cost about 30% at m = 384 on a
@@ -190,46 +210,106 @@ def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pai
                & (q1y + ev_lo[b2, 1:] <= hi[b1, 1:] + pad)
                & (q1y + ev_hi[b2, 1:] >= lo[b1, 1:] - pad))
         pair, cell = np.nonzero(hit)
-        b1, b2 = b1[pair], b2[pair]
-        copy_shifts = np.stack([sx[pair, cell], sy[pair, cell]], axis=1)
-        q1s = np.stack([q1x[pair, cell], q1y[pair, cell]], axis=1)
-        # vertex copies the two segments share; 2 means the same edge
-        head_shifts = copy_shifts + shifts[b2]
-        shared = ((tails[b2] == tails[b1]) & ~copy_shifts.any(axis=1)).astype(int)
-        shared += (tails[b2] == heads[b1]) & np.all(copy_shifts == shifts[b1], axis=1)
-        shared += (heads[b2] == tails[b1]) & ~head_shifts.any(axis=1)
-        shared += (heads[b2] == heads[b1]) & np.all(head_shifts == shifts[b1], axis=1)
-        crossed = (shared < 2) & _narrow_phase(tail_pos[b1], head_pos[b1], q1s, q1s + evecs[b2],
-                                               shared == 1, eps[b2])
-        out += [((e1, (0, 0)), (e2, (c1, c2))) for e1, e2, (c1, c2)
-                in zip(b1[crossed].tolist(), b2[crossed].tolist(),
-                       copy_shifts[crossed].tolist())]
+        out += _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps,
+                                b1[pair], b2[pair], sx[pair, cell], sy[pair, cell],
+                                np.column_stack([q1x[pair, cell], q1y[pair, cell]]))
     return out
+
+
+def _cell_candidates(lattice, lower, upper):
+    """Copy pairs (b1, b2, sx, sy) whose boxes may meet, the boxes given by
+    their corners as (2, m) arrays: b1 at shift 0, b2 at shift (sx, sy),
+    b1 <= b2, each pair once.
+
+    A uniform grid (W. R. Franklin, "Uniform grids", Auto-Carto 9, 1989)
+    of g1 x g2 cells over the unit cell in fractional coordinates, about
+    one mean box wide and at most sqrt(m) cells a side.  Each box enters
+    every wrapped cell its fractional bounding box (from the box's four
+    corners, widened by 1/1024 cell against rounding) covers, with the
+    range of lattice offsets at which it does.  Two entries of one cell,
+    offset ranges r1 and r2, give the shifts r1 - r2: a rectangle, so a
+    box longer than the unit cell enters each cell once.  A pair is kept
+    only in the cell of the lowest cell its boxes share.
+    """
+    m = lower.shape[1]
+    (a, b), (c, d) = lattice.tolist()
+    inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    up, down = np.maximum(inv, 0.0), np.minimum(inv, 0.0)
+    frac_lo, frac_hi = up @ lower + down @ upper, up @ upper + down @ lower
+    g1, g2 = (min(max(1, math.isqrt(m)), max(1, int(1.0 / w)))
+              for w in (frac_hi - frac_lo).mean(axis=1).tolist())
+    (first1, first2), (last1, last2) = (
+        np.floor(frac * [[g1], [g2]] + pad).astype(np.int64)
+        for frac, pad in ((frac_lo, -1 / 1024), (frac_hi, 1 / 1024)))
+    # entries: each box in each wrapped cell it covers, boxes in order,
+    # with the lowest and highest lattice offset at which it covers it
+    span2 = np.minimum(last2 - first2 + 1, g2)
+    count = np.minimum(last1 - first1 + 1, g1) * span2
+    box = np.repeat(np.arange(m), count)
+    k = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+    lo1, w1 = np.divmod(first1[box] + k // span2[box], g1)
+    lo2, w2 = np.divmod(first2[box] + k % span2[box], g2)
+    hi1, hi2 = (last1[box] - w1) // g1, (last2[box] - w2) // g2
+    # by cell, boxes ascending (the sort is stable): entry i meets j >= i
+    cell = w1 * g2 + w2
+    order = np.argsort(cell, kind="stable")
+    cell, box, w1, w2, lo1, lo2, hi1, hi2 = (
+        x[order] for x in (cell, box, w1, w2, lo1, lo2, hi1, hi2))
+    rest = np.searchsorted(cell, cell, side="right") - np.arange(len(cell))
+    i = np.repeat(np.arange(len(cell)), rest)
+    j = i + np.arange(len(i)) - np.repeat(np.cumsum(rest) - rest, rest)
+    # each entry pair's rectangle of shifts, one row per shift, row-major
+    size2 = hi2[i] - lo2[i] + hi2[j] - lo2[j] + 1
+    count = (hi1[i] - lo1[i] + hi1[j] - lo1[j] + 1) * size2
+    pair = np.repeat(np.arange(len(i)), count)
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    i, j, size2 = i[pair], j[pair], size2[pair]
+    sx = lo1[i] - hi1[j] + k // size2
+    sy = lo2[i] - hi2[j] + k % size2
+    b1, b2 = box[i], box[j]
+    keep = ((np.maximum(first1[b1], first1[b2] + sx * g1) % g1 == w1[i])
+            & (np.maximum(first2[b1], first2[b2] + sy * g2) % g2 == w2[i]))
+    return b1[keep], b2[keep], sx[keep], sy[keep]
 
 
 def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
     """Check that no two edge segments intersect except at shared endpoints.
 
     Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
-    with b1 <= b2, each over its own shift window (see
-    ``_crossing_screen``), with the tolerance eps_rel times the longest
-    edge or the geometry scale, whichever is larger.  ``crossings`` is in
-    the order (b1, b2, then shift in row-major order).
+    with b1 <= b2, with the tolerance eps_rel times the longest edge or the
+    geometry scale, whichever is larger.  Candidates come from a lattice
+    cell grid (``_cell_candidates``) over eps-padded boxes; the exact
+    padded-box test and ``_exact_crossings`` run on them in chunks of
+    ``_SCREEN_CELLS``.  ``crossings`` is in the order (b1, b2, then shift
+    in row-major order).
     """
     m = fw.m
-    evecs = fw.edge_vectors()
-    eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max(initial=0.0)),
-                        fw.geometry_scale)
-    # pair k = (b1, b2) in row-major order; row b1 starts at row_start[b1]
-    rows = np.arange(m)
-    row_start = rows * m - rows * (rows - 1) // 2
-
-    def pairs(k):
-        b1 = np.searchsorted(row_start, k, side="right") - 1
-        return b1, k - row_start[b1] + b1
-
-    crossings = _crossing_screen(fw.lattice, fw.positions, fw.tails, fw.heads, fw.shifts,
-                                 evecs, np.full(m, eps), m * (m + 1) // 2, pairs)
+    if not m:
+        return NoncrossingReport(True, [])
+    lattice, evecs = fw.lattice, fw.edge_vectors()
+    eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max()), fw.geometry_scale)
+    tail_pos = fw.positions[fw.tails]
+    head_pos = tail_pos + evecs
+    lower = np.minimum(tail_pos, head_pos).T - eps
+    upper = np.maximum(tail_pos, head_pos).T + eps
+    b1, b2, sx, sy = _cell_candidates(lattice, lower, upper)
+    # the padded-box test of _crossing_screen, arithmetic for arithmetic
+    (tx, ty), (ex, ey), (ux, uy), (lx, ly) = tail_pos.T, evecs.T, upper, lower
+    q1x = tx[b2] + (sx * lattice[0, 0] + sy * lattice[0, 1])
+    q1y = ty[b2] + (sx * lattice[1, 0] + sy * lattice[1, 1])
+    ex, ey = ex[b2], ey[b2]
+    hit = np.flatnonzero((q1x + np.minimum(ex, 0.0) <= ux[b1]) & (q1x + np.maximum(ex, 0.0) >= lx[b1])
+                         & (q1y + np.minimum(ey, 0.0) <= uy[b1])
+                         & (q1y + np.maximum(ey, 0.0) >= ly[b1])
+                         & ((b1 != b2) | (sx != 0) | (sy != 0)))
+    hit = hit[np.lexsort((sy[hit], sx[hit], b2[hit], b1[hit]))]
+    eps = np.full(m, eps)
+    crossings = []
+    for start in range(0, len(hit), _SCREEN_CELLS):
+        rows = hit[start:start + _SCREEN_CELLS]
+        crossings += _exact_crossings(tail_pos, head_pos, fw.tails, fw.heads, fw.shifts, evecs,
+                                      eps, b1[rows], b2[rows], sx[rows], sy[rows],
+                                      np.column_stack([q1x[rows], q1y[rows]]))
     return NoncrossingReport(not crossings, crossings)
 
 

@@ -157,6 +157,22 @@ def test_zero_length_edge_rejected():
         PeriodicFramework(np.eye(2), [[0, 0], [0, 0]], [(0, 1, (0, 0))])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_huge_coordinates_keep_their_scale():
+    """Lattice entries whose squares overflow (above about 1.3e154) are
+    measured in a power-of-two unit: the square grid at 1e200 is valid with
+    scale 1e200 (its edge lengths overflow to inf, which is not zero), and
+    a singular lattice or a zero-length edge at that size is still
+    refused."""
+    grid = [(0, 0, (1, 0)), (0, 0, (0, 1))]
+    fw = PeriodicFramework(1e200 * np.eye(2), [[0.0, 0.0]], grid)
+    assert fw.geometry_scale == 1e200
+    with pytest.raises(FrameworkError, match="singular lattice"):
+        PeriodicFramework(1e200 * np.ones((2, 2)), [[0.0, 0.0]], grid)
+    with pytest.raises(FrameworkError, match="zero-length edge orbit 2"):
+        PeriodicFramework(1e200 * np.eye(2), [[0.0, 0.0], [0.0, 0.0]], grid + [(0, 1, (0, 0))])
+
+
 def test_coincident_orbits_rejected():
     with pytest.raises(FrameworkError, match="coincide"):
         PeriodicFramework(np.eye(2), [[0.5, 0.5], [0.5, 0.5]],
@@ -380,14 +396,17 @@ def test_serialize_extreme_values_and_empty_edges():
 
 def _numpy_validate_geometry(lattice, positions, tails, heads, shifts):
     """``validate_geometry`` in its numpy formulation (determinant by LU,
-    ``np.linalg.norm`` columns): the oracle of the scalar one."""
+    ``np.linalg.norm`` columns, a lattice with entries above 2**510 in the
+    power of two just above them): the oracle of the scalar one."""
     if not np.all(np.isfinite(lattice)):
         raise FrameworkError("lattice must be a finite 2x2 matrix")
     if not np.all(np.isfinite(positions)):
         raise FrameworkError("positions must be finite")
-    col_norms = np.linalg.norm(lattice, axis=0)
-    scale = max(float(col_norms.max()), float(np.abs(positions).max())) or 1.0
-    det = float(np.linalg.det(lattice))
+    big = float(np.abs(lattice).max())
+    unit = 2.0 ** int(np.frexp(big)[1]) if big > 2.0 ** 510 else 1.0
+    col_norms = np.linalg.norm(lattice / unit, axis=0)
+    scale = max(unit * float(col_norms.max()), float(np.abs(positions).max())) or 1.0
+    det = float(np.linalg.det(lattice / unit))
     if abs(det) < LATTICE_RANK_RTOL * float(col_norms.max()) ** 2 or det == 0.0:
         raise FrameworkError("singular lattice: |det| = %g" % abs(det))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]

@@ -20,6 +20,7 @@ from perimax import (
     is_pointed,
     periodic_stress_space,
     pointedness_margin,
+    trace_faces,
 )
 from perimax import core, pseudotri, topology
 from perimax.pseudotri import (
@@ -142,6 +143,49 @@ def test_certify_examples():
     cert = certify_ppt(fixture("reentrant"))
     assert not cert.valid
     assert any("edge count 3 != 2n = 4" in f for f in cert.failures)
+
+
+@pytest.mark.parametrize("offset", [-2e-9, 2e-9])
+def test_certificate_checks_noncrossing(offset):
+    """The square grid plus a vertex 2e-9 from its vertical loop, joined to
+    the grid vertex at (1, 0) and (1, 1).  Placed across the loop, both
+    joins cross it, yet the faces trace; the certificate names the first
+    crossing pair ahead of its other failures.  On the near side nothing
+    crosses and the clause is absent."""
+    fw = PeriodicFramework(np.eye(2), [[0.0, 0.0], [offset, 0.5]],
+                           [(0, 0, (1, 0)), (0, 0, (0, 1)), (1, 0, (1, 0)), (1, 0, (1, 1))])
+    assert trace_faces(fw).n_faces == 2
+    crossings = check_noncrossing(fw).crossings
+    failures = ["vertex 0 is not pointed", "face 0 has 4 corners"]
+    if offset < 0:
+        assert crossings == [((1, (0, 0)), (2, (1, 0))), ((1, (0, 0)), (3, (1, 1)))]
+        failures.insert(0, "edge orbits cross: ((1, (0, 0)), (2, (1, 0)))")
+    else:
+        assert crossings == []
+    cert = certify_ppt(fw)
+    assert not cert.valid and cert.failures == failures
+
+
+def test_oriented_flex_refuses_thin_gap(monkeypatch):
+    """The flex of paths and of the search is read behind the gap guard:
+    a kernel gap below RANK_GAP_MIN refuses it, while the pseudo-
+    triangulations' own gap is inf (no singular value is dropped)."""
+    from perimax import rigidity
+    fw = fixture("ppt3")
+    gauge_kernel = rigidity._gauge_kernel
+    gaps = []
+
+    def kernel(*args):
+        basis, gap = gauge_kernel(*args)
+        gaps.append(gap)
+        return basis, gap
+
+    monkeypatch.setattr(rigidity, "_gauge_kernel", kernel)
+    oriented_flex(fw)
+    assert gaps == [math.inf]
+    monkeypatch.setattr(rigidity, "_gauge_kernel", lambda *args: (gauge_kernel(*args)[0], 2.0))
+    with pytest.raises(NumericalError, match="rank instability"):
+        oriented_flex(fw)
 
 
 def test_ppt_counts_identity():
@@ -345,9 +389,10 @@ def test_search_builds_one_framework(abd, cutoff, monkeypatch):
 
 
 def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
-    """With every screen in one chunk, the search makes two narrow-phase
-    calls, one for the check of the framework and one for all candidates,
-    over hundreds of broad-phase survivors."""
+    """With every screen in one chunk, the search makes three narrow-phase
+    calls, one for the certificate's crossing check, one for its own check
+    of the framework and one for all candidates, over hundreds of
+    broad-phase survivors."""
     fw = relax(fixture("ppt3"), Sublattice(2, 0, 2))
     expected = find_rigidifying_edges(fw, 1)
     rows = []
@@ -360,7 +405,7 @@ def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
     monkeypatch.setattr(topology, "_narrow_phase", narrow)
     monkeypatch.setattr(topology, "_SCREEN_CELLS", 1 << 30)
     assert find_rigidifying_edges(fw, 1) == expected
-    assert len(rows) == 2 and sum(rows) > 1000
+    assert len(rows) == 3 and sum(rows) > 1000
 
 
 def test_insertion_on_crossing_base_names_the_cause():

@@ -294,6 +294,75 @@ def test_perturbed_relaxations_include_crossings():
     assert verdicts == {True, False}
 
 
+def _all_pairs_crossings(fw):
+    """``check_noncrossing``'s list by the all-pairs broad phase it had
+    before its cell grid: every pair b1 <= b2 of edge orbits windowed over
+    lattice shifts by ``topology._crossing_screen``."""
+    from perimax import topology
+    m = fw.m
+    evecs = fw.edge_vectors()
+    eps = topology._CROSSING_RTOL * max(float(np.linalg.norm(evecs, axis=1).max(initial=0.0)),
+                                        fw.geometry_scale)
+    rows = np.arange(m)
+    row_start = rows * m - rows * (rows - 1) // 2
+
+    def pairs(k):
+        b1 = np.searchsorted(row_start, k, side="right") - 1
+        return b1, k - row_start[b1] + b1
+
+    return topology._crossing_screen(fw.lattice, fw.positions, fw.tails, fw.heads, fw.shifts,
+                                     evecs, np.full(m, eps), m * (m + 1) // 2, pairs)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["folded kagome"])
+def test_grid_crossings_match_all_pairs_on_relaxations(name):
+    # every sublattice of index <= 4; the folded kagome (theta = 2.9)
+    # crosses itself, with edges several lattice cells long
+    base = fixture("kagome", theta=2.9) if name == "folded kagome" else fixture(name)
+    for sub in sublattices_up_to(4):
+        fw = relax(base, sub)
+        assert check_noncrossing(fw).crossings == _all_pairs_crossings(fw), sub
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["kagome", "cubes", "ppt3", "reentrant"]),
+       abd=st.sampled_from(SMALL_SUBLATTICES + [(2, 1, 2), (1, 2, 3)]),
+       scale=st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_crossings_match_all_pairs_property(name, abd, scale, seed):
+    """Perturbed relaxations, crossing or not, with every vertex moved by
+    up to 2 along each axis: the grid gives the all-pairs list, in
+    order."""
+    fw = _perturbed_relaxation(name, abd, scale, seed)
+    assert check_noncrossing(fw).crossings == _all_pairs_crossings(fw)
+
+
+def test_grid_work_is_linear_in_m(monkeypatch):
+    """ppt3 relaxed 8x8 (m = 384): the grid hands the box test under 30 m
+    copy pairs (the all-pairs windows held m (m + 1) / 2 pairs of 25 or
+    more shifts), and the narrow phase gets under 10 m rows."""
+    from perimax import topology
+    fw = relax(fixture("ppt3"), Sublattice(8, 3, 8))
+    screened, narrowed = [], []
+
+    def cells(*args):
+        found = cell_candidates(*args)
+        screened.append(len(found[0]))
+        return found
+
+    def narrow(*args):
+        narrowed.append(len(args[-1]))
+        return narrow_phase(*args)
+
+    cell_candidates, narrow_phase = topology._cell_candidates, topology._narrow_phase
+    monkeypatch.setattr(topology, "_cell_candidates", cells)
+    monkeypatch.setattr(topology, "_narrow_phase", narrow)
+    assert fw.m == 384 and check_noncrossing(fw).ok
+    assert len(screened) == 1 and screened[0] < 30 * fw.m
+    assert sum(narrowed) < 10 * fw.m
+
+
 @pytest.mark.parametrize("cells", [1, 40, 1 << 20])
 def test_screen_chunking_keeps_crossings(monkeypatch, cells):
     # chunk boundaries that split rows, or one chunk for everything, give
