@@ -36,6 +36,9 @@ __all__ = [
 LATTICE_RANK_RTOL = 1e-12
 # Scale-relative tolerance below which a realized edge counts as zero length.
 EDGE_LENGTH_RTOL = 1e-12
+# Longest lattice column accepted: its square and the determinant stay
+# finite, so the lattice is measured without overflow.
+MAX_LATTICE_COLUMN = 2.0 ** 510
 # Largest |shift| entry: a shift and its negation (canonical form) both
 # fit the int64 arrays of a framework.
 _MAX_SHIFT = 2 ** 63 - 1
@@ -115,24 +118,23 @@ def _edge_rows(edges):
 
 def validate_geometry(lattice, positions, tails, heads, shifts):
     """Geometry scale and (m, 2) edge vectors of a placement of fixed edge
-    orbits; FrameworkError for non-finite entries, a singular lattice, a
-    zero-length edge or vertex orbits that all coincide."""
+    orbits; FrameworkError for non-finite entries, a lattice column longer
+    than ``MAX_LATTICE_COLUMN``, a singular lattice, a zero-length edge or
+    vertex orbits that all coincide."""
     (a, b), (c, d) = lattice.tolist()    # scalars: numpy calls cost more on 2 x 2
     if not all(map(math.isfinite, (a, b, c, d))):
         raise FrameworkError("lattice must be a finite 2x2 matrix")
     largest = float(np.abs(positions).max())    # NaN when any entry is NaN
     if not math.isfinite(largest):
         raise FrameworkError("positions must be finite")
-    # squares of entries above 2**510 can overflow: then measure the lattice
-    # in a power-of-two unit, which rescales exactly (unit 1 otherwise)
-    big = max(abs(a), abs(b), abs(c), abs(d))
-    unit = math.ldexp(1.0, math.frexp(big)[1]) if big > 2.0 ** 510 else 1.0
-    a, b, c, d = a / unit, b / unit, c / unit, d / unit
     col_max = max(math.sqrt(a * a + c * c), math.sqrt(b * b + d * d))
-    scale = max(unit * col_max, largest) or 1.0
+    if not col_max <= MAX_LATTICE_COLUMN:
+        raise FrameworkError("lattice out of range: a column is longer than 2**510 "
+                             "(largest entry %g)" % max(map(abs, (a, b, c, d))))
+    scale = max(col_max, largest) or 1.0
     det = a * d - b * c
     if abs(det) < LATTICE_RANK_RTOL * col_max ** 2 or det == 0.0:
-        raise FrameworkError("singular lattice: |det| = %g" % (abs(det) * unit * unit))
+        raise FrameworkError("singular lattice: |det| = %g" % abs(det))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]
     bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
     if bad.size:

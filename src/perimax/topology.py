@@ -38,8 +38,10 @@ _CROSSING_RTOL = 1e-9
 # Two half-edges at a vertex closer in direction than this are degenerate.
 _DIRECTION_TOL = 1e-12
 # Window cells (edge pair x lattice shift) screened per numpy batch in
-# the crossing screen, and box survivors per narrow-phase batch in the
-# non-crossing check; bounds those working arrays to about 128 KB each.
+# the crossing screen, and grid entry pairs and copy pairs per batch in
+# the non-crossing check, whose box survivors go through one narrow phase
+# per batch.  Bounds those working arrays to about 128 KB each (a batch
+# holds one item more when a single item is larger).
 _SCREEN_CELLS = 1 << 14
 
 
@@ -149,9 +151,9 @@ def _narrow_phase(p1, p2, q1, q2, shared, eps):
 
 def _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1, b2, cx, cy,
                      q1s):
-    """Crossings ((b1, (0, 0)), (b2, (cx, cy))) among box survivors, b2's
-    copy with its tail at ``q1s``, tested with b2's tolerance ``eps`` by one
-    ``_narrow_phase``, in row order."""
+    """The rows (b1, b2, cx, cy) of box survivors that cross: b1 at shift 0,
+    b2's copy at (cx, cy) with its tail at ``q1s``, tested with b2's
+    tolerance ``eps`` by one ``_narrow_phase``, in row order."""
     # vertex copies the two segments share; 2 means the same edge
     t1, h1, t2, h2 = tails[b1], heads[b1], tails[b2], heads[b2]
     (s1x, s1y), (hx, hy) = shifts[b1].T, shifts[b2].T + (cx, cy)
@@ -161,8 +163,26 @@ def _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1, b
     shared += (h2 == h1) & (hx == s1x) & (hy == s1y)
     crossed = (shared < 2) & _narrow_phase(tail_pos[b1], head_pos[b1], q1s, q1s + evecs[b2],
                                            shared == 1, eps[b2])
-    return [((e1, (0, 0)), (e2, (c1, c2))) for e1, e2, c1, c2
-            in zip(*(x[crossed].tolist() for x in (b1, b2, cx, cy)))]
+    return b1[crossed], b2[crossed], cx[crossed], cy[crossed]
+
+
+def _crossing_pairs(b1, b2, cx, cy):
+    """Crossing rows as pairs ((b1, (0, 0)), (b2, (cx, cy)))."""
+    return [((e1, (0, 0)), (e2, (c1, c2)))
+            for e1, e2, c1, c2 in zip(b1.tolist(), b2.tolist(), cx.tolist(), cy.tolist())]
+
+
+def _copies_meeting_box(lattice, tail, evec, sx, sy, lower, upper):
+    """Tails (q1x, q1y) of edge copies at lattice shift (sx, sy), the edges
+    given by their tails and vectors, and whether each copy's box meets the
+    box from ``lower`` to ``upper`` (padded by the caller); each argument
+    but the lattice and the shifts is an (x, y) pair of arrays."""
+    q1x = tail[0] + (sx * lattice[0, 0] + sy * lattice[0, 1])
+    q1y = tail[1] + (sx * lattice[1, 0] + sy * lattice[1, 1])
+    (ex, ey), (lx, ly), (ux, uy) = evec, lower, upper
+    hit = ((q1x + np.minimum(ex, 0.0) <= ux) & (q1x + np.maximum(ex, 0.0) >= lx)
+           & (q1y + np.minimum(ey, 0.0) <= uy) & (q1y + np.maximum(ey, 0.0) >= ly))
+    return q1x, q1y, hit
 
 
 def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pairs, pairs):
@@ -185,8 +205,6 @@ def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pai
     tail_coords = np.linalg.solve(lattice, tail_pos.T).T
     extents = np.abs(np.linalg.solve(lattice, evecs.T)).max(axis=0)
     lo, hi = np.minimum(tail_pos, head_pos), np.maximum(tail_pos, head_pos)
-    # a copy's box runs from its tail + ev_lo to its tail + ev_hi
-    ev_lo, ev_hi = np.minimum(evecs, 0.0), np.maximum(evecs, 0.0)
     # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
     # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
     max_radius = math.ceil(2 * extents.max(initial=0.0) + 0.5)
@@ -201,25 +219,34 @@ def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pai
         wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
         sx, sy = centers[:, :1] + wx, centers[:, 1:] + wy
         # (pair, cell) arrays of the x and y of each candidate copy's tail
-        q1x = tail_pos[b2, :1] + (sx * lattice[0, 0] + sy * lattice[0, 1])
-        q1y = tail_pos[b2, 1:] + (sx * lattice[1, 0] + sy * lattice[1, 1])
         pad = eps[b2, None]
-        hit = ((np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None])
-               & (q1x + ev_lo[b2, :1] <= hi[b1, :1] + pad)
-               & (q1x + ev_hi[b2, :1] >= lo[b1, :1] - pad)
-               & (q1y + ev_lo[b2, 1:] <= hi[b1, 1:] + pad)
-               & (q1y + ev_hi[b2, 1:] >= lo[b1, 1:] - pad))
+        q1x, q1y, hit = _copies_meeting_box(
+            lattice, tail_pos[b2].T[..., None], evecs[b2].T[..., None], sx, sy,
+            (lo[b1] - pad).T[..., None], (hi[b1] + pad).T[..., None])
+        hit &= np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None]
         pair, cell = np.nonzero(hit)
-        out += _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps,
-                                b1[pair], b2[pair], sx[pair, cell], sy[pair, cell],
-                                np.column_stack([q1x[pair, cell], q1y[pair, cell]]))
+        out += _crossing_pairs(*_exact_crossings(
+            tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1[pair], b2[pair],
+            sx[pair, cell], sy[pair, cell], np.column_stack([q1x[pair, cell], q1y[pair, cell]])))
     return out
 
 
+def _batches(ends, limit):
+    """Consecutive index ranges (start, stop) of items with cumulative
+    counts ``ends`` whose counts sum to at most ``limit``, or that hold a
+    single item."""
+    start, done = 0, 0
+    while start < len(ends):
+        stop = max(start + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield start, stop
+        start, done = stop, int(ends[stop - 1])
+
+
 def _cell_candidates(lattice, lower, upper):
-    """Copy pairs (b1, b2, sx, sy) whose boxes may meet, the boxes given by
-    their corners as (2, m) arrays: b1 at shift 0, b2 at shift (sx, sy),
-    b1 <= b2, each pair once.
+    """Batches of copy pairs (b1, b2, sx, sy) whose boxes may meet, the
+    boxes given by their corners as (2, m) arrays: b1 at shift 0, b2 at
+    shift (sx, sy), b1 <= b2, each pair once, in batches of about
+    ``_SCREEN_CELLS``.
 
     A uniform grid (W. R. Franklin, "Uniform grids", Auto-Carto 9, 1989)
     of g1 x g2 cells over the unit cell in fractional coordinates, about
@@ -255,21 +282,35 @@ def _cell_candidates(lattice, lower, upper):
     order = np.argsort(cell, kind="stable")
     cell, box, w1, w2, lo1, lo2, hi1, hi2 = (
         x[order] for x in (cell, box, w1, w2, lo1, lo2, hi1, hi2))
+    # entry e pairs with the rest[e] entries e, e + 1, ... of its cell
     rest = np.searchsorted(cell, cell, side="right") - np.arange(len(cell))
-    i = np.repeat(np.arange(len(cell)), rest)
-    j = i + np.arange(len(i)) - np.repeat(np.cumsum(rest) - rest, rest)
-    # each entry pair's rectangle of shifts, one row per shift, row-major
-    size2 = hi2[i] - lo2[i] + hi2[j] - lo2[j] + 1
-    count = (hi1[i] - lo1[i] + hi1[j] - lo1[j] + 1) * size2
-    pair = np.repeat(np.arange(len(i)), count)
-    k = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-    i, j, size2 = i[pair], j[pair], size2[pair]
-    sx = lo1[i] - hi1[j] + k // size2
-    sy = lo2[i] - hi2[j] + k % size2
-    b1, b2 = box[i], box[j]
-    keep = ((np.maximum(first1[b1], first1[b2] + sx * g1) % g1 == w1[i])
-            & (np.maximum(first2[b1], first2[b2] + sy * g2) % g2 == w2[i]))
-    return b1[keep], b2[keep], sx[keep], sy[keep]
+    ends = np.cumsum(rest)
+    for e0, e1 in _batches(ends, _SCREEN_CELLS):
+        share, past = rest[e0:e1], ends[e0:e1]
+        i = np.repeat(np.arange(e0, e1), share)
+        j = i + np.arange(past[0] - share[0], past[-1]) - np.repeat(past - share, share)
+        # each entry pair's rectangle of shifts, one row per shift, row-major
+        size2 = hi2[i] - lo2[i] + hi2[j] - lo2[j] + 1
+        count = (hi1[i] - lo1[i] + hi1[j] - lo1[j] + 1) * size2
+        rows_end = np.cumsum(count)
+        for p0, p1 in _batches(rows_end, _SCREEN_CELLS):
+            rows, past = count[p0:p1], rows_end[p0:p1]
+            if past[-1] - past[0] + rows[0] == p1 - p0:
+                # one shift per entry pair (the usual case): no expansion
+                pi, pj = i[p0:p1], j[p0:p1]
+                sx, sy = lo1[pi] - hi1[pj], lo2[pi] - hi2[pj]
+            else:
+                pair = np.repeat(np.arange(p0, p1), rows)
+                k = np.arange(past[0] - rows[0], past[-1]) - np.repeat(past - rows, rows)
+                pi, pj, psize2 = i[pair], j[pair], size2[pair]
+                sx = lo1[pi] - hi1[pj] + k // psize2
+                sy = lo2[pi] - hi2[pj] + k % psize2
+            b1, b2 = box[pi], box[pj]
+            keep = ((np.maximum(first1[b1], first1[b2] + sx * g1) % g1 == w1[pi])
+                    & (np.maximum(first2[b1], first2[b2] + sy * g2) % g2 == w2[pi]))
+            # rebinding frees the full rows while the caller screens the kept
+            b1, b2, sx, sy = b1[keep], b2[keep], sx[keep], sy[keep]
+            yield b1, b2, sx, sy
 
 
 def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
@@ -277,11 +318,11 @@ def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
 
     Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
     with b1 <= b2, with the tolerance eps_rel times the longest edge or the
-    geometry scale, whichever is larger.  Candidates come from a lattice
-    cell grid (``_cell_candidates``) over eps-padded boxes; the exact
-    padded-box test and ``_exact_crossings`` run on them in chunks of
-    ``_SCREEN_CELLS``.  ``crossings`` is in the order (b1, b2, then shift
-    in row-major order).
+    geometry scale, whichever is larger.  Candidates come in batches from a
+    lattice cell grid (``_cell_candidates``) over eps-padded boxes; each
+    batch goes through the padded-box test (``_copies_meeting_box``) and
+    ``_exact_crossings``, so only crossing rows outlive it.  ``crossings``
+    is in the order (b1, b2, then shift in row-major order).
     """
     m = fw.m
     if not m:
@@ -292,25 +333,27 @@ def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
     head_pos = tail_pos + evecs
     lower = np.minimum(tail_pos, head_pos).T - eps
     upper = np.maximum(tail_pos, head_pos).T + eps
-    b1, b2, sx, sy = _cell_candidates(lattice, lower, upper)
-    # the padded-box test of _crossing_screen, arithmetic for arithmetic
-    (tx, ty), (ex, ey), (ux, uy), (lx, ly) = tail_pos.T, evecs.T, upper, lower
-    q1x = tx[b2] + (sx * lattice[0, 0] + sy * lattice[0, 1])
-    q1y = ty[b2] + (sx * lattice[1, 0] + sy * lattice[1, 1])
-    ex, ey = ex[b2], ey[b2]
-    hit = np.flatnonzero((q1x + np.minimum(ex, 0.0) <= ux[b1]) & (q1x + np.maximum(ex, 0.0) >= lx[b1])
-                         & (q1y + np.minimum(ey, 0.0) <= uy[b1])
-                         & (q1y + np.maximum(ey, 0.0) >= ly[b1])
-                         & ((b1 != b2) | (sx != 0) | (sy != 0)))
-    hit = hit[np.lexsort((sy[hit], sx[hit], b2[hit], b1[hit]))]
+    (tx, ty), (ex, ey), (lx, ly), (ux, uy) = tail_pos.T, evecs.T, lower, upper
     eps = np.full(m, eps)
+    found = []
+    for b1, b2, sx, sy in _cell_candidates(lattice, lower, upper):
+        q1x, q1y, hit = _copies_meeting_box(lattice, (tx[b2], ty[b2]), (ex[b2], ey[b2]), sx, sy,
+                                            (lx[b1], ly[b1]), (ux[b1], uy[b1]))
+        hit &= (b1 != b2) | (sx != 0) | (sy != 0)
+        rows = _exact_crossings(tail_pos, head_pos, fw.tails, fw.heads, fw.shifts, evecs, eps,
+                                b1[hit], b2[hit], sx[hit], sy[hit],
+                                np.column_stack([q1x[hit], q1y[hit]]))
+        if len(rows[0]):
+            found.append(rows)
+    if not found:
+        return NoncrossingReport(True, [])
+    b1, b2, sx, sy = map(np.concatenate, zip(*found))
+    order = np.lexsort((sy, sx, b2, b1))
     crossings = []
-    for start in range(0, len(hit), _SCREEN_CELLS):
-        rows = hit[start:start + _SCREEN_CELLS]
-        crossings += _exact_crossings(tail_pos, head_pos, fw.tails, fw.heads, fw.shifts, evecs,
-                                      eps, b1[rows], b2[rows], sx[rows], sy[rows],
-                                      np.column_stack([q1x[rows], q1y[rows]]))
-    return NoncrossingReport(not crossings, crossings)
+    for start in range(0, len(order), _SCREEN_CELLS):
+        rows = order[start:start + _SCREEN_CELLS]
+        crossings += _crossing_pairs(b1[rows], b2[rows], sx[rows], sy[rows])
+    return NoncrossingReport(False, crossings)
 
 
 def _orbit_crossings(fw, rows):

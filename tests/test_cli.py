@@ -467,3 +467,17 @@ def test_broken_input_exits_with_json(command, data):
     assert code == 2
     assert rep["kind"] == "validation" and rep["error"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["1e200", "1e308", "1.7e308", "1.7976931348623157e308"])
+def test_huge_lattice_exits_with_json(entry):
+    """A lattice column longer than 2**510, up to the largest float, is
+    refused as out of range by every command that reads a framework:
+    exit 2 and a JSON validation error, never an overflow traceback."""
+    doc = perimax.framework_to_dict(perimax.fixture("square_grid"))
+    doc["lattice"] = [[entry, "0.0"], ["0.0", entry]]
+    for command in _LOADING_COMMANDS:
+        code, rep, err = _refused(command, json.dumps(doc).encode())
+        assert code == 2, command
+        assert rep["kind"] == "validation" and "lattice out of range" in rep["error"]
+        assert "Traceback" not in err

@@ -21,7 +21,7 @@ from perimax import (
     realize_patch,
     serialize_framework,
 )
-from perimax.core import EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, validate_geometry
+from perimax.core import EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUMN, validate_geometry
 from perimax.fixtures import FIXTURES
 
 from conftest import oracle_edge_orbits, oracle_patch_counts
@@ -157,20 +157,21 @@ def test_zero_length_edge_rejected():
         PeriodicFramework(np.eye(2), [[0, 0], [0, 0]], [(0, 1, (0, 0))])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_huge_coordinates_keep_their_scale():
-    """Lattice entries whose squares overflow (above about 1.3e154) are
-    measured in a power-of-two unit: the square grid at 1e200 is valid with
-    scale 1e200 (its edge lengths overflow to inf, which is not zero), and
-    a singular lattice or a zero-length edge at that size is still
-    refused."""
+def test_huge_lattice_refused_as_out_of_range():
+    """A lattice column longer than 2**510 has a square or a determinant
+    that can overflow: it is refused as out of range (not as a zero-length
+    edge, its overflowed length read as zero), up to the largest floats;
+    a column of exactly 2**510 is measured without overflow."""
     grid = [(0, 0, (1, 0)), (0, 0, (0, 1))]
-    fw = PeriodicFramework(1e200 * np.eye(2), [[0.0, 0.0]], grid)
-    assert fw.geometry_scale == 1e200
-    with pytest.raises(FrameworkError, match="singular lattice"):
-        PeriodicFramework(1e200 * np.ones((2, 2)), [[0.0, 0.0]], grid)
-    with pytest.raises(FrameworkError, match="zero-length edge orbit 2"):
-        PeriodicFramework(1e200 * np.eye(2), [[0.0, 0.0], [0.0, 0.0]], grid + [(0, 1, (0, 0))])
+    for entry in (1e200, 1e308, 1.7e308, -1.7976931348623157e308):
+        with pytest.raises(FrameworkError, match=re.escape("(largest entry %g)" % abs(entry))):
+            PeriodicFramework(entry * np.eye(2), [[0.0, 0.0]], grid)
+        with pytest.raises(FrameworkError, match="lattice out of range"):
+            validate_geometry(np.array([[1.0, 0.0], [entry, 1.0]]), np.zeros((1, 2)),
+                              np.array([0]), np.array([0]), np.array([[1, 0]]))
+    fw = PeriodicFramework(MAX_LATTICE_COLUMN * np.eye(2), [[0.0, 0.0]], grid)
+    assert fw.geometry_scale == MAX_LATTICE_COLUMN
+    assert np.array_equal(fw.edge_vectors(), MAX_LATTICE_COLUMN * np.eye(2))
 
 
 def test_coincident_orbits_rejected():
@@ -396,17 +397,17 @@ def test_serialize_extreme_values_and_empty_edges():
 
 def _numpy_validate_geometry(lattice, positions, tails, heads, shifts):
     """``validate_geometry`` in its numpy formulation (determinant by LU,
-    ``np.linalg.norm`` columns, a lattice with entries above 2**510 in the
-    power of two just above them): the oracle of the scalar one."""
+    ``np.linalg.norm`` columns): the oracle of the scalar one."""
     if not np.all(np.isfinite(lattice)):
         raise FrameworkError("lattice must be a finite 2x2 matrix")
     if not np.all(np.isfinite(positions)):
         raise FrameworkError("positions must be finite")
-    big = float(np.abs(lattice).max())
-    unit = 2.0 ** int(np.frexp(big)[1]) if big > 2.0 ** 510 else 1.0
-    col_norms = np.linalg.norm(lattice / unit, axis=0)
-    scale = max(unit * float(col_norms.max()), float(np.abs(positions).max())) or 1.0
-    det = float(np.linalg.det(lattice / unit))
+    col_norms = np.linalg.norm(lattice, axis=0)
+    if not col_norms.max() <= MAX_LATTICE_COLUMN:
+        raise FrameworkError("lattice out of range: a column is longer than 2**510 "
+                             "(largest entry %g)" % np.abs(lattice).max())
+    scale = max(float(col_norms.max()), float(np.abs(positions).max())) or 1.0
+    det = float(np.linalg.det(lattice))
     if abs(det) < LATTICE_RANK_RTOL * float(col_norms.max()) ** 2 or det == 0.0:
         raise FrameworkError("singular lattice: |det| = %g" % abs(det))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]

@@ -347,9 +347,9 @@ def test_grid_work_is_linear_in_m(monkeypatch):
     screened, narrowed = [], []
 
     def cells(*args):
-        found = cell_candidates(*args)
-        screened.append(len(found[0]))
-        return found
+        for batch in cell_candidates(*args):
+            screened.append(len(batch[0]))
+            yield batch
 
     def narrow(*args):
         narrowed.append(len(args[-1]))
@@ -359,8 +359,29 @@ def test_grid_work_is_linear_in_m(monkeypatch):
     monkeypatch.setattr(topology, "_cell_candidates", cells)
     monkeypatch.setattr(topology, "_narrow_phase", narrow)
     assert fw.m == 384 and check_noncrossing(fw).ok
-    assert len(screened) == 1 and screened[0] < 30 * fw.m
+    assert sum(screened) < 30 * fw.m
     assert sum(narrowed) < 10 * fw.m
+
+
+def test_grid_batches_are_bounded(monkeypatch):
+    """The grid hands out its copy pairs in batches of at most
+    ``_SCREEN_CELLS`` (this relaxation's cells hold a few boxes each, and
+    each pair of entries gives one shift), with the same crossing list."""
+    from perimax import topology
+    fw = _perturbed_relaxation("ppt3", (4, 1, 4), 0.05, 0)
+    expected = check_noncrossing(fw).crossings
+    batches = []
+
+    def cells(*args):
+        for batch in cell_candidates(*args):
+            batches.append(len(batch[0]))
+            yield batch
+
+    cell_candidates = topology._cell_candidates
+    monkeypatch.setattr(topology, "_cell_candidates", cells)
+    monkeypatch.setattr(topology, "_SCREEN_CELLS", 64)
+    assert check_noncrossing(fw).crossings == expected
+    assert len(batches) > 10 and max(batches) <= 64
 
 
 @pytest.mark.parametrize("cells", [1, 40, 1 << 20])
