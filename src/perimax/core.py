@@ -144,6 +144,32 @@ def validate_geometry(lattice, positions, tails, heads, shifts):
     return scale, evecs
 
 
+def _canonicalize(rows):
+    """Flip edge rows in place to canonical form; returns views t, h, c1, c2."""
+    t, h, c1, c2 = rows.T
+    flip = (t > h) | ((t == h) & ((c1 < 0) | ((c1 == 0) & (c2 < 0))))
+    if flip.any():
+        rows[flip] = rows[flip][:, [1, 0, 2, 3]] * [1, 1, -1, -1]
+    return t, h, c1, c2
+
+
+def _require_connected(n, tails, heads):
+    """Refuse a disconnected quotient multigraph; walked over plain ints."""
+    adj = [[] for _ in range(n)]
+    for t, h in zip(tails.tolist(), heads.tolist()):
+        adj[t].append(h)
+        adj[h].append(t)
+    reached, stack = [True] + [False] * (n - 1), [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not reached[w]:
+                reached[w] = True
+                stack.append(w)
+    if not all(reached):
+        raise FrameworkError(
+            "disconnected quotient graph: vertex %d unreachable" % reached.index(False))
+
+
 class PeriodicFramework:
     """A connected planar periodic framework given by quotient data.
 
@@ -168,11 +194,7 @@ class PeriodicFramework:
             raise FrameworkError("positions must be an (n, 2) array with n >= 1")
         n = positions.shape[0]
         rows, given = _edge_rows(edges)
-        # canonical form as canonical_edge, written through the views t, h, c1, c2
-        t, h, c1, c2 = rows.T
-        flip = (t > h) | ((t == h) & ((c1 < 0) | ((c1 == 0) & (c2 < 0))))
-        if flip.any():
-            rows[flip] = rows[flip][:, [1, 0, 2, 3]] * [1, 1, -1, -1]
+        t, h, c1, c2 = _canonicalize(rows)
         unknown = (t < 0) | (h >= n)    # a canonical row has t <= h
         zero_loop = (t == h) & (c1 == 0) & (c2 == 0)
         # a stable sort puts each orbit after the equal orbits before it
@@ -199,21 +221,7 @@ class PeriodicFramework:
             a.setflags(write=False)
         self._scale, _ = validate_geometry(lattice, positions, self._tails,
                                            self._heads, self._shifts)
-
-        # quotient multigraph connectivity (shifts ignored), walked over plain ints
-        adj = [[] for _ in range(n)]
-        for t, h in zip(self._tails.tolist(), self._heads.tolist()):
-            adj[t].append(h)
-            adj[h].append(t)
-        reached, stack = [True] + [False] * (n - 1), [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not reached[w]:
-                    reached[w] = True
-                    stack.append(w)
-        if not all(reached):
-            raise FrameworkError(
-                "disconnected quotient graph: vertex %d unreachable" % reached.index(False))
+        _require_connected(n, self._tails, self._heads)
 
     # -- basic accessors -------------------------------------------------
 

@@ -15,8 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameworkError, PeriodicFramework
-from .rigidity import _require_gap, _svd_rank, check_periodic_stress, rigidity_matrix
+from .core import (FrameworkError, PeriodicFramework, _canonicalize, _require_connected,
+                   validate_geometry)
+from .rigidity import _require_gap, _stress_check, _stress_values, _svd_rank, rigidity_matrix
 
 def _ext_gcd(p, q):
     """g = gcd(p, q) >= 0 together with x, y such that x*p + y*q = g."""
@@ -52,6 +53,8 @@ _MAX_PROBE_INDEX = 64
 # Block entries (characters x m x 2n) built and ranked per batched SVD;
 # bounds each complex working array of the probe to about 4 MB.
 _PROBE_CELLS = 1 << 18
+# Largest index * max(n, m) an unfolding accepts: at most 32 MB of edge rows.
+_MAX_UNFOLD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,10 @@ class Sublattice:
         Columns of ``mat`` span the sublattice; unimodular column
         operations reduce it to the canonical triangular form.
         """
-        M = np.array(mat, dtype=int)
+        try:
+            M = np.array(mat, dtype=int)
+        except OverflowError:
+            raise FrameworkError("sublattice matrix entries must be 64-bit integers") from None
         if M.shape != (2, 2):
             raise FrameworkError("sublattice matrix must be 2x2")
         det = int(M[0, 0]) * int(M[1, 1]) - int(M[0, 1]) * int(M[1, 0])
@@ -155,13 +161,13 @@ class UnfoldedFramework(PeriodicFramework):
         self.parent_edge = np.asarray(parent_edge, dtype=int)
 
 
-def relax(fw, sub):
-    """Unfold a framework to the given sublattice of its periodicity.
-
-    The realized infinite point set is unchanged; the quotient grows by the
-    index.
-    """
+def _unfold(fw, sub):
+    """Lattice, positions and edge rows of ``relax(fw, sub)`` as its
+    constructor stores them, or FrameworkError before any allocation."""
     rho = sub.index
+    if rho * max(fw.n, fw.m) > _MAX_UNFOLD:
+        raise FrameworkError("relaxation too large: index %d times %d orbits exceeds %d"
+                             % (rho, max(fw.n, fw.m), _MAX_UNFOLD))
     lat = fw.lattice
     # coset r = (r1, r2) sits at coset_index(r1, r2) = r1 * d + r2
     r1, r2 = np.divmod(np.arange(rho), sub.d)
@@ -175,21 +181,40 @@ def relax(fw, sub):
     tails = fw.tails[:, None] * rho + np.arange(rho)
     heads = fw.heads[:, None] * rho + sub.coset_index(q1, q2)
     rows = np.column_stack([tails.ravel(), heads.ravel(), k1.ravel(), k2.ravel()])
-    return UnfoldedFramework(lat @ sub.matrix.astype(float), positions, rows, sub,
-                             np.repeat(np.arange(fw.n), rho), np.repeat(np.arange(fw.m), rho))
+    _canonicalize(rows)    # copies of a loop orbit may be reversed
+    return lat @ sub.matrix.astype(float), positions, rows
+
+
+def relax(fw, sub):
+    """Unfold a framework to the given sublattice of its periodicity.
+
+    The realized infinite point set is unchanged; the quotient grows by the
+    index.  FrameworkError when index * max(n, m) exceeds 2**20.
+    """
+    return UnfoldedFramework(*_unfold(fw, sub), sub, np.repeat(np.arange(fw.n), sub.index),
+                             np.repeat(np.arange(fw.m), sub.index))
 
 
 def copy_stress(unfolded, s):
     """Extend a stress of the original framework to the unfolded one by
     repeating its value on every coset copy of each orbit."""
-    s = np.asarray(s, dtype=float)
-    return s[unfolded.parent_edge]
+    return _stress_values(s, unfolded.m // unfolded.sublattice.index)[unfolded.parent_edge]
 
 
 def stress_persists(fw, s, sub):
-    """Whether a periodic stress stays periodic after relaxing to ``sub``."""
-    unfolded = relax(fw, sub)
-    return check_periodic_stress(unfolded, copy_stress(unfolded, s)).ok
+    """Whether a periodic stress stays periodic after relaxing to ``sub``:
+    the verdict and errors of ``check_periodic_stress`` on ``relax`` and
+    ``copy_stress``, with no framework built.  Of the constructor's checks
+    only geometry and connectivity run; unknown vertex, zero loop and
+    duplicate orbit cannot fail on the unfolding of a valid framework, as
+    its ids are in range, a loop copy keeps the loop's nonzero shift up to
+    sign, and a reversed loop copy equals another copy only for shift 0."""
+    lattice, positions, rows = _unfold(fw, sub)
+    tails, heads, shifts = rows[:, 0], rows[:, 1], rows[:, 2:]
+    _, evecs = validate_geometry(lattice, positions, tails, heads, shifts)
+    _require_connected(len(positions), tails, heads)
+    s = np.repeat(_stress_values(s, fw.m), sub.index)
+    return _stress_check(len(positions), lattice, tails, heads, shifts, evecs, s).ok
 
 
 @dataclass
@@ -226,8 +251,9 @@ def _index_characters(k):
     (x, y, N) with theta = (x, y) / N and gcd(x, y, N) = 1; its kernel has
     index N, so it first appears at index N.  Returns the sublattices of
     index k, the (sigma_1(k), k) slot codes of the characters of each, and
-    the (x, y) pairs and codes of the nontrivial characters of exact
-    order k.
+    for one character of each conjugate pair {(x, y), (-x, -y) mod k} of
+    exact order k > 1 its (x, y), its code and the code of its conjugate
+    (the same code for the real characters of order 2).
     """
     codes = []
     for a in range(1, k + 1):
@@ -240,9 +266,9 @@ def _index_characters(k):
         g = np.gcd(np.gcd(x, y), k)
         codes.append(_code(x // g, y // g, k // g).reshape(d, k))
     x, y = np.divmod(np.arange(k * k), k)
-    fresh = (np.gcd(np.gcd(x, y), k) == 1) & (x + y > 0)
-    xy = np.column_stack([x[fresh], y[fresh]])
-    out = (np.vstack(codes), xy, _code(xy[:, 0], xy[:, 1], k))
+    own, twin = _code(x, y, k), _code(-x % k, -y % k, k)
+    fresh = (np.gcd(np.gcd(x, y), k) == 1) & (x + y > 0) & (own <= twin)
+    out = (np.vstack(codes), np.column_stack([x[fresh], y[fresh]]), own[fresh], twin[fresh])
     for a in out:
         a.setflags(write=False)
     return (tuple(sublattices_of_index(k)),) + out
@@ -280,12 +306,14 @@ def ultrarigidity_probe(fw, max_index=4):
     (m - rank R_chi).  Characters are shared between sublattices; each
     block is ranked once, the blocks of one order in batched SVDs of at
     most ``_PROBE_CELLS`` entries (or one block), with RANK_RTOL relative
-    to the block's largest singular value.
+    to the block's largest singular value.  R_chi-bar = conj(R_chi) has the
+    same rank, so one block per conjugate pair is ranked (613, not 1,223,
+    up to index 16).
 
     Raises FrameworkError at the first relaxation whose quotient graph is
     disconnected (a character trivial on every closed-walk shift) and
-    NumericalError when a kept/dropped singular value ratio of any block
-    is below RANK_GAP_MIN.
+    NumericalError when a kept/dropped singular value ratio of any ranked
+    block is below RANK_GAP_MIN.
     """
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
@@ -306,9 +334,10 @@ def ultrarigidity_probe(fw, max_index=4):
     entries = []
     first_failure = None
     for k in range(1, max_index + 1):
-        subs, codes, xy, fresh = _index_characters(k)
+        subs, codes, xy, fresh, twin = _index_characters(k)
         # a character trivial on every closed-walk shift cuts the relaxed
-        # quotient graph; one of lower order would have stopped at its index
+        # quotient graph (as does its conjugate, in the same sublattices);
+        # one of lower order would have stopped at its index
         cuts = fresh[~((xy @ cycles.T) % k).any(axis=1)]
         if cuts.size:
             sub = subs[int(np.argmax(np.isin(codes, cuts).any(axis=1)))]
@@ -320,7 +349,7 @@ def ultrarigidity_probe(fw, max_index=4):
             chi = roots[(xy[lo:lo + chunk] @ fw.shifts.T) % k]
             blocks = chi[:, :, None, None] * head_part - tail_part
             _, rank, block_gap = _svd_rank(blocks.reshape(len(chi), fw.m, 2 * fw.n))
-            flex_def[fresh[lo:lo + chunk]] = 2 * fw.n - rank
+            flex_def[fresh[lo:lo + chunk]] = flex_def[twin[lo:lo + chunk]] = 2 * fw.n - rank
             gap = min(gap, float(block_gap.min()))
         added = flex_def[codes].sum(axis=1)
         # m - rank R_chi = (2n - rank R_chi) + (m - 2n) for each of k - 1 blocks

@@ -205,23 +205,33 @@ class PeriodicStressCheck:
 def check_periodic_stress(fw, s, rtol=1e-9):
     """Verify that s is a periodic stress, via both the per-generator sums
     and the equivalent rank-two tensor form."""
+    return _stress_check(fw.n, fw.lattice, fw.tails, fw.heads, fw.shifts,
+                         fw.edge_vectors(), s, rtol)
+
+
+def _stress_values(s, m):
+    """A stress as m floats; refuses any other shape."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (fw.m,):
+    if s.shape != (m,):
         raise FrameworkError("stress must have one value per edge orbit")
-    evecs = fw.edge_vectors()
+    return s
+
+
+def _stress_check(n, lattice, tails, heads, shifts, evecs, s, rtol=1e-9):
+    """``check_periodic_stress`` of edge orbits with realized vectors ``evecs``."""
+    s = _stress_values(s, len(tails))
     forces = s[:, None] * evecs
     # |s_k| |e_k|, the size of each term, for the relative tolerances
     sizes = np.abs(s) * np.linalg.norm(evecs, axis=1)
     # per-vertex balance E @ s: s_k e_k scattered onto heads minus onto tails
-    eq = np.array([np.bincount(fw.heads, f, fw.n) - np.bincount(fw.tails, f, fw.n)
-                   for f in forces.T])
+    eq = np.array([np.bincount(heads, f, n) - np.bincount(tails, f, n) for f in forces.T])
     eq_res = float(np.abs(eq).max())
     eq_scale = float(sizes.sum())
     # lattice conditions: sum_k s_k c_k^j e_k = 0 for each generator j
-    lat_res = np.linalg.norm(fw.shifts.T @ forces, axis=1)
-    lat_scale = sizes @ np.abs(fw.shifts)
+    lat_res = np.linalg.norm(shifts.T @ forces, axis=1)
+    lat_scale = sizes @ np.abs(shifts)
     # tensor form: sum_k s_k (Lambda c_k) (x) e_k
-    periods = fw.shifts @ fw.lattice.T
+    periods = shifts @ lattice.T
     ten_res = float(np.abs(periods.T @ forces).max())
     ten_scale = float(sizes @ np.linalg.norm(periods, axis=1))
 

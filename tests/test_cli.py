@@ -469,6 +469,69 @@ def test_broken_input_exits_with_json(command, data):
     assert "Traceback" not in err
 
 
+# cap on index * max(n, m) while fuzzing relax: cubes (n = 3, m = 6)
+# relaxes to index 10 at most, so no oversize request allocates anything
+_FUZZ_UNFOLD_CAP = 60
+
+
+@st.composite
+def _bad_matrices(draw):
+    """A ``relax --matrix`` value that must be refused, with a fragment of
+    the refusal: entries that are not integers, too few or too many
+    entries, a singular matrix, an entry beyond int64, or an index above
+    the fuzzing cap; negative entries in every kind."""
+    small = st.integers(-9, 9)
+    entries = [draw(small) for _ in range(4)]
+    kind = draw(st.sampled_from(["integer", "count", "singular", "int64", "oversize"]))
+    if kind == "integer":
+        entries[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            ["1.5", "-2.0", "2e3", "x", "", " ", "0x2", "1/2", "nan", "-inf", "--1"]))
+        expected = "four integers"
+    elif kind == "count":
+        entries = [draw(small) for _ in range(draw(st.sampled_from([1, 2, 3, 5, 6])))]
+        expected = "four integers"
+    elif kind == "singular":
+        # second column a multiple of the first: det = 0
+        factor = draw(small)
+        entries[2:] = [factor * entries[0], factor * entries[1]]
+        expected = "singular"
+    elif kind == "int64":
+        entries[draw(st.integers(0, 3))] = draw(st.sampled_from([1, -1])) * draw(
+            st.integers(2**63, 2**80))
+        expected = "64-bit integers"
+    else:
+        a = draw(st.integers(1, 2**31))
+        d = draw(st.integers(-(-11 // a), 2**31))    # index a * d >= 11
+        sign = draw(st.sampled_from([1, -1]))
+        entries = [sign * a, draw(small), 0, sign * d]
+        if draw(st.booleans()):
+            entries = entries[2:] + entries[:2]
+        expected = "relaxation too large"
+    return ",".join(str(e) for e in entries), expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix=_bad_matrices())
+def test_bad_relax_matrix_exits_with_json(matrix):
+    """Every refused ``relax --matrix`` answers exit 2 and a JSON validation
+    error, never a traceback, and writes no relaxed framework."""
+    text, expected = matrix
+    relax_module = sys.modules["perimax.relax"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relax_module, "_MAX_UNFOLD", _FUZZ_UNFOLD_CAP)
+        path, out = os.path.join(tmp, "cubes.json"), os.path.join(tmp, "relaxed.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(perimax.serialize_framework(perimax.fixture("cubes")))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["relax", path, "--matrix=" + text, "--out", out, "--quiet"])
+        assert not os.path.exists(out)
+    rep = json.loads(stdout.getvalue())
+    assert code == 2
+    assert rep["kind"] == "validation" and expected in rep["error"]
+    assert "Traceback" not in stderr.getvalue()
+
+
 @pytest.mark.parametrize("entry", ["1e200", "1e308", "1.7e308", "1.7976931348623157e308"])
 def test_huge_lattice_exits_with_json(entry):
     """A lattice column longer than 2**510, up to the largest float, is

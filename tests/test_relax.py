@@ -1,11 +1,12 @@
 """Sublattice enumeration, unfolding, stress persistence, ultrarigidity."""
 
+import importlib
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perimax import (
@@ -29,11 +30,14 @@ from conftest import (
     oracle_edge_orbits,
     oracle_probe_entries,
     oracle_relax,
+    oracle_stress_check,
     oracle_sublattices,
     oracle_unfolding,
     straddling_framework,
     subdivided_grid,
 )
+
+relax_module = importlib.import_module("perimax.relax")
 
 FIXTURE_NAMES = ("square_grid", "kagome", "reentrant", "ppt3", "cubes",
                  "ultrarigid")
@@ -246,15 +250,116 @@ def test_stress_sweep_builds_no_matrix_and_no_scalar_edge(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, calls, core.canonical_edge)
     _count_calls(monkeypatch, calls, rigidity.rigidity_matrix)
+    build = core.PeriodicFramework.__init__
+
+    def counted_build(self, *args, **kwargs):
+        calls["build"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.PeriodicFramework, "__init__", counted_build)
     fw = relax(fixture("cubes"), Sublattice(1, 1, 2))
     s = periodic_stress_space(fw)[0].values
     calls.clear()
     assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(6))
     assert calls == Counter()
-    # the counters see calls made through the modules
+    # the counters see calls made through the modules and the constructor
     periodic_stress_space(fw)
     core.canonical_edge(1, 0, (0, 0))
-    assert calls == Counter(rigidity_matrix=1, canonical_edge=1)
+    relax(fw, Sublattice(2, 0, 1))
+    assert calls == Counter(rigidity_matrix=1, canonical_edge=1, build=1)
+
+
+def _disconnecting(shifts):
+    """One vertex orbit with a loop orbit per shift: the closed walks shift
+    by these vectors only, so some relaxations fall apart."""
+    return PeriodicFramework(np.eye(2), [[0.0, 0.0]], [(0, 0, c) for c in shifts])
+
+
+PERSISTENCE_FRAMEWORKS = dict(
+    {name: fixture(name) for name in FIXTURE_NAMES},
+    subdivided=subdivided_grid(),
+    walks_2x1=_disconnecting([(2, 0), (0, 1)]),
+    walks_1x3=_disconnecting([(1, 0), (1, 3)]),
+    # lattice columns of 1.5 * 2**509: every relaxation of index > 1
+    # makes a column longer than 2**510, out of range
+    huge_lattice=PeriodicFramework(np.eye(2) * 1.5 * 2.0**509, [[0.0, 0.0]],
+                                   [(0, 0, (1, 0)), (0, 0, (0, 1))]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PERSISTENCE_FRAMEWORKS)),
+       sub=st.sampled_from(sublattices_up_to(8)),
+       noise=st.sampled_from([0.0, 1e-6, 0.1]),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="square_grid", sub=Sublattice(1, 1, 2), noise=0.0, seed=0)
+@example(name="square_grid", sub=Sublattice(2, 1, 3), noise=0.1, seed=1)
+@example(name="cubes", sub=Sublattice(2, 1, 4), noise=1e-6, seed=2)
+@example(name="walks_2x1", sub=Sublattice(2, 0, 1), noise=0.0, seed=3)
+@example(name="walks_1x3", sub=Sublattice(1, 0, 3), noise=0.1, seed=4)
+@example(name="huge_lattice", sub=Sublattice(1, 0, 1), noise=0.1, seed=5)
+@example(name="huge_lattice", sub=Sublattice(2, 0, 1), noise=0.0, seed=6)
+def test_stress_persists_matches_relaxed_check(name, sub, noise, seed):
+    """The framework-free sweep gives the verdict of relax followed by the
+    stress check, and of the dense oracle, on periodic stresses and on
+    perturbed ones (not periodic), and refuses what relax refuses with
+    the same message."""
+    fw = PERSISTENCE_FRAMEWORKS[name]
+    basis = periodic_stress_space(fw)
+    s = basis[0].values if basis else np.zeros(fw.m)
+    s = s + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, fw.m)
+    try:
+        unfolded = relax(fw, sub)
+    except FrameworkError as exc:
+        with pytest.raises(FrameworkError) as refused:
+            stress_persists(fw, s, sub)
+        assert str(refused.value) == str(exc)
+        return
+    # the arrays the sweep checks are those the constructor stored
+    lattice, positions, rows = relax_module._unfold(fw, sub)
+    assert lattice.tobytes() == unfolded.lattice.tobytes()
+    assert positions.tobytes() == unfolded.positions.tobytes()
+    assert np.array_equal(rows, np.column_stack([unfolded.tails, unfolded.heads,
+                                                 unfolded.shifts]))
+    copied = copy_stress(unfolded, s)
+    verdict = check_periodic_stress(unfolded, copied).ok
+    assert stress_persists(fw, s, sub) == verdict == oracle_stress_check(unfolded, copied)[0]
+    if noise == 0.1:
+        assert not verdict
+
+
+def test_stress_persistence_refuses_wrong_stress_length():
+    cb = fixture("cubes")
+    s = list(periodic_stress_space(cb)[0].values)
+    sub = Sublattice(1, 0, 2)
+    unfolded = relax(cb, sub)
+    for bad in (s + [5, 7], s[:-1], [s]):
+        with pytest.raises(FrameworkError, match="one value per edge orbit"):
+            stress_persists(cb, bad, sub)
+        with pytest.raises(FrameworkError, match="one value per edge orbit"):
+            copy_stress(unfolded, bad)
+
+
+def test_oversize_relaxation_is_refused(monkeypatch):
+    # cubes has n = 3, m = 6: index * 6 against a cap of 60
+    monkeypatch.setattr(relax_module, "_MAX_UNFOLD", 60)
+    cb = fixture("cubes")
+    assert relax(cb, Sublattice(2, 1, 5)).m == 60
+    assert stress_persists(cb, np.zeros(cb.m), Sublattice(5, 0, 2))
+    for sub in (Sublattice(1, 0, 11), Sublattice(3, 2, 4),
+                Sublattice.from_matrix([[2**62, 0], [0, 2**62]])):
+        with pytest.raises(FrameworkError, match="relaxation too large"):
+            relax(cb, sub)
+        with pytest.raises(FrameworkError, match="relaxation too large"):
+            stress_persists(cb, np.zeros(cb.m), sub)
+
+
+def test_sublattice_matrix_refuses_entries_beyond_int64():
+    big = Sublattice.from_matrix([[2**63 - 1, 0], [-2**63, 1]])
+    assert (big.a, big.b, big.d) == (2**63 - 1, 0, 1)
+    for entry in (2**63, -2**63 - 1, 10**30):
+        with pytest.raises(FrameworkError, match="64-bit integers"):
+            Sublattice.from_matrix([[1, entry], [0, 1]])
 
 
 def _probe_entries(fw, max_index):
@@ -282,6 +387,22 @@ def test_character_counts_equal_dense_counts(name, abd, scale, seed, max_index):
     fw = fw.with_geometry(fw.positions + scale * rng.uniform(-1.0, 1.0, fw.positions.shape),
                           fw.lattice + scale * rng.uniform(-1.0, 1.0, (2, 2)))
     assert _probe_entries(fw, max_index) == oracle_probe_entries(fw, max_index)
+
+
+def test_probe_ranks_one_block_per_conjugate_pair(monkeypatch):
+    # up to index 16: 3 real characters of order 2 and 610 conjugate pairs
+    # of higher order, 613 of the 1,223 nontrivial characters, plus R
+    ranked = Counter()
+    svd_rank = relax_module._svd_rank
+
+    def counted(A, *args, **kwargs):
+        ranked[np.ndim(A)] += len(A) if np.ndim(A) == 3 else 1
+        return svd_rank(A, *args, **kwargs)
+
+    monkeypatch.setattr(relax_module, "_svd_rank", counted)
+    rep = ultrarigidity_probe(fixture("ppt3"), 16)
+    assert ranked == Counter({2: 1, 3: 613})
+    assert len(rep.entries) == len(sublattices_up_to(16))
 
 
 def _first_refused(fw, max_index):
