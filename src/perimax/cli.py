@@ -351,6 +351,12 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a spaced value such as "--matrix -2,0,0,3" for an
+    # option (it starts with "-" and is not a plain number): join it to its flag
+    if "--matrix" in argv[:-1]:
+        at = argv.index("--matrix")
+        argv[at:at + 2] = ["--matrix=" + argv[at + 1]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

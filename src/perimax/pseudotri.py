@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, PeriodicFramework, canonical_edge
+from .core import FrameworkError, NumericalError, PeriodicFramework, _edge_rows, canonical_edge
 from .rigidity import _gauge_position, _oriented_flex, count_identity_check, pair_table
 from .topology import (_orbit_crossings, _star_table, check_noncrossing, corner_count,
                        trace_faces)
@@ -159,27 +159,26 @@ class EdgeCandidate:
 def insert_edge_orbit(fw, candidate):
     """Framework with the candidate's orbit added.
 
-    Raises on duplicate orbits and on insertions that cross existing edges
-    (or their own copies).
+    Raises, in this order, on an entry that is not an integer (with the
+    constructor's message), on duplicate orbits, on the constructor's
+    other refusals, on insertions that cross existing edges (or their own
+    copies) and on crossings of fw itself.
     """
     if isinstance(candidate, EdgeCandidate):
-        tail, head, shift = candidate.tail, candidate.head, candidate.shift
-    else:
-        tail, head, shift = candidate
-    key = canonical_edge(tail, head, shift)
+        candidate = candidate.key
     edges = [fw.edge_key(k) for k in range(fw.m)]
+    rows, _ = _edge_rows(edges + [candidate])
+    tail, head, (c1, c2) = key = canonical_edge(*rows[-1, :2], rows[-1, 2:])
     if key in edges:
         raise FrameworkError("duplicate orbit: %r already present" % (key,))
-    new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [key])
-    involved, = _orbit_crossings(fw, np.array([[key[0], key[1], *key[2]]]))
+    new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [candidate])
+    base, (involved,) = _orbit_crossings(fw, np.array([[tail, head, c1, c2]]))
     if involved:
         raise FrameworkError(
             "crossing insertion: new orbit intersects %r" % (involved[0],))
-    report = check_noncrossing(fw)
-    if not report.ok:
+    if base:
         raise FrameworkError(
-            "framework has crossings independent of the insertion: %r"
-            % (report.crossings[0],))
+            "framework has crossings independent of the insertion: %r" % (base[0],))
     return new_fw
 
 
@@ -249,10 +248,10 @@ def find_rigidifying_edges(fw, cutoff=2):
 
     Requires a valid pseudo-triangulation certificate.  Candidates whose
     derivative is negligible, whose length is zero or whose insertion
-    would cross are skipped.  After a crossing check of ``fw`` itself (its
-    own, besides the certificate's, so that a certificate bypassed still
-    finds a crossing base), all candidates share one new-orbit screen, as
-    ``insert_edge_orbit``.
+    would cross are skipped.  One ``_orbit_crossings`` pass screens all
+    candidates and fw itself (besides the certificate's check, so that a
+    certificate bypassed still finds a crossing base), as
+    ``insert_edge_orbit`` does for one.
     """
     cert = certify_ppt(fw)
     if not cert.valid:
@@ -260,16 +259,16 @@ def find_rigidifying_edges(fw, cutoff=2):
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
     _, _, pairs, derivs = oriented_flex(fw, cutoff)
     out = []
-    if pairs and check_noncrossing(fw).ok:
+    if pairs:
         mags = np.abs(derivs)
         floor = DERIVATIVE_RTOL * max(1.0, float(mags.max()))
         # by decreasing |derivative|, ties in key order (pairs are sorted)
         ranked = np.argsort(-mags, kind="stable")
         ranked = ranked[mags[ranked] > floor]
-        crossings = _orbit_crossings(fw, _candidate_table(fw, cutoff)[ranked])
+        base, crossings = _orbit_crossings(fw, _candidate_table(fw, cutoff)[ranked])
         # None marks a zero-length candidate, [] one that crosses nothing
-        out = [EdgeCandidate(*pairs[i], derivs[i])
-               for i, found in zip(ranked.tolist(), crossings) if found == []]
+        out = [] if base else [EdgeCandidate(*pairs[i], derivs[i])
+                               for i, found in zip(ranked.tolist(), crossings) if found == []]
     if not out:
         raise FrameworkError("no candidate found within cutoff %d" % cutoff)
     return out

@@ -37,11 +37,10 @@ ANGLE_SUM_TOL = 1e-8
 _CROSSING_RTOL = 1e-9
 # Two half-edges at a vertex closer in direction than this are degenerate.
 _DIRECTION_TOL = 1e-12
-# Window cells (edge pair x lattice shift) screened per numpy batch in
-# the crossing screen, and grid entry pairs and copy pairs per batch in
-# the non-crossing check, whose box survivors go through one narrow phase
-# per batch.  Bounds those working arrays to about 128 KB each (a batch
-# holds one item more when a single item is larger).
+# Grid entry pairs and copy pairs per batch of the crossing check, whose
+# box survivors go through one narrow phase per batch, and crossings per
+# conversion to Python pairs.  Bounds those working arrays to about 128 KB
+# each (a batch holds one item more when a single item is larger).
 _SCREEN_CELLS = 1 << 14
 
 
@@ -167,9 +166,14 @@ def _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1, b
 
 
 def _crossing_pairs(b1, b2, cx, cy):
-    """Crossing rows as pairs ((b1, (0, 0)), (b2, (cx, cy)))."""
-    return [((e1, (0, 0)), (e2, (c1, c2)))
-            for e1, e2, c1, c2 in zip(b1.tolist(), b2.tolist(), cx.tolist(), cy.tolist())]
+    """Crossing rows as pairs ((b1, (0, 0)), (b2, (cx, cy))), converted
+    ``_SCREEN_CELLS`` rows at a time."""
+    out = []
+    for start in range(0, len(b1), _SCREEN_CELLS):
+        rows = slice(start, start + _SCREEN_CELLS)
+        out += [((e1, (0, 0)), (e2, (c1, c2))) for e1, e2, c1, c2 in zip(
+            b1[rows].tolist(), b2[rows].tolist(), cx[rows].tolist(), cy[rows].tolist())]
+    return out
 
 
 def _copies_meeting_box(lattice, tail, evec, sx, sy, lower, upper):
@@ -185,52 +189,6 @@ def _copies_meeting_box(lattice, tail, evec, sx, sy, lower, upper):
     return q1x, q1y, hit
 
 
-def _crossing_screen(lattice, positions, tails, heads, shifts, evecs, eps, n_pairs, pairs):
-    """Crossings ((b1, (0, 0)), (b2, shift)) among pairs of edge rows.
-
-    ``pairs`` maps pair indices k < n_pairs to rows (b1, b2): b1 at shift
-    0, b2 at every shift of the pair's window (centered at the rounded
-    lattice-coordinate offset of the tails, half-width ceil(ext1 + ext2 +
-    0.5) for ext a row's largest lattice coordinate, so distant
-    representatives and long edges are both handled), tested with b2's
-    tolerance ``eps``.  Chunks of pairs in index order, of at most
-    ``_SCREEN_CELLS`` cells, share one window (their largest radius), run
-    the eps-padded box test on all cells at once and ``_exact_crossings``
-    on the survivors; crossings come by pair, then shift in row-major
-    order.  One loop keeps a chunk's arrays alive until the next chunk
-    replaces them: freeing them in between cost about 30% at m = 384 on a
-    2-core Xeon."""
-    tail_pos = positions[tails]
-    head_pos = tail_pos + evecs
-    tail_coords = np.linalg.solve(lattice, tail_pos.T).T
-    extents = np.abs(np.linalg.solve(lattice, evecs.T)).max(axis=0)
-    lo, hi = np.minimum(tail_pos, head_pos), np.maximum(tail_pos, head_pos)
-    # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
-    # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
-    max_radius = math.ceil(2 * extents.max(initial=0.0) + 0.5)
-    step = max(1, _SCREEN_CELLS // (2 * max_radius + 1) ** 2)
-    out = []
-    for start in range(0, n_pairs, step):
-        b1, b2 = pairs(np.arange(start, min(start + step, n_pairs)))
-        centers = np.round(tail_coords[b1] - tail_coords[b2]).astype(int)
-        radii = np.ceil(extents[b1] + extents[b2] + 0.5).astype(int)
-        # cells in row-major (meshgrid "ij") order
-        grid = np.arange(-radii.max(), radii.max() + 1)
-        wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-        sx, sy = centers[:, :1] + wx, centers[:, 1:] + wy
-        # (pair, cell) arrays of the x and y of each candidate copy's tail
-        pad = eps[b2, None]
-        q1x, q1y, hit = _copies_meeting_box(
-            lattice, tail_pos[b2].T[..., None], evecs[b2].T[..., None], sx, sy,
-            (lo[b1] - pad).T[..., None], (hi[b1] + pad).T[..., None])
-        hit &= np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None]
-        pair, cell = np.nonzero(hit)
-        out += _crossing_pairs(*_exact_crossings(
-            tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1[pair], b2[pair],
-            sx[pair, cell], sy[pair, cell], np.column_stack([q1x[pair, cell], q1y[pair, cell]])))
-    return out
-
-
 def _batches(ends, limit):
     """Consecutive index ranges (start, stop) of items with cumulative
     counts ``ends`` whose counts sum to at most ``limit``, or that hold a
@@ -242,11 +200,12 @@ def _batches(ends, limit):
         start, done = stop, int(ends[stop - 1])
 
 
-def _cell_candidates(lattice, lower, upper):
+def _cell_candidates(lattice, lower, upper, n_base):
     """Batches of copy pairs (b1, b2, sx, sy) whose boxes may meet, the
     boxes given by their corners as (2, m) arrays: b1 at shift 0, b2 at
     shift (sx, sy), b1 <= b2, each pair once, in batches of about
-    ``_SCREEN_CELLS``.
+    ``_SCREEN_CELLS``.  A box at or past ``n_base`` pairs only with the
+    boxes before ``n_base`` and with its own copies.
 
     A uniform grid (W. R. Franklin, "Uniform grids", Auto-Carto 9, 1989)
     of g1 x g2 cells over the unit cell in fractional coordinates, about
@@ -282,8 +241,10 @@ def _cell_candidates(lattice, lower, upper):
     order = np.argsort(cell, kind="stable")
     cell, box, w1, w2, lo1, lo2, hi1, hi2 = (
         x[order] for x in (cell, box, w1, w2, lo1, lo2, hi1, hi2))
-    # entry e pairs with the rest[e] entries e, e + 1, ... of its cell
+    # entry e pairs with the rest[e] entries e, e + 1, ... of its cell; an
+    # entry past n_base only with itself, the entries before it pair with it
     rest = np.searchsorted(cell, cell, side="right") - np.arange(len(cell))
+    rest = np.where(box < n_base, rest, 1)
     ends = np.cumsum(rest)
     for e0, e1 in _batches(ends, _SCREEN_CELLS):
         share, past = rest[e0:e1], ends[e0:e1]
@@ -313,75 +274,82 @@ def _cell_candidates(lattice, lower, upper):
             yield b1, b2, sx, sy
 
 
+def _grid_crossings(lattice, tail_pos, evecs, tails, heads, shifts, eps, n_base):
+    """Crossing rows (b1, b2, sx, sy) of edge rows, sorted: b1 at shift 0,
+    b2 at shift (sx, sy), b1 <= b2, each tested with b2's tolerance
+    ``eps``; rows at or past ``n_base`` are tested only against the rows
+    before it and their own copies.  Candidates come in batches from a
+    lattice cell grid (``_cell_candidates``) over eps-padded boxes; each
+    batch goes through the box test of b1 padded by b2's eps
+    (``_copies_meeting_box``) and ``_exact_crossings``, so only crossing
+    rows outlive it."""
+    head_pos = tail_pos + evecs
+    lower, upper = np.minimum(tail_pos, head_pos).T, np.maximum(tail_pos, head_pos).T
+    (tx, ty), (ex, ey), (lx, ly), (ux, uy) = tail_pos.T, evecs.T, lower, upper
+    found = []
+    for b1, b2, sx, sy in _cell_candidates(lattice, lower - eps, upper + eps, n_base):
+        pad = eps[b2]
+        q1x, q1y, hit = _copies_meeting_box(lattice, (tx[b2], ty[b2]), (ex[b2], ey[b2]), sx, sy,
+                                            (lx[b1] - pad, ly[b1] - pad),
+                                            (ux[b1] + pad, uy[b1] + pad))
+        hit &= (b1 != b2) | (sx != 0) | (sy != 0)
+        found.append(_exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps,
+                                      b1[hit], b2[hit], sx[hit], sy[hit],
+                                      np.column_stack([q1x[hit], q1y[hit]])))
+    b1, b2, sx, sy = map(np.concatenate, zip(*found))
+    order = np.lexsort((sy, sx, b2, b1))
+    return b1[order], b2[order], sx[order], sy[order]
+
+
 def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
     """Check that no two edge segments intersect except at shared endpoints.
 
     Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
     with b1 <= b2, with the tolerance eps_rel times the longest edge or the
-    geometry scale, whichever is larger.  Candidates come in batches from a
-    lattice cell grid (``_cell_candidates``) over eps-padded boxes; each
-    batch goes through the padded-box test (``_copies_meeting_box``) and
-    ``_exact_crossings``, so only crossing rows outlive it.  ``crossings``
-    is in the order (b1, b2, then shift in row-major order).
+    geometry scale, whichever is larger, screened by ``_grid_crossings``.
+    ``crossings`` is in the order (b1, b2, then shift in row-major order).
     """
     m = fw.m
     if not m:
         return NoncrossingReport(True, [])
-    lattice, evecs = fw.lattice, fw.edge_vectors()
+    evecs = fw.edge_vectors()
     eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max()), fw.geometry_scale)
-    tail_pos = fw.positions[fw.tails]
-    head_pos = tail_pos + evecs
-    lower = np.minimum(tail_pos, head_pos).T - eps
-    upper = np.maximum(tail_pos, head_pos).T + eps
-    (tx, ty), (ex, ey), (lx, ly), (ux, uy) = tail_pos.T, evecs.T, lower, upper
-    eps = np.full(m, eps)
-    found = []
-    for b1, b2, sx, sy in _cell_candidates(lattice, lower, upper):
-        q1x, q1y, hit = _copies_meeting_box(lattice, (tx[b2], ty[b2]), (ex[b2], ey[b2]), sx, sy,
-                                            (lx[b1], ly[b1]), (ux[b1], uy[b1]))
-        hit &= (b1 != b2) | (sx != 0) | (sy != 0)
-        rows = _exact_crossings(tail_pos, head_pos, fw.tails, fw.heads, fw.shifts, evecs, eps,
-                                b1[hit], b2[hit], sx[hit], sy[hit],
-                                np.column_stack([q1x[hit], q1y[hit]]))
-        if len(rows[0]):
-            found.append(rows)
-    if not found:
-        return NoncrossingReport(True, [])
-    b1, b2, sx, sy = map(np.concatenate, zip(*found))
-    order = np.lexsort((sy, sx, b2, b1))
-    crossings = []
-    for start in range(0, len(order), _SCREEN_CELLS):
-        rows = order[start:start + _SCREEN_CELLS]
-        crossings += _crossing_pairs(b1[rows], b2[rows], sx[rows], sy[rows])
-    return NoncrossingReport(False, crossings)
+    crossings = _crossing_pairs(*_grid_crossings(fw.lattice, fw.positions[fw.tails], evecs,
+                                                 fw.tails, fw.heads, fw.shifts,
+                                                 np.full(m, eps), m))
+    return NoncrossingReport(not crossings, crossings)
 
 
 def _orbit_crossings(fw, rows):
-    """Crossings of new edge orbits (rows of canonical (tail, head, c1,
-    c2)), all screened in one pass: for each row, what ``check_noncrossing``
-    of fw plus that orbit at index m would list for the pairs (k, m), in
-    its order and with its tolerance; None for a row of zero length by
-    ``validate_geometry``'s rule, which no framework holds."""
+    """Crossings of fw and of new edge orbits (rows of canonical (tail,
+    head, c1, c2)), from one ``_grid_crossings`` pass that tests no two new
+    rows against each other.  Returns ``check_noncrossing(fw).crossings``
+    and, for each row, what ``check_noncrossing`` of fw plus that orbit at
+    index m would list for the pairs (k, m), in its order and with its
+    tolerance; None for a row of zero length by ``validate_geometry``'s
+    rule, which no framework holds."""
     m = fw.m
     tails = np.concatenate([fw.tails, rows[:, 0]])
     heads = np.concatenate([fw.heads, rows[:, 1]])
     shifts = np.concatenate([fw.shifts, rows[:, 2:]])
-    evecs = fw.positions[heads] + shifts @ fw.lattice.T - fw.positions[tails]
+    # fw's own edge vectors, so that its eps is check_noncrossing's bit for bit
+    evecs = np.concatenate([fw.edge_vectors(), fw.positions[rows[:, 1]]
+                            + rows[:, 2:] @ fw.lattice.T - fw.positions[rows[:, 0]]])
     lengths = np.linalg.norm(evecs, axis=1)
     longest = max(fw.geometry_scale, float(lengths[:m].max(initial=0.0)))
     eps = _CROSSING_RTOL * np.maximum(lengths, longest)
-
-    def pairs(k):
-        # new row m + k // (m + 1) against base orbit k % (m + 1), or itself
-        b1, b2 = k % (m + 1), m + k // (m + 1)
-        return np.where(b1 == m, b2, b1), b2
-
-    out = [[] for _ in rows]
-    for (b1, s1), (b2, s2) in _crossing_screen(fw.lattice, fw.positions, tails, heads,
-                                               shifts, evecs, eps, len(rows) * (m + 1), pairs):
-        out[b2 - m].append(((min(b1, m), s1), (m, s2)))
+    b1, b2, sx, sy = _grid_crossings(fw.lattice, fw.positions[tails], evecs, tails, heads,
+                                     shifts, eps, m)
+    base = b2 < m
+    # the crossings of new rows, grouped by row and in sorted order within
+    new = np.flatnonzero(~base)
+    new = new[np.argsort(b2[new], kind="stable")]
+    found = _crossing_pairs(np.minimum(b1[new], m), np.full(len(new), m), sx[new], sy[new])
+    bounds = np.searchsorted(b2[new], m + np.arange(len(rows) + 1)).tolist()
     short = lengths[m:] <= EDGE_LENGTH_RTOL * fw.geometry_scale
-    return [None if refused else found for refused, found in zip(short.tolist(), out)]
+    return (_crossing_pairs(b1[base], b2[base], sx[base], sy[base]),
+            [None if refused else found[start:stop]
+             for refused, start, stop in zip(short.tolist(), bounds, bounds[1:])])
 
 
 # -- face tracing ---------------------------------------------------------

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library code paths they check:
 patch enumeration is brute force over explicit copies, faces are traced
 over dicts of half-edges with per-edge ``math.atan2``, segment crossing is
 a from-scratch parametric intersection (and, per pair, the scalar form of
-the library's tolerance rules), edge orbits are validated one at a time,
-nullspaces come straight from numpy's SVD, and derivatives are central
-finite differences.
+the library's tolerance rules), the crossing broad phase is a window of
+lattice shifts per edge pair instead of the library's cell grid, edge
+orbits are validated one at a time, nullspaces come straight from numpy's
+SVD, and derivatives are central finite differences.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from perimax import FrameworkError, PeriodicFramework, flex_space, sublattices_up_to
 from perimax.pseudotri import pointedness_margin
 from perimax.relax import UnfoldedFramework
+from perimax import topology
 from perimax.rigidity import equilibrium_matrix
 from perimax.topology import ANGLE_SUM_TOL, FaceComplex, FaceOrbit, HalfEdge, Tetrad, trace_faces
 
@@ -269,6 +271,53 @@ def oracle_segments_cross(p1, p2, q1, q2, shared, eps):
         return True
     return ((s1 == 0 and on_segment(q1, q2, p1)) or (s2 == 0 and on_segment(q1, q2, p2))
             or (s3 == 0 and on_segment(p1, p2, q1)) or (s4 == 0 and on_segment(p1, p2, q2)))
+
+
+def oracle_window_crossings(lattice, positions, tails, heads, shifts, evecs, eps, n_pairs,
+                            pairs):
+    """Crossings ((b1, (0, 0)), (b2, shift)) among pairs of edge rows, by
+    the per-pair window broad phase the library had before its cell grid;
+    the box test and the narrow phase are the library's.
+
+    ``pairs`` maps pair indices k < n_pairs to rows (b1, b2): b1 at shift
+    0, b2 at every shift of the pair's window (centered at the rounded
+    lattice-coordinate offset of the tails, half-width ceil(ext1 + ext2 +
+    0.5) for ext a row's largest lattice coordinate, so distant
+    representatives and long edges are both handled), tested with b2's
+    tolerance ``eps``.  Chunks of pairs in index order, of at most
+    ``_SCREEN_CELLS`` cells, share one window (their largest radius), run
+    the eps-padded box test on all cells at once and ``_exact_crossings``
+    on the survivors; crossings come by pair, then shift in row-major
+    order."""
+    tail_pos = positions[tails]
+    head_pos = tail_pos + evecs
+    tail_coords = np.linalg.solve(lattice, tail_pos.T).T
+    extents = np.abs(np.linalg.solve(lattice, evecs.T)).max(axis=0)
+    lo, hi = np.minimum(tail_pos, head_pos), np.maximum(tail_pos, head_pos)
+    # no pair radius exceeds max_radius, so a chunk of `step` pairs holds
+    # at most _SCREEN_CELLS cells (or one pair, if its window is larger)
+    max_radius = math.ceil(2 * extents.max(initial=0.0) + 0.5)
+    step = max(1, topology._SCREEN_CELLS // (2 * max_radius + 1) ** 2)
+    out = []
+    for start in range(0, n_pairs, step):
+        b1, b2 = pairs(np.arange(start, min(start + step, n_pairs)))
+        centers = np.round(tail_coords[b1] - tail_coords[b2]).astype(int)
+        radii = np.ceil(extents[b1] + extents[b2] + 0.5).astype(int)
+        # cells in row-major (meshgrid "ij") order
+        grid = np.arange(-radii.max(), radii.max() + 1)
+        wx, wy = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+        sx, sy = centers[:, :1] + wx, centers[:, 1:] + wy
+        # (pair, cell) arrays of the x and y of each candidate copy's tail
+        pad = eps[b2, None]
+        q1x, q1y, hit = topology._copies_meeting_box(
+            lattice, tail_pos[b2].T[..., None], evecs[b2].T[..., None], sx, sy,
+            (lo[b1] - pad).T[..., None], (hi[b1] + pad).T[..., None])
+        hit &= np.maximum(np.abs(wx), np.abs(wy)) <= radii[:, None]
+        pair, cell = np.nonzero(hit)
+        out += topology._crossing_pairs(*topology._exact_crossings(
+            tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1[pair], b2[pair],
+            sx[pair, cell], sy[pair, cell], np.column_stack([q1x[pair, cell], q1y[pair, cell]])))
+    return out
 
 
 def oracle_noncrossing(fw, halfwidth=1):

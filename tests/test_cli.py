@@ -111,6 +111,20 @@ def test_relax_roundtrip(tmp_path, capsys):
     assert code == 0 and (rep["n"], rep["m"]) == (6, 12)
 
 
+def test_relax_negative_matrix_spaced_or_joined(tmp_path, capsys):
+    # a first entry that is negative reads the same after a space as after "="
+    path = fixture_file(tmp_path, capsys, "kagome")
+    out = tmp_path / "relaxed.json"
+    results = []
+    for argv in (["--matrix", "-2,0,0,3"], ["--matrix=-2,0,0,3"]):
+        code = main(["relax", path, *argv, "--out", str(out), "--quiet"])
+        results.append((code, capsys.readouterr().out, out.read_bytes()))
+        out.unlink()
+    assert results[0] == results[1]
+    code, report, _ = results[0]
+    assert code == 0 and json.loads(report)["sublattice"]["index"] == 6
+
+
 def test_ultra(tmp_path, capsys):
     path = fixture_file(tmp_path, capsys, "ultrarigid")
     code, rep = run(capsys, "ultra", path, "--max-index", "4")

@@ -33,3 +33,18 @@ def test_direction_angles_in_one_place():
                 if name in ("arctan2", "atan2"):
                     found.append("%s:%d" % (path.name, node.lineno))
     assert len(found) == 1 and found[0].startswith("topology.py:"), found
+
+
+def test_one_crossing_broad_phase():
+    """``_cell_candidates`` and ``_exact_crossings`` each have one call
+    site in the package, so every crossing decision goes through the one
+    lattice-cell grid and a second broad phase cannot return unnoticed."""
+    found = {"_cell_candidates": [], "_exact_crossings": []}
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in found:
+                    found[name].append("%s:%d" % (path.name, node.lineno))
+    assert all(len(sites) == 1 for sites in found.values()), found

@@ -389,10 +389,10 @@ def test_search_builds_one_framework(abd, cutoff, monkeypatch):
 
 
 def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
-    """With every screen in one chunk, the search makes three narrow-phase
-    calls, one for the certificate's crossing check, one for its own check
-    of the framework and one for all candidates, over hundreds of
-    broad-phase survivors."""
+    """With every screen in one chunk, the search makes two narrow-phase
+    calls, one for the certificate's crossing check and one for the
+    framework and all candidates together, over hundreds of broad-phase
+    survivors."""
     fw = relax(fixture("ppt3"), Sublattice(2, 0, 2))
     expected = find_rigidifying_edges(fw, 1)
     rows = []
@@ -405,7 +405,51 @@ def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
     monkeypatch.setattr(topology, "_narrow_phase", narrow)
     monkeypatch.setattr(topology, "_SCREEN_CELLS", 1 << 30)
     assert find_rigidifying_edges(fw, 1) == expected
-    assert len(rows) == 3 and sum(rows) > 1000
+    assert len(rows) == 2 and sum(rows) > 1000
+
+
+def test_search_box_tests_grid_candidates_only(monkeypatch):
+    """ppt3 relaxed 2x2 at cutoff 1 (619 candidates): the search, the
+    certificate's check included, hands the box test under 250,000 copy
+    rows (a window per candidate and base orbit held 1,168,770) and the
+    narrow phase no more than those windows' 18,378 survivors."""
+    fw = relax(fixture("ppt3"), Sublattice(2, 0, 2))
+    boxed, narrowed = [], []
+
+    def box(*args):
+        found = copies_meeting_box(*args)
+        boxed.append(found[2].size)
+        return found
+
+    def narrow(*args):
+        narrowed.append(len(args[-1]))
+        return narrow_phase(*args)
+
+    copies_meeting_box, narrow_phase = topology._copies_meeting_box, topology._narrow_phase
+    monkeypatch.setattr(topology, "_copies_meeting_box", box)
+    monkeypatch.setattr(topology, "_narrow_phase", narrow)
+    assert len(find_rigidifying_edges(fw, 1)) >= fw.m
+    assert sum(boxed) < 250_000
+    assert sum(narrowed) <= 18_378
+
+
+def test_insertion_refuses_non_integer_entries():
+    """A fractional entry is refused with the constructor's message, not
+    truncated; integral floats are accepted as the constructor accepts
+    them, and a duplicate keeps its own message."""
+    fw = fixture("ppt3")
+    edges = [fw.edge_key(k) for k in range(fw.m)]
+    for entry in [(1.4, 2, (0.7, 1)), (1, 2, (0.5, 1)), (1, np.float64(2.25), (0, 1))]:
+        with pytest.raises(FrameworkError) as built:
+            PeriodicFramework(fw.lattice, fw.positions, edges + [entry])
+        with pytest.raises(FrameworkError) as inserted:
+            insert_edge_orbit(fw, entry)
+        assert str(inserted.value) == str(built.value)
+        assert str(inserted.value).startswith("edge orbit 6: ")
+    inserted = insert_edge_orbit(fw, (2.0, 1.0, (0.0, np.float64(-1.0))))
+    assert inserted.edge_key(6) == (1, 2, (0, 1))
+    with pytest.raises(FrameworkError, match=r"^duplicate orbit: \(0, 1, \(0, 0\)\) already"):
+        insert_edge_orbit(fw, (1.0, 0, (0, 0.0)))
 
 
 def test_insertion_on_crossing_base_names_the_cause():

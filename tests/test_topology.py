@@ -18,11 +18,11 @@ from perimax import (
     trace_faces,
 )
 
-from perimax.pseudotri import pointedness_margin
+from perimax.pseudotri import _candidate_table, pointedness_margin
 from perimax.relax import Sublattice, relax, sublattices_up_to
 
 from conftest import (crossed_grid, oracle_noncrossing, oracle_segments_cross,
-                      oracle_trace_faces, subdivided_grid)
+                      oracle_trace_faces, oracle_window_crossings, subdivided_grid)
 
 
 def test_square_grid_noncrossing():
@@ -297,7 +297,7 @@ def test_perturbed_relaxations_include_crossings():
 def _all_pairs_crossings(fw):
     """``check_noncrossing``'s list by the all-pairs broad phase it had
     before its cell grid: every pair b1 <= b2 of edge orbits windowed over
-    lattice shifts by ``topology._crossing_screen``."""
+    lattice shifts by ``oracle_window_crossings``."""
     from perimax import topology
     m = fw.m
     evecs = fw.edge_vectors()
@@ -310,8 +310,8 @@ def _all_pairs_crossings(fw):
         b1 = np.searchsorted(row_start, k, side="right") - 1
         return b1, k - row_start[b1] + b1
 
-    return topology._crossing_screen(fw.lattice, fw.positions, fw.tails, fw.heads, fw.shifts,
-                                     evecs, np.full(m, eps), m * (m + 1) // 2, pairs)
+    return oracle_window_crossings(fw.lattice, fw.positions, fw.tails, fw.heads, fw.shifts,
+                                   evecs, np.full(m, eps), m * (m + 1) // 2, pairs)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["folded kagome"])
@@ -322,6 +322,54 @@ def test_grid_crossings_match_all_pairs_on_relaxations(name):
     for sub in sublattices_up_to(4):
         fw = relax(base, sub)
         assert check_noncrossing(fw).crossings == _all_pairs_crossings(fw), sub
+
+
+def _window_orbit_crossings(fw, rows):
+    """Per-row crossing lists of new orbits by ``oracle_window_crossings``:
+    each row against every base orbit and its own copies, with the
+    tolerance of fw extended by it; None for a zero-length row."""
+    from perimax import core, topology
+    m = fw.m
+    tails = np.concatenate([fw.tails, rows[:, 0]])
+    heads = np.concatenate([fw.heads, rows[:, 1]])
+    shifts = np.concatenate([fw.shifts, rows[:, 2:]])
+    evecs = fw.positions[heads] + shifts @ fw.lattice.T - fw.positions[tails]
+    lengths = np.linalg.norm(evecs, axis=1)
+    longest = max(fw.geometry_scale, float(lengths[:m].max(initial=0.0)))
+    eps = topology._CROSSING_RTOL * np.maximum(lengths, longest)
+
+    def pairs(k):
+        # new row m + k // (m + 1) against base orbit k % (m + 1), or itself
+        b1, b2 = k % (m + 1), m + k // (m + 1)
+        return np.where(b1 == m, b2, b1), b2
+
+    out = [[] for _ in rows]
+    for (b1, s1), (b2, s2) in oracle_window_crossings(fw.lattice, fw.positions, tails, heads,
+                                                      shifts, evecs, eps,
+                                                      len(rows) * (m + 1), pairs):
+        out[b2 - m].append(((min(b1, m), s1), (m, s2)))
+    short = lengths[m:] <= core.EDGE_LENGTH_RTOL * fw.geometry_scale
+    return [None if refused else found for refused, found in zip(short.tolist(), out)]
+
+
+@pytest.mark.parametrize("name, theta", [(name, None) for name in sorted(FIXTURES)]
+                         + [("kagome", 2.7), ("kagome", 2.9)])
+def test_orbit_crossings_match_window_oracle(name, theta):
+    """Every candidate orbit of the fixtures, of two folded (crossing)
+    kagomes and of their relaxations of index <= 2 gets the window
+    oracle's crossing list, in order, from the one grid pass, and the base
+    list of that pass is ``check_noncrossing``'s."""
+    from perimax.topology import _orbit_crossings
+    base_fw = fixture(name) if theta is None else fixture(name, theta=theta)
+    crossed = 0
+    for sub in sublattices_up_to(2):
+        fw = relax(base_fw, sub)
+        rows = _candidate_table(fw, 2 if fw.m <= 8 else 1)
+        base, found = _orbit_crossings(fw, rows)
+        assert base == check_noncrossing(fw).crossings, sub
+        assert found == _window_orbit_crossings(fw, rows), sub
+        crossed += sum(map(bool, found))
+    assert crossed
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
