@@ -20,7 +20,7 @@ import numpy as np
 from .core import FrameworkError, NumericalError, validate_geometry
 from .pseudotri import certify_ppt
 from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, _pair_rates,
-                       gauge_rows, pair_table, rigidity_rows)
+                       _row_assembly, gauge_rows, pair_table)
 from .topology import ANGLE_SUM_TOL, _corner, _direction_angles
 
 __all__ = [
@@ -83,7 +83,8 @@ def flex_tangent(cfg, fw, cutoff=2):
 
     Raises NumericalError when the reduced kernel is not one-dimensional.
     """
-    return _oriented_flex(fw, cfg.positions, cfg.lattice, cutoff)[0]
+    _, evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
+    return _oriented_flex(fw, cfg.positions, cfg.lattice, evecs, cutoff)[0]
 
 
 @dataclass
@@ -99,8 +100,8 @@ def expansive_check(cfg, tangent, cutoff=2):
     """Rate of change of squared distances over all vertex-copy pairs
     within the shift cutoff (``pair_table``); expansive when none
     decreases.  Ties go to the first pair in table order."""
-    table = pair_table(cfg.n, cutoff)
-    return _expansive_report(_pair_rates(cfg.positions, cfg.lattice, tangent, table), table)
+    return _expansive_report(_pair_rates(cfg.positions, cfg.lattice, tangent, cutoff),
+                             pair_table(cfg.n, cutoff))
 
 
 def _expansive_report(rates, table):
@@ -170,29 +171,40 @@ def _edge_lengths_sq(fw, cfg):
     return np.einsum("ij,ij->i", e, e)
 
 
+def _constraints(fw, ref_sq):
+    """Residual and Jacobian functions of the edge-length and gauge
+    constraints at squared lengths ``ref_sq``.  The residual at a raw
+    configuration vector z also returns the edge vectors, with the
+    geometric checks of a framework's constructor; the Jacobian, twice the
+    rigidity matrix over the gauge rows, is assembled from them with
+    scatter indices and gauge rows built once."""
+    n, rows, gauge = fw.n, _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts), gauge_rows(fw)
+
+    def residual(z):
+        _, evecs = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
+                                     fw.tails, fw.heads, fw.shifts)
+        return np.concatenate([np.einsum("ij,ij->i", evecs, evecs) - ref_sq,
+                               [z[0], z[1], z[2 * n + 1]]]), evecs
+
+    return residual, lambda evecs: np.vstack([2 * rows(evecs), gauge])
+
+
 def _constraint_system(fw, z, ref_sq, n):
-    """Edge-length and gauge residuals at the raw configuration vector z,
-    their Jacobian (twice the rigidity matrix over the gauge rows) and the
-    edge vectors, with the geometric checks of a framework's constructor."""
-    _, evecs = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
-                                 fw.tails, fw.heads, fw.shifts)
-    F = np.concatenate([np.einsum("ij,ij->i", evecs, evecs) - ref_sq,
-                        [z[0], z[1], z[2 * n + 1]]])
-    J = np.vstack([2 * rigidity_rows(n, fw.tails, fw.heads, fw.shifts, evecs),
-                   gauge_rows(fw)])
-    return F, J, evecs
+    """Residuals at z (n vertex orbits), their Jacobian and the edge vectors."""
+    residual, jacobian = _constraints(fw, ref_sq)
+    F, evecs = residual(z)
+    return F, jacobian(evecs), evecs
 
 
-def _newton_correct(fw, z, ref_sq, n, tol_abs):
-    """Corrected iterate, whether it converged, and its edge vectors."""
-    for _ in range(NEWTON_MAX_ITER):
-        F, J, evecs = _constraint_system(fw, z, ref_sq, n)
-        if float(np.abs(F).max()) <= tol_abs:
-            return z, True, evecs
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        z = z + step
-    F, _, evecs = _constraint_system(fw, z, ref_sq, n)
-    return z, float(np.abs(F).max()) <= tol_abs, evecs
+def _newton_correct(residual, jacobian, z, tol_abs):
+    """Corrected iterate, whether it converged, and its edge vectors; the
+    Jacobian is assembled only at an iterate that takes a step."""
+    for k in range(NEWTON_MAX_ITER + 1):
+        F, evecs = residual(z)
+        ok = float(np.abs(F).max()) <= tol_abs
+        if ok or k == NEWTON_MAX_ITER:
+            return z, ok, evecs
+        z = z + np.linalg.lstsq(jacobian(evecs), -F, rcond=None)[0]
 
 
 def _corner_table(faces, m):
@@ -255,6 +267,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
     cfg = Configuration.from_framework(fw)
     ref_sq = _edge_lengths_sq(fw, cfg)
     tol_abs = NEWTON_TOL * max(1.0, float(ref_sq.max()))
+    residual, jacobian = _constraints(fw, ref_sq)
 
     samples = []
     tau = 0.0
@@ -265,9 +278,9 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
         return PathSample(tau, cfg, cfg.gram(), dom, report.ok,
                           auxetic_tangent_check(dom), report.min_rate)
 
-    def tangent_at(cfg):
+    def tangent_at(cfg, evecs):
         # the flex turned to follow the previous sample, its rates with it
-        t, rates = _oriented_flex(fw, cfg.positions, cfg.lattice, cutoff)
+        t, rates = _oriented_flex(fw, cfg.positions, cfg.lattice, evecs, cutoff)
         if tangent is not None and float(t @ tangent) < 0:
             t, rates = -t, -rates
         return t, _expansive_report(rates, pair_table(n, cutoff))
@@ -276,7 +289,10 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
         return DeformationPath([PathSample(tau, cfg, cfg.gram(), None, None, None)],
                                "step count reached")
 
-    tangent, report = tangent_at(cfg)
+    # only the initial sample validates on its own: later ones take the
+    # edge vectors their corrector validated
+    _, evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
+    tangent, report = tangent_at(cfg, evecs)
     samples.append(make_sample(cfg, report))
 
     termination = "step count reached"
@@ -285,7 +301,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
     k = 0
     while k < steps:
         z_pred = cfg.as_vector() + step * tangent
-        z_new, ok, evecs = _newton_correct(fw, z_pred, ref_sq, n, tol_abs)
+        z_new, ok, evecs = _newton_correct(residual, jacobian, z_pred, tol_abs)
         if not ok:
             if abs(step) > MIN_STEP:
                 step *= 0.5
@@ -298,23 +314,23 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
             lo, hi, z_lo = 0.0, step, None
             while hi - lo > EVENT_TAU_TOL:
                 mid = 0.5 * (lo + hi)
-                z_mid, okm, evecs = _newton_correct(
-                    fw, cfg.as_vector() + mid * tangent, ref_sq, n, tol_abs)
+                z_mid, okm, evecs_mid = _newton_correct(
+                    residual, jacobian, cfg.as_vector() + mid * tangent, tol_abs)
                 if not okm:
                     hi = mid
                     continue
-                m_mid, reason_mid = _ppt_margin(table, evecs)
+                m_mid, reason_mid = _ppt_margin(table, evecs_mid)
                 if m_mid <= 0.0:
                     hi = mid
                     new_margin, reason = m_mid, reason_mid
                 else:
-                    lo, z_lo = mid, z_mid
+                    lo, z_lo, evecs = mid, z_mid, evecs_mid
             if lo > 0.0:
                 # boundary sample (the last configuration still inside)
                 tau += lo
                 cfg = Configuration.from_vector(z_lo, n)
                 try:
-                    tangent, report = tangent_at(cfg)
+                    tangent, report = tangent_at(cfg, evecs)
                 except NumericalError:
                     report = expansive_check(cfg, tangent, cutoff)
                 samples.append(make_sample(cfg, report))
@@ -323,7 +339,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
             break
         tau += step
         cfg = Configuration.from_vector(z_new, n)
-        tangent, report = tangent_at(cfg)
+        tangent, report = tangent_at(cfg, evecs)
         samples.append(make_sample(cfg, report))
         k += 1
 

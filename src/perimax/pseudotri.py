@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FrameworkError, NumericalError, PeriodicFramework, _edge_rows, canonical_edge
-from .rigidity import _gauge_position, _oriented_flex, count_identity_check, pair_table
-from .topology import (_orbit_crossings, _star_table, check_noncrossing, corner_count,
-                       trace_faces)
+from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, count_identity_check,
+                       pair_table)
+from .topology import (_crossing_pairs, _orbit_crossing_rows, _star_table, check_noncrossing,
+                       corner_count, trace_faces)
 
 __all__ = [
     "POINTED_TOL",
@@ -172,13 +173,15 @@ def insert_edge_orbit(fw, candidate):
     if key in edges:
         raise FrameworkError("duplicate orbit: %r already present" % (key,))
     new_fw = PeriodicFramework(fw.lattice, fw.positions, edges + [candidate])
-    base, (involved,) = _orbit_crossings(fw, np.array([[tail, head, c1, c2]]))
-    if involved:
-        raise FrameworkError(
-            "crossing insertion: new orbit intersects %r" % (involved[0],))
-    if base:
-        raise FrameworkError(
-            "framework has crossings independent of the insertion: %r" % (base[0],))
+    (b1, b2, sx, sy), _ = _orbit_crossing_rows(fw, np.array([[tail, head, c1, c2]]))
+    # only the first crossing becomes a Python pair: the new orbit's, else fw's
+    new = b2 == fw.m
+    for found, text in ((new, "crossing insertion: new orbit intersects %r"),
+                        (~new, "framework has crossings independent of the insertion: %r")):
+        if found.any():
+            i = np.flatnonzero(found)[:1]
+            first = _crossing_pairs(np.minimum(b1[i], fw.m), b2[i], sx[i], sy[i])[0]
+            raise FrameworkError(text % (first,))
     return new_fw
 
 
@@ -188,10 +191,9 @@ def _length_derivatives(fw, motion, table):
     motion = np.asarray(motion, dtype=float)
     tails, heads, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
     vel = motion[:2 * n].reshape(n, 2)
-    dlat = np.column_stack([motion[2 * n:2 * n + 2], motion[2 * n + 2:]])
     # stacked matmuls round each pair like the single products would
     e = fw.positions[heads] + np.matmul(fw.lattice, c)[:, :, 0] - fw.positions[tails]
-    de = vel[heads] - vel[tails] + np.matmul(dlat, c)[:, :, 0]
+    de = vel[heads] - vel[tails] + np.matmul(_lattice_rate(motion, n), c)[:, :, 0]
     e_de, e_e = np.matmul(e[:, None], np.stack([de, e], axis=2))[:, 0].T
     return e_de / np.sqrt(e_e)
 
@@ -234,7 +236,8 @@ def oriented_flex(fw, cutoff=2):
     one-dimensional.
     """
     gauged = fw.with_geometry(*_gauge_position(fw))
-    tangent, _ = _oriented_flex(fw, gauged.positions, gauged.lattice, cutoff)
+    tangent, _ = _oriented_flex(fw, gauged.positions, gauged.lattice, gauged.edge_vectors(),
+                                cutoff)
     table = _candidate_table(fw, cutoff)
     derivs = _length_derivatives(gauged, tangent, table)
     if not np.all(np.isfinite(derivs)):
@@ -248,7 +251,7 @@ def find_rigidifying_edges(fw, cutoff=2):
 
     Requires a valid pseudo-triangulation certificate.  Candidates whose
     derivative is negligible, whose length is zero or whose insertion
-    would cross are skipped.  One ``_orbit_crossings`` pass screens all
+    would cross are skipped.  One ``_orbit_crossing_rows`` pass screens all
     candidates and fw itself (besides the certificate's check, so that a
     certificate bypassed still finds a crossing base), as
     ``insert_edge_orbit`` does for one.
@@ -265,10 +268,12 @@ def find_rigidifying_edges(fw, cutoff=2):
         # by decreasing |derivative|, ties in key order (pairs are sorted)
         ranked = np.argsort(-mags, kind="stable")
         ranked = ranked[mags[ranked] > floor]
-        base, crossings = _orbit_crossings(fw, _candidate_table(fw, cutoff)[ranked])
-        # None marks a zero-length candidate, [] one that crosses nothing
-        out = [] if base else [EdgeCandidate(*pairs[i], derivs[i])
-                               for i, found in zip(ranked.tolist(), crossings) if found == []]
+        (_, b2, _, _), short = _orbit_crossing_rows(fw, _candidate_table(fw, cutoff)[ranked])
+        # a crossing of fw (b2 < m) leaves no candidate; one of candidate j
+        # (b2 = m + j), or a zero length, skips it
+        if not (b2 < fw.m).any():
+            clear = ~short & (np.bincount(b2 - fw.m, minlength=len(ranked)) == 0)
+            out = [EdgeCandidate(*pairs[i], derivs[i]) for i in ranked[clear].tolist()]
     if not out:
         raise FrameworkError("no candidate found within cutoff %d" % cutoff)
     return out

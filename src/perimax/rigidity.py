@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, validate_geometry
+from .core import FrameworkError, NumericalError
 
 __all__ = [
     "RANK_RTOL",
@@ -40,6 +40,8 @@ __all__ = [
 RANK_RTOL = 1e-9
 # Kept/dropped singular values closer than this ratio flag rank instability.
 RANK_GAP_MIN = 10.0
+# Largest n^2 (2 cutoff + 1)^2 a pair table spans: about 16 MB of table rows.
+_MAX_PAIR_GRID = 1 << 20
 
 
 def rigidity_matrix(fw):
@@ -53,14 +55,25 @@ def rigidity_matrix(fw):
 
 def rigidity_rows(n, tails, heads, shifts, evecs):
     """Rigidity matrix of edge orbits with realized vectors ``evecs``."""
-    m = len(tails)
-    rows = np.arange(m)[:, None]
-    R = np.zeros((m, 2 * n + 4))
-    R[rows, 2 * tails[:, None] + [0, 1]] -= evecs
-    R[rows, 2 * heads[:, None] + [0, 1]] += evecs
-    R[:, 2 * n:2 * n + 2] += shifts[:, :1] * evecs
-    R[:, 2 * n + 2:] += shifts[:, 1:] * evecs
-    return R
+    return _row_assembly(n, tails, heads, shifts)(evecs)
+
+
+def _row_assembly(n, tails, heads, shifts):
+    """``rigidity_rows`` of fixed edge orbits as a function of their edge
+    vectors, its scatter indices and float shifts built once."""
+    m, width = len(tails), 2 * n + 4
+    at_tail, at_head = (width * np.arange(m)[:, None] + 2 * ends[:, None] + [0, 1]
+                        for ends in (tails, heads))
+    c = shifts.astype(float)[:, :, None]
+
+    def assemble(evecs):
+        R = np.zeros((m, width))
+        R.reshape(-1)[at_tail] -= evecs
+        R.reshape(-1)[at_head] += evecs
+        R[:, 2 * n:] += (c * evecs[:, None]).reshape(m, 4)
+        return R
+
+    return assemble
 
 
 @lru_cache(maxsize=16)
@@ -68,17 +81,34 @@ def pair_table(n, cutoff):
     """(P, 4) read-only table of the vertex-copy pairs (u, v, c1, c2) with
     u <= v and |c1|, |c2| <= cutoff, a loop pair (u == v) once with its
     lexicographically positive shift: canonical edge keys, sorted.  A
-    negative cutoff, whose empty table makes every verdict vacuous, is
-    refused."""
-    if cutoff < 0:
-        raise FrameworkError("cutoff must be >= 0, got %d" % cutoff)
-    r = np.arange(-cutoff, cutoff + 1)
-    u, v, c1, c2 = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), r, r,
-                                                   indexing="ij"))
-    loop_ok = (c1 > 0) | ((c1 == 0) & (c2 > 0))
-    table = np.column_stack([u, v, c1, c2])[(u < v) | ((u == v) & loop_ok)]
+    negative cutoff, whose empty table makes every verdict vacuous, and
+    more than ``_MAX_PAIR_GRID`` cells (u, v, c1, c2) are refused before
+    any allocation."""
+    u, v, shifts, keep = _pair_grid(n, cutoff)
+    table = np.column_stack([np.repeat(u, len(shifts)), np.repeat(v, len(shifts)),
+                             np.tile(shifts[:, :, 0].astype(np.int64), (len(u), 1))])[keep]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=16)
+def _pair_grid(n, cutoff):
+    """``pair_table`` as a read-only grid: its vertex pairs u <= v, its
+    shifts as float (c1, c2) columns of shape ((2 cutoff + 1)^2, 2, 1), and
+    the mask of the grid rows (pair-major) that it keeps."""
+    if cutoff < 0:
+        raise FrameworkError("cutoff must be >= 0, got %d" % cutoff)
+    if n * n * (2 * cutoff + 1) ** 2 > _MAX_PAIR_GRID:
+        raise FrameworkError("pair table too large: %d vertex orbits at cutoff %d exceed %d "
+                             "cells" % (n, cutoff, _MAX_PAIR_GRID))
+    u, v = np.triu_indices(n)
+    r = np.arange(-cutoff, cutoff + 1)
+    c1, c2 = np.repeat(r, len(r)), np.tile(r, len(r))
+    keep = ((u < v)[:, None] | (c1 > 0) | ((c1 == 0) & (c2 > 0))).ravel()
+    grid = u, v, np.column_stack([c1, c2]).astype(float)[:, :, None], keep
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 def equilibrium_matrix(fw):
@@ -344,33 +374,39 @@ def _gauge_position(fw):
 
 
 def _lattice_rate(motion, n):
-    return np.column_stack([motion[2 * n:2 * n + 2], motion[2 * n + 2:]])
+    return motion[2 * n:].reshape(2, 2).T.copy()
 
 
-def _pair_rates(positions, lattice, motion, table):
-    """Rate of change of the squared distance of every pair (u, v, c1, c2)
-    of a pair table under a motion (2n + 4 vector, lattice columns last)."""
+def _pair_rates(positions, lattice, motion, cutoff):
+    """Rate of change of the squared distance of every pair of
+    ``pair_table(n, cutoff)`` under a motion (2n + 4 vector, lattice
+    columns last)."""
     n = len(positions)
-    u, v, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
-    vel = motion[:2 * n].reshape(n, 2)
-    # stacked matmuls round each row like the single products lattice @ c, sep @ dsep
-    sep = positions[v] + np.matmul(lattice, c)[:, :, 0] - positions[u]
-    dsep = vel[v] + np.matmul(_lattice_rate(motion, n), c)[:, :, 0] - vel[u]
-    rates = 2.0 * np.matmul(sep[:, None], dsep[:, :, None])[:, 0, 0]
+    u, v, shifts, keep = _pair_grid(n, cutoff)
+    # (vertex pairs, shifts, 2) arrays of points[v] + lat @ c - points[u], one
+    # coordinate at a time; the stacked matmuls round each row like the
+    # single products lat @ c and sep @ dsep
+    sep, dsep = np.empty((2, len(u), len(shifts), 2))
+    for out, points, lat in ((sep, positions, lattice),
+                             (dsep, motion[:2 * n].reshape(n, 2), _lattice_rate(motion, n))):
+        for k, products in enumerate(np.matmul(lat, shifts)[:, :, 0].T):
+            np.add(points[v, k][:, None], products, out=out[:, :, k])
+            np.subtract(out[:, :, k], points[u, k][:, None], out=out[:, :, k])
+    rates = 2.0 * np.matmul(sep.reshape(-1, 1, 2), dsep.reshape(-1, 2, 1)).reshape(-1)[keep]
     if not np.all(np.isfinite(rates)):
         raise NumericalError("non-finite squared-distance rate")
     return rates
 
 
-def _oriented_flex(fw, positions, lattice, cutoff):
+def _oriented_flex(fw, positions, lattice, evecs, cutoff):
     """Unit flex of fw's edge orbits placed at (positions, lattice), in
-    gauge position, and its squared-distance rates over ``pair_table``:
-    the gauge-reduced kernel, which must be one-dimensional, oriented so
-    that the pair with the largest |rate| expands (ties: the first in table
-    order).  The flex of a pseudo-triangulation is expansive, so this one
-    rule serves paths and the rigidifying search alike.  A kernel read
-    across a thin gap is refused (NumericalError)."""
-    _, evecs = validate_geometry(lattice, positions, fw.tails, fw.heads, fw.shifts)
+    gauge position, with edge vectors ``evecs`` validated there, and its
+    squared-distance rates over ``pair_table``: the gauge-reduced kernel,
+    which must be one-dimensional, oriented so that the pair with the
+    largest |rate| expands (ties: the first in table order).  The flex of a
+    pseudo-triangulation is expansive, so this one rule serves paths and
+    the rigidifying search alike.  A kernel read across a thin gap is
+    refused (NumericalError)."""
     basis, gap = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
     _require_gap(gap)
     if basis.shape[1] != 1:
@@ -378,7 +414,7 @@ def _oriented_flex(fw, positions, lattice, cutoff):
             "deformation space is not one-dimensional (dimension %d)"
             % basis.shape[1])
     tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
-    rates = _pair_rates(positions, lattice, tangent, pair_table(fw.n, cutoff))
+    rates = _pair_rates(positions, lattice, tangent, cutoff)
     if len(rates) and rates[np.argmax(np.abs(rates))] < 0:
         tangent, rates = -tangent, -rates
     return tangent, rates

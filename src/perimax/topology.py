@@ -309,47 +309,31 @@ def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
     geometry scale, whichever is larger, screened by ``_grid_crossings``.
     ``crossings`` is in the order (b1, b2, then shift in row-major order).
     """
-    m = fw.m
-    if not m:
+    if not fw.m:
         return NoncrossingReport(True, [])
-    evecs = fw.edge_vectors()
-    eps = eps_rel * max(float(np.linalg.norm(evecs, axis=1).max()), fw.geometry_scale)
-    crossings = _crossing_pairs(*_grid_crossings(fw.lattice, fw.positions[fw.tails], evecs,
-                                                 fw.tails, fw.heads, fw.shifts,
-                                                 np.full(m, eps), m))
+    crossings = _crossing_pairs(*_orbit_crossing_rows(fw, np.empty((0, 4), int), eps_rel)[0])
     return NoncrossingReport(not crossings, crossings)
 
 
-def _orbit_crossings(fw, rows):
-    """Crossings of fw and of new edge orbits (rows of canonical (tail,
-    head, c1, c2)), from one ``_grid_crossings`` pass that tests no two new
-    rows against each other.  Returns ``check_noncrossing(fw).crossings``
-    and, for each row, what ``check_noncrossing`` of fw plus that orbit at
-    index m would list for the pairs (k, m), in its order and with its
-    tolerance; None for a row of zero length by ``validate_geometry``'s
-    rule, which no framework holds."""
+def _orbit_crossing_rows(fw, rows, eps_rel=_CROSSING_RTOL):
+    """Crossing rows (b1, b2, sx, sy) of fw and of new edge orbits (rows of
+    canonical (tail, head, c1, c2) at indices m, m + 1, ...), from one
+    ``_grid_crossings`` pass that tests no two new rows against each other,
+    with the tolerance of ``check_noncrossing`` for fw and for each new row
+    that of fw extended by it; and which new rows have zero length by
+    ``validate_geometry``'s rule, which no framework holds."""
     m = fw.m
     tails = np.concatenate([fw.tails, rows[:, 0]])
     heads = np.concatenate([fw.heads, rows[:, 1]])
     shifts = np.concatenate([fw.shifts, rows[:, 2:]])
-    # fw's own edge vectors, so that its eps is check_noncrossing's bit for bit
     evecs = np.concatenate([fw.edge_vectors(), fw.positions[rows[:, 1]]
                             + rows[:, 2:] @ fw.lattice.T - fw.positions[rows[:, 0]]])
     lengths = np.linalg.norm(evecs, axis=1)
     longest = max(fw.geometry_scale, float(lengths[:m].max(initial=0.0)))
-    eps = _CROSSING_RTOL * np.maximum(lengths, longest)
-    b1, b2, sx, sy = _grid_crossings(fw.lattice, fw.positions[tails], evecs, tails, heads,
-                                     shifts, eps, m)
-    base = b2 < m
-    # the crossings of new rows, grouped by row and in sorted order within
-    new = np.flatnonzero(~base)
-    new = new[np.argsort(b2[new], kind="stable")]
-    found = _crossing_pairs(np.minimum(b1[new], m), np.full(len(new), m), sx[new], sy[new])
-    bounds = np.searchsorted(b2[new], m + np.arange(len(rows) + 1)).tolist()
-    short = lengths[m:] <= EDGE_LENGTH_RTOL * fw.geometry_scale
-    return (_crossing_pairs(b1[base], b2[base], sx[base], sy[base]),
-            [None if refused else found[start:stop]
-             for refused, start, stop in zip(short.tolist(), bounds, bounds[1:])])
+    eps = eps_rel * np.maximum(lengths, longest)
+    return (_grid_crossings(fw.lattice, fw.positions[tails], evecs, tails, heads, shifts,
+                            eps, m),
+            lengths[m:] <= EDGE_LENGTH_RTOL * fw.geometry_scale)
 
 
 # -- face tracing ---------------------------------------------------------

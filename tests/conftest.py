@@ -427,6 +427,21 @@ def oracle_gram_rate_fd(cfg_of_tau, tau, h=1e-5):
     return (gp - gm) / (2 * h)
 
 
+def oracle_pair_rates(positions, lattice, motion, table):
+    """Rate of change of the squared distance of every pair (u, v, c1, c2)
+    of a pair table under a motion (2n + 4 vector, lattice columns last):
+    one gathered row per pair and stacked products per row, the kernel the
+    pair grid replaced."""
+    n = len(positions)
+    u, v, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
+    vel = motion[:2 * n].reshape(n, 2)
+    dlat = np.column_stack([motion[2 * n:2 * n + 2], motion[2 * n + 2:]])
+    # stacked matmuls round each row like the single products lattice @ c, sep @ dsep
+    sep = positions[v] + np.matmul(lattice, c)[:, :, 0] - positions[u]
+    dsep = vel[v] + np.matmul(dlat, c)[:, :, 0] - vel[u]
+    return 2.0 * np.matmul(sep[:, None], dsep[:, :, None])[:, 0, 0]
+
+
 def oracle_sublattices(index, box=None):
     """All index-k sublattices of Z^2 by brute force over generator pairs,
     deduplicated by their point sets in a box that contains a generating

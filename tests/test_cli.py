@@ -262,6 +262,19 @@ def test_negative_cutoff_exits_with_json(tmp_path, capsys):
         assert rep["kind"] == "validation" and "cutoff must be >= 0" in rep["error"]
 
 
+def test_huge_cutoff_exits_with_json(tmp_path, capsys):
+    """A cutoff whose pair table would not fit is refused with exit 2
+    before any allocation, up to one past int64."""
+    path = fixture_file(tmp_path, capsys, "ppt3")
+    for cutoff in ("100000", "9223372036854775808"):
+        for command in ("deform", "rigidify"):
+            proc = _run_module("perimax", command, path, "--cutoff", cutoff, "--quiet")
+            assert proc.returncode == 2, (command, cutoff)
+            assert "Traceback" not in proc.stderr
+            rep = json.loads(proc.stdout)
+            assert rep["kind"] == "validation" and "pair table too large" in rep["error"]
+
+
 # sha256 of the reports as the per-pair loop implementation of the
 # deformation and insertion search wrote them; the array version must give
 # the same bytes (path samples, verdicts, ranked candidates and derivatives).

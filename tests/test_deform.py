@@ -25,7 +25,7 @@ from perimax.pseudotri import certify_ppt, oriented_flex, pair_length_derivative
 from perimax.relax import Sublattice, relax, sublattices_up_to
 from perimax.rigidity import gauge_reduced_kernel
 
-from conftest import oracle_gram_rate_fd, oracle_ppt_margin
+from conftest import oracle_gram_rate_fd, oracle_pair_rates, oracle_ppt_margin
 
 GRAM_SHAPE = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -199,6 +199,59 @@ def test_path_evaluates_pair_rates_once_per_sample(monkeypatch):
     path = continue_path(fixture("ppt3"), steps=100, ds=0.01)
     assert len(path.samples) > 1
     assert len(calls) == len(path.samples)
+
+
+@pytest.mark.parametrize("name, steps", [("ppt3", 100), ("kagome", 100), ("ppt3-2x2", 40),
+                                         ("ppt3-4x4", 3)])
+def test_pair_rate_grid_matches_row_oracle_along_paths(name, steps, monkeypatch):
+    """Every rate evaluation of a path, through the event bisection of the
+    kagome, is bitwise the row-by-row stacked-product kernel's."""
+    fws = {"ppt3": fixture("ppt3"), "kagome": fixture("kagome", theta=math.pi / 2),
+           "ppt3-2x2": relax(fixture("ppt3"), Sublattice(2, 0, 2)),
+           "ppt3-4x4": relax(fixture("ppt3"), Sublattice(4, 0, 4))}
+    calls = []
+
+    def checked(positions, lattice, motion, cutoff):
+        found = rates(positions, lattice, motion, cutoff)
+        table = rigidity.pair_table(len(positions), cutoff)
+        assert np.array_equal(found, oracle_pair_rates(positions, lattice, motion, table))
+        calls.append(1)
+        return found
+
+    rates = rigidity._pair_rates
+    monkeypatch.setattr(rigidity, "_pair_rates", checked)
+    monkeypatch.setattr(deform, "_pair_rates", checked)
+    path = continue_path(fws[name], steps=steps, ds=1e-2)
+    assert len(calls) == len(path.samples) > 1
+
+
+def test_newton_assembles_only_when_it_steps(monkeypatch):
+    """On a path through an event bisection: one row assembly per lstsq
+    step and per tangent, besides the certificate's rigidity matrix, and
+    one geometry check per residual evaluation (one per step and one more
+    per correction), besides the reference lengths and the initial
+    tangent."""
+    counts = {"assembly": 0, "lstsq": 0, "correct": 0, "validate": 0}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    def row_assembly(*args):
+        return counting("assembly", assembly(*args))
+
+    assembly, correct = rigidity._row_assembly, deform._newton_correct
+    monkeypatch.setattr(rigidity, "_row_assembly", row_assembly)
+    monkeypatch.setattr(deform, "_row_assembly", row_assembly)
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(deform, "_newton_correct", counting("correct", correct))
+    monkeypatch.setattr(deform, "validate_geometry", counting("validate", core.validate_geometry))
+    path = continue_path(fixture("kagome", theta=math.pi / 2), steps=200, ds=2e-2)
+    assert path.termination.startswith("event") and counts["correct"] > len(path.samples)
+    assert counts["assembly"] == counts["lstsq"] + len(path.samples) + 1
+    assert counts["validate"] == counts["lstsq"] + counts["correct"] + 2
 
 
 def test_kagome_path_terminates_at_boundary():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from perimax import (
+    FrameworkError,
     NumericalError,
     check_periodic_stress,
     copy_stress,
@@ -21,7 +22,8 @@ from perimax import (
     trivial_motion_basis,
 )
 from perimax.relax import Sublattice
-from perimax.rigidity import gauge_reduced_kernel
+from perimax import rigidity
+from perimax.rigidity import gauge_reduced_kernel, pair_table
 
 from conftest import (
     oracle_nullspace,
@@ -273,3 +275,18 @@ def test_kernel_bases_refuse_straddling_spectrum():
         with pytest.raises(NumericalError, match="rank instability"):
             kernel(fw)
     assert flex_space(straddling_framework(2e-9))[1].rank_gap > 1e6
+
+
+def test_pair_table_refuses_past_its_cap_before_allocating(monkeypatch):
+    """n^2 (2 cutoff + 1)^2 cells at the cap give a table and one more is
+    refused; the cap admits ppt3 relaxed 8x8 (n = 192) at cutoff 2."""
+    assert rigidity._MAX_PAIR_GRID >= max(1 << 20, 192 * 192 * 25)
+    monkeypatch.setattr(rigidity, "_MAX_PAIR_GRID", 3 * 3 * 25)
+    for cached in (pair_table, rigidity._pair_grid):
+        monkeypatch.setattr(rigidity, cached.__name__, cached.__wrapped__)
+    assert len(rigidity.pair_table(3, 2)) == 3 * 25 + 3 * 12
+    for n, cutoff in ((4, 2), (3, 3), (1, 2**63)):
+        with pytest.raises(FrameworkError, match="pair table too large"):
+            rigidity.pair_table(n, cutoff)
+    with pytest.raises(FrameworkError, match="cutoff must be >= 0"):
+        rigidity.pair_table(3, -1)

@@ -359,13 +359,19 @@ def test_orbit_crossings_match_window_oracle(name, theta):
     kagomes and of their relaxations of index <= 2 gets the window
     oracle's crossing list, in order, from the one grid pass, and the base
     list of that pass is ``check_noncrossing``'s."""
-    from perimax.topology import _orbit_crossings
+    from perimax.topology import _crossing_pairs, _orbit_crossing_rows
     base_fw = fixture(name) if theta is None else fixture(name, theta=theta)
     crossed = 0
     for sub in sublattices_up_to(2):
         fw = relax(base_fw, sub)
         rows = _candidate_table(fw, 2 if fw.m <= 8 else 1)
-        base, found = _orbit_crossings(fw, rows)
+        (b1, b2, sx, sy), short = _orbit_crossing_rows(fw, rows)
+        # each crossing as a pair, new rows named m, grouped by base and new row
+        base, found = [], [[] for _ in rows]
+        for row, pair in zip(b2.tolist(), _crossing_pairs(np.minimum(b1, fw.m),
+                                                          np.minimum(b2, fw.m), sx, sy)):
+            (base if row < fw.m else found[row - fw.m]).append(pair)
+        found = [None if refused else pairs for refused, pairs in zip(short.tolist(), found)]
         assert base == check_noncrossing(fw).crossings, sub
         assert found == _window_orbit_crossings(fw, rows), sub
         crossed += sum(map(bool, found))
