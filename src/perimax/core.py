@@ -320,17 +320,25 @@ class FinitePatch:
     edges: list
 
 
+def _tile_range(tiles):
+    """(rows, cols) of a tile range: a pair of integral entries, each >= 1."""
+    try:
+        rows, cols = (int(t) for t in tiles)
+        if (rows, cols) != tuple(tiles):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise FrameworkError("tile range must be a pair of integers, got %r" % (tiles,)) from None
+    if rows < 1 or cols < 1:
+        raise FrameworkError("empty tile range %r" % (tiles,))
+    return rows, cols
+
+
 def realize_patch(fw, tiles):
     """Materialize all vertex copies with shifts in [0, R) x [0, C).
 
     Edges are included when both endpoint copies are materialized.
     """
-    try:
-        rows, cols = int(tiles[0]), int(tiles[1])
-    except (TypeError, ValueError, IndexError):
-        raise FrameworkError("tile range must be a pair of integers") from None
-    if rows < 1 or cols < 1:
-        raise FrameworkError("empty tile range %r" % (tiles,))
+    rows, cols = _tile_range(tiles)
 
     index = {}
     verts = []

@@ -43,6 +43,8 @@ EVENT_TAU_TOL = 1e-10
 EXPANSIVE_TOL = 1e-9
 PSD_TOL = 1e-9
 CONTRACTION_TOL = 1e-9
+# A configuration is in gauge when its pinned coordinates are within this of 0.
+GAUGE_TOL = 1e-12
 
 
 @dataclass
@@ -72,9 +74,10 @@ class Configuration:
     def gram(self):
         return self.lattice.T @ self.lattice
 
-    def gauge_ok(self, tol=1e-12):
-        return (abs(self.positions[0, 0]) <= tol and abs(self.positions[0, 1]) <= tol
-                and abs(self.lattice[1, 0]) <= tol and self.lattice[0, 0] > 0)
+    def gauge_ok(self):
+        return (abs(self.positions[0, 0]) <= GAUGE_TOL
+                and abs(self.positions[0, 1]) <= GAUGE_TOL
+                and abs(self.lattice[1, 0]) <= GAUGE_TOL and self.lattice[0, 0] > 0)
 
 
 def flex_tangent(cfg, fw, cutoff=2):
@@ -121,16 +124,16 @@ def gram_derivative(cfg, tangent):
     return 0.5 * (d + d.T)
 
 
-def auxetic_tangent_check(domega, tol=PSD_TOL):
+def auxetic_tangent_check(domega):
     """True when the Gram rate lies in the positive semidefinite cone."""
     domega = np.asarray(domega, dtype=float)
     scale = max(1.0, abs(float(np.trace(domega))),
                 float(np.linalg.norm(domega)))
     eigs = np.linalg.eigvalsh(0.5 * (domega + domega.T))
-    return bool(eigs.min() >= -tol * scale)
+    return bool(eigs.min() >= -PSD_TOL * scale)
 
 
-def contraction_check(lattice_early, lattice_late, tol=CONTRACTION_TOL):
+def contraction_check(lattice_early, lattice_late):
     """Operator norm of the map taking the later lattice basis to the
     earlier one; a norm <= 1 certifies lattice-wise contraction."""
     late = np.asarray(lattice_late, dtype=float)
@@ -138,7 +141,7 @@ def contraction_check(lattice_early, lattice_late, tol=CONTRACTION_TOL):
         raise FrameworkError("singular comparison lattice")
     T = np.asarray(lattice_early, dtype=float) @ np.linalg.inv(late)
     norm = float(np.linalg.norm(T, 2))
-    return norm <= 1.0 + tol, norm
+    return norm <= 1.0 + CONTRACTION_TOL, norm
 
 
 # -- continuation ----------------------------------------------------------
@@ -187,13 +190,6 @@ def _constraints(fw, ref_sq):
                                [z[0], z[1], z[2 * n + 1]]]), evecs
 
     return residual, lambda evecs: np.vstack([2 * rows(evecs), gauge])
-
-
-def _constraint_system(fw, z, ref_sq, n):
-    """Residuals at z (n vertex orbits), their Jacobian and the edge vectors."""
-    residual, jacobian = _constraints(fw, ref_sq)
-    F, evecs = residual(z)
-    return F, jacobian(evecs), evecs
 
 
 def _newton_correct(residual, jacobian, z, tol_abs):
@@ -250,7 +246,7 @@ def _ppt_margin(table, evecs):
     return float(margins[i]), reasons[i]
 
 
-def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
+def continue_path(fw, steps, ds=1e-2, cutoff=2):
     """Trace the one-parameter deformation of a pseudo-triangulation.
 
     Tangent predictor plus Newton correction on the edge-length and gauge
@@ -309,7 +305,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2, stop_at_event=True):
             termination = "corrector divergence"
             break
         new_margin, reason = _ppt_margin(table, evecs)
-        if stop_at_event and new_margin <= 0.0:
+        if new_margin <= 0.0:
             # bisect the step length until the boundary is bracketed tightly
             lo, hi, z_lo = 0.0, step, None
             while hi - lo > EVENT_TAU_TOL:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError
+from .core import FrameworkError, NumericalError, _tile_range
+from .rigidity import _stress_values
 
 __all__ = [
     "PeriodicLifting",
@@ -129,9 +130,7 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
     edge.  Rejects s when any consistency or periodicity residual exceeds
     tolerance.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (fw.m,):
-        raise FrameworkError("stress must have one value per edge orbit")
+    s = _stress_values(s, fw.m)
     nf = fc.n_faces
     lat = fw.lattice
     evecs = fw.edge_vectors()
@@ -236,10 +235,10 @@ class EdgeFold:
     fold: str
 
 
-def classify_folds(fw, s, rtol=FOLD_RTOL):
+def classify_folds(fw, s):
     """Mountain (negative stress), valley (positive) or flat per edge orbit."""
-    s = np.asarray(s, dtype=float)
-    tol = rtol * max(1.0, float(np.abs(s).max(initial=0.0)))
+    s = _stress_values(s, fw.m)
+    tol = FOLD_RTOL * max(1.0, float(np.abs(s).max(initial=0.0)))
     out = []
     for k in range(fw.m):
         if s[k] < -tol:
@@ -269,9 +268,7 @@ def export_terrain(fw, fc, lifting, tiles):
     Every face copy is triangulated by a fan from its first boundary
     vertex; vertices are shared between faces.
     """
-    rows, cols = int(tiles[0]), int(tiles[1])
-    if rows < 1 or cols < 1:
-        raise FrameworkError("empty tile range %r" % (tiles,))
+    rows, cols = _tile_range(tiles)
     lat = fw.lattice
     vert_index = {}
     vert_lines = []

@@ -72,9 +72,9 @@ def pointedness_margin(fw, v):
     return float(_pointedness_margins(fw)[v])
 
 
-def is_pointed(fw, v, tol=POINTED_TOL):
+def is_pointed(fw, v):
     """True when the incident directions lie in an open half-plane."""
-    return pointedness_margin(fw, v) > tol
+    return pointedness_margin(fw, v) > POINTED_TOL
 
 
 @dataclass

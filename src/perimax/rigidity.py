@@ -40,6 +40,8 @@ __all__ = [
 RANK_RTOL = 1e-9
 # Kept/dropped singular values closer than this ratio flag rank instability.
 RANK_GAP_MIN = 10.0
+# A stress balances when each residual is below this times its terms' size.
+STRESS_RTOL = 1e-9
 # Largest n^2 (2 cutoff + 1)^2 a pair table spans: about 16 MB of table rows.
 _MAX_PAIR_GRID = 1 << 20
 
@@ -116,26 +118,22 @@ def equilibrium_matrix(fw):
     return rigidity_matrix(fw)[:, :2 * fw.n].T.copy()
 
 
-def _svd_rank(A, rtol=RANK_RTOL, kernel=False):
+def _svd_rank(A):
     """Singular values, numerical rank and the kept/dropped gap ratio of a
-    matrix, or elementwise for a stack of matrices (shape (..., M, N)).
-    With ``kernel``, one full SVD of a single matrix also gives an
-    orthonormal basis (columns) of its kernel, returned fourth."""
-    A = np.asarray(A)
-    if kernel:
-        _, sv, vt = np.linalg.svd(A)
-    else:
-        sv = np.linalg.svd(A, compute_uv=False)
-    kept = sv > rtol * sv[..., :1]
+    matrix, or elementwise for a stack of matrices (shape (..., M, N))."""
+    return _read_rank(np.linalg.svd(A, compute_uv=False))
+
+
+def _read_rank(sv):
+    """(sv, rank, gap) of singular values sv, of shape (..., k)."""
+    kept = sv > RANK_RTOL * sv[..., :1]
     rank = kept.sum(axis=-1)
     # smallest kept over largest dropped; inf when either is missing
     dropped = np.where(kept, 0.0, sv).max(axis=-1, initial=0.0)
     gap = np.divide(np.where(kept, sv, np.inf).min(axis=-1, initial=np.inf), dropped,
-                    out=np.full(A.shape[:-2], np.inf), where=(rank > 0) & (dropped > 0))
-    if A.ndim > 2:
+                    out=np.full(sv.shape[:-1], np.inf), where=(rank > 0) & (dropped > 0))
+    if sv.ndim > 1:
         return sv, rank, gap
-    if kernel:
-        return sv, int(rank), float(gap), vt[rank:].T.copy()
     return sv, int(rank), float(gap)
 
 
@@ -149,15 +147,25 @@ def _require_gap(gap):
         )
 
 
-def _fix_signs(basis, rtol=RANK_RTOL):
+def _fix_signs(basis):
     """Flip basis columns so the first significantly nonzero entry is > 0."""
     basis = basis.copy()
     for j in range(basis.shape[1]):
         col = basis[:, j]
-        nz = np.nonzero(np.abs(col) > rtol * max(1e-300, np.abs(col).max()))[0]
+        nz = np.nonzero(np.abs(col) > RANK_RTOL * max(1e-300, np.abs(col).max()))[0]
         if nz.size and col[nz[0]] < 0:
             basis[:, j] = -col
     return basis
+
+
+def _kernel(A):
+    """(sv, rank, gap, basis) of a single matrix from one full SVD, with an
+    orthonormal, sign-fixed basis (columns) of its kernel.  A kernel read
+    across a thin gap is refused (NumericalError)."""
+    _, sv, vt = np.linalg.svd(A)
+    sv, rank, gap = _read_rank(sv)
+    _require_gap(gap)
+    return sv, rank, gap, _fix_signs(vt[rank:].T)
 
 
 @dataclass
@@ -173,16 +181,14 @@ class SpectralReport:
     rank_gap: float = np.inf
 
 
-def flex_space(fw, rtol=RANK_RTOL):
+def flex_space(fw):
     """Orthonormal basis of the infinitesimal motion space ker R.
 
     Returns (basis, report) with basis columns of length 2n + 4; the
     report's phi subtracts the three trivial isometry motions.  Raises
     NumericalError when the spectrum straddles the rank tolerance.
     """
-    sv, rank, gap, basis = _svd_rank(rigidity_matrix(fw), rtol, kernel=True)
-    _require_gap(gap)
-    basis = _fix_signs(basis, rtol)
+    sv, rank, gap, basis = _kernel(rigidity_matrix(fw))
     delta = basis.shape[1]
     sigma = fw.m - rank
     return basis, SpectralReport(sigma, delta, delta - 3, sv, gap)
@@ -198,26 +204,24 @@ class StressVector:
     is_periodic: bool = False
 
 
-def periodic_stress_space(fw, rtol=RANK_RTOL):
+def periodic_stress_space(fw):
     """Basis of the periodic stress space ker R^t, as StressVectors.
 
     Vectors are unit norm with the first significant entry positive.
     """
-    _, _, gap, basis = _svd_rank(rigidity_matrix(fw).T, rtol, kernel=True)
-    _require_gap(gap)
-    return [StressVector(s, True, True, True) for s in _fix_signs(basis, rtol).T.copy()]
+    basis = _kernel(rigidity_matrix(fw).T)[3]
+    return [StressVector(s, True, True, True) for s in basis.T.copy()]
 
 
-def invariant_equilibrium_stress_space(fw, rtol=RANK_RTOL):
+def invariant_equilibrium_stress_space(fw):
     """Basis of the lattice-invariant equilibrium stress space.
 
     These balance forces at every vertex orbit but need not satisfy the
     lattice conditions; the periodic stresses form a subspace.
     """
-    _, _, gap, basis = _svd_rank(equilibrium_matrix(fw), rtol, kernel=True)
-    _require_gap(gap)
+    basis = _kernel(equilibrium_matrix(fw))[3]
     return [StressVector(s, True, True, check_periodic_stress(fw, s).ok)
-            for s in _fix_signs(basis, rtol).T.copy()]
+            for s in basis.T.copy()]
 
 
 @dataclass
@@ -232,11 +236,11 @@ class PeriodicStressCheck:
     scale: float
 
 
-def check_periodic_stress(fw, s, rtol=1e-9):
+def check_periodic_stress(fw, s):
     """Verify that s is a periodic stress, via both the per-generator sums
     and the equivalent rank-two tensor form."""
     return _stress_check(fw.n, fw.lattice, fw.tails, fw.heads, fw.shifts,
-                         fw.edge_vectors(), s, rtol)
+                         fw.edge_vectors(), s)
 
 
 def _stress_values(s, m):
@@ -247,7 +251,7 @@ def _stress_values(s, m):
     return s
 
 
-def _stress_check(n, lattice, tails, heads, shifts, evecs, s, rtol=1e-9):
+def _stress_check(n, lattice, tails, heads, shifts, evecs, s):
     """``check_periodic_stress`` of edge orbits with realized vectors ``evecs``."""
     s = _stress_values(s, len(tails))
     forces = s[:, None] * evecs
@@ -265,9 +269,9 @@ def _stress_check(n, lattice, tails, heads, shifts, evecs, s, rtol=1e-9):
     ten_res = float(np.abs(periods.T @ forces).max())
     ten_scale = float(sizes @ np.linalg.norm(periods, axis=1))
 
-    ok_eq = eq_res <= rtol * max(1.0, eq_scale)
-    ok_lat = bool((lat_res <= rtol * np.maximum(1.0, lat_scale)).all())
-    ok_ten = ten_res <= rtol * max(1.0, ten_scale)
+    ok_eq = eq_res <= STRESS_RTOL * max(1.0, eq_scale)
+    ok_lat = bool((lat_res <= STRESS_RTOL * np.maximum(1.0, lat_scale)).all())
+    ok_ten = ten_res <= STRESS_RTOL * max(1.0, ten_scale)
     agree = ok_lat == ok_ten
     return PeriodicStressCheck(
         ok=ok_eq and ok_lat and ok_ten and agree,
@@ -290,7 +294,7 @@ class CountIdentityReport:
     stress_phi_identity: bool = field(default=False)
 
 
-def count_identity_check(fw, rtol=RANK_RTOL):
+def count_identity_check(fw):
     """Check sigma - delta = m - 2n - 4 and sigma = phi - 1 + (m - 2n).
 
     sigma = m - rank R and delta = 2n + 4 - rank R come from one SVD (R and
@@ -300,7 +304,7 @@ def count_identity_check(fw, rtol=RANK_RTOL):
     NumericalError when the spectrum straddles the rank tolerance too
     closely to trust the integer dimensions.
     """
-    _, rank, gap = _svd_rank(rigidity_matrix(fw), rtol)
+    _, rank, gap = _svd_rank(rigidity_matrix(fw))
     _require_gap(gap)
     delta = 2 * fw.n + 4 - rank
     sigma = fw.m - rank
@@ -338,7 +342,7 @@ def gauge_rows(fw):
     return G
 
 
-def gauge_reduced_kernel(fw, rtol=RANK_RTOL):
+def gauge_reduced_kernel(fw):
     """Kernel of the rigidity matrix restricted to the pinned gauge.
 
     For a framework in gauge position (vertex 0 at the origin, first
@@ -346,16 +350,12 @@ def gauge_reduced_kernel(fw, rtol=RANK_RTOL):
     motions, so the result has dimension phi.  Raises NumericalError when
     the spectrum straddles the rank tolerance.
     """
-    basis, gap = _gauge_kernel(fw, rigidity_matrix(fw), rtol)
-    _require_gap(gap)
-    return basis
+    return _gauge_kernel(fw, rigidity_matrix(fw))
 
 
-def _gauge_kernel(fw, R, rtol=RANK_RTOL):
-    """Sign-fixed kernel basis of R over the gauge rows, and its rank gap."""
-    A = np.vstack([R / max(1.0, np.abs(R).max()), gauge_rows(fw)])
-    _, _, gap, basis = _svd_rank(A, rtol, kernel=True)
-    return _fix_signs(basis, rtol), gap
+def _gauge_kernel(fw, R):
+    """``_kernel`` basis of R over the gauge rows."""
+    return _kernel(np.vstack([R / max(1.0, np.abs(R).max()), gauge_rows(fw)]))[3]
 
 
 def _gauge_position(fw):
@@ -407,8 +407,7 @@ def _oriented_flex(fw, positions, lattice, evecs, cutoff):
     pseudo-triangulation is expansive, so this one rule serves paths and
     the rigidifying search alike.  A kernel read across a thin gap is
     refused (NumericalError)."""
-    basis, gap = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
-    _require_gap(gap)
+    basis = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"

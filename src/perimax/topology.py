@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EDGE_LENGTH_RTOL, FrameworkError
+from .core import EDGE_LENGTH_RTOL, FrameworkError, _tile_range
 
 __all__ = [
     "HalfEdge",
@@ -35,6 +35,7 @@ CORNER_ANGLE_TOL = 1e-9
 ANGLE_SUM_TOL = 1e-8
 # Crossing tolerance, relative to the longest edge or the geometry scale.
 _CROSSING_RTOL = 1e-9
+SVG_WIDTH = 640
 # Two half-edges at a vertex closer in direction than this are degenerate.
 _DIRECTION_TOL = 1e-12
 # Grid entry pairs and copy pairs per batch of the crossing check, whose
@@ -301,21 +302,21 @@ def _grid_crossings(lattice, tail_pos, evecs, tails, heads, shifts, eps, n_base)
     return b1[order], b2[order], sx[order], sy[order]
 
 
-def check_noncrossing(fw, eps_rel=_CROSSING_RTOL):
+def check_noncrossing(fw):
     """Check that no two edge segments intersect except at shared endpoints.
 
     Periodicity reduces the test to pairs (b1 at shift 0, b2 at shift s)
-    with b1 <= b2, with the tolerance eps_rel times the longest edge or the
+    with b1 <= b2, within ``_CROSSING_RTOL`` times the longest edge or the
     geometry scale, whichever is larger, screened by ``_grid_crossings``.
     ``crossings`` is in the order (b1, b2, then shift in row-major order).
     """
     if not fw.m:
         return NoncrossingReport(True, [])
-    crossings = _crossing_pairs(*_orbit_crossing_rows(fw, np.empty((0, 4), int), eps_rel)[0])
+    crossings = _crossing_pairs(*_orbit_crossing_rows(fw, np.empty((0, 4), int))[0])
     return NoncrossingReport(not crossings, crossings)
 
 
-def _orbit_crossing_rows(fw, rows, eps_rel=_CROSSING_RTOL):
+def _orbit_crossing_rows(fw, rows):
     """Crossing rows (b1, b2, sx, sy) of fw and of new edge orbits (rows of
     canonical (tail, head, c1, c2) at indices m, m + 1, ...), from one
     ``_grid_crossings`` pass that tests no two new rows against each other,
@@ -330,7 +331,7 @@ def _orbit_crossing_rows(fw, rows, eps_rel=_CROSSING_RTOL):
                             + rows[:, 2:] @ fw.lattice.T - fw.positions[rows[:, 0]]])
     lengths = np.linalg.norm(evecs, axis=1)
     longest = max(fw.geometry_scale, float(lengths[:m].max(initial=0.0)))
-    eps = eps_rel * np.maximum(lengths, longest)
+    eps = _CROSSING_RTOL * np.maximum(lengths, longest)
     return (_grid_crossings(fw.lattice, fw.positions[tails], evecs, tails, heads, shifts,
                             eps, m),
             lengths[m:] <= EDGE_LENGTH_RTOL * fw.geometry_scale)
@@ -446,10 +447,10 @@ class CornerReport:
     corner_identity_ok: bool
 
 
-def corner_count(fw, fc, angle_tol=CORNER_ANGLE_TOL):
+def corner_count(fw, fc):
     """Count corners (interior angles < pi) of every face orbit.
 
-    Angles within ``angle_tol`` of pi are reported as indeterminate; they
+    Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate; they
     are not counted as corners.  Also verifies the degree-sum identity and,
     when every face has exactly three corners, the corner-count identity
     2m = n + 3n*.
@@ -460,7 +461,7 @@ def corner_count(fw, fc, angle_tol=CORNER_ANGLE_TOL):
         c = 0
         flat = []
         for i, a in enumerate(face.corner_angles):
-            if abs(a - math.pi) <= angle_tol:
+            if abs(a - math.pi) <= CORNER_ANGLE_TOL:
                 flat.append(i)
             elif a < math.pi:
                 c += 1
@@ -481,11 +482,9 @@ def _palette_color(i):
     return "hsl(%.4f, 62%%, 72%%)" % hue
 
 
-def render_svg(fw, fc, tiles, width=640):
+def render_svg(fw, fc, tiles):
     """Render a patch as SVG with faces filled per-orbit and edges stroked."""
-    rows, cols = int(tiles[0]), int(tiles[1])
-    if rows < 1 or cols < 1:
-        raise FrameworkError("empty tile range %r" % (tiles,))
+    rows, cols = _tile_range(tiles)
     lat = fw.lattice
     polys = []
     for t1 in range(rows):
@@ -513,12 +512,12 @@ def render_svg(fw, fc, tiles, width=640):
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    height = width * (y1 - y0) / (x1 - x0)
+    height = SVG_WIDTH * (y1 - y0) / (x1 - x0)
 
     out = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" '
-        'viewBox="%.6f %.6f %.6f %.6f">' % (width, height, x0, y0, x1 - x0, y1 - y0)
+        'viewBox="%.6f %.6f %.6f %.6f">' % (SVG_WIDTH, height, x0, y0, x1 - x0, y1 - y0)
     )
     # flip y so the drawing uses mathematical orientation
     out.append('<g transform="translate(0 %.6f) scale(1 -1)">' % (y0 + y1))

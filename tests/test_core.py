@@ -14,12 +14,16 @@ from perimax import (
     FrameworkError,
     PeriodicFramework,
     canonical_edge,
+    export_terrain,
     fixture,
     framework_from_dict,
     framework_to_dict,
+    lifting_from_stress,
     parse_framework,
     realize_patch,
+    render_svg,
     serialize_framework,
+    trace_faces,
 )
 from perimax.core import EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUMN, validate_geometry
 from perimax.fixtures import FIXTURES
@@ -249,8 +253,19 @@ def test_realize_patch_positions_exact():
 
 
 def test_realize_patch_empty_range():
-    with pytest.raises(FrameworkError, match="empty tile range"):
-        realize_patch(fixture("square_grid"), (0, 3))
+    """Patches, SVG drawings and terrains read a tile range alike: a pair
+    of integral entries, each at least one."""
+    fw = fixture("square_grid")
+    fc = trace_faces(fw)
+    lift = lifting_from_stress(fw, fc, np.zeros(fw.m))
+    for tiles, message in [((0, 3), "empty tile range"), ((2, -1), "empty tile range"),
+                           (("a", 1), "pair of integers"), ((2.5, 1), "pair of integers"),
+                           (("2", 1), "pair of integers"), ((2, 1, 1), "pair of integers"),
+                           ((math.nan, 1), "pair of integers"), (3, "pair of integers")]:
+        for make in (lambda: realize_patch(fw, tiles), lambda: render_svg(fw, fc, tiles),
+                     lambda: export_terrain(fw, fc, lift, tiles)):
+            with pytest.raises(FrameworkError, match=message):
+                make()
 
 
 def test_constructor_refuses_bad_integers():

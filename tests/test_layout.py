@@ -48,3 +48,26 @@ def test_one_crossing_broad_phase():
                 if name in found:
                     found[name].append("%s:%d" % (path.name, node.lineno))
     assert all(len(sites) == 1 for sites in found.values()), found
+
+
+def test_thresholds_are_constants():
+    """No function of the package takes a tolerance (``tol``, ``rtol``,
+    ``eps_rel`` or ``*_tol``), so every verdict is read across its module
+    constant, under the gap guard tuned for it; and ``_fix_signs`` has one
+    call site, so every kernel basis comes from the one guarded helper."""
+    tolerances, fix_signs = [], []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                         + [a.vararg, a.kwarg] if arg is not None]
+                tolerances += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                               if name in ("tol", "rtol", "eps_rel") or name.endswith("_tol")]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "_fix_signs":
+                    fix_signs.append("%s:%d" % (path.name, node.lineno))
+    assert not tolerances, tolerances
+    assert len(fix_signs) == 1, fix_signs

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimax import (
+    FrameworkError,
     NumericalError,
     PeriodicLifting,
     check_periodic_stress,
@@ -138,6 +139,14 @@ def test_fold_classification():
         for vec in periodic_stress_space(fw):
             kinds = {f.fold for f in classify_folds(fw, vec.values)}
             assert "mountain" in kinds and "valley" in kinds, name
+
+    # one stress value per edge orbit, no fewer and no more
+    fw = fixture("cubes")
+    for wrong in (np.ones(fw.m - 1), np.ones(fw.m + 1)):
+        with pytest.raises(FrameworkError, match="one value per edge orbit"):
+            classify_folds(fw, wrong)
+        with pytest.raises(FrameworkError, match="one value per edge orbit"):
+            lifting_from_stress(fw, trace_faces(fw), wrong)
 
 
 def test_pointed_vertex_not_extremum():

@@ -172,18 +172,19 @@ def test_oriented_flex_refuses_thin_gap(monkeypatch):
     triangulations' own gap is inf (no singular value is dropped)."""
     from perimax import rigidity
     fw = fixture("ppt3")
-    gauge_kernel = rigidity._gauge_kernel
+    kernel, read_rank = rigidity._kernel, rigidity._read_rank
     gaps = []
 
-    def kernel(*args):
-        basis, gap = gauge_kernel(*args)
+    def recorded(A):
+        sv, rank, gap, basis = kernel(A)
         gaps.append(gap)
-        return basis, gap
+        return sv, rank, gap, basis
 
-    monkeypatch.setattr(rigidity, "_gauge_kernel", kernel)
+    monkeypatch.setattr(rigidity, "_kernel", recorded)
     oriented_flex(fw)
     assert gaps == [math.inf]
-    monkeypatch.setattr(rigidity, "_gauge_kernel", lambda *args: (gauge_kernel(*args)[0], 2.0))
+    # the guarded kernel refuses a gap of 2.0 read off its spectrum
+    monkeypatch.setattr(rigidity, "_read_rank", lambda sv: (*read_rank(sv)[:2], 2.0))
     with pytest.raises(NumericalError, match="rank instability"):
         oriented_flex(fw)
 
