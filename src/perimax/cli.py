@@ -136,8 +136,9 @@ def cmd_lift(args):
     s = basis[args.stress_index].values
     lift = lifting_from_stress(fw, fc, s, c0=args.c0)
     if args.out:
+        terrain = export_terrain(fw, fc, lift, _tiles(args.tiles))    # refuse before opening
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(export_terrain(fw, fc, lift, _tiles(args.tiles)))
+            fh.write(terrain)
         _log(args, "wrote %s" % args.out)
     folds = classify_folds(fw, s)
     _emit({

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,16 +117,13 @@ def _edge_rows(edges):
     return np.where(wide, -1, vals).astype(np.int64), given
 
 
-def validate_geometry(lattice, positions, tails, heads, shifts):
-    """Geometry scale and (m, 2) edge vectors of a placement of fixed edge
-    orbits; FrameworkError for non-finite entries, a lattice column longer
-    than ``MAX_LATTICE_COLUMN``, a singular lattice, a zero-length edge or
-    vertex orbits that all coincide."""
+def _geometry_scale(lattice, largest):
+    """Scale of a placement from its lattice and largest |position| entry;
+    the checks of ``validate_geometry`` that read nothing else."""
     (a, b), (c, d) = lattice.tolist()    # scalars: numpy calls cost more on 2 x 2
     if not all(map(math.isfinite, (a, b, c, d))):
         raise FrameworkError("lattice must be a finite 2x2 matrix")
-    largest = float(np.abs(positions).max())    # NaN when any entry is NaN
-    if not math.isfinite(largest):
+    if not math.isfinite(largest):    # NaN when any entry is NaN
         raise FrameworkError("positions must be finite")
     col_max = max(math.sqrt(a * a + c * c), math.sqrt(b * b + d * d))
     if not col_max <= MAX_LATTICE_COLUMN:
@@ -135,6 +133,15 @@ def validate_geometry(lattice, positions, tails, heads, shifts):
     det = a * d - b * c
     if abs(det) < LATTICE_RANK_RTOL * col_max ** 2 or det == 0.0:
         raise FrameworkError("singular lattice: |det| = %g" % abs(det))
+    return scale
+
+
+def validate_geometry(lattice, positions, tails, heads, shifts):
+    """Geometry scale and (m, 2) edge vectors of a placement of fixed edge
+    orbits; FrameworkError for non-finite entries, a lattice column longer
+    than ``MAX_LATTICE_COLUMN``, a singular lattice, a zero-length edge or
+    vertex orbits that all coincide."""
+    scale = _geometry_scale(lattice, float(np.abs(positions).max()))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]
     bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
     if bad.size:
@@ -168,6 +175,17 @@ def _require_connected(n, tails, heads):
     if not all(reached):
         raise FrameworkError(
             "disconnected quotient graph: vertex %d unreachable" % reached.index(False))
+
+
+def _hermite_join(basis, c1, c2):
+    """Lower Hermite basis (p, q, t) of the lattice spanned by (p, q), (0, t)
+    and (c1, c2): p, t >= 0, q = 0 when p = 0 and 0 <= q < t when t > 0."""
+    p, q, t = basis
+    while c1:    # Euclid on the first entries keeps the span of the pair
+        k = p // c1
+        p, q, c1, c2 = c1, c2, p - k * c1, q - k * c2
+    p, q, t = abs(p), q if p >= 0 else -q, math.gcd(t, c2)
+    return p, q % t if t else q, t
 
 
 class PeriodicFramework:
@@ -269,6 +287,28 @@ class PeriodicFramework:
     def edge_key(self, k):
         return (int(self._tails[k]), int(self._heads[k]),
                 (int(self._shifts[k, 0]), int(self._shifts[k, 1])))
+
+    @cached_property
+    def cycle_basis(self):
+        """Lower Hermite basis (p, q, t) of the shifts of closed walks in the
+        quotient graph: they form the lattice spanned by (p, q) and (0, t)."""
+        adj = [[] for _ in range(self.n)]
+        for t, h, (c1, c2) in zip(self._tails.tolist(), self._heads.tolist(),
+                                  self._shifts.tolist()):
+            adj[t].append((h, c1, c2))
+            adj[h].append((t, -c1, -c2))
+        # tree-path shifts from vertex 0; each edge to a reached vertex closes a walk
+        pot, stack, basis = {0: (0, 0)}, [0], (0, 0, 0)
+        while stack:
+            v = stack.pop()
+            x, y = pot[v]
+            for w, c1, c2 in adj[v]:
+                if w in pot:
+                    basis = _hermite_join(basis, x + c1 - pot[w][0], y + c2 - pot[w][1])
+                else:
+                    pot[w] = (x + c1, y + c2)
+                    stack.append(w)
+        return basis
 
     @property
     def geometry_scale(self):

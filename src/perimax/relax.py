@@ -4,8 +4,9 @@ A finite-index sublattice is kept in the canonical triangular form with
 generators a*g1 + b*g2 and d*g2 (0 <= b < d), enumerated so that index k
 yields exactly sigma_1(k) = sum of divisors distinct sublattices.  Unfolding
 multiplies the quotient data by the index while realizing the identical
-infinite point set.  The ultrarigidity probe unfolds nothing: it ranks one
-small complex block per character of the quotient group instead.
+infinite point set.  Stress persistence and the ultrarigidity probe unfold
+nothing: one sums over the integer shifts of the coset copies, the other
+ranks one small complex block per character of the quotient group.
 """
 
 from __future__ import annotations
@@ -15,23 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (FrameworkError, PeriodicFramework, _canonicalize, _require_connected,
-                   validate_geometry)
+from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
+                   _geometry_scale, _hermite_join)
 from .rigidity import _require_gap, _stress_check, _stress_values, _svd_rank, rigidity_matrix
-
-def _ext_gcd(p, q):
-    """g = gcd(p, q) >= 0 together with x, y such that x*p + y*q = g."""
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 __all__ = [
@@ -97,10 +84,8 @@ class Sublattice:
         det = int(M[0, 0]) * int(M[1, 1]) - int(M[0, 1]) * int(M[1, 0])
         if det == 0:
             raise FrameworkError("sublattice matrix is singular")
-        g, x, y = _ext_gcd(int(M[0, 0]), int(M[0, 1]))
-        a = g
-        d = abs(det) // g
-        b = (x * int(M[1, 0]) + y * int(M[1, 1])) % d
+        a, b, d = _hermite_join(_hermite_join((0, 0, 0), int(M[0, 0]), int(M[1, 0])),
+                                int(M[0, 1]), int(M[1, 1]))
         return cls(a, b, d)
 
     def reduce(self, z1, z2):
@@ -161,13 +146,18 @@ class UnfoldedFramework(PeriodicFramework):
         self.parent_edge = np.asarray(parent_edge, dtype=int)
 
 
+def _require_size(fw, sub):
+    """The index of ``sub``; FrameworkError when index * max(n, m) > _MAX_UNFOLD."""
+    if sub.index * max(fw.n, fw.m) > _MAX_UNFOLD:
+        raise FrameworkError("relaxation too large: index %d times %d orbits exceeds %d"
+                             % (sub.index, max(fw.n, fw.m), _MAX_UNFOLD))
+    return sub.index
+
+
 def _unfold(fw, sub):
     """Lattice, positions and edge rows of ``relax(fw, sub)`` as its
     constructor stores them, or FrameworkError before any allocation."""
-    rho = sub.index
-    if rho * max(fw.n, fw.m) > _MAX_UNFOLD:
-        raise FrameworkError("relaxation too large: index %d times %d orbits exceeds %d"
-                             % (rho, max(fw.n, fw.m), _MAX_UNFOLD))
+    rho = _require_size(fw, sub)
     lat = fw.lattice
     # coset r = (r1, r2) sits at coset_index(r1, r2) = r1 * d + r2
     r1, r2 = np.divmod(np.arange(rho), sub.d)
@@ -204,17 +194,36 @@ def copy_stress(unfolded, s):
 def stress_persists(fw, s, sub):
     """Whether a periodic stress stays periodic after relaxing to ``sub``:
     the verdict and errors of ``check_periodic_stress`` on ``relax`` and
-    ``copy_stress``, with no framework built.  Of the constructor's checks
-    only geometry and connectivity run; unknown vertex, zero loop and
-    duplicate orbit cannot fail on the unfolding of a valid framework, as
-    its ids are in range, a loop copy keeps the loop's nonzero shift up to
-    sign, and a reversed loop copy equals another copy only for shift 0."""
-    lattice, positions, rows = _unfold(fw, sub)
-    tails, heads, shifts = rows[:, 0], rows[:, 1], rows[:, 2:]
-    _, evecs = validate_geometry(lattice, positions, tails, heads, shifts)
-    _require_connected(len(positions), tails, heads)
-    s = np.repeat(_stress_values(s, fw.m), sub.index)
-    return _stress_check(len(positions), lattice, tails, heads, shifts, evecs, s).ok
+    ``copy_stress``, from the base orbits.  Copy r of orbit k keeps e_k and
+    has shift k'(r), r + c_k = q + M k'(r) with q a coset.  Geometry checks
+    read the relaxed lattice and the extreme unfolded coordinates (sums of
+    extremes: rounding is monotone); the relaxation is connected iff the
+    closed-walk shifts and ``sub`` span Z^2."""
+    rho, a, b, d = _require_size(fw, sub), sub.a, sub.b, sub.d
+    lat, pos = fw.lattice, fw.positions
+    lattice = lat @ np.array([[a, 0.0], [b, d]])
+    corners = np.array([[0, 0], [0, d - 1], [a - 1, 0], [a - 1, d - 1]], dtype=float)
+    offsets = np.matmul(lat, corners[:, :, None])[:, :, 0]    # rounded as in _unfold
+    hi = (pos.max(axis=0) + offsets.max(axis=0)).tolist()
+    lo = (pos.min(axis=0) + offsets.min(axis=0)).tolist()
+    tol = EDGE_LENGTH_RTOL * _geometry_scale(lattice, max(map(abs, hi + lo)))
+    evecs = fw.edge_vectors()
+    bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= tol)[0]
+    if bad.size:
+        raise FrameworkError("zero-length edge orbit %d" % (int(bad[0]) * rho))
+    (x, y), (hx, hy), (lx, ly) = pos[0].tolist(), hi, lo
+    if fw.n * rho >= 2 and max(hx - x, hy - y, x - lx, y - ly) <= tol:
+        raise FrameworkError("degenerate placement: all vertex orbits coincide")
+    p, _, t = _hermite_join(_hermite_join(fw.cycle_basis, a, b), 0, d)
+    if p * t != 1:    # first unreached: coset (0, 1) of vertex 0, else (1, 0)
+        raise FrameworkError("disconnected quotient graph: vertex %d unreachable"
+                             % (1 if t > 1 else d))
+    # shift k'(r) of each copy r = (r1, r2), as Sublattice.reduce computes it
+    shifts = np.empty((fw.m, a, d, 2), dtype=int)
+    shifts[..., 0] = k1 = (np.arange(a)[:, None] + fw.shifts[:, :1, None]) // a
+    shifts[..., 1] = (np.arange(d) + fw.shifts[:, 1:, None] - b * k1) // d
+    return _stress_check(fw.n, lattice, fw.tails, fw.heads, shifts.reshape(fw.m, rho, 2),
+                         evecs, s).ok
 
 
 @dataclass
@@ -274,27 +283,6 @@ def _index_characters(k):
     return (tuple(sublattices_of_index(k)),) + out
 
 
-def _cycle_shifts(fw):
-    """(m, 2) net shift of the closed walk that each edge orbit makes with a
-    spanning tree of the quotient graph (zero on tree edges); together
-    they generate the shifts of all closed walks."""
-    adj = [[] for _ in range(fw.n)]
-    for k, (t, h) in enumerate(zip(fw.tails.tolist(), fw.heads.tolist())):
-        adj[t].append((k, h, 1))
-        adj[h].append((k, t, -1))
-    pot = np.zeros((fw.n, 2), dtype=int)
-    reached = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for k, w, sign in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                pot[w] = pot[v] + sign * fw.shifts[k]
-                stack.append(w)
-    return pot[fw.tails] + fw.shifts - pot[fw.heads]
-
-
 def ultrarigidity_probe(fw, max_index=4):
     """Compute the flex dimension of every relaxation up to max_index.
 
@@ -321,7 +309,7 @@ def ultrarigidity_probe(fw, max_index=4):
     phi0, sigma0 = 2 * fw.n + 1 - rank, fw.m - rank
     # 2n - rank R_chi by character slot; 0 in the trivial slot
     flex_def = np.zeros(_code(0, 0, max_index + 1), dtype=int)
-    cycles = _cycle_shifts(fw)
+    cycles = np.array([fw.cycle_basis[:2], (0, fw.cycle_basis[2])])
     # row k of R_chi is chi(c_k) * head_part[k] - tail_part[k]
     rows = np.arange(fw.m)
     evecs = fw.edge_vectors()
@@ -335,7 +323,7 @@ def ultrarigidity_probe(fw, max_index=4):
     first_failure = None
     for k in range(1, max_index + 1):
         subs, codes, xy, fresh, twin = _index_characters(k)
-        # a character trivial on every closed-walk shift cuts the relaxed
+        # a character trivial on the closed-walk shifts cuts the relaxed
         # quotient graph (as does its conjugate, in the same sublattices);
         # one of lower order would have stopped at its index
         cuts = fresh[~((xy @ cycles.T) % k).any(axis=1)]

@@ -239,7 +239,7 @@ class PeriodicStressCheck:
 def check_periodic_stress(fw, s):
     """Verify that s is a periodic stress, via both the per-generator sums
     and the equivalent rank-two tensor form."""
-    return _stress_check(fw.n, fw.lattice, fw.tails, fw.heads, fw.shifts,
+    return _stress_check(fw.n, fw.lattice, fw.tails, fw.heads, fw.shifts[:, None],
                          fw.edge_vectors(), s)
 
 
@@ -252,7 +252,8 @@ def _stress_values(s, m):
 
 
 def _stress_check(n, lattice, tails, heads, shifts, evecs, s):
-    """``check_periodic_stress`` of edge orbits with realized vectors ``evecs``."""
+    """``check_periodic_stress`` of edge orbits with vectors ``evecs``, each
+    on the coset copies whose (m, copies, 2) shifts are ``shifts``."""
     s = _stress_values(s, len(tails))
     forces = s[:, None] * evecs
     # |s_k| |e_k|, the size of each term, for the relative tolerances
@@ -260,14 +261,14 @@ def _stress_check(n, lattice, tails, heads, shifts, evecs, s):
     # per-vertex balance E @ s: s_k e_k scattered onto heads minus onto tails
     eq = np.array([np.bincount(heads, f, n) - np.bincount(tails, f, n) for f in forces.T])
     eq_res = float(np.abs(eq).max())
-    eq_scale = float(sizes.sum())
+    eq_scale = float(sizes.sum()) * shifts.shape[1]
     # lattice conditions: sum_k s_k c_k^j e_k = 0 for each generator j
-    lat_res = np.linalg.norm(shifts.T @ forces, axis=1)
-    lat_scale = sizes @ np.abs(shifts)
+    lat_res = np.linalg.norm(shifts.sum(axis=1).T @ forces, axis=1)
+    lat_scale = sizes @ np.abs(shifts).sum(axis=1)
     # tensor form: sum_k s_k (Lambda c_k) (x) e_k
-    periods = shifts @ lattice.T
-    ten_res = float(np.abs(periods.T @ forces).max())
-    ten_scale = float(sizes @ np.linalg.norm(periods, axis=1))
+    periods = (shifts.reshape(-1, 2) @ lattice.T).reshape(shifts.shape)
+    ten_res = float(np.abs(periods.sum(axis=1).T @ forces).max())
+    ten_scale = float(sizes @ np.linalg.norm(periods, axis=2).sum(axis=1))
 
     ok_eq = eq_res <= STRESS_RTOL * max(1.0, eq_scale)
     ok_lat = bool((lat_res <= STRESS_RTOL * np.maximum(1.0, lat_scale)).all())

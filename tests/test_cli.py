@@ -91,6 +91,16 @@ def test_lift_rejects_stress_free(tmp_path, capsys):
     assert "no periodic stress" in rep["error"]
 
 
+def test_lift_refusal_keeps_existing_terrain(tmp_path, capsys):
+    path = fixture_file(tmp_path, capsys, "cubes")
+    obj_path = tmp_path / "terrain.obj"
+    kept = b"v 0.0 0.0 0.0\n# an earlier terrain\n"
+    obj_path.write_bytes(kept)
+    code, rep = run(capsys, "lift", path, "--tiles", "0x1", "--out", str(obj_path), "--quiet")
+    assert code == 2 and "tile range" in rep["error"]
+    assert obj_path.read_bytes() == kept
+
+
 def test_svg(tmp_path, capsys):
     path = fixture_file(tmp_path, capsys, "kagome")
     out = tmp_path / "patch.svg"

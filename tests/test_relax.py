@@ -28,6 +28,7 @@ from perimax.relax import Sublattice
 
 from conftest import (
     oracle_edge_orbits,
+    oracle_nullspace,
     oracle_probe_entries,
     oracle_relax,
     oracle_stress_check,
@@ -250,6 +251,8 @@ def test_stress_sweep_builds_no_matrix_and_no_scalar_edge(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, calls, core.canonical_edge)
     _count_calls(monkeypatch, calls, rigidity.rigidity_matrix)
+    for unfolding_step in (relax_module._unfold, core.validate_geometry, core._require_connected):
+        _count_calls(monkeypatch, calls, unfolding_step)
     build = core.PeriodicFramework.__init__
 
     def counted_build(self, *args, **kwargs):
@@ -266,7 +269,8 @@ def test_stress_sweep_builds_no_matrix_and_no_scalar_edge(monkeypatch):
     periodic_stress_space(fw)
     core.canonical_edge(1, 0, (0, 0))
     relax(fw, Sublattice(2, 0, 1))
-    assert calls == Counter(rigidity_matrix=1, canonical_edge=1, build=1)
+    assert calls == Counter(rigidity_matrix=1, canonical_edge=1, build=1, _unfold=1,
+                            validate_geometry=1, _require_connected=1)
 
 
 def _disconnecting(shifts):
@@ -299,6 +303,9 @@ PERSISTENCE_FRAMEWORKS = dict(
 @example(name="walks_1x3", sub=Sublattice(1, 0, 3), noise=0.1, seed=4)
 @example(name="huge_lattice", sub=Sublattice(1, 0, 1), noise=0.1, seed=5)
 @example(name="huge_lattice", sub=Sublattice(2, 0, 1), noise=0.0, seed=6)
+@example(name="walks_2x1", sub=Sublattice(2, 0, 2), noise=0.0, seed=7)
+@example(name="walks_2x1", sub=Sublattice(2, 1, 2), noise=0.1, seed=8)
+@example(name="walks_2x1", sub=Sublattice(4, 1, 3), noise=0.0, seed=9)
 def test_stress_persists_matches_relaxed_check(name, sub, noise, seed):
     """The framework-free sweep gives the verdict of relax followed by the
     stress check, and of the dense oracle, on periodic stresses and on
@@ -326,6 +333,90 @@ def test_stress_persists_matches_relaxed_check(name, sub, noise, seed):
     assert stress_persists(fw, s, sub) == verdict == oracle_stress_check(unfolded, copied)[0]
     if noise == 0.1:
         assert not verdict
+
+
+@pytest.mark.parametrize("fw, sub, message", [
+    # copies of the one vertex 1 apart, within 1e-12 of the placement's scale
+    (PeriodicFramework(np.eye(2), [[1.5e12, 0.0]], [(0, 0, (2, 0)), (0, 0, (0, 2))]),
+     Sublattice(2, 0, 1), "degenerate placement: all vertex orbits coincide"),
+    # orbit 2 (length 1.5) is short against the relaxed scale 2e12: copy 2 * 2
+    (PeriodicFramework(1e12 * np.eye(2), [[0.0, 0.0], [1.5, 0.0]],
+                       [(0, 0, (1, 0)), (0, 1, (1, 0)), (0, 1, (0, 0)), (0, 1, (0, 1)),
+                        (0, 0, (0, 1))]),
+     Sublattice(1, 0, 2), "zero-length edge orbit 4"),
+])
+def test_stress_persists_refuses_unfolded_geometry(fw, sub, message):
+    """Geometry refusals that only the relaxed scale brings about, named as
+    the constructor names them on the unfolding."""
+    for call in (lambda: relax(fw, sub), lambda: stress_persists(fw, np.zeros(fw.m), sub)):
+        with pytest.raises(FrameworkError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
+def test_copy_shifts_add_up_to_adjugate_times_shift():
+    """Over the coset copies of orbit k the relaxed shifts add up to
+    adj(M) c_k = (d c1, a c2 - b c1) exactly, a reversed loop copy counted
+    negatively, so the lattice sums of a relaxation are those of adj(M) c."""
+    for name in FIXTURE_NAMES:
+        fw = fixture(name)
+        evecs = fw.edge_vectors()
+        c1, c2 = fw.shifts.T
+        for sub in sublattices_up_to(12):
+            lattice, positions, rows = relax_module._unfold(fw, sub)
+            vecs = positions[rows[:, 1]] + rows[:, 2:] @ lattice.T - positions[rows[:, 0]]
+            # a copy realizes e_k, or -e_k where canonical form reversed it
+            sign = np.sign((vecs.reshape(fw.m, sub.index, 2) * evecs[:, None]).sum(axis=2))
+            assert np.abs(sign).min() == 1, (name, sub)
+            sums = (sign[:, :, None] * rows[:, 2:].reshape(fw.m, sub.index, 2)).sum(axis=1)
+            assert np.array_equal(sums, np.column_stack([sub.d * c1, sub.a * c2 - sub.b * c1])), \
+                (name, sub)
+
+
+def test_sweep_tolerances_scale_as_relaxed_check(monkeypatch):
+    """Over a range of tolerances the sweep flips where relax followed by the
+    stress check flips, for a random perturbation (balance decides) and a
+    balanced one that is not periodic (the lattice sums decide)."""
+    rigidity = importlib.import_module("perimax.rigidity")
+    for name, fw in (("cubes", fixture("cubes")), ("subdivided", subdivided_grid())):
+        s0 = periodic_stress_space(fw)[0].values
+        balance = np.zeros((fw.n, 2, fw.m))
+        np.add.at(balance, (fw.heads, slice(None), np.arange(fw.m)), fw.edge_vectors())
+        np.add.at(balance, (fw.tails, slice(None), np.arange(fw.m)), -fw.edge_vectors())
+        balanced = oracle_nullspace(balance.reshape(2 * fw.n, fw.m))
+        balanced -= np.outer(s0, s0 @ balanced) / (s0 @ s0)
+        for u in (np.random.default_rng(0).uniform(-1.0, 1.0, fw.m), balanced[:, 0]):
+            s = 5.0 * s0 + 1e-7 * u / np.abs(u).max()
+            for sub in (Sublattice(1, 1, 2), Sublattice(3, 2, 4)):
+                unfolded = relax(fw, sub)
+                copied = copy_stress(unfolded, s)
+                verdicts = []
+                for rtol in np.geomspace(1e-16, 1e-4, 100):
+                    monkeypatch.setattr(rigidity, "STRESS_RTOL", rtol)
+                    verdict = stress_persists(fw, s, sub)
+                    assert verdict == check_periodic_stress(unfolded, copied).ok, (name, sub, rtol)
+                    verdicts.append(verdict)
+                assert not verdicts[0] and verdicts[-1]
+
+
+def test_cycle_basis_spans_closed_walk_shifts():
+    """The lower Hermite basis of the closed-walk shifts, computed once."""
+    grid = fixture("square_grid")
+    assert grid.cycle_basis == (1, 0, 1) and grid.cycle_basis is grid.cycle_basis
+    assert _disconnecting([(2, 0), (0, 1)]).cycle_basis == (2, 0, 1)
+    assert _disconnecting([(1, 0), (1, 3)]).cycle_basis == (1, 0, 3)
+    assert _disconnecting([(2, 3), (4, 1)]).cycle_basis == (2, 3, 5)
+    assert _disconnecting([(0, 3), (0, -6)]).cycle_basis == (0, 0, 3)
+    # the tree path to vertex 1 shifts by (1, 0); closed walks by (2, 0) and (0, 2)
+    pair = PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.5, 0.5]],
+                             [(0, 1, (1, 0)), (0, 1, (3, 0)), (0, 1, (1, 2))])
+    assert pair.cycle_basis == (2, 0, 2)
+    tree = PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.3, 0.2]], [(0, 1, (4, 1))])
+    assert tree.cycle_basis == (0, 0, 0)
+    # closed walks of every fixture reach every shift, on relaxations too
+    for name in FIXTURE_NAMES:
+        assert fixture(name).cycle_basis == (1, 0, 1), name
+        assert relax(fixture(name), Sublattice(2, 1, 3)).cycle_basis == (1, 0, 1), name
 
 
 def test_stress_persistence_refuses_wrong_stress_length():
