@@ -346,6 +346,77 @@ def test_ultra_reports_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+# sha256 of the `analyze`, `ppt` and `stress` stdout on the benchmark's ladder
+# shapes as the dense rank path printed them: each family relaxed to the
+# k x k sublattice (k, k // 2, k), rotated by 0.7 rad, moved by (0.3, -0.2),
+# then written and read back.  Dimension verdicts read from character blocks
+# must print the same bytes.
+PINNED_LADDER = {
+    ("ppt3", 1): ("b2ec5cf3dff902ee8aa2ad1c71170670d41fdb2e2d6b88cdd112a164988e3cc6",
+                  "59743a7ce4f15bf88db600cffd983854eda37702000dd336bfb3083c96c749ed",
+                  "f937344c7788a90fca5382a5f4219e4a51b2bf2403a9b694c176de9ff272d786"),
+    ("ppt3", 2): ("cd009f9545d95464b4d1290f9038532f837b432977a7b3b1c4982342c36dd933",
+                  "1f30cefbab95e004f6d4cc826ba047e80d4f672981f8e627a7cdb543637199c4",
+                  "aa61e2c715107af9d29dfd0e456c918738fd63d5a0af4fef1780dee7b28da540"),
+    ("ppt3", 4): ("1748dd5436c0b8778fce91b9ccc66e1463835a4d0778a2b9f299a1fa159b49b2",
+                  "a6cae3e102fb3c13a73d5aa1aca22850097c71c654492a31a4bd10b2f1e86f11",
+                  "d0e4a0b8f17589d1530ef829fce9a4357b7d6b8dd141c7dea7dba862ddd902f9"),
+    ("ppt3", 8): ("ab02fc42e23b7cdb12c2ed6dd2af7ef72e37dfb15ad985d96e982a500e5bd292",
+                  "24f5a8d4b1cad5f02a974292fa718dbc70f851d5634cdbb0d791e5978125d465",
+                  "415b07c569953a039773922a7009fa3de0333eb6cf15543d09387348880fa727"),
+    ("cubes", 1): ("95e2b9a1ad74678ec05304b69553a071fd0eb496beba0aed75b9be20a28dd038",
+                   "54941a3b7f0211b1bb16d0474f9cd299749ae10f67304b8eac427937288c46e1",
+                   "53a3c2066f97b4946306da0ea4157fd7b558eb40a66230d974716c7be7ca27a4"),
+    ("cubes", 2): ("58897f22df00db699260b56fb532eb2cd3f3148bdd27329b7d490f968db837f3",
+                   "e9ba82e8018206316c6ba34f197d699254cab7cbb4065ba0206a678734c5c29b",
+                   "438bd9a15702c0d51db5403ebde9941eb5cd6730ba011b00a5fa604da886014b"),
+    ("cubes", 4): ("52874ea4ca5b89f33c1927990de96eb69ca22d8f2e82f3972b1cab6b20674eca",
+                   "485f393f9426bb268d66388d916e2b80c658a184d8d6c0b3460f97539b257e3d",
+                   "8c597fa8f0d65f14171194da9f8150ccba84c9689dd2252e62bf20e6ec4b8fcd"),
+    ("kagome", 1): ("b2ec5cf3dff902ee8aa2ad1c71170670d41fdb2e2d6b88cdd112a164988e3cc6",
+                    "59743a7ce4f15bf88db600cffd983854eda37702000dd336bfb3083c96c749ed",
+                    "420bf8cef474e3de629e75bbb527a357a372e432047b422bd348345757c61be5"),
+    ("kagome", 2): ("cd009f9545d95464b4d1290f9038532f837b432977a7b3b1c4982342c36dd933",
+                    "1f30cefbab95e004f6d4cc826ba047e80d4f672981f8e627a7cdb543637199c4",
+                    "3cab4bbc23c35048eac6cd8867f4413383a5334654c4fbd48c390e0ee8f93ae5"),
+    ("kagome", 4): ("1748dd5436c0b8778fce91b9ccc66e1463835a4d0778a2b9f299a1fa159b49b2",
+                    "a6cae3e102fb3c13a73d5aa1aca22850097c71c654492a31a4bd10b2f1e86f11",
+                    "6eeede6f556051d51caee379d16211f80a89a123f20751477b9d6f1ce0e4acc0"),
+    ("ultrarigid", 1): ("fa046c4f106114f85f6874cf813ffe564c057e0fb5595da0f0ca62b34be71084",
+                        "3b866948e89974328ca4e1d8aee89959da60f9617fe161d0243274a8d04acd8f",
+                        "a4486638bd126b8f1403d25c90f9a541333e99fb673653e5af07ff25ed16f520"),
+    ("ultrarigid", 2): ("1f6ffe4fa1f77ce3ed64a4c283282ee849101477a822d757f0ae7134e8130d74",
+                        "69f5dd1657025bfb56471b743c7449146491cc9da0ae9b8e87c650cf16eb00ec",
+                        "3df26794dc75845c434c1ac8a909ca8a3de2a60bb83acc42c472d839fb3a3a35"),
+    ("ultrarigid", 4): ("8e372acb546fc7412bc1fddb3b4322404cf8171772b8dd2466e0906ffc1ca23e",
+                        "7982592f16946582f5703c00c57d9cfa5495be28f430cb0726ca9866d4c8a4f9",
+                        "f8290d0d2070a18b6541c5edad4e13d947c5f4e9389e6e358c7361fd9ed10957"),
+}
+
+
+def _ladder_file(tmp_path, family, k):
+    base = (perimax.fixture("kagome", theta=math.pi / 2) if family == "kagome"
+            else perimax.fixture(family))
+    fw = perimax.relax(base, perimax.Sublattice(k, k // 2, k))
+    c, s = math.cos(0.7), math.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    fw = perimax.PeriodicFramework(rot @ fw.lattice, fw.positions @ rot.T + [0.3, -0.2],
+                                   [fw.edge_key(j) for j in range(fw.m)])
+    fw = perimax.parse_framework(perimax.serialize_framework(fw))
+    path = tmp_path / ("%s_%dx%d.json" % (family, k, k))
+    path.write_text(perimax.serialize_framework(fw) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_ladder_reports_pinned(tmp_path, capsys):
+    for (family, k), digests in PINNED_LADDER.items():
+        path = _ladder_file(tmp_path, family, k)
+        for command, digest in zip(("analyze", "ppt", "stress"), digests):
+            assert main([command, path, "--quiet"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, k, command)
+
+
 def test_python_m_perimax():
     proc = _run_module("perimax", "fixture", "ppt3")
     assert proc.returncode == 0
