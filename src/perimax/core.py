@@ -43,6 +43,13 @@ MAX_LATTICE_COLUMN = 2.0 ** 510
 # Largest |shift| entry: a shift and its negation (canonical form) both
 # fit the int64 arrays of a framework.
 _MAX_SHIFT = 2 ** 63 - 1
+# Fractional distance (of the cell) within which a translation maps a vertex
+# onto another; up to _CELL_MISS_RTOL a distance is too thin to call.
+CELL_MATCH_RTOL = 1e-12
+_CELL_MISS_RTOL = 1e-6
+# Generic direction along which the primitive-cell search sorts points; its
+# badly approximable slope also shifts them off the seam of the unit cell.
+_CELL_KEY = np.array([1.0, 0.7548776662466927])
 
 
 class FrameworkError(ValueError):
@@ -177,6 +184,13 @@ def _require_connected(n, tails, heads):
             "disconnected quotient graph: vertex %d unreachable" % reached.index(False))
 
 
+def _require_shift_room(c, index):
+    """Refuse shift entries up to |c| whose sums in an index-``index``
+    relaxation could leave int64: they stay within (index + 2) (c + 1) + index."""
+    if index > 1 and (index + 2) * (c + 1) + index > _MAX_SHIFT:
+        raise FrameworkError("shift entry %d too large for a relaxation of index %d" % (c, index))
+
+
 def _hermite_join(basis, c1, c2):
     """Lower Hermite basis (p, q, t) of the lattice spanned by (p, q), (0, t)
     and (c1, c2): p, t >= 0, q = 0 when p = 0 and 0 <= q < t when t > 0."""
@@ -309,6 +323,64 @@ class PeriodicFramework:
                     pot[w] = (x + c1, y + c2)
                     stack.append(w)
         return basis
+
+    @cached_property
+    def _shift_bound(self):
+        """Largest |entry| of the edge orbit shifts."""
+        return int(np.abs(self._shifts).max(initial=0))
+
+    @cached_property
+    def primitive_cell(self):
+        """(parent, (a, b, d)) for the translations that map the labelled
+        quotient graph exactly and the positions within CELL_MATCH_RTOL onto
+        themselves: ``relax(parent, Sublattice(a, b, d))`` is this framework up
+        to orbit order and lattice basis.  None for the lattice's alone, a thin
+        match or a shift sum beyond int64."""
+        n, tails, heads, shifts = self.n, self._tails, self._heads, self._shifts
+        (l11, l12), (l21, l22) = self._lattice.tolist()    # scalars: LAPACK costs more
+        frac = self._positions @ [[l22, -l21], [-l12, l11]] / (l11 * l22 - l12 * l21)
+        if not np.abs(frac).max() < 1.0 / _CELL_MISS_RTOL:    # rounding would outgrow a match
+            return None
+        # translations taking vertex 0 onto a vertex with its star of edge
+        # vectors (a generic sum) span the candidates B Z^2, B = [[p, 0], [q, r]] / n
+        steps = frac[heads] + shifts - frac[tails]
+        star = np.bincount(np.concatenate([tails, heads]),
+                           np.cos(np.concatenate([steps, -steps]) @ _CELL_KEY + 1.0) + 4.0, n)
+        basis = (n, 0, n)
+        for z in np.rint(n * (frac - frac[0])[np.abs(star - star[0]) <= _CELL_MISS_RTOL]):
+            basis = _hermite_join(basis, int(z[0]), int(z[1]))
+        (p, q, r), index = basis, n * n // (basis[0] * basis[2])
+        if index == 1:
+            return None
+        # the input lattice is M = B^-1 in the parent basis Lambda B; parent
+        # orbits are classes of parent coordinates mod 1, told apart by a
+        # generic key rounded to _CELL_MISS_RTOL
+        a, b, d = n // p, -(n // p) * q // r, n // r
+        M = np.array([[a, 0], [b, d]])
+        coords = frac @ M.T
+        key = ((coords - coords[0] + _CELL_KEY[1]) % 1.0) @ _CELL_KEY / _CELL_MISS_RTOL
+        _, reps, orbit = np.unique(np.rint(key), return_index=True, return_inverse=True)
+        offsets = coords - coords[reps][orbit]
+        cells = np.rint(offsets).astype(np.int64)
+        if np.abs(offsets - cells).max() > CELL_MATCH_RTOL:
+            return None
+        try:    # cells[h] - cells[t] + M c stays within (index + 3) (max |entry| + 1)
+            _require_shift_room(max(self._shift_bound, int(np.abs(cells).max())), index + 1)
+            # each class holds one vertex per coset of M Z^2 (adj(M) c mod index)
+            # and each parent edge orbit one edge per coset: index of each
+            coset = orbit * index * index + (cells @ [[d, -b], [0, a]]) % index @ [index, 1]
+            rows = np.column_stack([orbit[tails], orbit[heads],
+                                    cells[heads] - cells[tails] + shifts @ M.T])
+            rows = rows[np.lexsort(_canonicalize(rows))]
+            new = np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1), [True]])
+            if ((np.diff(np.sort(coset)) == 0).any()
+                    or (np.diff(np.flatnonzero(new)) != index).any()):
+                return None
+            parent = PeriodicFramework(self._lattice @ [[p, 0], [q, r]] / n,
+                                       self._positions[reps], rows[new[:-1]])
+        except FrameworkError:
+            return None
+        return parent, (a, b % d, d)
 
     @property
     def geometry_scale(self):

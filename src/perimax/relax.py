@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
-                   _geometry_scale, _hermite_join)
-from .rigidity import _require_gap, _stress_check, _stress_values, _svd_rank, rigidity_matrix
+                   _geometry_scale, _hermite_join, _require_shift_room)
+from .rigidity import _character_ranks, _require_gap, _stress_check, _stress_values
 
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
 # Largest max_index the probe accepts: its character-slot table holds
 # about max_index**3 / 3 slots and is allocated up front.
 _MAX_PROBE_INDEX = 64
-# Block entries (characters x m x 2n) built and ranked per batched SVD;
-# bounds each complex working array of the probe to about 4 MB.
-_PROBE_CELLS = 1 << 18
 # Largest index * max(n, m) an unfolding accepts: at most 32 MB of edge rows.
 _MAX_UNFOLD = 1 << 20
 
@@ -147,11 +144,14 @@ class UnfoldedFramework(PeriodicFramework):
 
 
 def _require_size(fw, sub):
-    """The index of ``sub``; FrameworkError when index * max(n, m) > _MAX_UNFOLD."""
-    if sub.index * max(fw.n, fw.m) > _MAX_UNFOLD:
+    """The index of ``sub``; FrameworkError when index * max(n, m) > _MAX_UNFOLD
+    or a shift sum of the relaxation could leave int64."""
+    index = sub.index
+    if index * max(fw.n, fw.m) > _MAX_UNFOLD:
         raise FrameworkError("relaxation too large: index %d times %d orbits exceeds %d"
-                             % (sub.index, max(fw.n, fw.m), _MAX_UNFOLD))
-    return sub.index
+                             % (index, max(fw.n, fw.m), _MAX_UNFOLD))
+    _require_shift_room(fw._shift_bound, index)
+    return index
 
 
 def _unfold(fw, sub):
@@ -299,30 +299,15 @@ def ultrarigidity_probe(fw, max_index=4):
     up to index 16).
 
     Raises FrameworkError at the first relaxation whose quotient graph is
-    disconnected (a character trivial on every closed-walk shift) and
-    NumericalError when a kept/dropped singular value ratio of any ranked
-    block is below RANK_GAP_MIN.
+    disconnected (a character trivial on every closed-walk shift), before
+    ranking, and NumericalError when a kept/dropped singular value ratio of
+    any ranked block is below RANK_GAP_MIN.
     """
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
-    _, rank, gap = _svd_rank(rigidity_matrix(fw))
-    phi0, sigma0 = 2 * fw.n + 1 - rank, fw.m - rank
-    # 2n - rank R_chi by character slot; 0 in the trivial slot
-    flex_def = np.zeros(_code(0, 0, max_index + 1), dtype=int)
+    tables = [_index_characters(k) for k in range(1, max_index + 1)]
     cycles = np.array([fw.cycle_basis[:2], (0, fw.cycle_basis[2])])
-    # row k of R_chi is chi(c_k) * head_part[k] - tail_part[k]
-    rows = np.arange(fw.m)
-    evecs = fw.edge_vectors()
-    tail_part = np.zeros((fw.m, fw.n, 2))
-    tail_part[rows, fw.tails] = evecs
-    head_part = np.zeros((fw.m, fw.n, 2))
-    head_part[rows, fw.heads] = evecs
-    chunk = max(1, _PROBE_CELLS // max(1, 2 * fw.m * fw.n))
-
-    entries = []
-    first_failure = None
-    for k in range(1, max_index + 1):
-        subs, codes, xy, fresh, twin = _index_characters(k)
+    for k, (subs, codes, xy, fresh, _) in enumerate(tables, 1):
         # a character trivial on the closed-walk shifts cuts the relaxed
         # quotient graph (as does its conjugate, in the same sublattices);
         # one of lower order would have stopped at its index
@@ -332,13 +317,15 @@ def ultrarigidity_probe(fw, max_index=4):
             raise FrameworkError(
                 "disconnected quotient graph: relaxation to sublattice "
                 "(a=%d, b=%d, d=%d)" % (sub.a, sub.b, sub.d))
-        roots = np.exp(2j * np.pi * np.arange(k) / k)
-        for lo in range(0, fresh.size, chunk):
-            chi = roots[(xy[lo:lo + chunk] @ fw.shifts.T) % k]
-            blocks = chi[:, :, None, None] * head_part - tail_part
-            _, rank, block_gap = _svd_rank(blocks.reshape(len(chi), fw.m, 2 * fw.n))
-            flex_def[fresh[lo:lo + chunk]] = flex_def[twin[lo:lo + chunk]] = 2 * fw.n - rank
-            gap = min(gap, float(block_gap.min()))
+    rank, ranks, gap = _character_ranks(fw, [(t[2], k) for k, t in enumerate(tables, 1)])
+    _require_gap(gap)
+    phi0, sigma0 = 2 * fw.n + 1 - rank, fw.m - rank
+    # 2n - rank R_chi by character slot; 0 in the trivial slot
+    flex_def = np.zeros(_code(0, 0, max_index + 1), dtype=int)
+    entries = []
+    first_failure = None
+    for k, (subs, codes, _, fresh, twin) in enumerate(tables, 1):
+        flex_def[fresh] = flex_def[twin] = 2 * fw.n - ranks[k - 1]
         added = flex_def[codes].sum(axis=1)
         # m - rank R_chi = (2n - rank R_chi) + (m - 2n) for each of k - 1 blocks
         phis = phi0 + added
@@ -348,7 +335,5 @@ def ultrarigidity_probe(fw, max_index=4):
             entries.append(entry)
             if phi != 0 and first_failure is None:
                 first_failure = entry
-    # refused only after the loop, so a disconnected relaxation wins
-    _require_gap(gap)
     return UltrarigidityReport(max_index, first_failure is None, entries,
                                first_failure)

@@ -44,6 +44,12 @@ RANK_GAP_MIN = 10.0
 STRESS_RTOL = 1e-9
 # Largest n^2 (2 cutoff + 1)^2 a pair table spans: about 16 MB of table rows.
 _MAX_PAIR_GRID = 1 << 20
+# Block entries (characters x m x 2n) built and ranked per batched SVD;
+# bounds each complex working array of the character blocks to about 4 MB.
+_PROBE_CELLS = 1 << 18
+# Largest n whose dimension verdicts always come from one dense SVD: up to
+# about this n that SVD costs less than the primitive-cell search and blocks.
+DENSE_RANK_MAX_N = 40
 
 
 def rigidity_matrix(fw):
@@ -137,6 +143,42 @@ def _read_rank(sv):
     return sv, int(rank), float(gap)
 
 
+def _character_ranks(fw, groups):
+    """(rank R, ranks of the blocks R_chi of each group (xy, k), smallest gap of
+    all), chi(c) = exp(2 pi i xy.c / k), ranked as ``ultrarigidity_probe`` says."""
+    _, rank, gap = _svd_rank(rigidity_matrix(fw))
+    parts = np.zeros((2, fw.m, fw.n, 2))    # the tail and head columns of each row
+    parts[0, np.arange(fw.m), fw.tails] = parts[1, np.arange(fw.m), fw.heads] = fw.edge_vectors()
+    chunk = max(1, _PROBE_CELLS // max(1, 2 * fw.m * fw.n))
+    ranks = []
+    for xy, k in groups:
+        roots, shifts = np.exp(2j * np.pi * np.arange(k) / k), fw.shifts % k
+        ranks.append(np.empty(len(xy), dtype=int))
+        for lo in range(0, len(xy), chunk):
+            chi = roots[(xy[lo:lo + chunk] @ shifts.T) % k]
+            blocks = chi[:, :, None, None] * parts[1] - parts[0]
+            _, ranks[-1][lo:lo + chunk], block_gap = _svd_rank(
+                blocks.reshape(len(chi), fw.m, 2 * fw.n))
+            gap = min(gap, float(block_gap.min()))
+    return rank, ranks, gap
+
+
+def _block_rank(fw):
+    """(rank R_parent + sum of rank R_chi over the characters chi != 1 of
+    Z^2 / M Z^2, smallest gap) from fw's primitive cell, with one block per
+    conjugate pair; None when n <= DENSE_RANK_MAX_N or fw has no such cell."""
+    if fw.n <= DENSE_RANK_MAX_N or fw.primitive_cell is None:
+        return None
+    parent, (a, b, d) = fw.primitive_cell
+    k = a * d
+    j, l = np.divmod(np.arange(k), a)
+    xy = np.column_stack([(l * d - b * j) % k, j * a % k])
+    code, twin = xy @ [k, 1], (-xy % k) @ [k, 1]
+    pick = (code > 0) & (code <= twin)
+    rank, (ranks,), gap = _character_ranks(parent, [(xy[pick], k)])
+    return rank + int(ranks @ np.where(code == twin, 1, 2)[pick]), gap
+
+
 def _require_gap(gap):
     """Refuse integer dimensions read across a kept/dropped singular value
     ratio below RANK_GAP_MIN."""
@@ -207,8 +249,12 @@ class StressVector:
 def periodic_stress_space(fw):
     """Basis of the periodic stress space ker R^t, as StressVectors.
 
-    Vectors are unit norm with the first significant entry positive.
+    Vectors are unit norm with the first significant entry positive.  No
+    dense SVD runs when ``_block_rank`` gives rank m across a safe gap.
     """
+    rank, gap = _block_rank(fw) or (0, 0.0)
+    if rank == fw.m and gap >= RANK_GAP_MIN:
+        return []
     basis = _kernel(rigidity_matrix(fw).T)[3]
     return [StressVector(s, True, True, True) for s in basis.T.copy()]
 
@@ -298,14 +344,15 @@ class CountIdentityReport:
 def count_identity_check(fw):
     """Check sigma - delta = m - 2n - 4 and sigma = phi - 1 + (m - 2n).
 
-    sigma = m - rank R and delta = 2n + 4 - rank R come from one SVD (R and
-    R^t share their singular values), so both identities hold by
+    sigma = m - rank R and delta = 2n + 4 - rank R come from one rank (R
+    and R^t share their singular values), so both identities hold by
     rank-nullity for any rank: they test the dimension bookkeeping, not
-    the numerical rank.  That rests on the singular value gap: raises
-    NumericalError when the spectrum straddles the rank tolerance too
-    closely to trust the integer dimensions.
+    the numerical rank.  That comes from ``_block_rank`` when it applies,
+    else from one values-only SVD, and rests on the singular value gap of
+    every matrix ranked: raises NumericalError when a spectrum straddles
+    the rank tolerance too closely to trust the integer dimensions.
     """
-    _, rank, gap = _svd_rank(rigidity_matrix(fw))
+    rank, gap = _block_rank(fw) or _svd_rank(rigidity_matrix(fw))[1:]
     _require_gap(gap)
     delta = 2 * fw.n + 4 - rank
     sigma = fw.m - rank

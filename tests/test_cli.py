@@ -226,6 +226,20 @@ def _run_module(module, *argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def test_relax_refuses_shift_sums_beyond_int64(tmp_path):
+    """A loop shift of 2**63 - 1 relaxed to index 2: exit 2 with a JSON
+    validation report, not a wrapped shift or a traceback."""
+    fw = perimax.PeriodicFramework(np.eye(2), [[0.0, 0.0]],
+                                   [(0, 0, (2 ** 63 - 1, 0)), (0, 0, (0, 1))])
+    path = tmp_path / "wide.json"
+    path.write_text(perimax.serialize_framework(fw), encoding="utf-8")
+    proc = _run_module("perimax", "relax", str(path), "--matrix", "2,0,0,1",
+                       "--out", str(tmp_path / "out.json"), "--quiet")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["kind"] == "validation" and "too large for a relaxation of index 2" in rep["error"]
+    assert not (tmp_path / "out.json").exists()
+
 def test_analyze_edgeless_framework(tmp_path):
     from perimax import PeriodicFramework, serialize_framework
 

@@ -39,6 +39,7 @@ from conftest import (
 )
 
 relax_module = importlib.import_module("perimax.relax")
+rigidity_module = importlib.import_module("perimax.rigidity")
 
 FIXTURE_NAMES = ("square_grid", "kagome", "reentrant", "ppt3", "cubes",
                  "ultrarigid")
@@ -484,13 +485,13 @@ def test_probe_ranks_one_block_per_conjugate_pair(monkeypatch):
     # up to index 16: 3 real characters of order 2 and 610 conjugate pairs
     # of higher order, 613 of the 1,223 nontrivial characters, plus R
     ranked = Counter()
-    svd_rank = relax_module._svd_rank
+    svd_rank = rigidity_module._svd_rank
 
     def counted(A, *args, **kwargs):
         ranked[np.ndim(A)] += len(A) if np.ndim(A) == 3 else 1
         return svd_rank(A, *args, **kwargs)
 
-    monkeypatch.setattr(relax_module, "_svd_rank", counted)
+    monkeypatch.setattr(rigidity_module, "_svd_rank", counted)
     rep = ultrarigidity_probe(fixture("ppt3"), 16)
     assert ranked == Counter({2: 1, 3: 613})
     assert len(rep.entries) == len(sublattices_up_to(16))
@@ -537,3 +538,30 @@ def test_probe_refuses_straddling_character_block():
     assert [(e.phi, e.sigma) for e in rep.entries] == [(2, 2)]
     with pytest.raises(NumericalError, match="rank instability"):
         ultrarigidity_probe(fw, 2)
+
+
+@pytest.mark.parametrize("abd", [(2, 0, 1), (1, 2, 3), (3, 2, 4)])
+def test_relaxation_shift_sums_stay_in_int64(abd):
+    """Shifts at the largest entry the guard admits unfold as the oracle's
+    Python-int arithmetic does, and one more is refused by ``relax`` and
+    ``stress_persists`` before any arithmetic.  A loop (2**63 - 1, 0)
+    relaxed to (2, 0, 1) once gave copy 1 the shift +2**62, not -2**62."""
+    sub = Sublattice(*abd)
+    room = (2 ** 63 - 1 - sub.index) // (sub.index + 2) - 1
+
+    def loops(c):
+        return PeriodicFramework(np.eye(2), [[0.0, 0.0]],
+                                 [(0, 0, (1, 0)), (0, 0, (c, 1)), (0, 0, (1, -c))])
+
+    fw = loops(room)
+    got, want = relax(fw, sub), oracle_relax(fw, sub)
+    assert sorted(map(got.edge_key, range(got.m))) == sorted(map(want.edge_key, range(want.m)))
+    s = np.array([1.0, -0.5, 0.25])
+    assert stress_persists(fw, s, sub) == check_periodic_stress(got, copy_stress(got, s)).ok
+    for fw in (loops(room + 1), loops(2 ** 63 - 1)):
+        for call in (lambda: relax(fw, sub), lambda: stress_persists(fw, s, sub)):
+            with pytest.raises(FrameworkError, match="too large for a relaxation of index %d"
+                               % sub.index):
+                call()
+    # index 1 unfolds nothing and keeps every shift
+    assert relax(loops(2 ** 63 - 1), Sublattice(1, 0, 1)).edge_key(1) == (0, 0, (2 ** 63 - 1, 1))
