@@ -431,6 +431,79 @@ def test_ladder_reports_pinned(tmp_path, capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, k, command)
 
 
+# sha256 of the `lift` stdout and of its OBJ terrain, over every stress
+# index in turn, on each fixture that has a periodic stress (2 x 3 tiles,
+# c0 = 1.5) and on the benchmark's ladder lift shapes (built as for
+# PINNED_LADDER, 2 x 2 tiles), and of the `svg` stdout and file on each
+# fixture (2 x 3 tiles), as the per-slot object face complex wrote them.
+PINNED_LIFT = {
+    ("cubes", 0): ("113d5f37724454168e23ed16bb65086223fb105f7ec2d5045d301faeb530dc67",
+                   "f8be576a23266ebce0234b6d52f296820ac1dd896199d8b3e4244a582ebca8a4"),
+    ("cubes", 1): ("9dd525d120c65cfffd9c4156018bc6793f3be8daa394543d62c3b1084b90b233",
+                   "e308440abd81f5eb41a3b635c18121e8c152a207e79271e78a07dc9b4fc71399"),
+    ("cubes", 2): ("2536b7ff7f5cac2354d720f5f32fee48ac8f6325b5b8ab80b301458f178ab96d",
+                   "14e0ad0949d0bbe4dc5d90776be2e62d1609563ddc6a8db9483f2e4b9fb8ea6d"),
+    ("cubes", 4): ("1e58a7a418bf183c2437cd7e3115c6a82c66b937632a189cabcecf97ae0112a0",
+                   "e411e7fab71aa62237e870b4dacc7d06ebddaf90b3729e214dd025b7bea08dcf"),
+    ("ultrarigid", 2): ("e6c6fe10c75d996fb9b44cf9a90300ebe18445149415ae9ab0bb3f2b6a9a25ee",
+                        "98cebf3ed5215aebedfd4aafb4f87b4b73c03e878234e1f050b2e9a5416c9fd9"),
+    ("ultrarigid", 4): ("cd377325fdae7d25484b2a2f6306564bcdcdcd31ef38169bcb8cc97eaea60b6d",
+                        "a51980336ff974da23ddcec6e2186c59f158a9f2969971ba1cc63f43ae7e6aac"),
+}
+PINNED_SVG = {
+    "square_grid": ("180bc969428b079a30bd4113a4d6289afda39a9c30c763fba5fa6b5226002ee1",
+                    "d87909174d74b29ed91287c41154318feca6045ed249789cde3d4c48a09e9bf8"),
+    "kagome": ("57da0ea9500641aea21c5843f095613aebe71eaaf8d6c555262d5f284a262847",
+               "89ed4a7fd027fe3d237adb81ad0b329ba3aac75d815d90f96ef7254afddb9502"),
+    "reentrant": ("180bc969428b079a30bd4113a4d6289afda39a9c30c763fba5fa6b5226002ee1",
+                  "0368efb8ed0fde4baa4028071af6d0383918460e519157a560c3e273f3cd5b48"),
+    "ppt3": ("57da0ea9500641aea21c5843f095613aebe71eaaf8d6c555262d5f284a262847",
+             "9d484a630bab7df811278085343e88bdfd9aeb5b60dbfe28e865abfbccd2d12d"),
+    "cubes": ("57da0ea9500641aea21c5843f095613aebe71eaaf8d6c555262d5f284a262847",
+              "d352a62289e0ef6f8aea5fc40872dfe1eb6af2dd4927fab9fa3256f5dae0ddd9"),
+    "ultrarigid": ("1acd7f594c57929c687fac90201b4ae03a15d43732cb84aeaa752781b3f7db2b",
+                   "45aaef74062372e8e55244a1ef1ef513c1d41d6b155baa6b83bfb0e8e56de17e"),
+}
+
+
+def _lift_digests(path, tiles):
+    """sha256 of the `lift` stdout and of the OBJ text, each over every
+    stress index, written to the working directory."""
+    reports, terrains = hashlib.sha256(), hashlib.sha256()
+    with open(path, encoding="utf-8") as fh:
+        fw = perimax.parse_framework(fh.read())
+    for index in range(len(perimax.periodic_stress_space(fw))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["lift", path, "--stress-index", str(index), "--c0", "1.5",
+                         "--tiles", tiles, "--out", "terrain.obj", "--quiet"]) == 0
+        reports.update(out.getvalue().encode())
+        with open("terrain.obj", "rb") as fh:
+            terrains.update(fh.read())
+    return reports.hexdigest(), terrains.hexdigest()
+
+
+def test_lift_reports_and_terrains_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for (family, k), digests in PINNED_LIFT.items():
+        if k == 0:
+            path, tiles = fixture_file(tmp_path, capsys, family), "2x3"
+        else:
+            path, tiles = _ladder_file(tmp_path, family, k), "2x2"
+        assert _lift_digests(path, tiles) == digests, (family, k)
+
+
+def test_svg_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, digests in PINNED_SVG.items():
+        path = fixture_file(tmp_path, capsys, name)
+        assert main(["svg", path, "--tiles", "2x3", "--out", "patch.svg", "--quiet"]) == 0
+        report = capsys.readouterr().out
+        got = (hashlib.sha256(report.encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "patch.svg").read_bytes()).hexdigest())
+        assert got == digests, name
+
+
 def test_python_m_perimax():
     proc = _run_module("perimax", "fixture", "ppt3")
     assert proc.returncode == 0
