@@ -16,9 +16,6 @@ from .core import (
 )
 from .topology import (
     FaceComplex,
-    FaceOrbit,
-    HalfEdge,
-    Tetrad,
     check_noncrossing,
     corner_count,
     render_svg,

@@ -445,6 +445,19 @@ def _tile_range(tiles):
     return rows, cols
 
 
+def _lattice_vectors(lattice, shifts):
+    """Rows ``lattice @ t`` for the rows t of ``shifts``, from one stacked
+    2 x 2 matmul that rounds each row as ``lattice @ t`` alone does (the
+    product ``shifts @ lattice.T`` rounds some rows differently)."""
+    return (lattice @ np.asarray(shifts, dtype=float)[:, :, None])[:, :, 0]
+
+
+def _edge_vector_rows(fw):
+    """(m, 2) edge vectors rounded as ``fw.edge_vector(k)`` rounds each."""
+    return (fw.positions[fw.heads] + _lattice_vectors(fw.lattice, fw.shifts)
+            - fw.positions[fw.tails])
+
+
 def realize_patch(fw, tiles):
     """Materialize all vertex copies with shifts in [0, R) x [0, C).
 

@@ -203,28 +203,28 @@ def _newton_correct(residual, jacobian, z, tol_abs):
         z = z + np.linalg.lstsq(jacobian(evecs), -F, rcond=None)[0]
 
 
-def _corner_table(faces, m):
+def _corner_table(fw, fc):
     """The face corners of a pseudo-triangulation, fixed along its path.
 
     Columns: the half-edges (orbit k forward at k, reversed at k + m) of
     the twin of the incoming and of the outgoing edge, the face, the margin
     sign (+1 convex, -1 reflex) and the event text.  Reflex corners come
     first, by vertex: a pointed vertex has exactly one, and while the stars
-    stay fixed its margin is the vertex's pointedness margin.
+    stay fixed its margin is the vertex's pointedness margin.  The other
+    corners follow in face order, boundary order.
     """
-    rows = []
-    for face in faces:
-        for h_in, h_out, angle in zip(face.boundary[-1:] + face.boundary[:-1],
-                                      face.boundary, face.corner_angles):
-            v = h_out.tail[0]
-            if angle > math.pi:
-                key, sign, reason = (0, v), -1.0, "pointedness lost at vertex %d" % v
-            else:
-                key, sign, reason = (1, len(rows)), 1.0, "flat corner on face %d" % face.id
-            rows.append((key, h_in.orbit + m * h_in.forward,
-                         h_out.orbit + m * (not h_out.forward), face.id, sign, reason))
-    _, *columns, reasons = zip(*sorted(rows))
-    return [np.array(c) for c in columns] + [reasons]
+    m = fw.m
+    pred = np.empty_like(fc.succ)
+    pred[fc.succ] = np.arange(2 * m)
+    out = fc.order
+    vertex = np.concatenate([fw.tails, fw.heads])[out]
+    reflex = fc.corners > math.pi
+    rows = np.argsort(np.where(reflex, vertex, fw.n + np.arange(2 * m)), kind="stable")
+    out, vertex, reflex = out[rows], vertex[rows], reflex[rows]
+    face = fc.face[out]
+    reasons = tuple("pointedness lost at vertex %d" % v if r else "flat corner on face %d" % f
+                    for v, f, r in zip(vertex.tolist(), face.tolist(), reflex.tolist()))
+    return [(pred[out] + m) % (2 * m), out, face, np.where(reflex, -1.0, 1.0), reasons]
 
 
 def _ppt_margin(table, evecs):
@@ -258,7 +258,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     if not cert.valid:
         raise FrameworkError(
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
-    table = _corner_table(cert.faces, fw.m)
+    table = _corner_table(fw, cert.faces)
     n = fw.n
     cfg = Configuration.from_framework(fw)
     ref_sq = _edge_lengths_sq(fw, cfg)

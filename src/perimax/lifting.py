@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, _tile_range
+from .core import (FrameworkError, NumericalError, _edge_vector_rows, _lattice_vectors,
+                   _tile_range)
 from .rigidity import _stress_values
 
 __all__ = [
@@ -29,6 +30,9 @@ __all__ = [
 
 # Construction consistency is accepted below this relative residual.
 CONSTRUCTION_RTOL = 1e-8
+# The period rows of the non-tree dual edges determine the base normal when
+# their rank is 2 at this tolerance, relative to their largest entry (or 1).
+BASE_NORMAL_RTOL = 1e-9
 # Compatibility of a supplied lifting is verified at this relative residual.
 COMPAT_RTOL = 1e-9
 # Fold classification dead-band, relative to the largest stress magnitude.
@@ -36,12 +40,18 @@ FOLD_RTOL = 1e-9
 
 
 def _perp(v):
-    """Rotate a 2-vector by a quarter turn: (x, y) -> (-y, x)."""
-    return np.array([-v[1], v[0]])
+    """Rotate 2-vectors (rows) by a quarter turn: (x, y) -> (-y, x)."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
 def _det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _dots(a, b):
+    """Row dot products a[i] @ b[i] from one stacked matmul, each rounded
+    as ``a[i] @ b[i]`` alone (an elementwise sum of products is not)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -70,12 +80,18 @@ class PeriodicLifting:
                                self.base_face)
 
 
-def _edge_copy_endpoints(fw, orbit, copy):
-    """Positions of the tail and head of edge copy ``orbit @ copy``."""
-    t = np.asarray(copy, dtype=float)
-    p = fw.positions[fw.tails[orbit]] + fw.lattice @ t
-    q = p + fw.edge_vector(orbit)
-    return p, q
+def _heights(lifting, lattice, faces, shifts, points):
+    """``lifting.height`` of each row: over points[i], from the plane of
+    face copy (faces[i], shifts[i])."""
+    normals = lifting.normals[faces]
+    return _dots(normals, points) + (lifting.offsets[faces]
+                                     - _dots(normals, _lattice_vectors(lattice, shifts)))
+
+
+def _edge_copy_endpoints(fw, orbits, copies):
+    """Positions of the tails and heads of the edge copies ``orbits[i] @ copies[i]``."""
+    p = fw.positions[fw.tails[orbits]] + _lattice_vectors(fw.lattice, copies)
+    return p, p + _edge_vector_rows(fw)[orbits]
 
 
 def _height_scale(fw, lifting):
@@ -87,15 +103,12 @@ def _height_scale(fw, lifting):
 
 def compatibility_residual(fw, fc, lifting):
     """Largest height mismatch across any edge between its two faces."""
+    p = fw.positions[fw.tails]
     worst = 0.0
-    for tet in fc.tetrads:
-        p, q = _edge_copy_endpoints(fw, tet.orbit, (0, 0))
-        lshift = (-tet.left_copy[0], -tet.left_copy[1])
-        rshift = (-tet.right_copy[0], -tet.right_copy[1])
-        for point in (p, q):
-            hl = lifting.height(fw.lattice, tet.left_face, lshift, point)
-            hr = lifting.height(fw.lattice, tet.right_face, rshift, point)
-            worst = max(worst, abs(hl - hr))
+    for point in (p, p + _edge_vector_rows(fw)):
+        hl = _heights(lifting, fw.lattice, fc.left_face, -fc.left_copy, point)
+        hr = _heights(lifting, fw.lattice, fc.right_face, -fc.right_copy, point)
+        worst = max(worst, float(np.abs(hl - hr).max(initial=0.0)))
     return worst
 
 
@@ -113,12 +126,39 @@ def stress_from_lifting(fw, fc, lifting):
             % (res, COMPAT_RTOL * scale)
         )
     evecs = fw.edge_vectors()
-    s = np.zeros(fw.m)
-    for tet in fc.tetrads:
-        e = evecs[tet.orbit]
-        dn = lifting.normals[tet.left_face] - lifting.normals[tet.right_face]
-        s[tet.orbit] = float(dn @ _perp(e)) / float(e @ e)
-    return s
+    dn = lifting.normals[fc.left_face] - lifting.normals[fc.right_face]
+    return _dots(dn, _perp(evecs)) / _dots(evecs, evecs)
+
+
+def _dual_tree(fc):
+    """Breadth-first spanning tree of the quotient dual graph from face 0,
+    each face's edge orbits taken in ascending order.  Returns the copy of
+    each face that the tree reaches and its edges as rows (face, next
+    face, edge orbit, c1, c2) in visiting order, crossing edge copy (c1,
+    c2) of the orbit."""
+    left, right = fc.left_face.tolist(), fc.right_face.tolist()
+    lcopy, rcopy = fc.left_copy.tolist(), fc.right_copy.tolist()
+    adj = [[] for _ in range(fc.n_faces)]
+    for k, (lf, rf) in enumerate(zip(left, right)):
+        if lf != rf:
+            adj[rf].append(k)
+            adj[lf].append(k)
+    tau = [None] * fc.n_faces
+    tau[0] = (0, 0)
+    queue, tree = [0], []
+    for f in queue:
+        for k in adj[f]:
+            g, here, there = ((left[k], rcopy[k], lcopy[k]) if f == right[k]
+                              else (right[k], lcopy[k], rcopy[k]))
+            if tau[g] is not None:
+                continue
+            copy = (tau[f][0] + here[0], tau[f][1] + here[1])
+            tau[g] = (copy[0] - there[0], copy[1] - there[1])
+            tree.append((f, g, k) + copy)
+            queue.append(g)
+    if len(queue) < fc.n_faces:
+        raise FrameworkError("dual graph is disconnected")  # cannot happen for valid input
+    return np.array(tau), np.array(tree, dtype=int).reshape(-1, 5)
 
 
 def lifting_from_stress(fw, fc, s, c0=0.0):
@@ -131,47 +171,20 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
     tolerance.
     """
     s = _stress_values(s, fw.m)
-    nf = fc.n_faces
     lat = fw.lattice
     evecs = fw.edge_vectors()
+    tau, tree = _dual_tree(fc)
+    parent, child, orbit, copy = tree[:, 0], tree[:, 1], tree[:, 2], tree[:, 3:]
 
-    # dual adjacency: orbit -> (left, right, left_copy, right_copy)
-    adj = [[] for _ in range(nf)]
-    for tet in fc.tetrads:
-        adj[tet.right_face].append((tet.orbit, tet))
-        if tet.left_face != tet.right_face:
-            adj[tet.left_face].append((tet.orbit, tet))
-    for lst in adj:
-        lst.sort(key=lambda item: item[0])
-
-    nu_rel = np.zeros((nf, 2))          # normal minus the base normal
-    c_hat = np.zeros(nf)                # offset at the reached copy, minus c0
-    tau = [(0, 0)] * nf                 # copy offset reached by the tree
-    visited = [False] * nf
-    visited[0] = True
-    tree_edges = set()
-    queue = [0]
-    while queue:
-        f = queue.pop(0)
-        for orbit, tet in adj[f]:
-            if tet.left_face == tet.right_face:
-                continue
-            g = tet.left_face if f == tet.right_face else tet.right_face
-            if visited[g]:
-                continue
-            visited[g] = True
-            tree_edges.add(orbit)
-            # right -> left adds s perp(e), left -> right subtracts it
-            sign, here, there = ((1.0, tet.right_copy, tet.left_copy) if f == tet.right_face
-                                 else (-1.0, tet.left_copy, tet.right_copy))
-            copy = (tau[f][0] + here[0], tau[f][1] + here[1])
-            p, q = _edge_copy_endpoints(fw, orbit, copy)
-            nu_rel[g] = nu_rel[f] + sign * s[orbit] * _perp(evecs[orbit])
-            c_hat[g] = c_hat[f] - sign * s[orbit] * _det2(q, p)
-            tau[g] = (copy[0] - there[0], copy[1] - there[1])
-            queue.append(g)
-    if not all(visited):
-        raise FrameworkError("dual graph is disconnected")  # cannot happen for valid input
+    # right -> left adds s perp(e), left -> right subtracts it
+    signed = np.where(parent == fc.right_face[orbit], 1.0, -1.0) * s[orbit]
+    p, q = _edge_copy_endpoints(fw, orbit, copy)
+    nu_rel = np.zeros((fc.n_faces, 2))      # normal minus the base normal
+    c_hat = np.zeros(fc.n_faces)            # offset at the reached copy, minus c0
+    for f, g, dn, dc in zip(parent.tolist(), child.tolist(),
+                            signed[:, None] * _perp(evecs[orbit]), signed * _det2(q, p)):
+        nu_rel[g] = nu_rel[f] + dn
+        c_hat[g] = c_hat[f] - dc
 
     geom = max(1.0, fw.geometry_scale)
     scale = max(1.0, float(np.abs(s).sum()) * geom * geom)
@@ -179,30 +192,17 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
 
     # every non-tree dual edge yields one period equation for the base
     # normal plus a normal-consistency residual
-    rows = []
-    rhs = []
-    nu_residual = 0.0
-    for tet in fc.tetrads:
-        if tet.orbit in tree_edges:
-            continue
-        L, R = tet.left_face, tet.right_face
-        e = evecs[tet.orbit]
-        nu_residual = max(
-            nu_residual,
-            float(np.abs(nu_rel[L] - nu_rel[R] - s[tet.orbit] * _perp(e)).max()),
-        )
-        copy = (tau[R][0] + tet.right_copy[0], tau[R][1] + tet.right_copy[1])
-        p, q = _edge_copy_endpoints(fw, tet.orbit, copy)
-        target = (copy[0] - tet.left_copy[0], copy[1] - tet.left_copy[1])
-        g = np.array([target[0] - tau[L][0], target[1] - tau[L][1]], dtype=float)
-        lam_g = lat @ g
-        rows.append(lam_g)
-        rhs.append(c_hat[L] - c_hat[R] + s[tet.orbit] * _det2(q, p)
-                   - float(nu_rel[L] @ lam_g))
-
-    A = np.array(rows).reshape(len(rows), 2)
-    b = np.array(rhs)
-    if np.linalg.matrix_rank(A, tol=1e-9 * max(1.0, float(np.abs(A).max()))) < 2:
+    rest = np.ones(fw.m, dtype=bool)
+    rest[orbit] = False
+    k = np.flatnonzero(rest)
+    L, R = fc.left_face[k], fc.right_face[k]
+    nu_residual = float(np.abs(nu_rel[L] - nu_rel[R] - s[k, None] * _perp(evecs[k]))
+                        .max(initial=0.0))
+    copy = tau[R] + fc.right_copy[k]
+    p, q = _edge_copy_endpoints(fw, k, copy)
+    A = _lattice_vectors(lat, copy - fc.left_copy[k] - tau[L])
+    b = c_hat[L] - c_hat[R] + s[k] * _det2(q, p) - _dots(nu_rel[L], A)
+    if np.linalg.matrix_rank(A, tol=BASE_NORMAL_RTOL * max(1.0, float(np.abs(A).max()))) < 2:
         raise NumericalError("degenerate dual cycles: base normal undetermined")
     nu0, *_ = np.linalg.lstsq(A, b, rcond=None)
     period_residual = float(np.abs(A @ nu0 - b).max()) if b.size else 0.0
@@ -219,10 +219,7 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
         raise exc
 
     normals = nu_rel + nu0
-    offsets = np.empty(nf)
-    for f in range(nf):
-        t = np.array(tau[f], dtype=float)
-        offsets[f] = c0 + c_hat[f] + float(normals[f] @ (lat @ t))
+    offsets = c0 + c_hat + _dots(normals, _lattice_vectors(lat, tau))
     return PeriodicLifting(normals, offsets, base_face=0)
 
 
@@ -253,47 +250,47 @@ def classify_folds(fw, s):
 
 def vertex_heights(fw, fc, lifting):
     """Lifted height of each vertex orbit (heights are lattice invariant)."""
-    heights = np.empty(fw.n)
-    for v in range(fw.n):
-        face, shift = fc.vertex_slot[v]
-        point = fw.positions[v] + fw.lattice @ np.array(shift, dtype=float)
-        # the face's base copy contains the vertex copy (v, shift)
-        heights[v] = lifting.height(fw.lattice, face, (0, 0), point)
-    return heights
+    face, shift = fc.vertex_slot[:, 0], fc.vertex_slot[:, 1:]
+    # the face's base copy contains the vertex copy (v, shift)
+    point = fw.positions + _lattice_vectors(fw.lattice, shift)
+    return _heights(lifting, fw.lattice, face, np.zeros_like(shift), point)
 
 
 def export_terrain(fw, fc, lifting, tiles):
     """OBJ mesh of the lifted terrain over a rows x cols patch.
 
     Every face copy is triangulated by a fan from its first boundary
-    vertex; vertices are shared between faces.
+    vertex; vertices are shared between faces and numbered in the order
+    the face copies (tile by tile, row-major) first meet them.
     """
     rows, cols = _tile_range(tiles)
-    lat = fw.lattice
-    vert_index = {}
-    vert_lines = []
-    face_lines = []
+    grid = np.array([(t1, t2) for t1 in range(rows) for t2 in range(cols)])
+    size = 2 * fw.m
+    face = np.tile(fc.face[fc.order], len(grid))
+    vertex = np.tile(np.concatenate([fw.tails, fw.heads])[fc.order], len(grid))
+    shift = (fc.copy[fc.order] + grid[:, None]).reshape(-1, 2)
+    point = fw.positions[vertex] + _lattice_vectors(fw.lattice, shift)
+    z = _heights(lifting, fw.lattice, face, np.repeat(grid, size, axis=0), point)
 
-    def vertex_id(v, shift, z):
-        key = (v, shift)
-        idx = vert_index.get(key)
-        if idx is None:
-            p = fw.positions[v] + lat @ np.array(shift, dtype=float)
-            idx = len(vert_lines) + 1
-            vert_index[key] = idx
-            vert_lines.append("v %.17g %.17g %.17g" % (p[0], p[1], z))
-        return idx
+    # vertex copies (vertex, shift), numbered from 1 by first slot
+    low = shift.min(axis=0)
+    span = shift.max(axis=0) - low + 1
+    key = (vertex * span[0] + shift[:, 0] - low[0]) * span[1] + shift[:, 1] - low[1]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(1, len(first) + 1)
+    ids = number[inverse]
+    firsts = first[by_first]
+    vert_lines = ["v %.17g %.17g %.17g" % row for row in zip(
+        point[firsts, 0].tolist(), point[firsts, 1].tolist(), z[firsts].tolist())]
 
-    for t1 in range(rows):
-        for t2 in range(cols):
-            for face in fc.faces:
-                ids = []
-                for slot in face.boundary:
-                    v, s = slot.tail
-                    shift = (s[0] + t1, s[1] + t2)
-                    point = fw.positions[v] + lat @ np.array(shift, dtype=float)
-                    z = lifting.height(lat, face.id, (t1, t2), point)
-                    ids.append(vertex_id(v, shift, z))
-                for i in range(1, len(ids) - 1):
-                    face_lines.append("f %d %d %d" % (ids[0], ids[i], ids[i + 1]))
+    # fans: slot j at position i of its face, 1 <= i <= k - 2, gives the
+    # triangle (first slot of the face, j, j + 1)
+    sizes = np.diff(fc.start)
+    within = np.arange(size) - np.repeat(fc.start[:-1], sizes)
+    fan = np.flatnonzero((within >= 1) & (within < np.repeat(sizes, sizes) - 1))
+    j = (fan + size * np.arange(len(grid))[:, None]).ravel()
+    face_lines = ["f %d %d %d" % row for row in zip(
+        ids[j - within[j % size]].tolist(), ids[j].tolist(), ids[j + 1].tolist())]
     return "\n".join(vert_lines + face_lines) + "\n"

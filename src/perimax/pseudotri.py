@@ -11,15 +11,15 @@ inserting an edge orbit whose length varies under the flex rigidifies them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FrameworkError, NumericalError, PeriodicFramework, _edge_rows, canonical_edge
 from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, count_identity_check,
                        pair_table)
-from .topology import (_crossing_pairs, _orbit_crossing_rows, _star_table, check_noncrossing,
-                       corner_count, trace_faces)
+from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
+                       check_noncrossing, corner_count, trace_faces)
 
 __all__ = [
     "POINTED_TOL",
@@ -88,7 +88,7 @@ class PPTCertificate:
     stress_free: bool
     flex_dim: int
     failures: list
-    faces: list = field(default_factory=list)   # traced FaceOrbits
+    faces: FaceComplex = None     # the traced face complex
 
     def __bool__(self):
         return self.valid
@@ -138,7 +138,7 @@ def certify_ppt(fw):
         stress_free=spectral.sigma == 0,
         flex_dim=spectral.phi,
         failures=failures,
-        faces=fc.faces,
+        faces=fc,
     )
 
 

@@ -251,10 +251,13 @@ def periodic_stress_space(fw):
 
     Vectors are unit norm with the first significant entry positive.  No
     dense SVD runs when ``_block_rank`` gives rank m across a safe gap.
+    Blocks are not ranked when m > 2n + 1: ker R holds the three trivial
+    motions, so rank R <= 2n + 1 < m and the kernel is never empty.
     """
-    rank, gap = _block_rank(fw) or (0, 0.0)
-    if rank == fw.m and gap >= RANK_GAP_MIN:
-        return []
+    if fw.m <= 2 * fw.n + 1:
+        rank, gap = _block_rank(fw) or (0, 0.0)
+        if rank == fw.m and gap >= RANK_GAP_MIN:
+            return []
     basis = _kernel(rigidity_matrix(fw).T)[3]
     return [StressVector(s, True, True, True) for s in basis.T.copy()]
 

@@ -9,17 +9,16 @@ no infinite patch is ever materialized.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EDGE_LENGTH_RTOL, FrameworkError, _tile_range
+from .core import (EDGE_LENGTH_RTOL, FrameworkError, _edge_vector_rows, _lattice_vectors,
+                   _tile_range)
 
 __all__ = [
-    "HalfEdge",
-    "FaceOrbit",
-    "Tetrad",
     "FaceComplex",
     "NoncrossingReport",
     "check_noncrossing",
@@ -45,61 +44,42 @@ _DIRECTION_TOL = 1e-12
 _SCREEN_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
-class HalfEdge:
-    """One traversal slot of an edge orbit inside a face boundary.
-
-    ``tail`` and ``head`` are vertex copies (vertex id, lattice shift)
-    relative to the face's base copy.
-    """
-
-    orbit: int
-    forward: bool
-    tail: tuple
-    head: tuple
-
-
-@dataclass
-class FaceOrbit:
-    """A face orbit: cyclic boundary of half-edges plus interior angles."""
-
-    id: int
-    boundary: list
-    corner_angles: list
-
-
-@dataclass(frozen=True)
-class Tetrad:
-    """Orientation data of an edge orbit: faces left/right of the forward
-    direction, with the copy offsets at which the canonical edge copy
-    appears in each face's base traversal."""
-
-    orbit: int
-    tail: int
-    head: int
-    left_face: int
-    right_face: int
-    left_copy: tuple
-    right_copy: tuple
-
-    @property
-    def dual_offset(self):
-        """Crossing right -> left from face copy t lands at t + dual_offset."""
-        return (self.right_copy[0] - self.left_copy[0],
-                self.right_copy[1] - self.left_copy[1])
-
-
 @dataclass
 class FaceComplex:
-    """Faces, tetrads and the vertex->face incidence of a torus embedding."""
+    """The face orbits of a torus embedding as arrays over the 2m half-edges
+    (orbit k forward at k, reversed at k + m), in the manner of a
+    doubly-connected edge list (de Berg et al., "Computational Geometry",
+    ch. 2).
 
-    faces: list
-    tetrads: list
-    vertex_slot: dict = field(default_factory=dict)
+    Half-edge h lies on the boundary of face orbit ``face[h]``, its tail
+    is the vertex copy at lattice shift ``copy[h]`` in that face's base
+    traversal, and ``succ[h]`` follows it along the boundary.  ``order``
+    lists the half-edges face by face, face f at order[start[f]:start[f +
+    1]] from the half-edge it was traced from, and ``corners`` holds the
+    interior angle at each tail in that order.  The tetrad columns of
+    edge orbit k: the faces left and right of its forward direction, and
+    the copy offsets at which its canonical copy appears in their base
+    traversals; crossing it right -> left from face copy t lands at
+    t + right_copy[k] - left_copy[k].  Row v of ``vertex_slot`` is
+    (face, s1, s2): the base copy of that face holds the vertex copy
+    (v, (s1, s2)).
+    """
+
+    face: np.ndarray            # (2m,)
+    copy: np.ndarray            # (2m, 2)
+    succ: np.ndarray            # (2m,)
+    order: np.ndarray           # (2m,)
+    start: np.ndarray           # (n_faces + 1,)
+    corners: np.ndarray         # (2m,), in boundary order
+    left_face: np.ndarray       # (m,)
+    right_face: np.ndarray      # (m,)
+    left_copy: np.ndarray       # (m, 2)
+    right_copy: np.ndarray      # (m, 2)
+    vertex_slot: np.ndarray     # (n, 3)
 
     @property
     def n_faces(self):
-        return len(self.faces)
+        return len(self.start) - 1
 
 
 # -- non-crossing test ----------------------------------------------------
@@ -379,8 +359,8 @@ def trace_faces(fw):
     The successor of a half-edge is the clockwise neighbour of its twin;
     faces start at orbit k forward, then reversed, for k = 0..m-1.  Raises
     FrameworkError for two edges sharing a direction at a vertex, Euler
-    violations, non-contractible or non-simple faces; these signal a
-    crossing or a degenerate placement.
+    violations, non-contractible or non-simple faces (naming the first
+    such face); these signal a crossing or a degenerate placement.
     """
     m = fw.m
     tails, nxt, corners = _star_table(fw)
@@ -388,53 +368,44 @@ def trace_faces(fw):
     if len(shared):
         raise FrameworkError(
             "degenerate placement: two edges at vertex %d share a direction" % shared.min())
-    twin = np.concatenate([np.arange(m, 2 * m), np.arange(m)])
     # the clockwise neighbour of the twin; argsort inverts the permutation nxt
-    succ = np.argsort(nxt)[twin].tolist()
-    tails, heads = tails.tolist(), tails[twin].tolist()
+    inverse = np.argsort(nxt)
+    succ = np.concatenate([inverse[m:], inverse[:m]])
+    step, angle, vertex = succ.tolist(), corners.tolist(), tails.tolist()
     deltas = np.concatenate([fw.shifts, -fw.shifts]).tolist()
-    corners = corners.tolist()
-
-    face_of = [-1] * (2 * m)
-    copy_of = [None] * (2 * m)
-    faces = []
-    vertex_slot = {}
-    for start in (h for k in range(m) for h in (k, k + m)):
-        if face_of[start] >= 0:
+    face, cx, cy = [-1] * (2 * m), [0] * (2 * m), [0] * (2 * m)
+    order, start, vertex_slot = [], [0], {}
+    for first in itertools.chain.from_iterable(zip(range(m), range(m, 2 * m))):
+        if face[first] >= 0:
             continue
-        fid = len(faces)
-        boundary, angles = [], []
-        h, shift = start, (0, 0)
-        while True:
-            face_of[h] = fid
-            head_shift = (shift[0] + deltas[h][0], shift[1] + deltas[h][1])
-            boundary.append(HalfEdge(h % m, h < m, (tails[h], shift), (heads[h], head_shift)))
-            angles.append(corners[h])
-            # copy offset at which this edge orbit occurs in the face:
-            # forward slots start at the copy's tail, backward slots end there
-            copy_of[h] = shift if h < m else head_shift
-            h, shift = succ[h], head_shift
-            if h == start:
-                break
-        if shift != (0, 0):
+        fid = len(start) - 1
+        h, sx, sy, total, seen = first, 0, 0, 0.0, set()
+        while face[h] < 0:
+            face[h], cx[h], cy[h] = fid, sx, sy
+            order.append(h)
+            total += angle[h]
+            seen.add((vertex[h], sx, sy))
+            vertex_slot.setdefault(vertex[h], (fid, sx, sy))
+            dx, dy = deltas[h]
+            sx, sy, h = sx + dx, sy + dy, step[h]
+        size = len(order) - start[-1]
+        start.append(len(order))
+        if sx or sy:
             raise FrameworkError("Euler violation: face %d is non-contractible "
-                                 "(net shift %r)" % (fid, shift))
-        if len({slot.tail for slot in boundary}) != len(boundary):
+                                 "(net shift %r)" % (fid, (sx, sy)))
+        if len(seen) != size:
             raise FrameworkError("non-simple face %d: repeated vertex copy" % fid)
-        if abs(sum(angles) - (len(boundary) - 2) * math.pi) > ANGLE_SUM_TOL:
+        if abs(total - (size - 2) * math.pi) > ANGLE_SUM_TOL:
             raise FrameworkError("Euler violation: face %d angle sum %.12g != (k-2)pi"
-                                 % (fid, sum(angles)))
-        faces.append(FaceOrbit(fid, boundary, angles))
-        for slot in boundary:
-            vertex_slot.setdefault(slot.tail[0], (fid, slot.tail[1]))
-
-    if fw.n - m + len(faces) != 0:
+                                 % (fid, total))
+    if fw.n - m + len(start) - 1 != 0:
         raise FrameworkError("Euler violation: n - m + n* = %d - %d + %d != 0"
-                             % (fw.n, m, len(faces)))
+                             % (fw.n, m, len(start) - 1))
 
-    tetrads = [Tetrad(k, tails[k], heads[k], face_of[k], face_of[k + m],
-                      copy_of[k], copy_of[k + m]) for k in range(m)]
-    return FaceComplex(faces, tetrads, vertex_slot)
+    face, order, copy = np.array(face), np.array(order, dtype=int), np.array([cx, cy]).T
+    return FaceComplex(face, copy, succ, order, np.array(start), corners[order], face[:m],
+                       face[m:], copy[:m], copy[m:] - fw.shifts,
+                       np.array([vertex_slot[v] for v in range(fw.n)]))
 
 
 @dataclass
@@ -450,23 +421,19 @@ class CornerReport:
 def corner_count(fw, fc):
     """Count corners (interior angles < pi) of every face orbit.
 
-    Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate; they
-    are not counted as corners.  Also verifies the degree-sum identity and,
-    when every face has exactly three corners, the corner-count identity
+    Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate
+    (by their position along the face's boundary); they are not counted
+    as corners.  Also verifies the degree-sum identity and, when every
+    face has exactly three corners, the corner-count identity
     2m = n + 3n*.
     """
-    counts = []
-    flats = []
-    for face in fc.faces:
-        c = 0
-        flat = []
-        for i, a in enumerate(face.corner_angles):
-            if abs(a - math.pi) <= CORNER_ANGLE_TOL:
-                flat.append(i)
-            elif a < math.pi:
-                c += 1
-        counts.append(c)
-        flats.append(flat)
+    flat = np.abs(fc.corners - math.pi) <= CORNER_ANGLE_TOL
+    convex = np.concatenate([[0], np.cumsum(~flat & (fc.corners < math.pi))])
+    counts = np.diff(convex[fc.start]).tolist()
+    flats = [[] for _ in counts]
+    for i in np.flatnonzero(flat).tolist():
+        f = int(fc.face[fc.order[i]])
+        flats[f].append(i - int(fc.start[f]))
     degree_sum_ok = int(fw.degrees().sum()) == 2 * fw.m
     identity_ok = True
     if all(c == 3 for c in counts) and not any(flats):
@@ -486,30 +453,16 @@ def render_svg(fw, fc, tiles):
     """Render a patch as SVG with faces filled per-orbit and edges stroked."""
     rows, cols = _tile_range(tiles)
     lat = fw.lattice
-    polys = []
-    for t1 in range(rows):
-        for t2 in range(cols):
-            base = lat @ np.array([t1, t2], dtype=float)
-            for face in fc.faces:
-                pts = []
-                for slot in face.boundary:
-                    v, s = slot.tail
-                    p = fw.positions[v] + lat @ np.array(s, dtype=float) + base
-                    pts.append((float(p[0]), float(p[1])))
-                polys.append((face.id, pts))
-    segs = []
-    for t1 in range(rows):
-        for t2 in range(cols):
-            base = lat @ np.array([t1, t2], dtype=float)
-            for k in range(fw.m):
-                p = fw.positions[fw.tails[k]] + base
-                q = p + fw.edge_vector(k)
-                segs.append(((float(p[0]), float(p[1])), (float(q[0]), float(q[1]))))
+    bases = _lattice_vectors(lat, [(t1, t2) for t1 in range(rows) for t2 in range(cols)])
+    vertex = np.concatenate([fw.tails, fw.heads])[fc.order]
+    # face corners tile by tile, face by face, and edge copies tile by tile
+    pts = fw.positions[vertex] + _lattice_vectors(lat, fc.copy[fc.order])
+    pts = (pts + bases[:, None]).reshape(-1, 2)
+    tail_pts = fw.positions[fw.tails] + bases[:, None]
+    ends = np.concatenate([tail_pts, tail_pts + _edge_vector_rows(fw)], axis=2).reshape(-1, 4)
 
-    xs = [x for _, pts in polys for x, _ in pts] or [0.0, 1.0]
-    ys = [y for _, pts in polys for _, y in pts] or [0.0, 1.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    box = pts if len(pts) else np.array([[0.0, 0.0], [1.0, 1.0]])
+    (x0, y0), (x1, y1) = box.min(axis=0), box.max(axis=0)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     height = SVG_WIDTH * (y1 - y0) / (x1 - x0)
@@ -521,11 +474,15 @@ def render_svg(fw, fc, tiles):
     )
     # flip y so the drawing uses mathematical orientation
     out.append('<g transform="translate(0 %.6f) scale(1 -1)">' % (y0 + y1))
-    for fid, pts in polys:
-        path = " ".join("%.6f,%.6f" % p for p in pts)
-        out.append('<polygon points="%s" fill="%s" stroke="none"/>' % (path, _palette_color(fid)))
+    points = ["%.6f,%.6f" % (x, y) for x, y in pts.tolist()]
+    for tile in range(rows * cols):
+        at = [tile * 2 * fw.m + b for b in fc.start.tolist()]
+        for f in range(fc.n_faces):
+            path = " ".join(points[at[f]:at[f + 1]])
+            out.append('<polygon points="%s" fill="%s" stroke="none"/>'
+                       % (path, _palette_color(f)))
     sw = 0.01 * max(x1 - x0, y1 - y0)
-    for (xa, ya), (xb, yb) in segs:
+    for xa, ya, xb, yb in ends.tolist():
         out.append('<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" '
                    'stroke="black" stroke-width="%.6f" stroke-linecap="round"/>'
                    % (xa, ya, xb, yb, sw))

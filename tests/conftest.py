@@ -14,16 +14,22 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from perimax import FrameworkError, PeriodicFramework, flex_space, sublattices_up_to
+from perimax import (FrameworkError, NumericalError, PeriodicFramework, flex_space,
+                     sublattices_up_to)
 from perimax.pseudotri import pointedness_margin
 from perimax.relax import UnfoldedFramework
 from perimax import topology
 from perimax.rigidity import equilibrium_matrix
-from perimax.topology import ANGLE_SUM_TOL, FaceComplex, FaceOrbit, HalfEdge, Tetrad, trace_faces
+from perimax.core import _tile_range
+from perimax.lifting import (COMPAT_RTOL, CONSTRUCTION_RTOL, PeriodicLifting, _height_scale,
+                             _perp)
+from perimax.topology import (ANGLE_SUM_TOL, CORNER_ANGLE_TOL, SVG_WIDTH, CornerReport,
+                              FaceComplex, _palette_color, trace_faces)
 
 
 # -- extra fixtures --------------------------------------------------------
@@ -473,14 +479,14 @@ def oracle_ppt_margin(fw, positions, lattice):
     event text, from a framework rebuilt at (positions, lattice) and traced
     again: the pointedness margin of every vertex, then every face corner
     against its corner/reflex class in ``fw``; the first entry wins a tie."""
-    classes = [[a < math.pi for a in face.corner_angles] for face in trace_faces(fw).faces]
+    classes = (trace_faces(fw).corners < math.pi).tolist()
     moved = fw.with_geometry(positions, lattice)
     margins = [(pointedness_margin(moved, v), "pointedness lost at vertex %d" % v)
                for v in range(fw.n)]
-    margins += [((math.pi - a) if corner else (a - math.pi),
-                 "flat corner on face %d" % face.id)
-                for face in trace_faces(moved).faces
-                for a, corner in zip(face.corner_angles, classes[face.id])]
+    fc = trace_faces(moved)
+    margins += [((math.pi - a) if corner else (a - math.pi), "flat corner on face %d" % f)
+                for a, corner, f in zip(fc.corners.tolist(), classes,
+                                        fc.face[fc.order].tolist())]
     return margins[int(np.argmin([margin for margin, _ in margins]))]
 
 
@@ -516,11 +522,25 @@ def _oracle_half_edges(fw, angle_tol=1e-12):
     return stars, data
 
 
-def oracle_trace_faces(fw):
-    """Face complex traced over dicts keyed by (orbit, forward): the
-    successor of a half-edge is the rotational predecessor of its twin,
-    corner angles are differences of ``math.atan2`` directions mod 2 pi.
-    Raises ``trace_faces``'s FrameworkErrors with its messages."""
+# The face complex as per-slot objects: a boundary slot of an edge orbit
+# with its tail and head vertex copies (vertex, shift) relative to the
+# face's base copy; a face orbit's cyclic boundary and corner angles; an
+# edge orbit's faces left and right of its forward direction with the copy
+# offsets at which its canonical copy appears in each face's base
+# traversal; and a vertex -> (face, shift) dict.
+Slot = namedtuple("Slot", "orbit forward tail head")
+OracleFace = namedtuple("OracleFace", "id boundary corner_angles")
+OracleTetrad = namedtuple("OracleTetrad",
+                          "orbit tail head left_face right_face left_copy right_copy")
+OracleComplex = namedtuple("OracleComplex", "faces tetrads vertex_slot")
+
+
+def oracle_face_objects(fw):
+    """Face complex traced over dicts keyed by (orbit, forward) into
+    per-slot objects: the successor of a half-edge is the rotational
+    predecessor of its twin, corner angles are differences of
+    ``math.atan2`` directions mod 2 pi.  Raises ``trace_faces``'s
+    FrameworkErrors with its messages."""
     stars, data = _oracle_half_edges(fw)
     pos_in_star = {key: i for star in stars for i, key in enumerate(star)}
 
@@ -549,7 +569,7 @@ def oracle_trace_faces(fw):
                 # a half-edge leaves the head of its twin
                 tail_copy = (data[(key[0], not key[1])][0], shift)
                 head_shift = (shift[0] + delta[0], shift[1] + delta[1])
-                boundary.append(HalfEdge(key[0], key[1], tail_copy, (head_v, head_shift)))
+                boundary.append(Slot(key[0], key[1], tail_copy, (head_v, head_shift)))
                 # copy offset at which this edge orbit occurs in the face:
                 # forward slots start at the copy's tail, backward slots end there
                 slot_map = left_slot if key[1] else right_slot
@@ -575,7 +595,7 @@ def oracle_trace_faces(fw):
                     "Euler violation: face %d angle sum %.12g != (k-2)pi"
                     % (fid, sum(angles))
                 )
-            faces.append(FaceOrbit(fid, boundary, angles))
+            faces.append(OracleFace(fid, boundary, angles))
             for slot in boundary:
                 vertex_slot.setdefault(slot.tail[0], (fid, slot.tail[1]))
 
@@ -589,6 +609,296 @@ def oracle_trace_faces(fw):
     for k in range(fw.m):
         lf, lcopy = left_slot[k]
         rf, rcopy = right_slot[k]
-        tetrads.append(Tetrad(k, int(fw.tails[k]), int(fw.heads[k]),
-                              lf, rf, lcopy, rcopy))
-    return FaceComplex(faces, tetrads, vertex_slot)
+        tetrads.append(OracleTetrad(k, int(fw.tails[k]), int(fw.heads[k]),
+                                    lf, rf, lcopy, rcopy))
+    return OracleComplex(faces, tetrads, vertex_slot)
+
+
+def oracle_trace_faces(fw):
+    """``oracle_face_objects`` as the arrays of a FaceComplex, read slot by
+    slot: half-edge orbit k forward at k, reversed at k + m."""
+    oc = oracle_face_objects(fw)
+    m = fw.m
+    face, copy, succ = [0] * (2 * m), [(0, 0)] * (2 * m), [0] * (2 * m)
+    order, start, corners = [], [0], []
+    for f in oc.faces:
+        ids = [slot.orbit + (0 if slot.forward else m) for slot in f.boundary]
+        for h, h_next, slot in zip(ids, ids[1:] + ids[:1], f.boundary):
+            face[h], copy[h], succ[h] = f.id, slot.tail[1], h_next
+        order += ids
+        start.append(len(order))
+        corners += f.corner_angles
+    tets = oc.tetrads
+    return FaceComplex(
+        np.array(face), np.array(copy).reshape(-1, 2), np.array(succ), np.array(order),
+        np.array(start), np.array(corners), np.array([t.left_face for t in tets]),
+        np.array([t.right_face for t in tets]),
+        np.array([t.left_copy for t in tets]).reshape(-1, 2),
+        np.array([t.right_copy for t in tets]).reshape(-1, 2),
+        np.array([(f,) + tuple(shift) for _, (f, shift) in sorted(oc.vertex_slot.items())]))
+
+
+# -- slow oracles over the per-slot objects -------------------------------
+
+
+def _oracle_height(lifting, lattice, face, shift, point):
+    """Height over ``point`` from the plane of face copy (face, shift)."""
+    t = np.asarray(shift, dtype=float)
+    offset = lifting.offsets[face] - float(lifting.normals[face] @ (lattice @ t))
+    return float(lifting.normals[face] @ point) + offset
+
+
+def _oracle_edge_copy_endpoints(fw, orbit, copy):
+    """Positions of the tail and head of edge copy ``orbit @ copy``."""
+    t = np.asarray(copy, dtype=float)
+    p = fw.positions[fw.tails[orbit]] + fw.lattice @ t
+    q = p + fw.edge_vector(orbit)
+    return p, q
+
+
+def _oracle_det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def oracle_compatibility_residual(fw, oc, lifting):
+    """``compatibility_residual`` one tetrad and one endpoint at a time."""
+    worst = 0.0
+    for tet in oc.tetrads:
+        p, q = _oracle_edge_copy_endpoints(fw, tet.orbit, (0, 0))
+        lshift = (-tet.left_copy[0], -tet.left_copy[1])
+        rshift = (-tet.right_copy[0], -tet.right_copy[1])
+        for point in (p, q):
+            hl = _oracle_height(lifting, fw.lattice, tet.left_face, lshift, point)
+            hr = _oracle_height(lifting, fw.lattice, tet.right_face, rshift, point)
+            worst = max(worst, abs(hl - hr))
+    return worst
+
+
+def oracle_stress_from_lifting(fw, oc, lifting):
+    """``stress_from_lifting`` one tetrad at a time."""
+    res = oracle_compatibility_residual(fw, oc, lifting)
+    scale = _height_scale(fw, lifting)
+    if res > COMPAT_RTOL * scale:
+        raise NumericalError(
+            "incompatible lifting: height mismatch %.3g exceeds %.3g"
+            % (res, COMPAT_RTOL * scale)
+        )
+    evecs = fw.edge_vectors()
+    s = np.zeros(fw.m)
+    for tet in oc.tetrads:
+        e = evecs[tet.orbit]
+        dn = lifting.normals[tet.left_face] - lifting.normals[tet.right_face]
+        s[tet.orbit] = float(dn @ _perp(e)) / float(e @ e)
+    return s
+
+
+def oracle_lifting_from_stress(fw, oc, s, c0=0.0):
+    """``lifting_from_stress`` with a queue of faces and one dual edge at a
+    time."""
+    s = np.asarray(s, dtype=float)
+    nf = len(oc.faces)
+    lat = fw.lattice
+    evecs = fw.edge_vectors()
+
+    # dual adjacency: orbit -> (left, right, left_copy, right_copy)
+    adj = [[] for _ in range(nf)]
+    for tet in oc.tetrads:
+        adj[tet.right_face].append((tet.orbit, tet))
+        if tet.left_face != tet.right_face:
+            adj[tet.left_face].append((tet.orbit, tet))
+    for lst in adj:
+        lst.sort(key=lambda item: item[0])
+
+    nu_rel = np.zeros((nf, 2))          # normal minus the base normal
+    c_hat = np.zeros(nf)                # offset at the reached copy, minus c0
+    tau = [(0, 0)] * nf                 # copy offset reached by the tree
+    visited = [False] * nf
+    visited[0] = True
+    tree_edges = set()
+    queue = [0]
+    while queue:
+        f = queue.pop(0)
+        for orbit, tet in adj[f]:
+            if tet.left_face == tet.right_face:
+                continue
+            g = tet.left_face if f == tet.right_face else tet.right_face
+            if visited[g]:
+                continue
+            visited[g] = True
+            tree_edges.add(orbit)
+            # right -> left adds s perp(e), left -> right subtracts it
+            sign, here, there = ((1.0, tet.right_copy, tet.left_copy) if f == tet.right_face
+                                 else (-1.0, tet.left_copy, tet.right_copy))
+            copy = (tau[f][0] + here[0], tau[f][1] + here[1])
+            p, q = _oracle_edge_copy_endpoints(fw, orbit, copy)
+            nu_rel[g] = nu_rel[f] + sign * s[orbit] * _perp(evecs[orbit])
+            c_hat[g] = c_hat[f] - sign * s[orbit] * _oracle_det2(q, p)
+            tau[g] = (copy[0] - there[0], copy[1] - there[1])
+            queue.append(g)
+    assert all(visited)
+
+    geom = max(1.0, fw.geometry_scale)
+    scale = max(1.0, float(np.abs(s).sum()) * geom * geom)
+    tol = CONSTRUCTION_RTOL * scale
+
+    # every non-tree dual edge yields one period equation for the base
+    # normal plus a normal-consistency residual
+    rows = []
+    rhs = []
+    nu_residual = 0.0
+    for tet in oc.tetrads:
+        if tet.orbit in tree_edges:
+            continue
+        L, R = tet.left_face, tet.right_face
+        e = evecs[tet.orbit]
+        nu_residual = max(
+            nu_residual,
+            float(np.abs(nu_rel[L] - nu_rel[R] - s[tet.orbit] * _perp(e)).max()),
+        )
+        copy = (tau[R][0] + tet.right_copy[0], tau[R][1] + tet.right_copy[1])
+        p, q = _oracle_edge_copy_endpoints(fw, tet.orbit, copy)
+        target = (copy[0] - tet.left_copy[0], copy[1] - tet.left_copy[1])
+        g = np.array([target[0] - tau[L][0], target[1] - tau[L][1]], dtype=float)
+        lam_g = lat @ g
+        rows.append(lam_g)
+        rhs.append(c_hat[L] - c_hat[R] + s[tet.orbit] * _oracle_det2(q, p)
+                   - float(nu_rel[L] @ lam_g))
+
+    A = np.array(rows).reshape(len(rows), 2)
+    b = np.array(rhs)
+    if np.linalg.matrix_rank(A, tol=1e-9 * max(1.0, float(np.abs(A).max()))) < 2:
+        raise NumericalError("degenerate dual cycles: base normal undetermined")
+    nu0, *_ = np.linalg.lstsq(A, b, rcond=None)
+    period_residual = float(np.abs(A @ nu0 - b).max()) if b.size else 0.0
+
+    if nu_residual > tol or period_residual > tol:
+        exc = NumericalError(
+            "not a periodic stress: face-cycle residual %.3g, "
+            "period-condition residual %.3g (tolerance %.3g)"
+            % (nu_residual, period_residual, tol)
+        )
+        exc.face_cycle_residual = nu_residual
+        exc.period_residual = period_residual
+        raise exc
+
+    normals = nu_rel + nu0
+    offsets = np.empty(nf)
+    for f in range(nf):
+        t = np.array(tau[f], dtype=float)
+        offsets[f] = c0 + c_hat[f] + float(normals[f] @ (lat @ t))
+    return PeriodicLifting(normals, offsets, base_face=0)
+
+
+def oracle_vertex_heights(fw, oc, lifting):
+    """``vertex_heights`` one vertex at a time."""
+    heights = np.empty(fw.n)
+    for v in range(fw.n):
+        face, shift = oc.vertex_slot[v]
+        point = fw.positions[v] + fw.lattice @ np.array(shift, dtype=float)
+        heights[v] = _oracle_height(lifting, fw.lattice, face, (0, 0), point)
+    return heights
+
+
+def oracle_export_terrain(fw, oc, lifting, tiles):
+    """``export_terrain`` one face copy and one slot at a time, numbering
+    vertex copies through a dict."""
+    rows, cols = _tile_range(tiles)
+    lat = fw.lattice
+    vert_index = {}
+    vert_lines = []
+    face_lines = []
+
+    def vertex_id(v, shift, z):
+        key = (v, shift)
+        idx = vert_index.get(key)
+        if idx is None:
+            p = fw.positions[v] + lat @ np.array(shift, dtype=float)
+            idx = len(vert_lines) + 1
+            vert_index[key] = idx
+            vert_lines.append("v %.17g %.17g %.17g" % (p[0], p[1], z))
+        return idx
+
+    for t1 in range(rows):
+        for t2 in range(cols):
+            for face in oc.faces:
+                ids = []
+                for slot in face.boundary:
+                    v, s = slot.tail
+                    shift = (s[0] + t1, s[1] + t2)
+                    point = fw.positions[v] + lat @ np.array(shift, dtype=float)
+                    z = _oracle_height(lifting, lat, face.id, (t1, t2), point)
+                    ids.append(vertex_id(v, shift, z))
+                for i in range(1, len(ids) - 1):
+                    face_lines.append("f %d %d %d" % (ids[0], ids[i], ids[i + 1]))
+    return "\n".join(vert_lines + face_lines) + "\n"
+
+
+def oracle_render_svg(fw, oc, tiles):
+    """``render_svg`` one face copy, slot and edge copy at a time."""
+    rows, cols = _tile_range(tiles)
+    lat = fw.lattice
+    polys = []
+    for t1 in range(rows):
+        for t2 in range(cols):
+            base = lat @ np.array([t1, t2], dtype=float)
+            for face in oc.faces:
+                pts = []
+                for slot in face.boundary:
+                    v, s = slot.tail
+                    p = fw.positions[v] + lat @ np.array(s, dtype=float) + base
+                    pts.append((float(p[0]), float(p[1])))
+                polys.append((face.id, pts))
+    segs = []
+    for t1 in range(rows):
+        for t2 in range(cols):
+            base = lat @ np.array([t1, t2], dtype=float)
+            for k in range(fw.m):
+                p = fw.positions[fw.tails[k]] + base
+                q = p + fw.edge_vector(k)
+                segs.append(((float(p[0]), float(p[1])), (float(q[0]), float(q[1]))))
+
+    xs = [x for _, pts in polys for x, _ in pts] or [0.0, 1.0]
+    ys = [y for _, pts in polys for _, y in pts] or [0.0, 1.0]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    height = SVG_WIDTH * (y1 - y0) / (x1 - x0)
+
+    out = []
+    out.append(
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" '
+        'viewBox="%.6f %.6f %.6f %.6f">' % (SVG_WIDTH, height, x0, y0, x1 - x0, y1 - y0)
+    )
+    out.append('<g transform="translate(0 %.6f) scale(1 -1)">' % (y0 + y1))
+    for fid, pts in polys:
+        path = " ".join("%.6f,%.6f" % p for p in pts)
+        out.append('<polygon points="%s" fill="%s" stroke="none"/>' % (path, _palette_color(fid)))
+    sw = 0.01 * max(x1 - x0, y1 - y0)
+    for (xa, ya), (xb, yb) in segs:
+        out.append('<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" '
+                   'stroke="black" stroke-width="%.6f" stroke-linecap="round"/>'
+                   % (xa, ya, xb, yb, sw))
+    out.append("</g></svg>")
+    return "\n".join(out)
+
+
+def oracle_corner_count(fw, oc):
+    """``corner_count`` one corner at a time."""
+    counts = []
+    flats = []
+    for face in oc.faces:
+        c = 0
+        flat = []
+        for i, a in enumerate(face.corner_angles):
+            if abs(a - math.pi) <= CORNER_ANGLE_TOL:
+                flat.append(i)
+            elif a < math.pi:
+                c += 1
+        counts.append(c)
+        flats.append(flat)
+    degree_sum_ok = int(fw.degrees().sum()) == 2 * fw.m
+    identity_ok = True
+    if all(c == 3 for c in counts) and not any(flats):
+        identity_ok = 2 * fw.m == fw.n + 3 * len(oc.faces)
+    return CornerReport(counts, flats, degree_sum_ok, identity_ok)

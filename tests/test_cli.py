@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perimax
-from perimax import cli
+from perimax import cli, rigidity
 from perimax.cli import main
 
 from conftest import straddling_framework
@@ -502,6 +502,26 @@ def test_svg_pinned(tmp_path, capsys, monkeypatch):
         got = (hashlib.sha256(report.encode()).hexdigest(),
                hashlib.sha256((tmp_path / "patch.svg").read_bytes()).hexdigest())
         assert got == digests, name
+
+
+def test_stress_and_lift_rank_no_blocks_past_2n_plus_1(tmp_path, capsys, monkeypatch):
+    """ker R holds the three trivial motions, so rank R <= 2n + 1, and on
+    ultrarigid relaxed 4 x 4 (n = 48, m = 112) sigma > 0 is certain:
+    `stress` and `lift` rank no character blocks there and print the
+    pinned bytes.  Cubes relaxed 4 x 4 (m = 96 = 2n) still ranks them."""
+    ranked = []
+    block_rank = rigidity._block_rank
+    monkeypatch.setattr(rigidity, "_block_rank",
+                        lambda fw: ranked.append((fw.n, fw.m)) or block_rank(fw))
+    monkeypatch.chdir(tmp_path)
+    path = _ladder_file(tmp_path, "ultrarigid", 4)
+    assert main(["stress", path, "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LADDER[("ultrarigid", 4)][2]
+    assert _lift_digests(path, "2x2") == PINNED_LIFT[("ultrarigid", 4)]
+    assert ranked == []
+    assert main(["stress", _ladder_file(tmp_path, "cubes", 4), "--quiet"]) == 0
+    assert ranked == [(48, 96)]
 
 
 def test_python_m_perimax():

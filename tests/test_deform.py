@@ -289,7 +289,7 @@ def test_path_traces_faces_once_and_builds_no_framework(name, monkeypatch):
 
 
 def _corner_table(fw):
-    return deform._corner_table(certify_ppt(fw).faces, fw.m)
+    return deform._corner_table(fw, certify_ppt(fw).faces)
 
 
 @pytest.mark.parametrize("name", ["ppt3", "kagome", "ppt3-2x2"])

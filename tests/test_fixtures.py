@@ -112,10 +112,10 @@ def test_reentrant_face_is_centrally_symmetric_hexagon():
     fw = fixture("reentrant")
     fc = trace_faces(fw)
     assert fc.n_faces == 1
-    face = fc.faces[0]
-    assert len(face.boundary) == 6
+    assert fc.start.tolist() == [0, 6]
+    vertex = np.concatenate([fw.tails, fw.heads])[fc.order]
     pts = np.array([fw.positions[v] + fw.lattice @ np.array(s, float)
-                    for v, s in (h.tail for h in face.boundary)])
+                    for v, s in zip(vertex, fc.copy[fc.order])])
     center = pts.mean(axis=0)
     mirrored = 2 * center - pts
     for p in mirrored:

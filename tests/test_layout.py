@@ -50,12 +50,29 @@ def test_one_crossing_broad_phase():
     assert all(len(sites) == 1 for sites in found.values()), found
 
 
+def _is_tolerance(name):
+    return name in ("tol", "rtol", "atol", "eps_rel") or name.endswith("_tol")
+
+
+def _literal_factors(node):
+    """The numeric literals that scale an expression: the expression
+    itself, or a factor of a product or quotient, under any sign."""
+    if isinstance(node, ast.UnaryOp):
+        return _literal_factors(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _literal_factors(node.left) + _literal_factors(node.right)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return [node.value]
+    return []
+
+
 def test_thresholds_are_constants():
     """No function of the package takes a tolerance (``tol``, ``rtol``,
-    ``eps_rel`` or ``*_tol``), so every verdict is read across its module
+    ``eps_rel`` or ``*_tol``), and no call passes one scaled by a numeric
+    literal (``tol=1e-9 * x``), so every verdict is read across its module
     constant, under the gap guard tuned for it; and ``_fix_signs`` has one
     call site, so every kernel basis comes from the one guarded helper."""
-    tolerances, fix_signs = [], []
+    tolerances, literals, fix_signs = [], [], []
     for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -64,10 +81,13 @@ def test_thresholds_are_constants():
                 names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
                          + [a.vararg, a.kwarg] if arg is not None]
                 tolerances += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
-                               if name in ("tol", "rtol", "eps_rel") or name.endswith("_tol")]
+                               if _is_tolerance(name)]
             elif isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if name == "_fix_signs":
                     fix_signs.append("%s:%d" % (path.name, node.lineno))
+                literals += ["%s:%d %s" % (path.name, node.lineno, kw.arg) for kw in node.keywords
+                             if _is_tolerance(kw.arg or "") and _literal_factors(kw.value)]
     assert not tolerances, tolerances
+    assert not literals, literals
     assert len(fix_signs) == 1, fix_signs

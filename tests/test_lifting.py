@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimax import (
+    FIXTURES,
     FrameworkError,
     NumericalError,
     PeriodicLifting,
@@ -26,7 +27,9 @@ from perimax import (
 from perimax.lifting import compatibility_residual
 from perimax.pseudotri import find_rigidifying_edges
 
-from conftest import subdivided_grid
+from conftest import (oracle_compatibility_residual, oracle_export_terrain, oracle_face_objects,
+                      oracle_lifting_from_stress, oracle_stress_from_lifting,
+                      oracle_vertex_heights, subdivided_grid)
 
 
 def sigma_ge_one_fixtures():
@@ -222,22 +225,22 @@ def test_fold_signs_match_terrain_concavity():
     lift = lifting_from_stress(fw, fc, s)
     folds = {f.orbit: f.fold for f in classify_folds(fw, s)}
     lat = fw.lattice
-    for tet in fc.tetrads:
-        e = fw.edge_vector(tet.orbit)
-        p = fw.positions[fw.tails[tet.orbit]]
+    for k in range(fw.m):
+        e = fw.edge_vector(k)
+        p = fw.positions[fw.tails[k]]
         mid = p + 0.5 * e
         left_dir = np.array([-e[1], e[0]]) / np.linalg.norm(e)
         h = 1e-3
-        lshift = (-tet.left_copy[0], -tet.left_copy[1])
-        rshift = (-tet.right_copy[0], -tet.right_copy[1])
-        on_edge = lift.height(lat, tet.left_face, lshift, mid)
-        assert abs(on_edge - lift.height(lat, tet.right_face, rshift, mid)) < 1e-12
-        probe = (lift.height(lat, tet.left_face, lshift, mid + h * left_dir)
-                 + lift.height(lat, tet.right_face, rshift, mid - h * left_dir)
+        left, right = fc.left_face[k], fc.right_face[k]
+        lshift, rshift = -fc.left_copy[k], -fc.right_copy[k]
+        on_edge = lift.height(lat, left, lshift, mid)
+        assert abs(on_edge - lift.height(lat, right, rshift, mid)) < 1e-12
+        probe = (lift.height(lat, left, lshift, mid + h * left_dir)
+                 + lift.height(lat, right, rshift, mid - h * left_dir)
                  - 2 * on_edge)
-        if folds[tet.orbit] == "mountain":
+        if folds[k] == "mountain":
             assert probe < -1e-9
-        elif folds[tet.orbit] == "valley":
+        elif folds[k] == "valley":
             assert probe > 1e-9
         else:
             assert abs(probe) < 1e-12
@@ -297,3 +300,57 @@ def test_lifting_round_trip_on_cubes_relaxations(sub, data):
     for s in [*basis, np.array(coeffs) @ basis]:
         back = stress_from_lifting(fw, fc, lifting_from_stress(fw, fc, s, c0=c0))
         assert np.abs(back - s).max() <= 1e-9
+
+
+def _result_or_refusal(func, *args):
+    """The result of func(*args), or its NumericalError's text and residuals."""
+    try:
+        return func(*args)
+    except NumericalError as exc:
+        return (str(exc), getattr(exc, "face_cycle_residual", None),
+                getattr(exc, "period_residual", None))
+
+
+def test_array_lifting_matches_slot_oracles():
+    """Every fixture relaxed to every sublattice of index <= 4, under a
+    seeded rigid motion: the lifting of each of up to two basis stresses,
+    and the refusal of a random stress, equal those of the per-slot
+    oracle bit for bit; so do the compatibility residual, the induced
+    stress (or its refusal), the vertex heights and the OBJ terrain of the
+    lifting and of a random one."""
+    rng = np.random.default_rng(18)
+    lifted = refused = 0
+    for name in sorted(FIXTURES):
+        for sub in sublattices_up_to(4):
+            fw = relax(fixture(name), sub)
+            theta = rng.uniform(0, 2 * np.pi)
+            rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            fw = fw.with_geometry(fw.positions @ rot.T + rng.uniform(-1, 1, 2), rot @ fw.lattice)
+            fc, oc = trace_faces(fw), oracle_face_objects(fw)
+            c0 = float(rng.uniform(-2, 2))
+            stresses = [v.values for v in periodic_stress_space(fw)[:2]]
+            for s in stresses + [rng.standard_normal(fw.m)]:
+                got = _result_or_refusal(lifting_from_stress, fw, fc, s, c0)
+                ref = _result_or_refusal(oracle_lifting_from_stress, fw, oc, s, c0)
+                if isinstance(ref, tuple):
+                    assert got == ref
+                    refused += 1
+                    continue
+                assert np.array_equal(got.normals, ref.normals)
+                assert np.array_equal(got.offsets, ref.offsets)
+                lifted += 1
+                rough = PeriodicLifting(rng.standard_normal(got.normals.shape),
+                                        rng.standard_normal(got.offsets.shape))
+                for lift in (got, rough):
+                    assert (compatibility_residual(fw, fc, lift)
+                            == oracle_compatibility_residual(fw, oc, lift))
+                    back = _result_or_refusal(stress_from_lifting, fw, fc, lift)
+                    ref_back = _result_or_refusal(oracle_stress_from_lifting, fw, oc, lift)
+                    assert (back == ref_back if isinstance(ref_back, tuple)
+                            else np.array_equal(back, ref_back))
+                    assert np.array_equal(vertex_heights(fw, fc, lift),
+                                          oracle_vertex_heights(fw, oc, lift))
+                    for tiles in ((1, 1), (2, 3)):
+                        assert (export_terrain(fw, fc, lift, tiles)
+                                == oracle_export_terrain(fw, oc, lift, tiles))
+    assert lifted > 60 and refused > 80

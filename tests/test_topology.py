@@ -21,8 +21,9 @@ from perimax import (
 from perimax.pseudotri import _candidate_table, pointedness_margin
 from perimax.relax import Sublattice, relax, sublattices_up_to
 
-from conftest import (crossed_grid, oracle_noncrossing, oracle_segments_cross,
-                      oracle_trace_faces, oracle_window_crossings, subdivided_grid)
+from conftest import (crossed_grid, oracle_corner_count, oracle_face_objects, oracle_noncrossing,
+                      oracle_render_svg, oracle_segments_cross, oracle_trace_faces,
+                      oracle_window_crossings, subdivided_grid)
 
 
 def test_square_grid_noncrossing():
@@ -55,8 +56,8 @@ def test_square_grid_single_face():
     fw = fixture("square_grid")
     fc = trace_faces(fw)
     assert fc.n_faces == 1
-    assert len(fc.faces[0].boundary) == 4
-    assert np.allclose(fc.faces[0].corner_angles, math.pi / 2)
+    assert fc.start.tolist() == [0, 4]
+    assert np.allclose(fc.corners, math.pi / 2)
     assert fw.n - fw.m + fc.n_faces == 0
 
 
@@ -69,10 +70,11 @@ def test_kagome_faces_hand_enumeration():
     # at theta=0: two unit triangles plus one regular hexagon
     fw = fixture("kagome", theta=0.0)
     fc = trace_faces(fw)
-    sizes = sorted(len(f.boundary) for f in fc.faces)
-    assert sizes == [3, 3, 6]
-    hexagon = next(f for f in fc.faces if len(f.boundary) == 6)
-    assert np.allclose(hexagon.corner_angles, 2 * math.pi / 3, atol=1e-12)
+    sizes = np.diff(fc.start)
+    assert sorted(sizes) == [3, 3, 6]
+    hexagon = int(np.flatnonzero(sizes == 6)[0])
+    assert np.allclose(fc.corners[fc.start[hexagon]:fc.start[hexagon + 1]], 2 * math.pi / 3,
+                       atol=1e-12)
 
 
 def test_corner_counts():
@@ -88,7 +90,7 @@ def test_corner_counts():
     k0 = fixture("kagome", theta=0.0)
     fc = trace_faces(k0)
     rep = corner_count(k0, fc)
-    hex_id = next(f.id for f in fc.faces if len(f.boundary) == 6)
+    hex_id = int(np.flatnonzero(np.diff(fc.start) == 6)[0])
     assert rep.counts[hex_id] == 6
 
 
@@ -99,26 +101,22 @@ def test_euler_and_slot_invariants():
         fc = trace_faces(fw)
         assert fw.n - fw.m + fc.n_faces == 0, name
         # every edge orbit occupies exactly two boundary slots
-        slots = {}
-        for face in fc.faces:
-            for h in face.boundary:
-                slots[h.orbit] = slots.get(h.orbit, 0) + 1
-        assert all(slots[k] == 2 for k in range(fw.m)), name
+        assert (np.bincount(fc.order % fw.m, minlength=fw.m) == 2).all(), name
         assert int(fw.degrees().sum()) == 2 * fw.m, name
-        # boundary shifts cancel around every face
-        for face in fc.faces:
-            total = np.zeros(2, dtype=int)
-            for h in face.boundary:
-                total += np.array(h.head[1]) - np.array(h.tail[1])
-            assert not total.any()
+        # boundary shifts cancel around every face: each slot's head is
+        # its successor's tail, and the shifts along a face sum to zero
+        deltas = np.concatenate([fw.shifts, -fw.shifts])
+        assert (fc.copy[fc.succ] == fc.copy + deltas).all(), name
+        for f in range(fc.n_faces):
+            assert not deltas[fc.order[fc.start[f]:fc.start[f + 1]]].sum(axis=0).any()
 
 
 def test_face_angle_sums():
     for name in ("kagome", "ppt3", "cubes", "reentrant"):
         fc = trace_faces(fixture(name))
-        for f in fc.faces:
-            k = len(f.boundary)
-            assert abs(sum(f.corner_angles) - (k - 2) * math.pi) < 1e-8
+        for f in range(fc.n_faces):
+            angles = fc.corners[fc.start[f]:fc.start[f + 1]]
+            assert abs(sum(angles) - (len(angles) - 2) * math.pi) < 1e-8
 
 
 def test_tetrads_left_right_orientation():
@@ -126,9 +124,9 @@ def test_tetrads_left_right_orientation():
     # right of the vertical loop seen from its own copy offsets
     fw = fixture("square_grid")
     fc = trace_faces(fw)
-    t_h = fc.tetrads[0]
-    assert t_h.left_face == t_h.right_face == 0
-    assert t_h.dual_offset == (0, 1) or t_h.dual_offset == (0, -1)
+    assert fc.left_face[0] == fc.right_face[0] == 0
+    dual_offset = tuple(fc.right_copy[0] - fc.left_copy[0])
+    assert dual_offset == (0, 1) or dual_offset == (0, -1)
 
 
 def test_degenerate_direction_rejected():
@@ -151,7 +149,9 @@ def test_star_table_trace_matches_dict_oracle():
     index <= 4, each as given, under a seeded rigid motion and perturbed:
     faces, tetrads and vertex slots equal the dict tracer's, refusals carry
     its message, corner angles stay within 4 ulp of 2 pi, and every reflex
-    corner minus pi is its vertex's pointedness margin bit for bit."""
+    corner minus pi is its vertex's pointedness margin bit for bit.  Corner
+    counts and the SVG patch equal those of the per-slot oracles walking
+    the dict tracer's faces."""
     rng = np.random.default_rng(9)
     bases = [fixture(name) for name in sorted(FIXTURES) if name != "kagome"]
     bases += [fixture("kagome", theta=theta) for theta in (0.0, 0.9, math.pi / 2, 2.4)]
@@ -175,16 +175,17 @@ def test_star_table_trace_matches_dict_oracle():
                     refused += 1
                     continue
                 traced += 1
-                assert (got.tetrads, got.vertex_slot) == (ref.tetrads, ref.vertex_slot)
-                assert [f.boundary for f in got.faces] == [f.boundary for f in ref.faces]
-                got_angles = np.concatenate([f.corner_angles for f in got.faces])
-                ref_angles = np.concatenate([f.corner_angles for f in ref.faces])
-                assert np.abs(got_angles - ref_angles).max() <= 4 * np.spacing(2 * math.pi)
-                for face in got.faces:
-                    for slot, angle in zip(face.boundary, face.corner_angles):
-                        if angle > math.pi:
-                            v = slot.tail[0]
-                            assert angle - math.pi == pointedness_margin(variant, v)
+                for name in ("face", "copy", "succ", "order", "start", "left_face",
+                             "right_face", "left_copy", "right_copy", "vertex_slot"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+                assert np.abs(got.corners - ref.corners).max() <= 4 * np.spacing(2 * math.pi)
+                vertex = np.concatenate([variant.tails, variant.heads])[got.order]
+                for v, angle in zip(vertex.tolist(), got.corners.tolist()):
+                    if angle > math.pi:
+                        assert angle - math.pi == pointedness_margin(variant, v)
+                oc = oracle_face_objects(variant)
+                assert corner_count(variant, got) == oracle_corner_count(variant, oc)
+                assert render_svg(variant, got, (2, 3)) == oracle_render_svg(variant, oc, (2, 3))
     assert traced > 300 and refused > 10
 
 
@@ -507,7 +508,7 @@ def test_subdivided_grid_faces():
     fw = subdivided_grid()
     fc = trace_faces(fw)
     assert fc.n_faces == 2
-    assert sorted(len(f.boundary) for f in fc.faces) == [4, 4]
+    assert np.diff(fc.start).tolist() == [4, 4]
 
 
 def test_euler_on_perturbed_relaxations(rng):
@@ -524,7 +525,7 @@ def test_euler_on_perturbed_relaxations(rng):
                 continue
             fc = trace_faces(pert)
             assert pert.n - pert.m + fc.n_faces == 0
-            assert sum(len(f.boundary) for f in fc.faces) == 2 * pert.m
+            assert len(fc.order) == fc.start[-1] == 2 * pert.m
 
 
 def test_render_svg():
