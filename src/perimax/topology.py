@@ -379,15 +379,18 @@ def trace_faces(fw):
         if face[first] >= 0:
             continue
         fid = len(start) - 1
-        h, sx, sy, total, seen = first, 0, 0, 0.0, set()
+        h, total, seen = first, 0.0, set()
+        sx = sy = 0
         while face[h] < 0:
-            face[h], cx[h], cy[h] = fid, sx, sy
+            face[h] = fid
+            cx[h], cy[h] = sx, sy
             order.append(h)
             total += angle[h]
             seen.add((vertex[h], sx, sy))
             vertex_slot.setdefault(vertex[h], (fid, sx, sy))
             dx, dy = deltas[h]
-            sx, sy, h = sx + dx, sy + dy, step[h]
+            sx, sy = sx + dx, sy + dy
+            h = step[h]
         size = len(order) - start[-1]
         start.append(len(order))
         if sx or sy:
@@ -402,7 +405,9 @@ def trace_faces(fw):
         raise FrameworkError("Euler violation: n - m + n* = %d - %d + %d != 0"
                              % (fw.n, m, len(start) - 1))
 
-    face, order, copy = np.array(face), np.array(order, dtype=int), np.array([cx, cy]).T
+    face = np.array(face)
+    order = np.array(order, dtype=int)
+    copy = np.array([cx, cy]).T
     return FaceComplex(face, copy, succ, order, np.array(start), corners[order], face[:m],
                        face[m:], copy[:m], copy[m:] - fw.shifts,
                        np.array([vertex_slot[v] for v in range(fw.n)]))
