@@ -426,19 +426,24 @@ class CornerReport:
 def corner_count(fw, fc):
     """Count corners (interior angles < pi) of every face orbit.
 
-    Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate
-    (by their position along the face's boundary); they are not counted
-    as corners.  Also verifies the degree-sum identity and, when every
-    face has exactly three corners, the corner-count identity
+    Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate; they
+    are not counted as corners.  Also verifies the degree-sum identity and,
+    when every face has exactly three corners, the corner-count identity
     2m = n + 3n*.
     """
-    flat = np.abs(fc.corners - math.pi) <= CORNER_ANGLE_TOL
-    convex = np.concatenate([[0], np.cumsum(~flat & (fc.corners < math.pi))])
-    counts = np.diff(convex[fc.start]).tolist()
-    flats = [[] for _ in counts]
-    for i in np.flatnonzero(flat).tolist():
-        f = int(fc.face[fc.order[i]])
-        flats[f].append(i - int(fc.start[f]))
+    counts = []
+    flats = []
+    angles, bounds = fc.corners.tolist(), fc.start.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        c = 0
+        flat = []
+        for i, a in enumerate(angles[lo:hi]):
+            if abs(a - math.pi) <= CORNER_ANGLE_TOL:
+                flat.append(i)
+            elif a < math.pi:
+                c += 1
+        counts.append(c)
+        flats.append(flat)
     degree_sum_ok = int(fw.degrees().sum()) == 2 * fw.m
     identity_ok = True
     if all(c == 3 for c in counts) and not any(flats):
