@@ -1,12 +1,10 @@
 """Analysis toolkit for planar periodic bar-and-joint frameworks."""
 
 from .core import (
-    EdgeOrbit,
     FinitePatch,
     FrameworkError,
     NumericalError,
     PeriodicFramework,
-    VertexOrbit,
     canonical_edge,
     framework_from_dict,
     framework_to_dict,
@@ -73,6 +71,6 @@ from .deform import (
     flex_tangent,
     gram_derivative,
 )
-from .fixtures import FIXTURES, FixtureSpec, fixture
+from .fixtures import FIXTURES, fixture
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ import numpy as np
 __all__ = [
     "FrameworkError",
     "NumericalError",
-    "VertexOrbit",
-    "EdgeOrbit",
     "PeriodicFramework",
     "FinitePatch",
     "canonical_edge",
@@ -50,6 +48,9 @@ _CELL_MISS_RTOL = 1e-6
 # Generic direction along which the primitive-cell search sorts points; its
 # badly approximable slope also shifts them off the seam of the unit cell.
 _CELL_KEY = np.array([1.0, 0.7548776662466927])
+# Largest rows * cols * max(n, 2m) slots of a patch, drawing or terrain: the
+# budget an unfolding gets for index * max(n, m), checked before allocation.
+_MAX_TILE_SLOTS = 1 << 20
 
 
 class FrameworkError(ValueError):
@@ -59,30 +60,6 @@ class FrameworkError(ValueError):
 class NumericalError(RuntimeError):
     """Numerically ill-posed computation (unstable rank, rejected stress,
     diverged corrector)."""
-
-
-@dataclass(frozen=True)
-class VertexOrbit:
-    """Representative of one vertex orbit: id and placed position."""
-
-    id: int
-    position: np.ndarray
-
-
-@dataclass(frozen=True)
-class EdgeOrbit:
-    """Representative of one edge orbit.
-
-    The edge joins vertex ``tail`` (in the base cell) to the copy of vertex
-    ``head`` translated by ``shift`` lattice steps.  Stored in canonical
-    form: tail <= head, and for loops (tail == head) the shift is
-    lexicographically positive.
-    """
-
-    id: int
-    tail: int
-    head: int
-    shift: tuple[int, int]
 
 
 def canonical_edge(tail, head, shift):
@@ -290,14 +267,6 @@ class PeriodicFramework:
         """(m, 2) integer array of edge orbit shifts."""
         return self._shifts
 
-    @property
-    def vertices(self):
-        return [VertexOrbit(i, self._positions[i]) for i in range(self.n)]
-
-    @property
-    def edges(self):
-        return [EdgeOrbit(k, *self.edge_key(k)) for k in range(self.m)]
-
     def edge_key(self, k):
         return (int(self._tails[k]), int(self._heads[k]),
                 (int(self._shifts[k, 0]), int(self._shifts[k, 1])))
@@ -432,8 +401,9 @@ class FinitePatch:
     edges: list
 
 
-def _tile_range(tiles):
-    """(rows, cols) of a tile range: a pair of integral entries, each >= 1."""
+def _tile_range(fw, tiles):
+    """(rows, cols) of a tile range over fw: a pair of integral entries, each
+    >= 1, spanning at most ``_MAX_TILE_SLOTS`` slots of max(n, 2m) per tile."""
     try:
         rows, cols = (int(t) for t in tiles)
         if (rows, cols) != tuple(tiles):
@@ -442,6 +412,9 @@ def _tile_range(tiles):
         raise FrameworkError("tile range must be a pair of integers, got %r" % (tiles,)) from None
     if rows < 1 or cols < 1:
         raise FrameworkError("empty tile range %r" % (tiles,))
+    if rows * cols * max(fw.n, 2 * fw.m) > _MAX_TILE_SLOTS:
+        raise FrameworkError("tile range too large: %d x %d tiles of %d slots exceed %d"
+                             % (rows, cols, max(fw.n, 2 * fw.m), _MAX_TILE_SLOTS))
     return rows, cols
 
 
@@ -463,7 +436,7 @@ def realize_patch(fw, tiles):
 
     Edges are included when both endpoint copies are materialized.
     """
-    rows, cols = _tile_range(tiles)
+    rows, cols = _tile_range(fw, tiles)
 
     index = {}
     verts = []

@@ -169,11 +169,6 @@ class DeformationPath:
         return self.samples[-1]
 
 
-def _edge_lengths_sq(fw, cfg):
-    _, e = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
-    return np.einsum("ij,ij->i", e, e)
-
-
 def _constraints(fw, ref_sq):
     """Residual and Jacobian functions of the edge-length and gauge
     constraints at squared lengths ``ref_sq``.  The residual at a raw
@@ -252,8 +247,11 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     Tangent predictor plus Newton correction on the edge-length and gauge
     constraints.  Terminates on the step count, on corrector failure after
     step halving, or at the pseudo-triangulation boundary (a vertex losing
-    pointedness or a face angle reaching pi), located by bisection.
+    pointedness or a face angle reaching pi), located by bisection.  A
+    non-finite step length ``ds`` is refused (FrameworkError).
     """
+    if not math.isfinite(ds):
+        raise FrameworkError("step length ds must be finite, got %g" % ds)
     cert = certify_ppt(fw)
     if not cert.valid:
         raise FrameworkError(
@@ -261,7 +259,10 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     table = _corner_table(fw, cert.faces)
     n = fw.n
     cfg = Configuration.from_framework(fw)
-    ref_sq = _edge_lengths_sq(fw, cfg)
+    # only the initial sample validates on its own: later ones take the
+    # edge vectors their corrector validated
+    _, evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
+    ref_sq = np.einsum("ij,ij->i", evecs, evecs)
     tol_abs = NEWTON_TOL * max(1.0, float(ref_sq.max()))
     residual, jacobian = _constraints(fw, ref_sq)
 
@@ -285,9 +286,6 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
         return DeformationPath([PathSample(tau, cfg, cfg.gram(), None, None, None)],
                                "step count reached")
 
-    # only the initial sample validates on its own: later ones take the
-    # edge vectors their corrector validated
-    _, evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
     tangent, report = tangent_at(cfg, evecs)
     samples.append(make_sample(cfg, report))
 

@@ -8,7 +8,6 @@ than by visual inspection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "ppt3",
     "cubes",
     "ultrarigid",
-    "FixtureSpec",
     "fixture",
     "FIXTURES",
 ]
@@ -161,14 +159,6 @@ def ultrarigid():
                              _PPT3_EDGES + [_ULTRARIGID_EDGE])
 
 
-@dataclass
-class FixtureSpec:
-    """Named fixture with numeric parameters."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-
 FIXTURES = {
     "square_grid": (square_grid, ()),
     "kagome": (kagome, ("theta",)),
@@ -179,12 +169,8 @@ FIXTURES = {
 }
 
 
-def fixture(spec, **params):
-    """Build a fixture by name or FixtureSpec."""
-    if isinstance(spec, FixtureSpec):
-        name, params = spec.name, dict(spec.params)
-    else:
-        name = spec
+def fixture(name, **params):
+    """Build a fixture by name."""
     try:
         builder, accepted = FIXTURES[name]
     except KeyError:

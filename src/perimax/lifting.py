@@ -65,19 +65,15 @@ class PeriodicLifting:
 
     normals: np.ndarray       # (n_faces, 2)
     offsets: np.ndarray       # (n_faces,)
-    base_face: int = 0
-
-    def offset_at(self, lattice, face, shift):
-        t = np.asarray(shift, dtype=float)
-        return self.offsets[face] - float(self.normals[face] @ (lattice @ t))
 
     def height(self, lattice, face, shift, point):
         """Height over ``point`` read from the plane of face copy (face, shift)."""
-        return float(self.normals[face] @ point) + self.offset_at(lattice, face, shift)
+        t = np.asarray(shift, dtype=float)
+        return float(self.normals[face] @ point) + (
+            self.offsets[face] - float(self.normals[face] @ (lattice @ t)))
 
     def scaled(self, factor):
-        return PeriodicLifting(self.normals * factor, self.offsets * factor,
-                               self.base_face)
+        return PeriodicLifting(self.normals * factor, self.offsets * factor)
 
 
 def _heights(lifting, lattice, faces, shifts, points):
@@ -168,9 +164,11 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
     the quotient dual graph rooted at the base face, then solves the base
     normal from the period conditions and verifies every non-tree dual
     edge.  Rejects s when any consistency or periodicity residual exceeds
-    tolerance.
+    tolerance, and a non-finite constant ``c0`` (FrameworkError).
     """
     s = _stress_values(s, fw.m)
+    if not np.isfinite(c0):
+        raise FrameworkError("c0 must be finite, got %g" % c0)
     lat = fw.lattice
     evecs = fw.edge_vectors()
     tau, tree = _dual_tree(fc)
@@ -220,7 +218,7 @@ def lifting_from_stress(fw, fc, s, c0=0.0):
 
     normals = nu_rel + nu0
     offsets = c0 + c_hat + _dots(normals, _lattice_vectors(lat, tau))
-    return PeriodicLifting(normals, offsets, base_face=0)
+    return PeriodicLifting(normals, offsets)
 
 
 @dataclass
@@ -263,7 +261,7 @@ def export_terrain(fw, fc, lifting, tiles):
     vertex; vertices are shared between faces and numbered in the order
     the face copies (tile by tile, row-major) first meet them.
     """
-    rows, cols = _tile_range(tiles)
+    rows, cols = _tile_range(fw, tiles)
     grid = np.array([(t1, t2) for t1 in range(rows) for t2 in range(cols)])
     size = 2 * fw.m
     face = np.tile(fc.face[fc.order], len(grid))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, PeriodicFramework, _edge_rows, canonical_edge
+from .core import (FrameworkError, NumericalError, PeriodicFramework, _edge_rows,
+                   _lattice_vectors, canonical_edge)
 from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, count_identity_check,
                        pair_table)
 from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
@@ -189,11 +190,10 @@ def _length_derivatives(fw, motion, table):
     """``pair_length_derivative`` of every row of a pair table."""
     n = fw.n
     motion = np.asarray(motion, dtype=float)
-    tails, heads, c = table[:, 0], table[:, 1], table[:, 2:, None].astype(float)
+    tails, heads, c = table[:, 0], table[:, 1], table[:, 2:]
     vel = motion[:2 * n].reshape(n, 2)
-    # stacked matmuls round each pair like the single products would
-    e = fw.positions[heads] + np.matmul(fw.lattice, c)[:, :, 0] - fw.positions[tails]
-    de = vel[heads] - vel[tails] + np.matmul(_lattice_rate(motion, n), c)[:, :, 0]
+    e = fw.positions[heads] + _lattice_vectors(fw.lattice, c) - fw.positions[tails]
+    de = vel[heads] - vel[tails] + _lattice_vectors(_lattice_rate(motion, n), c)
     e_de, e_e = np.matmul(e[:, None], np.stack([de, e], axis=2))[:, 0].T
     return e_de / np.sqrt(e_e)
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
-                   _geometry_scale, _hermite_join, _require_shift_room)
-from .rigidity import _character_ranks, _require_gap, _stress_check, _stress_values
+                   _geometry_scale, _hermite_join, _lattice_vectors, _require_shift_room)
+from .rigidity import _character_ranks, _characters, _require_gap, _stress_check, _stress_values
 
 
 __all__ = [
@@ -161,9 +161,7 @@ def _unfold(fw, sub):
     lat = fw.lattice
     # coset r = (r1, r2) sits at coset_index(r1, r2) = r1 * d + r2
     r1, r2 = np.divmod(np.arange(rho), sub.d)
-    cosets = np.column_stack([r1, r2]).astype(float)
-    # stacked matmuls round each copy like the single product lat @ r
-    offsets = np.matmul(lat, cosets[:, :, None])[:, :, 0]
+    offsets = _lattice_vectors(lat, np.column_stack([r1, r2]))
     positions = (fw.positions[:, None, :] + offsets).reshape(-1, 2)
 
     # edge orbit k from coset r reaches the head copy r + c_k
@@ -254,9 +252,8 @@ def _code(x, y, order):
 def _index_characters(k):
     """Characters of the index-k sublattices as exact integer keys.
 
-    The characters of Z^2 / Gamma' for Gamma' = (a, b, d) are
-    chi(z) = exp(2 pi i (theta1 z1 + theta2 z2)) with theta2 = j / d and
-    theta1 = (l - b j / d) / a.  Each is keyed by its reduced form
+    The characters of Z^2 / Gamma' for Gamma' = (a, b, d) are those of
+    ``_characters(a, b, d)``.  Each is keyed by its reduced form
     (x, y, N) with theta = (x, y) / N and gcd(x, y, N) = 1; its kernel has
     index N, so it first appears at index N.  Returns the sublattices of
     index k, the (sigma_1(k), k) slot codes of the characters of each, and
@@ -269,11 +266,9 @@ def _index_characters(k):
         if k % a:
             continue
         d = k // a
-        b, j, l = np.ix_(np.arange(d), np.arange(d), np.arange(a))
-        x = (l * d - b * j) % k
-        y = np.broadcast_to(j * a % k, x.shape)
+        x, y = _characters(a, np.arange(d)[:, None], d)
         g = np.gcd(np.gcd(x, y), k)
-        codes.append(_code(x // g, y // g, k // g).reshape(d, k))
+        codes.append(_code(x // g, y // g, k // g))
     x, y = np.divmod(np.arange(k * k), k)
     own, twin = _code(x, y, k), _code(-x % k, -y % k, k)
     fresh = (np.gcd(np.gcd(x, y), k) == 1) & (x + y > 0) & (own <= twin)

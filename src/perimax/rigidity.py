@@ -19,7 +19,6 @@ from .core import FrameworkError, NumericalError
 __all__ = [
     "RANK_RTOL",
     "rigidity_matrix",
-    "rigidity_rows",
     "pair_table",
     "equilibrium_matrix",
     "SpectralReport",
@@ -58,16 +57,11 @@ def rigidity_matrix(fw):
     Row of edge orbit beta carries -e in the tail block, +e in the head
     block (cancelling for loops) and c^1 e, c^2 e in the lattice columns.
     """
-    return rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, fw.edge_vectors())
-
-
-def rigidity_rows(n, tails, heads, shifts, evecs):
-    """Rigidity matrix of edge orbits with realized vectors ``evecs``."""
-    return _row_assembly(n, tails, heads, shifts)(evecs)
+    return _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)(fw.edge_vectors())
 
 
 def _row_assembly(n, tails, heads, shifts):
-    """``rigidity_rows`` of fixed edge orbits as a function of their edge
+    """Rigidity matrix of fixed edge orbits as a function of their edge
     vectors, its scatter indices and float shifts built once."""
     m, width = len(tails), 2 * n + 4
     at_tail, at_head = (width * np.arange(m)[:, None] + 2 * ends[:, None] + [0, 1]
@@ -163,6 +157,16 @@ def _character_ranks(fw, groups):
     return rank, ranks, gap
 
 
+def _characters(a, b, d):
+    """(x, y) of each character chi(z) = exp(2 pi i (x z1 + y z2) / (a d))
+    of Z^2 / M Z^2, M = [[a, 0], [b, d]]: theta2 = j / d and theta1 =
+    (l - b j / d) / a, in (j, l) order (l fastest).  An array b gives one
+    row of characters per entry."""
+    k = a * d
+    j, l = np.divmod(np.arange(k), a)
+    return (l * d - b * j) % k, j * a % k
+
+
 def _block_rank(fw):
     """(rank R_parent + sum of rank R_chi over the characters chi != 1 of
     Z^2 / M Z^2, smallest gap) from fw's primitive cell, with one block per
@@ -171,8 +175,7 @@ def _block_rank(fw):
         return None
     parent, (a, b, d) = fw.primitive_cell
     k = a * d
-    j, l = np.divmod(np.arange(k), a)
-    xy = np.column_stack([(l * d - b * j) % k, j * a % k])
+    xy = np.column_stack(_characters(a, b, d))
     code, twin = xy @ [k, 1], (-xy % k) @ [k, 1]
     pick = (code > 0) & (code <= twin)
     rank, (ranks,), gap = _character_ranks(parent, [(xy[pick], k)])
@@ -238,11 +241,9 @@ def flex_space(fw):
 
 @dataclass
 class StressVector:
-    """Scalars per edge orbit with classification flags."""
+    """Equilibrium scalars per edge orbit; periodic when they also meet the lattice conditions."""
 
     values: np.ndarray
-    is_equilibrium: bool
-    is_gamma_invariant: bool = True
     is_periodic: bool = False
 
 
@@ -259,7 +260,7 @@ def periodic_stress_space(fw):
         if rank == fw.m and gap >= RANK_GAP_MIN:
             return []
     basis = _kernel(rigidity_matrix(fw).T)[3]
-    return [StressVector(s, True, True, True) for s in basis.T.copy()]
+    return [StressVector(s, True) for s in basis.T.copy()]
 
 
 def invariant_equilibrium_stress_space(fw):
@@ -269,8 +270,7 @@ def invariant_equilibrium_stress_space(fw):
     lattice conditions; the periodic stresses form a subspace.
     """
     basis = _kernel(equilibrium_matrix(fw))[3]
-    return [StressVector(s, True, True, check_periodic_stress(fw, s).ok)
-            for s in basis.T.copy()]
+    return [StressVector(s, check_periodic_stress(fw, s).ok) for s in basis.T.copy()]
 
 
 @dataclass
@@ -458,7 +458,7 @@ def _oriented_flex(fw, positions, lattice, evecs, cutoff):
     pseudo-triangulation is expansive, so this one rule serves paths and
     the rigidifying search alike.  A kernel read across a thin gap is
     refused (NumericalError)."""
-    basis = _gauge_kernel(fw, rigidity_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs))
+    basis = _gauge_kernel(fw, _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)(evecs))
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"

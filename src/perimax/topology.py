@@ -38,9 +38,9 @@ SVG_WIDTH = 640
 # Two half-edges at a vertex closer in direction than this are degenerate.
 _DIRECTION_TOL = 1e-12
 # Grid entry pairs and copy pairs per batch of the crossing check, whose
-# box survivors go through one narrow phase per batch, and crossings per
-# conversion to Python pairs.  Bounds those working arrays to about 128 KB
-# each (a batch holds one item more when a single item is larger).
+# box survivors go through one narrow phase per batch.  Bounds those
+# working arrays to about 128 KB each (a batch holds one item more when a
+# single item is larger).
 _SCREEN_CELLS = 1 << 14
 
 
@@ -147,14 +147,9 @@ def _exact_crossings(tail_pos, head_pos, tails, heads, shifts, evecs, eps, b1, b
 
 
 def _crossing_pairs(b1, b2, cx, cy):
-    """Crossing rows as pairs ((b1, (0, 0)), (b2, (cx, cy))), converted
-    ``_SCREEN_CELLS`` rows at a time."""
-    out = []
-    for start in range(0, len(b1), _SCREEN_CELLS):
-        rows = slice(start, start + _SCREEN_CELLS)
-        out += [((e1, (0, 0)), (e2, (c1, c2))) for e1, e2, c1, c2 in zip(
-            b1[rows].tolist(), b2[rows].tolist(), cx[rows].tolist(), cy[rows].tolist())]
-    return out
+    """Crossing rows as pairs ((b1, (0, 0)), (b2, (cx, cy)))."""
+    return [((e1, (0, 0)), (e2, (c1, c2)))
+            for e1, e2, c1, c2 in zip(b1.tolist(), b2.tolist(), cx.tolist(), cy.tolist())]
 
 
 def _copies_meeting_box(lattice, tail, evec, sx, sy, lower, upper):
@@ -419,7 +414,6 @@ class CornerReport:
 
     counts: list
     flat_angles: list
-    degree_sum_ok: bool
     corner_identity_ok: bool
 
 
@@ -427,9 +421,8 @@ def corner_count(fw, fc):
     """Count corners (interior angles < pi) of every face orbit.
 
     Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate; they
-    are not counted as corners.  Also verifies the degree-sum identity and,
-    when every face has exactly three corners, the corner-count identity
-    2m = n + 3n*.
+    are not counted as corners.  Also verifies, when every face has exactly
+    three corners, the corner-count identity 2m = n + 3n*.
     """
     counts = []
     flats = []
@@ -444,11 +437,10 @@ def corner_count(fw, fc):
                 c += 1
         counts.append(c)
         flats.append(flat)
-    degree_sum_ok = int(fw.degrees().sum()) == 2 * fw.m
     identity_ok = True
     if all(c == 3 for c in counts) and not any(flats):
         identity_ok = 2 * fw.m == fw.n + 3 * fc.n_faces
-    return CornerReport(counts, flats, degree_sum_ok, identity_ok)
+    return CornerReport(counts, flats, identity_ok)
 
 
 # -- SVG export -----------------------------------------------------------
@@ -461,7 +453,7 @@ def _palette_color(i):
 
 def render_svg(fw, fc, tiles):
     """Render a patch as SVG with faces filled per-orbit and edges stroked."""
-    rows, cols = _tile_range(tiles)
+    rows, cols = _tile_range(fw, tiles)
     lat = fw.lattice
     bases = _lattice_vectors(lat, [(t1, t2) for t1 in range(rows) for t2 in range(cols)])
     vertex = np.concatenate([fw.tails, fw.heads])[fc.order]

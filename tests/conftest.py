@@ -786,7 +786,7 @@ def oracle_lifting_from_stress(fw, oc, s, c0=0.0):
     for f in range(nf):
         t = np.array(tau[f], dtype=float)
         offsets[f] = c0 + c_hat[f] + float(normals[f] @ (lat @ t))
-    return PeriodicLifting(normals, offsets, base_face=0)
+    return PeriodicLifting(normals, offsets)
 
 
 def oracle_vertex_heights(fw, oc, lifting):
@@ -802,7 +802,7 @@ def oracle_vertex_heights(fw, oc, lifting):
 def oracle_export_terrain(fw, oc, lifting, tiles):
     """``export_terrain`` one face copy and one slot at a time, numbering
     vertex copies through a dict."""
-    rows, cols = _tile_range(tiles)
+    rows, cols = _tile_range(fw, tiles)
     lat = fw.lattice
     vert_index = {}
     vert_lines = []
@@ -835,7 +835,7 @@ def oracle_export_terrain(fw, oc, lifting, tiles):
 
 def oracle_render_svg(fw, oc, tiles):
     """``render_svg`` one face copy, slot and edge copy at a time."""
-    rows, cols = _tile_range(tiles)
+    rows, cols = _tile_range(fw, tiles)
     lat = fw.lattice
     polys = []
     for t1 in range(rows):
@@ -897,8 +897,7 @@ def oracle_corner_count(fw, oc):
                 c += 1
         counts.append(c)
         flats.append(flat)
-    degree_sum_ok = int(fw.degrees().sum()) == 2 * fw.m
     identity_ok = True
     if all(c == 3 for c in counts) and not any(flats):
         identity_ok = 2 * fw.m == fw.n + 3 * len(oc.faces)
-    return CornerReport(counts, flats, degree_sum_ok, identity_ok)
+    return CornerReport(counts, flats, identity_ok)

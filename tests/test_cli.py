@@ -96,9 +96,28 @@ def test_lift_refusal_keeps_existing_terrain(tmp_path, capsys):
     obj_path = tmp_path / "terrain.obj"
     kept = b"v 0.0 0.0 0.0\n# an earlier terrain\n"
     obj_path.write_bytes(kept)
-    code, rep = run(capsys, "lift", path, "--tiles", "0x1", "--out", str(obj_path), "--quiet")
-    assert code == 2 and "tile range" in rep["error"]
+    for tiles in ("0x1", "100000x100000"):
+        code, rep = run(capsys, "lift", path, "--tiles", tiles, "--out", str(obj_path), "--quiet")
+        assert code == 2 and "tile range" in rep["error"]
     assert obj_path.read_bytes() == kept
+
+
+def test_lift_refuses_non_finite_c0(tmp_path, capsys):
+    """A non-finite --c0 would print NaN or Infinity, which is not JSON,
+    and write non-finite terrain heights."""
+    path = fixture_file(tmp_path, capsys, "cubes")
+    obj_path = tmp_path / "terrain.obj"
+    for c0 in ("nan", "inf", "-inf"):
+        code, rep = run(capsys, "lift", path, "--c0=" + c0, "--out", str(obj_path), "--quiet")
+        assert code == 2 and rep["error"] == "c0 must be finite, got %s" % c0
+    assert not obj_path.exists()
+
+
+def test_deform_refuses_non_finite_ds(tmp_path, capsys):
+    path = fixture_file(tmp_path, capsys, "kagome")
+    for ds in ("nan", "inf", "-inf"):
+        code, rep = run(capsys, "deform", path, "--ds=" + ds, "--steps", "3", "--quiet")
+        assert code == 2 and rep["error"] == "step length ds must be finite, got %s" % ds
 
 
 def test_svg(tmp_path, capsys):

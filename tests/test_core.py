@@ -25,7 +25,8 @@ from perimax import (
     serialize_framework,
     trace_faces,
 )
-from perimax.core import EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUMN, validate_geometry
+from perimax.core import (EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUMN, _tile_range,
+                          validate_geometry)
 from perimax.fixtures import FIXTURES
 
 from conftest import oracle_edge_orbits, oracle_patch_counts
@@ -254,18 +255,21 @@ def test_realize_patch_positions_exact():
 
 def test_realize_patch_empty_range():
     """Patches, SVG drawings and terrains read a tile range alike: a pair
-    of integral entries, each at least one."""
+    of integral entries, each at least one, spanning at most 2^20 slots
+    of max(n, 2m) per tile, refused before anything is allocated."""
     fw = fixture("square_grid")
     fc = trace_faces(fw)
     lift = lifting_from_stress(fw, fc, np.zeros(fw.m))
     for tiles, message in [((0, 3), "empty tile range"), ((2, -1), "empty tile range"),
                            (("a", 1), "pair of integers"), ((2.5, 1), "pair of integers"),
                            (("2", 1), "pair of integers"), ((2, 1, 1), "pair of integers"),
-                           ((math.nan, 1), "pair of integers"), (3, "pair of integers")]:
+                           ((math.nan, 1), "pair of integers"), (3, "pair of integers"),
+                           ((100000, 100000), "too large"), ((2 ** 18 + 1, 1), "too large")]:
         for make in (lambda: realize_patch(fw, tiles), lambda: render_svg(fw, fc, tiles),
                      lambda: export_terrain(fw, fc, lift, tiles)):
             with pytest.raises(FrameworkError, match=message):
                 make()
+    assert _tile_range(fw, (2 ** 18, 1)) == (2 ** 18, 1)    # 2m = 4 slots a tile
 
 
 def test_constructor_refuses_bad_integers():

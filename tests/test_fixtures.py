@@ -14,7 +14,7 @@ from perimax import (
     periodic_stress_space,
     ultrarigidity_probe,
 )
-from perimax.fixtures import FIXTURES, FixtureSpec
+from perimax.fixtures import FIXTURES
 
 GRAM_SHAPE = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -26,8 +26,7 @@ def test_all_fixtures_validate_and_are_noncrossing():
 
 
 def test_fixture_dispatch():
-    spec = FixtureSpec("kagome", {"theta": 0.3})
-    fw = fixture(spec)
+    fw = fixture("kagome", theta=0.3)
     assert fw.n == 3
     with pytest.raises(FrameworkError, match="unknown fixture"):
         fixture("nope")

@@ -1,6 +1,7 @@
 """Source layout rules of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import perimax
@@ -91,3 +92,19 @@ def test_thresholds_are_constants():
     assert not tolerances, tolerances
     assert not literals, literals
     assert len(fix_signs) == 1, fix_signs
+
+
+def test_exports_name_module_attributes():
+    """Every ``__all__`` entry of ``src/perimax`` names an attribute of its
+    module, so a deleted function leaves no stale export behind."""
+    exported, stale = [], []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                module = importlib.import_module("perimax." + path.stem)
+                exported += ast.literal_eval(node.value)
+                stale += ["%s: %s" % (path.name, name) for name in ast.literal_eval(node.value)
+                          if not hasattr(module, name)]
+    assert exported and not stale, stale

@@ -87,7 +87,7 @@ def test_periodic_stress_space_examples():
     assert abs(np.linalg.norm(values) - 1.0) < 1e-12
     # sign convention: first significant entry positive
     assert values[np.nonzero(np.abs(values) > 1e-9)[0][0]] > 0
-    assert basis[0].is_periodic and basis[0].is_equilibrium
+    assert basis[0].is_periodic
 
 
 def test_invariant_equilibrium_space():
