@@ -6,19 +6,19 @@ yields exactly sigma_1(k) = sum of divisors distinct sublattices.  Unfolding
 multiplies the quotient data by the index while realizing the identical
 infinite point set.  Stress persistence and the ultrarigidity probe unfold
 nothing: one sums over the integer shifts of the coset copies, the other
-ranks one small complex block per character of the quotient group.
+ranks one small complex block per conjugate pair of characters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
                    _geometry_scale, _hermite_join, _lattice_vectors, _require_shift_room)
-from .rigidity import _character_ranks, _characters, _require_gap, _stress_check, _stress_values
+from .rigidity import (_character_classes, _require_gap, _stress_check, _stress_values,
+                       _sublattice_ranks)
 
 
 __all__ = [
@@ -34,8 +34,8 @@ __all__ = [
     "ultrarigidity_probe",
 ]
 
-# Largest max_index the probe accepts: its character-slot table holds
-# about max_index**3 / 3 slots and is allocated up front.
+# Largest max_index the probe accepts: its work grows as max_index**3 (at 64,
+# 143,563 characters of the sublattices in 37,093 conjugate classes to rank).
 _MAX_PROBE_INDEX = 64
 # Largest index * max(n, m) an unfolding accepts: at most 32 MB of edge rows.
 _MAX_UNFOLD = 1 << 20
@@ -242,42 +242,6 @@ class UltrarigidityReport:
     first_failure: UltraProbeEntry | None
 
 
-def _code(x, y, order):
-    """Slot of the character (x, y) of exact order ``order`` in a flat table
-    holding order**2 slots for every order in turn."""
-    return (order - 1) * order * (2 * order - 1) // 6 + x * order + y
-
-
-@lru_cache(maxsize=64)
-def _index_characters(k):
-    """Characters of the index-k sublattices as exact integer keys.
-
-    The characters of Z^2 / Gamma' for Gamma' = (a, b, d) are those of
-    ``_characters(a, b, d)``.  Each is keyed by its reduced form
-    (x, y, N) with theta = (x, y) / N and gcd(x, y, N) = 1; its kernel has
-    index N, so it first appears at index N.  Returns the sublattices of
-    index k, the (sigma_1(k), k) slot codes of the characters of each, and
-    for one character of each conjugate pair {(x, y), (-x, -y) mod k} of
-    exact order k > 1 its (x, y), its code and the code of its conjugate
-    (the same code for the real characters of order 2).
-    """
-    codes = []
-    for a in range(1, k + 1):
-        if k % a:
-            continue
-        d = k // a
-        x, y = _characters(a, np.arange(d)[:, None], d)
-        g = np.gcd(np.gcd(x, y), k)
-        codes.append(_code(x // g, y // g, k // g))
-    x, y = np.divmod(np.arange(k * k), k)
-    own, twin = _code(x, y, k), _code(-x % k, -y % k, k)
-    fresh = (np.gcd(np.gcd(x, y), k) == 1) & (x + y > 0) & (own <= twin)
-    out = (np.vstack(codes), np.column_stack([x[fresh], y[fresh]]), own[fresh], twin[fresh])
-    for a in out:
-        a.setflags(write=False)
-    return (tuple(sublattices_of_index(k)),) + out
-
-
 def ultrarigidity_probe(fw, max_index=4):
     """Compute the flex dimension of every relaxation up to max_index.
 
@@ -286,12 +250,11 @@ def ultrarigidity_probe(fw, max_index=4):
     block of chi != 1 is the complex m x 2n matrix R_chi whose row k holds
     -e_k in the tail columns and chi(c_k) e_k in the head columns.  So
     phi' = phi + sum (2n - rank R_chi) and sigma' = sigma + sum
-    (m - rank R_chi).  Characters are shared between sublattices; each
-    block is ranked once, the blocks of one order in batched SVDs of at
-    most ``_PROBE_CELLS`` entries (or one block), with RANK_RTOL relative
-    to the block's largest singular value.  R_chi-bar = conj(R_chi) has the
-    same rank, so one block per conjugate pair is ranked (613, not 1,223,
-    up to index 16).
+    (m - rank R_chi).  R_chi-bar = conj(R_chi) has the same rank, so a
+    conjugate pair is one class of ``rigidity._character_classes`` (the
+    1,223 characters up to index 16 fall in 613), ranked once, in batched
+    SVDs of at most ``_PROBE_CELLS`` entries (or one block), with RANK_RTOL
+    relative to the block's largest singular value.
 
     Raises FrameworkError at the first relaxation whose quotient graph is
     disconnected (a character trivial on every closed-walk shift), before
@@ -300,35 +263,27 @@ def ultrarigidity_probe(fw, max_index=4):
     """
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
-    tables = [_index_characters(k) for k in range(1, max_index + 1)]
-    cycles = np.array([fw.cycle_basis[:2], (0, fw.cycle_basis[2])])
-    for k, (subs, codes, xy, fresh, _) in enumerate(tables, 1):
-        # a character trivial on the closed-walk shifts cuts the relaxed
-        # quotient graph (as does its conjugate, in the same sublattices);
-        # one of lower order would have stopped at its index
-        cuts = fresh[~((xy @ cycles.T) % k).any(axis=1)]
-        if cuts.size:
-            sub = subs[int(np.argmax(np.isin(codes, cuts).any(axis=1)))]
-            raise FrameworkError(
-                "disconnected quotient graph: relaxation to sublattice "
-                "(a=%d, b=%d, d=%d)" % (sub.a, sub.b, sub.d))
-    rank, ranks, gap = _character_ranks(fw, [(t[2], k) for k, t in enumerate(tables, 1)])
+    subs = sublattices_up_to(max_index)
+    abd = tuple((sub.a, sub.b, sub.d) for sub in subs)
+    classes, inverse, owner = _character_classes(abd)
+    N, x, y = classes.T
+    # a class trivial on the closed-walk basis (p, q), (0, t) cuts every
+    # relaxation that holds it; each basis entry is reduced mod N first, so
+    # every product stays below 2 N**2, within the dtype of the table
+    p, q, t = (np.array([c % max(n, 1) for n in range(int(N.max(initial=1)) + 1)],
+                        dtype=N.dtype)[N] for c in fw.cycle_basis)
+    cuts = ((x * p + y * q) % N == 0) & (y * t % N == 0)
+    if cuts.any():
+        raise FrameworkError("disconnected quotient graph: relaxation to sublattice "
+                             "(a=%d, b=%d, d=%d)" % abd[int(owner[cuts[inverse]].min())])
+    ranks, gap = _sublattice_ranks(fw, abd)
     _require_gap(gap)
-    phi0, sigma0 = 2 * fw.n + 1 - rank, fw.m - rank
-    # 2n - rank R_chi by character slot; 0 in the trivial slot
-    flex_def = np.zeros(_code(0, 0, max_index + 1), dtype=int)
-    entries = []
-    first_failure = None
-    for k, (subs, codes, _, fresh, twin) in enumerate(tables, 1):
-        flex_def[fresh] = flex_def[twin] = 2 * fw.n - ranks[k - 1]
-        added = flex_def[codes].sum(axis=1)
-        # m - rank R_chi = (2n - rank R_chi) + (m - 2n) for each of k - 1 blocks
-        phis = phi0 + added
-        sigmas = sigma0 + added + (k - 1) * (fw.m - 2 * fw.n)
-        for sub, phi, sigma in zip(subs, phis.tolist(), sigmas.tolist()):
-            entry = UltraProbeEntry(sub, phi, sigma)
-            entries.append(entry)
-            if phi != 0 and first_failure is None:
-                first_failure = entry
+    # the relaxation has n' = index n, m' = index m and rank R' = ranks
+    index = np.array([sub.index for sub in subs])
+    phis = 2 * fw.n * index + 1 - ranks
+    sigmas = fw.m * index - ranks
+    entries = [UltraProbeEntry(sub, phi, sigma)
+               for sub, phi, sigma in zip(subs, phis.tolist(), sigmas.tolist())]
+    first_failure = next((entry for entry in entries if entry.phi != 0), None)
     return UltrarigidityReport(max_index, first_failure is None, entries,
                                first_failure)

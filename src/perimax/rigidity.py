@@ -43,9 +43,9 @@ RANK_GAP_MIN = 10.0
 STRESS_RTOL = 1e-9
 # Largest n^2 (2 cutoff + 1)^2 a pair table spans: about 16 MB of table rows.
 _MAX_PAIR_GRID = 1 << 20
-# Block entries (characters x m x 2n) built and ranked per batched SVD;
-# bounds each complex working array of the character blocks to about 4 MB.
-_PROBE_CELLS = 1 << 18
+# Block entries (characters x m x 2n) built and ranked per batched SVD, of
+# any orders; bounds each complex working array of the blocks to about 1 MB.
+_PROBE_CELLS = 1 << 16
 # Largest n whose dimension verdicts always come from one dense SVD: up to
 # about this n that SVD costs less than the primitive-cell search and blocks.
 DENSE_RANK_MAX_N = 40
@@ -137,23 +137,24 @@ def _read_rank(sv):
     return sv, int(rank), float(gap)
 
 
-def _character_ranks(fw, groups):
-    """(rank R, ranks of the blocks R_chi of each group (xy, k), smallest gap of
-    all), chi(c) = exp(2 pi i xy.c / k), ranked as ``ultrarigidity_probe`` says."""
+def _character_ranks(fw, classes):
+    """(rank R, rank R_chi of each class (N, x, y), smallest gap of all),
+    chi(c) = exp(2 pi i (x, y).c / N), ranked as ``ultrarigidity_probe`` says."""
     _, rank, gap = _svd_rank(rigidity_matrix(fw))
     parts = np.zeros((2, fw.m, fw.n, 2))    # the tail and head columns of each row
     parts[0, np.arange(fw.m), fw.tails] = parts[1, np.arange(fw.m), fw.heads] = fw.edge_vectors()
     chunk = max(1, _PROBE_CELLS // max(1, 2 * fw.m * fw.n))
-    ranks = []
-    for xy, k in groups:
-        roots, shifts = np.exp(2j * np.pi * np.arange(k) / k), fw.shifts % k
-        ranks.append(np.empty(len(xy), dtype=int))
-        for lo in range(0, len(xy), chunk):
-            chi = roots[(xy[lo:lo + chunk] @ shifts.T) % k]
-            blocks = chi[:, :, None, None] * parts[1] - parts[0]
-            _, ranks[-1][lo:lo + chunk], block_gap = _svd_rank(
-                blocks.reshape(len(chi), fw.m, 2 * fw.n))
-            gap = min(gap, float(block_gap.min()))
+    ranks = np.empty(len(classes), dtype=int)
+    for lo in range(0, len(classes), chunk):
+        N, x, y = (classes[lo:lo + chunk, i, None] for i in range(3))
+        # (x, y).c mod N, each shift reduced mod N before any product
+        turns = (x * (fw.shifts[:, 0] % N) + y * (fw.shifts[:, 1] % N)) % N
+        chi = np.exp(2j * np.pi * turns / N)
+        blocks = chi[:, :, None, None] * parts[1]
+        blocks -= parts[0]
+        _, ranks[lo:lo + chunk], block_gap = _svd_rank(
+            blocks.reshape(len(chi), fw.m, 2 * fw.n))
+        gap = min(gap, float(block_gap.min()))
     return rank, ranks, gap
 
 
@@ -167,19 +168,55 @@ def _characters(a, b, d):
     return (l * d - b * j) % k, j * a % k
 
 
+@lru_cache(maxsize=64)
+def _character_classes(subs):
+    """The characters chi != 1 of each sublattice (a, b, d) of ``subs`` by
+    conjugate class: chi(z) = exp(2 pi i (x z1 + y z2) / N) reduced to
+    gcd(x, y, N) = 1, then (x, y) or its conjugate (-x, -y) mod N, whichever
+    is lexicographically smaller (their blocks are conjugate, of one rank).
+    Returns the distinct classes as (N, x, y) rows in that order, the class
+    of each character and the position in ``subs`` of its sublattice."""
+    abd = np.array(subs)
+    radix = (int((abd[:, 0] * abd[:, 2]).max()) + 1,) * 3    # (N, x, y) as one sort key
+    # one trivial character per sublattice; keys as narrow as they fit
+    keys = np.empty(int((abd[:, 0] * abd[:, 2] - 1).sum()), np.min_scalar_type(-radix[0] ** 3))
+    owners, lo = np.empty(len(keys), dtype=np.int32), 0
+    for a, d in sorted({(a, d) for a, _, d in subs}):
+        at = np.flatnonzero((abd[:, 0] == a) & (abd[:, 2] == d))
+        x, y = _characters(a, abd[at, 1:2], d)
+        g = np.gcd(np.gcd(x, y), a * d)
+        x, y, N = x // g, y // g, a * d // g
+        # a character and its conjugate share the smaller of their two keys
+        key = np.minimum(np.ravel_multi_index((N, x, y), radix),
+                         np.ravel_multi_index((N, -x % N, -y % N), radix))
+        hi = lo + key.size - len(at)
+        keys[lo:hi] = key[N > 1]
+        owners[lo:hi] = np.repeat(at, a * d - 1)
+        lo = hi
+    classes, keys[:] = np.unique(keys, return_inverse=True)    # keys become classes
+    out = np.column_stack(np.unravel_index(classes, radix)).astype(keys.dtype), keys, owners
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _sublattice_ranks(fw, subs):
+    """(rank of the rigidity matrix of fw relaxed to each sublattice
+    (a, b, d) of ``subs``, smallest gap of all): rank R plus rank R_chi
+    summed over the characters chi != 1, one block per class."""
+    classes, inverse, owner = _character_classes(subs)
+    rank, ranks, gap = _character_ranks(fw, classes)
+    return rank + np.bincount(owner, ranks[inverse], len(subs)).astype(int), gap
+
+
 def _block_rank(fw):
-    """(rank R_parent + sum of rank R_chi over the characters chi != 1 of
-    Z^2 / M Z^2, smallest gap) from fw's primitive cell, with one block per
-    conjugate pair; None when n <= DENSE_RANK_MAX_N or fw has no such cell."""
+    """(rank R, smallest gap) from the character blocks of fw's primitive
+    cell; None when n <= DENSE_RANK_MAX_N or fw has no such cell."""
     if fw.n <= DENSE_RANK_MAX_N or fw.primitive_cell is None:
         return None
-    parent, (a, b, d) = fw.primitive_cell
-    k = a * d
-    xy = np.column_stack(_characters(a, b, d))
-    code, twin = xy @ [k, 1], (-xy % k) @ [k, 1]
-    pick = (code > 0) & (code <= twin)
-    rank, (ranks,), gap = _character_ranks(parent, [(xy[pick], k)])
-    return rank + int(ranks @ np.where(code == twin, 1, 2)[pick]), gap
+    parent, abd = fw.primitive_cell
+    (rank,), gap = _sublattice_ranks(parent, (abd,))
+    return int(rank), gap
 
 
 def _require_gap(gap):
@@ -282,7 +319,6 @@ class PeriodicStressCheck:
     lattice_residuals: tuple
     tensor_residual: float
     verdicts_agree: bool
-    scale: float
 
 
 def check_periodic_stress(fw, s):
@@ -329,7 +365,6 @@ def _stress_check(n, lattice, tails, heads, shifts, evecs, s):
         lattice_residuals=(float(lat_res[0]), float(lat_res[1])),
         tensor_residual=ten_res,
         verdicts_agree=agree,
-        scale=max(1.0, eq_scale),
     )
 
 

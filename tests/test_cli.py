@@ -576,7 +576,7 @@ def test_ultra_refusals_exit_with_json(tmp_path):
 
 
 def test_ultra_index_bound_exits_with_json(tmp_path, capsys):
-    # the character-slot table grows as max_index**3: refused before allocation
+    # the probe's work grows as max_index**3: refused before any character is listed
     path = fixture_file(tmp_path, capsys, "ppt3")
     proc = _run_module("perimax", "ultra", str(path), "--max-index", "100000")
     assert proc.returncode == 2

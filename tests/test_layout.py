@@ -36,11 +36,10 @@ def test_direction_angles_in_one_place():
     assert len(found) == 1 and found[0].startswith("topology.py:"), found
 
 
-def test_one_crossing_broad_phase():
-    """``_cell_candidates`` and ``_exact_crossings`` each have one call
-    site in the package, so every crossing decision goes through the one
-    lattice-cell grid and a second broad phase cannot return unnoticed."""
-    found = {"_cell_candidates": [], "_exact_crossings": []}
+def _call_sites(*names):
+    """{name: ["file:line", ...]} of every call of each function name in
+    ``src/perimax``."""
+    found = {name: [] for name in names}
     for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -48,6 +47,23 @@ def test_one_crossing_broad_phase():
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if name in found:
                     found[name].append("%s:%d" % (path.name, node.lineno))
+    return found
+
+
+def test_one_crossing_broad_phase():
+    """``_cell_candidates`` and ``_exact_crossings`` each have one call
+    site in the package, so every crossing decision goes through the one
+    lattice-cell grid and a second broad phase cannot return unnoticed."""
+    found = _call_sites("_cell_candidates", "_exact_crossings")
+    assert all(len(sites) == 1 for sites in found.values()), found
+
+
+def test_one_character_table():
+    """``_characters`` and ``_character_ranks`` each have one call site in
+    the package, so the probe and the block ranks list characters and pair
+    each with its conjugate in one place, and a second pairing rule cannot
+    return unnoticed."""
+    found = _call_sites("_characters", "_character_ranks")
     assert all(len(sites) == 1 for sites in found.values()), found
 
 
