@@ -294,6 +294,18 @@ class PeriodicFramework:
         return basis
 
     @cached_property
+    def _edge_geometry(self):
+        """Read-only edge vectors, their norms and the shortest, and the position
+        extremes and positions[0] as floats: what each relaxation checks."""
+        evecs = self.edge_vectors()
+        norms = np.linalg.norm(evecs, axis=1)
+        for a in (evecs, norms):
+            a.setflags(write=False)
+        pos = self._positions
+        return (evecs, norms, float(norms.min(initial=np.inf)), pos.max(axis=0).tolist(),
+                pos.min(axis=0).tolist(), pos[0].tolist())
+
+    @cached_property
     def _shift_bound(self):
         """Largest |entry| of the edge orbit shifts."""
         return int(np.abs(self._shifts).max(initial=0))
@@ -437,27 +449,21 @@ def realize_patch(fw, tiles):
     Edges are included when both endpoint copies are materialized.
     """
     rows, cols = _tile_range(fw, tiles)
-
-    index = {}
-    verts = []
-    for s1 in range(rows):
-        for s2 in range(cols):
-            for i in range(fw.n):
-                key = (i, (s1, s2))
-                index[key] = len(verts)
-                pos = fw.positions[i] + fw.lattice @ np.array([s1, s2], dtype=float)
-                verts.append((i, (s1, s2), pos))
-    edges = []
-    for k in range(fw.m):
-        t, h = int(fw.tails[k]), int(fw.heads[k])
-        c1, c2 = int(fw.shifts[k, 0]), int(fw.shifts[k, 1])
-        for s1 in range(rows):
-            for s2 in range(cols):
-                a = index.get((t, (s1, s2)))
-                b = index.get((h, (s1 + c1, s2 + c2)))
-                if a is not None and b is not None:
-                    edges.append((a, b))
-    return FinitePatch(verts, edges)
+    # copy (i, (s1, s2)) is vertex (s1 cols + s2) n + i; its position rounds
+    # as fw.positions[i] + fw.lattice @ (s1, s2)
+    s1, s2 = np.divmod(np.arange(rows * cols), cols)
+    cells = np.column_stack([s1, s2])
+    pos = (fw.positions + _lattice_vectors(fw.lattice, cells)[:, None]).reshape(-1, 2)
+    verts = list(zip(np.tile(np.arange(fw.n), rows * cols).tolist(),
+                     map(tuple, np.repeat(cells, fw.n, axis=0).tolist()), pos))
+    # edge orbit k from slot (s1, s2) reaches slot (s1, s2) + c_k; clipping
+    # c_k to the range keeps it out of range where it was, without overflow
+    c1, c2 = np.clip(fw.shifts, [-rows, -cols], [rows, cols]).T[:, :, None]
+    h1, h2 = s1 + c1, s2 + c2
+    inside = (h1 >= 0) & (h1 < rows) & (h2 >= 0) & (h2 < cols)
+    tails = (s1 * cols + s2) * fw.n + fw.tails[:, None]
+    heads = (h1 * cols + h2) * fw.n + fw.heads[:, None]
+    return FinitePatch(verts, list(zip(tails[inside].tolist(), heads[inside].tolist())))
 
 
 # -- JSON round trip -----------------------------------------------------

@@ -6,19 +6,22 @@ yields exactly sigma_1(k) = sum of divisors distinct sublattices.  Unfolding
 multiplies the quotient data by the index while realizing the identical
 infinite point set.  Stress persistence and the ultrarigidity probe unfold
 nothing: one sums over the integer shifts of the coset copies, the other
-ranks one small complex block per conjugate pair of characters.
+ranks one small complex block per conjugate pair of characters.  Sweeps
+over many sublattices compute once what none of them changes: a framework's
+edge geometry and last stress terms, and the probe's enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
                    _geometry_scale, _hermite_join, _lattice_vectors, _require_shift_room)
-from .rigidity import (_character_classes, _require_gap, _stress_check, _stress_values,
-                       _sublattice_ranks)
+from .rigidity import (_character_classes, _require_gap, _stress_check, _stress_terms,
+                       _stress_values, _sublattice_ranks)
 
 
 __all__ = [
@@ -196,32 +199,44 @@ def stress_persists(fw, s, sub):
     has shift k'(r), r + c_k = q + M k'(r) with q a coset.  Geometry checks
     read the relaxed lattice and the extreme unfolded coordinates (sums of
     extremes: rounding is monotone); the relaxation is connected iff the
-    closed-walk shifts and ``sub`` span Z^2."""
+    closed-walk shifts and ``sub`` span Z^2.  A sweep pays once for what no
+    sublattice changes: ``fw`` caches its edge geometry, and the
+    ``_stress_terms`` of the last stress by its values, computed after the
+    geometry and connectivity checks so refusals keep the order of ``relax``."""
     rho, a, b, d = _require_size(fw, sub), sub.a, sub.b, sub.d
-    lat, pos = fw.lattice, fw.positions
-    lattice = lat @ np.array([[a, 0.0], [b, d]])
+    evecs, norms, shortest, (hx, hy), (lx, ly), (x, y) = fw._edge_geometry
+    # numpy matmuls round as relax does; scalar 2 x 2 products can round apart
+    lattice = fw.lattice @ np.array([[a, 0.0], [b, d]])
     corners = np.array([[0, 0], [0, d - 1], [a - 1, 0], [a - 1, d - 1]], dtype=float)
-    offsets = np.matmul(lat, corners[:, :, None])[:, :, 0]    # rounded as in _unfold
-    hi = (pos.max(axis=0) + offsets.max(axis=0)).tolist()
-    lo = (pos.min(axis=0) + offsets.min(axis=0)).tolist()
-    tol = EDGE_LENGTH_RTOL * _geometry_scale(lattice, max(map(abs, hi + lo)))
-    evecs = fw.edge_vectors()
-    bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= tol)[0]
-    if bad.size:
-        raise FrameworkError("zero-length edge orbit %d" % (int(bad[0]) * rho))
-    (x, y), (hx, hy), (lx, ly) = pos[0].tolist(), hi, lo
+    ox, oy = zip(*np.matmul(fw.lattice, corners[:, :, None])[:, :, 0].tolist())
+    hx, hy, lx, ly = hx + max(ox), hy + max(oy), lx + min(ox), ly + min(oy)
+    tol = EDGE_LENGTH_RTOL * _geometry_scale(lattice, max(map(abs, (hx, hy, lx, ly))))
+    if shortest <= tol:
+        raise FrameworkError("zero-length edge orbit %d" % (np.flatnonzero(norms <= tol)[0] * rho))
     if fw.n * rho >= 2 and max(hx - x, hy - y, x - lx, y - ly) <= tol:
         raise FrameworkError("degenerate placement: all vertex orbits coincide")
     p, _, t = _hermite_join(_hermite_join(fw.cycle_basis, a, b), 0, d)
     if p * t != 1:    # first unreached: coset (0, 1) of vertex 0, else (1, 0)
         raise FrameworkError("disconnected quotient graph: vertex %d unreachable"
                              % (1 if t > 1 else d))
+    s = _stress_values(s, fw.m)
+    if getattr(fw, "_stress_memo", (None,))[0] != s.tobytes():
+        fw._stress_memo = s.tobytes(), _stress_terms(fw.n, fw.tails, fw.heads, evecs, s)
     # shift k'(r) of each copy r = (r1, r2), as Sublattice.reduce computes it
     shifts = np.empty((fw.m, a, d, 2), dtype=int)
     shifts[..., 0] = k1 = (np.arange(a)[:, None] + fw.shifts[:, :1, None]) // a
     shifts[..., 1] = (np.arange(d) + fw.shifts[:, 1:, None] - b * k1) // d
-    return _stress_check(fw.n, lattice, fw.tails, fw.heads, shifts.reshape(fw.m, rho, 2),
-                         evecs, s).ok
+    return _stress_check(fw._stress_memo[1], lattice, shifts.reshape(fw.m, rho, 2)).ok
+
+
+@lru_cache(maxsize=_MAX_PROBE_INDEX)
+def _probe_sublattices(max_index):
+    """``sublattices_up_to(max_index)`` as a tuple, their (a, b, d) triples
+    and a read-only array of their indices, built once per max_index."""
+    subs = tuple(sublattices_up_to(max_index))
+    index = np.array([sub.index for sub in subs])
+    index.setflags(write=False)
+    return subs, tuple((sub.a, sub.b, sub.d) for sub in subs), index
 
 
 @dataclass
@@ -263,8 +278,7 @@ def ultrarigidity_probe(fw, max_index=4):
     """
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
-    subs = sublattices_up_to(max_index)
-    abd = tuple((sub.a, sub.b, sub.d) for sub in subs)
+    subs, abd, index = _probe_sublattices(max_index)
     classes, inverse, owner = _character_classes(abd)
     N, x, y = classes.T
     # a class trivial on the closed-walk basis (p, q), (0, t) cuts every
@@ -279,7 +293,6 @@ def ultrarigidity_probe(fw, max_index=4):
     ranks, gap = _sublattice_ranks(fw, abd)
     _require_gap(gap)
     # the relaxation has n' = index n, m' = index m and rank R' = ranks
-    index = np.array([sub.index for sub in subs])
     phis = 2 * fw.n * index + 1 - ranks
     sigmas = fw.m * index - ranks
     entries = [UltraProbeEntry(sub, phi, sigma)

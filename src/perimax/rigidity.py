@@ -324,8 +324,8 @@ class PeriodicStressCheck:
 def check_periodic_stress(fw, s):
     """Verify that s is a periodic stress, via both the per-generator sums
     and the equivalent rank-two tensor form."""
-    return _stress_check(fw.n, fw.lattice, fw.tails, fw.heads, fw.shifts[:, None],
-                         fw.edge_vectors(), s)
+    terms = _stress_terms(fw.n, fw.tails, fw.heads, fw.edge_vectors(), s)
+    return _stress_check(terms, fw.lattice, fw.shifts[:, None])
 
 
 def _stress_values(s, m):
@@ -336,17 +336,24 @@ def _stress_values(s, m):
     return s
 
 
-def _stress_check(n, lattice, tails, heads, shifts, evecs, s):
-    """``check_periodic_stress`` of edge orbits with vectors ``evecs``, each
-    on the coset copies whose (m, copies, 2) shifts are ``shifts``."""
+def _stress_terms(n, tails, heads, evecs, s):
+    """What ``_stress_check`` reads of a stress on edge orbits with vectors
+    ``evecs``, whatever their copies: the forces s_k e_k, the term sizes
+    |s_k| |e_k|, the per-vertex balance residual and the sum of the sizes."""
     s = _stress_values(s, len(tails))
     forces = s[:, None] * evecs
     # |s_k| |e_k|, the size of each term, for the relative tolerances
     sizes = np.abs(s) * np.linalg.norm(evecs, axis=1)
     # per-vertex balance E @ s: s_k e_k scattered onto heads minus onto tails
     eq = np.array([np.bincount(heads, f, n) - np.bincount(tails, f, n) for f in forces.T])
-    eq_res = float(np.abs(eq).max())
-    eq_scale = float(sizes.sum()) * shifts.shape[1]
+    return forces, sizes, float(np.abs(eq).max()), float(sizes.sum())
+
+
+def _stress_check(terms, lattice, shifts):
+    """``check_periodic_stress`` from ``_stress_terms`` of edge orbits, each
+    on the coset copies whose (m, copies, 2) shifts are ``shifts``."""
+    forces, sizes, eq_res, size_sum = terms
+    eq_scale = size_sum * shifts.shape[1]
     # lattice conditions: sum_k s_k c_k^j e_k = 0 for each generator j
     lat_res = np.linalg.norm(shifts.sum(axis=1).T @ forces, axis=1)
     lat_scale = sizes @ np.abs(shifts).sum(axis=1)

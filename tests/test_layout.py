@@ -67,6 +67,29 @@ def test_one_character_table():
     assert all(len(sites) == 1 for sites in found.values()), found
 
 
+def test_one_stress_residual():
+    """``STRESS_RTOL`` is read only in ``rigidity``, and ``_stress_terms``
+    and ``_stress_check`` are called only from ``check_periodic_stress``
+    and ``relax.stress_persists``, so the direct check and the sweep share
+    one copy of the residual arithmetic and its tolerance."""
+    tolerance, callers = [], {"_stress_terms": [], "_stress_check": []}
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tolerance += [path.name for node in ast.walk(tree)
+                      if "STRESS_RTOL" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                           getattr(node, "name", None))]
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    name = getattr(getattr(node, "func", None), "id", None)
+                    if isinstance(node, ast.Call) and name in callers:
+                        callers[name].append("%s:%s" % (path.name, func.name))
+    assert tolerance and set(tolerance) == {"rigidity.py"}, tolerance
+    for sites in callers.values():
+        assert sorted(sites) == ["relax.py:stress_persists",
+                                 "rigidity.py:check_periodic_stress"], callers
+
+
 def _is_tolerance(name):
     return name in ("tol", "rtol", "atol", "eps_rel") or name.endswith("_tol")
 

@@ -432,6 +432,65 @@ def test_stress_persistence_refuses_wrong_stress_length():
             copy_stress(unfolded, bad)
 
 
+def test_stress_memo_keys_on_values():
+    """The sweep keeps the stress terms of the last stress by its values:
+    alternating two stresses, or changing the caller's array in place,
+    gives the verdict of a fresh relaxed check every time, and a refused
+    call leaves the next verdict as it was."""
+    fw = fixture("cubes")
+    periodic = periodic_stress_space(fw)[0].values
+    perturbed = periodic + 1e-3 * np.random.default_rng(3).uniform(-1.0, 1.0, fw.m)
+    given = periodic.copy()
+    for sub in (Sublattice(1, 0, 1), Sublattice(1, 1, 2), Sublattice(3, 2, 4)):
+        unfolded = relax(fw, sub)
+        for values, expected in ((periodic, True), (perturbed, False), (periodic, True),
+                                 (perturbed, False), (periodic, True)):
+            given[:] = values    # same array, new values
+            for s in (given, values):
+                fresh = check_periodic_stress(unfolded, copy_stress(unfolded, s.copy())).ok
+                assert stress_persists(fw, s, sub) == fresh == expected, (sub, expected)
+            with pytest.raises(FrameworkError, match="one value per edge orbit"):
+                stress_persists(fw, perturbed[:-1] if expected else periodic[:-1], sub)
+            with pytest.raises(FrameworkError, match="relaxation too large"):
+                stress_persists(fw, 1.0 - given, Sublattice(1, 0, 2 ** 40))
+            assert stress_persists(fw, given, sub) == expected, (sub, expected)
+
+
+def test_stress_persists_refusal_order():
+    """A stress of the wrong length is refused after the relaxation's
+    geometry and connectivity, as ``relax`` and then the relaxed check
+    refuse it, and for its length on a relaxation that stands."""
+    cases = [
+        (PeriodicFramework(np.eye(2), [[1.5e12, 0.0]], [(0, 0, (2, 0)), (0, 0, (0, 2))]),
+         Sublattice(2, 0, 1), "degenerate placement: all vertex orbits coincide"),
+        (_disconnecting([(2, 0), (0, 1)]), Sublattice(2, 0, 1), "disconnected quotient graph"),
+        (fixture("cubes"), Sublattice(1, 0, 2), "stress must have one value per edge orbit"),
+    ]
+    for fw, sub, message in cases:
+        for s in (np.zeros(fw.m + 1), np.zeros(fw.m - 1), np.zeros((1, fw.m))):
+            with pytest.raises(FrameworkError, match=message):
+                stress_persists(fw, s, sub)
+
+
+def test_enumeration_lists_are_fresh():
+    """Each call of the enumerations returns a new list, so changing one
+    changes neither a later call nor the probe's entries."""
+    expected = list(sublattices_up_to(6))
+    probed = [e.sublattice for e in ultrarigidity_probe(fixture("ppt3"), 6).entries]
+    assert probed == expected
+    first = sublattices_up_to(6)
+    first.reverse()
+    first.append(Sublattice(1, 0, 7))
+    of_four = sublattices_of_index(4)
+    of_four.clear()
+    assert sublattices_up_to(6) == expected
+    assert sublattices_of_index(4) == [sub for sub in expected if sub.index == 4]
+    report = ultrarigidity_probe(fixture("ppt3"), 6)
+    assert [e.sublattice for e in report.entries] == expected
+    report.entries.clear()
+    assert [e.sublattice for e in ultrarigidity_probe(fixture("ppt3"), 6).entries] == expected
+
+
 def test_oversize_relaxation_is_refused(monkeypatch):
     # cubes has n = 3, m = 6: index * 6 against a cap of 60
     monkeypatch.setattr(relax_module, "_MAX_UNFOLD", 60)
