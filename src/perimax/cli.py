@@ -47,9 +47,60 @@ def _save_framework(fw, path):
         fh.write(serialize_framework(fw) + "\n")
 
 
+_QUOTE = json.encoder.encode_basestring_ascii
+# json's spellings of the floats whose repr is not a JSON number
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _SPECIAL_FLOATS.get(text, text)
+
+
+def _json_text(value, indent="\n"):
+    """The text of ``json.dumps(value, indent=2)`` for a report of dicts
+    with string keys, lists, tuples, strings, numbers, booleans and None.
+    ``indent`` is a newline and the indentation of ``value``; a list of
+    plain floats is joined in one pass."""
+    if isinstance(value, str):
+        return _QUOTE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            text = ("," + inner).join(map(repr, value))
+            if "n" in text:    # "nan" or "inf": no finite repr has an n
+                text = ("," + inner).join(map(_float_text, value))
+        else:
+            text = ("," + inner).join([_json_text(v, inner) for v in value])
+        return "[" + inner + text + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_QUOTE(k) + ": " + _json_text(v, inner) for k, v in value.items()]) + indent + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _write_report(fh, report):
+    """Write a report as ``json.dump(report, fh, indent=2)`` and a newline
+    would, in one write."""
+    fh.write(_json_text(report) + "\n")
+
+
 def _emit(report):
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_report(sys.stdout, report)
 
 
 def _log(args, message):
@@ -115,9 +166,9 @@ def cmd_stress(args):
     _emit({
         "sigma": len(periodic),
         "invariant_equilibrium_dim": len(invariant),
-        "periodic_basis": [[float(x) for x in s.values] for s in periodic],
+        "periodic_basis": [s.values.tolist() for s in periodic],
         "invariant_basis": [
-            {"values": [float(x) for x in s.values], "is_periodic": s.is_periodic}
+            {"values": s.values.tolist(), "is_periodic": s.is_periodic}
             for s in invariant
         ],
     })
@@ -144,9 +195,9 @@ def cmd_lift(args):
     _emit({
         "stress_index": args.stress_index,
         "c0": args.c0,
-        "normals": [[float(v) for v in row] for row in lift.normals],
-        "offsets": [float(v) for v in lift.offsets],
-        "stress": [float(v) for v in s],
+        "normals": lift.normals.tolist(),
+        "offsets": lift.offsets.tolist(),
+        "stress": s.tolist(),
         "folds": [f.fold for f in folds],
         "terrain": args.out,
     })
@@ -240,10 +291,9 @@ def cmd_deform(args):
     for s in path.samples:
         rec = {
             "tau": s.tau,
-            "lattice": [[float(v) for v in row] for row in s.configuration.lattice],
-            "gram": [[float(v) for v in row] for row in s.gram],
-            "gram_rate": None if s.gram_rate is None else
-                [[float(v) for v in row] for row in s.gram_rate],
+            "lattice": s.configuration.lattice.tolist(),
+            "gram": s.gram.tolist(),
+            "gram_rate": None if s.gram_rate is None else s.gram_rate.tolist(),
         }
         if "expansive" in checks:
             rec["expansive"] = s.expansive
@@ -253,8 +303,7 @@ def cmd_deform(args):
     report = {"termination": path.termination, "samples": samples}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            _write_report(fh, report)
         _log(args, "wrote %s" % args.out)
     _emit({"termination": path.termination, "samples": len(samples), "out": args.out})
     return 0

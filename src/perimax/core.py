@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -432,8 +433,11 @@ def _tile_range(fw, tiles):
 
 def _lattice_vectors(lattice, shifts):
     """Rows ``lattice @ t`` for the rows t of ``shifts``, from one stacked
-    2 x 2 matmul that rounds each row as ``lattice @ t`` alone does (the
-    product ``shifts @ lattice.T`` rounds some rows differently)."""
+    2 x 2 matmul.  Each row rounds as ``lattice @ t`` alone does only
+    because numpy hands both products to the same BLAS kernel; a kernel
+    with fused multiply-adds (OpenBLAS on Haswell-class x86-64, say) rounds
+    otherwise than Python-scalar 2 x 2 products, and ``shifts @ lattice.T``
+    rounds some rows differently."""
     return (lattice @ np.asarray(shifts, dtype=float)[:, :, None])[:, :, 0]
 
 
@@ -488,8 +492,113 @@ def _parse_number(value, where):
     raise FrameworkError("%s: expected a decimal string, got %r" % (where, value))
 
 
+def _of_type(values, kind):
+    """Whether ``isinstance(v, kind)`` holds for every value, tested once per type."""
+    return all(issubclass(t, kind) for t in set(map(type, values)))
+
+
+def _ints(values):
+    """Whether ``_is_int`` holds for every value, tested once per type."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def _floats(values):
+    """The floats of decimal strings and JSON numbers, as ``_parse_number``
+    gives them; None when any value is something else or does not convert."""
+    if not all(issubclass(t, (str, float)) or (issubclass(t, int) and not issubclass(t, bool))
+               for t in set(map(type, values))):
+        return None
+    try:
+        return list(map(float, values))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _vertex_positions(verts):
+    """(n, 2) positions of the vertex records, checked and converted in bulk;
+    None when a record fails a check of ``_refuse_vertex``."""
+    n = len(verts)
+    try:
+        ids = [rec["id"] for rec in verts]
+        pairs = [rec["pos"] for rec in verts]
+    except (TypeError, KeyError):
+        return None
+    if not (_of_type(verts, dict) and _ints(ids) and min(ids) >= 0 and max(ids) < n
+            and len(set(ids)) == n and _of_type(pairs, list) and set(map(len, pairs)) == {2}):
+        return None
+    coords = _floats(list(chain.from_iterable(pairs)))
+    if coords is None:
+        return None
+    positions = np.empty((n, 2))
+    positions[ids] = np.reshape(coords, (n, 2))
+    return positions
+
+
+def _refuse_vertex(verts):
+    """Raise the FrameworkError of the first vertex record failing a check."""
+    seen_ids = set()
+    for rec in verts:
+        if not isinstance(rec, dict) or "id" not in rec or "pos" not in rec:
+            raise FrameworkError("vertex records need 'id' and 'pos'")
+        vid = rec["id"]
+        if not _is_int(vid) or not 0 <= vid < len(verts) or vid in seen_ids:
+            raise FrameworkError("vertex ids must be unique and consecutive; got %r" % (vid,))
+        seen_ids.add(vid)
+        pos = rec["pos"]
+        if not isinstance(pos, list) or len(pos) != 2:
+            raise FrameworkError("vertex %d: pos must have two entries" % vid)
+        _parse_number(pos[0], "vertex %d pos" % vid)
+        _parse_number(pos[1], "vertex %d pos" % vid)
+    raise AssertionError("the bulk vertex checks refused valid records")
+
+
+def _edge_array(erecs):
+    """(m, 4) rows (tail, head, c1, c2) of the edge records, checked in bulk:
+    int64, or objects where an end lies beyond int64 (the constructor names
+    it); None when a record fails a check of ``_refuse_edge``."""
+    try:
+        tails = [rec["tail"] for rec in erecs]
+        heads = [rec["head"] for rec in erecs]
+        shifts = [rec["shift"] for rec in erecs]
+    except (TypeError, KeyError):
+        return None
+    if not (_of_type(erecs, dict) and _ints(tails) and _ints(heads)
+            and _of_type(shifts, list) and set(map(len, shifts)) <= {2}):
+        return None
+    flat = list(chain.from_iterable(shifts))
+    if not (_ints(flat) and max(flat, default=0) <= _MAX_SHIFT
+            and min(flat, default=0) >= -_MAX_SHIFT):
+        return None
+    cols = [tails, heads, flat[0::2], flat[1::2]]
+    try:
+        return np.array(cols, dtype=np.int64).T
+    except OverflowError:
+        return np.array(cols, dtype=object).T
+
+
+def _refuse_edge(erecs):
+    """Raise the FrameworkError of the first edge record failing a check."""
+    for k, rec in enumerate(erecs):
+        if not isinstance(rec, dict):
+            raise FrameworkError("edge %d: record must be an object" % k)
+        try:
+            tail, head, shift = rec["tail"], rec["head"], rec["shift"]
+        except KeyError as exc:
+            raise FrameworkError("edge %d: missing key %s" % (k, exc)) from None
+        if not (_is_int(tail) and _is_int(head)):
+            raise FrameworkError("edge %d: tail/head must be integers" % k)
+        if (not isinstance(shift, list) or len(shift) != 2
+                or any(not _is_int(c) or abs(c) > _MAX_SHIFT for c in shift)):
+            raise FrameworkError("edge %d: shift must be a pair of 64-bit integers" % k)
+    raise AssertionError("the bulk edge checks refused valid records")
+
+
 def framework_from_dict(doc):
-    """Build a framework from the canonical JSON document structure."""
+    """Build a framework from the canonical JSON document structure.
+
+    Vertex and edge records are checked and converted in bulk; only a
+    document that fails a check is walked record by record, for the
+    message of the first failing record."""
     if not isinstance(doc, dict):
         raise FrameworkError("document root must be an object")
     if doc.get("dimension") != 2:
@@ -506,38 +615,16 @@ def framework_from_dict(doc):
     verts = doc.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise FrameworkError("vertices must be a non-empty list")
-    positions = np.empty((len(verts), 2))
-    seen_ids = set()
-    for rec in verts:
-        if not isinstance(rec, dict) or "id" not in rec or "pos" not in rec:
-            raise FrameworkError("vertex records need 'id' and 'pos'")
-        vid = rec["id"]
-        if not _is_int(vid) or not 0 <= vid < len(verts) or vid in seen_ids:
-            raise FrameworkError("vertex ids must be unique and consecutive; got %r" % (vid,))
-        seen_ids.add(vid)
-        pos = rec["pos"]
-        if not isinstance(pos, list) or len(pos) != 2:
-            raise FrameworkError("vertex %d: pos must have two entries" % vid)
-        positions[vid, 0] = _parse_number(pos[0], "vertex %d pos" % vid)
-        positions[vid, 1] = _parse_number(pos[1], "vertex %d pos" % vid)
+    positions = _vertex_positions(verts)
+    if positions is None:
+        _refuse_vertex(verts)
 
     erecs = doc.get("edges")
     if not isinstance(erecs, list):
         raise FrameworkError("edges must be a list")
-    edges = []
-    for k, rec in enumerate(erecs):
-        if not isinstance(rec, dict):
-            raise FrameworkError("edge %d: record must be an object" % k)
-        try:
-            tail, head, shift = rec["tail"], rec["head"], rec["shift"]
-        except KeyError as exc:
-            raise FrameworkError("edge %d: missing key %s" % (k, exc)) from None
-        if not (_is_int(tail) and _is_int(head)):
-            raise FrameworkError("edge %d: tail/head must be integers" % k)
-        if (not isinstance(shift, list) or len(shift) != 2
-                or any(not _is_int(c) or abs(c) > _MAX_SHIFT for c in shift)):
-            raise FrameworkError("edge %d: shift must be a pair of 64-bit integers" % k)
-        edges.append((tail, head, (shift[0], shift[1])))
+    edges = _edge_array(erecs)
+    if edges is None:
+        _refuse_edge(erecs)
     return PeriodicFramework(lattice, positions, edges)
 
 

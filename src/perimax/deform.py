@@ -189,9 +189,14 @@ def _constraints(fw, ref_sq):
 
 def _newton_correct(residual, jacobian, z, tol_abs):
     """Corrected iterate, whether it converged, and its edge vectors; the
-    Jacobian is assembled only at an iterate that takes a step."""
+    Jacobian is assembled only at an iterate that takes a step.  An iterate
+    the geometry checks refuse (say, a lattice column beyond 2**510 after
+    too long a step) is a failed correction, not an invalid input."""
     for k in range(NEWTON_MAX_ITER + 1):
-        F, evecs = residual(z)
+        try:
+            F, evecs = residual(z)
+        except FrameworkError:
+            return z, False, None
         ok = float(np.abs(F).max()) <= tol_abs
         if ok or k == NEWTON_MAX_ITER:
             return z, ok, evecs
@@ -225,17 +230,29 @@ def _corner_table(fw, fc):
 def _ppt_margin(table, evecs):
     """Smallest signed margin to the pseudo-triangulation boundary at the
     given edge vectors, and its event text; the first row wins a tie.
-    Raises NumericalError when a face's angle sum is off (k - 2) pi: a
-    corner left (0, 2 pi), so the stars changed."""
+
+    A face whose angle sum is off (k - 2) pi by +-2 pi has one corner that
+    wrapped through 0 (two edges at a vertex crossed): the point is past
+    the boundary, by the angle that corner went beyond 0.  Raises
+    NumericalError when a face's angle sum is off by anything else: the
+    stars changed."""
     twin_in, out, face, sign, reasons = table
     angles = _direction_angles(evecs)
     # the stars move along the path: a corner wraps where its next angle is below its own
     a, a_next = angles[out], angles[twin_in]
     corners = _corner(a, a_next, a_next < a)
-    off = np.abs(np.bincount(face, corners) - (np.bincount(face) - 2) * math.pi)
-    if off.max() > ANGLE_SUM_TOL:
+    off = np.bincount(face, corners) - (np.bincount(face) - 2) * math.pi
+    turns = np.clip(np.rint(off / (2 * math.pi)), -1, 1)
+    if np.abs(off - 2 * math.pi * turns).max() > ANGLE_SUM_TOL:
+        off = np.abs(off)
         raise NumericalError("corner order changed along the path: face %d angle sum "
                              "off (k-2)pi by %.3g" % (np.argmax(off), off.max()))
+    if turns.any():
+        # a convex corner closed to just below 2 pi, or a reflex one opened past it
+        f = int(np.flatnonzero(turns)[0])
+        ring = corners[face == f]
+        past = 2 * math.pi - ring.max() if turns[f] > 0 else ring.min()
+        return -float(past), "corner closed on face %d" % f
     margins = sign * (math.pi - corners)
     i = int(np.argmin(margins))
     return float(margins[i]), reasons[i]
@@ -247,7 +264,8 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     Tangent predictor plus Newton correction on the edge-length and gauge
     constraints.  Terminates on the step count, on corrector failure after
     step halving, or at the pseudo-triangulation boundary (a vertex losing
-    pointedness or a face angle reaching pi), located by bisection.  A
+    pointedness, a face angle reaching pi or a corner closing to 0), located
+    by bisection in either direction of ``ds``.  A
     non-finite step length ``ds`` is refused (FrameworkError).
     """
     if not math.isfinite(ds):
@@ -306,7 +324,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
         if new_margin <= 0.0:
             # bisect the step length until the boundary is bracketed tightly
             lo, hi, z_lo = 0.0, step, None
-            while hi - lo > EVENT_TAU_TOL:
+            while abs(hi - lo) > EVENT_TAU_TOL:
                 mid = 0.5 * (lo + hi)
                 z_mid, okm, evecs_mid = _newton_correct(
                     residual, jacobian, cfg.as_vector() + mid * tangent, tol_abs)
@@ -319,7 +337,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
                     new_margin, reason = m_mid, reason_mid
                 else:
                     lo, z_lo, evecs = mid, z_mid, evecs_mid
-            if lo > 0.0:
+            if lo != 0.0:
                 # boundary sample (the last configuration still inside)
                 tau += lo
                 cfg = Configuration.from_vector(z_lo, n)

@@ -185,6 +185,70 @@ def oracle_edge_orbits(n, edges):
     return table[:, 0], table[:, 1], table[:, 2:]
 
 
+def oracle_framework_from_dict(doc):
+    """The framework of a JSON document structure, or its FrameworkError,
+    read one record and one entry at a time: the lattice, then each vertex
+    record (fields, id, pos, each number), then each edge record (fields,
+    ends, shift), then the constructor on (tail, head, (c1, c2)) triples."""
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def number(x, where):
+        if isinstance(x, str):
+            try:
+                return float(x)
+            except ValueError:
+                raise FrameworkError("%s: bad decimal string %r" % (where, x)) from None
+        if is_int(x) or isinstance(x, float):
+            try:
+                return float(x)
+            except OverflowError:
+                raise FrameworkError("%s: number out of range" % where) from None
+        raise FrameworkError("%s: expected a decimal string, got %r" % (where, x))
+
+    if not isinstance(doc, dict):
+        raise FrameworkError("document root must be an object")
+    if doc.get("dimension") != 2:
+        raise FrameworkError("dimension must be 2, got %r" % (doc.get("dimension"),))
+    lat = doc.get("lattice")
+    if (not isinstance(lat, list) or len(lat) != 2
+            or any(not isinstance(col, list) or len(col) != 2 for col in lat)):
+        raise FrameworkError("lattice must be two columns of two entries each")
+    lattice = [[number(lat[j][i], "lattice column %d" % j) for j in range(2)] for i in range(2)]
+    verts = doc.get("vertices")
+    if not isinstance(verts, list) or not verts:
+        raise FrameworkError("vertices must be a non-empty list")
+    positions = [None] * len(verts)
+    for rec in verts:
+        if not isinstance(rec, dict) or "id" not in rec or "pos" not in rec:
+            raise FrameworkError("vertex records need 'id' and 'pos'")
+        vid = rec["id"]
+        if not is_int(vid) or not 0 <= vid < len(verts) or positions[vid] is not None:
+            raise FrameworkError("vertex ids must be unique and consecutive; got %r" % (vid,))
+        pos = rec["pos"]
+        if not isinstance(pos, list) or len(pos) != 2:
+            raise FrameworkError("vertex %d: pos must have two entries" % vid)
+        positions[vid] = [number(x, "vertex %d pos" % vid) for x in pos]
+    erecs = doc.get("edges")
+    if not isinstance(erecs, list):
+        raise FrameworkError("edges must be a list")
+    edges = []
+    for k, rec in enumerate(erecs):
+        if not isinstance(rec, dict):
+            raise FrameworkError("edge %d: record must be an object" % k)
+        for key in ("tail", "head", "shift"):
+            if key not in rec:
+                raise FrameworkError("edge %d: missing key %r" % (k, key))
+        if not (is_int(rec["tail"]) and is_int(rec["head"])):
+            raise FrameworkError("edge %d: tail/head must be integers" % k)
+        shift = rec["shift"]
+        if (not isinstance(shift, list) or len(shift) != 2
+                or any(not is_int(c) or abs(c) > 2 ** 63 - 1 for c in shift)):
+            raise FrameworkError("edge %d: shift must be a pair of 64-bit integers" % k)
+        edges.append((rec["tail"], rec["head"], tuple(shift)))
+    return PeriodicFramework(lattice, positions, edges)
+
+
 def oracle_stress_check(fw, s, rtol=1e-9):
     """(ok, verdicts_agree) of ``check_periodic_stress`` from the dense
     equilibrium matrix and explicit per-generator and tensor sums."""

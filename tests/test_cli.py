@@ -192,6 +192,25 @@ def test_deform(tmp_path, capsys):
     assert all(s["expansive"] and s["auxetic"] for s in doc["samples"])
 
 
+def test_deform_backwards_ends_at_corner_event(tmp_path, capsys):
+    """A negative step walks the flex backwards until a convex corner
+    closes: an event with exit 0, and samples in falling tau."""
+    path = fixture_file(tmp_path, capsys, "ppt3")
+    out = tmp_path / "path.json"
+    code, rep = run(capsys, "deform", path, "--ds", "-0.01", "--out", str(out), "--quiet")
+    assert code == 0 and rep["termination"].startswith("event: corner closed on face")
+    taus = [s["tau"] for s in json.loads(out.read_text())["samples"]]
+    assert len(taus) == rep["samples"] and all(b < a for a, b in zip(taus, taus[1:]))
+
+
+def test_deform_halves_a_step_too_large(tmp_path, capsys):
+    """A step whose predicted lattice the geometry checks refuse is halved,
+    not reported as an invalid input."""
+    path = fixture_file(tmp_path, capsys, "kagome")
+    code, rep = run(capsys, "deform", path, "--ds", "1e200", "--steps", "5", "--quiet")
+    assert code == 0 and rep["samples"] >= 2, rep
+
+
 def test_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2, "lattice": [["1","1"],["2","2"]],'
@@ -620,6 +639,45 @@ def test_ppt_refuses_straddling_rank(tmp_path, capsys):
     code, rep = run(capsys, "ppt", str(path))
     assert code == 3
     assert rep["kind"] == "numerical" and "rank instability" in rep["error"]
+
+
+# -- report writer -------------------------------------------------------------
+
+_REPORT_LEAVES = (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2 ** 63,
+                                   -2 ** 63 - 1, 10 ** 30, True, False, None, "",
+                                   "\u00e9\u2028\U0001f600\x00\x1f\x7f\"\\/"])
+                  | st.floats() | st.integers() | st.text(max_size=8))
+_REPORTS = st.recursive(
+    _REPORT_LEAVES | st.lists(st.floats(), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=24)
+
+
+class _Writes(list):
+    """A file that records each write."""
+
+    def write(self, text):
+        self.append(text)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(report=_REPORTS)
+def test_report_written_once_as_indented_json(report):
+    """A report is written in one write, as the text json.dump(report, fh,
+    indent=2) and a newline give: NaN and Infinity spellings, -0.0,
+    subnormals, integers beyond int64, escaped non-ASCII and control
+    characters, empty lists and dicts, nesting and tuples."""
+    fh, expected = _Writes(), io.StringIO()
+    cli._write_report(fh, report)
+    json.dump(report, expected, indent=2)
+    assert fh == [expected.getvalue() + "\n"]
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for report in ({"x": np.float32(1.0)}, [object()], {"x": {1, 2}}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._write_report(_Writes(), report)
 
 
 # -- malformed input through the command line --------------------------------

@@ -29,7 +29,7 @@ from perimax.core import (EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUM
                           validate_geometry)
 from perimax.fixtures import FIXTURES
 
-from conftest import oracle_edge_orbits, oracle_patch_counts
+from conftest import oracle_edge_orbits, oracle_framework_from_dict, oracle_patch_counts
 
 SQUARE_GRID_DOC = """
 {
@@ -149,6 +149,95 @@ def test_mutated_documents_raise_only_framework_error(name, data):
         framework_from_dict(doc)
     except FrameworkError:
         pass
+
+
+def _number_form(draw, x):
+    """x as a decimal string, a JSON float or, when integral, a JSON int."""
+    forms = ["string", "float"] + ["int"] * (x.is_integer() and abs(x) < 1e300)
+    form = draw(st.sampled_from(forms))
+    return repr(x) if form == "string" else x if form == "float" else int(x)
+
+
+# entries one step outside what a record accepts
+_NEAR_MISSES = st.sampled_from([-1, 3, 2 ** 63, -2 ** 63, 2 ** 70, 10 ** 400, 0.5, 1.0, True,
+                                None, "0", "x", "1e400", [], {}, [0], [0, 0, 0]])
+
+
+@st.composite
+def _record_documents(draw):
+    """The JSON document of a fixture or of a framework with extreme
+    coordinates and shifts, its numbers as decimal strings, JSON floats or
+    JSON ints, its vertex records in any order and up to two of its records
+    changed: a key deleted, or an entry, a field or the whole record
+    replaced."""
+    fw = draw(st.sampled_from(sorted(FIXTURES)).map(fixture) | _any_frameworks())
+    doc = framework_to_dict(fw)
+    doc["lattice"] = [[_number_form(draw, float(x)) for x in col] for col in doc["lattice"]]
+    for rec in doc["vertices"]:
+        rec["pos"] = [_number_form(draw, float(x)) for x in rec["pos"]]
+    doc["vertices"] = draw(st.permutations(doc["vertices"]))
+    doc = json.loads(json.dumps(doc))
+    values = _NEAR_MISSES | _JSON_VALUES
+    for _ in range(draw(st.integers(0, 2))):
+        kinds = ["vertices", "edges"] if doc["edges"] else ["vertices"]
+        records = doc[draw(st.sampled_from(kinds))]
+        at = draw(st.integers(0, len(records) - 1))
+        rec = records[at]
+        key = draw(st.sampled_from(sorted(rec))) if isinstance(rec, dict) and rec else None
+        action = draw(st.sampled_from(["entry", "entry", "field", "delete", "record"]))
+        if action == "record" or key is None:
+            records[at] = draw(values)
+        elif action == "delete":
+            del rec[key]
+        elif action == "entry" and isinstance(rec[key], list) and rec[key]:
+            rec[key][draw(st.integers(0, len(rec[key]) - 1))] = draw(values)
+        else:
+            rec[key] = draw(values)
+    return doc
+
+
+def _parsed(parse, doc):
+    """The framework's arrays with their dtypes, or the refusal's message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            fw = parse(doc)
+    except FrameworkError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (fw.lattice, fw.positions, fw.tails, fw.heads, fw.shifts)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_record_documents())
+def test_bulk_parse_matches_record_oracle(doc):
+    """Checking and converting records in bulk gives bitwise the framework
+    of reading them one entry at a time, or the same message."""
+    assert _parsed(framework_from_dict, doc) == _parsed(oracle_framework_from_dict, doc)
+
+
+def test_bulk_parse_reports_first_failing_record():
+    """The refusal names the first record that fails any check, whatever
+    later records hold."""
+    doc = framework_to_dict(fixture("ppt3"))
+    doc["vertices"][1]["pos"][0] = "x"
+    doc["vertices"][2]["id"] = 0
+    doc["edges"][0]["shift"] = [0.5, 0]
+    with pytest.raises(FrameworkError, match="^vertex 1 pos: bad decimal string 'x'$"):
+        framework_from_dict(doc)
+    doc["vertices"][1]["pos"][0] = "0.5"
+    with pytest.raises(FrameworkError, match="^vertex ids must be unique and consecutive; got 0$"):
+        framework_from_dict(doc)
+    doc["vertices"][2]["id"] = 2
+    doc["edges"][1] = {"tail": 0}
+    with pytest.raises(FrameworkError, match="^edge 0: shift must be a pair of 64-bit"):
+        framework_from_dict(doc)
+    doc["edges"][0]["shift"] = [0, 0]
+    with pytest.raises(FrameworkError, match="^edge 1: missing key 'head'$"):
+        framework_from_dict(doc)
+    # an end beyond int64 reaches the constructor, which names the given value
+    doc["edges"][1] = {"tail": 2 ** 70, "head": 0, "shift": [1, 0]}
+    with pytest.raises(FrameworkError, match=re.escape("unknown vertex (0, %d)" % 2 ** 70)):
+        framework_from_dict(doc)
 
 
 def test_disconnected_quotient_rejected():

@@ -319,6 +319,24 @@ def test_corner_table_refuses_changed_corner_order():
         deform._ppt_margin(table, mirrored)
 
 
+@pytest.mark.parametrize("name", ["ppt3", "ppt3-2x2"])
+def test_backward_path_ends_where_a_corner_closes(name):
+    """Backwards along the flex a convex corner closes: past that point two
+    edges at a vertex have crossed and one face's angle sum is off by
+    2 pi.  Bisection locates the point as an event, with tau falling and
+    the last sample still inside."""
+    fw = fixture("ppt3") if name == "ppt3" else relax(fixture("ppt3"), Sublattice(2, 0, 2))
+    path = continue_path(fw, steps=200, ds=-1e-2)
+    assert path.termination.startswith("event: corner closed on face ")
+    taus = [s.tau for s in path.samples]
+    assert all(b < a for a, b in zip(taus, taus[1:])) and taus[-2] - taus[-1] < 1e-2
+    assert -1e-6 < path.event_margin <= 0.0
+    last = path.final.configuration
+    margin, _ = deform._ppt_margin(_corner_table(fw), fw.with_geometry(
+        last.positions, last.lattice).edge_vectors())
+    assert margin > 0.0
+
+
 def test_path_conserves_lengths_and_verdicts():
     fw = fixture("ppt3")
     path = continue_path(fw, steps=100, ds=1e-2)

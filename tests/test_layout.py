@@ -90,6 +90,32 @@ def test_one_stress_residual():
                                  "rigidity.py:check_periodic_stress"], callers
 
 
+def _callers(*names):
+    """{name: sorted ["file:function", ...]} of every call of each function
+    name in ``src/perimax``, by the top-level function that holds it."""
+    found = {name: [] for name in names}
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in tree.body:
+            for node in ast.walk(func):
+                name = getattr(getattr(node, "func", None), "attr",
+                               getattr(getattr(node, "func", None), "id", None))
+                if isinstance(node, ast.Call) and name in found:
+                    found[name].append("%s:%s" % (path.name, getattr(func, "name", "<module>")))
+    return {name: sorted(sites) for name, sites in found.items()}
+
+
+def test_one_report_writer():
+    """No module calls ``json.dump`` or ``json.dumps``: every report goes
+    through ``cli._write_report``, the one caller of the encoder
+    ``_json_text`` besides itself, so a report cannot leave in other bytes."""
+    found = _callers("dump", "dumps", "_json_text", "_write_report")
+    assert not found["dump"] and not found["dumps"], found
+    assert set(found["_json_text"]) == {"cli.py:_json_text", "cli.py:_write_report"}, found
+    assert found["_json_text"].count("cli.py:_write_report") == 1, found
+    assert found["_write_report"] == ["cli.py:_emit", "cli.py:cmd_deform"], found
+
+
 def _is_tolerance(name):
     return name in ("tol", "rtol", "atol", "eps_rel") or name.endswith("_tol")
 
