@@ -345,6 +345,19 @@ PINNED_DEFORM = {
     "kagome": (100, "0d7f484ffc4e5946495986d31fe38eefe929d5070c729829a05bb5264688d677"),
     "ppt3_2x2": (40, "b291c61252871f4b19932013e6b2433b906117a43c881c37f1cede32d8c87f7c"),
 }
+# sha256 of `perimax deform --out` away from the defaults: a smaller pair
+# table, a backward path through its event bisection, a backward 2x2 path.
+PINNED_DEFORM_OPTIONS = {
+    ("ppt3", "--cutoff", "1"): (
+        "event: pointedness lost at vertex 1", 51,
+        "435402cf19a1306f7a443fc2e8ad2ae15d40aa0a6b3bc7542e6df9be3313674b"),
+    ("ppt3", "--ds=-0.01"): (
+        "event: corner closed on face 1", 43,
+        "fdf5506993a464042a3bab915b63d89aa103c495e209b783db15cb03519e8237"),
+    ("ppt3_2x2", "--ds=-0.01", "--steps", "20"): (
+        "step count reached", 21,
+        "8aedf99ba84a4f8d8d3f6f528e74bd8fd30f3a8282e4de4a8b64b1c98b9c3127"),
+}
 PINNED_RIGIDIFY = {
     "ppt3": "66e4cb561d91318bda688fb1cb342c36a18494f53868062c0b6cfd4484bdea75",
     "kagome": "eb84c0b6e070ac8d0431bc2dca7e62732dedd048c4d1bd613343111bd729be2b",
@@ -368,6 +381,15 @@ def test_deform_reports_pinned(tmp_path, capsys):
                       "--out", str(out), "--quiet")
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+def test_deform_option_reports_pinned(tmp_path, capsys):
+    paths = _pinned_inputs(tmp_path, capsys)
+    for (name, *options), (termination, samples, digest) in PINNED_DEFORM_OPTIONS.items():
+        out = tmp_path / ("%s_path.json" % name)
+        code, rep = run(capsys, "deform", paths[name], *options, "--out", str(out), "--quiet")
+        assert (code, rep["termination"], rep["samples"]) == (0, termination, samples), options
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, options
 
 
 def test_rigidify_reports_pinned(tmp_path, capsys):
