@@ -400,13 +400,17 @@ def build_parser():
     return parser
 
 
+# Options whose spaced value may start with "-" without being a plain number
+# ("--matrix -2,0,0,3", "--ds -1e-3"), which argparse would take for an option.
+_SIGNED_VALUE_OPTIONS = ("--matrix", "--ds", "--c0", "--theta", "--alpha", "--beta")
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a spaced value such as "--matrix -2,0,0,3" for an
-    # option (it starts with "-" and is not a plain number): join it to its flag
-    if "--matrix" in argv[:-1]:
-        at = argv.index("--matrix")
-        argv[at:at + 2] = ["--matrix=" + argv[at + 1]]
+    # join each such value to its flag
+    for at in reversed(range(len(argv) - 1)):
+        if argv[at] in _SIGNED_VALUE_OPTIONS:
+            argv[at:at + 2] = [argv[at] + "=" + argv[at + 1]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

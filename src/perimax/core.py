@@ -122,18 +122,21 @@ def _geometry_scale(lattice, largest):
 
 
 def validate_geometry(lattice, positions, tails, heads, shifts):
-    """Geometry scale and (m, 2) edge vectors of a placement of fixed edge
-    orbits; FrameworkError for non-finite entries, a lattice column longer
-    than ``MAX_LATTICE_COLUMN``, a singular lattice, a zero-length edge or
-    vertex orbits that all coincide."""
+    """Geometry scale, (m, 2) edge vectors and their (m,) squared lengths of
+    a placement of fixed edge orbits, whose shifts may be given as floats;
+    FrameworkError for non-finite entries, a lattice column longer than
+    ``MAX_LATTICE_COLUMN``, a singular lattice, a zero-length edge or vertex
+    orbits that all coincide."""
     scale = _geometry_scale(lattice, float(np.abs(positions).max()))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]
-    bad = np.nonzero(np.linalg.norm(evecs, axis=1) <= EDGE_LENGTH_RTOL * scale)[0]
-    if bad.size:
-        raise FrameworkError("zero-length edge orbit %d" % int(bad[0]))
-    if len(positions) >= 2 and np.abs(positions - positions[0]).max() <= EDGE_LENGTH_RTOL * scale:
+    squares = np.einsum("ij,ij->i", evecs, evecs)
+    short = EDGE_LENGTH_RTOL * scale
+    # sqrt is monotone, so the shortest edge decides whether any is too short
+    if math.sqrt(squares.min(initial=math.inf)) <= short:
+        raise FrameworkError("zero-length edge orbit %d" % np.argmax(np.sqrt(squares) <= short))
+    if len(positions) >= 2 and np.abs(positions - positions[0]).max() <= short:
         raise FrameworkError("degenerate placement: all vertex orbits coincide")
-    return scale, evecs
+    return scale, evecs, squares
 
 
 def _canonicalize(rows):
@@ -229,8 +232,8 @@ class PeriodicFramework:
         self._shifts = rows[:, 2:].copy()
         for a in (self._lattice, self._positions, self._tails, self._heads, self._shifts):
             a.setflags(write=False)
-        self._scale, _ = validate_geometry(lattice, positions, self._tails,
-                                           self._heads, self._shifts)
+        self._scale = validate_geometry(lattice, positions, self._tails,
+                                        self._heads, self._shifts)[0]
         _require_connected(n, self._tails, self._heads)
 
     # -- basic accessors -------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import FrameworkError, NumericalError, validate_geometry
 from .pseudotri import certify_ppt
-from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, _pair_rates,
-                       _row_assembly, gauge_rows, pair_table)
+from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
+                       _pair_rates, pair_table)
 from .topology import ANGLE_SUM_TOL, _corner, _direction_angles
 
 __all__ = [
@@ -86,8 +86,8 @@ def flex_tangent(cfg, fw, cutoff=2):
 
     Raises NumericalError when the reduced kernel is not one-dimensional.
     """
-    _, evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
-    return _oriented_flex(fw, cfg.positions, cfg.lattice, evecs, cutoff)[0]
+    evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)[1]
+    return _oriented_flex(_flex_system(fw), cfg.positions, cfg.lattice, evecs, cutoff)[0]
 
 
 @dataclass
@@ -103,18 +103,23 @@ def expansive_check(cfg, tangent, cutoff=2):
     """Rate of change of squared distances over all vertex-copy pairs
     within the shift cutoff (``pair_table``); expansive when none
     decreases.  Ties go to the first pair in table order."""
-    return _expansive_report(_pair_rates(cfg.positions, cfg.lattice, tangent, cutoff),
-                             pair_table(cfg.n, cutoff))
-
-
-def _expansive_report(rates, table):
-    if not len(table):
-        return ExpansiveReport(True, 0.0, None)
+    rates = _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
+    ok, low = _expansive(rates)
+    if not len(rates):
+        return ExpansiveReport(ok, low, None)
     lo, top = int(np.argmin(rates)), int(np.argmax(np.abs(rates)))
-    lo_pair, top_pair = [(a, b, (c1, c2)) for a, b, c1, c2 in table[[lo, top]].tolist()]
-    tol = EXPANSIVE_TOL * max(1.0, abs(float(rates[top])))
-    return ExpansiveReport(bool(rates[lo] >= -tol), float(rates[lo]), lo_pair,
-                           float(rates[top]), top_pair)
+    lo_pair, top_pair = [(a, b, (c1, c2))
+                         for a, b, c1, c2 in pair_table(cfg.n, cutoff)[[lo, top]].tolist()]
+    return ExpansiveReport(ok, low, lo_pair, float(rates[top]), top_pair)
+
+
+def _expansive(rates):
+    """(expansive, smallest rate) of squared-distance rates: expansive when
+    none is below -EXPANSIVE_TOL times max(1, largest |rate|)."""
+    if not len(rates):
+        return True, 0.0
+    low, high = float(rates.min()), float(rates.max())
+    return low >= -EXPANSIVE_TOL * max(1.0, -low, high), low
 
 
 def gram_derivative(cfg, tangent):
@@ -169,22 +174,34 @@ class DeformationPath:
         return self.samples[-1]
 
 
-def _constraints(fw, ref_sq):
-    """Residual and Jacobian functions of the edge-length and gauge
-    constraints at squared lengths ``ref_sq``.  The residual at a raw
+def _constraints(fw, ref_sq, cutoff):
+    """Residual, Jacobian and flex functions of the edge-length and gauge
+    constraints at squared lengths ``ref_sq``, over arrays built once: the
+    float shifts, the row scatter tables, the gauge rows and a buffer each
+    for the Jacobian and the flex's gauged matrix.  The residual at a raw
     configuration vector z also returns the edge vectors, with the
-    geometric checks of a framework's constructor; the Jacobian, twice the
-    rigidity matrix over the gauge rows, is assembled from them with
-    scatter indices and gauge rows built once."""
-    n, rows, gauge = fw.n, _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts), gauge_rows(fw)
+    geometric checks of a framework's constructor.  The Jacobian, twice
+    the rigidity matrix over the gauge rows, is assembled from them, and
+    so is the flex (``_oriented_flex``) at a configuration; each overwrites
+    the matrix it returned before."""
+    n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
+    system = _flex_system(fw)
+    jac = system[1].copy()
 
     def residual(z):
-        _, evecs = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
-                                     fw.tails, fw.heads, fw.shifts)
-        return np.concatenate([np.einsum("ij,ij->i", evecs, evecs) - ref_sq,
-                               [z[0], z[1], z[2 * n + 1]]]), evecs
+        _, evecs, squares = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
+                                              tails, heads, shifts)
+        return np.concatenate([squares - ref_sq, [z[0], z[1], z[2 * n + 1]]]), evecs
 
-    return residual, lambda evecs: np.vstack([2 * rows(evecs), gauge])
+    def jacobian(evecs):
+        system[0](evecs, jac[:m])
+        jac[:m] *= 2.0
+        return jac
+
+    def flex(cfg, evecs):
+        return _oriented_flex(system, cfg.positions, cfg.lattice, evecs, cutoff)
+
+    return residual, jacobian, flex
 
 
 def _newton_correct(residual, jacobian, z, tol_abs):
@@ -231,27 +248,37 @@ def _ppt_margin(table, evecs):
     """Smallest signed margin to the pseudo-triangulation boundary at the
     given edge vectors, and its event text; the first row wins a tie.
 
-    A face whose angle sum is off (k - 2) pi by +-2 pi has one corner that
-    wrapped through 0 (two edges at a vertex crossed): the point is past
-    the boundary, by the angle that corner went beyond 0.  Raises
-    NumericalError when a face's angle sum is off by anything else: the
-    stars changed."""
+    A face whose angle sum is off (k - 2) pi by 2 pi j, j > 0, is past the
+    boundary when j of its convex corners wrapped through 0 (two edges at
+    a vertex crossed: each now reads above pi) and no reflex corner reads
+    below pi; one off by -2 pi has a reflex corner that opened through
+    2 pi.  The point is past by the largest angle such a corner went
+    beyond.  Raises NumericalError when a face's angle sum is off by
+    anything else: the stars changed."""
     twin_in, out, face, sign, reasons = table
     angles = _direction_angles(evecs)
     # the stars move along the path: a corner wraps where its next angle is below its own
     a, a_next = angles[out], angles[twin_in]
     corners = _corner(a, a_next, a_next < a)
     off = np.bincount(face, corners) - (np.bincount(face) - 2) * math.pi
-    turns = np.clip(np.rint(off / (2 * math.pi)), -1, 1)
-    if np.abs(off - 2 * math.pi * turns).max() > ANGLE_SUM_TOL:
-        off = np.abs(off)
+    turns = np.rint(off / (2 * math.pi))
+    bad = np.abs(off - 2 * math.pi * turns) > ANGLE_SUM_TOL
+    if turns.any():
+        closed = np.bincount(face, (sign > 0) & (corners > math.pi), len(off))
+        opened = np.bincount(face, (sign < 0) & (corners < math.pi), len(off))
+        bad |= np.where(turns > 0, (closed != turns) | (opened > 0), turns < -1)
+    if bad.any():
+        off = np.where(bad, np.abs(off), -1.0)
         raise NumericalError("corner order changed along the path: face %d angle sum "
                              "off (k-2)pi by %.3g" % (np.argmax(off), off.max()))
     if turns.any():
-        # a convex corner closed to just below 2 pi, or a reflex one opened past it
+        # convex corners closed to just below 2 pi, or a reflex one opened past it
         f = int(np.flatnonzero(turns)[0])
         ring = corners[face == f]
-        past = 2 * math.pi - ring.max() if turns[f] > 0 else ring.min()
+        if turns[f] > 0:
+            past = 2 * math.pi - ring[(sign[face == f] > 0) & (ring > math.pi)].min()
+        else:
+            past = ring.min()
         return -float(past), "corner closed on face %d" % f
     margins = sign * (math.pi - corners)
     i = int(np.argmin(margins))
@@ -279,33 +306,33 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     cfg = Configuration.from_framework(fw)
     # only the initial sample validates on its own: later ones take the
     # edge vectors their corrector validated
-    _, evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)
-    ref_sq = np.einsum("ij,ij->i", evecs, evecs)
+    _, evecs, ref_sq = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads,
+                                         fw.shifts)
     tol_abs = NEWTON_TOL * max(1.0, float(ref_sq.max()))
-    residual, jacobian = _constraints(fw, ref_sq)
+    residual, jacobian, flex = _constraints(fw, ref_sq, cutoff)
 
     samples = []
     tau = 0.0
     tangent = None
 
-    def make_sample(cfg, report):
+    def make_sample(cfg, rates):
         dom = gram_derivative(cfg, tangent)
-        return PathSample(tau, cfg, cfg.gram(), dom, report.ok,
-                          auxetic_tangent_check(dom), report.min_rate)
+        ok, low = _expansive(rates)
+        return PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low)
 
     def tangent_at(cfg, evecs):
         # the flex turned to follow the previous sample, its rates with it
-        t, rates = _oriented_flex(fw, cfg.positions, cfg.lattice, evecs, cutoff)
+        t, rates = flex(cfg, evecs)
         if tangent is not None and float(t @ tangent) < 0:
             t, rates = -t, -rates
-        return t, _expansive_report(rates, pair_table(n, cutoff))
+        return t, rates
 
     if steps <= 0:
         return DeformationPath([PathSample(tau, cfg, cfg.gram(), None, None, None)],
                                "step count reached")
 
-    tangent, report = tangent_at(cfg, evecs)
-    samples.append(make_sample(cfg, report))
+    tangent, rates = tangent_at(cfg, evecs)
+    samples.append(make_sample(cfg, rates))
 
     termination = "step count reached"
     event_margin = None
@@ -342,17 +369,17 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
                 tau += lo
                 cfg = Configuration.from_vector(z_lo, n)
                 try:
-                    tangent, report = tangent_at(cfg, evecs)
+                    tangent, rates = tangent_at(cfg, evecs)
                 except NumericalError:
-                    report = expansive_check(cfg, tangent, cutoff)
-                samples.append(make_sample(cfg, report))
+                    rates = _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
+                samples.append(make_sample(cfg, rates))
             termination = "event: %s" % reason
             event_margin = new_margin
             break
         tau += step
         cfg = Configuration.from_vector(z_new, n)
-        tangent, report = tangent_at(cfg, evecs)
-        samples.append(make_sample(cfg, report))
+        tangent, rates = tangent_at(cfg, evecs)
+        samples.append(make_sample(cfg, rates))
         k += 1
 
     return DeformationPath(samples, termination, event_margin)

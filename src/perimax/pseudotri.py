@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (FrameworkError, NumericalError, PeriodicFramework, _edge_rows,
                    _lattice_vectors, canonical_edge)
-from .rigidity import (_gauge_position, _lattice_rate, _oriented_flex, count_identity_check,
-                       pair_table)
+from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
+                       count_identity_check, pair_table)
 from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
                        check_noncrossing, corner_count, trace_faces)
 
@@ -236,8 +236,8 @@ def oriented_flex(fw, cutoff=2):
     one-dimensional.
     """
     gauged = fw.with_geometry(*_gauge_position(fw))
-    tangent, _ = _oriented_flex(fw, gauged.positions, gauged.lattice, gauged.edge_vectors(),
-                                cutoff)
+    tangent, _ = _oriented_flex(_flex_system(fw), gauged.positions, gauged.lattice,
+                                gauged.edge_vectors(), cutoff)
     table = _candidate_table(fw, cutoff)
     derivs = _length_derivatives(gauged, tangent, table)
     if not np.all(np.isfinite(derivs)):

@@ -57,23 +57,26 @@ def rigidity_matrix(fw):
     Row of edge orbit beta carries -e in the tail block, +e in the head
     block (cancelling for loops) and c^1 e, c^2 e in the lattice columns.
     """
-    return _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)(fw.edge_vectors())
+    return _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)(
+        fw.edge_vectors(), np.empty((fw.m, 2 * fw.n + 4)))
 
 
 def _row_assembly(n, tails, heads, shifts):
     """Rigidity matrix of fixed edge orbits as a function of their edge
-    vectors, its scatter indices and float shifts built once."""
+    vectors, written into a C-contiguous m x (2n + 4) array ``out``; its
+    scatter indices and float shifts are built once."""
     m, width = len(tails), 2 * n + 4
     at_tail, at_head = (width * np.arange(m)[:, None] + 2 * ends[:, None] + [0, 1]
                         for ends in (tails, heads))
     c = shifts.astype(float)[:, :, None]
 
-    def assemble(evecs):
-        R = np.zeros((m, width))
-        R.reshape(-1)[at_tail] -= evecs
-        R.reshape(-1)[at_head] += evecs
-        R[:, 2 * n:] += (c * evecs[:, None]).reshape(m, 4)
-        return R
+    def assemble(evecs, out):
+        out.fill(0.0)
+        R = out.reshape(-1)
+        R[at_tail] -= evecs
+        R[at_head] += evecs
+        out[:, 2 * n:] += (c * evecs[:, None]).reshape(m, 4)
+        return out
 
     return assemble
 
@@ -443,12 +446,26 @@ def gauge_reduced_kernel(fw):
     motions, so the result has dimension phi.  Raises NumericalError when
     the spectrum straddles the rank tolerance.
     """
-    return _gauge_kernel(fw, rigidity_matrix(fw))
+    return _gauge_kernel(*_flex_system(fw), fw.edge_vectors())
 
 
-def _gauge_kernel(fw, R):
-    """``_kernel`` basis of R over the gauge rows."""
-    return _kernel(np.vstack([R / max(1.0, np.abs(R).max()), gauge_rows(fw)]))[3]
+def _flex_system(fw):
+    """What the gauged rigidity matrix of fw's edge orbits needs at every
+    placement, built once: their ``_row_assembly`` and an (m + 3) x
+    (2n + 4) matrix whose first m rows receive the rows, over fw's three
+    gauge rows."""
+    gauged = np.zeros((fw.m + 3, 2 * fw.n + 4))
+    gauged[fw.m:] = gauge_rows(fw)
+    return _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts), gauged
+
+
+def _gauge_kernel(assemble, gauged, evecs):
+    """``_kernel`` basis of the rows at edge vectors ``evecs``, scaled to
+    entries of at most 1, over the gauge rows of ``gauged`` (a
+    ``_flex_system``), whose first m rows it overwrites."""
+    R = assemble(evecs, gauged[:len(evecs)])
+    R /= max(1.0, np.abs(R).max())
+    return _kernel(gauged)[3]
 
 
 def _gauge_position(fw):
@@ -476,31 +493,28 @@ def _pair_rates(positions, lattice, motion, cutoff):
     columns last)."""
     n = len(positions)
     u, v, shifts, keep = _pair_grid(n, cutoff)
-    # (vertex pairs, shifts, 2) arrays of points[v] + lat @ c - points[u], one
-    # coordinate at a time; the stacked matmuls round each row like the
-    # single products lat @ c and sep @ dsep
-    sep, dsep = np.empty((2, len(u), len(shifts), 2))
-    for out, points, lat in ((sep, positions, lattice),
-                             (dsep, motion[:2 * n].reshape(n, 2), _lattice_rate(motion, n))):
-        for k, products in enumerate(np.matmul(lat, shifts)[:, :, 0].T):
-            np.add(points[v, k][:, None], products, out=out[:, :, k])
-            np.subtract(out[:, :, k], points[u, k][:, None], out=out[:, :, k])
+    # (vertex pairs, shifts, 2) arrays of points[v] + lat @ c - points[u]; the
+    # stacked matmuls round each row like the single products lat @ c and
+    # sep @ dsep
+    sep, dsep = ((points[v, None] + np.matmul(lat, shifts)[:, :, 0] - points[u, None])
+                 for points, lat in ((positions, lattice),
+                                     (motion[:2 * n].reshape(n, 2), _lattice_rate(motion, n))))
     rates = 2.0 * np.matmul(sep.reshape(-1, 1, 2), dsep.reshape(-1, 2, 1)).reshape(-1)[keep]
     if not np.all(np.isfinite(rates)):
         raise NumericalError("non-finite squared-distance rate")
     return rates
 
 
-def _oriented_flex(fw, positions, lattice, evecs, cutoff):
-    """Unit flex of fw's edge orbits placed at (positions, lattice), in
-    gauge position, with edge vectors ``evecs`` validated there, and its
-    squared-distance rates over ``pair_table``: the gauge-reduced kernel,
-    which must be one-dimensional, oriented so that the pair with the
-    largest |rate| expands (ties: the first in table order).  The flex of a
-    pseudo-triangulation is expansive, so this one rule serves paths and
-    the rigidifying search alike.  A kernel read across a thin gap is
-    refused (NumericalError)."""
-    basis = _gauge_kernel(fw, _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)(evecs))
+def _oriented_flex(system, positions, lattice, evecs, cutoff):
+    """Unit flex of the edge orbits of a ``_flex_system`` placed at
+    (positions, lattice), in gauge position, with edge vectors ``evecs``
+    validated there, and its squared-distance rates over ``pair_table``:
+    the gauge-reduced kernel, which must be one-dimensional, oriented so
+    that the pair with the largest |rate| expands (ties: the first in table
+    order).  The flex of a pseudo-triangulation is expansive, so this one
+    rule serves paths and the rigidifying search alike.  A kernel read
+    across a thin gap is refused (NumericalError)."""
+    basis = _gauge_kernel(*system, evecs)
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"

@@ -120,6 +120,31 @@ def test_deform_refuses_non_finite_ds(tmp_path, capsys):
         assert code == 2 and rep["error"] == "step length ds must be finite, got %s" % ds
 
 
+@pytest.mark.parametrize("option, value, command, check", [
+    ("--ds", "-1e-3", ("deform", "ppt3", "--steps", "3"),
+     lambda code, rep: code == 0 and rep["samples"] == 4),
+    ("--c0", "-1e-3", ("lift", "cubes"), lambda code, rep: code == 0 and rep["c0"] == -1e-3),
+    ("--theta", "-1e-1", ("fixture", "kagome"),
+     lambda code, rep: code == 0 and rep == perimax.framework_to_dict(
+         perimax.fixture("kagome", theta=-0.1))),
+    ("--alpha", "-1e-1", ("fixture", "reentrant"),
+     lambda code, rep: code == 2 and "0 < alpha < beta < pi" in rep["error"]),
+    ("--beta", "-2e-1", ("fixture", "reentrant"),
+     lambda code, rep: code == 2 and "0 < alpha < beta < pi" in rep["error"]),
+])
+def test_spaced_negative_exponent_reaches_its_option(tmp_path, capsys, option, value,
+                                                     command, check):
+    """A negative value in exponent notation after a space ("--ds -1e-3"),
+    which argparse reads as an option, reaches its option as "--ds=-1e-3"
+    does: the same exit code and report, never a usage error."""
+    name, target, *rest = command
+    if name != "fixture":
+        target = fixture_file(tmp_path, capsys, target)
+    spaced = run(capsys, name, target, *rest, option, value)
+    assert spaced == run(capsys, name, target, *rest, option + "=" + value)
+    assert check(*spaced), spaced
+
+
 def test_svg(tmp_path, capsys):
     path = fixture_file(tmp_path, capsys, "kagome")
     out = tmp_path / "patch.svg"
@@ -201,6 +226,14 @@ def test_deform_backwards_ends_at_corner_event(tmp_path, capsys):
     assert code == 0 and rep["termination"].startswith("event: corner closed on face")
     taus = [s["tau"] for s in json.loads(out.read_text())["samples"]]
     assert len(taus) == rep["samples"] and all(b < a for a, b in zip(taus, taus[1:]))
+
+
+def test_deform_kagome_backwards_ends_at_corner_event(tmp_path, capsys):
+    """Backwards the kagome closes three corners of one face at once: an
+    event with exit 0, not a refusal of the changed angle sum."""
+    path = fixture_file(tmp_path, capsys, "kagome")
+    code, rep = run(capsys, "deform", path, "--ds", "-0.01", "--quiet")
+    assert (code, rep["termination"]) == (0, "event: corner closed on face 1")
 
 
 def test_deform_halves_a_step_too_large(tmp_path, capsys):

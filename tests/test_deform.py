@@ -230,8 +230,9 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
     step and per tangent, besides the certificate's rigidity matrix, and
     one geometry check per residual evaluation (one per step and one more
     per correction), besides the one that gives both the reference lengths
-    and the initial tangent."""
-    counts = {"assembly": 0, "lstsq": 0, "correct": 0, "validate": 0}
+    and the initial tangent.  The scatter tables and the gauge rows are
+    built once per path, besides the certificate's."""
+    counts = {"assembly": 0, "lstsq": 0, "correct": 0, "validate": 0, "tables": 0, "gauge": 0}
 
     def counting(name, f):
         def counted(*args, **kwargs):
@@ -240,18 +241,27 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
         return counted
 
     def row_assembly(*args):
+        counts["tables"] += 1
         return counting("assembly", assembly(*args))
 
     assembly, correct = rigidity._row_assembly, deform._newton_correct
     monkeypatch.setattr(rigidity, "_row_assembly", row_assembly)
-    monkeypatch.setattr(deform, "_row_assembly", row_assembly)
+    monkeypatch.setattr(rigidity, "gauge_rows", counting("gauge", rigidity.gauge_rows))
     monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
     monkeypatch.setattr(deform, "_newton_correct", counting("correct", correct))
     monkeypatch.setattr(deform, "validate_geometry", counting("validate", core.validate_geometry))
-    path = continue_path(fixture("kagome", theta=math.pi / 2), steps=200, ds=2e-2)
+    fw = fixture("kagome", theta=math.pi / 2)
+    certify_ppt(fw)
+    certificate = dict(counts)
+    assert (certificate["assembly"], certificate["tables"], certificate["gauge"]) == (1, 1, 0)
+    for name in counts:
+        counts[name] = 0
+    path = continue_path(fw, steps=200, ds=2e-2)
     assert path.termination.startswith("event") and counts["correct"] > len(path.samples)
-    assert counts["assembly"] == counts["lstsq"] + len(path.samples) + 1
+    assert counts["assembly"] == counts["lstsq"] + len(path.samples) + certificate["assembly"]
     assert counts["validate"] == counts["lstsq"] + counts["correct"] + 1
+    assert counts["tables"] == certificate["tables"] + 1
+    assert counts["gauge"] == certificate["gauge"] + 1
 
 
 def test_kagome_path_terminates_at_boundary():
@@ -335,6 +345,40 @@ def test_backward_path_ends_where_a_corner_closes(name):
     margin, _ = deform._ppt_margin(_corner_table(fw), fw.with_geometry(
         last.positions, last.lattice).edge_vectors())
     assert margin > 0.0
+
+
+def test_kagome_backward_path_closes_three_corners_at_once(monkeypatch):
+    """Backwards, the kagome's three convex corners of face 1 close at the
+    same tau (by symmetry): past that point the face's angle sum is off by
+    6 pi with exactly those three corners above pi, an event.  Read one of
+    them as a reflex corner and the same point refuses: the count no longer
+    accounts for the offset."""
+    fw = fixture("kagome")
+    seen = []
+
+    def recorded(table, evecs):
+        got = margin(table, evecs)
+        seen.append((got[1], evecs))
+        return got
+
+    margin = deform._ppt_margin
+    monkeypatch.setattr(deform, "_ppt_margin", recorded)
+    path = continue_path(fw, steps=200, ds=-1e-2)
+    assert path.termination == "event: corner closed on face 1"
+    assert -1e-6 < path.event_margin <= 0.0
+    taus = [s.tau for s in path.samples]
+    assert all(b < a for a, b in zip(taus, taus[1:]))
+    past = [evecs for reason, evecs in seen if reason == "corner closed on face 1"][-1]
+    twin_in, out, face, sign, reasons = table = _corner_table(fw)
+    angles = topology._direction_angles(past)
+    corners = topology._corner(angles[out], angles[twin_in], angles[twin_in] < angles[out])
+    closed = np.flatnonzero((face == 1) & (sign > 0) & (corners > math.pi))
+    assert len(closed) == 3
+    assert margin(table, past)[1] == "corner closed on face 1"
+    flipped = sign.copy()
+    flipped[closed[0]] = -1.0
+    with pytest.raises(NumericalError, match="corner order changed along the path: face 1"):
+        margin([twin_in, out, face, flipped, reasons], past)
 
 
 def test_path_conserves_lengths_and_verdicts():
@@ -489,18 +533,30 @@ def test_expansive_check_rejects_nan_motion():
 
 def test_newton_iterate_gets_framework_checks():
     """A corrector iterate fails with the messages of the framework
-    constructor, which validated every iterate before."""
+    constructor, which validated every iterate before: those of
+    ``validate_geometry`` at the iterate's placement, read with int shifts."""
     fw = fixture("ppt3")
     cfg = Configuration.from_framework(fw)
     n, z, e = fw.n, cfg.as_vector(), fw.edge_vectors()
-    residual, jacobian = _constraints(fw, np.einsum("ij,ij->i", e, e))
+    residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)
     F, evecs = residual(z)
     J = jacobian(evecs)
     assert np.abs(F).max() < 1e-12 and J.shape == (fw.m + 3, 2 * n + 4)
+
+    def refusal(fw, residual, w):
+        with pytest.raises(FrameworkError) as got:
+            residual(w)
+        with pytest.raises(FrameworkError) as want:
+            core.validate_geometry(deform._lattice_rate(w, fw.n), w[:2 * fw.n].reshape(fw.n, 2),
+                                   fw.tails, fw.heads, fw.shifts)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
     bad = {
         "positions must be finite": (1, np.nan),
         "lattice must be a finite 2x2 matrix": (2 * n + 3, np.inf),
         "singular lattice": (2 * n + 2, None),
+        "lattice out of range: a column is longer than 2**510": (2 * n, 2.0 ** 511),
     }
     for message, (index, value) in bad.items():
         w = z.copy()
@@ -508,12 +564,23 @@ def test_newton_iterate_gets_framework_checks():
             w[2 * n + 2:] = 2.0 * w[2 * n:2 * n + 2]
         else:
             w[index] = value
-        with pytest.raises(FrameworkError, match=message):
-            residual(w)
+        assert refusal(fw, residual, w).startswith(message)
     w = z.copy()
     w[:2 * n] = 0.0     # every vertex orbit at the origin
-    with pytest.raises(FrameworkError, match="zero-length edge orbit|coincide"):
-        residual(w)
+    assert refusal(fw, residual, w).startswith("zero-length edge orbit")
+    # one edge orbit closed: its head moved onto the tail's copy
+    k = int(np.flatnonzero(fw.heads != 0)[-1])
+    w = z.copy()
+    w[2 * fw.heads[k]:2 * fw.heads[k] + 2] = (cfg.positions[fw.tails[k]]
+                                              - cfg.lattice @ fw.shifts[k])
+    assert refusal(fw, residual, w) == "zero-length edge orbit %d" % k
+    # all vertex orbits at one point, every edge orbit spanning a lattice period
+    fw = core.PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.5, 0.4]],
+                                [(0, 1, (1, 0)), (0, 1, (0, 1)), (0, 1, (1, 1)), (0, 0, (1, -1))])
+    e = fw.edge_vectors()
+    residual = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)[0]
+    w = np.concatenate([np.zeros(2 * fw.n), [1.0, 0.0, 0.0, 1.0]])
+    assert refusal(fw, residual, w) == "degenerate placement: all vertex orbits coincide"
 
 
 def test_newton_jacobian_is_twice_the_rigidity_matrix():
@@ -523,6 +590,6 @@ def test_newton_jacobian_is_twice_the_rigidity_matrix():
     cfg = Configuration.from_framework(fw)
     gauged = fw.with_geometry(cfg.positions, cfg.lattice)
     e = gauged.edge_vectors()
-    residual, jacobian = _constraints(fw, np.einsum("ij,ij->i", e, e))
+    residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)
     J = jacobian(residual(cfg.as_vector())[1])
     assert np.array_equal(J, np.vstack([2 * rigidity_matrix(gauged), gauge_rows(gauged)]))

@@ -116,6 +116,44 @@ def test_one_report_writer():
     assert found["_write_report"] == ["cli.py:_emit", "cli.py:cmd_deform"], found
 
 
+def _scoped_callers(*names):
+    """{name: sorted ["file:function.inner", ...]} of every call of each
+    function name in ``src/perimax``, by the chain of functions (lambdas
+    included) that holds it."""
+    found = {name: [] for name in names}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                inner = scope + [getattr(child, "name", "<lambda>")]
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in found:
+                    found[name].append("%s:%s" % (path.name, ".".join(scope) or "<module>"))
+            visit(child, path, inner)
+
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, [])
+    return {name: sorted(sites) for name, sites in found.items()}
+
+
+def test_path_arrays_built_once():
+    """The row scatter tables (``_row_assembly``) and the gauge rows are
+    built only by ``rigidity_matrix`` and ``_flex_system``.  ``deform``
+    reaches them only through ``_flex_system``: once per tangent in
+    ``flex_tangent``, and once per path in the body of ``_constraints``,
+    outside the residual, Jacobian and flex functions it returns, so a
+    change cannot put them back into the continuation step loop."""
+    found = _scoped_callers("_row_assembly", "gauge_rows", "_flex_system")
+    assert found == {
+        "_row_assembly": ["rigidity.py:_flex_system", "rigidity.py:rigidity_matrix"],
+        "gauge_rows": ["rigidity.py:_flex_system"],
+        "_flex_system": ["deform.py:_constraints", "deform.py:flex_tangent",
+                         "pseudotri.py:oriented_flex", "rigidity.py:gauge_reduced_kernel"],
+    }, found
+
+
 def _is_tolerance(name):
     return name in ("tol", "rtol", "atol", "eps_rel") or name.endswith("_tol")
 
