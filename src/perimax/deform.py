@@ -132,10 +132,14 @@ def gram_derivative(cfg, tangent):
 def auxetic_tangent_check(domega):
     """True when the Gram rate lies in the positive semidefinite cone."""
     domega = np.asarray(domega, dtype=float)
-    scale = max(1.0, abs(float(np.trace(domega))),
-                float(np.linalg.norm(domega)))
-    eigs = np.linalg.eigvalsh(0.5 * (domega + domega.T))
-    return bool(eigs.min() >= -PSD_TOL * scale)
+    return _auxetic(domega, 0.5 * (domega + domega.T))
+
+
+def _auxetic(domega, sym):
+    """``auxetic_tangent_check`` of a Gram rate whose symmetric part is
+    ``sym``; a rate from ``gram_derivative`` is its own symmetric part."""
+    scale = max(1.0, abs(float(np.trace(domega))), float(np.linalg.norm(domega)))
+    return bool(np.linalg.eigvalsh(sym).min() >= -PSD_TOL * scale)
 
 
 def contraction_check(lattice_early, lattice_late):
@@ -225,7 +229,8 @@ def _corner_table(fw, fc):
 
     Columns: the half-edges (orbit k forward at k, reversed at k + m) of
     the twin of the incoming and of the outgoing edge, the face, the margin
-    sign (+1 convex, -1 reflex) and the event text.  Reflex corners come
+    sign (+1 convex, -1 reflex) and the event text; then, per face, the
+    angle sum (k - 2) pi of its k corners.  Reflex corners come
     first, by vertex: a pointed vertex has exactly one, and while the stars
     stay fixed its margin is the vertex's pointedness margin.  The other
     corners follow in face order, boundary order.
@@ -241,7 +246,8 @@ def _corner_table(fw, fc):
     face = fc.face[out]
     reasons = tuple("pointedness lost at vertex %d" % v if r else "flat corner on face %d" % f
                     for v, f, r in zip(vertex.tolist(), face.tolist(), reflex.tolist()))
-    return [(pred[out] + m) % (2 * m), out, face, np.where(reflex, -1.0, 1.0), reasons]
+    return [(pred[out] + m) % (2 * m), out, face, np.where(reflex, -1.0, 1.0), reasons,
+            (np.bincount(face) - 2) * math.pi]
 
 
 def _ppt_margin(table, evecs):
@@ -255,12 +261,12 @@ def _ppt_margin(table, evecs):
     2 pi.  The point is past by the largest angle such a corner went
     beyond.  Raises NumericalError when a face's angle sum is off by
     anything else: the stars changed."""
-    twin_in, out, face, sign, reasons = table
+    twin_in, out, face, sign, reasons, sums = table
     angles = _direction_angles(evecs)
     # the stars move along the path: a corner wraps where its next angle is below its own
     a, a_next = angles[out], angles[twin_in]
     corners = _corner(a, a_next, a_next < a)
-    off = np.bincount(face, corners) - (np.bincount(face) - 2) * math.pi
+    off = np.bincount(face, corners) - sums
     turns = np.rint(off / (2 * math.pi))
     bad = np.abs(off - 2 * math.pi * turns) > ANGLE_SUM_TOL
     if turns.any():
@@ -318,7 +324,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     def make_sample(cfg, rates):
         dom = gram_derivative(cfg, tangent)
         ok, low = _expansive(rates)
-        return PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low)
+        return PathSample(tau, cfg, cfg.gram(), dom, ok, _auxetic(dom, dom), low)
 
     def tangent_at(cfg, evecs):
         # the flex turned to follow the previous sample, its rates with it

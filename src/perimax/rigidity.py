@@ -72,9 +72,9 @@ def _row_assembly(n, tails, heads, shifts):
 
     def assemble(evecs, out):
         out.fill(0.0)
-        R = out.reshape(-1)
-        R[at_tail] -= evecs
-        R[at_head] += evecs
+        flat = out.reshape(-1)
+        flat[at_tail] -= evecs
+        flat[at_head] += evecs
         out[:, 2 * n:] += (c * evecs[:, None]).reshape(m, 4)
         return out
 
@@ -493,12 +493,16 @@ def _pair_rates(positions, lattice, motion, cutoff):
     columns last)."""
     n = len(positions)
     u, v, shifts, keep = _pair_grid(n, cutoff)
-    # (vertex pairs, shifts, 2) arrays of points[v] + lat @ c - points[u]; the
-    # stacked matmuls round each row like the single products lat @ c and
-    # sep @ dsep
-    sep, dsep = ((points[v, None] + np.matmul(lat, shifts)[:, :, 0] - points[u, None])
-                 for points, lat in ((positions, lattice),
-                                     (motion[:2 * n].reshape(n, 2), _lattice_rate(motion, n))))
+    # (vertex pairs, shifts, 2) arrays of points[v] + lat @ c - points[u], one
+    # coordinate at a time; the stacked matmuls round each row like the
+    # single products lat @ c and sep @ dsep
+    sep, dsep = np.empty((2, len(u), len(shifts), 2))
+    for out, points, lat in ((sep, positions, lattice),
+                             (dsep, motion[:2 * n].reshape(n, 2), _lattice_rate(motion, n))):
+        heads, tails = points[v], points[u]
+        for k, products in enumerate(np.matmul(lat, shifts)[:, :, 0].T):
+            np.add(heads[:, k, None], products, out=out[:, :, k])
+            np.subtract(out[:, :, k], tails[:, k, None], out=out[:, :, k])
     rates = 2.0 * np.matmul(sep.reshape(-1, 1, 2), dsep.reshape(-1, 2, 1)).reshape(-1)[keep]
     if not np.all(np.isfinite(rates)):
         raise NumericalError("non-finite squared-distance rate")

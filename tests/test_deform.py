@@ -369,7 +369,7 @@ def test_kagome_backward_path_closes_three_corners_at_once(monkeypatch):
     taus = [s.tau for s in path.samples]
     assert all(b < a for a, b in zip(taus, taus[1:]))
     past = [evecs for reason, evecs in seen if reason == "corner closed on face 1"][-1]
-    twin_in, out, face, sign, reasons = table = _corner_table(fw)
+    twin_in, out, face, sign, reasons, sums = table = _corner_table(fw)
     angles = topology._direction_angles(past)
     corners = topology._corner(angles[out], angles[twin_in], angles[twin_in] < angles[out])
     closed = np.flatnonzero((face == 1) & (sign > 0) & (corners > math.pi))
@@ -378,7 +378,7 @@ def test_kagome_backward_path_closes_three_corners_at_once(monkeypatch):
     flipped = sign.copy()
     flipped[closed[0]] = -1.0
     with pytest.raises(NumericalError, match="corner order changed along the path: face 1"):
-        margin([twin_in, out, face, flipped, reasons], past)
+        margin([twin_in, out, face, flipped, reasons, sums], past)
 
 
 def test_path_conserves_lengths_and_verdicts():
