@@ -87,7 +87,7 @@ def flex_tangent(cfg, fw, cutoff=2):
     Raises NumericalError when the reduced kernel is not one-dimensional.
     """
     evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)[1]
-    return _oriented_flex(_flex_system(fw), cfg.positions, cfg.lattice, evecs, cutoff)[0]
+    return _oriented_flex(*_flex_system(fw), cfg.positions, cfg.lattice, evecs, cutoff)[0]
 
 
 @dataclass
@@ -132,14 +132,10 @@ def gram_derivative(cfg, tangent):
 def auxetic_tangent_check(domega):
     """True when the Gram rate lies in the positive semidefinite cone."""
     domega = np.asarray(domega, dtype=float)
-    return _auxetic(domega, 0.5 * (domega + domega.T))
-
-
-def _auxetic(domega, sym):
-    """``auxetic_tangent_check`` of a Gram rate whose symmetric part is
-    ``sym``; a rate from ``gram_derivative`` is its own symmetric part."""
-    scale = max(1.0, abs(float(np.trace(domega))), float(np.linalg.norm(domega)))
-    return bool(np.linalg.eigvalsh(sym).min() >= -PSD_TOL * scale)
+    scale = max(1.0, abs(float(np.trace(domega))),
+                float(np.linalg.norm(domega)))
+    eigs = np.linalg.eigvalsh(0.5 * (domega + domega.T))
+    return bool(eigs.min() >= -PSD_TOL * scale)
 
 
 def contraction_check(lattice_early, lattice_late):
@@ -180,17 +176,16 @@ class DeformationPath:
 
 def _constraints(fw, ref_sq, cutoff):
     """Residual, Jacobian and flex functions of the edge-length and gauge
-    constraints at squared lengths ``ref_sq``, over arrays built once: the
-    float shifts, the row scatter tables, the gauge rows and a buffer each
-    for the Jacobian and the flex's gauged matrix.  The residual at a raw
-    configuration vector z also returns the edge vectors, with the
-    geometric checks of a framework's constructor.  The Jacobian, twice
-    the rigidity matrix over the gauge rows, is assembled from them, and
-    so is the flex (``_oriented_flex``) at a configuration; each overwrites
-    the matrix it returned before."""
+    constraints at squared lengths ``ref_sq``, over what stays fixed along
+    a path, built once: the float shifts, the row scatter tables, the gauge
+    rows and one matrix buffer each for the Jacobian and the flex.  The
+    residual at a raw configuration vector z also returns the edge
+    vectors, with the geometric checks of a framework's constructor; the
+    Jacobian (twice the rigidity matrix over the gauge rows) and the flex
+    (``_oriented_flex``) are assembled from them."""
     n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
-    system = _flex_system(fw)
-    jac = system[1].copy()
+    assemble, gauged = _flex_system(fw)
+    jac = gauged.copy()
 
     def residual(z):
         _, evecs, squares = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
@@ -198,12 +193,12 @@ def _constraints(fw, ref_sq, cutoff):
         return np.concatenate([squares - ref_sq, [z[0], z[1], z[2 * n + 1]]]), evecs
 
     def jacobian(evecs):
-        system[0](evecs, jac[:m])
+        assemble(evecs, jac[:m])
         jac[:m] *= 2.0
         return jac
 
     def flex(cfg, evecs):
-        return _oriented_flex(system, cfg.positions, cfg.lattice, evecs, cutoff)
+        return _oriented_flex(assemble, gauged, cfg.positions, cfg.lattice, evecs, cutoff)
 
     return residual, jacobian, flex
 
@@ -269,7 +264,8 @@ def _ppt_margin(table, evecs):
     off = np.bincount(face, corners) - sums
     turns = np.rint(off / (2 * math.pi))
     bad = np.abs(off - 2 * math.pi * turns) > ANGLE_SUM_TOL
-    if turns.any():
+    turned = turns.any()
+    if turned:
         closed = np.bincount(face, (sign > 0) & (corners > math.pi), len(off))
         opened = np.bincount(face, (sign < 0) & (corners < math.pi), len(off))
         bad |= np.where(turns > 0, (closed != turns) | (opened > 0), turns < -1)
@@ -277,7 +273,7 @@ def _ppt_margin(table, evecs):
         off = np.where(bad, np.abs(off), -1.0)
         raise NumericalError("corner order changed along the path: face %d angle sum "
                              "off (k-2)pi by %.3g" % (np.argmax(off), off.max()))
-    if turns.any():
+    if turned:
         # convex corners closed to just below 2 pi, or a reflex one opened past it
         f = int(np.flatnonzero(turns)[0])
         ring = corners[face == f]
@@ -324,7 +320,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     def make_sample(cfg, rates):
         dom = gram_derivative(cfg, tangent)
         ok, low = _expansive(rates)
-        return PathSample(tau, cfg, cfg.gram(), dom, ok, _auxetic(dom, dom), low)
+        return PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low)
 
     def tangent_at(cfg, evecs):
         # the flex turned to follow the previous sample, its rates with it

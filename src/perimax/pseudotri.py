@@ -236,7 +236,7 @@ def oriented_flex(fw, cutoff=2):
     one-dimensional.
     """
     gauged = fw.with_geometry(*_gauge_position(fw))
-    tangent, _ = _oriented_flex(_flex_system(fw), gauged.positions, gauged.lattice,
+    tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
                                 gauged.edge_vectors(), cutoff)
     table = _candidate_table(fw, cutoff)
     derivs = _length_derivatives(gauged, tangent, table)

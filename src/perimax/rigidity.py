@@ -509,16 +509,17 @@ def _pair_rates(positions, lattice, motion, cutoff):
     return rates
 
 
-def _oriented_flex(system, positions, lattice, evecs, cutoff):
-    """Unit flex of the edge orbits of a ``_flex_system`` placed at
-    (positions, lattice), in gauge position, with edge vectors ``evecs``
-    validated there, and its squared-distance rates over ``pair_table``:
-    the gauge-reduced kernel, which must be one-dimensional, oriented so
-    that the pair with the largest |rate| expands (ties: the first in table
-    order).  The flex of a pseudo-triangulation is expansive, so this one
-    rule serves paths and the rigidifying search alike.  A kernel read
-    across a thin gap is refused (NumericalError)."""
-    basis = _gauge_kernel(*system, evecs)
+def _oriented_flex(assemble, gauged, positions, lattice, evecs, cutoff):
+    """Unit flex of the edge orbits of a ``_flex_system`` (assemble,
+    gauged) placed at (positions, lattice), in gauge position, with edge
+    vectors ``evecs`` validated there, and its squared-distance rates over
+    ``pair_table``: the gauge-reduced kernel, which must be
+    one-dimensional, oriented so that the pair with the largest |rate|
+    expands (ties: the first in table order).  The flex of a
+    pseudo-triangulation is expansive, so this one rule serves paths and
+    the rigidifying search alike.  A kernel read across a thin gap is
+    refused (NumericalError)."""
+    basis = _gauge_kernel(assemble, gauged, evecs)
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"

@@ -329,13 +329,15 @@ def test_corner_table_refuses_changed_corner_order():
         deform._ppt_margin(table, mirrored)
 
 
-@pytest.mark.parametrize("name", ["ppt3", "ppt3-2x2"])
+@pytest.mark.parametrize("name", ["ppt3", "ppt3-2x2", "kagome"])
 def test_backward_path_ends_where_a_corner_closes(name):
     """Backwards along the flex a convex corner closes: past that point two
     edges at a vertex have crossed and one face's angle sum is off by
-    2 pi.  Bisection locates the point as an event, with tau falling and
-    the last sample still inside."""
-    fw = fixture("ppt3") if name == "ppt3" else relax(fixture("ppt3"), Sublattice(2, 0, 2))
+    2 pi (6 pi on the kagome, whose three corners close together).
+    Bisection locates the point as an event, with tau falling and the last
+    sample still inside."""
+    fw = {"ppt3": fixture("ppt3"), "ppt3-2x2": relax(fixture("ppt3"), Sublattice(2, 0, 2)),
+          "kagome": fixture("kagome")}[name]
     path = continue_path(fw, steps=200, ds=-1e-2)
     assert path.termination.startswith("event: corner closed on face ")
     taus = [s.tau for s in path.samples]
@@ -347,12 +349,11 @@ def test_backward_path_ends_where_a_corner_closes(name):
     assert margin > 0.0
 
 
-def test_kagome_backward_path_closes_three_corners_at_once(monkeypatch):
-    """Backwards, the kagome's three convex corners of face 1 close at the
-    same tau (by symmetry): past that point the face's angle sum is off by
-    6 pi with exactly those three corners above pi, an event.  Read one of
-    them as a reflex corner and the same point refuses: the count no longer
-    accounts for the offset."""
+def test_kagome_event_needs_every_closed_corner(monkeypatch):
+    """Past the kagome's backward event its face 1 is off by 6 pi with
+    exactly three convex corners above pi: an event.  Read one of them as
+    a reflex corner and the same point refuses, since the closed corners
+    no longer account for the offset."""
     fw = fixture("kagome")
     seen = []
 
@@ -363,11 +364,7 @@ def test_kagome_backward_path_closes_three_corners_at_once(monkeypatch):
 
     margin = deform._ppt_margin
     monkeypatch.setattr(deform, "_ppt_margin", recorded)
-    path = continue_path(fw, steps=200, ds=-1e-2)
-    assert path.termination == "event: corner closed on face 1"
-    assert -1e-6 < path.event_margin <= 0.0
-    taus = [s.tau for s in path.samples]
-    assert all(b < a for a, b in zip(taus, taus[1:]))
+    assert continue_path(fw, steps=200, ds=-1e-2).termination == "event: corner closed on face 1"
     past = [evecs for reason, evecs in seen if reason == "corner closed on face 1"][-1]
     twin_in, out, face, sign, reasons, sums = table = _corner_table(fw)
     angles = topology._direction_angles(past)
