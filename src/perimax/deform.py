@@ -250,10 +250,10 @@ def _ppt_margin(table, evecs):
     given edge vectors, and its event text; the first row wins a tie.
 
     A face whose angle sum is off (k - 2) pi by 2 pi j, j > 0, is past the
-    boundary when j of its convex corners wrapped through 0 (two edges at
-    a vertex crossed: each now reads above pi) and no reflex corner reads
-    below pi; one off by -2 pi has a reflex corner that opened through
-    2 pi.  The point is past by the largest angle such a corner went
+    boundary when exactly j of its convex corners read above pi, having
+    wrapped through 0 (two edges at a vertex crossed), and no reflex corner
+    reads below pi; one off by -2 pi has a reflex corner that opened
+    through 2 pi.  The point is past by the largest angle such a corner went
     beyond.  Raises NumericalError when a face's angle sum is off by
     anything else: the stars changed."""
     twin_in, out, face, sign, reasons, sums = table

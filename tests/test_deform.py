@@ -258,7 +258,7 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
         counts[name] = 0
     path = continue_path(fw, steps=200, ds=2e-2)
     assert path.termination.startswith("event") and counts["correct"] > len(path.samples)
-    assert counts["assembly"] == counts["lstsq"] + len(path.samples) + certificate["assembly"]
+    assert counts["assembly"] == counts["lstsq"] + len(path.samples) + 1
     assert counts["validate"] == counts["lstsq"] + counts["correct"] + 1
     assert counts["tables"] == certificate["tables"] + 1
     assert counts["gauge"] == certificate["gauge"] + 1
