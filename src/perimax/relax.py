@@ -267,9 +267,12 @@ def ultrarigidity_probe(fw, max_index=4):
     phi' = phi + sum (2n - rank R_chi) and sigma' = sigma + sum
     (m - rank R_chi).  R_chi-bar = conj(R_chi) has the same rank, so a
     conjugate pair is one class of ``rigidity._character_classes`` (the
-    1,223 characters up to index 16 fall in 613), ranked once, in batched
-    SVDs of at most ``_PROBE_CELLS`` entries (or one block), with RANK_RTOL
-    relative to the block's largest singular value.
+    1,223 characters up to index 16 fall in 613), ranked once, in chunks
+    of at most ``_PROBE_CELLS`` working entries (or one block), with
+    RANK_RTOL relative to the block's largest singular value.  A block
+    that the Cholesky certificate ``rigidity._full_rank`` settles has
+    full rank with a safe gap and skips its SVD; the rest go through one
+    batched SVD per chunk.
 
     Raises FrameworkError at the first relaxation whose quotient graph is
     disconnected (a character trivial on every closed-walk shift), before

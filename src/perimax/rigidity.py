@@ -43,8 +43,14 @@ RANK_GAP_MIN = 10.0
 STRESS_RTOL = 1e-9
 # Largest n^2 (2 cutoff + 1)^2 a pair table spans: about 16 MB of table rows.
 _MAX_PAIR_GRID = 1 << 20
-# Block entries (characters x m x 2n) built and ranked per batched SVD, of
-# any orders; bounds each complex working array of the blocks to about 1 MB.
+# A matrix of a stack has full rank, with no SVD, when the Gram matrix G of
+# its smaller side less FULL_RANK_DELTA tr(G) I has a Cholesky factor: then
+# sigma_min >= ~1e-4 sigma_max, far above RANK_RTOL.
+FULL_RANK_DELTA = 1e-8
+# Complex entries per chunk of character blocks, of any orders: the blocks
+# (characters x m x 2n), the conjugate copy and the k x k Gram matrices that
+# ``_full_rank`` forms from them, and its column steps (about 4k entries per
+# block); bounds the working arrays of a chunk to about 1 MB together.
 _PROBE_CELLS = 1 << 16
 # Largest n whose dimension verdicts always come from one dense SVD: up to
 # about this n that SVD costs less than the primitive-cell search and blocks.
@@ -123,40 +129,106 @@ def equilibrium_matrix(fw):
 
 def _svd_rank(A):
     """Singular values, numerical rank and the kept/dropped gap ratio of a
-    matrix, or elementwise for a stack of matrices (shape (..., M, N))."""
-    return _read_rank(np.linalg.svd(A, compute_uv=False))
+    matrix, or elementwise for a stack of matrices (J, M, N).  A stacked
+    matrix that ``_full_rank`` certifies reads rank min(M, N) and gap inf,
+    as its SVD would, with NaN singular values; only the others are
+    decomposed."""
+    if A.ndim < 3:
+        return _read_rank(np.linalg.svd(A, compute_uv=False))
+    rest = ~_full_rank(A)
+    sv = np.full(A.shape[:1] + (min(A.shape[1:]),), np.nan)
+    rank, gap = np.full(len(A), sv.shape[1]), np.full(len(A), np.inf)
+    if rest.any():
+        sv[rest], rank[rest], gap[rest] = _read_rank(np.linalg.svd(A[rest], compute_uv=False))
+    return sv, rank, gap
+
+
+def _full_rank(A):
+    """Mask of the matrices of a stack (J, M, N) certified to have full rank
+    k = min(M, N) with a safe gap: the k x k Gram matrix G of the smaller
+    side less FULL_RANK_DELTA tr(G) I has a Cholesky factor.  Then sigma_min^2
+    >= FULL_RANK_DELTA tr(G) - O(k^2 eps tr(G)) >= ~FULL_RANK_DELTA
+    sigma_max^2, so the SVD would keep all k values.  A matrix with a
+    non-finite entry is never certified, nor one so small that
+    FULL_RANK_DELTA tr(G) is not a normal float (subnormal rounding would
+    void the bound).  The factorization loops over the shorter of k and J:
+    one column step over the whole stack per column, or one
+    ``np.linalg.cholesky`` per matrix."""
+    J, M, N = A.shape
+    with np.errstate(over="ignore", invalid="ignore"):    # such G fail the trace test
+        G = A.conj().swapaxes(1, 2) @ A if M >= N else A @ A.conj().swapaxes(1, 2)
+    k = G.shape[1]
+    diagonal = np.arange(k)
+    trace = G[:, diagonal, diagonal].real.sum(axis=1)
+    ok = np.isfinite(trace) & (FULL_RANK_DELTA * trace >= np.finfo(float).tiny)
+    G[~ok] = 0.0    # so no inf or NaN of a refused matrix meets the column steps
+    G[:, diagonal, diagonal] -= FULL_RANK_DELTA * np.where(ok, trace, 0.0)[:, None]
+    if k > J:
+        for j in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(G[j])
+            except np.linalg.LinAlgError:
+                ok[j] = False
+        return ok
+    for i in range(k):
+        # column i of the factor over G's: its entries less the products of
+        # the factor's columns before it (zero for refused matrices)
+        col = G[:, i:, i] - (G[:, i:, :i] @ G[:, i, :i, None].conj())[:, :, 0]
+        ok &= col[:, 0].real > 0
+        G[:, i:, i] = np.where(ok[:, None], col, 0.0) / np.sqrt(
+            np.where(ok, col[:, 0].real, 1.0))[:, None]
+    return ok
 
 
 def _read_rank(sv):
-    """(sv, rank, gap) of singular values sv, of shape (..., k)."""
-    kept = sv > RANK_RTOL * sv[..., :1]
-    rank = kept.sum(axis=-1)
-    # smallest kept over largest dropped; inf when either is missing
-    dropped = np.where(kept, 0.0, sv).max(axis=-1, initial=0.0)
-    gap = np.divide(np.where(kept, sv, np.inf).min(axis=-1, initial=np.inf), dropped,
-                    out=np.full(sv.shape[:-1], np.inf), where=(rank > 0) & (dropped > 0))
+    """(sv, rank, gap) of descending singular values sv, of shape (..., k):
+    the rank r counts the values above RANK_RTOL times the largest, a
+    prefix, and the gap is the last kept over the first dropped, sv[r - 1] /
+    sv[r]; inf when either is missing or the dropped one is zero."""
+    rank = np.add.reduce(sv > RANK_RTOL * sv[..., :1], axis=-1)
+    # each spectrum followed by a zero, flat: at r = k the dropped value is
+    # that zero, and at r = 0 (a largest value of zero or NaN) the dropped
+    # value sv[0] is not positive either; both read inf
+    k = sv.shape[-1] + 1
+    padded = np.zeros(sv.shape[:-1] + (k,))
+    padded[..., :-1] = sv
+    at = np.arange(0, padded.size, k).reshape(rank.shape) + rank
+    kept, dropped = padded.reshape(-1)[at - 1], padded.reshape(-1)[at]
+    gap = np.divide(kept, dropped, out=np.full(rank.shape, np.inf), where=dropped > 0)
     if sv.ndim > 1:
         return sv, rank, gap
     return sv, int(rank), float(gap)
+
+
+def _character_blocks(fw):
+    """The character blocks of fw's edge orbits as a function of their
+    phases: for chi of shape (J, m), one unit complex number per row, the
+    (J, m, 2n) complex blocks whose row k holds -e_k in the tail columns and
+    chi_k e_k in the head columns (they add up for a loop)."""
+    parts = np.zeros((2, fw.m, fw.n, 2))    # the tail and head columns of each row
+    parts[0, np.arange(fw.m), fw.tails] = parts[1, np.arange(fw.m), fw.heads] = fw.edge_vectors()
+
+    def build(chi):
+        blocks = chi[:, :, None, None] * parts[1]
+        blocks -= parts[0]
+        return blocks.reshape(len(chi), fw.m, 2 * fw.n)
+
+    return build
 
 
 def _character_ranks(fw, classes):
     """(rank R, rank R_chi of each class (N, x, y), smallest gap of all),
     chi(c) = exp(2 pi i (x, y).c / N), ranked as ``ultrarigidity_probe`` says."""
     _, rank, gap = _svd_rank(rigidity_matrix(fw))
-    parts = np.zeros((2, fw.m, fw.n, 2))    # the tail and head columns of each row
-    parts[0, np.arange(fw.m), fw.tails] = parts[1, np.arange(fw.m), fw.heads] = fw.edge_vectors()
-    chunk = max(1, _PROBE_CELLS // max(1, 2 * fw.m * fw.n))
+    build = _character_blocks(fw)
+    k = min(fw.m, 2 * fw.n)
+    chunk = max(1, _PROBE_CELLS // max(1, 4 * fw.m * fw.n + k * (k + 4)))
     ranks = np.empty(len(classes), dtype=int)
     for lo in range(0, len(classes), chunk):
         N, x, y = (classes[lo:lo + chunk, i, None] for i in range(3))
         # (x, y).c mod N, each shift reduced mod N before any product
         turns = (x * (fw.shifts[:, 0] % N) + y * (fw.shifts[:, 1] % N)) % N
-        chi = np.exp(2j * np.pi * turns / N)
-        blocks = chi[:, :, None, None] * parts[1]
-        blocks -= parts[0]
-        _, ranks[lo:lo + chunk], block_gap = _svd_rank(
-            blocks.reshape(len(chi), fw.m, 2 * fw.n))
+        _, ranks[lo:lo + chunk], block_gap = _svd_rank(build(np.exp(2j * np.pi * turns / N)))
         gap = min(gap, float(block_gap.min()))
     return rank, ranks, gap
 

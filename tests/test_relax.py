@@ -599,6 +599,33 @@ def test_probe_refuses_straddling_character_block():
         ultrarigidity_probe(fw, 2)
 
 
+def _probe_outcome(fw, max_index):
+    """Probe entries as (a, b, d, phi, sigma) tuples, or the refusal."""
+    try:
+        rep = ultrarigidity_probe(fw, max_index)
+    except (FrameworkError, NumericalError) as err:
+        return type(err).__name__, str(err)
+    return [(e.sublattice.a, e.sublattice.b, e.sublattice.d, e.phi, e.sigma)
+            for e in rep.entries]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("straddling",))
+def test_probe_reads_the_same_without_the_full_rank_certificate(name, monkeypatch):
+    """Certified blocks skip their SVD and change nothing: the probe to
+    index 12 on a framework and on each of its relaxations up to index 4
+    gives the same entries and refusals with the certificate switched off,
+    so that every block is decomposed.  The straddling framework and its
+    relaxations are refused for their gaps (a disconnected relaxation is
+    refused before any block is ranked)."""
+    base = straddling_framework() if name == "straddling" else fixture(name)
+    frameworks = [relax(base, sub) for sub in sublattices_up_to(4)]
+    certified = [_probe_outcome(fw, 12) for fw in frameworks]
+    monkeypatch.setattr(rigidity_module, "_full_rank", lambda A: np.zeros(len(A), dtype=bool))
+    assert certified == [_probe_outcome(fw, 12) for fw in frameworks]
+    refused = [outcome for outcome in certified if isinstance(outcome, tuple)]
+    assert bool(refused) == (name == "straddling"), refused
+
+
 @pytest.mark.parametrize("abd", [(2, 0, 1), (1, 2, 3), (3, 2, 4)])
 def test_relaxation_shift_sums_stay_in_int64(abd):
     """Shifts at the largest entry the guard admits unfold as the oracle's

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimax import (
     FrameworkError,
@@ -215,25 +217,114 @@ def test_rank_instability_detected():
 
 
 def test_svd_rank_of_a_stack_matches_each_matrix(rng):
-    from perimax.rigidity import _svd_rank
+    """A stack reads the rank and gap of each matrix's own SVD.  The
+    matrices the full-rank certificate settles have NaN singular values;
+    every other one has its own SVD's values."""
+    from perimax.rigidity import _full_rank, _svd_rank
+
+    def check(mats):
+        stack = np.stack(mats)
+        certified = _full_rank(stack)
+        sv, rank, gap = _svd_rank(stack)
+        for i, A in enumerate(mats):
+            sv_i, rank_i, gap_i = _svd_rank(A)
+            assert (rank[i], gap[i]) == (rank_i, gap_i)
+            if certified[i]:
+                assert np.isnan(sv[i]).all() and rank_i == min(A.shape) and np.isinf(gap_i)
+            else:
+                assert np.array_equal(sv[i], sv_i)
+        return certified, rank, gap
 
     # full rank, rank deficient, exactly zero and a straddling spectrum
     mats = [rng.standard_normal((5, 4)),
             rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4)),
             np.zeros((5, 4)),
             np.diag([1.0, 0.5, 3e-9, 6e-10]).repeat([2, 1, 1, 1], axis=0)]
-    stack = np.stack(mats)
-    sv, rank, gap = _svd_rank(stack)
-    for i, A in enumerate(mats):
-        sv_i, rank_i, gap_i = _svd_rank(A)
-        assert np.array_equal(sv[i], sv_i)
-        assert (rank[i], gap[i]) == (rank_i, gap_i)
+    certified, rank, gap = check(mats)
+    assert list(certified) == [True, False, False, False]
     assert list(rank) == [4, 2, 0, 3]
     assert gap[3] == pytest.approx(5.0)
     assert np.isinf(gap[[0, 2]]).all()
+    # every matrix certified, wide and tall: no SVD, all values NaN
+    for shape in ((6, 4, 7), (6, 7, 4)):
+        certified, rank, gap = check(list(rng.standard_normal(shape)))
+        assert certified.all() and (rank == 4).all() and np.isinf(gap).all()
+    # a non-finite matrix is never certified; the SVD reads it as before
+    mats = [rng.standard_normal((4, 3)), np.full((4, 3), np.inf)]
+    mats[1][1:] = rng.standard_normal((3, 3))
+    assert list(_full_rank(np.stack(mats))) == [True, False]
+    sv, rank, gap = _svd_rank(np.stack(mats))
+    assert np.isnan(sv[0]).all() and rank[0] == 3 and np.isinf(gap[0])
+    assert np.array_equal(sv[1], np.linalg.svd(mats[1], compute_uv=False), equal_nan=True)
     # empty matrices have rank 0 and no gap
     sv, rank, gap = _svd_rank(np.zeros((3, 0, 4)))
     assert sv.shape == (3, 0) and list(rank) == [0, 0, 0] and np.isinf(gap).all()
+
+
+# log10 of the smallest planted singular value over the largest, by kind:
+# well conditioned, near the certificate's 1e-4 cut, near RANK_RTOL
+_PLANTED = {"random": (-3.0, 0.0), "cut": (-4.3, -3.7), "rtol": (-9.3, -8.7)}
+
+
+def _planted_block(rng, kind, m, w, scale):
+    """An m x w complex matrix of the given kind: a planted spectrum
+    U diag(s) V^H with random orthonormal U and V, scaled, an exactly
+    singular one (a repeated row or column of the smaller side), zero, or
+    one with an inf or NaN entry."""
+    k = min(m, w)
+    if k == 0 or kind == "zero" or (kind == "singular" and k < 2):
+        return np.zeros((m, w), complex)
+    u, v = (np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))[0]
+            for d in (m, w))
+    lo, hi = _PLANTED.get(kind, (-3.0, 0.0))
+    s = np.sort(10 ** rng.uniform(lo, 0.0, k))[::-1]
+    s[-1] = 10 ** rng.uniform(lo, hi)
+    s[0] = 1.0
+    block = (u * (scale * s)) @ v.conj().T
+    if kind == "singular":
+        if m >= w:
+            block[:, -1] = block[:, 0]
+        else:
+            block[-1] = block[0]
+    elif kind == "nonfinite" and block.size:
+        block[rng.integers(m), rng.integers(w)] = rng.choice([np.inf, -np.inf, np.nan])
+    return block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.sampled_from(["random", "cut", "rtol", "singular", "zero",
+                                       "nonfinite"]), max_size=14),
+       m=st.integers(0, 12), w=st.integers(0, 12),
+       scale=st.sampled_from([1.0, 1e-160, 1e150]),
+       seed=st.integers(0, 2**32 - 1))
+def test_full_rank_certificate_never_drops_a_value(kinds, m, w, scale, seed):
+    """A matrix the certificate settles keeps every singular value in its
+    own SVD, with sigma_min >= ~1e-4 sigma_max, whatever the stack size
+    (so either factorization loop), shape and scale; a non-finite matrix is
+    never settled, and a well-conditioned one of ordinary scale always is.
+    The stack reads the rank and gap of each matrix's own SVD."""
+    rng = np.random.default_rng(seed)
+    k = min(m, w)
+    stack = np.zeros((len(kinds), m, w), complex)
+    for block, kind in zip(stack, kinds):
+        block[...] = _planted_block(rng, kind, m, w, scale)
+    certified = rigidity._full_rank(stack)
+    assert certified.shape == (len(kinds),)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    assert not certified[~finite].any()
+    for block, kind, settled in zip(stack[finite], np.array(kinds, dtype=object)[finite],
+                                    certified[finite]):
+        sv, rank, gap = rigidity._svd_rank(block)
+        if settled:
+            assert rank == k and gap == np.inf and sv[-1] >= 0.99e-4 * sv[0]
+        if kind == "random" and scale == 1.0 and k:
+            assert settled
+    if finite.all():
+        sv, rank, gap = rigidity._svd_rank(stack)
+        for i, block in enumerate(stack):
+            sv_i, rank_i, gap_i = rigidity._svd_rank(block)
+            assert (rank[i], gap[i]) == (rank_i, gap_i)
+            assert np.isnan(sv[i]).all() if certified[i] else np.array_equal(sv[i], sv_i)
 
 
 def test_stress_check_matches_dense_reference(rng):
