@@ -71,8 +71,22 @@ def canonical_edge(tail, head, shift):
     return tail, head, shift
 
 
-_AS_INTEGERS = np.frompyfunc(lambda x: int(x) if isinstance(x, numbers.Integral) or (
-    isinstance(x, (float, np.floating)) and x.is_integer()) else None, 1, 1)
+def _as_integer(x):
+    """The int of an integral number or integral float; None for anything else."""
+    return int(x) if isinstance(x, numbers.Integral) or (
+        isinstance(x, (float, np.floating)) and x.is_integer()) else None
+
+
+_AS_INTEGERS = np.frompyfunc(_as_integer, 1, 1)
+
+
+def _integer(value, what):
+    """``value`` as ``_edge_rows`` reads an edge entry: the int of an
+    integral number, else FrameworkError naming ``what`` and the value."""
+    number = _as_integer(value)
+    if number is None:
+        raise FrameworkError("%s must be an integer, got %r" % (what, value))
+    return number
 
 
 def _edge_rows(edges):
@@ -296,6 +310,12 @@ class PeriodicFramework:
                     pot[w] = (x + c1, y + c2)
                     stack.append(w)
         return basis
+
+    def _joined_index(self, a, b, d):
+        """Index in Z^2 of the closed-walk shifts joined with (a, b), (0, d), the
+        gcd of their 2 x 2 minors in exact ints: the relaxation is connected iff 1."""
+        p, q, t = self.cycle_basis
+        return math.gcd(p * t, p * b - q * a, p * d, t * a, a * d)
 
     @cached_property
     def _edge_geometry(self):

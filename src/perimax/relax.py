@@ -13,15 +13,17 @@ edge geometry and last stress terms, and the probe's enumeration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
-                   _geometry_scale, _hermite_join, _lattice_vectors, _require_shift_room)
-from .rigidity import (_character_classes, _require_gap, _stress_check, _stress_terms,
-                       _stress_values, _sublattice_ranks)
+                   _geometry_scale, _hermite_join, _integer, _lattice_vectors,
+                   _require_shift_room)
+from .rigidity import (_require_gap, _stress_check, _stress_terms, _stress_values,
+                       _sublattice_ranks)
 
 
 __all__ = [
@@ -47,13 +49,17 @@ _MAX_UNFOLD = 1 << 20
 @dataclass(frozen=True)
 class Sublattice:
     """Canonical index-(a*d) sublattice with generators (a, b) and (0, d)
-    in the coordinates of the current lattice basis."""
+    in the coordinates of the current lattice basis; entries are read as
+    ``core._integer`` reads them and stored as ints."""
 
     a: int
     b: int
     d: int
 
     def __post_init__(self):
+        if not type(self.a) is type(self.b) is type(self.d) is int:    # enumerations pass ints
+            for name in ("a", "b", "d"):
+                object.__setattr__(self, name, _integer(getattr(self, name), "sublattice " + name))
         if self.a < 1 or self.d < 1 or not 0 <= self.b < self.d:
             raise FrameworkError(
                 "sublattice (a=%d, b=%d, d=%d) is not in canonical form"
@@ -73,20 +79,19 @@ class Sublattice:
         """Canonicalize an arbitrary nonsingular integer generator matrix.
 
         Columns of ``mat`` span the sublattice; unimodular column
-        operations reduce it to the canonical triangular form.
+        operations reduce it to the canonical triangular form.  Entries
+        are read as ``core._integer`` reads them and must fit int64.
         """
         try:
-            M = np.array(mat, dtype=int)
-        except OverflowError:
-            raise FrameworkError("sublattice matrix entries must be 64-bit integers") from None
-        if M.shape != (2, 2):
-            raise FrameworkError("sublattice matrix must be 2x2")
-        det = int(M[0, 0]) * int(M[1, 1]) - int(M[0, 1]) * int(M[1, 0])
-        if det == 0:
+            (w, x), (y, z) = mat
+        except (TypeError, ValueError):
+            raise FrameworkError("sublattice matrix must be 2x2") from None
+        w, x, y, z = (_integer(v, "sublattice matrix entry") for v in (w, x, y, z))
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (w, x, y, z)):
+            raise FrameworkError("sublattice matrix entries must be 64-bit integers")
+        if w * z - x * y == 0:
             raise FrameworkError("sublattice matrix is singular")
-        a, b, d = _hermite_join(_hermite_join((0, 0, 0), int(M[0, 0]), int(M[1, 0])),
-                                int(M[0, 1]), int(M[1, 1]))
-        return cls(a, b, d)
+        return cls(*_hermite_join(_hermite_join((0, 0, 0), w, y), x, z))
 
     def reduce(self, z1, z2):
         """Coset representative and quotient of an integer vector.
@@ -110,6 +115,7 @@ class Sublattice:
 
 def sublattices_of_index(k):
     """All canonical sublattices of index k (there are sigma_1(k) of them)."""
+    k = _integer(k, "index")
     if k < 1:
         raise FrameworkError("index must be >= 1")
     out = []
@@ -124,6 +130,7 @@ def sublattices_of_index(k):
 
 def sublattices_up_to(max_index):
     """Canonical sublattices of every index from 1 to max_index."""
+    max_index = _integer(max_index, "max_index")
     out = []
     for k in range(1, max_index + 1):
         out.extend(sublattices_of_index(k))
@@ -198,9 +205,9 @@ def stress_persists(fw, s, sub):
     ``copy_stress``, from the base orbits.  Copy r of orbit k keeps e_k and
     has shift k'(r), r + c_k = q + M k'(r) with q a coset.  Geometry checks
     read the relaxed lattice and the extreme unfolded coordinates (sums of
-    extremes: rounding is monotone); the relaxation is connected iff the
-    closed-walk shifts and ``sub`` span Z^2.  A sweep pays once for what no
-    sublattice changes: ``fw`` caches its edge geometry, and the
+    extremes: rounding is monotone); the relaxation is connected iff
+    ``fw._joined_index`` of ``sub`` is 1, as in the probe.  A sweep pays once
+    for what no sublattice changes: ``fw`` caches its edge geometry, and the
     ``_stress_terms`` of the last stress by its values, computed after the
     geometry and connectivity checks so refusals keep the order of ``relax``."""
     rho, a, b, d = _require_size(fw, sub), sub.a, sub.b, sub.d
@@ -215,10 +222,10 @@ def stress_persists(fw, s, sub):
         raise FrameworkError("zero-length edge orbit %d" % (np.flatnonzero(norms <= tol)[0] * rho))
     if fw.n * rho >= 2 and max(hx - x, hy - y, x - lx, y - ly) <= tol:
         raise FrameworkError("degenerate placement: all vertex orbits coincide")
-    p, _, t = _hermite_join(_hermite_join(fw.cycle_basis, a, b), 0, d)
-    if p * t != 1:    # first unreached: coset (0, 1) of vertex 0, else (1, 0)
+    joined = fw._joined_index(a, b, d)
+    if joined > 1:    # first unreached: coset (0, 1) of vertex 0 if joined t > 1, else (1, 0)
         raise FrameworkError("disconnected quotient graph: vertex %d unreachable"
-                             % (1 if t > 1 else d))
+                             % (1 if joined > math.gcd(fw.cycle_basis[0], a) else d))
     s = _stress_values(s, fw.m)
     if getattr(fw, "_stress_memo", (None,))[0] != s.tobytes():
         fw._stress_memo = s.tobytes(), _stress_terms(fw.n, fw.tails, fw.heads, evecs, s)
@@ -266,7 +273,7 @@ def ultrarigidity_probe(fw, max_index=4):
     -e_k in the tail columns and chi(c_k) e_k in the head columns.  So
     phi' = phi + sum (2n - rank R_chi) and sigma' = sigma + sum
     (m - rank R_chi).  R_chi-bar = conj(R_chi) has the same rank, so a
-    conjugate pair is one class of ``rigidity._character_classes`` (the
+    conjugate pair is one class of rigidity's character table (the
     1,223 characters up to index 16 fall in 613), ranked once, in chunks
     of at most ``_PROBE_CELLS`` working entries (or one block), with
     RANK_RTOL relative to the block's largest singular value.  A block
@@ -274,25 +281,19 @@ def ultrarigidity_probe(fw, max_index=4):
     full rank with a safe gap and skips its SVD; the rest go through one
     batched SVD per chunk.
 
-    Raises FrameworkError at the first relaxation whose quotient graph is
-    disconnected (a character trivial on every closed-walk shift), before
-    ranking, and NumericalError when a kept/dropped singular value ratio of
-    any ranked block is below RANK_GAP_MIN.
+    Raises FrameworkError, before ranking, at the first sublattice in
+    ``sublattices_up_to`` order whose ``fw._joined_index`` exceeds 1 (a
+    disconnected relaxation), and NumericalError when a kept/dropped
+    singular value ratio of any ranked block is below RANK_GAP_MIN.
     """
+    max_index = _integer(max_index, "max_index")
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
     subs, abd, index = _probe_sublattices(max_index)
-    classes, inverse, owner = _character_classes(abd)
-    N, x, y = classes.T
-    # a class trivial on the closed-walk basis (p, q), (0, t) cuts every
-    # relaxation that holds it; each basis entry is reduced mod N first, so
-    # every product stays below 2 N**2, within the dtype of the table
-    p, q, t = (np.array([c % max(n, 1) for n in range(int(N.max(initial=1)) + 1)],
-                        dtype=N.dtype)[N] for c in fw.cycle_basis)
-    cuts = ((x * p + y * q) % N == 0) & (y * t % N == 0)
-    if cuts.any():
+    cut = next((s for s in abd if fw._joined_index(*s) > 1), None)
+    if cut:
         raise FrameworkError("disconnected quotient graph: relaxation to sublattice "
-                             "(a=%d, b=%d, d=%d)" % abd[int(owner[cuts[inverse]].min())])
+                             "(a=%d, b=%d, d=%d)" % cut)
     ranks, gap = _sublattice_ranks(fw, abd)
     _require_gap(gap)
     # the relaxation has n' = index n, m' = index m and rank R' = ranks

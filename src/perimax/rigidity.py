@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError
+from .core import FrameworkError, NumericalError, _integer
 
 __all__ = [
     "RANK_RTOL",
@@ -92,9 +92,10 @@ def pair_table(n, cutoff):
     """(P, 4) read-only table of the vertex-copy pairs (u, v, c1, c2) with
     u <= v and |c1|, |c2| <= cutoff, a loop pair (u == v) once with its
     lexicographically positive shift: canonical edge keys, sorted.  A
-    negative cutoff, whose empty table makes every verdict vacuous, and
-    more than ``_MAX_PAIR_GRID`` cells (u, v, c1, c2) are refused before
-    any allocation."""
+    cutoff that is not an integer (an integral float reads as its int), a
+    negative one, whose empty table makes every verdict vacuous, and more
+    than ``_MAX_PAIR_GRID`` cells (u, v, c1, c2) are refused before any
+    allocation."""
     u, v, shifts, keep = _pair_grid(n, cutoff)
     table = np.column_stack([np.repeat(u, len(shifts)), np.repeat(v, len(shifts)),
                              np.tile(shifts[:, :, 0].astype(np.int64), (len(u), 1))])[keep]
@@ -107,6 +108,7 @@ def _pair_grid(n, cutoff):
     """``pair_table`` as a read-only grid: its vertex pairs u <= v, its
     shifts as float (c1, c2) columns of shape ((2 cutoff + 1)^2, 2, 1), and
     the mask of the grid rows (pair-major) that it keeps."""
+    cutoff = _integer(cutoff, "cutoff")
     if cutoff < 0:
         raise FrameworkError("cutoff must be >= 0, got %d" % cutoff)
     if n * n * (2 * cutoff + 1) ** 2 > _MAX_PAIR_GRID:

@@ -128,6 +128,28 @@ def test_gram_derivative_matches_finite_differences():
     assert np.abs(rate - fd).max() < 1e-8 * max(1.0, np.abs(fd).max())
 
 
+def test_cutoff_is_read_as_an_integer(monkeypatch):
+    """A pair-table cutoff of 1.5 is refused by name on the path, the
+    expansive check and the rigidifying search, where it once read
+    half-integer shifts (and a zero-length pair); 2.0 gives what 2 gives."""
+    monkeypatch.setattr(rigidity, "_pair_grid", rigidity._pair_grid.__wrapped__)
+    fw = fixture("ppt3")
+    cfg = Configuration.from_framework(fw)
+    t = flex_tangent(cfg, fw, cutoff=2)
+    calls = (lambda c: continue_path(fw, steps=3, cutoff=c),
+             lambda c: expansive_check(cfg, t, c),
+             lambda c: pseudotri.find_rigidifying_edges(fw, cutoff=c))
+    for call in calls:
+        with pytest.raises(FrameworkError, match=r"^cutoff must be an integer, got 1\.5$"):
+            call(1.5)
+    path, whole = calls[0](2.0), calls[0](2)
+    assert path.termination == whole.termination
+    assert [s.gram.tobytes() for s in path.samples] == [s.gram.tobytes() for s in whole.samples]
+    assert calls[1](2.0) == calls[1](2)
+    assert [(c.key, c.derivative) for c in calls[2](2.0)] == \
+        [(c.key, c.derivative) for c in calls[2](2)]
+
+
 def test_expansive_check_kagome():
     theta = math.pi / 2
     cfg = gauged_kagome(theta)

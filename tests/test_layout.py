@@ -62,9 +62,23 @@ def test_one_character_table():
     """``_characters`` and ``_character_ranks`` each have one call site in
     the package, so the probe and the block ranks list characters and pair
     each with its conjugate in one place, and a second pairing rule cannot
-    return unnoticed."""
-    found = _call_sites("_characters", "_character_ranks")
+    return unnoticed.  The class table ``_character_classes`` serves the
+    rank path alone: one call, in ``rigidity._sublattice_ranks``, and no
+    other module names it.  Relaxation connectivity has one rule,
+    ``PeriodicFramework._joined_index``, called by ``stress_persists`` and
+    ``ultrarigidity_probe`` only."""
+    found = _call_sites("_characters", "_character_ranks", "_character_classes")
     assert all(len(sites) == 1 for sites in found.values()), found
+    assert _callers("_character_classes", "_joined_index") == {
+        "_character_classes": ["rigidity.py:_sublattice_ranks"],
+        "_joined_index": ["relax.py:stress_persists", "relax.py:ultrarigidity_probe"],
+    }
+    named = []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named += [path.name for node in ast.walk(tree) if "_character_classes" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
+    assert named and set(named) == {"rigidity.py"}, named
 
 
 def test_one_stress_residual():

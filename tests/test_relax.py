@@ -505,6 +505,59 @@ def test_oversize_relaxation_is_refused(monkeypatch):
             stress_persists(cb, np.zeros(cb.m), sub)
 
 
+def test_sublattice_refuses_a_fractional_entry():
+    """``Sublattice(1.5, 0, 2)`` once read index 3.0 and sent ``relax`` to an
+    unknown vertex; it is refused by name before either runs."""
+    for entries, given in (((1.5, 0, 2), "a"), ((1, 0.5, 2), "b"), ((1, 0, "2"), "d")):
+        with pytest.raises(FrameworkError, match=r"^sublattice %s must be an integer, got "
+                           % given):
+            Sublattice(*entries)
+
+
+def test_sublattice_stores_integral_floats_as_ints():
+    """``Sublattice(2.0, 0, 2)`` is the index-4 sublattice (2, 0, 2) with int
+    entries, so ``stress_persists`` runs where it raised TypeError."""
+    sub = Sublattice(2.0, np.int64(0), np.float64(2.0))
+    assert sub == Sublattice(2, 0, 2)
+    assert [type(v) for v in (sub.a, sub.b, sub.d, sub.index)] == [int] * 4
+    cb = fixture("cubes")
+    s = periodic_stress_space(cb)[0].values
+    assert relax(cb, sub).n == relax(cb, Sublattice(2, 0, 2)).n == 4 * cb.n
+    assert stress_persists(cb, s, sub) == stress_persists(cb, s, Sublattice(2, 0, 2))
+
+
+@pytest.mark.parametrize("entry, shown", [(1.5, "1.5"), ("2", "'2'"), (float("nan"), "nan"),
+                                          (None, "None"), ([2], r"\[2\]")])
+def test_sublattice_matrix_refuses_non_integer_entries(entry, shown):
+    """A fractional, string, NaN or missing entry is refused by name, where
+    1.5 once truncated to 1, a string was parsed and NaN raised a bare
+    ValueError; an integral float reads as its int."""
+    with pytest.raises(FrameworkError, match=r"^sublattice matrix entry must be an integer, "
+                       r"got %s$" % shown):
+        Sublattice.from_matrix([[entry, 0], [0, 2]])
+    assert Sublattice.from_matrix([[2.0, 0.0], [1.0, 2]]) == Sublattice(2, 1, 2)
+    for ragged in ([[1, 0], [2]], [[1, 0, 0], [0, 1, 0]], 3):
+        with pytest.raises(FrameworkError, match="^sublattice matrix must be 2x2$"):
+            Sublattice.from_matrix(ragged)
+
+
+def test_enumeration_and_probe_read_integral_counts():
+    """Counts are read as sublattice entries are: 3.0 is 3, 2.5 is refused
+    by name, where all of them raised TypeError."""
+    ppt3 = fixture("ppt3")
+    rep = ultrarigidity_probe(ppt3, 3.0)
+    assert rep.max_index == 3 and type(rep.max_index) is int
+    assert _probe_entries(ppt3, 3) == [(e.sublattice.a, e.sublattice.b, e.sublattice.d,
+                                        e.phi, e.sigma) for e in rep.entries]
+    assert sublattices_of_index(2.0) == sublattices_of_index(2)
+    assert sublattices_up_to(np.int64(3)) == sublattices_up_to(3)
+    for call, name in ((lambda: sublattices_up_to(2.5), "max_index"),
+                       (lambda: sublattices_of_index("2"), "index"),
+                       (lambda: ultrarigidity_probe(ppt3, 3.5), "max_index")):
+        with pytest.raises(FrameworkError, match=r"^%s must be an integer, got " % name):
+            call()
+
+
 def test_sublattice_matrix_refuses_entries_beyond_int64():
     big = Sublattice.from_matrix([[2**63 - 1, 0], [-2**63, 1]])
     assert (big.a, big.b, big.d) == (2**63 - 1, 0, 1)
@@ -588,6 +641,58 @@ def test_probe_refuses_disconnected_relaxations(fw, first):
     with pytest.raises(FrameworkError, match="disconnected quotient graph.*"
                        r"\(a=%d, b=%d, d=%d\)" % first):
         ultrarigidity_probe(fw, 4)
+
+
+def _probe_refusal_frameworks():
+    """The fixtures, their relaxations up to index 2, and one-vertex
+    frameworks whose closed walks shift only by the given pairs."""
+    out = {}
+    for name in FIXTURE_NAMES:
+        for sub in sublattices_up_to(2):
+            out["%s %d,%d,%d" % (name, sub.a, sub.b, sub.d)] = relax(fixture(name), sub)
+        out[name] = fixture(name)
+    for shifts in (((2, 0), (0, 1)), ((1, 0), (1, 3)), ((2, 3), (4, 1)), ((0, 3), (0, -6))):
+        out["walks %r" % (shifts,)] = _disconnecting(shifts)
+    return out
+
+
+PROBE_REFUSAL_FRAMEWORKS = _probe_refusal_frameworks()
+
+
+def _first_disconnected(fw, max_index):
+    """First sublattice, in enumeration order, whose unfolding ``relax``
+    refuses as a disconnected quotient graph; None when none is."""
+    for sub in sublattices_up_to(max_index):
+        try:
+            relax(fw, sub)
+        except FrameworkError as exc:
+            if "disconnected quotient graph" in str(exc):
+                return sub
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(PROBE_REFUSAL_FRAMEWORKS)), max_index=st.integers(1, 8))
+@example(name="walks ((2, 0), (0, 1))", max_index=8)
+@example(name="walks ((1, 0), (1, 3))", max_index=8)
+@example(name="walks ((2, 3), (4, 1))", max_index=8)
+@example(name="walks ((0, 3), (0, -6))", max_index=8)
+@example(name="cubes 2,0,1", max_index=8)
+@example(name="ultrarigid 1,1,2", max_index=8)
+def test_probe_refuses_where_relax_finds_a_disconnected_quotient(name, max_index):
+    """The probe refuses exactly when ``relax``, whose constructor walks the
+    unfolded quotient graph, finds some relaxation up to max_index
+    disconnected, and names the first such sublattice."""
+    fw = PROBE_REFUSAL_FRAMEWORKS[name]
+    first = _first_disconnected(fw, max_index)
+    if first is None:
+        rep = ultrarigidity_probe(fw, max_index)
+        assert [e.sublattice for e in rep.entries] == sublattices_up_to(max_index)
+        return
+    with pytest.raises(FrameworkError) as refused:
+        ultrarigidity_probe(fw, max_index)
+    assert str(refused.value) == ("disconnected quotient graph: relaxation to sublattice "
+                                  "(a=%d, b=%d, d=%d)" % (first.a, first.b, first.d))
 
 
 def test_probe_refuses_straddling_character_block():
