@@ -5,7 +5,7 @@ generators a*g1 + b*g2 and d*g2 (0 <= b < d), enumerated so that index k
 yields exactly sigma_1(k) = sum of divisors distinct sublattices.  Unfolding
 multiplies the quotient data by the index while realizing the identical
 infinite point set.  Stress persistence and the ultrarigidity probe unfold
-nothing: one sums over the integer shifts of the coset copies, the other
+nothing: one reads the sums over the coset copies in closed form, the other
 ranks one small complex block per conjugate pair of characters.  Sweeps
 over many sublattices compute once what none of them changes: a framework's
 edge geometry and last stress terms, and the probe's enumeration.
@@ -202,14 +202,14 @@ def copy_stress(unfolded, s):
 def stress_persists(fw, s, sub):
     """Whether a periodic stress stays periodic after relaxing to ``sub``:
     the verdict and errors of ``check_periodic_stress`` on ``relax`` and
-    ``copy_stress``, from the base orbits.  Copy r of orbit k keeps e_k and
-    has shift k'(r), r + c_k = q + M k'(r) with q a coset.  Geometry checks
-    read the relaxed lattice and the extreme unfolded coordinates (sums of
-    extremes: rounding is monotone); the relaxation is connected iff
-    ``fw._joined_index`` of ``sub`` is 1, as in the probe.  A sweep pays once
-    for what no sublattice changes: ``fw`` caches its edge geometry, and the
-    ``_stress_terms`` of the last stress by its values, computed after the
-    geometry and connectivity checks so refusals keep the order of ``relax``."""
+    ``copy_stress``, from the base orbits by the closed forms of
+    ``rigidity._stress_check``.  Geometry checks read the relaxed lattice and
+    the extreme unfolded coordinates (sums of extremes: rounding is monotone);
+    the relaxation is connected iff ``fw._joined_index`` of ``sub`` is 1, as in
+    the probe.  A sweep pays once for what no sublattice changes: ``fw`` caches
+    its edge geometry, and the ``_stress_terms`` of the last stress by its
+    values, computed after the geometry and connectivity checks so refusals
+    keep the order of ``relax``."""
     rho, a, b, d = _require_size(fw, sub), sub.a, sub.b, sub.d
     evecs, norms, shortest, (hx, hy), (lx, ly), (x, y) = fw._edge_geometry
     # numpy matmuls round as relax does; scalar 2 x 2 products can round apart
@@ -228,12 +228,8 @@ def stress_persists(fw, s, sub):
                              % (1 if joined > math.gcd(fw.cycle_basis[0], a) else d))
     s = _stress_values(s, fw.m)
     if getattr(fw, "_stress_memo", (None,))[0] != s.tobytes():
-        fw._stress_memo = s.tobytes(), _stress_terms(fw.n, fw.tails, fw.heads, evecs, s)
-    # shift k'(r) of each copy r = (r1, r2), as Sublattice.reduce computes it
-    shifts = np.empty((fw.m, a, d, 2), dtype=int)
-    shifts[..., 0] = k1 = (np.arange(a)[:, None] + fw.shifts[:, :1, None]) // a
-    shifts[..., 1] = (np.arange(d) + fw.shifts[:, 1:, None] - b * k1) // d
-    return _stress_check(fw._stress_memo[1], lattice, shifts.reshape(fw.m, rho, 2)).ok
+        fw._stress_memo = s.tobytes(), _stress_terms(fw, evecs, s)
+    return _stress_check(fw._stress_memo[1], fw, a, b, d).ok
 
 
 @lru_cache(maxsize=_MAX_PROBE_INDEX)
@@ -290,7 +286,8 @@ def ultrarigidity_probe(fw, max_index=4):
     if not 1 <= max_index <= _MAX_PROBE_INDEX:
         raise FrameworkError("max_index must be between 1 and %d" % _MAX_PROBE_INDEX)
     subs, abd, index = _probe_sublattices(max_index)
-    cut = next((s for s in abd if fw._joined_index(*s) > 1), None)
+    p, _, t = fw.cycle_basis    # p t = 1: closed walks reach every shift, so all connect
+    cut = p * t != 1 and next((s for s in abd if fw._joined_index(*s) > 1), None)
     if cut:
         raise FrameworkError("disconnected quotient graph: relaxation to sublattice "
                              "(a=%d, b=%d, d=%d)" % cut)

@@ -91,8 +91,9 @@ def test_probe_at_the_index_cap():
 def test_disconnected_check_reads_cycle_bases_beyond_int64(shift, first):
     """Closed walks shift by (2**62 + shift, 0) and (0, 1), so the relaxation
     to (a, 0, 1) is disconnected exactly when a divides 2**62 + shift.  The
-    basis is read mod N before any int64 product: 2**63 + 1 is odd, so
-    (2, 0, 1) stays connected and (3, 0, 1) is the first cut."""
+    basis entry is past int64 and its minors are taken in exact Python ints:
+    2**63 + 1 is odd, so (2, 0, 1) stays connected and (3, 0, 1) is the
+    first cut."""
     fw = PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.5, 0.2]],
                            [(0, 1, (2 ** 62, 0)), (1, 0, (shift, 0)), (0, 0, (0, 1))])
     assert fw.cycle_basis == (2 ** 62 + shift, 0, 1)

@@ -2,6 +2,7 @@
 
 import importlib
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -470,6 +471,100 @@ def test_stress_persists_refusal_order():
         for s in (np.zeros(fw.m + 1), np.zeros(fw.m - 1), np.zeros((1, fw.m))):
             with pytest.raises(FrameworkError, match=message):
                 stress_persists(fw, s, sub)
+
+
+def test_stress_persists_at_large_index_builds_no_copies():
+    """A periodic stress persists at index 2**17 from the closed-form
+    residuals alone, with no (m, index, 2) array of copy shifts (12.6 MB
+    for ``cubes``) behind the verdict."""
+    fw = fixture("cubes")
+    s = periodic_stress_space(fw)[0].values
+    tracemalloc.start()
+    try:
+        verdict = stress_persists(fw, s, Sublattice(1, 0, 2 ** 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict
+    assert peak < 1 << 20, peak
+
+
+def test_copy_shifts_serve_only_undecided_scales(monkeypatch):
+    """The copy shifts feed only the lattice and tensor scales, which decide
+    nothing while those residuals are within STRESS_RTOL: with the builder
+    refusing, a periodic stress still persists on every sublattice up to
+    index 12 and passes the direct check, and a stress perturbed by 1e-3
+    reaches the builder."""
+    fw = fixture("cubes")
+    s = periodic_stress_space(fw)[0].values
+
+    def refuse(*args):
+        raise AssertionError("copy shifts built")
+
+    monkeypatch.setattr(rigidity_module, "_copy_shifts", refuse)
+    assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(12))
+    assert check_periodic_stress(fw, s).ok
+    perturbed = s + 1e-3 * np.random.default_rng(5).uniform(-1.0, 1.0, fw.m)
+    for call in (lambda: stress_persists(fw, perturbed, Sublattice(2, 1, 3)),
+                 lambda: check_periodic_stress(fw, perturbed)):
+        with pytest.raises(AssertionError, match="copy shifts built"):
+            call()
+
+
+@pytest.mark.parametrize("scale, stress", [(1e-7, [0.0, 1.0]), (1e7, [0.0, 1e-19])])
+def test_every_residual_can_refuse_a_stress_alone(scale, stress):
+    """On a square grid of lattice scale 1e-7 only the second lattice
+    residual exceeds STRESS_RTOL, and at scale 1e7 with a tiny stress only
+    the tensor residual does: each alone refuses the stress, directly and
+    on every relaxation, as the dense oracle does."""
+    fw = PeriodicFramework(scale * np.eye(2), [[0.0, 0.0]], [(0, 0, (1, 0)), (0, 0, (0, 1))])
+    s = np.array(stress)
+    direct = check_periodic_stress(fw, s)
+    assert (direct.ok, direct.verdicts_agree) == oracle_stress_check(fw, s) == (False, False)
+    for sub in sublattices_up_to(4):
+        unfolded = relax(fw, sub)
+        copied = copy_stress(unfolded, s)
+        assert not stress_persists(fw, s, sub), sub
+        assert oracle_stress_check(unfolded, copied) == (False, False), sub
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_stress_is_not_periodic(value):
+    """A stress with a NaN or infinite value on any one orbit is not
+    periodic, on the framework or after any relaxation up to index 3, and
+    its lattice and tensor verdicts agree or not as the dense oracle's do."""
+    for name in FIXTURE_NAMES:
+        fw = fixture(name)
+        basis = periodic_stress_space(fw)
+        for k in range(fw.m):
+            s = basis[0].values.copy() if basis else np.ones(fw.m)
+            s[k] = value
+            direct = check_periodic_stress(fw, s)
+            assert not direct.ok, (name, k)
+            assert direct.verdicts_agree == oracle_stress_check(fw, s)[1], (name, k)
+            for sub in sublattices_up_to(3):
+                unfolded = relax(fw, sub)
+                copied = copy_stress(unfolded, s)
+                relaxed = check_periodic_stress(unfolded, copied)
+                assert not stress_persists(fw, s, sub), (name, k, sub)
+                assert not relaxed.ok, (name, k, sub)
+                assert relaxed.verdicts_agree == oracle_stress_check(unfolded, copied)[1], \
+                    (name, k, sub)
+
+
+def test_probe_reads_no_connectivity_when_closed_walks_reach_every_shift(monkeypatch):
+    """With p t = 1 in the closed-walk basis (p, q, t), every minor gcd of
+    ``_joined_index`` is 1, so the probe connects every relaxation without
+    reading it."""
+    def refuse(*args):
+        raise AssertionError("connectivity read")
+
+    fw = fixture("cubes")
+    expected = ultrarigidity_probe(fw, 6)
+    monkeypatch.setattr(PeriodicFramework, "_joined_index", refuse)
+    assert fw.cycle_basis == (1, 0, 1)
+    assert ultrarigidity_probe(fw, 6) == expected
 
 
 def test_enumeration_lists_are_fresh():
