@@ -43,8 +43,6 @@ EVENT_TAU_TOL = 1e-10
 EXPANSIVE_TOL = 1e-9
 PSD_TOL = 1e-9
 CONTRACTION_TOL = 1e-9
-# A configuration is in gauge when its pinned coordinates are within this of 0.
-GAUGE_TOL = 1e-12
 
 
 @dataclass
@@ -73,11 +71,6 @@ class Configuration:
 
     def gram(self):
         return self.lattice.T @ self.lattice
-
-    def gauge_ok(self):
-        return (abs(self.positions[0, 0]) <= GAUGE_TOL
-                and abs(self.positions[0, 1]) <= GAUGE_TOL
-                and abs(self.lattice[1, 0]) <= GAUGE_TOL and self.lattice[0, 0] > 0)
 
 
 def flex_tangent(cfg, fw, cutoff=2):

@@ -208,15 +208,40 @@ def pair_length_derivative(fw, motion, tail, head, shift):
     return float(_length_derivatives(fw, motion, row)[0])
 
 
+def _key_codes(rows, n, cutoff):
+    """One integer per key row (u, v, c1, c2): mixed radix (n, n, w, w),
+    digits c1, c2 in [-cutoff, cutoff]."""
+    w = 2 * cutoff + 1
+    return rows @ np.array([n * w * w, w * w, w, 1])
+
+
 def _candidate_table(fw, cutoff):
     """Rows of ``pair_table`` that are not edge orbits of ``fw``."""
     table = pair_table(fw.n, cutoff)
     edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
     edges = edges[np.abs(fw.shifts).max(axis=1, initial=0) <= cutoff]
-    # one integer per key: mixed radix (n, n, w, w), digits c1, c2 in [-cutoff, cutoff]
-    w = 2 * cutoff + 1
-    radix = np.array([fw.n * w * w, w * w, w, 1])
-    return table[~np.isin(table @ radix, edges @ radix)]
+    return table[~np.isin(_key_codes(table, fw.n, cutoff), _key_codes(edges, fw.n, cutoff))]
+
+
+def _face_corner_mask(fw, faces, rows, cutoff):
+    """Which key rows join two vertex copies on the boundary of one face
+    copy of ``faces`` (every row when there are no faces).  Half-edges h1,
+    h2 of one face join (vertex of h1, vertex of h2, copy[h2] - copy[h1]);
+    of a key and its reverse the canonical one is kept, as in ``pair_table``."""
+    if faces is None:
+        return np.ones(len(rows), dtype=bool)
+    face = faces.face[faces.order]
+    lo, size = faces.start[face], np.diff(faces.start)[face]
+    # every position of the boundary order paired with every position of its face
+    first = np.repeat(faces.order, size)
+    second = faces.order[np.repeat(lo + size - np.cumsum(size), size) + np.arange(len(first))]
+    ends = np.concatenate([fw.tails, fw.heads])
+    u, v, c = ends[first], ends[second], faces.copy[second] - faces.copy[first]
+    c1, c2 = c.T
+    keep = ((u < v) | (u == v) & ((c1 > 0) | (c1 == 0) & (c2 > 0))) & (
+        np.abs(c).max(axis=1) <= cutoff)
+    corners = np.column_stack([u, v, c])[keep]
+    return np.isin(_key_codes(rows, fw.n, cutoff), _key_codes(corners, fw.n, cutoff))
 
 
 def candidate_pairs(fw, cutoff=2):
@@ -251,8 +276,11 @@ def find_rigidifying_edges(fw, cutoff=2):
 
     Requires a valid pseudo-triangulation certificate.  Candidates whose
     derivative is negligible, whose length is zero or whose insertion
-    would cross are skipped.  One ``_orbit_crossing_rows`` pass screens all
-    candidates and fw itself (besides the certificate's check, so that a
+    would cross are skipped.  An insertion that crosses nothing lies in
+    one face copy and joins two vertex copies of its boundary walk, so
+    only such candidates of the certificate's faces (every candidate when
+    it has none) are screened.  One ``_orbit_crossing_rows`` pass screens
+    them and fw itself (besides the certificate's check, so that a
     certificate bypassed still finds a crossing base), as
     ``insert_edge_orbit`` does for one.
     """
@@ -268,7 +296,10 @@ def find_rigidifying_edges(fw, cutoff=2):
         # by decreasing |derivative|, ties in key order (pairs are sorted)
         ranked = np.argsort(-mags, kind="stable")
         ranked = ranked[mags[ranked] > floor]
-        (_, b2, _, _), short = _orbit_crossing_rows(fw, _candidate_table(fw, cutoff)[ranked])
+        rows = _candidate_table(fw, cutoff)[ranked]
+        inside = _face_corner_mask(fw, cert.faces, rows, cutoff)
+        ranked = ranked[inside]
+        (_, b2, _, _), short = _orbit_crossing_rows(fw, rows[inside])
         # a crossing of fw (b2 < m) leaves no candidate; one of candidate j
         # (b2 = m + j), or a zero length, skips it
         if not (b2 < fw.m).any():

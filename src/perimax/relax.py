@@ -109,9 +109,6 @@ class Sublattice:
     def coset_index(self, r1, r2):
         return r1 * self.d + r2
 
-    def cosets(self):
-        return [(r1, r2) for r1 in range(self.a) for r2 in range(self.d)]
-
 
 def sublattices_of_index(k):
     """All canonical sublattices of index k (there are sigma_1(k) of them)."""

@@ -451,7 +451,7 @@ def oracle_unfolding(fw, sub):
     unfolding, by explicit loops over vertex and edge coset copies; edges
     are (tail, head, (k1, k2)) triples as found, not canonicalized."""
     rho = sub.index
-    cosets = sub.cosets()
+    cosets = [(r1, r2) for r1 in range(sub.a) for r2 in range(sub.d)]
     lat = fw.lattice
     positions = np.empty((fw.n * rho, 2))
     parent_vertex = np.empty(fw.n * rho, dtype=int)

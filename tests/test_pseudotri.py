@@ -1,6 +1,7 @@
 """Pointedness, certification, insertions and rigidifying candidates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,43 @@ def test_search_matches_insertion_reference():
         assert ref and find_rigidifying_edges(fw, cutoff) == ref, (fw, cutoff)
 
 
+def _search_outcome(fw, cutoff):
+    """The search's candidates, or the type and text of its refusal."""
+    try:
+        return find_rigidifying_edges(fw, cutoff)
+    except (FrameworkError, NumericalError) as err:
+        return type(err).__name__, str(err)
+
+
+def _placements(fw, rng):
+    """fw rotated, sheared and with every vertex moved at random."""
+    turn = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    shear = np.array([[1.0, 0.6], [0.0, 1.0]])
+    jiggle = 0.02 * fw.geometry_scale * rng.uniform(-1, 1, fw.positions.shape)
+    moved = [fw.with_geometry(fw.positions @ a.T, a @ fw.lattice) for a in (turn, shear)]
+    return moved + [fw.with_geometry(fw.positions + jiggle)]
+
+
+def test_face_corner_filter_changes_no_search(monkeypatch, rng):
+    """A candidate the crossing grid clears meets no edge copy but at its
+    ends, so it joins two corners of one face copy: the search with the
+    face-corner filter gives the candidates and refusals of the search
+    that screens every candidate.  ppt3 and kagome at four angles (2.5
+    crosses itself), relaxed to index 4 at cutoff 1 and to index 3 at
+    cutoff 2; to index 2 also rotated, sheared and perturbed."""
+    bases = [fixture("ppt3")] + [fixture("kagome", theta=t) for t in (math.pi / 2, 1.2, 1.9, 2.5)]
+    cases = [(fw, cutoff) for base in bases for sub in sublattices_up_to(2)
+             for fw in _placements(relax(base, sub), rng) for cutoff in (1, 2)]
+    for cutoff, index in ((1, 4), (2, 3)):
+        cases += [(relax(base, sub), cutoff) for base in bases for sub in sublattices_up_to(index)]
+    filtered = [_search_outcome(fw, cutoff) for fw, cutoff in cases]
+    monkeypatch.setattr(pseudotri, "_face_corner_mask",
+                        lambda fw, faces, rows, cutoff: np.ones(len(rows), dtype=bool))
+    assert filtered == [_search_outcome(fw, cutoff) for fw, cutoff in cases]
+    refused = sum(isinstance(out, tuple) for out in filtered)
+    assert 0 < refused < len(cases)
+
+
 def test_search_on_crossing_base_raises_as_before(monkeypatch):
     # crossing (its faces do not trace), yet one candidate orbit crosses
     # nothing: only the check of the framework itself rejects it
@@ -389,11 +427,32 @@ def test_search_builds_one_framework(abd, cutoff, monkeypatch):
     assert len(builds) == 1
 
 
+def _face_corner_survivors(fw, cutoff):
+    """Reference: the ranked candidates, in rank order, whose ends are
+    vertex copies on the boundary walk of one face copy, as key rows."""
+    faces = trace_faces(fw)
+    ends = np.concatenate([fw.tails, fw.heads])
+    corners = set()
+    for f in range(faces.n_faces):
+        walk = [(ends[h], faces.copy[h]) for h in faces.order[faces.start[f]:faces.start[f + 1]]]
+        corners.update(canonical_edge(u, v, b - a) for u, a in walk for v, b in walk)
+    ranked = [cand.key for cand in sorted(_ranked_candidates(fw, cutoff),
+                                          key=lambda cand: (-abs(cand.derivative), cand.key))]
+    return np.array([(u, v, *c) for u, v, c in ranked if (u, v, c) in corners])
+
+
+def _ranked_candidates(fw, cutoff):
+    """The candidates whose length derivative passes the search's floor."""
+    _, _, pairs, derivs = oriented_flex(fw, cutoff)
+    floor = DERIVATIVE_RTOL * max(1.0, max(abs(d) for d in derivs))
+    return [EdgeCandidate(*key, d) for key, d in zip(pairs, derivs) if abs(d) > floor]
+
+
 def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
     """With every screen in one chunk, the search makes two narrow-phase
     calls, one for the certificate's crossing check and one for the
-    framework and all candidates together, over hundreds of broad-phase
-    survivors."""
+    framework and the face-corner survivors together: exactly the rows of
+    screening those survivors alone."""
     fw = relax(fixture("ppt3"), Sublattice(2, 0, 2))
     expected = find_rigidifying_edges(fw, 1)
     rows = []
@@ -406,7 +465,27 @@ def test_search_runs_one_narrow_phase_per_chunk(monkeypatch):
     monkeypatch.setattr(topology, "_narrow_phase", narrow)
     monkeypatch.setattr(topology, "_SCREEN_CELLS", 1 << 30)
     assert find_rigidifying_edges(fw, 1) == expected
-    assert len(rows) == 2 and sum(rows) > 1000
+    assert len(rows) == 2
+    searched, rows[:] = rows[:], []
+    survivors = _face_corner_survivors(fw, 1)
+    assert len(expected) <= len(survivors) < len(_ranked_candidates(fw, 1))
+    topology._orbit_crossing_rows(fw, survivors)
+    assert rows == searched[1:]
+
+
+def test_search_memory_peak():
+    """ppt3 relaxed 2x2 at cutoff 1 screens only its face-corner
+    candidates: the search's tracemalloc peak stays under 2 MB (4.3 MB when
+    all 618 candidates went through the crossing grid)."""
+    fw = relax(fixture("ppt3"), Sublattice(2, 0, 2))
+    find_rigidifying_edges(fw, 1)
+    tracemalloc.start()
+    try:
+        find_rigidifying_edges(fw, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_search_box_tests_grid_candidates_only(monkeypatch):
