@@ -296,9 +296,11 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     if not cert.valid:
         raise FrameworkError(
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
-    table = _corner_table(fw, cert.faces)
-    n = fw.n
     cfg = Configuration.from_framework(fw)
+    if steps <= 0:
+        return DeformationPath([PathSample(0.0, cfg, cfg.gram(), None, None, None)],
+                               "step count reached")
+    table = _corner_table(fw, cert.faces)
     # only the initial sample validates on its own: later ones take the
     # edge vectors their corrector validated
     _, evecs, ref_sq = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads,
@@ -310,71 +312,56 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     tau = 0.0
     tangent = None
 
-    def make_sample(cfg, rates):
-        dom = gram_derivative(cfg, tangent)
-        ok, low = _expansive(rates)
-        return PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low)
+    def corrected(h):
+        # (z, edge vectors, margin, event text) of the point h along, or None
+        z, ok, evecs = _newton_correct(residual, jacobian, cfg.as_vector() + h * tangent,
+                                       tol_abs)
+        return (z, evecs) + _ppt_margin(table, evecs) if ok else None
 
-    def tangent_at(cfg, evecs):
-        # the flex turned to follow the previous sample, its rates with it
-        t, rates = flex(cfg, evecs)
+    def sample(h, z, evecs, boundary=False):
+        # move h along to z, the flex turned to follow the previous sample,
+        # its rates with it; only a boundary sample may keep the last tangent
+        nonlocal tau, cfg, tangent
+        tau += h
+        cfg = Configuration.from_vector(z, fw.n)
+        try:
+            t, rates = flex(cfg, evecs)
+        except NumericalError:
+            if not boundary:
+                raise
+            t, rates = tangent, _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
         if tangent is not None and float(t @ tangent) < 0:
             t, rates = -t, -rates
-        return t, rates
+        tangent = t
+        dom = gram_derivative(cfg, tangent)
+        ok, low = _expansive(rates)
+        samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
 
-    if steps <= 0:
-        return DeformationPath([PathSample(tau, cfg, cfg.gram(), None, None, None)],
-                               "step count reached")
-
-    tangent, rates = tangent_at(cfg, evecs)
-    samples.append(make_sample(cfg, rates))
-
-    termination = "step count reached"
-    event_margin = None
+    sample(0.0, cfg.as_vector(), evecs)
     step = float(ds)
-    k = 0
-    while k < steps:
-        z_pred = cfg.as_vector() + step * tangent
-        z_new, ok, evecs = _newton_correct(residual, jacobian, z_pred, tol_abs)
-        if not ok:
-            if abs(step) > MIN_STEP:
-                step *= 0.5
-                continue
-            termination = "corrector divergence"
-            break
-        new_margin, reason = _ppt_margin(table, evecs)
-        if new_margin <= 0.0:
+    # every sample after the first is an accepted step
+    while len(samples) - 1 < steps:
+        point = corrected(step)
+        if point is None:
+            if abs(step) <= MIN_STEP:
+                return DeformationPath(samples, "corrector divergence")
+            step *= 0.5
+        elif point[2] > 0.0:
+            sample(step, *point[:2])
+        else:
             # bisect the step length until the boundary is bracketed tightly
-            lo, hi, z_lo = 0.0, step, None
+            lo, hi, inside = 0.0, step, None
             while abs(hi - lo) > EVENT_TAU_TOL:
                 mid = 0.5 * (lo + hi)
-                z_mid, okm, evecs_mid = _newton_correct(
-                    residual, jacobian, cfg.as_vector() + mid * tangent, tol_abs)
-                if not okm:
+                found = corrected(mid)
+                if found is None:
                     hi = mid
-                    continue
-                m_mid, reason_mid = _ppt_margin(table, evecs_mid)
-                if m_mid <= 0.0:
-                    hi = mid
-                    new_margin, reason = m_mid, reason_mid
+                elif found[2] <= 0.0:
+                    hi, point = mid, found
                 else:
-                    lo, z_lo, evecs = mid, z_mid, evecs_mid
-            if lo != 0.0:
+                    lo, inside = mid, found
+            if inside is not None:
                 # boundary sample (the last configuration still inside)
-                tau += lo
-                cfg = Configuration.from_vector(z_lo, n)
-                try:
-                    tangent, rates = tangent_at(cfg, evecs)
-                except NumericalError:
-                    rates = _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
-                samples.append(make_sample(cfg, rates))
-            termination = "event: %s" % reason
-            event_margin = new_margin
-            break
-        tau += step
-        cfg = Configuration.from_vector(z_new, n)
-        tangent, rates = tangent_at(cfg, evecs)
-        samples.append(make_sample(cfg, rates))
-        k += 1
-
-    return DeformationPath(samples, termination, event_margin)
+                sample(lo, *inside[:2], boundary=True)
+            return DeformationPath(samples, "event: %s" % point[3], point[2])
+    return DeformationPath(samples, "step count reached")

@@ -250,6 +250,19 @@ def candidate_pairs(fw, cutoff=2):
     return [(u, v, (c1, c2)) for u, v, c1, c2 in _candidate_table(fw, cutoff).tolist()]
 
 
+def _flex_derivatives(fw, cutoff):
+    """``oriented_flex`` with its candidates as the ``_candidate_table``
+    rows and their length derivatives as an array."""
+    gauged = fw.with_geometry(*_gauge_position(fw))
+    tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
+                                gauged.edge_vectors(), cutoff)
+    table = _candidate_table(fw, cutoff)
+    derivs = _length_derivatives(gauged, tangent, table)
+    if not np.all(np.isfinite(derivs)):
+        raise NumericalError("non-finite length derivative of a candidate pair")
+    return gauged, tangent, table, derivs
+
+
 def oriented_flex(fw, cutoff=2):
     """Unit generator of the one-dimensional flex, oriented expansively.
 
@@ -260,13 +273,7 @@ def oriented_flex(fw, cutoff=2):
     original framework.  Raises NumericalError when the flex is not
     one-dimensional.
     """
-    gauged = fw.with_geometry(*_gauge_position(fw))
-    tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
-                                gauged.edge_vectors(), cutoff)
-    table = _candidate_table(fw, cutoff)
-    derivs = _length_derivatives(gauged, tangent, table)
-    if not np.all(np.isfinite(derivs)):
-        raise NumericalError("non-finite length derivative of a candidate pair")
+    gauged, tangent, table, derivs = _flex_derivatives(fw, cutoff)
     pairs = [(u, v, (c1, c2)) for u, v, c1, c2 in table.tolist()]
     return gauged, tangent, pairs, derivs.tolist()
 
@@ -282,29 +289,29 @@ def find_rigidifying_edges(fw, cutoff=2):
     it has none) are screened.  One ``_orbit_crossing_rows`` pass screens
     them and fw itself (besides the certificate's check, so that a
     certificate bypassed still finds a crossing base), as
-    ``insert_edge_orbit`` does for one.
+    ``insert_edge_orbit`` does for one.  Only the candidates it clears
+    become ``EdgeCandidate``s.
     """
     cert = certify_ppt(fw)
     if not cert.valid:
         raise FrameworkError(
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
-    _, _, pairs, derivs = oriented_flex(fw, cutoff)
+    _, _, table, derivs = _flex_derivatives(fw, cutoff)
     out = []
-    if pairs:
+    if len(table):
         mags = np.abs(derivs)
         floor = DERIVATIVE_RTOL * max(1.0, float(mags.max()))
-        # by decreasing |derivative|, ties in key order (pairs are sorted)
+        # by decreasing |derivative|, ties in key order (the table is sorted)
         ranked = np.argsort(-mags, kind="stable")
         ranked = ranked[mags[ranked] > floor]
-        rows = _candidate_table(fw, cutoff)[ranked]
-        inside = _face_corner_mask(fw, cert.faces, rows, cutoff)
-        ranked = ranked[inside]
-        (_, b2, _, _), short = _orbit_crossing_rows(fw, rows[inside])
+        ranked = ranked[_face_corner_mask(fw, cert.faces, table[ranked], cutoff)]
+        (_, b2, _, _), short = _orbit_crossing_rows(fw, table[ranked])
         # a crossing of fw (b2 < m) leaves no candidate; one of candidate j
         # (b2 = m + j), or a zero length, skips it
         if not (b2 < fw.m).any():
-            clear = ~short & (np.bincount(b2 - fw.m, minlength=len(ranked)) == 0)
-            out = [EdgeCandidate(*pairs[i], derivs[i]) for i in ranked[clear].tolist()]
+            clear = ranked[~short & (np.bincount(b2 - fw.m, minlength=len(ranked)) == 0)]
+            out = [EdgeCandidate(u, v, (c1, c2), d)
+                   for (u, v, c1, c2), d in zip(table[clear].tolist(), derivs[clear].tolist())]
     if not out:
         raise FrameworkError("no candidate found within cutoff %d" % cutoff)
     return out

@@ -96,7 +96,7 @@ def test_lift_refusal_keeps_existing_terrain(tmp_path, capsys):
     obj_path = tmp_path / "terrain.obj"
     kept = b"v 0.0 0.0 0.0\n# an earlier terrain\n"
     obj_path.write_bytes(kept)
-    for tiles in ("0x1", "100000x100000"):
+    for tiles in ("0x1", "100000x100000", "3y3"):
         code, rep = run(capsys, "lift", path, "--tiles", tiles, "--out", str(obj_path), "--quiet")
         assert code == 2 and "tile range" in rep["error"]
     assert obj_path.read_bytes() == kept
@@ -111,6 +111,23 @@ def test_lift_refuses_non_finite_c0(tmp_path, capsys):
         code, rep = run(capsys, "lift", path, "--c0=" + c0, "--out", str(obj_path), "--quiet")
         assert code == 2 and rep["error"] == "c0 must be finite, got %s" % c0
     assert not obj_path.exists()
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("cubes", ("lift", "--stress-index", "7"), "stress index 7 out of range [0, 1)"),
+    ("cubes", ("lift", "--stress-index=-1"), "stress index -1 out of range [0, 1)"),
+    ("ppt3", ("deform", "--check", "bogus"), "unknown checks: bogus"),
+    ("ppt3", ("deform", "--check", "expansive,bogus,auxetic"), "unknown checks: bogus"),
+], ids=["lift-stress-index-7", "lift-stress-index-negative", "deform-check-bogus",
+        "deform-check-bogus-among-known"])
+def test_option_refusals_exit_with_json(tmp_path, capsys, monkeypatch, name, argv, message):
+    """An option value the command cannot use exits 2 with a JSON
+    validation error naming it, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    path = fixture_file(tmp_path, capsys, name)
+    code, rep = run(capsys, argv[0], path, *argv[1:], "--quiet")
+    assert code == 2 and rep["kind"] == "validation" and rep["error"] == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name + ".json"]
 
 
 def test_deform_refuses_non_finite_ds(tmp_path, capsys):

@@ -240,6 +240,15 @@ def test_bulk_parse_reports_first_failing_record():
         framework_from_dict(doc)
 
 
+@pytest.mark.parametrize("lattice, positions, message", [
+    (np.ones((3, 2)), [[0.0, 0.0]], "lattice must be a finite 2x2 matrix"),
+    (np.eye(2), [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]], r"positions must be an \(n, 2\) array"),
+], ids=["lattice-3x2", "positions-n-by-3"])
+def test_constructor_refuses_misshapen_geometry(lattice, positions, message):
+    with pytest.raises(FrameworkError, match=message):
+        PeriodicFramework(lattice, positions, [(0, 0, (1, 0)), (0, 0, (0, 1))])
+
+
 def test_disconnected_quotient_rejected():
     with pytest.raises(FrameworkError, match="disconnected"):
         PeriodicFramework(np.eye(2), [[0, 0], [1, 0]],

@@ -401,6 +401,137 @@ def test_kagome_event_needs_every_closed_corner(monkeypatch):
         margin([twin_in, out, face, flipped, reasons, sums], past)
 
 
+def _path_record(path):
+    """Every number of a path, as exact values, for bitwise comparison."""
+    return path.termination, path.event_margin, [
+        (s.tau, s.configuration.positions.tolist(), s.configuration.lattice.tolist(),
+         s.gram.tolist(), None if s.gram_rate is None else s.gram_rate.tolist(),
+         s.expansive, s.auxetic, s.min_pair_rate) for s in path.samples]
+
+
+@pytest.mark.parametrize("name, ds", [("ppt3", 1e-2), ("kagome", -1e-2)])
+def test_path_turns_a_flex_read_the_other_way(name, ds, monkeypatch):
+    """The flex is read up to sign at every sample; each sample turns it to
+    follow the previous tangent, its rates with it.  Negating every other
+    reading after the first leaves the path, through its event
+    bisection, bitwise unchanged."""
+    fw = fixture(name)
+    expected = _path_record(continue_path(fw, steps=200, ds=ds))
+    calls = []
+
+    def turned(*args):
+        t, rates = read(*args)
+        calls.append(1)
+        return (-t, -rates) if len(calls) % 2 == 0 else (t, rates)
+
+    read = deform._oriented_flex
+    monkeypatch.setattr(deform, "_oriented_flex", turned)
+    assert _path_record(continue_path(fw, steps=200, ds=ds)) == expected
+    assert expected[0].startswith("event") and len(calls) == len(expected[2]) > 2
+
+
+def test_failing_corrector_ends_path_at_divergence(monkeypatch):
+    """A corrector that never converges halves the step until it is at
+    most MIN_STEP: ds = 1e-2 takes 14 halvings to 6.1e-7, one correction
+    each besides the first, and the path keeps its initial sample."""
+    steps = []
+
+    def failing(residual, jacobian, z, tol_abs):
+        steps.append(z)
+        return z, False, None
+
+    monkeypatch.setattr(deform, "_newton_correct", failing)
+    path = continue_path(fixture("ppt3"), steps=10, ds=1e-2)
+    assert (path.termination, path.event_margin) == ("corrector divergence", None)
+    assert len(path.samples) == 1 and path.samples[0].tau == 0.0
+    assert len(steps) == 15 and 0.5 * deform.MIN_STEP < 1e-2 / 2 ** 14 <= deform.MIN_STEP
+
+
+def test_bisection_shrinks_past_failed_corrections(monkeypatch):
+    """A midpoint whose correction fails is treated as past the boundary.
+    With every midpoint failing the bracket shrinks to the step's start:
+    the path ends at the event without a boundary sample, with the text
+    and margin of the step that crossed."""
+    fw = fixture("kagome", theta=math.pi / 2)
+    expected = _path_record(continue_path(fw, steps=200, ds=2e-2))
+    table = _corner_table(fw)
+    crossed, failed = [], []
+
+    def correct(residual, jacobian, z, tol_abs):
+        if crossed:
+            failed.append(z)
+            return z, False, None
+        z, ok, evecs = newton(residual, jacobian, z, tol_abs)
+        if ok and deform._ppt_margin(table, evecs)[0] <= 0.0:
+            crossed.append(deform._ppt_margin(table, evecs))
+        return z, ok, evecs
+
+    newton = deform._newton_correct
+    monkeypatch.setattr(deform, "_newton_correct", correct)
+    path = continue_path(fw, steps=200, ds=2e-2)
+    (margin, reason), = crossed
+    assert expected[0].startswith("event") and len(failed) > 20
+    assert (path.termination, path.event_margin) == ("event: %s" % reason, margin)
+    assert _path_record(path)[2] == expected[2][:-1]
+
+
+def test_boundary_sample_keeps_last_tangent_when_flex_fails(monkeypatch):
+    """The last configuration inside the boundary may read no clean flex
+    (NumericalError); its sample then keeps the previous tangent and takes
+    its rates there.  A failed read at any other sample is raised."""
+    fw = fixture("kagome", theta=math.pi / 2)
+    expected = continue_path(fw, steps=200, ds=2e-2)
+    n = len(expected.samples)
+    tangents = []
+
+    def read(fail_at):
+        def flex(*args):
+            if len(tangents) == fail_at:
+                raise NumericalError("deformation space is not one-dimensional (dimension 2)")
+            t, rates = oriented(*args)
+            if tangents and float(t @ tangents[-1]) < 0:
+                t = -t
+            tangents.append(t)
+            return t, rates
+        return flex
+
+    oriented = deform._oriented_flex
+    monkeypatch.setattr(deform, "_oriented_flex", read(n - 1))
+    path = continue_path(fw, steps=200, ds=2e-2)
+    assert _path_record(path)[:2] == _path_record(expected)[:2]
+    assert _path_record(path)[2][:-1] == _path_record(expected)[2][:-1]
+    last, cfg = path.final, expected.final.configuration
+    assert last.tau == expected.final.tau and np.array_equal(last.gram, expected.final.gram)
+    assert np.array_equal(last.configuration.positions, cfg.positions)
+    report = expansive_check(cfg, tangents[-1])
+    assert np.array_equal(last.gram_rate, gram_derivative(cfg, tangents[-1]))
+    assert (last.expansive, last.min_pair_rate) == (report.ok, report.min_rate)
+    tangents.clear()
+    monkeypatch.setattr(deform, "_oriented_flex", read(2))
+    with pytest.raises(NumericalError, match="not one-dimensional"):
+        continue_path(fw, steps=200, ds=2e-2)
+
+
+def test_margin_of_a_reflex_corner_opened_past_two_pi():
+    """A face whose angle sum is off (k - 2) pi by -2 pi has a reflex
+    corner that opened through 2 pi and now reads small: the point is past
+    the boundary by that reading, the smallest corner of the face.  Each
+    row of this table turns from an edge at angle 0 to one at its corner:
+    a pentagon whose reflex corner reads 0.3 (sum pi, not 3 pi) before a
+    triangle whose corner of 1.5 pi closed through 0 (sum 3 pi, not pi)."""
+    corners = np.array([0.3, 0.5, 0.6, 0.7, math.pi - 2.1, 1.5 * math.pi,
+                        0.75 * math.pi, 0.75 * math.pi])
+    rows = np.arange(len(corners))
+    evecs = np.concatenate([np.tile([1.0, 0.0], (len(corners), 1)),
+                            np.column_stack([np.cos(corners), np.sin(corners)])])
+    face = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+    sign = np.where(rows == 0, -1.0, 1.0)
+    table = [rows + len(corners), rows, face, sign, ("text",) * len(corners),
+             (np.bincount(face) - 2) * math.pi]
+    margin, reason = deform._ppt_margin(table, evecs)
+    assert reason == "corner closed on face 0" and margin == pytest.approx(-0.3, abs=1e-12)
+
+
 def test_path_conserves_lengths_and_verdicts():
     fw = fixture("ppt3")
     path = continue_path(fw, steps=100, ds=1e-2)

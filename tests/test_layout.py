@@ -164,7 +164,7 @@ def test_path_arrays_built_once():
         "_row_assembly": ["rigidity.py:_flex_system", "rigidity.py:rigidity_matrix"],
         "gauge_rows": ["rigidity.py:_flex_system"],
         "_flex_system": ["deform.py:_constraints", "deform.py:flex_tangent",
-                         "pseudotri.py:oriented_flex", "rigidity.py:gauge_reduced_kernel"],
+                         "pseudotri.py:_flex_derivatives", "rigidity.py:gauge_reduced_kernel"],
     }, found
 
 

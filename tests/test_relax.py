@@ -609,6 +609,18 @@ def test_sublattice_refuses_a_fractional_entry():
             Sublattice(*entries)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Sublattice(1, 2, 2), r"^sublattice \(a=1, b=2, d=2\) is not in canonical form$"),
+    (lambda: Sublattice(0, 0, 1), "is not in canonical form"),
+    (lambda: sublattices_of_index(0), "^index must be >= 1$"),
+], ids=["b-beyond-d", "a-zero", "index-zero"])
+def test_non_canonical_sublattice_and_empty_index_are_refused(call, message):
+    """A sublattice outside a >= 1, d >= 1, 0 <= b < d and an index below 1
+    are refused by name."""
+    with pytest.raises(FrameworkError, match=message):
+        call()
+
+
 def test_sublattice_stores_integral_floats_as_ints():
     """``Sublattice(2.0, 0, 2)`` is the index-4 sublattice (2, 0, 2) with int
     entries, so ``stress_persists`` runs where it raised TypeError."""
