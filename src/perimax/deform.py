@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, validate_geometry
+from .core import FrameworkError, NumericalError, _integer, validate_geometry
 from .pseudotri import certify_ppt
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
                        _pair_rates, pair_table)
@@ -280,6 +280,70 @@ def _ppt_margin(table, evecs):
     return float(margins[i]), reasons[i]
 
 
+def _probe(at, step, fa, fb):
+    """A bracket (a, b) of the boundary within the crossing step, by Illinois
+    regula falsi (Dowell & Jarratt 1971) on the corrected margin: ``at(h)``
+    is the correction h along, its margin at [2], which reads ``fa`` > 0 at
+    0 (the last sample) and ``fb`` <= 0 at ``step``.  Each probe moves the
+    end whose side it reads; the value at the other end is halved when that
+    end also stayed at the previous probe, or there was none, so the probes
+    close in from both sides.  Probing stops at a probe that fails to
+    correct or, as in Brent's method, that leaves the bracket more than half
+    as wide as two probes before, as where the margin jumps (a corner
+    closing) or reads exactly 0; the bracket verified so far is kept."""
+    a, b, side = 0.0, step, 0
+    older, old = math.inf, abs(step)    # the width two probes back and one
+    while fa > 0.0 and old > EVENT_TAU_TOL:
+        h = b - fb * (b - a) / (fb - fa)
+        found = at(h)
+        if found is None:
+            break
+        if found[2] > 0.0:
+            a, fa, fb, side = h, found[2], fb * (0.5 if side >= 0 else 1.0), 1
+        else:
+            b, fb, fa, side = h, found[2], fa * (0.5 if side <= 0 else 1.0), -1
+        if abs(b - a) > 0.5 * older:
+            break
+        older, old = old, abs(b - a)
+    return a, b
+
+
+def _locate(corrected, step, margin, point):
+    """(lo, its correction or None at lo = 0, the correction past) of the
+    boundary within the crossing step, whose correction ``point`` reads
+    past; the last sample, at 0, reads ``margin`` inside.  The step is
+    halved until the bracket [lo, hi] is below EVENT_TAU_TOL, correcting
+    each midpoint within the bracket that ``_probe`` verified; one outside
+    takes its side uncorrected.  The halving runs again correcting every
+    midpoint unless lo and hi then read inside and past, so the result is
+    the full halving's when the margin changes sign once in the step."""
+    seen = {step: point}    # a correction depends on h alone
+
+    def at(h):
+        if h not in seen:
+            seen[h] = corrected(h)
+        return seen[h]
+
+    for a, b in (_probe(at, step, margin, point[2]), (0.0, step)):
+        lo, hi, inside, past = 0.0, step, None, point
+        while abs(hi - lo) > EVENT_TAU_TOL:
+            mid = 0.5 * (lo + hi)
+            if mid not in seen and not abs(a) < abs(mid) < abs(b):
+                lo, hi = (mid, hi) if abs(mid) <= abs(a) else (lo, mid)
+                continue
+            found = at(mid)
+            if found is None:
+                hi = mid
+            elif found[2] <= 0.0:
+                hi, past = mid, found
+            else:
+                lo, inside = mid, found
+        ends = at(lo) if lo else None, at(hi)
+        if (not lo or ends[0] and ends[0][2] > 0.0) and ends[1] and ends[1][2] <= 0.0:
+            return (lo,) + ends
+    return lo, inside, past
+
+
 def continue_path(fw, steps, ds=1e-2, cutoff=2):
     """Trace the one-parameter deformation of a pseudo-triangulation.
 
@@ -287,11 +351,15 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     constraints.  Terminates on the step count, on corrector failure after
     step halving, or at the pseudo-triangulation boundary (a vertex losing
     pointedness, a face angle reaching pi or a corner closing to 0), located
-    by bisection in either direction of ``ds``.  A
+    in either direction of ``ds`` by halving the crossing step after secant
+    probes (``_locate``).  ``steps`` is read as an integer, and a zero or
     non-finite step length ``ds`` is refused (FrameworkError).
     """
     if not math.isfinite(ds):
         raise FrameworkError("step length ds must be finite, got %g" % ds)
+    if ds == 0:
+        raise FrameworkError("step length ds must be nonzero, got %g" % ds)
+    steps = _integer(steps, "steps")
     cert = certify_ppt(fw)
     if not cert.valid:
         raise FrameworkError(
@@ -338,6 +406,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
         samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
 
     sample(0.0, cfg.as_vector(), evecs)
+    margin = _ppt_margin(table, evecs)[0]
     step = float(ds)
     # every sample after the first is an accepted step
     while len(samples) - 1 < steps:
@@ -348,18 +417,9 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
             step *= 0.5
         elif point[2] > 0.0:
             sample(step, *point[:2])
+            margin = point[2]
         else:
-            # bisect the step length until the boundary is bracketed tightly
-            lo, hi, inside = 0.0, step, None
-            while abs(hi - lo) > EVENT_TAU_TOL:
-                mid = 0.5 * (lo + hi)
-                found = corrected(mid)
-                if found is None:
-                    hi = mid
-                elif found[2] <= 0.0:
-                    hi, point = mid, found
-                else:
-                    lo, inside = mid, found
+            lo, inside, point = _locate(corrected, step, margin, point)
             if inside is not None:
                 # boundary sample (the last configuration still inside)
                 sample(lo, *inside[:2], boundary=True)

@@ -187,20 +187,24 @@ def _read_rank(sv):
     """(sv, rank, gap) of descending singular values sv, of shape (..., k):
     the rank r counts the values above RANK_RTOL times the largest, a
     prefix, and the gap is the last kept over the first dropped, sv[r - 1] /
-    sv[r]; inf when either is missing or the dropped one is zero."""
+    sv[r]; inf when either is missing or the dropped one is zero.  A single
+    spectrum is read in Python floats, by the same rule."""
+    # each spectrum followed by a zero: at r = k the dropped value is that
+    # zero, and at r = 0 (a largest value of zero or NaN) the dropped value
+    # sv[0] is not positive either; both read inf
+    if sv.ndim == 1:
+        padded = sv.tolist() + [0.0]
+        cut = RANK_RTOL * padded[0]
+        rank = sum(v > cut for v in padded[:-1])
+        return sv, rank, padded[rank - 1] / padded[rank] if padded[rank] > 0 else math.inf
     rank = np.add.reduce(sv > RANK_RTOL * sv[..., :1], axis=-1)
-    # each spectrum followed by a zero, flat: at r = k the dropped value is
-    # that zero, and at r = 0 (a largest value of zero or NaN) the dropped
-    # value sv[0] is not positive either; both read inf
     k = sv.shape[-1] + 1
     padded = np.zeros(sv.shape[:-1] + (k,))
     padded[..., :-1] = sv
     at = np.arange(0, padded.size, k).reshape(rank.shape) + rank
     kept, dropped = padded.reshape(-1)[at - 1], padded.reshape(-1)[at]
-    gap = np.divide(kept, dropped, out=np.full(rank.shape, np.inf), where=dropped > 0)
-    if sv.ndim > 1:
-        return sv, rank, gap
-    return sv, int(rank), float(gap)
+    return sv, rank, np.divide(kept, dropped, out=np.full(rank.shape, np.inf),
+                               where=dropped > 0)
 
 
 def _character_blocks(fw):
@@ -310,11 +314,10 @@ def _require_gap(gap):
 def _fix_signs(basis):
     """Flip basis columns so the first significantly nonzero entry is > 0."""
     basis = basis.copy()
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        nz = np.nonzero(np.abs(col) > RANK_RTOL * max(1e-300, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            basis[:, j] = -col
+    for j, col in enumerate(basis.T.tolist()):
+        cut = RANK_RTOL * max(1e-300, max(map(abs, col)))
+        if next((x for x in col if abs(x) > cut), 0.0) < 0:
+            basis[:, j] = -basis[:, j]
     return basis
 
 

@@ -7,7 +7,8 @@ a from-scratch parametric intersection (and, per pair, the scalar form of
 the library's tolerance rules), the crossing broad phase is a window of
 lattice shifts per edge pair instead of the library's cell grid, edge
 orbits are validated one at a time, nullspaces come straight from numpy's
-SVD, and derivatives are central finite differences.
+SVD, derivatives are central finite differences, and continuation events
+are located by the plain halving loop, one correction per midpoint.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ import pytest
 
 from perimax import (FrameworkError, NumericalError, PeriodicFramework, flex_space,
                      sublattices_up_to)
-from perimax.pseudotri import pointedness_margin
+from perimax.pseudotri import certify_ppt, pointedness_margin
 from perimax.relax import UnfoldedFramework
 from perimax import topology
 from perimax.rigidity import equilibrium_matrix
-from perimax.core import _tile_range
+from perimax.core import _tile_range, validate_geometry
+from perimax.deform import (EVENT_TAU_TOL, MIN_STEP, NEWTON_TOL, Configuration, DeformationPath,
+                            PathSample, _constraints, _corner_table, _expansive, _newton_correct,
+                            _pair_rates, _ppt_margin, auxetic_tangent_check, gram_derivative)
 from perimax.lifting import (COMPAT_RTOL, CONSTRUCTION_RTOL, PeriodicLifting, _height_scale,
                              _perp)
 from perimax.topology import (ANGLE_SUM_TOL, CORNER_ANGLE_TOL, SVG_WIDTH, CornerReport,
@@ -965,3 +969,84 @@ def oracle_corner_count(fw, oc):
     if all(c == 3 for c in counts) and not any(flats):
         identity_ok = 2 * fw.m == fw.n + 3 * len(oc.faces)
     return CornerReport(counts, flats, identity_ok)
+
+
+def oracle_continue_path(fw, steps, ds=1e-2, cutoff=2):
+    """``continue_path`` as it located events before secant probes: the
+    halving loop corrects every midpoint of the crossing step until the
+    bracket is below EVENT_TAU_TOL."""
+    if not math.isfinite(ds):
+        raise FrameworkError("step length ds must be finite, got %g" % ds)
+    cert = certify_ppt(fw)
+    if not cert.valid:
+        raise FrameworkError(
+            "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
+    cfg = Configuration.from_framework(fw)
+    if steps <= 0:
+        return DeformationPath([PathSample(0.0, cfg, cfg.gram(), None, None, None)],
+                               "step count reached")
+    table = _corner_table(fw, cert.faces)
+    # only the initial sample validates on its own: later ones take the
+    # edge vectors their corrector validated
+    _, evecs, ref_sq = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads,
+                                         fw.shifts)
+    tol_abs = NEWTON_TOL * max(1.0, float(ref_sq.max()))
+    residual, jacobian, flex = _constraints(fw, ref_sq, cutoff)
+
+    samples = []
+    tau = 0.0
+    tangent = None
+
+    def corrected(h):
+        # (z, edge vectors, margin, event text) of the point h along, or None
+        z, ok, evecs = _newton_correct(residual, jacobian, cfg.as_vector() + h * tangent,
+                                       tol_abs)
+        return (z, evecs) + _ppt_margin(table, evecs) if ok else None
+
+    def sample(h, z, evecs, boundary=False):
+        # move h along to z, the flex turned to follow the previous sample,
+        # its rates with it; only a boundary sample may keep the last tangent
+        nonlocal tau, cfg, tangent
+        tau += h
+        cfg = Configuration.from_vector(z, fw.n)
+        try:
+            t, rates = flex(cfg, evecs)
+        except NumericalError:
+            if not boundary:
+                raise
+            t, rates = tangent, _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
+        if tangent is not None and float(t @ tangent) < 0:
+            t, rates = -t, -rates
+        tangent = t
+        dom = gram_derivative(cfg, tangent)
+        ok, low = _expansive(rates)
+        samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
+
+    sample(0.0, cfg.as_vector(), evecs)
+    step = float(ds)
+    # every sample after the first is an accepted step
+    while len(samples) - 1 < steps:
+        point = corrected(step)
+        if point is None:
+            if abs(step) <= MIN_STEP:
+                return DeformationPath(samples, "corrector divergence")
+            step *= 0.5
+        elif point[2] > 0.0:
+            sample(step, *point[:2])
+        else:
+            # bisect the step length until the boundary is bracketed tightly
+            lo, hi, inside = 0.0, step, None
+            while abs(hi - lo) > EVENT_TAU_TOL:
+                mid = 0.5 * (lo + hi)
+                found = corrected(mid)
+                if found is None:
+                    hi = mid
+                elif found[2] <= 0.0:
+                    hi, point = mid, found
+                else:
+                    lo, inside = mid, found
+            if inside is not None:
+                # boundary sample (the last configuration still inside)
+                sample(lo, *inside[:2], boundary=True)
+            return DeformationPath(samples, "event: %s" % point[3], point[2])
+    return DeformationPath(samples, "step count reached")

@@ -137,6 +137,16 @@ def test_deform_refuses_non_finite_ds(tmp_path, capsys):
         assert code == 2 and rep["error"] == "step length ds must be finite, got %s" % ds
 
 
+def test_deform_refuses_zero_ds(tmp_path, capsys):
+    """A zero step length exits 2 with JSON, where it once traced copies of
+    the initial sample and exited 0."""
+    path = fixture_file(tmp_path, capsys, "kagome")
+    for ds, text in (("0", "0"), ("-0", "-0"), ("0e5", "0")):
+        code, rep = run(capsys, "deform", path, "--ds", ds, "--steps", "3", "--quiet")
+        assert (code, rep) == (2, {"error": "step length ds must be nonzero, got " + text,
+                                   "kind": "validation"})
+
+
 @pytest.mark.parametrize("option, value, command, check", [
     ("--ds", "-1e-3", ("deform", "ppt3", "--steps", "3"),
      lambda code, rep: code == 0 and rep["samples"] == 4),

@@ -1,6 +1,7 @@
 """Deformation paths: tangents, expansiveness, auxetic verdicts, events."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from perimax.pseudotri import certify_ppt, oriented_flex, pair_length_derivative
 from perimax.relax import Sublattice, relax, sublattices_up_to
 from perimax.rigidity import gauge_reduced_kernel
 
-from conftest import oracle_gram_rate_fd, oracle_pair_rates, oracle_ppt_margin
+import conftest
+from conftest import (oracle_continue_path, oracle_gram_rate_fd, oracle_pair_rates,
+                      oracle_ppt_margin)
 
 GRAM_SHAPE = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -402,11 +405,14 @@ def test_kagome_event_needs_every_closed_corner(monkeypatch):
 
 
 def _path_record(path):
-    """Every number of a path, as exact values, for bitwise comparison."""
-    return path.termination, path.event_margin, [
-        (s.tau, s.configuration.positions.tolist(), s.configuration.lattice.tolist(),
-         s.gram.tolist(), None if s.gram_rate is None else s.gram_rate.tolist(),
-         s.expansive, s.auxetic, s.min_pair_rate) for s in path.samples]
+    """A path as exact bytes: per sample tau, positions, lattice, Gram matrix
+    and its rate, verdicts and smallest pair rate; termination and margin."""
+    def exact(x):
+        return None if x is None else float(x).hex()
+    return path.termination, exact(path.event_margin), [
+        (exact(s.tau), s.configuration.positions.tobytes(), s.configuration.lattice.tobytes(),
+         s.gram.tobytes(), None if s.gram_rate is None else s.gram_rate.tobytes(),
+         s.expansive, s.auxetic, exact(s.min_pair_rate)) for s in path.samples]
 
 
 @pytest.mark.parametrize("name, ds", [("ppt3", 1e-2), ("kagome", -1e-2)])
@@ -428,6 +434,94 @@ def test_path_turns_a_flex_read_the_other_way(name, ds, monkeypatch):
     monkeypatch.setattr(deform, "_oriented_flex", turned)
     assert _path_record(continue_path(fw, steps=200, ds=ds)) == expected
     assert expected[0].startswith("event") and len(calls) == len(expected[2]) > 2
+
+
+_RELAXED = {"ppt3-2x2": (2, 0, 2), "ppt3-2x2-sheared": (2, 1, 2), "ppt3-1x2": (1, 1, 2)}
+
+
+@pytest.mark.parametrize("ds", [1e-3, 1e-2, 3e-2, -1e-3, -1e-2, -3e-2])
+@pytest.mark.parametrize("name", ["ppt3", "kagome", *_RELAXED])
+def test_event_location_matches_halving_oracle(name, ds, monkeypatch):
+    """Paths are bitwise those of the halving loop that corrects every
+    midpoint (``oracle_continue_path``), at pair cutoffs 1 and 2, over as
+    many steps as a budget of 2100 / n allows (every event but the 1e-3
+    ones of the relaxations).  An event forward on ppt3 and kagome takes at
+    most 10 corrections besides the accepted steps, where the halving takes
+    24 to 29; backward, where the margin jumps as a corner closes, at most
+    2 more than the halving."""
+    fw = relax(fixture("ppt3"), Sublattice(*_RELAXED[name])) if name in _RELAXED else fixture(name)
+    steps = min(int(1.6 / abs(ds)), 2100 // fw.n)
+    counts = {}
+
+    def counting(module):
+        def counted(*args):
+            counts[module] = counts.get(module, 0) + 1
+            return newton(*args)
+        newton = module._newton_correct
+        monkeypatch.setattr(module, "_newton_correct", counted)
+
+    counting(deform)
+    counting(conftest)
+    for cutoff in (1, 2):
+        counts.clear()
+        path = continue_path(fw, steps, ds, cutoff)
+        expected = oracle_continue_path(fw, steps, ds, cutoff)
+        assert _path_record(path) == _path_record(expected)
+        # corrections besides the accepted steps, the last sample's included
+        extra = {module: count - len(path.samples) + 1 for module, count in counts.items()}
+        if not path.termination.startswith("event"):
+            assert extra[deform] == extra[conftest]
+        elif ds > 0 and name in ("ppt3", "kagome"):
+            assert extra[deform] <= 10 < 24 <= extra[conftest]
+        elif ds < 0:
+            assert extra[deform] <= extra[conftest] + 2
+
+
+@pytest.mark.parametrize("bracket", [(0.9, 1.0), (0.0, 1e-3)])
+@pytest.mark.parametrize("name, ds", [("ppt3", 1e-2), ("ppt3", -1e-2), ("kagome", 1e-2)])
+def test_event_location_reruns_halving_on_a_wrong_bracket(name, ds, bracket, monkeypatch):
+    """A probed bracket whose ends do not hold (these fractions of the
+    crossing step miss each event) sends midpoints to the wrong side; the
+    ends the halving reaches then read wrong, and it runs again correcting
+    every midpoint: the path is still the oracle's."""
+    fw = fixture(name)
+    monkeypatch.setattr(deform, "_probe", lambda at, step, fa, fb: tuple(
+        t * step for t in bracket))
+    calls = []
+    newton = deform._newton_correct
+
+    def counted(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(deform, "_newton_correct", counted)
+    path = continue_path(fw, 200, ds)
+    assert _path_record(path) == _path_record(oracle_continue_path(fw, 200, ds))
+    assert path.termination.startswith("event") and len(calls) - len(path.samples) + 1 >= 27
+
+
+def test_path_reads_steps_as_an_integer():
+    """``steps`` is read by the integer rule of the pair cutoff: 3.0 and a
+    numpy 3 give what 3 gives, while 1.5, NaN and "3" are refused by name
+    (they once ran 2 steps, returned the initial sample alone and raised
+    TypeError)."""
+    fw = fixture("ppt3")
+    whole = _path_record(continue_path(fw, 3))
+    assert _path_record(continue_path(fw, 3.0)) == _path_record(continue_path(fw, np.int64(3))) \
+        == whole
+    for steps in (1.5, math.nan, "3"):
+        with pytest.raises(FrameworkError, match=r"^steps must be an integer, got %s$"
+                           % re.escape(repr(steps))):
+            continue_path(fw, steps)
+
+
+def test_zero_step_length_is_refused():
+    """ds = 0 once traced steps + 1 copies of the initial sample and
+    reported the step count reached; it is refused as a non-finite ds is."""
+    for ds, text in ((0.0, "0"), (-0.0, "-0"), (0, "0")):
+        with pytest.raises(FrameworkError, match=r"^step length ds must be nonzero, got %s$"
+                           % text):
+            continue_path(fixture("ppt3"), 3, ds)
 
 
 def test_failing_corrector_ends_path_at_divergence(monkeypatch):

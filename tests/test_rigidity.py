@@ -1,5 +1,6 @@
 """Rigidity matrix, spectral dimensions, stress spaces and identities."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -259,6 +260,72 @@ def test_svd_rank_of_a_stack_matches_each_matrix(rng):
     # empty matrices have rank 0 and no gap
     sv, rank, gap = _svd_rank(np.zeros((3, 0, 4)))
     assert sv.shape == (3, 0) and list(rank) == [0, 0, 0] and np.isinf(gap).all()
+
+
+@st.composite
+def _spectra(draw):
+    """Empty, or a largest value followed by values in any order: zero, the
+    cut RANK_RTOL times it and its float neighbours, itself, inf, NaN and
+    any finite value."""
+    size = draw(st.integers(0, 8))
+    if not size:
+        return np.zeros(0)
+    top = draw(st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e300, math.inf, math.nan])
+               | st.floats(1e-12, 1e12))
+    cut = rigidity.RANK_RTOL * top
+    near = [0.0, cut, np.nextafter(cut, 0.0), np.nextafter(cut, math.inf), top, math.inf,
+            math.nan]
+    rest = st.sampled_from(near) | st.floats(0.0, 1e300)
+    return np.array([top] + draw(st.lists(rest, min_size=size - 1, max_size=size - 1)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sv=_spectra())
+def test_single_spectrum_reads_as_its_stacked_row(sv):
+    """A 1-D spectrum, read in Python floats, gives the rank and gap of the
+    same spectrum read as the one row of a stack, as an int and a float."""
+    got = rigidity._read_rank(sv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, rank, gap = rigidity._read_rank(sv[None])
+    assert got[0] is sv
+    assert type(got[1]) is int and got[1] == rank[0]
+    assert type(got[2]) is float and np.array_equal([got[2]], gap, equal_nan=True)
+
+
+def _fix_signs_by_columns(basis):
+    """The sign rule on numpy columns: a column whose first entry above
+    RANK_RTOL times its largest is negative is negated."""
+    basis = basis.copy()
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        nz = np.nonzero(np.abs(col) > rigidity.RANK_RTOL * max(1e-300, np.abs(col).max()))[0]
+        if nz.size and col[nz[0]] < 0:
+            basis[:, j] = -col
+    return basis
+
+
+_CUT = rigidity.RANK_RTOL
+_ENTRIES = st.sampled_from([0.0, -0.0, -5e-324, _CUT, -_CUT, np.nextafter(_CUT, 1.0),
+                            -np.nextafter(_CUT, 1.0), np.nextafter(_CUT, 0.0),
+                            -np.nextafter(_CUT, 0.0)]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(columns=st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.tuples(st.integers(0, 4), st.lists(_ENTRIES, max_size=5), st.sampled_from([1.0, -1.0])),
+    min_size=k, max_size=k)))
+def test_fix_signs_matches_the_column_rule(columns):
+    """Signs fixed over Python lists equal the numpy column rule, bitwise,
+    on 1 to 3 columns: leading zeros, then entries at and around the cut
+    (each column ends in +-1, so the cut is RANK_RTOL itself).  The basis
+    is the transposed view an SVD's rows give, and is left as it was."""
+    columns = [[0.0] * zeros + col + [last] for zeros, col, last in columns]
+    rows = max(map(len, columns))
+    basis = np.array([col + [0.0] * (rows - len(col)) for col in columns]).T
+    before = basis.copy()
+    got = rigidity._fix_signs(basis)
+    assert got.tobytes() == _fix_signs_by_columns(basis).tobytes()
+    assert basis.tobytes() == before.tobytes()
 
 
 # log10 of the smallest planted singular value over the largest, by kind:
