@@ -144,13 +144,19 @@ def validate_geometry(lattice, positions, tails, heads, shifts):
     scale = _geometry_scale(lattice, float(np.abs(positions).max()))
     evecs = positions[heads] + shifts @ lattice.T - positions[tails]
     squares = np.einsum("ij,ij->i", evecs, evecs)
+    _require_spread(positions, squares, scale)
+    return scale, evecs, squares
+
+
+def _require_spread(positions, squares, scale):
+    """The checks of ``validate_geometry`` that read the squared edge
+    lengths: no zero-length edge, and vertex orbits not all coincident."""
     short = EDGE_LENGTH_RTOL * scale
     # sqrt is monotone, so the shortest edge decides whether any is too short
     if math.sqrt(squares.min(initial=math.inf)) <= short:
         raise FrameworkError("zero-length edge orbit %d" % np.argmax(np.sqrt(squares) <= short))
     if len(positions) >= 2 and np.abs(positions - positions[0]).max() <= short:
         raise FrameworkError("degenerate placement: all vertex orbits coincide")
-    return scale, evecs, squares
 
 
 def _canonicalize(rows):

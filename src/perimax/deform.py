@@ -13,11 +13,13 @@ most one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, _integer, validate_geometry
+from .core import (FrameworkError, NumericalError, _geometry_scale, _integer, _require_spread,
+                   validate_geometry)
 from .pseudotri import certify_ppt
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
                        _pair_rates, pair_table)
@@ -42,6 +44,7 @@ MIN_STEP = 1e-6
 EVENT_TAU_TOL = 1e-10
 EXPANSIVE_TOL = 1e-9
 PSD_TOL = 1e-9
+PSD_BAND = 1e-12
 CONTRACTION_TOL = 1e-9
 
 
@@ -96,7 +99,7 @@ def expansive_check(cfg, tangent, cutoff=2):
     """Rate of change of squared distances over all vertex-copy pairs
     within the shift cutoff (``pair_table``); expansive when none
     decreases.  Ties go to the first pair in table order."""
-    rates = _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
+    rates = _pair_rates(cfg.positions, cfg.lattice, _motion(cfg, tangent), cutoff)
     ok, low = _expansive(rates)
     if not len(rates):
         return ExpansiveReport(ok, low, None)
@@ -115,29 +118,65 @@ def _expansive(rates):
     return low >= -EXPANSIVE_TOL * max(1.0, -low, high), low
 
 
+def _motion(cfg, tangent):
+    """A motion of cfg as a float vector, refused (FrameworkError) unless
+    it has the 2n + 4 entries of the positions and lattice columns."""
+    motion = np.asarray(tangent, dtype=float)
+    if motion.shape != (2 * cfg.n + 4,):
+        raise FrameworkError("tangent must have shape (%d,) for %d vertex orbits, got shape %s"
+                             % (2 * cfg.n + 4, cfg.n, motion.shape))
+    return motion
+
+
 def gram_derivative(cfg, tangent):
     """Rate of change of the lattice Gram matrix under a motion."""
-    dlat = _lattice_rate(np.asarray(tangent, dtype=float), cfg.n)
+    dlat = _lattice_rate(_motion(cfg, tangent), cfg.n)
     d = dlat.T @ cfg.lattice + cfg.lattice.T @ dlat
     return 0.5 * (d + d.T)
 
 
 def auxetic_tangent_check(domega):
-    """True when the Gram rate lies in the positive semidefinite cone."""
+    """True when the Gram rate lies in the positive semidefinite cone: the
+    smaller eigenvalue of its symmetric part is at least -PSD_TOL times
+    max(1, |trace|, Frobenius norm).  The eigenvalue is read in closed form,
+    and ``eigvalsh`` is called only where the closed form's rounding could
+    disagree with it: within PSD_BAND times that scale of the cut, or where
+    the squared norm nears overflow.  A non-finite rate is refused
+    (NumericalError), and so is any shape but 2 x 2 (FrameworkError)."""
     domega = np.asarray(domega, dtype=float)
-    scale = max(1.0, abs(float(np.trace(domega))),
-                float(np.linalg.norm(domega)))
+    if domega.shape != (2, 2):
+        raise FrameworkError("Gram rate must be a 2x2 matrix, got shape %s" % (domega.shape,))
+    (a, b), (c, d) = domega.tolist()
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise NumericalError("non-finite Gram rate")
+    squares = a * a + b * b + c * c + d * d
+    scale = max(1.0, abs(a + d), math.sqrt(squares))
+    low = 0.5 * (a + d) - math.hypot(0.5 * (a - d), 0.5 * (b + c))
+    if squares <= 0.5 * sys.float_info.max and abs(low + PSD_TOL * scale) > PSD_BAND * scale:
+        return low >= -PSD_TOL * scale
+    scale = max(1.0, abs(float(np.trace(domega))), float(np.linalg.norm(domega)))
     eigs = np.linalg.eigvalsh(0.5 * (domega + domega.T))
     return bool(eigs.min() >= -PSD_TOL * scale)
 
 
 def contraction_check(lattice_early, lattice_late):
     """Operator norm of the map taking the later lattice basis to the
-    earlier one; a norm <= 1 certifies lattice-wise contraction."""
-    late = np.asarray(lattice_late, dtype=float)
+    earlier one; a norm <= 1 certifies lattice-wise contraction.  Each
+    lattice must be a finite 2 x 2 matrix (FrameworkError), the later one
+    nonsingular, and the map finite (NumericalError)."""
+    early, late = (np.asarray(x, dtype=float) for x in (lattice_early, lattice_late))
+    for lat in (early, late):
+        if lat.shape != (2, 2):
+            raise FrameworkError("comparison lattice must be a 2x2 matrix, got shape %s"
+                                 % (lat.shape,))
+        if not np.isfinite(lat).all():
+            raise FrameworkError("comparison lattice must be finite")
     if abs(np.linalg.det(late)) == 0.0:
         raise FrameworkError("singular comparison lattice")
-    T = np.asarray(lattice_early, dtype=float) @ np.linalg.inv(late)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = early @ np.linalg.inv(late)
+    if not np.isfinite(T).all():
+        raise NumericalError("comparison map out of range")
     norm = float(np.linalg.norm(T, 2))
     return norm <= 1.0 + CONTRACTION_TOL, norm
 
@@ -171,23 +210,28 @@ def _constraints(fw, ref_sq, cutoff):
     """Residual, Jacobian and flex functions of the edge-length and gauge
     constraints at squared lengths ``ref_sq``, over what stays fixed along
     a path, built once: the float shifts, the row scatter tables, the gauge
-    rows and one matrix buffer each for the Jacobian and the flex.  The
-    residual at a raw configuration vector z also returns the edge
-    vectors, with the geometric checks of a framework's constructor; the
-    Jacobian (twice the rigidity matrix over the gauge rows) and the flex
-    (``_oriented_flex``) are assembled from them."""
+    rows, the gauge entries of z, and one buffer each for the residual, the
+    Jacobian and the flex.  The residual at a raw configuration vector z,
+    which the next call overwrites, also returns the edge vectors and their
+    squared lengths, with no check of the placement (``_check_point`` has
+    the framework constructor's); the Jacobian (twice the rigidity matrix
+    over the gauge rows) and the flex (``_oriented_flex``) are assembled
+    from the edge vectors."""
     n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
     assemble, gauged = _flex_system(fw)
-    jac = gauged.copy()
+    jac, F, pinned = gauged.copy(), np.empty(m + 3), np.array([0, 1, 2 * n + 1])
 
     def residual(z):
-        _, evecs, squares = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
-                                              tails, heads, shifts)
-        return np.concatenate([squares - ref_sq, [z[0], z[1], z[2 * n + 1]]]), evecs
+        positions = z[:2 * n].reshape(n, 2)
+        evecs = positions[heads] + shifts @ _lattice_rate(z, n).T - positions[tails]
+        squares = np.einsum("ij,ij->i", evecs, evecs)
+        np.subtract(squares, ref_sq, out=F[:m])
+        F[m:] = z[pinned]
+        return F, evecs, squares
 
     def jacobian(evecs):
-        assemble(evecs, jac[:m])
-        jac[:m] *= 2.0
+        # scaling by 2 is exact: the rows come out as twice the assembled ones
+        assemble(2.0 * evecs, jac[:m])
         return jac
 
     def flex(cfg, evecs):
@@ -197,19 +241,35 @@ def _constraints(fw, ref_sq, cutoff):
 
 
 def _newton_correct(residual, jacobian, z, tol_abs):
-    """Corrected iterate, whether it converged, and its edge vectors; the
-    Jacobian is assembled only at an iterate that takes a step.  An iterate
-    the geometry checks refuse (say, a lattice column beyond 2**510 after
-    too long a step) is a failed correction, not an invalid input."""
+    """Corrected iterate, whether it converged, and its edge vectors (None
+    unless it did).  An iterate needs only a finite residual, and the
+    Jacobian is assembled only at an iterate that goes on to take a step;
+    the converged iterate alone gets the framework constructor's geometry
+    checks (``_check_point``).  A non-finite residual (say, squared lengths
+    that overflow after too long a step), no convergence within
+    NEWTON_MAX_ITER steps, or a converged point the checks refuse is a
+    failed correction, not an invalid input."""
     for k in range(NEWTON_MAX_ITER + 1):
-        try:
-            F, evecs = residual(z)
-        except FrameworkError:
+        F, evecs, squares = residual(z)
+        err = float(np.abs(F).max())
+        if err <= tol_abs:
+            try:
+                _check_point(z, squares)
+            except FrameworkError:
+                return z, False, None
+            return z, True, evecs
+        if k == NEWTON_MAX_ITER or not math.isfinite(err):
             return z, False, None
-        ok = float(np.abs(F).max()) <= tol_abs
-        if ok or k == NEWTON_MAX_ITER:
-            return z, ok, evecs
         z = z + np.linalg.lstsq(jacobian(evecs), -F, rcond=None)[0]
+
+
+def _check_point(z, squares):
+    """The geometry checks of a framework's constructor, with its messages
+    (``validate_geometry``), at the placement of a raw configuration vector
+    z (lattice columns last) whose squared edge lengths are ``squares``."""
+    positions = z[:-4].reshape(-1, 2)
+    _require_spread(positions, squares,
+                    _geometry_scale(z[-4:].reshape(2, 2).T, float(np.abs(positions).max())))
 
 
 def _corner_table(fw, fc):
@@ -347,13 +407,17 @@ def _locate(corrected, step, margin, point):
 def continue_path(fw, steps, ds=1e-2, cutoff=2):
     """Trace the one-parameter deformation of a pseudo-triangulation.
 
-    Tangent predictor plus Newton correction on the edge-length and gauge
-    constraints.  Terminates on the step count, on corrector failure after
-    step halving, or at the pseudo-triangulation boundary (a vertex losing
-    pointedness, a face angle reaching pi or a corner closing to 0), located
-    in either direction of ``ds`` by halving the crossing step after secant
-    probes (``_locate``).  ``steps`` is read as an integer, and a zero or
-    non-finite step length ``ds`` is refused (FrameworkError).
+    Tangent predictor from the last sample's raw vector plus Newton
+    correction on the edge-length and gauge constraints; the framework
+    constructor's geometry checks run once per correction, on the point it
+    converges to (``_newton_correct``), and once on the initial placement,
+    which also gives the reference lengths.  Terminates on the step count,
+    on corrector failure after step halving, or at the pseudo-triangulation
+    boundary (a vertex losing pointedness, a face angle reaching pi or a
+    corner closing to 0), located in either direction of ``ds`` by halving
+    the crossing step after secant probes (``_locate``).  ``steps`` is read
+    as an integer, and a zero or non-finite step length ``ds`` is refused
+    (FrameworkError).
     """
     if not math.isfinite(ds):
         raise FrameworkError("step length ds must be finite, got %g" % ds)
@@ -379,19 +443,19 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     samples = []
     tau = 0.0
     tangent = None
+    last = cfg.as_vector()    # the raw vector of the last sample
 
     def corrected(h):
         # (z, edge vectors, margin, event text) of the point h along, or None
-        z, ok, evecs = _newton_correct(residual, jacobian, cfg.as_vector() + h * tangent,
-                                       tol_abs)
+        z, ok, evecs = _newton_correct(residual, jacobian, last + h * tangent, tol_abs)
         return (z, evecs) + _ppt_margin(table, evecs) if ok else None
 
     def sample(h, z, evecs, boundary=False):
         # move h along to z, the flex turned to follow the previous sample,
         # its rates with it; only a boundary sample may keep the last tangent
-        nonlocal tau, cfg, tangent
+        nonlocal tau, cfg, tangent, last
         tau += h
-        cfg = Configuration.from_vector(z, fw.n)
+        last, cfg = z, Configuration.from_vector(z, fw.n)
         try:
             t, rates = flex(cfg, evecs)
         except NumericalError:
@@ -405,7 +469,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
         ok, low = _expansive(rates)
         samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
 
-    sample(0.0, cfg.as_vector(), evecs)
+    sample(0.0, last, evecs)
     margin = _ppt_margin(table, evecs)[0]
     step = float(ds)
     # every sample after the first is an accepted step

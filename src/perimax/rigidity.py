@@ -585,16 +585,19 @@ def _pair_rates(positions, lattice, motion, cutoff):
     columns last)."""
     n = len(positions)
     u, v, shifts, keep = _pair_grid(n, cutoff)
-    # (vertex pairs, shifts, 2) arrays of points[v] + lat @ c - points[u], one
-    # coordinate at a time; the stacked matmuls round each row like the
-    # single products lat @ c and sep @ dsep
-    sep, dsep = np.empty((2, len(u), len(shifts), 2))
-    for out, points, lat in ((sep, positions, lattice),
-                             (dsep, motion[:2 * n].reshape(n, 2), _lattice_rate(motion, n))):
-        heads, tails = points[v], points[u]
-        for k, products in enumerate(np.matmul(lat, shifts)[:, :, 0].T):
-            np.add(heads[:, k, None], products, out=out[:, :, k])
-            np.subtract(out[:, :, k], tails[:, k, None], out=out[:, :, k])
+    # each vertex's position over its velocity, the lattice over its rate
+    points, lats = np.empty((n, 2, 2)), np.empty((2, 2, 2))
+    points[:, 0], points[:, 1] = positions, motion[:2 * n].reshape(n, 2)
+    lats[0], lats[1] = lattice, motion[2 * n:].reshape(2, 2).T
+    # (placement or motion, vertex pairs, shifts, 2) array of points[v] + lat @ c
+    # - points[u], one coordinate at a time; the stacked matmuls round each
+    # row like the single products lat @ c and sep @ dsep
+    products = np.matmul(lats[:, None], shifts)[..., 0]
+    heads, tails = points[v].T, points[u].T
+    sep, dsep = both = np.empty((2, len(u), len(shifts), 2))
+    for k in range(2):
+        np.add(heads[k, :, :, None], products[:, None, :, k], out=both[..., k])
+        np.subtract(both[..., k], tails[k, :, :, None], out=both[..., k])
     rates = 2.0 * np.matmul(sep.reshape(-1, 1, 2), dsep.reshape(-1, 2, 1)).reshape(-1)[keep]
     if not np.all(np.isfinite(rates)):
         raise NumericalError("non-finite squared-distance rate")

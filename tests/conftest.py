@@ -7,8 +7,10 @@ a from-scratch parametric intersection (and, per pair, the scalar form of
 the library's tolerance rules), the crossing broad phase is a window of
 lattice shifts per edge pair instead of the library's cell grid, edge
 orbits are validated one at a time, nullspaces come straight from numpy's
-SVD, derivatives are central finite differences, and continuation events
-are located by the plain halving loop, one correction per midpoint.
+SVD, derivatives are central finite differences, continuation events
+are located by the plain halving loop, one correction per midpoint, each
+Newton iterate runs the framework constructor's full geometry check, and
+the auxetic verdict reads ``eigvalsh`` at every sample.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from perimax import (FrameworkError, NumericalError, PeriodicFramework, flex_spa
 from perimax.pseudotri import certify_ppt, pointedness_margin
 from perimax.relax import UnfoldedFramework
 from perimax import topology
-from perimax.rigidity import equilibrium_matrix
+from perimax.rigidity import (_flex_system, _lattice_rate, _oriented_flex,
+                              equilibrium_matrix)
 from perimax.core import _tile_range, validate_geometry
-from perimax.deform import (EVENT_TAU_TOL, MIN_STEP, NEWTON_TOL, Configuration, DeformationPath,
-                            PathSample, _constraints, _corner_table, _expansive, _newton_correct,
-                            _pair_rates, _ppt_margin, auxetic_tangent_check, gram_derivative)
+from perimax.deform import (EVENT_TAU_TOL, MIN_STEP, NEWTON_MAX_ITER, NEWTON_TOL, PSD_TOL,
+                            Configuration, DeformationPath, PathSample, _corner_table, _expansive,
+                            _pair_rates, _ppt_margin, gram_derivative)
 from perimax.lifting import (COMPAT_RTOL, CONSTRUCTION_RTOL, PeriodicLifting, _height_scale,
                              _perp)
 from perimax.topology import (ANGLE_SUM_TOL, CORNER_ANGLE_TOL, SVG_WIDTH, CornerReport,
@@ -971,10 +974,69 @@ def oracle_corner_count(fw, oc):
     return CornerReport(counts, flats, identity_ok)
 
 
+def _constraints(fw, ref_sq, cutoff):
+    """Residual, Jacobian and flex functions of the edge-length and gauge
+    constraints at squared lengths ``ref_sq``, over what stays fixed along
+    a path, built once: the float shifts, the row scatter tables, the gauge
+    rows and one matrix buffer each for the Jacobian and the flex.  The
+    residual at a raw configuration vector z also returns the edge
+    vectors, with the geometric checks of a framework's constructor; the
+    Jacobian (twice the rigidity matrix over the gauge rows) and the flex
+    (``_oriented_flex``) are assembled from them."""
+    n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
+    assemble, gauged = _flex_system(fw)
+    jac = gauged.copy()
+
+    def residual(z):
+        _, evecs, squares = validate_geometry(_lattice_rate(z, n), z[:2 * n].reshape(n, 2),
+                                              tails, heads, shifts)
+        return np.concatenate([squares - ref_sq, [z[0], z[1], z[2 * n + 1]]]), evecs
+
+    def jacobian(evecs):
+        assemble(evecs, jac[:m])
+        jac[:m] *= 2.0
+        return jac
+
+    def flex(cfg, evecs):
+        return _oriented_flex(assemble, gauged, cfg.positions, cfg.lattice, evecs, cutoff)
+
+    return residual, jacobian, flex
+
+
+def _newton_correct(residual, jacobian, z, tol_abs):
+    """Corrected iterate, whether it converged, and its edge vectors; the
+    Jacobian is assembled only at an iterate that takes a step.  An iterate
+    the geometry checks refuse (say, a lattice column beyond 2**510 after
+    too long a step) is a failed correction, not an invalid input."""
+    for k in range(NEWTON_MAX_ITER + 1):
+        try:
+            F, evecs = residual(z)
+        except FrameworkError:
+            return z, False, None
+        ok = float(np.abs(F).max()) <= tol_abs
+        if ok or k == NEWTON_MAX_ITER:
+            return z, ok, evecs
+        z = z + np.linalg.lstsq(jacobian(evecs), -F, rcond=None)[0]
+
+
+def oracle_auxetic_check(domega):
+    """The auxetic verdict read from ``eigvalsh`` of the symmetric part,
+    whatever the input: the smaller eigenvalue against -PSD_TOL times
+    max(1, |trace|, Frobenius norm)."""
+    domega = np.asarray(domega, dtype=float)
+    scale = max(1.0, abs(float(np.trace(domega))),
+                float(np.linalg.norm(domega)))
+    eigs = np.linalg.eigvalsh(0.5 * (domega + domega.T))
+    return bool(eigs.min() >= -PSD_TOL * scale)
+
+
 def oracle_continue_path(fw, steps, ds=1e-2, cutoff=2):
     """``continue_path`` as it located events before secant probes: the
     halving loop corrects every midpoint of the crossing step until the
-    bracket is below EVENT_TAU_TOL."""
+    bracket is below EVENT_TAU_TOL.  Its corrector is the reference one
+    above, which checks every iterate as a framework's constructor would
+    and predicts from the sample's ``as_vector``, and its auxetic verdicts
+    are ``oracle_auxetic_check``'s."""
     if not math.isfinite(ds):
         raise FrameworkError("step length ds must be finite, got %g" % ds)
     cert = certify_ppt(fw)
@@ -1020,7 +1082,7 @@ def oracle_continue_path(fw, steps, ds=1e-2, cutoff=2):
         tangent = t
         dom = gram_derivative(cfg, tangent)
         ok, low = _expansive(rates)
-        samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
+        samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, oracle_auxetic_check(dom), low))
 
     sample(0.0, cfg.as_vector(), evecs)
     step = float(ds)

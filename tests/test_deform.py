@@ -2,6 +2,8 @@
 
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +23,14 @@ from perimax import (
     gram_derivative,
 )
 from perimax import core, deform, pseudotri, rigidity, topology
-from perimax.deform import ExpansiveReport, _constraints
+from perimax.deform import PSD_BAND, PSD_TOL, ExpansiveReport, _constraints
 from perimax.pseudotri import certify_ppt, oriented_flex, pair_length_derivative
 from perimax.relax import Sublattice, relax, sublattices_up_to
 from perimax.rigidity import gauge_reduced_kernel
 
 import conftest
-from conftest import (oracle_continue_path, oracle_gram_rate_fd, oracle_pair_rates,
-                      oracle_ppt_margin)
+from conftest import (oracle_auxetic_check, oracle_continue_path, oracle_gram_rate_fd,
+                      oracle_pair_rates, oracle_ppt_margin)
 
 GRAM_SHAPE = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -184,6 +186,61 @@ def test_auxetic_tangent_check_examples():
     assert not auxetic_tangent_check(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def test_auxetic_check_refuses_malformed_rates():
+    """A Gram rate with a NaN or infinite entry is refused (NumericalError):
+    [[nan, 0], [0, 1]] once read auxetic, since max(1, nan, nan) kept 1 and
+    ``eigvalsh`` returned [0, -0].  Any shape but 2 x 2 is refused
+    (FrameworkError): a 3 x 3 rate once got a verdict."""
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            rate = np.eye(2)
+            rate.flat[i] = bad
+            with pytest.raises(NumericalError, match="^non-finite Gram rate$"):
+                auxetic_tangent_check(rate)
+    for shape in ((3, 3), (2,), (4,), (1, 2, 2), (2, 3), ()):
+        with pytest.raises(FrameworkError, match=r"^Gram rate must be a 2x2 matrix, got shape %s$"
+                           % re.escape(str(shape))):
+            auxetic_tangent_check(np.zeros(shape))
+
+
+# offsets of the smallest eigenvalue from the PSD cut, in band widths: the
+# closed form decides beyond one, ``eigvalsh`` within
+_BAND_OFFSETS = (-100.0, -2.0, -1.1, -0.9, -0.5, 0.0, 0.5, 0.9, 1.1, 2.0, 100.0)
+
+
+@st.composite
+def _gram_rates(draw):
+    """(2 x 2 rate, its offset from the cut in band widths or None): either
+    four entries of one scale 10^e, e in [-150, 150], zeros and asymmetric
+    rates included, or a rotated symmetric part of that scale whose
+    smaller eigenvalue sits a drawn offset from the cut, plus a skew part."""
+    exp = draw(st.integers(-150, 150))
+    unit = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        return np.array([draw(unit) for _ in range(4)]).reshape(2, 2) * 10.0 ** exp, None
+    big, skew = abs(draw(unit)) * 10.0 ** exp, draw(unit) * 10.0 ** exp
+    offset = draw(st.sampled_from(_BAND_OFFSETS))
+    scale = max(1.0, big, math.sqrt(big * big + 2.0 * skew * skew))
+    low = (offset * PSD_BAND - PSD_TOL) * scale
+    r = rotation(draw(st.floats(0.0, math.pi)))    # big >= 0 > low
+    return r @ np.diag([big, low]) @ r.T + np.array([[0.0, skew], [-skew, 0.0]]), offset
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_gram_rates())
+def test_closed_form_auxetic_verdict_is_eigvalsh_verdict(drawn):
+    """The closed-form verdict is the ``eigvalsh`` one on every 2 x 2 rate,
+    from scales 1e-150 to 1e150, and around the cut: ``eigvalsh`` is called
+    for an eigenvalue well within the band and not for one well beyond it
+    (rounding moves the placed eigenvalue by about 1e-16 of the scale)."""
+    rate, offset = drawn
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        verdict = auxetic_tangent_check(rate)
+    assert verdict is oracle_auxetic_check(rate)
+    if offset is not None and abs(offset) != 0.9 and abs(offset) != 1.1:
+        assert eigvalsh.called == (abs(offset) < 1.0)
+
+
 def test_contraction_check_examples():
     L = np.array([[2.0, 0.5], [0.0, 1.0]])
     ok, norm = contraction_check(L, L)
@@ -192,6 +249,37 @@ def test_contraction_check_examples():
     assert ok and abs(norm - 0.5) < 1e-12
     ok, norm = contraction_check(L, 0.5 * L)
     assert not ok and abs(norm - 2.0) < 1e-12
+
+
+def test_deform_checks_refuse_malformed_input():
+    """A tangent whose length is not 2n + 4 (once a bare reshape ValueError)
+    and a comparison lattice that is not a finite 2 x 2 matrix (once a
+    ``det`` warning and then LinAlgError from the SVD) are refused with
+    FrameworkError, and without a warning; a comparison map that overflows
+    is refused with NumericalError."""
+    cfg = gauged_kagome(1.3)
+    n = cfg.n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((2 * n + 3,), (2 * n + 5,), (0,), (2 * n + 4, 1), (2, n + 2)):
+            message = r"^tangent must have shape \(%d,\) for %d vertex orbits, got shape %s$" % (
+                2 * n + 4, n, re.escape(str(shape)))
+            for check in (expansive_check, gram_derivative):
+                with pytest.raises(FrameworkError, match=message):
+                    check(cfg, np.zeros(shape))
+        lattice = np.eye(2)
+        for bad in (math.nan, math.inf, -math.inf):
+            for pair in ((lattice, [[bad, 0.0], [0.0, 1.0]]), ([[1.0, bad], [0.0, 1.0]], lattice)):
+                with pytest.raises(FrameworkError, match="^comparison lattice must be finite$"):
+                    contraction_check(*pair)
+        for pair in ((np.eye(3), lattice), (lattice, np.ones(2)), (lattice, [[1.0, 0.0]])):
+            with pytest.raises(FrameworkError,
+                               match=r"^comparison lattice must be a 2x2 matrix, got shape"):
+                contraction_check(*pair)
+        with pytest.raises(NumericalError, match="^comparison map out of range$"):
+            contraction_check(np.diag([1e200, 1.0]), np.diag([1e-150, 1e150]))
+    t = np.zeros(2 * n + 4)
+    assert expansive_check(cfg, list(t)) == expansive_check(cfg, t)
 
 
 def test_contraction_closed_form_kagome():
@@ -254,10 +342,10 @@ def test_pair_rate_grid_matches_row_oracle_along_paths(name, steps, monkeypatch)
 def test_newton_assembles_only_when_it_steps(monkeypatch):
     """On a path through an event bisection: one row assembly per lstsq
     step and per tangent, besides the certificate's rigidity matrix, and
-    one geometry check per residual evaluation (one per step and one more
-    per correction), besides the one that gives both the reference lengths
-    and the initial tangent.  The scatter tables and the gauge rows are
-    built once per path, besides the certificate's."""
+    one geometry check per correction, at the point it returns, besides the
+    one that gives both the reference lengths and the initial tangent.  The
+    scatter tables and the gauge rows are built once per path, besides the
+    certificate's."""
     counts = {"assembly": 0, "lstsq": 0, "correct": 0, "validate": 0, "tables": 0, "gauge": 0}
 
     def counting(name, f):
@@ -276,6 +364,7 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
     monkeypatch.setattr(deform, "_newton_correct", counting("correct", correct))
     monkeypatch.setattr(deform, "validate_geometry", counting("validate", core.validate_geometry))
+    monkeypatch.setattr(deform, "_check_point", counting("validate", deform._check_point))
     fw = fixture("kagome", theta=math.pi / 2)
     certify_ppt(fw)
     certificate = dict(counts)
@@ -285,7 +374,7 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
     path = continue_path(fw, steps=200, ds=2e-2)
     assert path.termination.startswith("event") and counts["correct"] > len(path.samples)
     assert counts["assembly"] == counts["lstsq"] + len(path.samples) + 1
-    assert counts["validate"] == counts["lstsq"] + counts["correct"] + 1
+    assert counts["validate"] == counts["correct"] + 1
     assert counts["tables"] == certificate["tables"] + 1
     assert counts["gauge"] == certificate["gauge"] + 1
 
@@ -475,6 +564,20 @@ def test_event_location_matches_halving_oracle(name, ds, monkeypatch):
             assert extra[deform] <= 10 < 24 <= extra[conftest]
         elif ds < 0:
             assert extra[deform] <= extra[conftest] + 2
+
+
+@pytest.mark.parametrize("name", ["ppt3", "kagome", *_RELAXED])
+def test_huge_step_matches_reference_corrector(name):
+    """From ds = 1e200 the step halves past corrections that fail: squared
+    lengths that overflow, lattice columns beyond 2**510 (which the
+    reference corrector refuses at the first iterate, before its squares)
+    and iterates that do not converge.  The path is bitwise the one of the
+    reference corrector (``conftest._newton_correct``), which runs the
+    framework constructor's checks at every iterate."""
+    fw = relax(fixture("ppt3"), Sublattice(*_RELAXED[name])) if name in _RELAXED else fixture(name)
+    path = continue_path(fw, 5, 1e200)
+    assert _path_record(path) == _path_record(oracle_continue_path(fw, 5, 1e200))
+    assert path.termination.startswith("event") and len(path.samples) == 2
 
 
 @pytest.mark.parametrize("bracket", [(0.9, 1.0), (0.0, 1e-3)])
@@ -777,20 +880,29 @@ def test_expansive_check_rejects_nan_motion():
 
 
 def test_newton_iterate_gets_framework_checks():
-    """A corrector iterate fails with the messages of the framework
-    constructor, which validated every iterate before: those of
-    ``validate_geometry`` at the iterate's placement, read with int shifts."""
+    """A corrector iterate needs only a finite residual; the point a
+    correction returns gets the checks of the framework constructor, with
+    its messages: those of ``validate_geometry`` at the point's placement,
+    read with int shifts.  A point they refuse is a failed correction."""
     fw = fixture("ppt3")
     cfg = Configuration.from_framework(fw)
     n, z, e = fw.n, cfg.as_vector(), fw.edge_vectors()
     residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)
-    F, evecs = residual(z)
+    F, evecs, squares = residual(z)
     J = jacobian(evecs)
     assert np.abs(F).max() < 1e-12 and J.shape == (fw.m + 3, 2 * n + 4)
+    assert np.array_equal(squares, np.einsum("ij,ij->i", evecs, evecs))
 
     def refusal(fw, residual, w):
+        jacobian = _constraints(fw, np.ones(fw.m), 2)[1]
+        # an infinite lattice entry times a zero shift reads NaN, which is refused
+        with np.errstate(invalid="ignore"):
+            squares = residual(w)[2]
+            # at an infinite tolerance every residual but a NaN one has converged
+            point, ok, evecs = deform._newton_correct(residual, jacobian, w, math.inf)
+        assert point is w and not ok and evecs is None
         with pytest.raises(FrameworkError) as got:
-            residual(w)
+            deform._check_point(w, squares)
         with pytest.raises(FrameworkError) as want:
             core.validate_geometry(deform._lattice_rate(w, fw.n), w[:2 * fw.n].reshape(fw.n, 2),
                                    fw.tails, fw.heads, fw.shifts)
