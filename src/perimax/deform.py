@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (FrameworkError, NumericalError, _geometry_scale, _integer, _require_spread,
                    validate_geometry)
-from .pseudotri import certify_ppt
+from .pseudotri import _certified
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
                        _pair_rates, pair_table)
 from .topology import ANGLE_SUM_TOL, _corner, _direction_angles
@@ -219,7 +219,7 @@ def _constraints(fw, ref_sq, cutoff):
     from the edge vectors."""
     n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
     assemble, gauged = _flex_system(fw)
-    jac, F, pinned = gauged.copy(), np.empty(m + 3), np.array([0, 1, 2 * n + 1])
+    jac, F, pinned = gauged.copy(), np.empty(m + 3), gauged[m:].argmax(axis=1)
 
     def residual(z):
         positions = z[:2 * n].reshape(n, 2)
@@ -424,10 +424,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     if ds == 0:
         raise FrameworkError("step length ds must be nonzero, got %g" % ds)
     steps = _integer(steps, "steps")
-    cert = certify_ppt(fw)
-    if not cert.valid:
-        raise FrameworkError(
-            "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
+    cert = _certified(fw)
     cfg = Configuration.from_framework(fw)
     if steps <= 0:
         return DeformationPath([PathSample(0.0, cfg, cfg.gram(), None, None, None)],

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrameworkError, NumericalError, PeriodicFramework, _edge_rows,
-                   _lattice_vectors, canonical_edge)
+from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonicalize,
+                   _edge_rows, _lattice_vectors, canonical_edge)
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
                        count_identity_check, pair_table)
 from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
@@ -143,6 +143,15 @@ def certify_ppt(fw):
     )
 
 
+def _certified(fw):
+    """``certify_ppt`` of fw, refused naming every failed clause unless valid."""
+    cert = certify_ppt(fw)
+    if not cert.valid:
+        raise FrameworkError(
+            "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
+    return cert
+
+
 @dataclass(frozen=True)
 class EdgeCandidate:
     """A vertex pair (tail; head shifted by ``shift``) considered for
@@ -208,40 +217,38 @@ def pair_length_derivative(fw, motion, tail, head, shift):
     return float(_length_derivatives(fw, motion, row)[0])
 
 
-def _key_codes(rows, n, cutoff):
-    """One integer per key row (u, v, c1, c2): mixed radix (n, n, w, w),
-    digits c1, c2 in [-cutoff, cutoff]."""
+def _without_edges(fw, rows, cutoff):
+    """The key rows (u, v, c1, c2) within the cutoff that are not edge orbits
+    of ``fw``, compared as mixed-radix integers (n, n, w, w)."""
+    edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
+    edges = edges[np.abs(fw.shifts).max(axis=1, initial=0) <= cutoff]
     w = 2 * cutoff + 1
-    return rows @ np.array([n * w * w, w * w, w, 1])
+    radix = np.array([fw.n * w * w, w * w, w, 1])
+    return rows[~np.isin(rows @ radix, edges @ radix)]
 
 
 def _candidate_table(fw, cutoff):
     """Rows of ``pair_table`` that are not edge orbits of ``fw``."""
-    table = pair_table(fw.n, cutoff)
-    edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
-    edges = edges[np.abs(fw.shifts).max(axis=1, initial=0) <= cutoff]
-    return table[~np.isin(_key_codes(table, fw.n, cutoff), _key_codes(edges, fw.n, cutoff))]
+    return _without_edges(fw, pair_table(fw.n, cutoff), cutoff)
 
 
-def _face_corner_mask(fw, faces, rows, cutoff):
-    """Which key rows join two vertex copies on the boundary of one face
-    copy of ``faces`` (every row when there are no faces).  Half-edges h1,
-    h2 of one face join (vertex of h1, vertex of h2, copy[h2] - copy[h1]);
-    of a key and its reverse the canonical one is kept, as in ``pair_table``."""
+def _face_rows(fw, cutoff, faces):
+    """The rows of ``_candidate_table`` that join two vertex copies on the
+    boundary of one face copy of ``faces`` (none without faces): half-edges
+    h1, h2 of one face join (vertex of h1, vertex of h2, copy[h2] - copy[h1])."""
     if faces is None:
-        return np.ones(len(rows), dtype=bool)
+        return np.empty((0, 4), dtype=np.int64)
     face = faces.face[faces.order]
     lo, size = faces.start[face], np.diff(faces.start)[face]
     # every position of the boundary order paired with every position of its face
     first = np.repeat(faces.order, size)
     second = faces.order[np.repeat(lo + size - np.cumsum(size), size) + np.arange(len(first))]
     ends = np.concatenate([fw.tails, fw.heads])
-    u, v, c = ends[first], ends[second], faces.copy[second] - faces.copy[first]
-    c1, c2 = c.T
-    keep = ((u < v) | (u == v) & ((c1 > 0) | (c1 == 0) & (c2 > 0))) & (
-        np.abs(c).max(axis=1) <= cutoff)
-    corners = np.column_stack([u, v, c])[keep]
-    return np.isin(_key_codes(rows, fw.n, cutoff), _key_codes(corners, fw.n, cutoff))
+    rows = np.column_stack([ends[first], ends[second], faces.copy[second] - faces.copy[first]])
+    u, v, c1, c2 = _canonicalize(rows)
+    # a vertex copy paired with itself is no pair
+    rows = rows[((u < v) | (c1 != 0) | (c2 != 0)) & (abs(c1) <= cutoff) & (abs(c2) <= cutoff)]
+    return _without_edges(fw, np.unique(rows, axis=0), cutoff)
 
 
 def candidate_pairs(fw, cutoff=2):
@@ -250,13 +257,13 @@ def candidate_pairs(fw, cutoff=2):
     return [(u, v, (c1, c2)) for u, v, c1, c2 in _candidate_table(fw, cutoff).tolist()]
 
 
-def _flex_derivatives(fw, cutoff):
-    """``oriented_flex`` with its candidates as the ``_candidate_table``
-    rows and their length derivatives as an array."""
+def _flex_derivatives(fw, cutoff, rows_of):
+    """``oriented_flex`` with the key rows ``rows_of(fw, cutoff)``, built
+    after the tangent refuses a bad cutoff, and their derivatives as an array."""
     gauged = fw.with_geometry(*_gauge_position(fw))
     tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
                                 gauged.edge_vectors(), cutoff)
-    table = _candidate_table(fw, cutoff)
+    table = rows_of(fw, cutoff)
     derivs = _length_derivatives(gauged, tangent, table)
     if not np.all(np.isfinite(derivs)):
         raise NumericalError("non-finite length derivative of a candidate pair")
@@ -273,7 +280,7 @@ def oriented_flex(fw, cutoff=2):
     original framework.  Raises NumericalError when the flex is not
     one-dimensional.
     """
-    gauged, tangent, table, derivs = _flex_derivatives(fw, cutoff)
+    gauged, tangent, table, derivs = _flex_derivatives(fw, cutoff, _candidate_table)
     pairs = [(u, v, (c1, c2)) for u, v, c1, c2 in table.tolist()]
     return gauged, tangent, pairs, derivs.tolist()
 
@@ -281,30 +288,24 @@ def oriented_flex(fw, cutoff=2):
 def find_rigidifying_edges(fw, cutoff=2):
     """Insertable candidates ranked by |length derivative| under the flex.
 
-    Requires a valid pseudo-triangulation certificate.  Candidates whose
-    derivative is negligible, whose length is zero or whose insertion
-    would cross are skipped.  An insertion that crosses nothing lies in
-    one face copy and joins two vertex copies of its boundary walk, so
-    only such candidates of the certificate's faces (every candidate when
-    it has none) are screened.  One ``_orbit_crossing_rows`` pass screens
-    them and fw itself (besides the certificate's check, so that a
-    certificate bypassed still finds a crossing base), as
-    ``insert_edge_orbit`` does for one.  Only the candidates it clears
-    become ``EdgeCandidate``s.
+    Requires a valid pseudo-triangulation certificate.  An insertion that
+    crosses nothing joins two vertex copies of one face copy, so only the
+    ``_face_rows`` of the certificate's faces are rated.  Candidates whose
+    derivative is negligible, whose length is zero or whose insertion would
+    cross are skipped.  One ``_orbit_crossing_rows`` pass screens them and
+    fw itself (besides the certificate's check, so that a certificate
+    bypassed still finds a crossing base), as ``insert_edge_orbit`` does
+    for one.  Only the candidates it clears become ``EdgeCandidate``s.
     """
-    cert = certify_ppt(fw)
-    if not cert.valid:
-        raise FrameworkError(
-            "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
-    _, _, table, derivs = _flex_derivatives(fw, cutoff)
+    cert = _certified(fw)
+    _, _, table, derivs = _flex_derivatives(fw, cutoff, lambda f, c: _face_rows(f, c, cert.faces))
     out = []
     if len(table):
         mags = np.abs(derivs)
         floor = DERIVATIVE_RTOL * max(1.0, float(mags.max()))
-        # by decreasing |derivative|, ties in key order (the table is sorted)
+        # by decreasing |derivative|, ties in key order (the rows are sorted)
         ranked = np.argsort(-mags, kind="stable")
         ranked = ranked[mags[ranked] > floor]
-        ranked = ranked[_face_corner_mask(fw, cert.faces, table[ranked], cutoff)]
         (_, b2, _, _), short = _orbit_crossing_rows(fw, table[ranked])
         # a crossing of fw (b2 < m) leaves no candidate; one of candidate j
         # (b2 = m + j), or a zero length, skips it

@@ -10,7 +10,9 @@ orbits are validated one at a time, nullspaces come straight from numpy's
 SVD, derivatives are central finite differences, continuation events
 are located by the plain halving loop, one correction per midpoint, each
 Newton iterate runs the framework constructor's full geometry check, and
-the auxetic verdict reads ``eigvalsh`` at every sample.
+the auxetic verdict reads ``eigvalsh`` at every sample, and the
+rigidifying search rates every pair-table row before it keeps the face
+corners.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import pytest
 
 from perimax import (FrameworkError, NumericalError, PeriodicFramework, flex_space,
                      sublattices_up_to)
-from perimax.pseudotri import certify_ppt, pointedness_margin
+from perimax.pseudotri import (DERIVATIVE_RTOL, EdgeCandidate, _length_derivatives,
+                               certify_ppt, pointedness_margin)
 from perimax.relax import UnfoldedFramework
 from perimax import topology
-from perimax.rigidity import (_flex_system, _lattice_rate, _oriented_flex,
-                              equilibrium_matrix)
+from perimax.rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
+                              equilibrium_matrix, pair_table)
 from perimax.core import _tile_range, validate_geometry
 from perimax.deform import (EVENT_TAU_TOL, MIN_STEP, NEWTON_MAX_ITER, NEWTON_TOL, PSD_TOL,
                             Configuration, DeformationPath, PathSample, _corner_table, _expansive,
@@ -1112,3 +1115,77 @@ def oracle_continue_path(fw, steps, ds=1e-2, cutoff=2):
                 sample(lo, *inside[:2], boundary=True)
             return DeformationPath(samples, "event: %s" % point[3], point[2])
     return DeformationPath(samples, "step count reached")
+
+
+# -- the rigidifying search over the whole pair-table box ------------------
+
+
+def _box_key_codes(rows, n, cutoff):
+    """One integer per key row (u, v, c1, c2): mixed radix (n, n, w, w),
+    digits c1, c2 in [-cutoff, cutoff]."""
+    w = 2 * cutoff + 1
+    return rows @ np.array([n * w * w, w * w, w, 1])
+
+
+def _box_candidate_table(fw, cutoff):
+    """Rows of ``pair_table`` that are not edge orbits of ``fw``."""
+    table = pair_table(fw.n, cutoff)
+    edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
+    edges = edges[np.abs(fw.shifts).max(axis=1, initial=0) <= cutoff]
+    return table[~np.isin(_box_key_codes(table, fw.n, cutoff),
+                          _box_key_codes(edges, fw.n, cutoff))]
+
+
+def _box_face_corner_mask(fw, faces, rows, cutoff):
+    """Which key rows join two vertex copies on the boundary of one face
+    copy of ``faces`` (every row when there are no faces).  Half-edges h1,
+    h2 of one face join (vertex of h1, vertex of h2, copy[h2] - copy[h1]);
+    of a key and its reverse the canonical one is kept, as in ``pair_table``."""
+    if faces is None:
+        return np.ones(len(rows), dtype=bool)
+    face = faces.face[faces.order]
+    lo, size = faces.start[face], np.diff(faces.start)[face]
+    # every position of the boundary order paired with every position of its face
+    first = np.repeat(faces.order, size)
+    second = faces.order[np.repeat(lo + size - np.cumsum(size), size) + np.arange(len(first))]
+    ends = np.concatenate([fw.tails, fw.heads])
+    u, v, c = ends[first], ends[second], faces.copy[second] - faces.copy[first]
+    c1, c2 = c.T
+    keep = ((u < v) | (u == v) & ((c1 > 0) | (c1 == 0) & (c2 > 0))) & (
+        np.abs(c).max(axis=1) <= cutoff)
+    corners = np.column_stack([u, v, c])[keep]
+    return np.isin(_box_key_codes(rows, fw.n, cutoff), _box_key_codes(corners, fw.n, cutoff))
+
+
+def box_search(fw, cutoff=2):
+    """``find_rigidifying_edges`` as it read its candidates from the pair
+    table box: every box row not an edge orbit is rated, the derivative
+    floor is read over all of them, and the face-corner mask drops the rows
+    that join no two corners of one face copy before the one crossing-grid
+    pass."""
+    cert = certify_ppt(fw)
+    if not cert.valid:
+        raise FrameworkError(
+            "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
+    gauged = fw.with_geometry(*_gauge_position(fw))
+    tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
+                                gauged.edge_vectors(), cutoff)
+    table = _box_candidate_table(fw, cutoff)
+    derivs = _length_derivatives(gauged, tangent, table)
+    if not np.all(np.isfinite(derivs)):
+        raise NumericalError("non-finite length derivative of a candidate pair")
+    out = []
+    if len(table):
+        mags = np.abs(derivs)
+        floor = DERIVATIVE_RTOL * max(1.0, float(mags.max()))
+        ranked = np.argsort(-mags, kind="stable")
+        ranked = ranked[mags[ranked] > floor]
+        ranked = ranked[_box_face_corner_mask(fw, cert.faces, table[ranked], cutoff)]
+        (_, b2, _, _), short = topology._orbit_crossing_rows(fw, table[ranked])
+        if not (b2 < fw.m).any():
+            clear = ranked[~short & (np.bincount(b2 - fw.m, minlength=len(ranked)) == 0)]
+            out = [EdgeCandidate(u, v, (c1, c2), d)
+                   for (u, v, c1, c2), d in zip(table[clear].tolist(), derivs[clear].tolist())]
+    if not out:
+        raise FrameworkError("no candidate found within cutoff %d" % cutoff)
+    return out

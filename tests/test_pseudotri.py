@@ -35,7 +35,7 @@ from perimax.pseudotri import (
 from perimax.core import canonical_edge
 from perimax.relax import Sublattice, relax, sublattices_up_to, ultrarigidity_probe
 
-from conftest import random_connected_framework, right_angle_pair
+from conftest import box_search, random_connected_framework, right_angle_pair
 
 PPT_NAMES = ("kagome", "ppt3")
 
@@ -357,10 +357,10 @@ def test_search_matches_insertion_reference():
         assert ref and find_rigidifying_edges(fw, cutoff) == ref, (fw, cutoff)
 
 
-def _search_outcome(fw, cutoff):
+def _search_outcome(fw, cutoff, search=find_rigidifying_edges):
     """The search's candidates, or the type and text of its refusal."""
     try:
-        return find_rigidifying_edges(fw, cutoff)
+        return search(fw, cutoff)
     except (FrameworkError, NumericalError) as err:
         return type(err).__name__, str(err)
 
@@ -374,24 +374,67 @@ def _placements(fw, rng):
     return moved + [fw.with_geometry(fw.positions + jiggle)]
 
 
-def test_face_corner_filter_changes_no_search(monkeypatch, rng):
+def test_face_corner_filter_changes_no_search(rng):
     """A candidate the crossing grid clears meets no edge copy but at its
-    ends, so it joins two corners of one face copy: the search with the
-    face-corner filter gives the candidates and refusals of the search
-    that screens every candidate.  ppt3 and kagome at four angles (2.5
-    crosses itself), relaxed to index 4 at cutoff 1 and to index 3 at
-    cutoff 2; to index 2 also rotated, sheared and perturbed."""
+    ends, so it joins two corners of one face copy: the search, which
+    rates only the face corners, gives the candidates (keys, derivative
+    bits and order) and refusals (type and text) of the box search, which
+    rated every pair-table row and kept the face corners afterwards.
+    ppt3 and kagome at four angles (2.5 crosses itself), relaxed to index
+    4 at cutoffs 0 and 1, to index 3 at cutoff 2 and to index 2 at cutoff
+    3; to index 2 also rotated, sheared and perturbed at cutoffs 0 to 3.
+    Cutoffs -1, 1.5 and 200 are refused with the box search's messages."""
     bases = [fixture("ppt3")] + [fixture("kagome", theta=t) for t in (math.pi / 2, 1.2, 1.9, 2.5)]
     cases = [(fw, cutoff) for base in bases for sub in sublattices_up_to(2)
-             for fw in _placements(relax(base, sub), rng) for cutoff in (1, 2)]
-    for cutoff, index in ((1, 4), (2, 3)):
+             for fw in _placements(relax(base, sub), rng) for cutoff in (0, 1, 2, 3)]
+    for cutoff, index in ((0, 4), (1, 4), (2, 3), (3, 2)):
         cases += [(relax(base, sub), cutoff) for base in bases for sub in sublattices_up_to(index)]
-    filtered = [_search_outcome(fw, cutoff) for fw, cutoff in cases]
-    monkeypatch.setattr(pseudotri, "_face_corner_mask",
-                        lambda fw, faces, rows, cutoff: np.ones(len(rows), dtype=bool))
-    assert filtered == [_search_outcome(fw, cutoff) for fw, cutoff in cases]
-    refused = sum(isinstance(out, tuple) for out in filtered)
+    cases += [(fixture("ppt3"), cutoff) for cutoff in (-1, 1.5, 200)]
+    outcomes = [_search_outcome(fw, cutoff) for fw, cutoff in cases]
+    assert outcomes == [_search_outcome(fw, cutoff, box_search) for fw, cutoff in cases]
+    refused = sum(isinstance(out, tuple) for out in outcomes)
     assert 0 < refused < len(cases)
+    assert [out[1] for out in outcomes[-3:]] == [
+        "cutoff must be >= 0, got -1", "cutoff must be an integer, got 1.5",
+        "pair table too large: 3 vertex orbits at cutoff 200 exceed 1048576 cells"]
+
+
+def _face_corner_keys(fw, cutoff):
+    """Reference: the sorted canonical keys within the cutoff, edge orbits
+    excluded, that join two distinct vertex copies on the boundary walk of
+    one face copy."""
+    faces = trace_faces(fw)
+    ends = np.concatenate([fw.tails, fw.heads])
+    corners = set()
+    for f in range(faces.n_faces):
+        walk = [(int(ends[h]), tuple(faces.copy[h].tolist()))
+                for h in faces.order[faces.start[f]:faces.start[f + 1]]]
+        corners.update(canonical_edge(u, v, (b[0] - a[0], b[1] - a[1]))
+                       for u, a in walk for v, b in walk if (u, a) != (v, b))
+    corners -= {fw.edge_key(k) for k in range(fw.m)}
+    return sorted(key for key in corners if max(map(abs, key[2])) <= cutoff)
+
+
+@pytest.mark.parametrize("abd, cutoff, rated, boxed", [
+    ((1, 0, 1), 2, 9, 105), ((2, 0, 2), 1, 36, 618), ((2, 1, 2), 1, 36, 618),
+    ((4, 0, 4), 1, 144, 10_248), ((4, 0, 4), 2, 144, 28_680)])
+def test_search_rates_face_corners_only(abd, cutoff, rated, boxed, monkeypatch):
+    """The search computes length derivatives of the face-corner rows
+    alone, not of the whole pair-table box less the edges."""
+    fw = relax(fixture("ppt3"), Sublattice(*abd))
+    tables = []
+
+    def derivatives(fw, motion, table):
+        tables.append(table.copy())
+        return length_derivatives(fw, motion, table)
+
+    length_derivatives = pseudotri._length_derivatives
+    monkeypatch.setattr(pseudotri, "_length_derivatives", derivatives)
+    find_rigidifying_edges(fw, cutoff)
+    [table] = tables
+    assert [(u, v, (c1, c2)) for u, v, c1, c2 in table.tolist()] == _face_corner_keys(fw, cutoff)
+    assert len(table) == rated
+    assert len(candidate_pairs(fw, cutoff)) == boxed
 
 
 def test_search_on_crossing_base_raises_as_before(monkeypatch):
