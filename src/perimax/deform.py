@@ -76,14 +76,14 @@ class Configuration:
         return self.lattice.T @ self.lattice
 
 
-def flex_tangent(cfg, fw, cutoff=2):
-    """Unit generator of the gauge-reduced motion space, oriented so the
-    vertex pair with the largest |distance rate| expands.
+def flex_tangent(cfg, fw):
+    """Unit gauge-reduced flex, oriented so that the cell area grows.
 
-    Raises NumericalError when the reduced kernel is not one-dimensional.
+    Raises NumericalError when the reduced kernel is not one-dimensional
+    or the flex changes no cell area.
     """
     evecs = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads, fw.shifts)[1]
-    return _oriented_flex(*_flex_system(fw), cfg.positions, cfg.lattice, evecs, cutoff)[0]
+    return _oriented_flex(*_flex_system(fw), cfg.lattice, evecs)
 
 
 @dataclass
@@ -206,17 +206,17 @@ class DeformationPath:
         return self.samples[-1]
 
 
-def _constraints(fw, ref_sq, cutoff):
-    """Residual, Jacobian and flex functions of the edge-length and gauge
-    constraints at squared lengths ``ref_sq``, over what stays fixed along
-    a path, built once: the float shifts, the row scatter tables, the gauge
-    rows, the gauge entries of z, and one buffer each for the residual, the
-    Jacobian and the flex.  The residual at a raw configuration vector z,
-    which the next call overwrites, also returns the edge vectors and their
-    squared lengths, with no check of the placement (``_check_point`` has
-    the framework constructor's); the Jacobian (twice the rigidity matrix
-    over the gauge rows) and the flex (``_oriented_flex``) are assembled
-    from the edge vectors."""
+def _constraints(fw, ref_sq):
+    """Residual and Jacobian functions of the edge-length and gauge
+    constraints at squared lengths ``ref_sq``, and the flex's
+    ``_flex_system``, over what stays fixed along a path, built once: the
+    float shifts, the row scatter tables, the gauge rows, the gauge entries
+    of z, and one buffer each for the residual, the Jacobian and the flex.
+    The residual at a raw configuration vector z, which the next call
+    overwrites, also returns the edge vectors and their squared lengths,
+    with no check of the placement (``_check_point`` has the framework
+    constructor's); the Jacobian (twice the rigidity matrix over the gauge
+    rows) and the flex (``_oriented_flex``) are assembled from them."""
     n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
     assemble, gauged = _flex_system(fw)
     jac, F, pinned = gauged.copy(), np.empty(m + 3), gauged[m:].argmax(axis=1)
@@ -234,10 +234,7 @@ def _constraints(fw, ref_sq, cutoff):
         assemble(2.0 * evecs, jac[:m])
         return jac
 
-    def flex(cfg, evecs):
-        return _oriented_flex(assemble, gauged, cfg.positions, cfg.lattice, evecs, cutoff)
-
-    return residual, jacobian, flex
+    return residual, jacobian, (assemble, gauged)
 
 
 def _newton_correct(residual, jacobian, z, tol_abs):
@@ -435,7 +432,7 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     _, evecs, ref_sq = validate_geometry(cfg.lattice, cfg.positions, fw.tails, fw.heads,
                                          fw.shifts)
     tol_abs = NEWTON_TOL * max(1.0, float(ref_sq.max()))
-    residual, jacobian, flex = _constraints(fw, ref_sq, cutoff)
+    residual, jacobian, system = _constraints(fw, ref_sq)
 
     samples = []
     tau = 0.0
@@ -448,22 +445,22 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
         return (z, evecs) + _ppt_margin(table, evecs) if ok else None
 
     def sample(h, z, evecs, boundary=False):
-        # move h along to z, the flex turned to follow the previous sample,
-        # its rates with it; only a boundary sample may keep the last tangent
+        # move h along to z, the flex turned to follow the previous sample;
+        # only a boundary sample may keep the last tangent
         nonlocal tau, cfg, tangent, last
         tau += h
         last, cfg = z, Configuration.from_vector(z, fw.n)
         try:
-            t, rates = flex(cfg, evecs)
+            t = _oriented_flex(*system, cfg.lattice, evecs)
         except NumericalError:
             if not boundary:
                 raise
-            t, rates = tangent, _pair_rates(cfg.positions, cfg.lattice, tangent, cutoff)
+            t = tangent
         if tangent is not None and float(t @ tangent) < 0:
-            t, rates = -t, -rates
+            t = -t
         tangent = t
         dom = gram_derivative(cfg, tangent)
-        ok, low = _expansive(rates)
+        ok, low = _expansive(_pair_rates(cfg.positions, cfg.lattice, tangent, cutoff))
         samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
 
     sample(0.0, last, evecs)

@@ -18,7 +18,7 @@ import numpy as np
 from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonicalize,
                    _edge_rows, _lattice_vectors, canonical_edge)
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
-                       count_identity_check, pair_table)
+                       _pair_grid, count_identity_check, pair_table)
 from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
                        check_noncrossing, corner_count, trace_faces)
 
@@ -218,13 +218,14 @@ def pair_length_derivative(fw, motion, tail, head, shift):
 
 
 def _without_edges(fw, rows, cutoff):
-    """The key rows (u, v, c1, c2) within the cutoff that are not edge orbits
-    of ``fw``, compared as mixed-radix integers (n, n, w, w)."""
+    """The distinct key rows (u, v, c1, c2) within the cutoff that are not
+    edge orbits of ``fw``, sorted by their mixed-radix codes (n, n, w, w)."""
     edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
     edges = edges[np.abs(fw.shifts).max(axis=1, initial=0) <= cutoff]
     w = 2 * cutoff + 1
     radix = np.array([fw.n * w * w, w * w, w, 1])
-    return rows[~np.isin(rows @ radix, edges @ radix)]
+    codes, first = np.unique(rows @ radix, return_index=True)
+    return rows[first[~np.isin(codes, edges @ radix)]]
 
 
 def _candidate_table(fw, cutoff):
@@ -248,7 +249,7 @@ def _face_rows(fw, cutoff, faces):
     u, v, c1, c2 = _canonicalize(rows)
     # a vertex copy paired with itself is no pair
     rows = rows[((u < v) | (c1 != 0) | (c2 != 0)) & (abs(c1) <= cutoff) & (abs(c2) <= cutoff)]
-    return _without_edges(fw, np.unique(rows, axis=0), cutoff)
+    return _without_edges(fw, rows, cutoff)
 
 
 def candidate_pairs(fw, cutoff=2):
@@ -257,30 +258,27 @@ def candidate_pairs(fw, cutoff=2):
     return [(u, v, (c1, c2)) for u, v, c1, c2 in _candidate_table(fw, cutoff).tolist()]
 
 
-def _flex_derivatives(fw, cutoff, rows_of):
-    """``oriented_flex`` with the key rows ``rows_of(fw, cutoff)``, built
-    after the tangent refuses a bad cutoff, and their derivatives as an array."""
+def _flex_derivatives(fw, table):
+    """``oriented_flex``'s gauged framework and tangent, and the derivatives of ``table``."""
     gauged = fw.with_geometry(*_gauge_position(fw))
-    tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
-                                gauged.edge_vectors(), cutoff)
-    table = rows_of(fw, cutoff)
+    tangent = _oriented_flex(*_flex_system(fw), gauged.lattice, gauged.edge_vectors())
     derivs = _length_derivatives(gauged, tangent, table)
     if not np.all(np.isfinite(derivs)):
         raise NumericalError("non-finite length derivative of a candidate pair")
-    return gauged, tangent, table, derivs
+    return gauged, tangent, derivs
 
 
 def oriented_flex(fw, cutoff=2):
     """Unit generator of the one-dimensional flex, oriented expansively.
 
     The framework is moved into gauge position first; the sign makes the
-    vertex pair with the largest |distance rate| expand, as in
-    ``deform.flex_tangent``.  Derivatives of candidate pairs are gauge
-    invariant, so the result can be used for ranking insertions on the
-    original framework.  Raises NumericalError when the flex is not
-    one-dimensional.
+    cell area grow, as in ``deform.flex_tangent``.  Derivatives of
+    candidate pairs are gauge invariant, so the result can be used for
+    ranking insertions on the original framework.  Raises NumericalError
+    when the flex is not one-dimensional or changes no cell area.
     """
-    gauged, tangent, table, derivs = _flex_derivatives(fw, cutoff, _candidate_table)
+    table = _candidate_table(fw, cutoff)
+    gauged, tangent, derivs = _flex_derivatives(fw, table)
     pairs = [(u, v, (c1, c2)) for u, v, c1, c2 in table.tolist()]
     return gauged, tangent, pairs, derivs.tolist()
 
@@ -298,7 +296,9 @@ def find_rigidifying_edges(fw, cutoff=2):
     for one.  Only the candidates it clears become ``EdgeCandidate``s.
     """
     cert = _certified(fw)
-    _, _, table, derivs = _flex_derivatives(fw, cutoff, lambda f, c: _face_rows(f, c, cert.faces))
+    _pair_grid(fw.n, cutoff)    # refuses a bad cutoff as ``pair_table`` does
+    table = _face_rows(fw, cutoff, cert.faces)
+    derivs = _flex_derivatives(fw, table)[2]
     out = []
     if len(table):
         mags = np.abs(derivs)

@@ -604,23 +604,25 @@ def _pair_rates(positions, lattice, motion, cutoff):
     return rates
 
 
-def _oriented_flex(assemble, gauged, positions, lattice, evecs, cutoff):
+def _oriented_flex(assemble, gauged, lattice, evecs):
     """Unit flex of the edge orbits of a ``_flex_system`` (assemble,
-    gauged) placed at (positions, lattice), in gauge position, with edge
-    vectors ``evecs`` validated there, and its squared-distance rates over
-    ``pair_table``: the gauge-reduced kernel, which must be
-    one-dimensional, oriented so that the pair with the largest |rate|
-    expands (ties: the first in table order).  The flex of a
-    pseudo-triangulation is expansive, so this one rule serves paths and
-    the rigidifying search alike.  A kernel read across a thin gap is
-    refused (NumericalError)."""
+    gauged) on ``lattice``, with edge vectors ``evecs`` validated there:
+    the gauge-reduced kernel, which must be one-dimensional, turned so that
+    the cell area |det Lambda| grows.  A pseudo-triangulation's expansive
+    motion is auxetic (Borcea & Streinu, "Geometric auxetics", 2015), so
+    this one rule serves paths and the rigidifying search alike.  A kernel
+    read across a thin gap, and a rate of det Lambda below RANK_RTOL times
+    the size of its terms, are refused (NumericalError)."""
     basis = _gauge_kernel(assemble, gauged, evecs)
     if basis.shape[1] != 1:
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"
             % basis.shape[1])
     tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
-    rates = _pair_rates(positions, lattice, tangent, cutoff)
-    if len(rates) and rates[np.argmax(np.abs(rates))] < 0:
-        tangent, rates = -tangent, -rates
-    return tangent, rates
+    (a, b), (c, d) = lattice.tolist()
+    da, dc, db, dd = tangent[-4:].tolist()
+    terms = da * d, a * dd, -db * c, -b * dc
+    rate = sum(terms)
+    if abs(rate) <= RANK_RTOL * sum(map(abs, terms)):
+        raise NumericalError("flex has no expansive sense: cell-area rate %.3g" % rate)
+    return -tangent if (rate < 0) != (a * d - b * c < 0) else tangent

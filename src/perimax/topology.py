@@ -42,6 +42,11 @@ _DIRECTION_TOL = 1e-12
 # working arrays to about 128 KB each (a batch holds one item more when a
 # single item is larger).
 _SCREEN_CELLS = 1 << 14
+# Largest number of candidate edge-copy pairs (broad-phase rows) of one
+# crossing check: a long edge orbit spans many lattice cells, and its rows
+# grow with the product of its spans.  Bounds a check to about a second, and
+# the rows one entry pair expands at once to about 150 MB of working arrays.
+_MAX_SCREEN_ROWS = 1 << 20
 
 
 @dataclass
@@ -191,7 +196,9 @@ def _cell_candidates(lattice, lower, upper, n_base):
     range of lattice offsets at which it does.  Two entries of one cell,
     offset ranges r1 and r2, give the shifts r1 - r2: a rectangle, so a
     box longer than the unit cell enters each cell once.  A pair is kept
-    only in the cell of the lowest cell its boxes share.
+    only in the cell of the lowest cell its boxes share.  Before any pair
+    is expanded, a box that reaches 2^62 grid cells and more than
+    ``_MAX_SCREEN_ROWS`` copy pairs in all are refused (FrameworkError).
     """
     m = lower.shape[1]
     (a, b), (c, d) = lattice.tolist()
@@ -200,6 +207,9 @@ def _cell_candidates(lattice, lower, upper, n_base):
     frac_lo, frac_hi = up @ lower + down @ upper, up @ upper + down @ lower
     g1, g2 = (min(max(1, math.isqrt(m)), max(1, int(1.0 / w)))
               for w in (frac_hi - frac_lo).mean(axis=1).tolist())
+    # grid cell indices must fit int64
+    if not max(np.abs(frac_lo).max(), np.abs(frac_hi).max()) * max(g1, g2) < 2.0 ** 62:
+        raise FrameworkError("crossing check out of range: an edge box reaches 2^62 grid cells")
     (first1, first2), (last1, last2) = (
         np.floor(frac * [[g1], [g2]] + pad).astype(np.int64)
         for frac, pad in ((frac_lo, -1 / 1024), (frac_hi, 1 / 1024)))
@@ -222,6 +232,20 @@ def _cell_candidates(lattice, lower, upper, n_base):
     rest = np.searchsorted(cell, cell, side="right") - np.arange(len(cell))
     rest = np.where(box < n_base, rest, 1)
     ends = np.cumsum(rest)
+    # the rows (shifts) of all entry pairs, in floats, which cannot overflow:
+    # entry e pairs with f = e .. e + rest[e] - 1, and the pair gives
+    # (u_e + u_f + 1)(v_e + v_f + 1) rows, u and v the offset spans; they
+    # are summed only where their bound from the largest spans is too large
+    u, v = hi1 - lo1.astype(float), hi2 - lo2.astype(float)
+    if ends[-1] * (2 * u.max() + 1) * (2 * v.max() + 1) > _MAX_SCREEN_ROWS:
+        at = np.arange(len(cell))
+        # sums of u_f, v_f and u_f v_f over the partners f of each entry
+        su, sv, suv = (np.concatenate([[0.0], np.cumsum(x)]) for x in (u, v, u * v))
+        su, sv, suv = (x[at + rest] - x[at] for x in (su, sv, suv))
+        total = float(((u + 1) * ((v + 1) * rest + sv) + (v + 1) * su + suv).sum())
+        if total > _MAX_SCREEN_ROWS:
+            raise FrameworkError("crossing check too large: %.3g candidate edge-copy pairs "
+                                 "exceed %d" % (total, _MAX_SCREEN_ROWS))
     for e0, e1 in _batches(ends, _SCREEN_CELLS):
         share, past = rest[e0:e1], ends[e0:e1]
         i = np.repeat(np.arange(e0, e1), share)

@@ -10,9 +10,10 @@ orbits are validated one at a time, nullspaces come straight from numpy's
 SVD, derivatives are central finite differences, continuation events
 are located by the plain halving loop, one correction per midpoint, each
 Newton iterate runs the framework constructor's full geometry check, and
-the auxetic verdict reads ``eigvalsh`` at every sample, and the
-rigidifying search rates every pair-table row before it keeps the face
-corners.
+the auxetic verdict reads ``eigvalsh`` at every sample, the rigidifying
+search rates every pair-table row before it keeps the face corners, and
+paths and the search orient the flex by the pair-table pair with the
+largest |rate| instead of the cell-area rate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from perimax.pseudotri import (DERIVATIVE_RTOL, EdgeCandidate, _length_derivativ
                                certify_ppt, pointedness_margin)
 from perimax.relax import UnfoldedFramework
 from perimax import topology
-from perimax.rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
+from perimax.rigidity import (_flex_system, _gauge_kernel, _gauge_position, _lattice_rate,
                               equilibrium_matrix, pair_table)
 from perimax.core import _tile_range, validate_geometry
 from perimax.deform import (EVENT_TAU_TOL, MIN_STEP, NEWTON_MAX_ITER, NEWTON_TOL, PSD_TOL,
@@ -985,7 +986,7 @@ def _constraints(fw, ref_sq, cutoff):
     residual at a raw configuration vector z also returns the edge
     vectors, with the geometric checks of a framework's constructor; the
     Jacobian (twice the rigidity matrix over the gauge rows) and the flex
-    (``_oriented_flex``) are assembled from them."""
+    (``box_oriented_flex``) are assembled from them."""
     n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
     assemble, gauged = _flex_system(fw)
     jac = gauged.copy()
@@ -1001,7 +1002,7 @@ def _constraints(fw, ref_sq, cutoff):
         return jac
 
     def flex(cfg, evecs):
-        return _oriented_flex(assemble, gauged, cfg.positions, cfg.lattice, evecs, cutoff)
+        return box_oriented_flex(assemble, gauged, cfg.positions, cfg.lattice, evecs, cutoff)
 
     return residual, jacobian, flex
 
@@ -1120,6 +1121,28 @@ def oracle_continue_path(fw, steps, ds=1e-2, cutoff=2):
 # -- the rigidifying search over the whole pair-table box ------------------
 
 
+def box_oriented_flex(assemble, gauged, positions, lattice, evecs, cutoff):
+    """Unit flex of the edge orbits of a ``_flex_system`` (assemble,
+    gauged) placed at (positions, lattice), in gauge position, with edge
+    vectors ``evecs`` validated there, and its squared-distance rates over
+    ``pair_table``: the gauge-reduced kernel, which must be
+    one-dimensional, oriented so that the pair with the largest |rate|
+    expands (ties: the first in table order).  The flex of a
+    pseudo-triangulation is expansive, so this one rule serves paths and
+    the rigidifying search alike.  A kernel read across a thin gap is
+    refused (NumericalError)."""
+    basis = _gauge_kernel(assemble, gauged, evecs)
+    if basis.shape[1] != 1:
+        raise NumericalError(
+            "deformation space is not one-dimensional (dimension %d)"
+            % basis.shape[1])
+    tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
+    rates = _pair_rates(positions, lattice, tangent, cutoff)
+    if len(rates) and rates[np.argmax(np.abs(rates))] < 0:
+        tangent, rates = -tangent, -rates
+    return tangent, rates
+
+
 def _box_key_codes(rows, n, cutoff):
     """One integer per key row (u, v, c1, c2): mixed radix (n, n, w, w),
     digits c1, c2 in [-cutoff, cutoff]."""
@@ -1168,8 +1191,8 @@ def box_search(fw, cutoff=2):
         raise FrameworkError(
             "not a certified pseudo-triangulation: %s" % "; ".join(cert.failures))
     gauged = fw.with_geometry(*_gauge_position(fw))
-    tangent, _ = _oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
-                                gauged.edge_vectors(), cutoff)
+    tangent, _ = box_oriented_flex(*_flex_system(fw), gauged.positions, gauged.lattice,
+                                   gauged.edge_vectors(), cutoff)
     table = _box_candidate_table(fw, cutoff)
     derivs = _length_derivatives(gauged, tangent, table)
     if not np.all(np.isfinite(derivs)):

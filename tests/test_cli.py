@@ -397,6 +397,23 @@ def test_huge_cutoff_exits_with_json(tmp_path, capsys):
             assert rep["kind"] == "validation" and "pair table too large" in rep["error"]
 
 
+@pytest.mark.parametrize("power", [12, 36, 62])
+def test_long_edge_orbit_exits_with_json(tmp_path, capsys, power):
+    """An edge orbit of ``ppt3`` with shift (2^power, 0) spans that many
+    cells: the crossing check refuses it before expanding a candidate (at
+    2^12 it asked for about 1.5e8 edge-copy pairs, at 2^36 and 2^62 its
+    int64 row count wrapped), so every command that checks crossings exits
+    2 with a JSON validation report."""
+    doc = perimax.framework_to_dict(perimax.fixture("ppt3"))
+    doc["edges"][0]["shift"] = [2 ** power, 0]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("analyze", "ppt", "rigidify", "deform"):
+        code, rep = run(capsys, command, str(path))
+        assert code == 2 and rep["kind"] == "validation", (command, rep)
+        assert rep["error"].startswith("crossing check"), (command, rep)
+
+
 # sha256 of the reports as the per-pair loop implementation of the
 # deformation and insertion search wrote them; the array version must give
 # the same bytes (path samples, verdicts, ranked candidates and derivatives).

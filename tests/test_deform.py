@@ -93,7 +93,8 @@ def test_flex_tangent_rejects_rigid():
 @pytest.mark.parametrize("name", ["ppt3", "kagome"])
 def test_flex_tangent_and_oriented_flex_agree(name):
     """Both callers orient the flex by one rule: bitwise-equal tangents on
-    every certified relaxation of index <= 4, at cutoffs 1 and 2."""
+    every certified relaxation of index <= 4, at cutoffs 1 and 2, which are
+    also those of the box rule (``conftest.box_oriented_flex``)."""
     base = fixture(name)
     checked = 0
     for sub in sublattices_up_to(4):
@@ -101,11 +102,49 @@ def test_flex_tangent_and_oriented_flex_agree(name):
         if not certify_ppt(fw).valid:
             continue
         cfg = Configuration.from_framework(fw)
+        evecs = fw.with_geometry(cfg.positions, cfg.lattice).edge_vectors()
         for cutoff in (1, 2):
             _, tangent, _, _ = oriented_flex(fw, cutoff)
-            assert np.array_equal(flex_tangent(cfg, fw, cutoff), tangent), (sub, cutoff)
+            assert np.array_equal(flex_tangent(cfg, fw), tangent), (sub, cutoff)
+            boxed, _ = conftest.box_oriented_flex(*rigidity._flex_system(fw), cfg.positions,
+                                                  cfg.lattice, evecs, cutoff)
+            assert np.array_equal(boxed, tangent), (sub, cutoff)
             checked += 1
     assert checked == 30
+
+
+@pytest.mark.parametrize("name", ["ppt3", "kagome"])
+def test_area_rule_orients_paths_as_the_box_rule(name):
+    """At every sample of forward and backward paths to their events, the
+    flex turned to make the cell area grow is bitwise the one turned to
+    make the pair-table pair with the largest |rate| expand, at cutoffs 1
+    and 2: the auxetic sense is the expansive one."""
+    fw = fixture(name)
+    system = rigidity._flex_system(fw)
+    checked = 0
+    for ds in (1e-2, -1e-2):
+        path = continue_path(fw, steps=200, ds=ds)
+        assert path.termination.startswith("event")
+        for s in path.samples:
+            cfg = s.configuration
+            evecs = fw.with_geometry(cfg.positions, cfg.lattice).edge_vectors()
+            tangent = rigidity._oriented_flex(*system, cfg.lattice, evecs)
+            for cutoff in (1, 2):
+                boxed, _ = conftest.box_oriented_flex(*system, cfg.positions, cfg.lattice,
+                                                      evecs, cutoff)
+                assert np.array_equal(boxed, tangent), (ds, s.tau, cutoff)
+                checked += 1
+    assert checked > 100
+
+
+def test_flex_with_no_area_rate_is_refused():
+    """The square grid's flex is a shear, whose cell-area rate is exactly
+    0: it has no expansive sense, and both readers refuse it by name."""
+    fw = fixture("square_grid")
+    with pytest.raises(NumericalError, match="no expansive sense"):
+        flex_tangent(Configuration.from_framework(fw), fw)
+    with pytest.raises(NumericalError, match="no expansive sense"):
+        oriented_flex(fw)
 
 
 def test_ppt3_tangent_unique():
@@ -141,7 +180,7 @@ def test_cutoff_is_read_as_an_integer(monkeypatch):
     monkeypatch.setattr(rigidity, "_pair_grid", rigidity._pair_grid.__wrapped__)
     fw = fixture("ppt3")
     cfg = Configuration.from_framework(fw)
-    t = flex_tangent(cfg, fw, cutoff=2)
+    t = flex_tangent(cfg, fw)
     calls = (lambda c: continue_path(fw, steps=3, cutoff=c),
              lambda c: expansive_check(cfg, t, c),
              lambda c: pseudotri.find_rigidifying_edges(fw, cutoff=c))
@@ -160,7 +199,7 @@ def test_expansive_check_kagome():
     theta = math.pi / 2
     cfg = gauged_kagome(theta)
     fw = fixture("kagome", theta=theta)
-    t = flex_tangent(cfg, fw, cutoff=2)
+    t = flex_tangent(cfg, fw)
     assert expansive_check(cfg, t, 2).ok
     rep = expansive_check(cfg, -t, 2)
     assert not rep.ok and rep.min_rate < 0
@@ -299,7 +338,7 @@ def test_zero_step_path():
 
 
 def test_path_evaluates_pair_rates_once_per_sample(monkeypatch):
-    """Each sample's expansive verdict comes from the rates that orient its
+    """Each sample's expansive verdict comes from the rates of its final
     tangent: one evaluation of the shared rate kernel per sample."""
     calls = []
 
@@ -515,9 +554,9 @@ def test_path_turns_a_flex_read_the_other_way(name, ds, monkeypatch):
     calls = []
 
     def turned(*args):
-        t, rates = read(*args)
+        t = read(*args)
         calls.append(1)
-        return (-t, -rates) if len(calls) % 2 == 0 else (t, rates)
+        return -t if len(calls) % 2 == 0 else t
 
     read = deform._oriented_flex
     monkeypatch.setattr(deform, "_oriented_flex", turned)
@@ -685,11 +724,11 @@ def test_boundary_sample_keeps_last_tangent_when_flex_fails(monkeypatch):
         def flex(*args):
             if len(tangents) == fail_at:
                 raise NumericalError("deformation space is not one-dimensional (dimension 2)")
-            t, rates = oriented(*args)
+            t = oriented(*args)
             if tangents and float(t @ tangents[-1]) < 0:
                 t = -t
             tangents.append(t)
-            return t, rates
+            return t
         return flex
 
     oriented = deform._oriented_flex
@@ -887,14 +926,14 @@ def test_newton_iterate_gets_framework_checks():
     fw = fixture("ppt3")
     cfg = Configuration.from_framework(fw)
     n, z, e = fw.n, cfg.as_vector(), fw.edge_vectors()
-    residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)
+    residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e))
     F, evecs, squares = residual(z)
     J = jacobian(evecs)
     assert np.abs(F).max() < 1e-12 and J.shape == (fw.m + 3, 2 * n + 4)
     assert np.array_equal(squares, np.einsum("ij,ij->i", evecs, evecs))
 
     def refusal(fw, residual, w):
-        jacobian = _constraints(fw, np.ones(fw.m), 2)[1]
+        jacobian = _constraints(fw, np.ones(fw.m))[1]
         # an infinite lattice entry times a zero shift reads NaN, which is refused
         with np.errstate(invalid="ignore"):
             squares = residual(w)[2]
@@ -935,7 +974,7 @@ def test_newton_iterate_gets_framework_checks():
     fw = core.PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.5, 0.4]],
                                 [(0, 1, (1, 0)), (0, 1, (0, 1)), (0, 1, (1, 1)), (0, 0, (1, -1))])
     e = fw.edge_vectors()
-    residual = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)[0]
+    residual = _constraints(fw, np.einsum("ij,ij->i", e, e))[0]
     w = np.concatenate([np.zeros(2 * fw.n), [1.0, 0.0, 0.0, 1.0]])
     assert refusal(fw, residual, w) == "degenerate placement: all vertex orbits coincide"
 
@@ -947,6 +986,6 @@ def test_newton_jacobian_is_twice_the_rigidity_matrix():
     cfg = Configuration.from_framework(fw)
     gauged = fw.with_geometry(cfg.positions, cfg.lattice)
     e = gauged.edge_vectors()
-    residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e), 2)
+    residual, jacobian, _ = _constraints(fw, np.einsum("ij,ij->i", e, e))
     J = jacobian(residual(cfg.as_vector())[1])
     assert np.array_equal(J, np.vstack([2 * rigidity_matrix(gauged), gauge_rows(gauged)]))

@@ -157,8 +157,8 @@ def test_path_arrays_built_once():
     built only by ``rigidity_matrix`` and ``_flex_system``.  ``deform``
     reaches them only through ``_flex_system``: once per tangent in
     ``flex_tangent``, and once per path in the body of ``_constraints``,
-    outside the residual, Jacobian and flex functions it returns, so a
-    change cannot put them back into the continuation step loop."""
+    outside the residual and Jacobian functions it returns, so a change
+    cannot put them back into the continuation step loop."""
     found = _scoped_callers("_row_assembly", "gauge_rows", "_flex_system")
     assert found == {
         "_row_assembly": ["rigidity.py:_flex_system", "rigidity.py:rigidity_matrix"],
@@ -166,6 +166,14 @@ def test_path_arrays_built_once():
         "_flex_system": ["deform.py:_constraints", "deform.py:flex_tangent",
                          "pseudotri.py:_flex_derivatives", "rigidity.py:gauge_reduced_kernel"],
     }, found
+
+
+def test_pair_rates_read_by_the_expansive_verdicts_only():
+    """Squared-distance rates over the pair table are read once per path
+    sample and once per ``expansive_check``: the flex is oriented by its
+    cell-area rate, with no pair table."""
+    assert _scoped_callers("_pair_rates") == {
+        "_pair_rates": ["deform.py:continue_path.sample", "deform.py:expansive_check"]}
 
 
 def _is_tolerance(name):

@@ -1,6 +1,9 @@
 """Pointedness, certification, insertions and rigidifying candidates."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -529,6 +532,19 @@ def test_search_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+def test_search_leaves_numpy_ma_unimported():
+    """The search deduplicates its face rows by their 1-D key codes, so a
+    fresh process that runs it never imports ``numpy.ma``, which
+    ``np.unique(..., axis=0)`` does (about 1.6 MB of resident memory)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotri.__file__)))
+    code = ("import sys; from perimax import find_rigidifying_edges, fixture; "
+            "find_rigidifying_edges(fixture('ppt3')); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_search_box_tests_grid_candidates_only(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from perimax import (
     FIXTURES,
     FrameworkError,
+    PeriodicFramework,
     check_noncrossing,
     corner_count,
     fixture,
@@ -450,6 +451,36 @@ def test_screen_chunking_keeps_crossings(monkeypatch, cells):
     assert all(expected)
     monkeypatch.setattr(topology, "_SCREEN_CELLS", cells)
     assert [check_noncrossing(fw).crossings for fw in frameworks] == expected
+
+
+def _long_orbit_ppt3(length):
+    """``ppt3`` with the shift of edge orbit 0 set to (length, 0)."""
+    fw = fixture("ppt3")
+    edges = [fw.edge_key(k) for k in range(fw.m)]
+    edges[0] = edges[0][:2] + ((length, 0),)
+    return PeriodicFramework(fw.lattice, fw.positions, edges)
+
+
+@pytest.mark.parametrize("name, rows", [("ppt3", 189), ("ppt3-4x4", 3015), ("shift 16", 2844),
+                                        ("shift 256", 598440)])
+def test_crossing_check_bound_counts_every_candidate(name, rows, monkeypatch):
+    """The crossing check refuses more broad-phase candidates than
+    ``_MAX_SCREEN_ROWS`` before expanding any.  ``rows`` is the number of
+    (b1, b2, shift) rows its grid expands on each input (counted by
+    instrumenting the expansion loop): a bound of ``rows`` changes no
+    report, one of ``rows - 1`` refuses it.  The (256, 0) shift, about the
+    longest orbit of ``ppt3`` the check holds, passes at the default bound."""
+    from perimax import topology
+    fws = {"ppt3": fixture("ppt3"), "ppt3-4x4": relax(fixture("ppt3"), Sublattice(4, 0, 4)),
+           "shift 16": _long_orbit_ppt3(16), "shift 256": _long_orbit_ppt3(256)}
+    fw = fws[name]
+    expected = check_noncrossing(fw)
+    monkeypatch.setattr(topology, "_MAX_SCREEN_ROWS", rows)
+    assert check_noncrossing(fw) == expected
+    monkeypatch.setattr(topology, "_MAX_SCREEN_ROWS", rows - 1)
+    with pytest.raises(FrameworkError, match=r"^crossing check too large: .* exceed %d$"
+                       % (rows - 1)):
+        check_noncrossing(fw)
 
 
 # positions along a segment: before, at and between its ends, and past them
