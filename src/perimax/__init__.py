@@ -1,7 +1,6 @@
 """Analysis toolkit for planar periodic bar-and-joint frameworks."""
 
 from .core import (
-    FinitePatch,
     FrameworkError,
     NumericalError,
     PeriodicFramework,
@@ -9,7 +8,6 @@ from .core import (
     framework_from_dict,
     framework_to_dict,
     parse_framework,
-    realize_patch,
     serialize_framework,
 )
 from .topology import (
@@ -30,7 +28,6 @@ from .rigidity import (
     invariant_equilibrium_stress_space,
     periodic_stress_space,
     rigidity_matrix,
-    trivial_motion_basis,
 )
 from .lifting import (
     EdgeFold,
@@ -47,7 +44,6 @@ from .pseudotri import (
     certify_ppt,
     find_rigidifying_edges,
     insert_edge_orbit,
-    is_pointed,
     pointedness_margin,
 )
 from .relax import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from . import fixtures as fixtures_mod
@@ -42,8 +43,19 @@ def _load(path):
         raise FrameworkError("cannot read %s: %s" % (path, exc)) from None
 
 
-def _save_framework(fw, path):
-    with open(path, "w", encoding="utf-8") as fh:
+@contextmanager
+def _writing(args):
+    """Open ``args.out`` for writing, log it once written; an OSError is a FrameworkError."""
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise FrameworkError("cannot write %s: %s" % (args.out, exc)) from None
+    _log(args, "wrote %s" % args.out)
+
+
+def _save_framework(fw, args):
+    with _writing(args) as fh:
         fh.write(serialize_framework(fw) + "\n")
 
 
@@ -188,9 +200,8 @@ def cmd_lift(args):
     lift = lifting_from_stress(fw, fc, s, c0=args.c0)
     if args.out:
         terrain = export_terrain(fw, fc, lift, _tiles(args.tiles))    # refuse before opening
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args) as fh:
             fh.write(terrain)
-        _log(args, "wrote %s" % args.out)
     folds = classify_folds(fw, s)
     _emit({
         "stress_index": args.stress_index,
@@ -208,9 +219,8 @@ def cmd_svg(args):
     fw = _load(args.file)
     fc = trace_faces(fw)
     svg = render_svg(fw, fc, _tiles(args.tiles))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _writing(args) as fh:
         fh.write(svg)
-    _log(args, "wrote %s" % args.out)
     _emit({"faces": fc.n_faces, "tiles": args.tiles, "out": args.out})
     return 0
 
@@ -226,8 +236,7 @@ def cmd_relax(args):
             "--matrix expects four integers a,b,0,d (row-listed columns)") from None
     sub = Sublattice.from_matrix([[entries[0], entries[2]], [entries[1], entries[3]]])
     unfolded = relax(fw, sub)
-    _save_framework(unfolded, args.out)
-    _log(args, "wrote %s" % args.out)
+    _save_framework(unfolded, args)
     _emit({
         "sublattice": {"a": sub.a, "b": sub.b, "d": sub.d, "index": sub.index},
         "n": unfolded.n,
@@ -265,8 +274,7 @@ def cmd_rigidify(args):
     top = cands[0]
     new_fw = insert_edge_orbit(fw, top)
     if args.out:
-        _save_framework(new_fw, args.out)
-        _log(args, "wrote %s" % args.out)
+        _save_framework(new_fw, args)
     _emit({
         "inserted": {"tail": top.tail, "head": top.head, "shift": list(top.shift),
                      "derivative": top.derivative},
@@ -302,9 +310,8 @@ def cmd_deform(args):
         samples.append(rec)
     report = {"termination": path.termination, "samples": samples}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args) as fh:
             _write_report(fh, report)
-        _log(args, "wrote %s" % args.out)
     _emit({"termination": path.termination, "samples": len(samples), "out": args.out})
     return 0
 
@@ -314,8 +321,7 @@ def cmd_fixture(args):
               if getattr(args, key) is not None}
     fw = fixtures_mod.fixture(args.name, **params)
     if args.out:
-        _save_framework(fw, args.out)
-        _log(args, "wrote %s" % args.out)
+        _save_framework(fw, args)
         _emit({"name": args.name, "n": fw.n, "m": fw.m, "out": args.out})
     else:
         sys.stdout.write(serialize_framework(fw) + "\n")

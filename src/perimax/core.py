@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -22,14 +21,12 @@ __all__ = [
     "FrameworkError",
     "NumericalError",
     "PeriodicFramework",
-    "FinitePatch",
     "canonical_edge",
     "validate_geometry",
     "parse_framework",
     "framework_from_dict",
     "framework_to_dict",
     "serialize_framework",
-    "realize_patch",
 ]
 
 # Scale-relative tolerance below which the lattice counts as singular.
@@ -431,18 +428,6 @@ class PeriodicFramework:
         return "PeriodicFramework(n=%d, m=%d)" % (self.n, self.m)
 
 
-@dataclass
-class FinitePatch:
-    """A finite piece of the infinite framework.
-
-    ``vertices`` lists (orbit id, shift, position); ``edges`` lists index
-    pairs into ``vertices``.
-    """
-
-    vertices: list
-    edges: list
-
-
 def _tile_range(fw, tiles):
     """(rows, cols) of a tile range over fw: a pair of integral entries, each
     >= 1, spanning at most ``_MAX_TILE_SLOTS`` slots of max(n, 2m) per tile."""
@@ -474,29 +459,6 @@ def _edge_vector_rows(fw):
     """(m, 2) edge vectors rounded as ``fw.edge_vector(k)`` rounds each."""
     return (fw.positions[fw.heads] + _lattice_vectors(fw.lattice, fw.shifts)
             - fw.positions[fw.tails])
-
-
-def realize_patch(fw, tiles):
-    """Materialize all vertex copies with shifts in [0, R) x [0, C).
-
-    Edges are included when both endpoint copies are materialized.
-    """
-    rows, cols = _tile_range(fw, tiles)
-    # copy (i, (s1, s2)) is vertex (s1 cols + s2) n + i; its position rounds
-    # as fw.positions[i] + fw.lattice @ (s1, s2)
-    s1, s2 = np.divmod(np.arange(rows * cols), cols)
-    cells = np.column_stack([s1, s2])
-    pos = (fw.positions + _lattice_vectors(fw.lattice, cells)[:, None]).reshape(-1, 2)
-    verts = list(zip(np.tile(np.arange(fw.n), rows * cols).tolist(),
-                     map(tuple, np.repeat(cells, fw.n, axis=0).tolist()), pos))
-    # edge orbit k from slot (s1, s2) reaches slot (s1, s2) + c_k; clipping
-    # c_k to the range keeps it out of range where it was, without overflow
-    c1, c2 = np.clip(fw.shifts, [-rows, -cols], [rows, cols]).T[:, :, None]
-    h1, h2 = s1 + c1, s2 + c2
-    inside = (h1 >= 0) & (h1 < rows) & (h2 >= 0) & (h2 < cols)
-    tails = (s1 * cols + s2) * fw.n + fw.tails[:, None]
-    heads = (h1 * cols + h2) * fw.n + fw.heads[:, None]
-    return FinitePatch(verts, list(zip(tails[inside].tolist(), heads[inside].tolist())))
 
 
 # -- JSON round trip -----------------------------------------------------

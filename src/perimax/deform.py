@@ -91,8 +91,6 @@ class ExpansiveReport:
     ok: bool
     min_rate: float
     min_pair: tuple | None
-    top_rate: float = 0.0      # signed rate of the pair with largest |rate|
-    top_pair: tuple | None = None
 
 
 def expansive_check(cfg, tangent, cutoff=2):
@@ -103,10 +101,8 @@ def expansive_check(cfg, tangent, cutoff=2):
     ok, low = _expansive(rates)
     if not len(rates):
         return ExpansiveReport(ok, low, None)
-    lo, top = int(np.argmin(rates)), int(np.argmax(np.abs(rates)))
-    lo_pair, top_pair = [(a, b, (c1, c2))
-                         for a, b, c1, c2 in pair_table(cfg.n, cutoff)[[lo, top]].tolist()]
-    return ExpansiveReport(ok, low, lo_pair, float(rates[top]), top_pair)
+    a, b, c1, c2 = pair_table(cfg.n, cutoff)[int(np.argmin(rates))].tolist()
+    return ExpansiveReport(ok, low, (a, b, (c1, c2)))
 
 
 def _expansive(rates):

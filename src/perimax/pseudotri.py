@@ -17,16 +17,14 @@ import numpy as np
 
 from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonicalize,
                    _edge_rows, _lattice_vectors, canonical_edge)
-from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
-                       _pair_grid, count_identity_check, pair_table)
+from .rigidity import (_checked_cutoff, _flex_system, _gauge_position, _lattice_rate,
+                       _oriented_flex, count_identity_check, pair_table)
 from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
                        check_noncrossing, corner_count, trace_faces)
 
 __all__ = [
     "POINTED_TOL",
-    "incident_directions",
     "pointedness_margin",
-    "is_pointed",
     "PPTCertificate",
     "certify_ppt",
     "EdgeCandidate",
@@ -43,20 +41,6 @@ POINTED_TOL = 1e-9
 DERIVATIVE_RTOL = 1e-8
 
 
-def incident_directions(fw, v):
-    """Direction vectors of all edges leaving any one copy of vertex v.
-
-    Ordered by edge index; a loop at v gives its tail direction first.
-    """
-    if not 0 <= v < fw.n:
-        raise FrameworkError("vertex index %d out of range" % v)
-    evecs = fw.edge_vectors()
-    # (m, 2 ends, 2): the direction leaving v when v is the tail / the head
-    by_end = np.stack([evecs, -evecs], axis=1)
-    at_v = np.stack([fw.tails == v, fw.heads == v], axis=1)
-    return by_end[at_v]
-
-
 def _pointedness_margins(fw):
     """``pointedness_margin`` of every vertex: its largest star corner
     minus pi, or pi at a vertex without edges."""
@@ -71,11 +55,6 @@ def pointedness_margin(fw, v):
     if not 0 <= v < fw.n:
         raise FrameworkError("vertex index %d out of range" % v)
     return float(_pointedness_margins(fw)[v])
-
-
-def is_pointed(fw, v):
-    """True when the incident directions lie in an open half-plane."""
-    return pointedness_margin(fw, v) > POINTED_TOL
 
 
 @dataclass
@@ -296,7 +275,7 @@ def find_rigidifying_edges(fw, cutoff=2):
     for one.  Only the candidates it clears become ``EdgeCandidate``s.
     """
     cert = _certified(fw)
-    _pair_grid(fw.n, cutoff)    # refuses a bad cutoff as ``pair_table`` does
+    cutoff = _checked_cutoff(fw.n, cutoff)
     table = _face_rows(fw, cutoff, cert.faces)
     derivs = _flex_derivatives(fw, table)[2]
     out = []

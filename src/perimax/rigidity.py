@@ -31,7 +31,6 @@ __all__ = [
     "check_periodic_stress",
     "CountIdentityReport",
     "count_identity_check",
-    "trivial_motion_basis",
     "gauge_rows",
     "gauge_reduced_kernel",
 ]
@@ -104,17 +103,23 @@ def pair_table(n, cutoff):
     return table
 
 
-@lru_cache(maxsize=16)
-def _pair_grid(n, cutoff):
-    """``pair_table`` as a read-only grid: its vertex pairs u <= v, its
-    shifts as float (c1, c2) columns of shape ((2 cutoff + 1)^2, 2, 1), and
-    the mask of the grid rows (pair-major) that it keeps."""
+def _checked_cutoff(n, cutoff):
+    """``cutoff`` as an int, refused as ``pair_table`` refuses it for n orbits."""
     cutoff = _integer(cutoff, "cutoff")
     if cutoff < 0:
         raise FrameworkError("cutoff must be >= 0, got %d" % cutoff)
     if n * n * (2 * cutoff + 1) ** 2 > _MAX_PAIR_GRID:
         raise FrameworkError("pair table too large: %d vertex orbits at cutoff %d exceed %d "
                              "cells" % (n, cutoff, _MAX_PAIR_GRID))
+    return cutoff
+
+
+@lru_cache(maxsize=16)
+def _pair_grid(n, cutoff):
+    """``pair_table`` as a read-only grid: its vertex pairs u <= v, its
+    shifts as float (c1, c2) columns of shape ((2 cutoff + 1)^2, 2, 1), and
+    the mask of the grid rows (pair-major) that it keeps."""
+    cutoff = _checked_cutoff(n, cutoff)
     u, v = np.triu_indices(n)
     r = np.arange(-cutoff, cutoff + 1)
     c1, c2 = np.repeat(r, len(r)), np.tile(r, len(r))
@@ -501,22 +506,6 @@ def count_identity_check(fw):
     rep.stress_flex_identity = (sigma - delta) == (fw.m - 2 * fw.n - 4)
     rep.stress_phi_identity = sigma == phi - 1 + (fw.m - 2 * fw.n)
     return rep
-
-
-def trivial_motion_basis(fw):
-    """(2n+4, 3) basis: two translations and the rotation acting on both
-    the vertex representatives and the lattice generators."""
-    n = fw.n
-    basis = np.zeros((2 * n + 4, 3))
-    basis[0:2 * n:2, 0] = 1.0  # translate x
-    basis[1:2 * n:2, 1] = 1.0  # translate y
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rot = np.empty(2 * n + 4)
-    rot[:2 * n] = (fw.positions @ J.T).ravel()
-    rot[2 * n:2 * n + 2] = J @ fw.lattice[:, 0]
-    rot[2 * n + 2:] = J @ fw.lattice[:, 1]
-    basis[:, 2] = rot
-    return basis
 
 
 def gauge_rows(fw):

@@ -39,13 +39,14 @@ SVG_WIDTH = 640
 _DIRECTION_TOL = 1e-12
 # Grid entry pairs and copy pairs per batch of the crossing check, whose
 # box survivors go through one narrow phase per batch.  Bounds those
-# working arrays to about 128 KB each (a batch holds one item more when a
-# single item is larger).
+# working arrays to about 128 KB each (a batch holds one entry pair more
+# when a single entry has more partners; one entry pair's copy pairs are
+# split across batches).
 _SCREEN_CELLS = 1 << 14
 # Largest number of candidate edge-copy pairs (broad-phase rows) of one
 # crossing check: a long edge orbit spans many lattice cells, and its rows
-# grow with the product of its spans.  Bounds a check to about a second, and
-# the rows one entry pair expands at once to about 150 MB of working arrays.
+# grow with the product of its spans.  Bounds a check to about a second;
+# its working arrays stay per batch, however long one entry pair's rows.
 _MAX_SCREEN_ROWS = 1 << 20
 
 
@@ -246,6 +247,14 @@ def _cell_candidates(lattice, lower, upper, n_base):
         if total > _MAX_SCREEN_ROWS:
             raise FrameworkError("crossing check too large: %.3g candidate edge-copy pairs "
                                  "exceed %d" % (total, _MAX_SCREEN_ROWS))
+
+    def kept(pi, pj, sx, sy):
+        # the copy pairs of entry pairs (pi, pj) at shifts (sx, sy) kept in pi's cell
+        b1, b2 = box[pi], box[pj]
+        keep = ((np.maximum(first1[b1], first1[b2] + sx * g1) % g1 == w1[pi])
+                & (np.maximum(first2[b1], first2[b2] + sy * g2) % g2 == w2[pi]))
+        return b1[keep], b2[keep], sx[keep], sy[keep]
+
     for e0, e1 in _batches(ends, _SCREEN_CELLS):
         share, past = rest[e0:e1], ends[e0:e1]
         i = np.repeat(np.arange(e0, e1), share)
@@ -259,19 +268,16 @@ def _cell_candidates(lattice, lower, upper, n_base):
             if past[-1] - past[0] + rows[0] == p1 - p0:
                 # one shift per entry pair (the usual case): no expansion
                 pi, pj = i[p0:p1], j[p0:p1]
-                sx, sy = lo1[pi] - hi1[pj], lo2[pi] - hi2[pj]
-            else:
-                pair = np.repeat(np.arange(p0, p1), rows)
-                k = np.arange(past[0] - rows[0], past[-1]) - np.repeat(past - rows, rows)
+                yield kept(pi, pj, lo1[pi] - hi1[pj], lo2[pi] - hi2[pj])
+                continue
+            # the batch's rows, at most _SCREEN_CELLS at a time: a batch of
+            # one entry pair may hold more
+            for r0 in range(int(past[0] - rows[0]), int(past[-1]), _SCREEN_CELLS):
+                r = np.arange(r0, min(r0 + _SCREEN_CELLS, int(past[-1])))
+                pair = p0 + np.searchsorted(past, r, side="right")
+                k = r - (rows_end[pair] - count[pair])
                 pi, pj, psize2 = i[pair], j[pair], size2[pair]
-                sx = lo1[pi] - hi1[pj] + k // psize2
-                sy = lo2[pi] - hi2[pj] + k % psize2
-            b1, b2 = box[pi], box[pj]
-            keep = ((np.maximum(first1[b1], first1[b2] + sx * g1) % g1 == w1[pi])
-                    & (np.maximum(first2[b1], first2[b2] + sy * g2) % g2 == w2[pi]))
-            # rebinding frees the full rows while the caller screens the kept
-            b1, b2, sx, sy = b1[keep], b2[keep], sx[keep], sy[keep]
-            yield b1, b2, sx, sy
+                yield kept(pi, pj, lo1[pi] - hi1[pj] + k // psize2, lo2[pi] - hi2[pj] + k % psize2)
 
 
 def _grid_crossings(lattice, tail_pos, evecs, tails, heads, shifts, eps, n_base):

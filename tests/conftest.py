@@ -1,19 +1,19 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately avoid the library code paths they check:
-patch enumeration is brute force over explicit copies, faces are traced
-over dicts of half-edges with per-edge ``math.atan2``, segment crossing is
-a from-scratch parametric intersection (and, per pair, the scalar form of
-the library's tolerance rules), the crossing broad phase is a window of
-lattice shifts per edge pair instead of the library's cell grid, edge
-orbits are validated one at a time, nullspaces come straight from numpy's
-SVD, derivatives are central finite differences, continuation events
-are located by the plain halving loop, one correction per midpoint, each
-Newton iterate runs the framework constructor's full geometry check, and
-the auxetic verdict reads ``eigvalsh`` at every sample, the rigidifying
-search rates every pair-table row before it keeps the face corners, and
-paths and the search orient the flex by the pair-table pair with the
-largest |rate| instead of the cell-area rate.
+faces are traced over dicts of half-edges with per-edge ``math.atan2``,
+segment crossing is a from-scratch parametric intersection (and, per pair,
+the scalar form of the library's tolerance rules), the crossing broad
+phase is a window of lattice shifts per edge pair instead of the
+library's cell grid, edge orbits are validated one at a time, nullspaces
+come straight from numpy's SVD, derivatives are central finite
+differences, continuation events are located by the plain halving loop,
+one correction per midpoint, each Newton iterate runs the framework
+constructor's full geometry check, and the auxetic verdict reads
+``eigvalsh`` at every sample, the rigidifying search rates every
+pair-table row before it keeps the face corners, and paths and the search
+orient the flex by the pair-table pair with the largest |rate| instead
+of the cell-area rate.
 """
 
 from __future__ import annotations
@@ -276,21 +276,6 @@ def oracle_stress_check(fw, s, rtol=1e-9):
     ten_scale = (np.abs(s) * np.linalg.norm(periods, axis=1) * elen).sum()
     ok_ten = float(np.abs(tensor).max()) <= rtol * max(1.0, float(ten_scale))
     return bool(ok_eq and ok_lat and ok_ten and ok_lat == ok_ten), bool(ok_lat == ok_ten)
-
-
-def oracle_patch_counts(fw, rows, cols):
-    """Brute-force enumeration of vertex and edge copies inside a box."""
-    copies = {(i, s1, s2)
-              for i in range(fw.n) for s1 in range(rows) for s2 in range(cols)}
-    n_edges = 0
-    for k in range(fw.m):
-        t, h = int(fw.tails[k]), int(fw.heads[k])
-        c1, c2 = int(fw.shifts[k, 0]), int(fw.shifts[k, 1])
-        for s1 in range(rows):
-            for s2 in range(cols):
-                if (t, s1, s2) in copies and (h, s1 + c1, s2 + c2) in copies:
-                    n_edges += 1
-    return len(copies), n_edges
 
 
 def _xcross(a, b):

@@ -414,6 +414,22 @@ def test_long_edge_orbit_exits_with_json(tmp_path, capsys, power):
         assert rep["error"].startswith("crossing check"), (command, rep)
 
 
+def test_unwritable_out_exits_with_json(tmp_path, capsys):
+    """An --out path in a missing directory, or naming a directory, is
+    refused with a JSON validation report, not an OSError traceback."""
+    cubes = fixture_file(tmp_path, capsys, "cubes")
+    ppt3 = fixture_file(tmp_path, capsys, "ppt3")
+    commands = [("lift", cubes, "--tiles", "2x2"), ("relax", ppt3, "--matrix", "1,0,0,2"),
+                ("svg", cubes, "--tiles", "2x2"), ("rigidify", ppt3, "--cutoff", "1"),
+                ("deform", ppt3, "--steps", "5"), ("fixture", "ppt3")]
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        for command in commands:
+            code, rep = run(capsys, *command, "--out", str(target), "--quiet")
+            assert code == 2 and rep["kind"] == "validation", (command, rep)
+            assert rep["error"].startswith("cannot write %s: " % target), (command, rep)
+    assert not (tmp_path / "missing").exists()
+
+
 # sha256 of the reports as the per-pair loop implementation of the
 # deformation and insertion search wrote them; the array version must give
 # the same bytes (path samples, verdicts, ranked candidates and derivatives).

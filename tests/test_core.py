@@ -20,7 +20,6 @@ from perimax import (
     framework_to_dict,
     lifting_from_stress,
     parse_framework,
-    realize_patch,
     render_svg,
     serialize_framework,
     trace_faces,
@@ -29,7 +28,7 @@ from perimax.core import (EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUM
                           validate_geometry)
 from perimax.fixtures import FIXTURES
 
-from conftest import oracle_edge_orbits, oracle_framework_from_dict, oracle_patch_counts
+from conftest import oracle_edge_orbits, oracle_framework_from_dict
 
 SQUARE_GRID_DOC = """
 {
@@ -325,34 +324,8 @@ def test_serialize_uses_decimal_strings():
     assert all(isinstance(x, str) for v in doc["vertices"] for x in v["pos"])
 
 
-def test_realize_patch_against_oracle():
-    sq = fixture("square_grid")
-    # frozen from the brute-force oracle
-    assert oracle_patch_counts(sq, 1, 1) == (1, 0)
-    assert oracle_patch_counts(sq, 2, 2) == (4, 4)
-    patch = realize_patch(sq, (1, 1))
-    assert (len(patch.vertices), len(patch.edges)) == (1, 0)
-    patch = realize_patch(sq, (2, 2))
-    assert (len(patch.vertices), len(patch.edges)) == (4, 4)
-
-    p3 = fixture("ppt3")
-    assert oracle_patch_counts(p3, 3, 3)[0] == 27
-    patch = realize_patch(p3, (3, 3))
-    assert len(patch.vertices) == 27
-    assert len(patch.edges) == oracle_patch_counts(p3, 3, 3)[1]
-
-
-def test_realize_patch_positions_exact():
-    fw = fixture("cubes")
-    patch = realize_patch(fw, (3, 2))
-    for i, shift, pos in patch.vertices:
-        expected = fw.positions[i] + fw.lattice @ np.array(shift, float)
-        assert np.abs(pos - expected).max() <= 4 * np.finfo(float).eps * \
-            max(1.0, np.abs(expected).max())
-
-
 def test_realize_patch_empty_range():
-    """Patches, SVG drawings and terrains read a tile range alike: a pair
+    """SVG drawings and terrains read a tile range alike: a pair
     of integral entries, each at least one, spanning at most 2^20 slots
     of max(n, 2m) per tile, refused before anything is allocated."""
     fw = fixture("square_grid")
@@ -363,7 +336,7 @@ def test_realize_patch_empty_range():
                            (("2", 1), "pair of integers"), ((2, 1, 1), "pair of integers"),
                            ((math.nan, 1), "pair of integers"), (3, "pair of integers"),
                            ((100000, 100000), "too large"), ((2 ** 18 + 1, 1), "too large")]:
-        for make in (lambda: realize_patch(fw, tiles), lambda: render_svg(fw, fc, tiles),
+        for make in (lambda: render_svg(fw, fc, tiles),
                      lambda: export_terrain(fw, fc, lift, tiles)):
             with pytest.raises(FrameworkError, match=message):
                 make()

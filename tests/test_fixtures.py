@@ -100,8 +100,8 @@ def test_reentrant_counts_and_freedom():
     assert (fw.n, fw.m) == (2, 3)
     _, rep = flex_space(fw)
     assert rep.phi == 2
-    from perimax import is_pointed
-    assert all(is_pointed(fw, v) for v in range(fw.n))
+    from perimax.pseudotri import POINTED_TOL, pointedness_margin
+    assert all(pointedness_margin(fw, v) > POINTED_TOL for v in range(fw.n))
     with pytest.raises(FrameworkError):
         fixture("reentrant", alpha=1.0, beta=0.5)
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import perimax
@@ -233,3 +234,45 @@ def test_exports_name_module_attributes():
                 stale += ["%s: %s" % (path.name, name) for name in ast.literal_eval(node.value)
                           if not hasattr(module, name)]
     assert exported and not stale, stale
+
+
+# Exports that no module, CLI command or bench file reads, each kept for
+# what it computes in the paper's terms.
+_UNREAD_EXPORTS = {
+    "contraction_check": "the finite lattice-contraction test of auxetic motion "
+                         "(Borcea & Streinu, \"Geometric auxetics\", Proc. R. Soc. A 2015)",
+    "vertex_heights": "the Maxwell lifting read at the vertices",
+}
+
+
+def test_exports_have_readers():
+    """Every ``__all__`` name of ``src/perimax`` is read: it appears as a
+    word in ``src/perimax`` outside its own top-level definition and the
+    export lines (``__all__`` and the imports of ``__init__``), or in a
+    ``bench/*.py`` file.  ``_UNREAD_EXPORTS`` lists the exceptions."""
+    exported, lines = [], []      # lines: (text, name of the definition holding it)
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8").splitlines()
+        owner = [None] * (len(text) + 1)
+        for node in ast.parse("\n".join(text), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                held = node.name
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                held = getattr(node.targets[0], "id", None)
+                if held == "__all__":
+                    exported += ast.literal_eval(node.value)
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                held = "__all__"
+            else:
+                continue
+            owner[node.lineno:node.end_lineno + 1] = [held] * (node.end_lineno + 1 - node.lineno)
+        lines += [(line, owner[at]) for at, line in enumerate(text, 1) if owner[at] != "__all__"]
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in
+                      sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")))
+    unread = []
+    for name in exported:
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        if not (word.search(bench) or any(word.search(line) for line, held in lines
+                                           if held != name)):
+            unread.append(name)
+    assert sorted(unread) == sorted(_UNREAD_EXPORTS), unread

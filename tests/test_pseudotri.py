@@ -21,17 +21,16 @@ from perimax import (
     fixture,
     flex_space,
     insert_edge_orbit,
-    is_pointed,
     periodic_stress_space,
     pointedness_margin,
     trace_faces,
 )
-from perimax import core, pseudotri, topology
+from perimax import core, pseudotri, rigidity, topology
 from perimax.pseudotri import (
     DERIVATIVE_RTOL,
+    POINTED_TOL,
     PPTCertificate,
     candidate_pairs,
-    incident_directions,
     oriented_flex,
     pair_length_derivative,
 )
@@ -47,16 +46,16 @@ def test_right_angle_vertex_pointed():
     fw = right_angle_pair()
     # edges at 0 and 90 degrees: the reflex gap is 270 degrees
     assert abs(pointedness_margin(fw, 0) - math.pi / 2) < 1e-12
-    assert is_pointed(fw, 0)
+    assert pointedness_margin(fw, 0) > POINTED_TOL
 
 
 def test_kagome_pointedness_by_angle():
     k0 = fixture("kagome", theta=0.0)
     # edges at 0, 60, 180, 240 degrees: largest gap 120 degrees
     assert abs(pointedness_margin(k0, 0) - (2 * math.pi / 3 - math.pi)) < 1e-12
-    assert not is_pointed(k0, 0)
+    assert not pointedness_margin(k0, 0) > POINTED_TOL
     k = fixture("kagome", theta=math.pi / 2)
-    assert all(is_pointed(k, v) for v in range(3))
+    assert all(pointedness_margin(k, v) > POINTED_TOL for v in range(3))
 
 
 def _incident_directions_loop(fw, v):
@@ -69,21 +68,6 @@ def _incident_directions_loop(fw, v):
         if fw.heads[k] == v:
             dirs.append(-evecs[k])
     return np.array(dirs).reshape(len(dirs), 2)
-
-
-def test_incident_directions_match_loop_reference(rng):
-    # square grid: both loops sit at vertex 0, each gives +e then -e
-    sq = fixture("square_grid")
-    assert np.array_equal(incident_directions(sq, 0),
-                          [sq.edge_vector(0), -sq.edge_vector(0),
-                           sq.edge_vector(1), -sq.edge_vector(1)])
-    frameworks = [fixture(name) for name in ("kagome", "ppt3", "cubes", "reentrant")]
-    frameworks += [random_connected_framework(rng) for _ in range(20)]
-    for fw in frameworks:
-        for v in range(fw.n):
-            ref = _incident_directions_loop(fw, v)
-            got = incident_directions(fw, v)
-            assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def _pointedness_margin_loop(fw, v):
@@ -129,9 +113,8 @@ def test_pointedness_in_one_pass_matches_per_vertex_reference(rng):
 def test_vertex_index_range_checked():
     fw = fixture("ppt3")
     for v in (-1, fw.n):
-        for query in (pointedness_margin, is_pointed, incident_directions):
-            with pytest.raises(FrameworkError, match="vertex index %d out of range" % v):
-                query(fw, v)
+        with pytest.raises(FrameworkError, match="vertex index %d out of range" % v):
+            pointedness_margin(fw, v)
 
 
 def test_certify_examples():
@@ -174,7 +157,6 @@ def test_oriented_flex_refuses_thin_gap(monkeypatch):
     """The flex of paths and of the search is read behind the gap guard:
     a kernel gap below RANK_GAP_MIN refuses it, while the pseudo-
     triangulations' own gap is inf (no singular value is dropped)."""
-    from perimax import rigidity
     fw = fixture("ppt3")
     kernel, read_rank = rigidity._kernel, rigidity._read_rank
     gaps = []
@@ -545,6 +527,17 @@ def test_search_leaves_numpy_ma_unimported():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_builds_no_pair_grid():
+    """The search rates face rows only, so it reads the cutoff's refusals
+    without building the pair grid (18,528 vertex pairs x 9 shifts on
+    ``ppt3`` 8x8 at cutoff 1), whose cache it leaves as it found it."""
+    fw = relax(fixture("ppt3"), Sublattice(8, 0, 8))
+    before = rigidity._pair_grid.cache_info()
+    for cutoff in (1, 2.0):
+        assert find_rigidifying_edges(fw, cutoff=cutoff)
+    assert rigidity._pair_grid.cache_info() == before
 
 
 def test_search_box_tests_grid_candidates_only(monkeypatch):

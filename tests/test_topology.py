@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +482,26 @@ def test_crossing_check_bound_counts_every_candidate(name, rows, monkeypatch):
     with pytest.raises(FrameworkError, match=r"^crossing check too large: .* exceed %d$"
                        % (rows - 1)):
         check_noncrossing(fw)
+
+
+def test_long_orbit_crossing_check_expands_rows_per_batch():
+    """One entry pair's rows are expanded at most ``_SCREEN_CELLS`` at a
+    time.  On ``ppt3`` with a (256, 0) shift, where a few entry pairs hold
+    nearly all of the 598,440 rows, the check peaks below 16 MB (92.6 MB
+    when each pair's rows were expanded at once) and finds the same 764
+    crossings (sha256 of their repr, pinned from that expansion)."""
+    fw = _long_orbit_ppt3(256)
+    check_noncrossing(fw)
+    tracemalloc.start()
+    try:
+        crossings = check_noncrossing(fw).crossings
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert len(crossings) == 764
+    assert hashlib.sha256(repr(crossings).encode()).hexdigest() == (
+        "b4b6ef9f9e9b5aa517f59c290e2f56cce226fbda6045f1239bbe892a0b6e76d7")
 
 
 # positions along a segment: before, at and between its ends, and past them
