@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EDGE_LENGTH_RTOL, FrameworkError, PeriodicFramework, _canonicalize,
-                   _geometry_scale, _hermite_join, _integer, _lattice_vectors,
+from .core import (EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, FrameworkError, PeriodicFramework,
+                   _canonicalize, _geometry_scale, _hermite_join, _integer, _lattice_vectors,
                    _require_shift_room)
 from .rigidity import (_require_gap, _stress_check, _stress_terms, _stress_values,
                        _sublattice_ranks)
@@ -200,25 +200,38 @@ def stress_persists(fw, s, sub):
     """Whether a periodic stress stays periodic after relaxing to ``sub``:
     the verdict and errors of ``check_periodic_stress`` on ``relax`` and
     ``copy_stress``, from the base orbits by the closed forms of
-    ``rigidity._stress_check``.  Geometry checks read the relaxed lattice and
-    the extreme unfolded coordinates (sums of extremes: rounding is monotone);
-    the relaxation is connected iff ``fw._joined_index`` of ``sub`` is 1, as in
-    the probe.  A sweep pays once for what no sublattice changes: ``fw`` caches
-    its edge geometry, and the ``_stress_terms`` of the last stress by its
-    values, computed after the geometry and connectivity checks so refusals
-    keep the order of ``relax``."""
+    ``rigidity._stress_check``; the relaxation is connected iff
+    ``fw._joined_index`` of ``sub`` is 1, as in the probe.  A sweep pays once
+    for what no sublattice changes: ``fw`` caches its edge geometry, and the
+    ``_stress_terms`` of the last stress by its values, computed after the
+    geometry and connectivity checks so refusals keep the order of ``relax``.
+
+    A bound in Python floats rules geometry refusals out: with R = max(|l00| +
+    |l01|, |l10| + |l11|) and W fw's largest |extreme| coordinate, B = 2 (W +
+    R (a + b + d)) is at least twice the relaxed scale.  Nothing is refused
+    when 2**-400 < B < 2**500 (normal floats, columns in range), the shortest
+    edge exceeds 2 EDGE_LENGTH_RTOL B (4x the tolerance) and |det| a d > 4
+    LATTICE_RANK_RTOL B**2 (8x the singular cut; a corner copy of vertex 0 is
+    then over 2 LATTICE_RANK_RTOL B away).  Else the relaxed lattice and
+    extreme unfolded coordinates decide, as ``relax`` rounds them (sums of
+    extremes: rounding is monotone)."""
     rho, a, b, d = _require_size(fw, sub), sub.a, sub.b, sub.d
     evecs, norms, shortest, (hx, hy), (lx, ly), (x, y) = fw._edge_geometry
-    # numpy matmuls round as relax does; scalar 2 x 2 products can round apart
-    lattice = fw.lattice @ np.array([[a, 0.0], [b, d]])
-    corners = np.array([[0, 0], [0, d - 1], [a - 1, 0], [a - 1, d - 1]], dtype=float)
-    ox, oy = zip(*np.matmul(fw.lattice, corners[:, :, None])[:, :, 0].tolist())
-    hx, hy, lx, ly = hx + max(ox), hy + max(oy), lx + min(ox), ly + min(oy)
-    tol = EDGE_LENGTH_RTOL * _geometry_scale(lattice, max(map(abs, (hx, hy, lx, ly))))
-    if shortest <= tol:
-        raise FrameworkError("zero-length edge orbit %d" % (np.flatnonzero(norms <= tol)[0] * rho))
-    if fw.n * rho >= 2 and max(hx - x, hy - y, x - lx, y - ly) <= tol:
-        raise FrameworkError("degenerate placement: all vertex orbits coincide")
+    (l00, l01), (l10, l11) = fw.lattice.tolist()
+    bound = 2.0 * (max(hx, hy, -lx, -ly)
+                   + max(abs(l00) + abs(l01), abs(l10) + abs(l11)) * (a + b + d))
+    if not (2.0 ** -400 < bound < 2.0 ** 500 and shortest > 2 * EDGE_LENGTH_RTOL * bound
+            and abs(l00 * l11 - l01 * l10) * a * d > 4 * LATTICE_RANK_RTOL * bound * bound):
+        # numpy matmuls round as relax does; scalar 2 x 2 products can round apart
+        lattice = fw.lattice @ np.array([[a, 0.0], [b, d]])
+        corners = np.array([[0, 0], [0, d - 1], [a - 1, 0], [a - 1, d - 1]], dtype=float)
+        ox, oy = zip(*np.matmul(fw.lattice, corners[:, :, None])[:, :, 0].tolist())
+        hx, hy, lx, ly = hx + max(ox), hy + max(oy), lx + min(ox), ly + min(oy)
+        tol = EDGE_LENGTH_RTOL * _geometry_scale(lattice, max(map(abs, (hx, hy, lx, ly))))
+        if shortest <= tol:
+            raise FrameworkError("zero-length edge orbit %d" % (np.argmax(norms <= tol) * rho))
+        if fw.n * rho >= 2 and max(hx - x, hy - y, x - lx, y - ly) <= tol:
+            raise FrameworkError("degenerate placement: all vertex orbits coincide")
     joined = fw._joined_index(a, b, d)
     if joined > 1:    # first unreached: coset (0, 1) of vertex 0 if joined t > 1, else (1, 0)
         raise FrameworkError("disconnected quotient graph: vertex %d unreachable"

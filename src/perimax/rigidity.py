@@ -159,9 +159,10 @@ def _full_rank(A):
     sigma_max^2, so the SVD would keep all k values.  A matrix with a
     non-finite entry is never certified, nor one so small that
     FULL_RANK_DELTA tr(G) is not a normal float (subnormal rounding would
-    void the bound).  The factorization loops over the shorter of k and J:
-    one column step over the whole stack per column, or one
-    ``np.linalg.cholesky`` per matrix."""
+    void the bound).  One ``np.linalg.cholesky`` of the stack, rounding within
+    the same O(k^2 eps tr(G)), settles it when every matrix passes that test;
+    if it raises, the factorization loops over the shorter of k and J: one
+    column step over the stack per column, or one cholesky per matrix."""
     J, M, N = A.shape
     with np.errstate(over="ignore", invalid="ignore"):    # such G fail the trace test
         G = A.conj().swapaxes(1, 2) @ A if M >= N else A @ A.conj().swapaxes(1, 2)
@@ -171,6 +172,12 @@ def _full_rank(A):
     ok = np.isfinite(trace) & (FULL_RANK_DELTA * trace >= np.finfo(float).tiny)
     G[~ok] = 0.0    # so no inf or NaN of a refused matrix meets the column steps
     G[:, diagonal, diagonal] -= FULL_RANK_DELTA * np.where(ok, trace, 0.0)[:, None]
+    if ok.all():
+        try:
+            np.linalg.cholesky(G)
+            return ok
+        except np.linalg.LinAlgError:    # some matrix fails: the loops find which
+            pass
     if k > J:
         for j in np.flatnonzero(ok):
             try:

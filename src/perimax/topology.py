@@ -332,9 +332,13 @@ def _orbit_crossing_rows(fw, rows):
     tails = np.concatenate([fw.tails, rows[:, 0]])
     heads = np.concatenate([fw.heads, rows[:, 1]])
     shifts = np.concatenate([fw.shifts, rows[:, 2:]])
-    evecs = np.concatenate([fw.edge_vectors(), fw.positions[rows[:, 1]]
-                            + rows[:, 2:] @ fw.lattice.T - fw.positions[rows[:, 0]]])
-    lengths = np.linalg.norm(evecs, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite length is refused
+        evecs = np.concatenate([fw.edge_vectors(), fw.positions[rows[:, 1]]
+                                + rows[:, 2:] @ fw.lattice.T - fw.positions[rows[:, 0]]])
+        lengths = np.linalg.norm(evecs, axis=1)
+    if not np.isfinite(lengths).all():
+        raise FrameworkError("crossing check out of range: edge orbit %d is too long to measure"
+                             % np.argmin(np.isfinite(lengths)))
     longest = max(fw.geometry_scale, float(lengths[:m].max(initial=0.0)))
     eps = _CROSSING_RTOL * np.maximum(lengths, longest)
     return (_grid_crossings(fw.lattice, fw.positions[tails], evecs, tails, heads, shifts,

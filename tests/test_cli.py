@@ -372,6 +372,24 @@ def test_analyze_malformed_documents(tmp_path):
         assert json.loads(proc.stdout)["kind"] == "validation"
 
 
+def test_edge_too_long_to_measure_exits_with_json(tmp_path):
+    """An edge orbit whose length overflows a float (1e155: its square is
+    beyond the largest float) is refused by the crossing check, which every
+    one of these commands runs, with exit 2, JSON naming the orbit and
+    nothing on stderr, where NaN grid widths used to end in a traceback."""
+    fw = perimax.PeriodicFramework(1e150 * np.eye(2), [[0, 0], [0.5e150, 0.3e150]],
+                                   [(0, 1, (0, 0)), (0, 1, (100000, 0)), (0, 0, (0, 1))])
+    path = tmp_path / "long.json"
+    path.write_text(perimax.serialize_framework(fw), encoding="utf-8")
+    for command in ("analyze", "ppt", "rigidify", "deform"):
+        proc = _run_module("perimax", command, str(path), "--quiet")
+        assert proc.returncode == 2, command
+        assert proc.stderr == "", command
+        rep = json.loads(proc.stdout)
+        assert rep == {"error": "crossing check out of range: edge orbit 1 is too long to "
+                                "measure", "kind": "validation"}, command
+
+
 def test_negative_cutoff_exits_with_json(tmp_path, capsys):
     """A negative cutoff leaves no vertex pair to test: refused with exit 2
     instead of a vacuous expansive verdict."""

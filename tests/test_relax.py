@@ -1,6 +1,7 @@
 """Sublattice enumeration, unfolding, stress persistence, ultrarigidity."""
 
 import importlib
+import itertools
 import sys
 import tracemalloc
 from collections import Counter
@@ -471,6 +472,118 @@ def test_stress_persists_refusal_order():
         for s in (np.zeros(fw.m + 1), np.zeros(fw.m - 1), np.zeros((1, fw.m))):
             with pytest.raises(FrameworkError, match=message):
                 stress_persists(fw, s, sub)
+
+
+def _built(lattice, positions, edges):
+    """The framework, or None where the constructor refuses the placement."""
+    try:
+        return PeriodicFramework(lattice, positions, edges)
+    except FrameworkError:
+        return None
+
+
+def _bound_frameworks():
+    """Placements around the edges of the sweep's geometry bound, each with
+    a stress: fixtures scaled by 10^k (those that construct), sheared and
+    near-singular lattices, vertex orbits that nearly coincide far from the
+    origin, short edges, and one-vertex frameworks."""
+    out = []
+    for name in FIXTURE_NAMES:
+        fw = fixture(name)
+        edges = np.column_stack([fw.tails, fw.heads, fw.shifts])
+        basis = periodic_stress_space(fw)
+        stress = basis[0].values if basis else np.ones(fw.m)
+        for k in (-300, -160, -150, -120, -100, -12, 0, 12, 100, 150, 153, 154, 300):
+            out.append((_built(10.0 ** k * fw.lattice, 10.0 ** k * fw.positions, edges), stress))
+        # the same fractional placement on sheared lattices: near-singular
+        # ones (det t) and long thin ones (det 1, columns up to 7e5 long)
+        frac = np.linalg.solve(fw.lattice, fw.positions.T).T
+        for lattice in ([[[1.0, 1.0], [0.0, t]] for t in (2.5e-12, 4e-12, 1e-11, 1e-10, 1e-8)]
+                        + [[[1.0, s], [0.0, 1.0]] for s in (1e4, 1e5, 3e5, 7e5)]):
+            lattice = np.array(lattice)
+            out.append((_built(lattice, frac @ lattice.T, edges), stress))
+    # one or two vertex orbits delta apart at (c, 0), with loops 4 or 40
+    # long: copies of the relaxation sit 1 apart, against a tolerance of
+    # about 1e-12 c
+    for c, k in itertools.product((1e11, 5e11, 1e12, 1.5e12, 2e12, 3e12), (4, 40)):
+        loops = [(0, 0, (k, 0)), (0, 0, (0, k)), (0, 0, (k, k))]
+        out.append((_built(np.eye(2), [[c, 0.0]], loops), np.ones(3)))
+        out.append((_built(np.eye(2), [[c, 0.0], [c * (1 + 2e-12), 0.0]],
+                           loops + [(0, 1, (k, 1))]), np.ones(4)))
+    # an edge orbit delta long against a relaxed scale that grows with the index
+    for delta in (1.5e-12, 3e-12, 1e-11, 1e-10, 1e-9):
+        out.append((_built(np.eye(2), [[0.0, 0.0], [delta, 0.0]],
+                           [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 1, (0, 0)), (1, 1, (1, 1))]),
+                    np.ones(4)))
+    out += [(_disconnecting(shifts), np.ones(2)) for shifts in ([(2, 0), (0, 1)], [(1, 0), (1, 3)])]
+    return [(fw, s) for fw, s in out if fw is not None]
+
+
+BOUND_FRAMEWORKS = _bound_frameworks()
+BOUND_SUBLATTICES = sublattices_up_to(16) + [Sublattice(1, 1023, 1024), Sublattice(512, 0, 2)]
+
+
+def _persists_as_relaxed(fw, s, sub):
+    """Assert that the sweep refuses exactly what ``relax`` refuses, with
+    its message, and otherwise gives the verdict of ``check_periodic_stress``
+    on the relaxation; returns the refusal or the verdict."""
+    try:
+        unfolded = relax(fw, sub)
+    except FrameworkError as exc:
+        with pytest.raises(FrameworkError) as refused:
+            stress_persists(fw, s, sub)
+        assert str(refused.value) == str(exc)
+        return str(exc)
+    verdict = check_periodic_stress(unfolded, copy_stress(unfolded, s)).ok
+    assert stress_persists(fw, s, sub) == verdict
+    return verdict
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=st.integers(0, len(BOUND_FRAMEWORKS) - 1),
+       sub=st.sampled_from(BOUND_SUBLATTICES), noise=st.sampled_from([0.0, 1e-3]))
+def test_stress_persists_bound_keeps_relaxed_verdicts(case, sub, noise):
+    """Wherever the sweep's scalar bound settles the relaxed geometry or
+    leaves it to the numpy path, it refuses and decides as ``relax`` and the
+    relaxed check do."""
+    fw, s = BOUND_FRAMEWORKS[case]
+    _persists_as_relaxed(fw, s * (1.0 + noise * np.arange(fw.m)), sub)
+
+
+def test_bound_frameworks_reach_every_refusal():
+    """Every input above, relaxed to six sublattices, refuses and decides as
+    ``relax`` and the relaxed check do, and together they reach each
+    refusal of a relaxation and both verdicts."""
+    outcomes = Counter()
+    for fw, s in BOUND_FRAMEWORKS:
+        for sub in (Sublattice(1, 0, 1), Sublattice(2, 0, 1), Sublattice(1, 1, 2),
+                    Sublattice(4, 3, 4), Sublattice(1, 1023, 1024), Sublattice(512, 0, 2)):
+            outcome = _persists_as_relaxed(fw, s, sub)
+            outcomes[outcome if outcome in (True, False) else outcome.split(":")[0][:16]] += 1
+    assert set(outcomes) == {True, False, "singular lattice", "zero-length edge",
+                             "degenerate place", "disconnected quo", "lattice out of r"}, outcomes
+
+
+def test_stress_persists_bound_decides_the_common_case(monkeypatch):
+    """The scalar bound settles the geometry of an ordinary sweep: with the
+    numpy path's ``_geometry_scale`` refusing every call, ``cubes`` relaxed
+    (1, 1, 2) still persists on every sublattice up to index 12, while the
+    two placements that only the relaxed scale refuses still reach it."""
+    def reached(*args):
+        raise AssertionError("numpy geometry path reached")
+
+    fw = relax(fixture("cubes"), Sublattice(1, 1, 2))
+    s = periodic_stress_space(fw)[0].values
+    monkeypatch.setattr(relax_module, "_geometry_scale", reached)
+    assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(12))
+    for fw, sub in [
+            (PeriodicFramework(np.eye(2), [[1.5e12, 0.0]], [(0, 0, (2, 0)), (0, 0, (0, 2))]),
+             Sublattice(2, 0, 1)),
+            (PeriodicFramework(1e12 * np.eye(2), [[0.0, 0.0], [1.5, 0.0]],
+                               [(0, 0, (1, 0)), (0, 1, (1, 0)), (0, 1, (0, 0)), (0, 1, (0, 1)),
+                                (0, 0, (0, 1))]), Sublattice(1, 0, 2))]:
+        with pytest.raises(AssertionError, match="numpy geometry path reached"):
+            stress_persists(fw, np.zeros(fw.m), sub)
 
 
 def test_stress_persists_at_large_index_builds_no_copies():

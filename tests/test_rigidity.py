@@ -399,6 +399,46 @@ def test_full_rank_certificate_never_drops_a_value(kinds, m, w, scale, seed):
             assert np.isnan(sv[i]).all() if certified[i] else np.array_equal(sv[i], sv_i)
 
 
+def _counted_cholesky(monkeypatch, refuse_stacks):
+    """Record the ndim of each ``np.linalg.cholesky`` call; with
+    ``refuse_stacks`` every stacked call raises, so the certificate falls
+    back to its loops."""
+    calls, cholesky = [], np.linalg.cholesky
+
+    def counted(G):
+        calls.append(G.ndim)
+        if refuse_stacks and G.ndim == 3:
+            raise np.linalg.LinAlgError("stacked call refused")
+        return cholesky(G)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("J, m, w", [(12, 7, 4), (9, 3, 5), (2, 11, 9), (1, 6, 6)])
+def test_batched_certificate_matches_column_steps(J, m, w, monkeypatch):
+    """One Cholesky factorization of the whole stack certifies a stack of
+    positive definite shifted Gram matrices, with J >= k (column steps
+    otherwise) and J < k (one factorization per matrix otherwise), and the
+    mask equals that of the loops; one singular, zero or non-finite matrix
+    added leaves the others' entries as they were."""
+    rng = np.random.default_rng(J * 100 + m)
+    stack = np.array([_planted_block(rng, "random", m, w, 1.0) for _ in range(J)])
+    calls = _counted_cholesky(monkeypatch, refuse_stacks=True)
+    loops = rigidity._full_rank(stack)
+    assert calls == [3] + ([2] * J if min(m, w) > J else [])
+    monkeypatch.undo()
+    calls = _counted_cholesky(monkeypatch, refuse_stacks=False)
+    batched = rigidity._full_rank(stack)
+    assert calls == [3]
+    assert batched.all() and np.array_equal(batched, loops)
+    for kind in ("singular", "zero", "nonfinite"):
+        extra = _planted_block(rng, kind, m, w, 1.0)
+        for at in (0, J):
+            mask = rigidity._full_rank(np.insert(stack, at, extra, axis=0))
+            assert not mask[at] and np.array_equal(np.delete(mask, at), batched), (kind, at)
+
+
 def test_stress_check_matches_dense_reference(rng):
     # the scattered balance and the matrix-free lattice and tensor sums give
     # the dense reference's verdicts on periodic, invariant-only, random,

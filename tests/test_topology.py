@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,29 @@ def test_edgeless_framework_noncrossing():
     from perimax import PeriodicFramework
     report = check_noncrossing(PeriodicFramework(np.eye(2), [[0.0, 0.0]], []))
     assert report.ok and report.crossings == []
+
+
+def test_edge_too_long_to_measure_is_refused():
+    """A framework may hold an edge whose length overflows a float; the
+    crossing check refuses it by orbit, a new orbit counted from m, without
+    an overflow warning, and measures a long edge it can."""
+    from perimax.topology import _orbit_crossing_rows
+    cubes = fixture("cubes")
+    positions = cubes.positions.copy()
+    positions[0] = (1e200, 0.0)
+    far = PeriodicFramework(cubes.lattice, positions, np.column_stack(
+        [cubes.tails, cubes.heads, cubes.shifts]))
+    # loop orbits of length 1e150 are measured; a new one 1e5 times longer is not
+    loops = PeriodicFramework(1e150 * np.eye(2), [[0.0, 0.0]], [(0, 0, (1, 0)), (0, 0, (0, 1))])
+    cases = [(far, np.empty((0, 4), int), 0),
+             (loops, np.array([[0, 0, 1, 1], [0, 0, 100000, 0]]), loops.m + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_noncrossing(loops).ok
+        for fw, rows, orbit in cases:
+            with pytest.raises(FrameworkError, match=r"^crossing check out of range: edge "
+                                                     r"orbit %d is too long" % orbit):
+                _orbit_crossing_rows(fw, rows)
 
 
 # index <= 2 sublattices in canonical form (a, b, d), 0 <= b < d
