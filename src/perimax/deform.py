@@ -22,7 +22,7 @@ from .core import (FrameworkError, NumericalError, _geometry_scale, _integer, _r
                    validate_geometry)
 from .pseudotri import _certified
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
-                       _pair_rates, pair_table)
+                       _pair_grid, _pair_rates, pair_table)
 from .topology import ANGLE_SUM_TOL, _corner, _direction_angles
 
 __all__ = [
@@ -46,14 +46,17 @@ EXPANSIVE_TOL = 1e-9
 PSD_TOL = 1e-9
 PSD_BAND = 1e-12
 CONTRACTION_TOL = 1e-9
+# Pair-grid cells (vertex pairs u <= v times shifts) per stacked pass of a
+# path's verdicts: about 128 KB per working array, or one sample's if larger.
+_CHUNK_CELLS = 4096
 
 
 @dataclass
 class Configuration:
     """Vertex positions and lattice matrix in the pinned gauge."""
 
-    positions: np.ndarray   # (n, 2)
-    lattice: np.ndarray     # (2, 2), columns generators
+    positions: np.ndarray   # (n, 2), or (S, n, 2) for a stack
+    lattice: np.ndarray     # (2, 2), columns generators, or (S, 2, 2)
 
     @classmethod
     def from_framework(cls, fw):
@@ -63,17 +66,17 @@ class Configuration:
 
     @property
     def n(self):
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     def as_vector(self):
         return np.concatenate([self.positions.ravel(), self.lattice[:, 0], self.lattice[:, 1]])
 
     @classmethod
     def from_vector(cls, z, n):
-        return cls(z[:2 * n].reshape(n, 2).copy(), _lattice_rate(z, n))
+        return cls(z[..., :2 * n].reshape(z.shape[:-1] + (n, 2)).copy(), _lattice_rate(z, n))
 
     def gram(self):
-        return self.lattice.T @ self.lattice
+        return self.lattice.mT @ self.lattice
 
 
 def flex_tangent(cfg, fw):
@@ -106,29 +109,32 @@ def expansive_check(cfg, tangent, cutoff=2):
 
 
 def _expansive(rates):
-    """(expansive, smallest rate) of squared-distance rates: expansive when
-    none is below -EXPANSIVE_TOL times max(1, largest |rate|)."""
-    if not len(rates):
-        return True, 0.0
-    low, high = float(rates.min()), float(rates.max())
-    return low >= -EXPANSIVE_TOL * max(1.0, -low, high), low
+    """(expansive, smallest rate) of squared-distance rates, or the lists of
+    both over the rows of a stack: expansive when none is below
+    -EXPANSIVE_TOL times max(1, largest |rate|); no rates read (True, 0.0)."""
+    if not rates.shape[-1]:
+        rates = np.zeros(rates.shape[:-1] + (1,))
+    low, high = rates.min(axis=-1), rates.max(axis=-1)
+    return (low >= -EXPANSIVE_TOL * np.maximum(np.maximum(1.0, -low), high)).tolist(), low.tolist()
 
 
 def _motion(cfg, tangent):
-    """A motion of cfg as a float vector, refused (FrameworkError) unless
-    it has the 2n + 4 entries of the positions and lattice columns."""
+    """A motion of cfg as a float vector (a row per configuration of a
+    stack), refused (FrameworkError) unless it has the 2n + 4 entries of
+    the positions and lattice columns."""
     motion = np.asarray(tangent, dtype=float)
-    if motion.shape != (2 * cfg.n + 4,):
+    if motion.shape != cfg.positions.shape[:-2] + (2 * cfg.n + 4,):
         raise FrameworkError("tangent must have shape (%d,) for %d vertex orbits, got shape %s"
                              % (2 * cfg.n + 4, cfg.n, motion.shape))
     return motion
 
 
 def gram_derivative(cfg, tangent):
-    """Rate of change of the lattice Gram matrix under a motion."""
+    """Rate of change of the lattice Gram matrix under a motion, or of each
+    one of a stack of configurations (S, n, 2), (S, 2, 2) under its own."""
     dlat = _lattice_rate(_motion(cfg, tangent), cfg.n)
-    d = dlat.T @ cfg.lattice + cfg.lattice.T @ dlat
-    return 0.5 * (d + d.T)
+    d = dlat.mT @ cfg.lattice + cfg.lattice.mT @ dlat
+    return 0.5 * (d + d.mT)
 
 
 def auxetic_tangent_check(domega):
@@ -397,6 +403,37 @@ def _locate(corrected, step, margin, point):
     return lo, inside, past
 
 
+def _judged(trace, n, cutoff):
+    """The ``PathSample``s of a traced path's (tau, raw vector z, oriented
+    tangent) triples, judged in chunks of samples whose pair grids hold at
+    most _CHUNK_CELLS cells (or one sample): one ``_pair_rates`` call, the
+    Gram matrices and their rates as stacks, then the verdicts per sample.
+    The first sample in path order that would be refused alone raises, its
+    rates before its Gram rate: a chunk whose rates are not all finite is
+    judged again one sample at a time."""
+    u, _, shifts, _ = _pair_grid(n, cutoff)
+    size = max(1, _CHUNK_CELLS // (len(u) * len(shifts)))
+    samples = []
+    for at in range(0, len(trace), size):
+        chunk = trace[at:at + size]
+        taus, z, tangents = zip(*chunk)
+        cfg, tangents = Configuration.from_vector(np.array(z), n), np.array(tangents)
+        try:
+            rates = _pair_rates(cfg.positions, cfg.lattice, tangents, cutoff)
+        except NumericalError:
+            if len(chunk) == 1:
+                raise
+            for one in chunk:
+                samples += _judged([one], n, cutoff)
+            continue
+        for tau, p, lat, gram, dom, ok, low in zip(taus, cfg.positions, cfg.lattice, cfg.gram(),
+                                                   gram_derivative(cfg, tangents),
+                                                   *_expansive(rates)):
+            samples.append(PathSample(tau, Configuration(p, lat), gram, dom, ok,
+                                      auxetic_tangent_check(dom), low))
+    return samples
+
+
 def continue_path(fw, steps, ds=1e-2, cutoff=2):
     """Trace the one-parameter deformation of a pseudo-triangulation.
 
@@ -408,7 +445,9 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     on corrector failure after step halving, or at the pseudo-triangulation
     boundary (a vertex losing pointedness, a face angle reaching pi or a
     corner closing to 0), located in either direction of ``ds`` by halving
-    the crossing step after secant probes (``_locate``).  ``steps`` is read
+    the crossing step after secant probes (``_locate``).  No verdict steers
+    the path: they are judged once it is traced, in bounded stacked chunks
+    (``_judged``), and errors surface in sample order.  ``steps`` is read
     as an integer, and a zero or non-finite step length ``ds`` is refused
     (FrameworkError).
     """
@@ -430,52 +469,56 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     tol_abs = NEWTON_TOL * max(1.0, float(ref_sq.max()))
     residual, jacobian, system = _constraints(fw, ref_sq)
 
-    samples = []
-    tau = 0.0
-    tangent = None
-    last = cfg.as_vector()    # the raw vector of the last sample
+    trace = []    # (tau, raw vector, oriented tangent) of each sample
 
     def corrected(h):
         # (z, edge vectors, margin, event text) of the point h along, or None
+        _, last, tangent = trace[-1]
         z, ok, evecs = _newton_correct(residual, jacobian, last + h * tangent, tol_abs)
         return (z, evecs) + _ppt_margin(table, evecs) if ok else None
 
     def sample(h, z, evecs, boundary=False):
         # move h along to z, the flex turned to follow the previous sample;
         # only a boundary sample may keep the last tangent
-        nonlocal tau, cfg, tangent, last
-        tau += h
-        last, cfg = z, Configuration.from_vector(z, fw.n)
+        tau, _, tangent = trace[-1] if trace else (0.0, None, None)
         try:
-            t = _oriented_flex(*system, cfg.lattice, evecs)
+            t = _oriented_flex(*system, _lattice_rate(z, fw.n), evecs)
         except NumericalError:
             if not boundary:
                 raise
             t = tangent
         if tangent is not None and float(t @ tangent) < 0:
             t = -t
-        tangent = t
-        dom = gram_derivative(cfg, tangent)
-        ok, low = _expansive(_pair_rates(cfg.positions, cfg.lattice, tangent, cutoff))
-        samples.append(PathSample(tau, cfg, cfg.gram(), dom, ok, auxetic_tangent_check(dom), low))
+        trace.append((tau + h, z, t))
 
-    sample(0.0, last, evecs)
-    margin = _ppt_margin(table, evecs)[0]
-    step = float(ds)
-    # every sample after the first is an accepted step
-    while len(samples) - 1 < steps:
-        point = corrected(step)
-        if point is None:
-            if abs(step) <= MIN_STEP:
-                return DeformationPath(samples, "corrector divergence")
-            step *= 0.5
-        elif point[2] > 0.0:
-            sample(step, *point[:2])
-            margin = point[2]
-        else:
-            lo, inside, point = _locate(corrected, step, margin, point)
-            if inside is not None:
-                # boundary sample (the last configuration still inside)
-                sample(lo, *inside[:2], boundary=True)
-            return DeformationPath(samples, "event: %s" % point[3], point[2])
-    return DeformationPath(samples, "step count reached")
+    def walk():
+        # the termination text and event margin of the traced path
+        sample(0.0, cfg.as_vector(), evecs)
+        _pair_grid(fw.n, cutoff)    # refuses the cutoff before the path is traced
+        margin = _ppt_margin(table, evecs)[0]
+        step = float(ds)
+        # every sample after the first is an accepted step
+        while len(trace) - 1 < steps:
+            point = corrected(step)
+            if point is None:
+                if abs(step) <= MIN_STEP:
+                    return "corrector divergence", None
+                step *= 0.5
+            elif point[2] > 0.0:
+                sample(step, *point[:2])
+                margin = point[2]
+            else:
+                lo, inside, point = _locate(corrected, step, margin, point)
+                if inside is not None:
+                    # boundary sample (the last configuration still inside)
+                    sample(lo, *inside[:2], boundary=True)
+                return "event: %s" % point[3], point[2]
+        return "step count reached", None
+
+    try:
+        ended = walk()
+    except Exception:
+        if trace:
+            _judged(trace, fw.n, cutoff)    # an earlier sample's refusal comes first
+        raise
+    return DeformationPath(_judged(trace, fw.n, cutoff), *ended)

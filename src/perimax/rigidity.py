@@ -118,12 +118,12 @@ def _checked_cutoff(n, cutoff):
 def _pair_grid(n, cutoff):
     """``pair_table`` as a read-only grid: its vertex pairs u <= v, its
     shifts as float (c1, c2) columns of shape ((2 cutoff + 1)^2, 2, 1), and
-    the mask of the grid rows (pair-major) that it keeps."""
+    the indices of the grid rows (pair-major) that it keeps."""
     cutoff = _checked_cutoff(n, cutoff)
     u, v = np.triu_indices(n)
     r = np.arange(-cutoff, cutoff + 1)
     c1, c2 = np.repeat(r, len(r)), np.tile(r, len(r))
-    keep = ((u < v)[:, None] | (c1 > 0) | ((c1 == 0) & (c2 > 0))).ravel()
+    keep = np.flatnonzero((u < v)[:, None] | (c1 > 0) | ((c1 == 0) & (c2 > 0)))
     grid = u, v, np.column_stack([c1, c2]).astype(float)[:, :, None], keep
     for a in grid:
         a.setflags(write=False)
@@ -572,29 +572,34 @@ def _gauge_position(fw):
 
 
 def _lattice_rate(motion, n):
-    return motion[2 * n:].reshape(2, 2).T.copy()
+    return motion[..., 2 * n:].reshape(motion.shape[:-1] + (2, 2)).mT.copy()
 
 
 def _pair_rates(positions, lattice, motion, cutoff):
     """Rate of change of the squared distance of every pair of
     ``pair_table(n, cutoff)`` under a motion (2n + 4 vector, lattice
-    columns last)."""
-    n = len(positions)
+    columns last), or a row per placement of a stack (S, n, 2), (S, 2, 2),
+    (S, 2n + 4), each bitwise the single placement's: a traced path's
+    verdicts read it once per bounded chunk of samples, in sample order
+    (``deform._judged``)."""
+    n = positions.shape[-2]
     u, v, shifts, keep = _pair_grid(n, cutoff)
-    # each vertex's position over its velocity, the lattice over its rate
-    points, lats = np.empty((n, 2, 2)), np.empty((2, 2, 2))
-    points[:, 0], points[:, 1] = positions, motion[:2 * n].reshape(n, 2)
-    lats[0], lats[1] = lattice, motion[2 * n:].reshape(2, 2).T
-    # (placement or motion, vertex pairs, shifts, 2) array of points[v] + lat @ c
-    # - points[u], one coordinate at a time; the stacked matmuls round each
-    # row like the single products lat @ c and sep @ dsep
-    products = np.matmul(lats[:, None], shifts)[..., 0]
-    heads, tails = points[v].T, points[u].T
-    sep, dsep = both = np.empty((2, len(u), len(shifts), 2))
+    # the positions over their velocities, the lattices over their rates
+    points, lats = np.empty((2,) + positions.shape), np.empty((2,) + lattice.shape)
+    points[0], points[1] = positions, motion[..., :2 * n].reshape(positions.shape)
+    lats[0], lats[1] = lattice, motion[..., 2 * n:].reshape(lattice.shape).mT
+    # (placement or motion, ..., vertex pairs, shifts, 2) array of points[v]
+    # + lat @ c - points[u], one coordinate at a time; the stacked matmuls
+    # round each row like the single products lat @ c and sep @ dsep
+    products = np.matmul(lats[..., None, :, :], shifts)[..., 0]
+    heads, tails = np.take(points, v, axis=-2), np.take(points, u, axis=-2)
+    sep, dsep = both = np.empty(heads.shape[:-1] + (len(shifts), 2))
     for k in range(2):
-        np.add(heads[k, :, :, None], products[:, None, :, k], out=both[..., k])
-        np.subtract(both[..., k], tails[k, :, :, None], out=both[..., k])
-    rates = 2.0 * np.matmul(sep.reshape(-1, 1, 2), dsep.reshape(-1, 2, 1)).reshape(-1)[keep]
+        np.add(heads[..., k, None], products[..., None, :, k], out=both[..., k])
+        np.subtract(both[..., k], tails[..., k, None], out=both[..., k])
+    rates = 2.0 * np.matmul(sep.reshape(-1, 1, 2), dsep.reshape(-1, 2, 1))
+    # np.take: indexing after an ellipsis took ten times as long (numpy 2.4, n = 48)
+    rates = np.take(rates.reshape(positions.shape[:-2] + (-1,)), keep, axis=-1)
     if not np.all(np.isfinite(rates)):
         raise NumericalError("non-finite squared-distance rate")
     return rates

@@ -198,15 +198,20 @@ def _cell_candidates(lattice, lower, upper, n_base):
     offset ranges r1 and r2, give the shifts r1 - r2: a rectangle, so a
     box longer than the unit cell enters each cell once.  A pair is kept
     only in the cell of the lowest cell its boxes share.  Before any pair
-    is expanded, a box that reaches 2^62 grid cells and more than
-    ``_MAX_SCREEN_ROWS`` copy pairs in all are refused (FrameworkError).
+    is expanded, a box whose fractional coordinates overflow or that
+    reaches 2^62 grid cells, and more than ``_MAX_SCREEN_ROWS`` copy pairs
+    in all, are refused (FrameworkError).
     """
     m = lower.shape[1]
     (a, b), (c, d) = lattice.tolist()
     inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
     up, down = np.maximum(inv, 0.0), np.minimum(inv, 0.0)
-    frac_lo, frac_hi = up @ lower + down @ upper, up @ upper + down @ lower
-    g1, g2 = (min(max(1, math.isqrt(m)), max(1, int(1.0 / w)))
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite box is refused
+        frac_lo, frac_hi = up @ lower + down @ upper, up @ upper + down @ lower
+    if not (np.isfinite(frac_lo).all() and np.isfinite(frac_hi).all()):
+        raise FrameworkError("crossing check out of range: an edge box's fractional "
+                             "coordinates overflow")
+    g1, g2 =(min(max(1, math.isqrt(m)), max(1, int(1.0 / w)))
               for w in (frac_hi - frac_lo).mean(axis=1).tolist())
     # grid cell indices must fit int64
     if not max(np.abs(frac_lo).max(), np.abs(frac_hi).max()) * max(g1, g2) < 2.0 ** 62:

@@ -339,43 +339,55 @@ def test_zero_step_path():
 
 def test_path_evaluates_pair_rates_once_per_sample(monkeypatch):
     """Each sample's expansive verdict comes from the rates of its final
-    tangent: one evaluation of the shared rate kernel per sample."""
-    calls = []
+    tangent: the shared rate kernel reads stacks of placements, and every
+    sample is one row of exactly one of them."""
+    rows = []
 
-    def counted(*args):
-        calls.append(1)
-        return rates(*args)
+    def counted(positions, lattice, motion, cutoff):
+        rows.extend(p.tobytes() for p in positions.reshape(-1, *positions.shape[-2:]))
+        return rates(positions, lattice, motion, cutoff)
 
     rates = rigidity._pair_rates
     monkeypatch.setattr(rigidity, "_pair_rates", counted)
     monkeypatch.setattr(deform, "_pair_rates", counted)
     path = continue_path(fixture("ppt3"), steps=100, ds=0.01)
     assert len(path.samples) > 1
-    assert len(calls) == len(path.samples)
+    assert rows == [s.configuration.positions.tobytes() for s in path.samples]
 
 
 @pytest.mark.parametrize("name, steps", [("ppt3", 100), ("kagome", 100), ("ppt3-2x2", 40),
-                                         ("ppt3-4x4", 3)])
+                                         ("ppt3-4x4", 3), ("ppt3-backward", 100),
+                                         ("kagome-backward", 100)])
 def test_pair_rate_grid_matches_row_oracle_along_paths(name, steps, monkeypatch):
-    """Every rate evaluation of a path, through the event bisection of the
-    kagome, is bitwise the row-by-row stacked-product kernel's."""
+    """Every row of every stacked rate evaluation of a path, through the
+    event location of either direction (whose boundary sample may keep the
+    last tangent), is bitwise the row-by-row stacked-product kernel's, and
+    the rows are the samples, in chunks of as many as fit _CHUNK_CELLS
+    pair-grid cells (25 shifts per vertex pair u <= v at cutoff 2).  A
+    ppt3 4x4 sample (28,776 rows) fills a chunk of its own."""
     fws = {"ppt3": fixture("ppt3"), "kagome": fixture("kagome", theta=math.pi / 2),
            "ppt3-2x2": relax(fixture("ppt3"), Sublattice(2, 0, 2)),
            "ppt3-4x4": relax(fixture("ppt3"), Sublattice(4, 0, 4))}
-    calls = []
+    name, backward = name.removesuffix("-backward"), name.endswith("-backward")
+    stacks = []
 
     def checked(positions, lattice, motion, cutoff):
         found = rates(positions, lattice, motion, cutoff)
-        table = rigidity.pair_table(len(positions), cutoff)
-        assert np.array_equal(found, oracle_pair_rates(positions, lattice, motion, table))
-        calls.append(1)
+        table = rigidity.pair_table(positions.shape[-2], cutoff)
+        assert found.shape == (len(positions), len(table))
+        for row, p, lat, mot in zip(found, positions, lattice, motion):
+            assert np.array_equal(row, oracle_pair_rates(p, lat, mot, table))
+        stacks.append(len(found))
         return found
 
     rates = rigidity._pair_rates
     monkeypatch.setattr(rigidity, "_pair_rates", checked)
     monkeypatch.setattr(deform, "_pair_rates", checked)
-    path = continue_path(fws[name], steps=steps, ds=1e-2)
-    assert len(calls) == len(path.samples) > 1
+    path = continue_path(fws[name], steps=steps, ds=-1e-2 if backward else 1e-2)
+    n, total = fws[name].n, len(path.samples)
+    size = max(1, deform._CHUNK_CELLS // (n * (n + 1) // 2 * 25))
+    assert total > 1 and stacks == [min(size, total - at) for at in range(0, total, size)]
+    assert len(stacks) > 1 and (size > 1) == (name != "ppt3-4x4")
 
 
 def test_newton_assembles_only_when_it_steps(monkeypatch):
@@ -746,6 +758,57 @@ def test_boundary_sample_keeps_last_tangent_when_flex_fails(monkeypatch):
     monkeypatch.setattr(deform, "_oriented_flex", read(2))
     with pytest.raises(NumericalError, match="not one-dimensional"):
         continue_path(fw, steps=200, ds=2e-2)
+
+
+@pytest.mark.parametrize("rates_at, gram_at, trace_fails_at, raised", [
+    (None, 5, 30, "Gram rate of sample 5"),
+    (5, 6, 30, "non-finite squared-distance rate"),
+    (6, 5, 30, "Gram rate of sample 5"),
+    (5, 5, 30, "non-finite squared-distance rate"),
+    (None, None, 30, "tracing fails at sample 30"),
+    (None, 50, None, "Gram rate of sample 50"),
+    (50, None, None, "non-finite squared-distance rate")])
+def test_deferred_verdicts_raise_in_sample_order(rates_at, gram_at, trace_fails_at, raised,
+                                                 monkeypatch):
+    """The verdicts of a path are judged once it is traced, in stacked
+    chunks (the 51 samples of this ppt3 path in two), yet a path raises
+    what the sample-by-sample code raised: the first refused sample in
+    path order, its rates before its Gram rate, even when tracing fails at
+    a later sample, in a chunk whose rates hold a refused sample of their
+    own, or at the last sample of a path that otherwise ends at its event;
+    a tracing failure with no refused sample before it is raised as is.
+    Every tangent up to the failure or the end is read first."""
+    fw = fixture("ppt3")
+    expected = continue_path(fw, steps=100, ds=1e-2)
+    assert len(expected.samples) == 51 and expected.termination.startswith("event")
+    at = {k: expected.samples[k] for k in (rates_at, gram_at) if k is not None}
+
+    def pair_rates(positions, lattice, motion, cutoff):
+        placed = positions.reshape(-1, *positions.shape[-2:])
+        if rates_at is not None and any(np.array_equal(p, at[rates_at].configuration.positions)
+                                        for p in placed):
+            raise NumericalError("non-finite squared-distance rate")
+        return rates(positions, lattice, motion, cutoff)
+
+    def auxetic(dom):
+        if gram_at is not None and np.array_equal(dom, at[gram_at].gram_rate):
+            raise NumericalError("Gram rate of sample %d" % gram_at)
+        return check(dom)
+
+    def flex(*args):
+        reads.append(1)
+        if trace_fails_at is not None and len(reads) == trace_fails_at + 1:
+            raise NumericalError("tracing fails at sample %d" % trace_fails_at)
+        return oriented(*args)
+
+    rates, check = deform._pair_rates, deform.auxetic_tangent_check
+    oriented, reads = deform._oriented_flex, []
+    monkeypatch.setattr(deform, "_pair_rates", pair_rates)
+    monkeypatch.setattr(deform, "auxetic_tangent_check", auxetic)
+    monkeypatch.setattr(deform, "_oriented_flex", flex)
+    with pytest.raises(NumericalError, match="^%s$" % raised):
+        continue_path(fw, steps=100, ds=1e-2)
+    assert len(reads) == (trace_fails_at or len(expected.samples) - 1) + 1
 
 
 def test_margin_of_a_reflex_corner_opened_past_two_pi():

@@ -170,11 +170,12 @@ def test_path_arrays_built_once():
 
 
 def test_pair_rates_read_by_the_expansive_verdicts_only():
-    """Squared-distance rates over the pair table are read once per path
-    sample and once per ``expansive_check``: the flex is oriented by its
-    cell-area rate, with no pair table."""
+    """Squared-distance rates over the pair table are read by a path's
+    stacked verdict pass, once per chunk of samples, and once per
+    ``expansive_check``: the flex is oriented by its cell-area rate, with
+    no pair table."""
     assert _scoped_callers("_pair_rates") == {
-        "_pair_rates": ["deform.py:continue_path.sample", "deform.py:expansive_check"]}
+        "_pair_rates": ["deform.py:_judged", "deform.py:expansive_check"]}
 
 
 def _is_tolerance(name):

@@ -1,6 +1,7 @@
 """Non-crossing detection, face tracing, corner counts, SVG export."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -275,6 +276,28 @@ def test_edge_too_long_to_measure_is_refused():
             with pytest.raises(FrameworkError, match=r"^crossing check out of range: edge "
                                                      r"orbit %d is too long" % orbit):
                 _orbit_crossing_rows(fw, rows)
+
+
+def test_box_with_overflowing_fractional_coordinates_is_refused(tmp_path, capsys):
+    """Every edge length is finite, but the fractional coordinates of the
+    edge boxes overflow on a 1e-150 lattice 1e165 from the origin (inf on
+    both sides, NaN widths): the crossing check refuses the box, without an
+    overflow warning, before it sizes its grid, and ``analyze`` and ``ppt``
+    exit 2 with JSON, where the grid size once raised ValueError."""
+    from perimax import cli, serialize_framework
+    fw = PeriodicFramework(1e-150 * np.eye(2), [[1e165, 0.0], [1e165 + 1.2e154, 0.0]],
+                           [(0, 1, (0, 0))])
+    text = "crossing check out of range: an edge box's fractional coordinates overflow"
+    path = tmp_path / "far.json"
+    path.write_text(serialize_framework(fw), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameworkError, match="^%s$" % text):
+            check_noncrossing(fw)
+        for command in ("analyze", "ppt"):
+            capsys.readouterr()
+            assert cli.main([command, str(path), "--quiet"]) == 2, command
+            assert json.loads(capsys.readouterr().out) == {"error": text, "kind": "validation"}
 
 
 # index <= 2 sublattices in canonical form (a, b, d), 0 <= b < d
