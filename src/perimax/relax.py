@@ -285,7 +285,11 @@ def ultrarigidity_probe(fw, max_index=4):
     RANK_RTOL relative to the block's largest singular value.  A block
     that the Cholesky certificate ``rigidity._full_rank`` settles has
     full rank with a safe gap and skips its SVD; the rest go through one
-    batched SVD per chunk.
+    batched SVD per chunk.  Where m >= 2n and a chunk holds at least m + 1
+    classes, the certificate reads Gram matrices R_chi^H R_chi assembled
+    from the edge terms in one GEMM, within O(m eps tr G) of the product
+    and far below its margin FULL_RANK_DELTA tr G, and only the blocks it
+    leaves are built.
 
     Raises FrameworkError, before ranking, at the first sublattice in
     ``sublattices_up_to`` order whose ``fw._joined_index`` exceeds 1 (a

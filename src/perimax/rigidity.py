@@ -47,10 +47,13 @@ _MAX_PAIR_GRID = 1 << 20
 # its smaller side less FULL_RANK_DELTA tr(G) I has a Cholesky factor: then
 # sigma_min >= ~1e-4 sigma_max, far above RANK_RTOL.
 FULL_RANK_DELTA = 1e-8
-# Complex entries per chunk of character blocks, of any orders: the blocks
-# (characters x m x 2n), the conjugate copy and the k x k Gram matrices that
-# ``_full_rank`` forms from them, and its column steps (about 4k entries per
-# block); bounds the working arrays of a chunk to about 1 MB together.
+# Complex entries per chunk of character classes, of any orders: per class
+# its k x k Gram matrix, then the certificate's Cholesky factor of it or its
+# m x 2n block once built, and its phases with their integer turns; blocks
+# built before the certificate add themselves and their conjugate copy, and
+# an edge-term table counts once.  About 1 MB together.  A Gram assembled
+# from edge terms differs from the product by O(m eps tr G), far below
+# FULL_RANK_DELTA tr G.
 _PROBE_CELLS = 1 << 16
 # Largest n whose dimension verdicts always come from one dense SVD: up to
 # about this n that SVD costs less than the primitive-cell search and blocks.
@@ -135,38 +138,50 @@ def equilibrium_matrix(fw):
     return rigidity_matrix(fw)[:, :2 * fw.n].T.copy()
 
 
-def _svd_rank(A):
+def _svd_rank(A, build=None):
     """Singular values, numerical rank and the kept/dropped gap ratio of a
-    matrix, or elementwise for a stack of matrices (J, M, N).  A stacked
-    matrix that ``_full_rank`` certifies reads rank min(M, N) and gap inf,
+    matrix, or elementwise for a stack of matrices (J, M, N).  A stack may
+    come as its Gram stack (J, k, k), k = min(M, N), the ``_gram`` product
+    or assembled (``_character_blocks``, within O(m eps tr G) of it), with
+    ``build``, which returns the matrices of a mask of the stack.  A
+    stacked matrix that ``_full_rank`` certifies reads rank k and gap inf,
     as its SVD would, with NaN singular values; only the others are
-    decomposed."""
+    decomposed, and with ``build`` only they are built."""
     if A.ndim < 3:
         return _read_rank(np.linalg.svd(A, compute_uv=False))
+    if build is None:
+        A, build = _gram(A), A.__getitem__
     rest = ~_full_rank(A)
-    sv = np.full(A.shape[:1] + (min(A.shape[1:]),), np.nan)
+    sv = np.full(A.shape[:2], np.nan)
     rank, gap = np.full(len(A), sv.shape[1]), np.full(len(A), np.inf)
     if rest.any():
-        sv[rest], rank[rest], gap[rest] = _read_rank(np.linalg.svd(A[rest], compute_uv=False))
+        sv[rest], rank[rest], gap[rest] = _read_rank(np.linalg.svd(build(rest), compute_uv=False))
     return sv, rank, gap
 
 
-def _full_rank(A):
-    """Mask of the matrices of a stack (J, M, N) certified to have full rank
-    k = min(M, N) with a safe gap: the k x k Gram matrix G of the smaller
-    side less FULL_RANK_DELTA tr(G) I has a Cholesky factor.  Then sigma_min^2
-    >= FULL_RANK_DELTA tr(G) - O(k^2 eps tr(G)) >= ~FULL_RANK_DELTA
-    sigma_max^2, so the SVD would keep all k values.  A matrix with a
-    non-finite entry is never certified, nor one so small that
-    FULL_RANK_DELTA tr(G) is not a normal float (subnormal rounding would
-    void the bound).  One ``np.linalg.cholesky`` of the stack, rounding within
-    the same O(k^2 eps tr(G)), settles it when every matrix passes that test;
-    if it raises, the factorization loops over the shorter of k and J: one
-    column step over the stack per column, or one cholesky per matrix."""
-    J, M, N = A.shape
+def _gram(A):
+    """The k x k Gram matrices of the smaller sides of a stack (J, M, N),
+    k = min(M, N): A^H A when M >= N, else A A^H."""
     with np.errstate(over="ignore", invalid="ignore"):    # such G fail the trace test
-        G = A.conj().swapaxes(1, 2) @ A if M >= N else A @ A.conj().swapaxes(1, 2)
-    k = G.shape[1]
+        return A.conj().mT @ A if A.shape[1] >= A.shape[2] else A @ A.conj().mT
+
+
+def _full_rank(G):
+    """Mask of the Gram matrices of a stack (J, k, k) certified to come
+    from matrices of full rank k with a safe gap: G less FULL_RANK_DELTA
+    tr(G) I has a Cholesky factor.  Then sigma_min^2 >= FULL_RANK_DELTA
+    tr(G) - O(k^2 eps tr(G)) >= ~FULL_RANK_DELTA sigma_max^2, so the SVD
+    would keep all k values; a Gram assembled from edge terms
+    (``_character_blocks``) differs from the product by O(m eps tr(G)), far
+    below that.  A Gram with a non-finite trace is never certified, nor one
+    so small that FULL_RANK_DELTA tr(G) is not a normal float (subnormal
+    rounding would void the bound).  G is overwritten.  One
+    ``np.linalg.cholesky`` of the stack, rounding within the same O(k^2 eps
+    tr(G)), settles it when every matrix passes that test; if it raises,
+    the factorization loops over the shorter of k and J: one column step
+    over the stack per column, or one cholesky per matrix.  Only the lower
+    triangle and the diagonal are read."""
+    J, k, _ = G.shape
     diagonal = np.arange(k)
     trace = G[:, diagonal, diagonal].real.sum(axis=1)
     ok = np.isfinite(trace) & (FULL_RANK_DELTA * trace >= np.finfo(float).tiny)
@@ -220,34 +235,110 @@ def _read_rank(sv):
 
 
 def _character_blocks(fw):
-    """The character blocks of fw's edge orbits as a function of their
-    phases: for chi of shape (J, m), one unit complex number per row, the
-    (J, m, 2n) complex blocks whose row k holds -e_k in the tail columns and
-    chi_k e_k in the head columns (they add up for a loop)."""
+    """(build, tabulate) for fw's character blocks, whose phases chi =
+    roots[at + turns], of shape (J, m), come from ``_unit_roots`` and
+    per-class offsets ``at`` (J, 1).  build returns the (J, m, 2n) complex
+    blocks whose row k holds -e_k in the tail columns and chi_k e_k in the
+    head columns (they add up for a loop).  tabulate() returns a function
+    of the same phases that assembles the blocks' Gram matrices R_chi^H
+    R_chi from edge terms, with no block built, in the lower triangle and
+    diagonal that ``_full_rank`` reads: one product of (J, m + 1) phases
+    and an (m + 1) x (2n)^2 table.  With |chi_k| = 1, R^H R = D + F + F^H,
+    the "dynamical matrix" of rigid-unit-mode work (Giddy et al., Acta
+    Cryst. A 49, 1993): D = sum_k e_k e_k^T at (tail, tail) and at (head,
+    head) is chi-free, F = -sum_k chi_k e_k e_k^T at (tail, head).  So edge
+    k's term -e_k e_k^T sits in the lower of its two blocks, with phase
+    chi_k when tail >= head and conj(chi_k) otherwise, and the last term,
+    D, takes phase 1.  A loop's row is (chi_k - 1) e_k: its term takes the
+    phase -|chi_k - 1|^2 and D leaves it out, so that a loop adds what its
+    row adds (nothing at chi_k = 1) and no cancellation of its size.  Each
+    entry is then within O(m eps tr G) of the product of the built block,
+    as close as that product is to the exact Gram."""
     parts = np.zeros((2, fw.m, fw.n, 2))    # the tail and head columns of each row
     parts[0, np.arange(fw.m), fw.tails] = parts[1, np.arange(fw.m), fw.heads] = fw.edge_vectors()
+    tail, head = parts.reshape(2, fw.m, 2 * fw.n)
 
-    def build(chi):
-        blocks = chi[:, :, None, None] * parts[1]
-        blocks -= parts[0]
-        return blocks.reshape(len(chi), fw.m, 2 * fw.n)
+    def build(roots, at, turns):
+        blocks = roots[at + turns][:, :, None] * head
+        blocks -= tail
+        return blocks
 
-    return build
+    def tabulate():
+        k, lower = 2 * fw.n, (fw.tails >= fw.heads)[:, None]
+        loops, kept = np.flatnonzero(fw.tails == fw.heads), (fw.tails != fw.heads)[:, None]
+        table = np.empty((fw.m + 1, k, k))
+        with np.errstate(over="ignore", invalid="ignore"):    # such Gram fail the trace test
+            np.multiply(np.where(lower, -tail, -head)[:, :, None],
+                        np.where(lower, head, tail)[:, None, :], out=table[:-1])
+            table[-1] = (kept * tail).T @ tail + (kept * head).T @ head
+        table = table.reshape(fw.m + 1, k * k)
+        # each term's phase: chi_k at turns t_k, conj(chi_k) at -t_k, 1 at 0
+        sign = np.append(np.where(lower[:, 0], 1, -1), 0)
+        edges = np.append(np.arange(fw.m), 0)
+
+        def assemble(roots, at, turns):
+            phases = roots[at + sign * turns[:, edges]]
+            if len(loops):
+                phases[:, loops] = -np.abs(phases[:, loops] - 1.0) ** 2
+            return (phases @ table).reshape(len(turns), k, k)
+
+        return assemble
+
+    return build, tabulate
+
+
+@lru_cache(maxsize=64)
+def _unit_roots(orders):
+    """(roots, start), read-only, for a tuple of orders N: roots[start[N] +
+    t] is exp(2 pi i t / N), bitwise the value of ``np.exp``, and
+    roots[start[N] - t] its conjugate, for 0 <= t < N."""
+    orders = np.array(orders, dtype=int)
+    start = np.zeros(orders.max(initial=0) + 1, dtype=int)
+    start[orders] = np.cumsum(2 * orders - 1) - orders    # each order's -t .. t
+    N = np.repeat(orders, orders)
+    t = np.arange(len(N)) - np.repeat(np.cumsum(orders) - orders, orders)
+    power = np.exp(2j * np.pi * t / N)
+    roots = np.empty(2 * len(N) - len(orders), complex)
+    roots[start[N] - t] = power.conj()    # at t = 0 the next line writes exp(0)
+    roots[start[N] + t] = power
+    roots.setflags(write=False)
+    start.setflags(write=False)
+    return roots, start
 
 
 def _character_ranks(fw, classes):
     """(rank R, rank R_chi of each class (N, x, y), smallest gap of all),
-    chi(c) = exp(2 pi i (x, y).c / N), ranked as ``ultrarigidity_probe`` says."""
+    chi(c) = exp(2 pi i (x, y).c / N), ranked as ``ultrarigidity_probe`` says.
+
+    Each chunk reads its phases from one table of roots of unity.  Where m
+    >= 2n and a chunk holds at least as many classes as the edge-term table
+    of ``_character_blocks`` has rows, so that the table is no larger than
+    the chunk's Gram stack, the Gram matrices are assembled from it in one
+    GEMM and only the blocks that the certificate leaves are built;
+    elsewhere the blocks are built first and their Gram is their product."""
     _, rank, gap = _svd_rank(rigidity_matrix(fw))
-    build = _character_blocks(fw)
-    k = min(fw.m, 2 * fw.n)
-    chunk = max(1, _PROBE_CELLS // max(1, 4 * fw.m * fw.n + k * (k + 4)))
+    m, n = fw.m, fw.n
+    build, tabulate = _character_blocks(fw)
+    roots, start = _unit_roots(tuple(np.flatnonzero(np.bincount(classes[:, 0])).tolist()))
+    k, rows = min(m, 2 * n), m + 1    # the rows of the edge-term table
+    # complex entries per class: its Gram, then the certificate's factor of
+    # it or its block once built, and its phases with their integer turns
+    cells = k * k + 2 * m * n + 2 * m
+    chunk = (_PROBE_CELLS - rows * k * k) // max(1, cells)
+    grams = m >= 2 * n and min(chunk, len(classes)) >= rows and tabulate()
+    if not grams:    # every block built first, with its conjugate copy
+        chunk = max(1, _PROBE_CELLS // max(1, cells + 2 * m * n))
     ranks = np.empty(len(classes), dtype=int)
     for lo in range(0, len(classes), chunk):
         N, x, y = (classes[lo:lo + chunk, i, None] for i in range(3))
         # (x, y).c mod N, each shift reduced mod N before any product
         turns = (x * (fw.shifts[:, 0] % N) + y * (fw.shifts[:, 1] % N)) % N
-        _, ranks[lo:lo + chunk], block_gap = _svd_rank(build(np.exp(2j * np.pi * turns / N)))
+        at = start[N]
+        if grams:
+            _, ranks[lo:lo + chunk], block_gap = _svd_rank(
+                grams(roots, at, turns), lambda rest: build(roots, at[rest], turns[rest]))
+        else:
+            _, ranks[lo:lo + chunk], block_gap = _svd_rank(build(roots, at, turns))
         gap = min(gap, float(block_gap.min()))
     return rank, ranks, gap
 

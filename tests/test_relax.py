@@ -951,6 +951,43 @@ def test_probe_reads_the_same_without_the_full_rank_certificate(name, monkeypatc
     assert bool(refused) == (name == "straddling"), refused
 
 
+@pytest.mark.parametrize("name", ["ppt3", "cubes"])
+def test_product_chunks_read_the_same_without_the_full_rank_certificate(name, monkeypatch):
+    """Relaxed (4, 0, 4), n = 48 and m = 96, a chunk holds fewer classes
+    than there are edge orbits, so each Gram is the product of the chunk's
+    built blocks; the probe to index 4 reads the same entries with the
+    certificate switched off."""
+    fw = relax(fixture(name), Sublattice(4, 0, 4))
+    chunks = []
+    svd_rank = rigidity_module._svd_rank
+
+    def counted(A, *args):
+        if np.ndim(A) == 3:
+            chunks.append((A.shape, args))
+        return svd_rank(A, *args)
+
+    monkeypatch.setattr(rigidity_module, "_svd_rank", counted)
+    certified = _probe_outcome(fw, 4)
+    assert chunks and all(shape[0] < fw.m and shape[1:] == (fw.m, 2 * fw.n) and not args
+                          for shape, args in chunks), chunks
+    monkeypatch.setattr(rigidity_module, "_full_rank", lambda A: np.zeros(len(A), dtype=bool))
+    assert _probe_outcome(fw, 4) == certified
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_probe_reads_the_same_at_extreme_scales(name):
+    """The probe to index 6 reads the same entries on a fixture scaled by
+    1e-150, where the squared edge terms are near the smallest normal
+    floats, and by 1e153, near overflow: the Gram traces stay finite and
+    normal or are refused, and a refused block goes to the SVD."""
+    fw = fixture(name)
+    want = _probe_outcome(fw, 6)
+    assert isinstance(want, list)
+    for scale in (1e-150, 1e153):
+        assert _probe_outcome(fw.with_geometry(scale * fw.positions, scale * fw.lattice),
+                              6) == want, scale
+
+
 @pytest.mark.parametrize("abd", [(2, 0, 1), (1, 2, 3), (3, 2, 4)])
 def test_relaxation_shift_sums_stay_in_int64(abd):
     """Shifts at the largest entry the guard admits unfold as the oracle's

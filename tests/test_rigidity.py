@@ -226,11 +226,11 @@ def test_svd_rank_of_a_stack_matches_each_matrix(rng):
     """A stack reads the rank and gap of each matrix's own SVD.  The
     matrices the full-rank certificate settles have NaN singular values;
     every other one has its own SVD's values."""
-    from perimax.rigidity import _full_rank, _svd_rank
+    from perimax.rigidity import _full_rank, _gram, _svd_rank
 
     def check(mats):
         stack = np.stack(mats)
-        certified = _full_rank(stack)
+        certified = _full_rank(_gram(stack))
         sv, rank, gap = _svd_rank(stack)
         for i, A in enumerate(mats):
             sv_i, rank_i, gap_i = _svd_rank(A)
@@ -258,7 +258,7 @@ def test_svd_rank_of_a_stack_matches_each_matrix(rng):
     # a non-finite matrix is never certified; the SVD reads it as before
     mats = [rng.standard_normal((4, 3)), np.full((4, 3), np.inf)]
     mats[1][1:] = rng.standard_normal((3, 3))
-    assert list(_full_rank(np.stack(mats))) == [True, False]
+    assert list(_full_rank(_gram(np.stack(mats)))) == [True, False]
     sv, rank, gap = _svd_rank(np.stack(mats))
     assert np.isnan(sv[0]).all() and rank[0] == 3 and np.isinf(gap[0])
     assert np.array_equal(sv[1], np.linalg.svd(mats[1], compute_uv=False), equal_nan=True)
@@ -380,7 +380,7 @@ def test_full_rank_certificate_never_drops_a_value(kinds, m, w, scale, seed):
     stack = np.zeros((len(kinds), m, w), complex)
     for block, kind in zip(stack, kinds):
         block[...] = _planted_block(rng, kind, m, w, scale)
-    certified = rigidity._full_rank(stack)
+    certified = rigidity._full_rank(rigidity._gram(stack))
     assert certified.shape == (len(kinds),)
     finite = np.isfinite(stack).all(axis=(1, 2))
     assert not certified[~finite].any()
@@ -425,18 +425,36 @@ def test_batched_certificate_matches_column_steps(J, m, w, monkeypatch):
     rng = np.random.default_rng(J * 100 + m)
     stack = np.array([_planted_block(rng, "random", m, w, 1.0) for _ in range(J)])
     calls = _counted_cholesky(monkeypatch, refuse_stacks=True)
-    loops = rigidity._full_rank(stack)
+    loops = rigidity._full_rank(rigidity._gram(stack))
     assert calls == [3] + ([2] * J if min(m, w) > J else [])
     monkeypatch.undo()
     calls = _counted_cholesky(monkeypatch, refuse_stacks=False)
-    batched = rigidity._full_rank(stack)
+    batched = rigidity._full_rank(rigidity._gram(stack))
     assert calls == [3]
     assert batched.all() and np.array_equal(batched, loops)
     for kind in ("singular", "zero", "nonfinite"):
         extra = _planted_block(rng, kind, m, w, 1.0)
         for at in (0, J):
-            mask = rigidity._full_rank(np.insert(stack, at, extra, axis=0))
+            mask = rigidity._full_rank(rigidity._gram(np.insert(stack, at, extra, axis=0)))
             assert not mask[at] and np.array_equal(np.delete(mask, at), batched), (kind, at)
+
+
+@pytest.mark.parametrize("J, k", [(40, 6), (3, 8)])
+def test_full_rank_reads_only_the_lower_triangle(J, k):
+    """The certificate reads the lower triangle and the real diagonal of
+    each Gram matrix, as assembled from edge terms, and nothing above it:
+    NaN above the diagonal leaves the mask as it was, with the stacked
+    factorization and with either loop."""
+    rng = np.random.default_rng(J * k)
+    kinds = ["random", "singular", "zero", "cut"] * J
+    stack = np.array([_planted_block(rng, kind, k + 1, k, 1.0) for kind in kinds[:J]])
+    want = rigidity._full_rank(rigidity._gram(stack))
+    assert want.any() and not want.all()
+    rows, cols = np.triu_indices(k, 1)
+    for mats in (stack, stack[want]):    # the loops, then one stacked call
+        upper = rigidity._gram(mats)
+        upper[:, rows, cols] = np.nan
+        assert np.array_equal(rigidity._full_rank(upper), want[want] if len(mats) < J else want)
 
 
 def test_stress_check_matches_dense_reference(rng):
