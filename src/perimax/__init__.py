@@ -4,6 +4,7 @@ from .core import (
     FrameworkError,
     NumericalError,
     PeriodicFramework,
+    Sublattice,
     canonical_edge,
     framework_from_dict,
     framework_to_dict,
@@ -47,8 +48,6 @@ from .pseudotri import (
     pointedness_margin,
 )
 from .relax import (
-    Sublattice,
-    UnfoldedFramework,
     UltrarigidityReport,
     copy_stress,
     relax,

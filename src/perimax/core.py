@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -21,6 +22,7 @@ __all__ = [
     "FrameworkError",
     "NumericalError",
     "PeriodicFramework",
+    "Sublattice",
     "canonical_edge",
     "validate_geometry",
     "parse_framework",
@@ -200,6 +202,81 @@ def _hermite_join(basis, c1, c2):
     return p, q % t if t else q, t
 
 
+@dataclass(frozen=True)
+class Sublattice:
+    """Canonical index-(a*d) sublattice with generators (a, b) and (0, d)
+    in the coordinates of the current lattice basis; entries are read as
+    ``_integer`` reads them and stored as ints."""
+
+    a: int
+    b: int
+    d: int
+
+    def __post_init__(self):
+        if not type(self.a) is type(self.b) is type(self.d) is int:    # enumerations pass ints
+            for name in ("a", "b", "d"):
+                object.__setattr__(self, name, _integer(getattr(self, name), "sublattice " + name))
+        if self.a < 1 or self.d < 1 or not 0 <= self.b < self.d:
+            raise FrameworkError(
+                "sublattice (a=%d, b=%d, d=%d) is not in canonical form"
+                % (self.a, self.b, self.d))
+
+    @property
+    def index(self):
+        return self.a * self.d
+
+    @property
+    def matrix(self):
+        """2x2 integer matrix whose columns are the new generators."""
+        return np.array([[self.a, 0], [self.b, self.d]], dtype=int)
+
+    @classmethod
+    def from_matrix(cls, mat):
+        """Canonicalize an arbitrary nonsingular integer generator matrix.
+
+        Columns of ``mat`` span the sublattice; unimodular column
+        operations reduce it to the canonical triangular form.  Entries
+        are read as ``_integer`` reads them and must fit int64.
+        """
+        try:
+            (w, x), (y, z) = mat
+        except (TypeError, ValueError):
+            raise FrameworkError("sublattice matrix must be 2x2") from None
+        w, x, y, z = (_integer(v, "sublattice matrix entry") for v in (w, x, y, z))
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (w, x, y, z)):
+            raise FrameworkError("sublattice matrix entries must be 64-bit integers")
+        if w * z - x * y == 0:
+            raise FrameworkError("sublattice matrix is singular")
+        return cls(*_hermite_join(_hermite_join((0, 0, 0), w, y), x, z))
+
+    def reduce(self, z1, z2):
+        """Coset representative and quotient of an integer vector.
+
+        Returns (r1, r2, k1, k2) with (z1, z2) = (r1, r2) + k1*(a, b) +
+        k2*(0, d), 0 <= r1 < a and 0 <= r2 < d; all arithmetic exact.
+        """
+        k1, r1 = divmod(z1, self.a)
+        k2, r2 = divmod(z2 - k1 * self.b, self.d)
+        return r1, r2, k1, k2
+
+    def coset_index(self, r1, r2):
+        return r1 * self.d + r2
+
+
+@dataclass(frozen=True, eq=False)
+class Relaxation:
+    """A framework as ``parent`` (positions P, lattice L) relaxed to the sublattice of the
+    integer matrix M = ``matrix``: lattice L M to rounding, vertex i at P[orbit[i]] +
+    L cell[i], and edge orbit k a copy of parent edge orbit edge_orbit[k].  Read-only."""
+
+    parent: PeriodicFramework
+    matrix: np.ndarray
+    sublattice: Sublattice
+    orbit: np.ndarray
+    cell: np.ndarray
+    edge_orbit: np.ndarray
+
+
 class PeriodicFramework:
     """A connected planar periodic framework given by quotient data.
 
@@ -339,11 +416,9 @@ class PeriodicFramework:
 
     @cached_property
     def primitive_cell(self):
-        """(parent, (a, b, d)) for the translations that map the labelled
-        quotient graph exactly and the positions within CELL_MATCH_RTOL onto
-        themselves: ``relax(parent, Sublattice(a, b, d))`` is this framework up
-        to orbit order and lattice basis.  None for the lattice's alone, a thin
-        match or a shift sum beyond int64."""
+        """The ``Relaxation`` from the translations that map the labelled quotient
+        graph exactly and the positions within CELL_MATCH_RTOL onto themselves;
+        None for the lattice's alone, a thin match or a shift sum beyond int64."""
         n, tails, heads, shifts = self.n, self._tails, self._heads, self._shifts
         (l11, l12), (l21, l22) = self._lattice.tolist()    # scalars: LAPACK costs more
         frac = self._positions @ [[l22, -l21], [-l12, l11]] / (l11 * l22 - l12 * l21)
@@ -379,7 +454,8 @@ class PeriodicFramework:
             coset = orbit * index * index + (cells @ [[d, -b], [0, a]]) % index @ [index, 1]
             rows = np.column_stack([orbit[tails], orbit[heads],
                                     cells[heads] - cells[tails] + shifts @ M.T])
-            rows = rows[np.lexsort(_canonicalize(rows))]
+            order = np.lexsort(_canonicalize(rows))
+            rows = rows[order]
             new = np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1), [True]])
             if ((np.diff(np.sort(coset)) == 0).any()
                     or (np.diff(np.flatnonzero(new)) != index).any()):
@@ -388,7 +464,10 @@ class PeriodicFramework:
                                        self._positions[reps], rows[new[:-1]])
         except FrameworkError:
             return None
-        return parent, (a, b % d, d)
+        edge_orbit = (np.cumsum(new[:-1]) - 1)[np.argsort(order)]
+        for arr in (M, orbit, cells, edge_orbit):
+            arr.setflags(write=False)
+        return Relaxation(parent, M, Sublattice(a, b % d, d), orbit, cells, edge_orbit)
 
     @property
     def geometry_scale(self):

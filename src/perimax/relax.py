@@ -1,14 +1,15 @@
 """Finite-index relaxation of periodicity and the ultrarigidity probe.
 
-A finite-index sublattice is kept in the canonical triangular form with
-generators a*g1 + b*g2 and d*g2 (0 <= b < d), enumerated so that index k
-yields exactly sigma_1(k) = sum of divisors distinct sublattices.  Unfolding
-multiplies the quotient data by the index while realizing the identical
-infinite point set.  Stress persistence and the ultrarigidity probe unfold
-nothing: one reads the sums over the coset copies in closed form, the other
-ranks one small complex block per conjugate pair of characters.  Sweeps
-over many sublattices compute once what none of them changes: a framework's
-edge geometry and last stress terms, and the probe's enumeration.
+A finite-index sublattice (``core.Sublattice``) is kept in the canonical
+triangular form with generators a*g1 + b*g2 and d*g2 (0 <= b < d),
+enumerated so that index k yields exactly sigma_1(k) = sum of divisors
+distinct sublattices.  Unfolding multiplies the quotient data by the index
+while realizing the identical infinite point set: copy r of orbit i is orbit
+i * index + coset_index(r).  Stress persistence and the ultrarigidity probe
+unfold nothing: one reads the sums over the coset copies in closed form,
+the other ranks one small complex block per conjugate pair of characters.
+Sweeps over many sublattices compute once what none of them changes: a
+framework's edge geometry and last stress terms, and the probe's enumeration.
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, FrameworkError, PeriodicFramework,
-                   _canonicalize, _geometry_scale, _hermite_join, _integer, _lattice_vectors,
+                   Sublattice, _canonicalize, _geometry_scale, _integer, _lattice_vectors,
                    _require_shift_room)
 from .rigidity import (_require_gap, _stress_check, _stress_terms, _stress_values,
                        _sublattice_ranks)
 
-
 __all__ = [
-    "Sublattice",
     "sublattices_of_index",
     "sublattices_up_to",
-    "UnfoldedFramework",
     "relax",
     "copy_stress",
     "stress_persists",
@@ -44,70 +42,6 @@ __all__ = [
 _MAX_PROBE_INDEX = 64
 # Largest index * max(n, m) an unfolding accepts: at most 32 MB of edge rows.
 _MAX_UNFOLD = 1 << 20
-
-
-@dataclass(frozen=True)
-class Sublattice:
-    """Canonical index-(a*d) sublattice with generators (a, b) and (0, d)
-    in the coordinates of the current lattice basis; entries are read as
-    ``core._integer`` reads them and stored as ints."""
-
-    a: int
-    b: int
-    d: int
-
-    def __post_init__(self):
-        if not type(self.a) is type(self.b) is type(self.d) is int:    # enumerations pass ints
-            for name in ("a", "b", "d"):
-                object.__setattr__(self, name, _integer(getattr(self, name), "sublattice " + name))
-        if self.a < 1 or self.d < 1 or not 0 <= self.b < self.d:
-            raise FrameworkError(
-                "sublattice (a=%d, b=%d, d=%d) is not in canonical form"
-                % (self.a, self.b, self.d))
-
-    @property
-    def index(self):
-        return self.a * self.d
-
-    @property
-    def matrix(self):
-        """2x2 integer matrix whose columns are the new generators."""
-        return np.array([[self.a, 0], [self.b, self.d]], dtype=int)
-
-    @classmethod
-    def from_matrix(cls, mat):
-        """Canonicalize an arbitrary nonsingular integer generator matrix.
-
-        Columns of ``mat`` span the sublattice; unimodular column
-        operations reduce it to the canonical triangular form.  Entries
-        are read as ``core._integer`` reads them and must fit int64.
-        """
-        try:
-            (w, x), (y, z) = mat
-        except (TypeError, ValueError):
-            raise FrameworkError("sublattice matrix must be 2x2") from None
-        w, x, y, z = (_integer(v, "sublattice matrix entry") for v in (w, x, y, z))
-        if not all(-2 ** 63 <= v < 2 ** 63 for v in (w, x, y, z)):
-            raise FrameworkError("sublattice matrix entries must be 64-bit integers")
-        if w * z - x * y == 0:
-            raise FrameworkError("sublattice matrix is singular")
-        return cls(*_hermite_join(_hermite_join((0, 0, 0), w, y), x, z))
-
-    def reduce(self, z1, z2):
-        """Coset representative and quotient of an integer vector.
-
-        Returns (r1, r2, k1, k2) with (z1, z2) = (r1, r2) + k1*(a, b) +
-        k2*(0, d), 0 <= r1 < a and 0 <= r2 < d; all arithmetic exact.
-        """
-        r1 = z1 % self.a
-        k1 = (z1 - r1) // self.a
-        z2p = z2 - k1 * self.b
-        r2 = z2p % self.d
-        k2 = (z2p - r2) // self.d
-        return r1, r2, k1, k2
-
-    def coset_index(self, r1, r2):
-        return r1 * self.d + r2
 
 
 def sublattices_of_index(k):
@@ -132,22 +66,6 @@ def sublattices_up_to(max_index):
     for k in range(1, max_index + 1):
         out.extend(sublattices_of_index(k))
     return out
-
-
-class UnfoldedFramework(PeriodicFramework):
-    """A framework with periodicity relaxed to a finite-index sublattice.
-
-    Vertex orbit (i, r) of the original framework becomes orbit
-    i * index + coset_index(r); ``parent_vertex`` and ``parent_edge`` map
-    unfolded orbits back to the original ones.
-    """
-
-    def __init__(self, lattice, positions, edges, sublattice, parent_vertex,
-                 parent_edge):
-        super().__init__(lattice, positions, edges)
-        self.sublattice = sublattice
-        self.parent_vertex = np.asarray(parent_vertex, dtype=int)
-        self.parent_edge = np.asarray(parent_edge, dtype=int)
 
 
 def _require_size(fw, sub):
@@ -183,24 +101,28 @@ def _unfold(fw, sub):
 def relax(fw, sub):
     """Unfold a framework to the given sublattice of its periodicity.
 
-    The realized infinite point set is unchanged; the quotient grows by the
-    index.  FrameworkError when index * max(n, m) exceeds 2**20.
+    The realized infinite point set is unchanged; the quotient grows by the index: copy
+    r of orbit i is orbit i * index + sub.coset_index(r), of a plain framework keeping
+    ``sub`` for ``copy_stress``.  FrameworkError when index * max(n, m) exceeds 2**20.
     """
-    return UnfoldedFramework(*_unfold(fw, sub), sub, np.repeat(np.arange(fw.n), sub.index),
-                             np.repeat(np.arange(fw.m), sub.index))
+    out = PeriodicFramework(*_unfold(fw, sub))
+    out._sublattice = sub
+    return out
 
 
 def copy_stress(unfolded, s):
-    """Extend a stress of the original framework to the unfolded one by
-    repeating its value on every coset copy of each orbit."""
-    return _stress_values(s, unfolded.m // unfolded.sublattice.index)[unfolded.parent_edge]
+    """Repeat a stress on the orbit copies of ``relax``'s output; else FrameworkError."""
+    sub = getattr(unfolded, "_sublattice", None)
+    if sub is None:
+        raise FrameworkError("copy_stress needs a framework returned by relax")
+    return np.repeat(_stress_values(s, unfolded.m // sub.index), sub.index)
 
 
 def stress_persists(fw, s, sub):
-    """Whether a periodic stress stays periodic after relaxing to ``sub``:
-    the verdict and errors of ``check_periodic_stress`` on ``relax`` and
-    ``copy_stress``, from the base orbits by the closed forms of
-    ``rigidity._stress_check``; the relaxation is connected iff
+    """Whether a periodic stress stays periodic after relaxing to ``sub``: the
+    verdict and errors of ``check_periodic_stress`` on ``relax`` and ``copy_stress``,
+    read from fw's own orbits by the closed forms of ``rigidity._stress_check``
+    (nothing is unfolded or labelled); the relaxation is connected iff
     ``fw._joined_index`` of ``sub`` is 1, as in the probe.  A sweep pays once
     for what no sublattice changes: ``fw`` caches its edge geometry, and the
     ``_stress_terms`` of the last stress by its values, computed after the

@@ -399,8 +399,8 @@ def _block_rank(fw):
     cell; None when n <= DENSE_RANK_MAX_N or fw has no such cell."""
     if fw.n <= DENSE_RANK_MAX_N or fw.primitive_cell is None:
         return None
-    parent, abd = fw.primitive_cell
-    (rank,), gap = _sublattice_ranks(parent, (abd,))
+    sub = fw.primitive_cell.sublattice
+    (rank,), gap = _sublattice_ranks(fw.primitive_cell.parent, ((sub.a, sub.b, sub.d),))
     return int(rank), gap
 
 

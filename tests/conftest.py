@@ -29,7 +29,6 @@ from perimax import (FrameworkError, NumericalError, PeriodicFramework, flex_spa
                      sublattices_up_to)
 from perimax.pseudotri import (DERIVATIVE_RTOL, EdgeCandidate, _length_derivatives,
                                certify_ppt, pointedness_margin)
-from perimax.relax import UnfoldedFramework
 from perimax import topology
 from perimax.rigidity import (_flex_system, _gauge_kernel, _gauge_position, _lattice_rate,
                               equilibrium_matrix, pair_table)
@@ -471,8 +470,8 @@ def oracle_unfolding(fw, sub):
 
 def oracle_relax(fw, sub):
     """Unfolding by explicit loops over vertex and edge coset copies."""
-    lattice, positions, edges, parent_vertex, parent_edge = oracle_unfolding(fw, sub)
-    return UnfoldedFramework(lattice, positions, edges, sub, parent_vertex, parent_edge)
+    lattice, positions, edges, _, _ = oracle_unfolding(fw, sub)
+    return PeriodicFramework(lattice, positions, edges)
 
 
 def oracle_probe_entries(fw, max_index):

@@ -22,6 +22,7 @@ from perimax import (
     sublattices_up_to,
 )
 from perimax import rigidity
+from perimax.core import _canonicalize
 from perimax.relax import Sublattice
 
 from conftest import random_connected_framework, straddling_framework
@@ -55,10 +56,10 @@ def _verdicts(fw, dense):
     return out
 
 
-def _same_lattice(fw, parent, abd):
-    """relax(parent, Sublattice(*abd)) spans fw's lattice: the basis change
-    between them is a unimodular integer matrix."""
-    change = np.linalg.solve(fw.lattice, relax(parent, Sublattice(*abd)).lattice)
+def _same_lattice(fw, parent, sub):
+    """relax(parent, sub) spans fw's lattice: the basis change between them
+    is a unimodular integer matrix."""
+    change = np.linalg.solve(fw.lattice, relax(parent, sub).lattice)
     return (np.allclose(change, np.rint(change), atol=1e-9)
             and abs(round(np.linalg.det(np.rint(change)))) == 1)
 
@@ -74,10 +75,50 @@ def test_search_recovers_every_relaxation(name):
     assert _moved_file(base).primitive_cell is None
     for sub in sublattices_up_to(6)[1:]:
         fw = _moved_file(relax(base, sub))
-        parent, (a, b, d) = fw.primitive_cell
-        assert a * d == sub.index and (parent.n, parent.m) == (base.n, base.m), sub
-        assert _same_lattice(fw, parent, (a, b, d)), sub
+        cell = fw.primitive_cell
+        parent = cell.parent
+        assert cell.sublattice.index == sub.index and (parent.n, parent.m) == (base.n, base.m), sub
+        assert _same_lattice(fw, parent, cell.sublattice), sub
         assert _verdicts(fw, dense=False) == _verdicts(fw, dense=True), sub
+
+
+def _assert_unfolds_to(fw, cell):
+    """The record's parent, unfolded by its maps, is fw: each vertex at its
+    parent orbit plus its cell (to 1e-12 of fw's cell), each edge orbit
+    (t, h, c) at the canonical parent row (orbit[t], orbit[h], cell[h] -
+    cell[t] + M c) of its ``edge_orbit``, every parent orbit hit index
+    times, the lattice parent.lattice @ M and index = |det M| = n / n0."""
+    parent, M, orbit, cells = cell.parent, cell.matrix, cell.orbit, cell.cell
+    index = abs(int(M[0, 0]) * int(M[1, 1]) - int(M[0, 1]) * int(M[1, 0]))
+    assert index * parent.n == fw.n and index * parent.m == fw.m
+    assert cell.sublattice == Sublattice.from_matrix(M)
+    assert np.abs(parent.lattice @ M - fw.lattice).max() <= 1e-12 * fw.geometry_scale
+    unfolded = parent.positions[orbit] + cells @ parent.lattice.T
+    assert np.abs(np.linalg.solve(fw.lattice, (unfolded - fw.positions).T)).max() <= 1e-12
+    rows = np.column_stack([orbit[fw.tails], orbit[fw.heads],
+                            cells[fw.heads] - cells[fw.tails] + fw.shifts @ M.T])
+    _canonicalize(rows)
+    assert np.array_equal(rows, _edge_rows(parent)[cell.edge_orbit])
+    assert (np.bincount(orbit, minlength=parent.n) == index).all()
+    assert (np.bincount(cell.edge_orbit, minlength=parent.m) == index).all()
+    for arr in (M, orbit, cells, cell.edge_orbit):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_record_unfolds_to_every_relaxation(name):
+    """Every fixture relaxed to each sublattice of index 2 to 6, and each of
+    those relaxed again to index 2 or 3, read back from a file: the record
+    that the search finds unfolds to the input, from a parent with the
+    fixture's orbit counts."""
+    base = fixture(name)
+    for sub in sublattices_up_to(6)[1:]:
+        once = relax(base, sub)
+        for fw in [once] + [relax(once, again) for again in sublattices_up_to(3)[1:]]:
+            fw = parse_framework(serialize_framework(fw))
+            cell = fw.primitive_cell
+            assert (cell.parent.n, cell.parent.m) == (base.n, base.m), sub
+            _assert_unfolds_to(fw, cell)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -98,7 +139,7 @@ def test_block_verdicts_equal_dense_on_random_relaxations(seed, abd, angle):
         assume(False)
     cell = fw.primitive_cell
     assert cell is not None
-    assert cell[1][0] * cell[1][2] == (own[1][0] * own[1][2] if own else 1) * abd[0] * abd[2]
+    assert cell.sublattice.index == (own.sublattice.index if own else 1) * abd[0] * abd[2]
     assert _verdicts(fw, dense=False) == _verdicts(fw, dense=True)
 
 
@@ -135,7 +176,7 @@ def test_thin_gap_refused_by_both_paths():
     """The straddling character block of an index-2 relaxation: the search
     finds the cell, and both paths refuse the counts."""
     fw = relax(straddling_framework(2e-9), Sublattice(2, 0, 1))
-    assert fw.primitive_cell[1] == (2, 0, 1)
+    assert fw.primitive_cell.sublattice == Sublattice(2, 0, 1)
     assert _verdicts(fw, dense=False)[0] == _verdicts(fw, dense=True)[0] == "refused"
 
 
@@ -147,8 +188,9 @@ def test_search_refuses_shift_sums_beyond_int64():
         return PeriodicFramework(np.diag([2.0, 1.0]), [[0.0, 0.0], [1.0, 0.0]],
                                  [(0, 1, (0, 0)), (0, 1, (-1, 0)), (0, 0, (0, 1)),
                                   (1, 1, (0, 1)), (0, 0, (c, 0)), (1, 1, (c, 0))])
-    parent, abd = doubled(2 ** 40).primitive_cell
-    assert abd == (2, 0, 1) and parent.n == 1
+    cell = doubled(2 ** 40).primitive_cell
+    parent = cell.parent
+    assert cell.sublattice == Sublattice(2, 0, 1) and parent.n == 1
     assert sorted(parent.edge_key(k)[2] for k in range(parent.m)) == [(0, 1), (1, 0),
                                                                       (2 ** 41, 0)]
     assert doubled(2 ** 62).primitive_cell is None

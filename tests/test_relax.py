@@ -19,8 +19,10 @@ from perimax import (
     copy_stress,
     fixture,
     flex_space,
+    parse_framework,
     periodic_stress_space,
     relax,
+    serialize_framework,
     stress_persists,
     sublattices_of_index,
     sublattices_up_to,
@@ -122,13 +124,26 @@ def test_relax_point_set_identical():
     unf = relax(fw, sub)
     assert (unf.n, unf.m) == (fw.n * 4, fw.m * 4)
     for vid in range(unf.n):
-        i = int(unf.parent_vertex[vid])
+        i = vid // sub.index
         diff = np.linalg.solve(fw.lattice, unf.positions[vid] - fw.positions[i])
         assert np.abs(diff - np.round(diff)).max() < 1e-9
     # edge length multiset scales with the index
     la = np.sort(np.linalg.norm(unf.edge_vectors(), axis=1))
     lb = np.sort(np.tile(np.linalg.norm(fw.edge_vectors(), axis=1), 4))
     assert np.abs(la - lb).max() < 1e-9
+
+
+def test_copy_stress_refuses_a_framework_relax_did_not_return():
+    """``copy_stress`` reads the coset labelling that ``relax`` keeps: a
+    fixture and a relaxation read back from a file carry none, and are
+    refused with FrameworkError, not AttributeError."""
+    cubes = fixture("cubes")
+    s = periodic_stress_space(cubes)[0].values
+    read_back = parse_framework(serialize_framework(relax(cubes, Sublattice(2, 0, 1))))
+    assert (read_back.n, read_back.m) == (2 * cubes.n, 2 * cubes.m)
+    for fw in (cubes, read_back):
+        with pytest.raises(FrameworkError, match="framework returned by relax"):
+            copy_stress(fw, s)
 
 
 def test_relax_kagome_keeps_certificate():
@@ -198,13 +213,21 @@ def test_ultrarigidity_probe_examples():
         ultrarigidity_probe(fixture("square_grid"), 0)
 
 
-def _same_unfolding(a, b):
+def _same_unfolding(fw, sub):
+    """relax and the loop reference build the same arrays bit for bit, and
+    the reference's loop-built orbit maps are relax's labelling: copies of
+    orbit i are orbits i * index + coset, arange(n') // index, which
+    ``copy_stress`` reads."""
+    a = relax(fw, sub)
+    b = oracle_relax(fw, sub)
+    parent_vertex, parent_edge = oracle_unfolding(fw, sub)[3:]
     return (a.positions.tobytes() == b.positions.tobytes()
             and a.lattice.tobytes() == b.lattice.tobytes()
             and all(np.array_equal(x, y) for x, y in (
                 (a.tails, b.tails), (a.heads, b.heads), (a.shifts, b.shifts),
-                (a.parent_vertex, b.parent_vertex),
-                (a.parent_edge, b.parent_edge))))
+                (np.arange(a.n) // sub.index, parent_vertex),
+                (np.arange(a.m) // sub.index, parent_edge),
+                (copy_stress(a, np.arange(fw.m)), parent_edge))))
 
 
 def test_relax_matches_loop_reference():
@@ -212,13 +235,13 @@ def test_relax_matches_loop_reference():
     for name in FIXTURE_NAMES:
         fw = fixture(name)
         for sub in sublattices_up_to(8):
-            assert _same_unfolding(relax(fw, sub), oracle_relax(fw, sub)), (name, sub)
+            assert _same_unfolding(fw, sub), (name, sub)
     fw = fixture("ppt3")
     for a in range(1, 9):
         for d in range(1, 9):
             for b in range(d):
                 sub = Sublattice(a, b, d)
-                assert _same_unfolding(relax(fw, sub), oracle_relax(fw, sub)), sub
+                assert _same_unfolding(fw, sub), sub
 
 
 def test_relax_rows_match_scalar_oracle():
