@@ -1,4 +1,8 @@
-"""Analysis toolkit for planar periodic bar-and-joint frameworks."""
+"""Analysis toolkit for planar periodic bar-and-joint frameworks.
+
+``perimax.relax`` is the function ``relax``, imported under its module's
+name; reach the module with ``importlib.import_module("perimax.relax")``.
+"""
 
 from .core import (
     FrameworkError,

@@ -478,6 +478,7 @@ class PeriodicFramework:
 
     def edge_vector(self, k):
         """Realized vector of edge orbit ``k``: head copy minus tail."""
+        k = _integer(k, "edge orbit index")
         if not 0 <= k < self.m:
             raise FrameworkError("edge orbit index %d out of range" % k)
         return (self._positions[self._heads[k]]

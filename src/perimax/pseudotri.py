@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonicalize,
-                   _edge_rows, _lattice_vectors, canonical_edge)
+                   _edge_rows, _integer, _lattice_vectors, canonical_edge)
 from .rigidity import (_checked_cutoff, _flex_system, _gauge_position, _lattice_rate,
                        _oriented_flex, count_identity_check, pair_table)
 from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
@@ -52,6 +52,7 @@ def _pointedness_margins(fw):
 
 def pointedness_margin(fw, v):
     """Largest angular gap between consecutive incident directions, minus pi."""
+    v = _integer(v, "vertex index")
     if not 0 <= v < fw.n:
         raise FrameworkError("vertex index %d out of range" % v)
     return float(_pointedness_margins(fw)[v])

@@ -58,6 +58,10 @@ _PROBE_CELLS = 1 << 16
 # Largest n whose dimension verdicts always come from one dense SVD: up to
 # about this n that SVD costs less than the primitive-cell search and blocks.
 DENSE_RANK_MAX_N = 40
+# numpy's stacked Cholesky gufunc, the one ``np.linalg.cholesky`` calls: it
+# factors each matrix of a stack on its own and fills the factor of one it
+# cannot factor with NaN, where ``np.linalg.cholesky`` raises for the stack.
+_cholesky_lower = np.linalg._umath_linalg.cholesky_lo
 
 
 def rigidity_matrix(fw):
@@ -175,39 +179,17 @@ def _full_rank(G):
     (``_character_blocks``) differs from the product by O(m eps tr(G)), far
     below that.  A Gram with a non-finite trace is never certified, nor one
     so small that FULL_RANK_DELTA tr(G) is not a normal float (subnormal
-    rounding would void the bound).  G is overwritten.  One
-    ``np.linalg.cholesky`` of the stack, rounding within the same O(k^2 eps
-    tr(G)), settles it when every matrix passes that test; if it raises,
-    the factorization loops over the shorter of k and J: one column step
-    over the stack per column, or one cholesky per matrix.  Only the lower
-    triangle and the diagonal are read."""
-    J, k, _ = G.shape
-    diagonal = np.arange(k)
+    rounding would void the bound).  G is overwritten.  One stacked
+    factorization, rounding within the same O(k^2 eps tr(G)), settles every
+    matrix: a matrix it cannot factor reads NaN.  Only the lower triangle
+    and the diagonal are read."""
+    diagonal = np.arange(G.shape[1])
     trace = G[:, diagonal, diagonal].real.sum(axis=1)
     ok = np.isfinite(trace) & (FULL_RANK_DELTA * trace >= np.finfo(float).tiny)
-    G[~ok] = 0.0    # so no inf or NaN of a refused matrix meets the column steps
     G[:, diagonal, diagonal] -= FULL_RANK_DELTA * np.where(ok, trace, 0.0)[:, None]
-    if ok.all():
-        try:
-            np.linalg.cholesky(G)
-            return ok
-        except np.linalg.LinAlgError:    # some matrix fails: the loops find which
-            pass
-    if k > J:
-        for j in np.flatnonzero(ok):
-            try:
-                np.linalg.cholesky(G[j])
-            except np.linalg.LinAlgError:
-                ok[j] = False
-        return ok
-    for i in range(k):
-        # column i of the factor over G's: its entries less the products of
-        # the factor's columns before it (zero for refused matrices)
-        col = G[:, i:, i] - (G[:, i:, :i] @ G[:, i, :i, None].conj())[:, :, 0]
-        ok &= col[:, 0].real > 0
-        G[:, i:, i] = np.where(ok[:, None], col, 0.0) / np.sqrt(
-            np.where(ok, col[:, 0].real, 1.0))[:, None]
-    return ok
+    with np.errstate(invalid="ignore"):    # the flag of a matrix that fails
+        factor = _cholesky_lower(G)
+    return ok & ~np.isnan(factor[:, diagonal, diagonal]).any(axis=1)
 
 
 def _read_rank(sv):

@@ -295,6 +295,12 @@ def test_edge_vectors_square_grid():
     assert np.allclose(fw.edge_vector(1), [0.0, 1.0])
     with pytest.raises(FrameworkError):
         fw.edge_vector(2)
+    for k in (1.5, "1", None):
+        with pytest.raises(FrameworkError, match="edge orbit index must be an integer"):
+            fw.edge_vector(k)
+    # an integral float or a bool reads as its int, as every API integer does
+    for k, as_int in ((True, 1), (1.0, 1), (np.int64(0), 0)):
+        assert np.array_equal(fw.edge_vector(k), fw.edge_vector(as_int))
 
 
 def test_edge_vectors_kagome_unit_lengths():

@@ -120,6 +120,14 @@ def _callers(*names):
     return {name: sorted(sites) for name, sites in found.items()}
 
 
+def test_certificate_has_one_factorization():
+    """``np.linalg.cholesky`` has no call site in ``src/perimax``, and the
+    stacked gufunc ``rigidity._cholesky_lower`` one, in ``_full_rank``:
+    every rank certificate reads its verdicts from the one factorization."""
+    assert _callers("cholesky", "_cholesky_lower") == {
+        "cholesky": [], "_cholesky_lower": ["rigidity.py:_full_rank"]}
+
+
 def test_one_report_writer():
     """No module calls ``json.dump`` or ``json.dumps``: every report goes
     through ``cli._write_report``, the one caller of the encoder

@@ -115,6 +115,12 @@ def test_vertex_index_range_checked():
     for v in (-1, fw.n):
         with pytest.raises(FrameworkError, match="vertex index %d out of range" % v):
             pointedness_margin(fw, v)
+    for v in (1.5, "1", None):
+        with pytest.raises(FrameworkError, match="vertex index must be an integer"):
+            pointedness_margin(fw, v)
+    # an integral float or a bool reads as its int, as every API integer does
+    for v, as_int in ((True, 1), (2.0, 2), (np.int64(0), 0)):
+        assert pointedness_margin(fw, v) == pointedness_margin(fw, as_int)
 
 
 def test_certify_examples():

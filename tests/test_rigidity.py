@@ -1,6 +1,7 @@
 """Rigidity matrix, spectral dimensions, stress spaces and identities."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from perimax import (
     relax,
     rigidity_matrix,
     sublattices_up_to,
+    ultrarigidity_probe,
 )
 from perimax.relax import Sublattice
 from perimax import rigidity
@@ -372,7 +374,7 @@ def _planted_block(rng, kind, m, w, scale):
 def test_full_rank_certificate_never_drops_a_value(kinds, m, w, scale, seed):
     """A matrix the certificate settles keeps every singular value in its
     own SVD, with sigma_min >= ~1e-4 sigma_max, whatever the stack size
-    (so either factorization loop), shape and scale; a non-finite matrix is
+    (one stacked factorization reads each matrix), shape and scale; a non-finite matrix is
     never settled, and a well-conditioned one of ordinary scale always is.
     The stack reads the rank and gap of each matrix's own SVD."""
     rng = np.random.default_rng(seed)
@@ -399,59 +401,125 @@ def test_full_rank_certificate_never_drops_a_value(kinds, m, w, scale, seed):
             assert np.isnan(sv[i]).all() if certified[i] else np.array_equal(sv[i], sv_i)
 
 
-def _counted_cholesky(monkeypatch, refuse_stacks):
-    """Record the ndim of each ``np.linalg.cholesky`` call; with
-    ``refuse_stacks`` every stacked call raises, so the certificate falls
-    back to its loops."""
-    calls, cholesky = [], np.linalg.cholesky
+def _planted_gram(rng, kind, k, dtype):
+    """A k x k Hermitian matrix of the given kind: positive definite, one
+    with a zero row and column after the first (its factor meets an exact
+    zero pivot), zero, or positive definite with an inf or NaN entry."""
+    A = rng.standard_normal((k + 2, k))
+    if dtype == complex:
+        A = A + 1j * rng.standard_normal((k + 2, k))
+    G = A.conj().T @ A
+    if kind == "singular" and k > 1:
+        G[-1] = G[:, -1] = 0.0
+    elif kind == "zero":
+        G[...] = 0.0
+    elif kind == "nonfinite":
+        at = rng.integers(k, size=2)
+        G[max(at), min(at)] = rng.choice([np.inf, np.nan])
+    return G
 
-    def counted(G):
-        calls.append(G.ndim)
-        if refuse_stacks and G.ndim == 3:
-            raise np.linalg.LinAlgError("stacked call refused")
-        return cholesky(G)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    return calls
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_cholesky_reads_each_matrix(dtype):
+    """numpy's stacked Cholesky gufunc, bound as ``_cholesky_lower``, gives
+    each matrix of a stack what ``np.linalg.cholesky`` gives it alone:
+    all NaN where that raises, and else the same factor bit for bit (a NaN
+    on a factor's diagonal then marks a matrix with a NaN entry).  NaN
+    above the diagonal changes nothing, empty stacks and 0 x 0 matrices
+    factor, and ``_full_rank`` lets no warning of a failed factor out."""
+    rng = np.random.default_rng(7)
+    kinds = ["pd", "singular", "pd", "zero", "nonfinite", "pd", "nonfinite", "singular"]
+    k = 5
+    G = np.array([_planted_gram(rng, kind, k, dtype) for kind in kinds])
+    with np.errstate(invalid="ignore"):
+        L = rigidity._cholesky_lower(G)
+        upper = G.copy()
+        rows, cols = np.triu_indices(k, 1)
+        upper[:, rows, cols] = np.nan
+        assert rigidity._cholesky_lower(upper).tobytes() == L.tobytes()
+        assert rigidity._cholesky_lower(np.zeros((0, k, k), dtype)).shape == (0, k, k)
+        assert rigidity._cholesky_lower(np.zeros((3, 0, 0), dtype)).shape == (3, 0, 0)
+    assert L.dtype == G.dtype and L.shape == G.shape
+    failed = []
+    for j, kind in enumerate(kinds):
+        try:
+            alone = np.linalg.cholesky(G[j])
+        except np.linalg.LinAlgError:
+            failed.append(j)
+            assert np.isnan(L[j]).all(), kind
+            continue
+        assert alone.tobytes() == L[j].tobytes(), kind
+        has_nan = np.isnan(G[j]).any()
+        assert np.isnan(L[j].diagonal()).any() == has_nan, kind
+    # an inf entry may fail too, as it would alone
+    assert [kinds[j] for j in failed if kinds[j] != "nonfinite"] == ["singular", "zero", "singular"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = rigidity._full_rank(G.copy())
+        assert rigidity._full_rank(np.zeros((0, k, k), dtype)).shape == (0,)
+        assert rigidity._full_rank(np.ones((3, 0, 0), dtype)).tolist() == [False] * 3
+        assert not rigidity._full_rank(np.full((2, k, k), 1e-310, dtype) * np.eye(k)).any()
+    assert mask.tolist() == [kind == "pd" for kind in kinds]
 
 
 @pytest.mark.parametrize("J, m, w", [(12, 7, 4), (9, 3, 5), (2, 11, 9), (1, 6, 6)])
-def test_batched_certificate_matches_column_steps(J, m, w, monkeypatch):
-    """One Cholesky factorization of the whole stack certifies a stack of
-    positive definite shifted Gram matrices, with J >= k (column steps
-    otherwise) and J < k (one factorization per matrix otherwise), and the
-    mask equals that of the loops; one singular, zero or non-finite matrix
-    added leaves the others' entries as they were."""
+def test_certificate_mask_is_per_matrix(J, m, w):
+    """One singular, zero or non-finite matrix added at either end of a
+    certified stack reads uncertified and leaves the others' entries of
+    the mask as they were, whether k = min(m, w) exceeds J or not."""
     rng = np.random.default_rng(J * 100 + m)
     stack = np.array([_planted_block(rng, "random", m, w, 1.0) for _ in range(J)])
-    calls = _counted_cholesky(monkeypatch, refuse_stacks=True)
-    loops = rigidity._full_rank(rigidity._gram(stack))
-    assert calls == [3] + ([2] * J if min(m, w) > J else [])
-    monkeypatch.undo()
-    calls = _counted_cholesky(monkeypatch, refuse_stacks=False)
-    batched = rigidity._full_rank(rigidity._gram(stack))
-    assert calls == [3]
-    assert batched.all() and np.array_equal(batched, loops)
+    certified = rigidity._full_rank(rigidity._gram(stack))
+    assert certified.all()
     for kind in ("singular", "zero", "nonfinite"):
         extra = _planted_block(rng, kind, m, w, 1.0)
         for at in (0, J):
             mask = rigidity._full_rank(rigidity._gram(np.insert(stack, at, extra, axis=0)))
-            assert not mask[at] and np.array_equal(np.delete(mask, at), batched), (kind, at)
+            assert not mask[at] and np.array_equal(np.delete(mask, at), certified), (kind, at)
+
+
+@pytest.mark.parametrize("name, sub, max_index, chunks, uncertified", [
+    ("cubes", None, 16, 1, 120), ("square_grid", None, 16, 1, 80),
+    ("ppt3", Sublattice(4, 0, 4), 4, 7, 0)])
+def test_one_factorization_per_chunk(name, sub, max_index, chunks, uncertified, monkeypatch):
+    """The probe factors each chunk of character blocks in one stacked
+    Cholesky call, also when some of its blocks fail the certificate:
+    ``cubes`` and ``square_grid`` to index 16 fill one chunk each, with 120
+    and 80 uncertified blocks, and ``ppt3`` relaxed (4, 0, 4) to index 4
+    fills several."""
+    fw = fixture(name) if sub is None else relax(fixture(name), sub)
+    factored, ranked = [], []
+    cholesky, svd_rank = rigidity._cholesky_lower, rigidity._svd_rank
+
+    def counted_cholesky(G):
+        L = cholesky(G)
+        factored.append(int(np.isnan(L).all(axis=(1, 2)).sum()))
+        return L
+
+    def counted_svd_rank(A, build=None):
+        ranked.append(A.ndim)
+        return svd_rank(A, build)
+
+    monkeypatch.setattr(rigidity, "_cholesky_lower", counted_cholesky)
+    monkeypatch.setattr(rigidity, "_svd_rank", counted_svd_rank)
+    ultrarigidity_probe(fw, max_index)
+    assert len(factored) == ranked.count(3) == chunks
+    assert sum(factored) == uncertified
 
 
 @pytest.mark.parametrize("J, k", [(40, 6), (3, 8)])
 def test_full_rank_reads_only_the_lower_triangle(J, k):
     """The certificate reads the lower triangle and the real diagonal of
     each Gram matrix, as assembled from edge terms, and nothing above it:
-    NaN above the diagonal leaves the mask as it was, with the stacked
-    factorization and with either loop."""
+    NaN above the diagonal leaves the mask as it was, for a stack with
+    uncertified matrices and for the certified ones alone."""
     rng = np.random.default_rng(J * k)
     kinds = ["random", "singular", "zero", "cut"] * J
     stack = np.array([_planted_block(rng, kind, k + 1, k, 1.0) for kind in kinds[:J]])
     want = rigidity._full_rank(rigidity._gram(stack))
     assert want.any() and not want.all()
     rows, cols = np.triu_indices(k, 1)
-    for mats in (stack, stack[want]):    # the loops, then one stacked call
+    for mats in (stack, stack[want]):    # uncertified matrices included, then not
         upper = rigidity._gram(mats)
         upper[:, rows, cols] = np.nan
         assert np.array_equal(rigidity._full_rank(upper), want[want] if len(mats) < J else want)
