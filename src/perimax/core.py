@@ -63,8 +63,14 @@ class NumericalError(RuntimeError):
 
 
 def canonical_edge(tail, head, shift):
-    """Return the canonical (tail, head, shift) triple for an edge orbit."""
-    tail, head, shift = int(tail), int(head), (int(shift[0]), int(shift[1]))
+    """Return the canonical (tail, head, shift) triple for an edge orbit, each
+    entry read as ``_integer`` reads it; FrameworkError unless the shift is a pair."""
+    try:
+        c1, c2 = shift
+    except (TypeError, ValueError):
+        raise FrameworkError("shift must be a pair (c1, c2), got %r" % (shift,)) from None
+    tail, head = _integer(tail, "tail"), _integer(head, "head")
+    shift = _integer(c1, "shift entry"), _integer(c2, "shift entry")
     if tail > head or (tail == head and shift < (0, 0)):
         return head, tail, (-shift[0], -shift[1])
     return tail, head, shift
@@ -324,10 +330,11 @@ class PeriodicFramework:
         self._positions = positions
         self._tails, self._heads = rows[:, 0].copy(), rows[:, 1].copy()
         self._shifts = rows[:, 2:].copy()
-        for a in (self._lattice, self._positions, self._tails, self._heads, self._shifts):
+        self._scale, self._edge_vectors, _ = validate_geometry(
+            lattice, positions, self._tails, self._heads, self._shifts)
+        for a in (self._lattice, self._positions, self._tails, self._heads, self._shifts,
+                  self._edge_vectors):
             a.setflags(write=False)
-        self._scale = validate_geometry(lattice, positions, self._tails,
-                                        self._heads, self._shifts)[0]
         _require_connected(n, self._tails, self._heads)
 
     # -- basic accessors -------------------------------------------------
@@ -401,10 +408,9 @@ class PeriodicFramework:
     def _edge_geometry(self):
         """Read-only edge vectors, their norms and the shortest, and the position
         extremes and positions[0] as floats: what each relaxation checks."""
-        evecs = self.edge_vectors()
+        evecs = self._edge_vectors
         norms = np.linalg.norm(evecs, axis=1)
-        for a in (evecs, norms):
-            a.setflags(write=False)
+        norms.setflags(write=False)
         pos = self._positions
         return (evecs, norms, float(norms.min(initial=np.inf)), pos.max(axis=0).tolist(),
                 pos.min(axis=0).tolist(), pos[0].tolist())
@@ -486,10 +492,9 @@ class PeriodicFramework:
                 - self._positions[self._tails[k]])
 
     def edge_vectors(self):
-        """(m, 2) array of all realized edge vectors."""
-        return (self._positions[self._heads]
-                + self._shifts @ self._lattice.T
-                - self._positions[self._tails])
+        """Read-only (m, 2) array of all realized edge vectors, as
+        ``validate_geometry`` computed them on construction."""
+        return self._edge_vectors
 
     def degrees(self):
         """Vertex degrees in the quotient multigraph (loops count twice)."""

@@ -23,7 +23,7 @@ from .core import (FrameworkError, NumericalError, _geometry_scale, _integer, _r
 from .pseudotri import _certified
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
                        _pair_grid, _pair_rates, pair_table)
-from .topology import ANGLE_SUM_TOL, _corner, _direction_angles
+from .topology import ANGLE_SUM_TOL, _corner, _corner_kinds, _direction_angles
 
 __all__ = [
     "Configuration",
@@ -287,7 +287,7 @@ def _corner_table(fw, fc):
     pred[fc.succ] = np.arange(2 * m)
     out = fc.order
     vertex = np.concatenate([fw.tails, fw.heads])[out]
-    reflex = fc.corners > math.pi
+    reflex = _corner_kinds(fc.corners) < 0
     rows = np.argsort(np.where(reflex, vertex, fw.n + np.arange(2 * m)), kind="stable")
     out, vertex, reflex = out[rows], vertex[rows], reflex[rows]
     face = fc.face[out]

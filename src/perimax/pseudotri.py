@@ -19,11 +19,10 @@ from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonical
                    _edge_rows, _integer, _lattice_vectors, canonical_edge)
 from .rigidity import (_checked_cutoff, _flex_system, _gauge_position, _lattice_rate,
                        _oriented_flex, count_identity_check, pair_table)
-from .topology import (FaceComplex, _crossing_pairs, _orbit_crossing_rows, _star_table,
-                       check_noncrossing, corner_count, trace_faces)
+from .topology import (FaceComplex, _corner_kinds, _crossing_pairs, _orbit_crossing_rows,
+                       _star_table, check_noncrossing, corner_count, trace_faces)
 
 __all__ = [
-    "POINTED_TOL",
     "pointedness_margin",
     "PPTCertificate",
     "certify_ppt",
@@ -35,8 +34,6 @@ __all__ = [
     "find_rigidifying_edges",
 ]
 
-# Pointedness demands the largest angular gap to exceed pi by this much.
-POINTED_TOL = 1e-9
 # Length derivatives below this (relative to the largest) are "untestable".
 DERIVATIVE_RTOL = 1e-8
 
@@ -82,7 +79,8 @@ def certify_ppt(fw):
     read across a thin gap is refused (NumericalError) before any face is
     traced.  Crossing edge orbits fail the certificate, which names the
     first crossing pair of ``check_noncrossing``; face-tracing errors, which
-    crossings usually cause, propagate.
+    crossings usually cause, propagate.  A vertex is pointed when it holds
+    a reflex corner (``_corner_kinds`` -1) of the traced faces.
     """
     spectral = count_identity_check(fw)
     crossings = check_noncrossing(fw).crossings
@@ -90,16 +88,15 @@ def certify_ppt(fw):
     fc = trace_faces(fw)
     report = corner_count(fw, fc)
 
-    pointed = (_pointedness_margins(fw) > POINTED_TOL).tolist()
+    reflex = np.concatenate([fw.tails, fw.heads])[fc.order[_corner_kinds(fc.corners) < 0]]
+    pointed = (np.bincount(reflex, minlength=fw.n) > 0).tolist()
     failures += ["vertex %d is not pointed" % v for v, ok in enumerate(pointed) if not ok]
 
     pseudo = []
     for f, count in enumerate(report.counts):
-        ok = count == 3 and not report.flat_angles[f]
-        pseudo.append(ok)
+        pseudo.append(count == 3 and not report.flat_angles[f])
         if report.flat_angles[f]:
-            failures.append(
-                "face %d has a flat corner - indeterminate" % f)
+            failures.append("face %d has a flat corner - indeterminate" % f)
         elif count != 3:
             failures.append("face %d has %d corners" % (f, count))
 

@@ -456,30 +456,28 @@ class CornerReport:
     corner_identity_ok: bool
 
 
+def _corner_kinds(corners):
+    """+1 for a convex corner, 0 for a flat one (within ``CORNER_ANGLE_TOL`` of
+    pi) and -1 for a reflex one: the corner rule of faces, pointedness and paths."""
+    excess = corners - math.pi
+    return (excess < -CORNER_ANGLE_TOL).astype(int) - (excess > CORNER_ANGLE_TOL)
+
+
 def corner_count(fw, fc):
     """Count corners (interior angles < pi) of every face orbit.
 
-    Angles within ``CORNER_ANGLE_TOL`` of pi are reported as indeterminate; they
+    Flat angles (``_corner_kinds`` 0) are reported as indeterminate; they
     are not counted as corners.  Also verifies, when every face has exactly
     three corners, the corner-count identity 2m = n + 3n*.
     """
-    counts = []
-    flats = []
-    angles, bounds = fc.corners.tolist(), fc.start.tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        c = 0
-        flat = []
-        for i, a in enumerate(angles[lo:hi]):
-            if abs(a - math.pi) <= CORNER_ANGLE_TOL:
-                flat.append(i)
-            elif a < math.pi:
-                c += 1
-        counts.append(c)
-        flats.append(flat)
-    identity_ok = True
-    if all(c == 3 for c in counts) and not any(flats):
-        identity_ok = 2 * fw.m == fw.n + 3 * fc.n_faces
-    return CornerReport(counts, flats, identity_ok)
+    kinds, face = _corner_kinds(fc.corners), fc.face[fc.order]
+    counts = np.bincount(face[kinds > 0], minlength=fc.n_faces).tolist()
+    flats = [[] for _ in counts]
+    flat = np.flatnonzero(kinds == 0)
+    for i, f in zip(flat.tolist(), face[flat].tolist()):
+        flats[f].append(i - int(fc.start[f]))
+    three = all(c == 3 for c in counts) and not any(flats)
+    return CornerReport(counts, flats, not three or 2 * fw.m == fw.n + 3 * fc.n_faces)
 
 
 # -- SVG export -----------------------------------------------------------

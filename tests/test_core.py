@@ -20,8 +20,10 @@ from perimax import (
     framework_to_dict,
     lifting_from_stress,
     parse_framework,
+    relax,
     render_svg,
     serialize_framework,
+    sublattices_up_to,
     trace_faces,
 )
 from perimax.core import (EDGE_LENGTH_RTOL, LATTICE_RANK_RTOL, MAX_LATTICE_COLUMN, _tile_range,
@@ -287,6 +289,32 @@ def test_canonical_edge_form():
     assert canonical_edge(2, 2, (-1, 4)) == (2, 2, (1, -4))
     assert canonical_edge(2, 2, (0, -3)) == (2, 2, (0, 3))
     assert canonical_edge(0, 1, (-1, 0)) == (0, 1, (-1, 0))
+    # entries read as the constructor reads them: integral numbers only
+    assert canonical_edge(True, 2.0, np.array([1, -1])) == (1, 2, (1, -1))
+    for args, what in (((1.5, 0, (0.7, -2.2)), "tail"), (("3", 1, ("1", 0)), "tail"),
+                       ((0, 1, (0.7, -2.2)), "shift entry"), ((0, 1, ("1", 0)), "shift entry")):
+        with pytest.raises(FrameworkError, match="%s must be an integer" % what):
+            canonical_edge(*args)
+        with pytest.raises(FrameworkError):
+            PeriodicFramework(np.eye(2), [[0.0, 0.0], [0.5, 0.5]], [args])
+    for shift in ((1, 2, 3), (1,), 5, None):
+        with pytest.raises(FrameworkError, match="shift must be a pair"):
+            canonical_edge(0, 1, shift)
+
+
+def test_edge_vectors_kept_from_construction():
+    """``edge_vectors()`` returns the read-only array that the constructor's
+    ``validate_geometry`` computed, the same object on every call, bit for
+    bit the expression it evaluates, on the fixtures and their relaxations."""
+    for name in sorted(FIXTURES):
+        base = fixture(name)
+        for fw in [base] + [relax(base, sub) for sub in sublattices_up_to(6)]:
+            evecs = fw.edge_vectors()
+            assert evecs is fw.edge_vectors() and not evecs.flags.writeable
+            ref = fw.positions[fw.heads] + fw.shifts @ fw.lattice.T - fw.positions[fw.tails]
+            assert evecs.shape == (fw.m, 2) and evecs.tobytes() == ref.tobytes(), (name, fw)
+            with pytest.raises(ValueError):
+                evecs[0, 0] = 0.0
 
 
 def test_edge_vectors_square_grid():

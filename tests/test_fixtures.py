@@ -100,8 +100,9 @@ def test_reentrant_counts_and_freedom():
     assert (fw.n, fw.m) == (2, 3)
     _, rep = flex_space(fw)
     assert rep.phi == 2
-    from perimax.pseudotri import POINTED_TOL, pointedness_margin
-    assert all(pointedness_margin(fw, v) > POINTED_TOL for v in range(fw.n))
+    from perimax.pseudotri import pointedness_margin
+    from perimax.topology import CORNER_ANGLE_TOL
+    assert all(pointedness_margin(fw, v) > CORNER_ANGLE_TOL for v in range(fw.n))
     with pytest.raises(FrameworkError):
         fixture("reentrant", alpha=1.0, beta=0.5)
 

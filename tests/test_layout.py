@@ -128,6 +128,49 @@ def test_certificate_has_one_factorization():
         "cholesky": [], "_cholesky_lower": ["rigidity.py:_full_rank"]}
 
 
+def test_one_corner_rule():
+    """Convex, flat and reflex corners are told apart in one place,
+    ``topology._corner_kinds``, the one reader of ``CORNER_ANGLE_TOL``:
+    face corner counts, pointedness in the certificate and the path's
+    corner table call it.  ``certify_ppt`` reads pointedness off the faces
+    it traced, with no second star table, and no pointedness tolerance of
+    its own is defined."""
+    readers, defined = [], []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in tree.body:
+            for node in ast.walk(func):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    if name == "CORNER_ANGLE_TOL":
+                        readers.append("%s:%s" % (path.name, getattr(func, "name", "<module>")))
+                elif isinstance(node, (ast.Name, ast.Attribute)) and name == "POINTED_TOL":
+                    defined.append("%s:%d" % (path.name, node.lineno))
+    assert set(readers) == {"topology.py:_corner_kinds"}, readers
+    assert not defined, defined
+    found = _callers("_corner_kinds", "_star_table", "_pointedness_margins")
+    assert found["_corner_kinds"] == ["deform.py:_corner_table", "pseudotri.py:certify_ppt",
+                                      "topology.py:corner_count"], found
+    assert "pseudotri.py:certify_ppt" not in found["_star_table"] + found[
+        "_pointedness_margins"], found
+
+
+def test_numpy_floor_covers_the_api_read():
+    """``ndarray.mT`` exists from NumPy 2.0, so while ``src/perimax`` reads
+    it the NumPy floor of ``pyproject.toml`` is at least 2.0.  The file is
+    read as text: ``tomllib`` needs Python 3.11, and the package supports
+    3.10."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^dependencies = \[.*"numpy>=(\d+)\.(\d+)', text, re.MULTILINE)
+    assert floor, "no numpy floor in the dependencies of pyproject.toml"
+    reads = []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reads += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "mT"]
+    assert not reads or tuple(map(int, floor.groups())) >= (2, 0), (floor.group(0), reads)
+
+
 def test_one_report_writer():
     """No module calls ``json.dump`` or ``json.dumps``: every report goes
     through ``cli._write_report``, the one caller of the encoder

@@ -24,7 +24,8 @@ from perimax import (
     vertex_heights,
 )
 from perimax.lifting import compatibility_residual
-from perimax.pseudotri import POINTED_TOL, find_rigidifying_edges, pointedness_margin
+from perimax.pseudotri import find_rigidifying_edges, pointedness_margin
+from perimax.topology import CORNER_ANGLE_TOL
 
 from conftest import (oracle_compatibility_residual, oracle_export_terrain, oracle_face_objects,
                       oracle_lifting_from_stress, oracle_stress_from_lifting,
@@ -175,7 +176,7 @@ def test_pointed_vertex_not_extremum():
     tol = 1e-12 * max(1.0, np.abs(heights).max())
     checked = 0
     for v in range(fw2.n):
-        if not pointedness_margin(fw2, v) > POINTED_TOL:
+        if not pointedness_margin(fw2, v) > CORNER_ANGLE_TOL:
             continue
         nbrs = [int(fw2.heads[k]) for k in range(fw2.m) if fw2.tails[k] == v]
         nbrs += [int(fw2.tails[k]) for k in range(fw2.m) if fw2.heads[k] == v]

@@ -28,7 +28,6 @@ from perimax import (
 from perimax import core, pseudotri, rigidity, topology
 from perimax.pseudotri import (
     DERIVATIVE_RTOL,
-    POINTED_TOL,
     PPTCertificate,
     candidate_pairs,
     oriented_flex,
@@ -46,16 +45,16 @@ def test_right_angle_vertex_pointed():
     fw = right_angle_pair()
     # edges at 0 and 90 degrees: the reflex gap is 270 degrees
     assert abs(pointedness_margin(fw, 0) - math.pi / 2) < 1e-12
-    assert pointedness_margin(fw, 0) > POINTED_TOL
+    assert pointedness_margin(fw, 0) > topology.CORNER_ANGLE_TOL
 
 
 def test_kagome_pointedness_by_angle():
     k0 = fixture("kagome", theta=0.0)
     # edges at 0, 60, 180, 240 degrees: largest gap 120 degrees
     assert abs(pointedness_margin(k0, 0) - (2 * math.pi / 3 - math.pi)) < 1e-12
-    assert not pointedness_margin(k0, 0) > POINTED_TOL
+    assert not pointedness_margin(k0, 0) > topology.CORNER_ANGLE_TOL
     k = fixture("kagome", theta=math.pi / 2)
-    assert all(pointedness_margin(k, v) > POINTED_TOL for v in range(3))
+    assert all(pointedness_margin(k, v) > topology.CORNER_ANGLE_TOL for v in range(3))
 
 
 def _incident_directions_loop(fw, v):
@@ -102,10 +101,10 @@ def test_pointedness_in_one_pass_matches_per_vertex_reference(rng):
             cert = certify_ppt(fw)
         except FrameworkError:
             continue    # faces that do not trace: no certificate to compare
-        assert cert.pointed == [margin > pseudotri.POINTED_TOL for margin in ref]
+        assert cert.pointed == [margin > topology.CORNER_ANGLE_TOL for margin in ref]
         assert [f for f in cert.failures if "pointed" in f] == [
             "vertex %d is not pointed" % v for v, margin in enumerate(ref)
-            if not margin > pseudotri.POINTED_TOL]
+            if not margin > topology.CORNER_ANGLE_TOL]
         certified += 1
     assert certified > 30
 
