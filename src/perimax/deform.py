@@ -7,7 +7,10 @@ pseudo-triangulation is literally one-dimensional and Newton correction is
 well posed.  Expansiveness is checked on a finite set of vertex-copy pairs;
 auxetic behavior through the positive-semidefiniteness of the Gram matrix
 rate and, between samples, through lattice comparison operators of norm at
-most one.
+most one.  A step fills per-path buffers (``_constraints``), writes only
+the rows' fixed pattern into a zeroed Jacobian and solves it with numpy's
+lstsq gufunc (``rigidity._lstsq``), bitwise as ``np.linalg.lstsq``; a failed
+solve reads NaN and fails its correction, and a failed SVD refuses the tangent.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .core import (FrameworkError, NumericalError, _geometry_scale, _integer, _require_spread,
                    validate_geometry)
 from .pseudotri import _certified
-from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _oriented_flex,
+from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _lstsq, _oriented_flex,
                        _pair_grid, _pair_rates, pair_table)
 from .topology import ANGLE_SUM_TOL, _corner, _corner_kinds, _direction_angles
 
@@ -212,20 +215,19 @@ def _constraints(fw, ref_sq):
     """Residual and Jacobian functions of the edge-length and gauge
     constraints at squared lengths ``ref_sq``, and the flex's
     ``_flex_system``, over what stays fixed along a path, built once: the
-    float shifts, the row scatter tables, the gauge rows, the gauge entries
-    of z, and one buffer each for the residual, the Jacobian and the flex.
-    The residual at a raw configuration vector z, which the next call
-    overwrites, also returns the edge vectors and their squared lengths,
-    with no check of the placement (``_check_point`` has the framework
-    constructor's); the Jacobian (twice the rigidity matrix over the gauge
-    rows) and the flex (``_oriented_flex``) are assembled from them."""
+    float shifts, the row tables, the gauge rows and entries of z, and one
+    buffer each for the residual, the Jacobian and the flex.  The residual
+    at a raw configuration vector z, which the next call overwrites, also
+    returns the edge vectors and their squared lengths, unchecked
+    (``_check_point`` has the constructor's checks); the Jacobian (twice the
+    rigidity matrix over the gauge rows) and the flex are assembled from them."""
     n, m, tails, heads, shifts = fw.n, fw.m, fw.tails, fw.heads, fw.shifts.astype(float)
     assemble, gauged = _flex_system(fw)
     jac, F, pinned = gauged.copy(), np.empty(m + 3), gauged[m:].argmax(axis=1)
 
     def residual(z):
-        positions = z[:2 * n].reshape(n, 2)
-        evecs = positions[heads] + shifts @ _lattice_rate(z, n).T - positions[tails]
+        pos = z[:2 * n].reshape(n, 2)
+        evecs = pos.take(heads, 0) + shifts @ _lattice_rate(z, n).T - pos.take(tails, 0)
         squares = np.einsum("ij,ij->i", evecs, evecs)
         np.subtract(squares, ref_sq, out=F[:m])
         F[m:] = z[pinned]
@@ -245,9 +247,9 @@ def _newton_correct(residual, jacobian, z, tol_abs):
     Jacobian is assembled only at an iterate that goes on to take a step;
     the converged iterate alone gets the framework constructor's geometry
     checks (``_check_point``).  A non-finite residual (say, squared lengths
-    that overflow after too long a step), no convergence within
-    NEWTON_MAX_ITER steps, or a converged point the checks refuse is a
-    failed correction, not an invalid input."""
+    that overflow after too long a step, or the NaN step of a failed solve),
+    no convergence within NEWTON_MAX_ITER steps, or a converged point the
+    checks refuse is a failed correction, not an invalid input."""
     for k in range(NEWTON_MAX_ITER + 1):
         F, evecs, squares = residual(z)
         err = float(np.abs(F).max())
@@ -259,7 +261,12 @@ def _newton_correct(residual, jacobian, z, tol_abs):
             return z, True, evecs
         if k == NEWTON_MAX_ITER or not math.isfinite(err):
             return z, False, None
-        z = z + np.linalg.lstsq(jacobian(evecs), -F, rcond=None)[0]
+        J = jacobian(evecs)
+        if np.linalg.lstsq is not np.linalg._linalg.lstsq:    # replaced, as bench/spans.py
+            z = z + np.linalg.lstsq(J, -F, rcond=None)[0]     # replaces it to count solves
+            continue
+        with np.errstate(all="ignore"):    # np.linalg.lstsq's solution, NaN where it raised
+            z = z + _lstsq(J, -F[:, None], sys.float_info.epsilon * max(J.shape))[0][:, 0]
 
 
 def _check_point(z, squares):
@@ -311,31 +318,31 @@ def _ppt_margin(table, evecs):
     twin_in, out, face, sign, reasons, sums = table
     angles = _direction_angles(evecs)
     # the stars move along the path: a corner wraps where its next angle is below its own
-    a, a_next = angles[out], angles[twin_in]
+    a, a_next = angles.take(out), angles.take(twin_in)
     corners = _corner(a, a_next, a_next < a)
     off = np.bincount(face, corners) - sums
-    turns = np.rint(off / (2 * math.pi))
-    bad = np.abs(off - 2 * math.pi * turns) > ANGLE_SUM_TOL
-    turned = turns.any()
-    if turned:
-        closed = np.bincount(face, (sign > 0) & (corners > math.pi), len(off))
-        opened = np.bincount(face, (sign < 0) & (corners < math.pi), len(off))
-        bad |= np.where(turns > 0, (closed != turns) | (opened > 0), turns < -1)
-    if bad.any():
-        off = np.where(bad, np.abs(off), -1.0)
-        raise NumericalError("corner order changed along the path: face %d angle sum "
-                             "off (k-2)pi by %.3g" % (np.argmax(off), off.max()))
-    if turned:
-        # convex corners closed to just below 2 pi, or a reflex one opened past it
-        f = int(np.flatnonzero(turns)[0])
-        ring = corners[face == f]
-        if turns[f] > 0:
-            past = 2 * math.pi - ring[(sign[face == f] > 0) & (ring > math.pi)].min()
-        else:
-            past = ring.min()
-        return -float(past), "corner closed on face %d" % f
+    if np.abs(off).max() > ANGLE_SUM_TOL:    # else no face is off, and none turned
+        turns = np.rint(off / (2 * math.pi))
+        bad = np.abs(off - 2 * math.pi * turns) > ANGLE_SUM_TOL
+        if turns.any():
+            closed = np.bincount(face, (sign > 0) & (corners > math.pi), len(off))
+            opened = np.bincount(face, (sign < 0) & (corners < math.pi), len(off))
+            bad |= np.where(turns > 0, (closed != turns) | (opened > 0), turns < -1)
+        if bad.any():
+            off = np.where(bad, np.abs(off), -1.0)
+            raise NumericalError("corner order changed along the path: face %d angle sum "
+                                 "off (k-2)pi by %.3g" % (np.argmax(off), off.max()))
+        if turns.any():
+            # convex corners closed to just below 2 pi, or a reflex one opened past it
+            f = int(np.flatnonzero(turns)[0])
+            ring = corners[face == f]
+            if turns[f] > 0:
+                past = 2 * math.pi - ring[(sign[face == f] > 0) & (ring > math.pi)].min()
+            else:
+                past = ring.min()
+            return -float(past), "corner closed on face %d" % f
     margins = sign * (math.pi - corners)
-    i = int(np.argmin(margins))
+    i = int(margins.argmin())
     return float(margins[i]), reasons[i]
 
 

@@ -19,8 +19,8 @@ from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonical
                    _edge_rows, _integer, _lattice_vectors, canonical_edge)
 from .rigidity import (_checked_cutoff, _flex_system, _gauge_position, _lattice_rate,
                        _oriented_flex, count_identity_check, pair_table)
-from .topology import (FaceComplex, _corner_kinds, _crossing_pairs, _orbit_crossing_rows,
-                       _star_table, check_noncrossing, corner_count, trace_faces)
+from .topology import (FaceComplex, _corner_kinds, _corner_report, _crossing_pairs,
+                       _orbit_crossing_rows, _star_table, check_noncrossing, trace_faces)
 
 __all__ = [
     "pointedness_margin",
@@ -86,9 +86,9 @@ def certify_ppt(fw):
     crossings = check_noncrossing(fw).crossings
     failures = ["edge orbits cross: %r" % (crossings[0],)] if crossings else []
     fc = trace_faces(fw)
-    report = corner_count(fw, fc)
-
-    reflex = np.concatenate([fw.tails, fw.heads])[fc.order[_corner_kinds(fc.corners) < 0]]
+    kinds = _corner_kinds(fc.corners)
+    report = _corner_report(fw, fc, kinds)
+    reflex = np.concatenate([fw.tails, fw.heads])[fc.order[kinds < 0]]
     pointed = (np.bincount(reflex, minlength=fw.n) > 0).tolist()
     failures += ["vertex %d is not pointed" % v for v, ok in enumerate(pointed) if not ok]
 

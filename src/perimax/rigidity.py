@@ -58,10 +58,9 @@ _PROBE_CELLS = 1 << 16
 # Largest n whose dimension verdicts always come from one dense SVD: up to
 # about this n that SVD costs less than the primitive-cell search and blocks.
 DENSE_RANK_MAX_N = 40
-# numpy's stacked Cholesky gufunc, the one ``np.linalg.cholesky`` calls: it
-# factors each matrix of a stack on its own and fills the factor of one it
-# cannot factor with NaN, where ``np.linalg.cholesky`` raises for the stack.
+# numpy's LAPACK gufuncs under np.linalg.cholesky, lstsq and svd: NaN where those raise.
 _cholesky_lower = np.linalg._umath_linalg.cholesky_lo
+_lstsq, _svd = np.linalg._umath_linalg.lstsq, np.linalg._umath_linalg.svd_f
 
 
 def rigidity_matrix(fw):
@@ -71,24 +70,23 @@ def rigidity_matrix(fw):
     block (cancelling for loops) and c^1 e, c^2 e in the lattice columns.
     """
     return _row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)(
-        fw.edge_vectors(), np.empty((fw.m, 2 * fw.n + 4)))
+        fw.edge_vectors(), np.zeros((fw.m, 2 * fw.n + 4)))
 
 
 def _row_assembly(n, tails, heads, shifts):
     """Rigidity matrix of fixed edge orbits as a function of their edge
-    vectors, written into a C-contiguous m x (2n + 4) array ``out``; its
-    scatter indices and float shifts are built once."""
-    m, width = len(tails), 2 * n + 4
-    at_tail, at_head = (width * np.arange(m)[:, None] + 2 * ends[:, None] + [0, 1]
-                        for ends in (tails, heads))
-    c = shifts.astype(float)[:, :, None]
+    vectors, written into a C-contiguous m x (2n + 4) array ``out`` that is
+    zero off the rows' pattern: tail, head and lattice entries 0 - e, 0 + e
+    (+0 at a loop) and 0 + c^i e, never -0.  The pattern is built once."""
+    m, proper = len(tails), (tails != heads).astype(float)
+    blocks = np.concatenate([tails, heads, np.full(m, n), np.full(m, n + 1)]).reshape(4, m)
+    at = 2 * ((n + 2) * np.arange(m) + blocks)[:, :, None] + np.arange(2)
+    coef, rows = np.concatenate([-proper, proper, *shifts.T]).reshape(4, m, 1), np.empty((4, m, 2))
 
     def assemble(evecs, out):
-        out.fill(0.0)
-        flat = out.reshape(-1)
-        flat[at_tail] -= evecs
-        flat[at_head] += evecs
-        out[:, 2 * n:] += (c * evecs[:, None]).reshape(m, 4)
+        np.multiply(coef, evecs, out=rows)
+        np.add(rows, 0.0, out=rows)    # -1 * e + 0 is 0 - e, also at e = +-0
+        out.reshape(-1)[at] = rows
         return out
 
     return assemble
@@ -409,8 +407,11 @@ def _fix_signs(basis):
 def _kernel(A):
     """(sv, rank, gap, basis) of a single matrix from one full SVD, with an
     orthonormal, sign-fixed basis (columns) of its kernel.  A kernel read
-    across a thin gap is refused (NumericalError)."""
-    _, sv, vt = np.linalg.svd(A)
+    across a thin gap, or off the NaN of a failed SVD, is refused (NumericalError)."""
+    with np.errstate(all="ignore"):    # np.linalg.svd's LinAlgError reads NaN here
+        _, sv, vt = _svd(A)
+    if not math.isfinite(sv.max(initial=0.0)):    # NaN when any is
+        raise NumericalError("SVD did not converge: non-finite singular values")
     sv, rank, gap = _read_rank(sv)
     _require_gap(gap)
     return sv, rank, gap, _fix_signs(vt[rank:].T)
@@ -692,7 +693,7 @@ def _oriented_flex(assemble, gauged, lattice, evecs):
         raise NumericalError(
             "deformation space is not one-dimensional (dimension %d)"
             % basis.shape[1])
-    tangent = basis[:, 0] / np.linalg.norm(basis[:, 0])
+    tangent = basis[:, 0] / math.sqrt(basis[:, 0] @ basis[:, 0])    # np.linalg.norm's
     (a, b), (c, d) = lattice.tolist()
     da, dc, db, dd = tangent[-4:].tolist()
     terms = da * d, a * dd, -db * c, -b * dc

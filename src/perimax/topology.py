@@ -470,7 +470,12 @@ def corner_count(fw, fc):
     are not counted as corners.  Also verifies, when every face has exactly
     three corners, the corner-count identity 2m = n + 3n*.
     """
-    kinds, face = _corner_kinds(fc.corners), fc.face[fc.order]
+    return _corner_report(fw, fc, _corner_kinds(fc.corners))
+
+
+def _corner_report(fw, fc, kinds):
+    """``corner_count`` of fw's faces fc from the ``_corner_kinds`` of fc.corners."""
+    face = fc.face[fc.order]
     counts = np.bincount(face[kinds > 0], minlength=fc.n_faces).tolist()
     flats = [[] for _ in counts]
     flat = np.flatnonzero(kinds == 0)

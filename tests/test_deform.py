@@ -1,5 +1,6 @@
 """Deformation paths: tangents, expansiveness, auxetic verdicts, events."""
 
+import json
 import math
 import re
 import warnings
@@ -412,7 +413,7 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
     assembly, correct = rigidity._row_assembly, deform._newton_correct
     monkeypatch.setattr(rigidity, "_row_assembly", row_assembly)
     monkeypatch.setattr(rigidity, "gauge_rows", counting("gauge", rigidity.gauge_rows))
-    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(deform, "_lstsq", counting("lstsq", deform._lstsq))
     monkeypatch.setattr(deform, "_newton_correct", counting("correct", correct))
     monkeypatch.setattr(deform, "validate_geometry", counting("validate", core.validate_geometry))
     monkeypatch.setattr(deform, "_check_point", counting("validate", deform._check_point))
@@ -428,6 +429,100 @@ def test_newton_assembles_only_when_it_steps(monkeypatch):
     assert counts["validate"] == counts["correct"] + 1
     assert counts["tables"] == certificate["tables"] + 1
     assert counts["gauge"] == certificate["gauge"] + 1
+
+
+def _recorded_lapack(monkeypatch):
+    """Record the arguments of every bound least-squares and SVD gufunc
+    call, which still return their results."""
+    calls = {"lstsq": [], "svd": []}
+
+    def recording(name, gufunc):
+        def recorded(*args):
+            calls[name].append(tuple(np.copy(a) for a in args))
+            return gufunc(*args)
+        return recorded
+
+    monkeypatch.setattr(deform, "_lstsq", recording("lstsq", deform._lstsq))
+    monkeypatch.setattr(rigidity, "_svd", recording("svd", rigidity._svd))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ppt3", "kagome", "ppt3-2x2"])
+def test_bound_lapack_gufuncs_match_their_wrappers(name, monkeypatch):
+    """numpy's LAPACK gufuncs, bound in ``rigidity`` without their wrappers,
+    return the wrappers' results bit for bit on a path's own matrices: each
+    Newton step's Jacobian and residual (``np.linalg.lstsq`` with its
+    default rcond), each gauged flex matrix (``np.linalg.svd``), and the
+    positive definite Gram matrices of both (``np.linalg.cholesky``).  A
+    path traced while ``np.linalg.lstsq`` is replaced, as the benchmark's
+    tracer replaces it to count the solves, calls it at every step and is
+    bitwise the same path."""
+    fw = relax(fixture("ppt3"), Sublattice(2, 0, 2)) if name == "ppt3-2x2" else fixture(name)
+    calls = _recorded_lapack(monkeypatch)
+    path = continue_path(fw, 8)
+    monkeypatch.undo()
+    assert len(calls["lstsq"]) >= 8 and len(calls["svd"]) == len(path.samples)
+    grams = []
+    for J, b, rcond in calls["lstsq"]:
+        assert rcond == np.finfo(float).eps * max(J.shape) and b.shape == (len(J), 1)
+        got = rigidity._lstsq(J, b, rcond)[0][:, 0]
+        assert got.tobytes() == np.linalg.lstsq(J, b[:, 0], rcond=None)[0].tobytes()
+        grams.append(J @ J.T)
+    for (A,) in calls["svd"]:
+        got, want = rigidity._svd(A), np.linalg.svd(A)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        grams.append(A @ A.T)
+    for G in grams:
+        assert rigidity._cholesky_lower(G).tobytes() == np.linalg.cholesky(G).tobytes()
+
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    assert _path_record(continue_path(fw, 8)) == _path_record(path)
+    assert len(solves) == len(calls["lstsq"])
+
+
+def _failed(gufunc):
+    """``gufunc`` as it returns when LAPACK fails: NaN of its results'
+    shapes, with the floating-point invalid flag raised."""
+    def failed(*args):
+        return tuple(np.subtract(np.inf, np.full(np.shape(x), np.inf)) for x in gufunc(*args))
+    return failed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_failed_lapack_call_fails_correction_or_refuses_tangent(monkeypatch, tmp_path, capsys):
+    """A Newton solve that LAPACK fails reads NaN, which fails its
+    correction: the step halves from ds = 1e-2 until the predictor alone
+    is within tolerance, and the path ends on corrector divergence within
+    a few MIN_STEP of its start.  A flex SVD that fails refuses the tangent
+    (NumericalError), and the CLI reports it as a numerical error.  No
+    LinAlgError escapes and no RuntimeWarning leaks."""
+    fw = fixture("ppt3")
+    solves = []
+    failed = _failed(deform._lstsq)
+    monkeypatch.setattr(deform, "_lstsq", lambda *args: solves.append(1) or failed(*args))
+    path = continue_path(fw, 10, ds=1e-2)
+    assert (path.termination, path.event_margin) == ("corrector divergence", None)
+    assert len(solves) >= 14 and 0 < path.final.tau < 10 * deform.MIN_STEP
+    monkeypatch.undo()
+
+    monkeypatch.setattr(rigidity, "_svd", _failed(rigidity._svd))
+    for trace in (lambda: continue_path(fw, 10), lambda: flex_tangent(
+            Configuration.from_framework(fw), fw), lambda: oriented_flex(fw)):
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            trace()
+    from perimax.cli import EXIT_NUMERICAL, main
+    document = tmp_path / "ppt3.json"
+    document.write_text(core.serialize_framework(fw))
+    assert main(["deform", str(document)]) == EXIT_NUMERICAL
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "numerical" and "SVD did not converge" in report["error"]
 
 
 def test_kagome_path_terminates_at_boundary():

@@ -128,6 +128,27 @@ def test_certificate_has_one_factorization():
         "cholesky": [], "_cholesky_lower": ["rigidity.py:_full_rank"]}
 
 
+def test_private_numpy_bindings_have_one_call_site():
+    """numpy's LAPACK gufuncs are bound once each, in ``rigidity``, and
+    each binding has one call site: the Cholesky factor of the rank
+    certificate in ``_full_rank``, the Newton step's least-squares solve in
+    ``deform._newton_correct`` and the one full SVD in ``_kernel``, the
+    guarded kernel helper.  ``tests/test_deform.py`` checks that they return
+    their public wrappers' results bit for bit, so a numpy that changes them
+    fails there."""
+    bound = []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound += ["%s:%s" % (path.name, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and getattr(node.value, "attr", None) == "_umath_linalg"]
+    assert sorted(bound) == ["rigidity.py:cholesky_lo", "rigidity.py:lstsq",
+                             "rigidity.py:svd_f"], bound
+    assert _callers("_cholesky_lower", "_lstsq", "_svd") == {
+        "_cholesky_lower": ["rigidity.py:_full_rank"], "_lstsq": ["deform.py:_newton_correct"],
+        "_svd": ["rigidity.py:_kernel"]}
+
+
 def test_one_corner_rule():
     """Convex, flat and reflex corners are told apart in one place,
     ``topology._corner_kinds``, the one reader of ``CORNER_ANGLE_TOL``:

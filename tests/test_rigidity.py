@@ -56,6 +56,43 @@ def test_single_edge_matrix_row():
     assert np.array_equal(R[0], [-1, 0, 1, 0, 0, 0, 0, 0])
 
 
+def _scatter_added_rows(n, tails, heads, shifts, evecs):
+    """The rigidity rows as zeroing and scatter-adding write them: -e at
+    the tail, +e at the head (cancelling to +0 at a loop), c^i e in the
+    lattice columns, each added to a zero entry."""
+    m, width = len(tails), 2 * n + 4
+    out = np.zeros((m, width))
+    flat = out.reshape(-1)
+    at_tail, at_head = (width * np.arange(m)[:, None] + 2 * ends[:, None] + [0, 1]
+                        for ends in (tails, heads))
+    flat[at_tail] -= evecs
+    flat[at_head] += evecs
+    out[:, 2 * n:] += (shifts.astype(float)[:, :, None] * evecs[:, None]).reshape(m, 4)
+    return out
+
+
+def test_rows_are_those_of_zeroing_and_scatter_adding():
+    """``_row_assembly`` writes only each row's pattern into a buffer that
+    is zero elsewhere, bitwise the rows that zeroing and scatter-adding
+    give: at every fixture (loops included) and its relaxations up to
+    index 2, at its edge vectors and at ones with zero components of both
+    signs, written in turn into one buffer.  No entry is -0, which could
+    turn a Householder reflection inside LAPACK."""
+    for name in FIXTURE_NAMES:
+        for fw in [fixture(name)] + [relax(fixture(name), sub) for sub in sublattices_up_to(2)]:
+            e = fw.edge_vectors()
+            signed = np.where(np.arange(e.size).reshape(e.shape) % 3 == 0, 0.0, e)
+            signed[::2] *= -1.0
+            assemble = rigidity._row_assembly(fw.n, fw.tails, fw.heads, fw.shifts)
+            out = np.zeros((fw.m, 2 * fw.n + 4))
+            for evecs in (e, signed, -e, np.zeros_like(e), -np.zeros_like(e)):
+                want = _scatter_added_rows(fw.n, fw.tails, fw.heads, fw.shifts, evecs)
+                assert assemble(evecs, out).tobytes() == want.tobytes()
+                assert not np.signbit(out[out == 0.0]).any()
+            assert rigidity_matrix(fw).tobytes() == _scatter_added_rows(
+                fw.n, fw.tails, fw.heads, fw.shifts, e).tobytes()
+
+
 def test_ppt3_matrix_rank():
     R = rigidity_matrix(fixture("ppt3"))
     assert R.shape == (6, 10)
