@@ -406,14 +406,10 @@ class PeriodicFramework:
 
     @cached_property
     def _edge_geometry(self):
-        """Read-only edge vectors, their norms and the shortest, and the position
-        extremes and positions[0] as floats: what each relaxation checks."""
-        evecs = self._edge_vectors
-        norms = np.linalg.norm(evecs, axis=1)
-        norms.setflags(write=False)
-        pos = self._positions
-        return (evecs, norms, float(norms.min(initial=np.inf)), pos.max(axis=0).tolist(),
-                pos.min(axis=0).tolist(), pos[0].tolist())
+        """The shortest edge length and the largest |position| entry as floats:
+        what the geometry bound of each relaxation reads."""
+        return (float(np.linalg.norm(self._edge_vectors, axis=1).min(initial=np.inf)),
+                float(np.abs(self._positions).max()))
 
     @cached_property
     def _shift_bound(self):
@@ -445,7 +441,7 @@ class PeriodicFramework:
         # orbits are classes of parent coordinates mod 1, told apart by a
         # generic key rounded to _CELL_MISS_RTOL
         a, b, d = n // p, -(n // p) * q // r, n // r
-        M = np.array([[a, 0], [b, d]])
+        M, sub = np.array([[a, 0], [b, d]]), Sublattice(a, b % d, d)
         coords = frac @ M.T
         key = ((coords - coords[0] + _CELL_KEY[1]) % 1.0) @ _CELL_KEY / _CELL_MISS_RTOL
         _, reps, orbit = np.unique(np.rint(key), return_index=True, return_inverse=True)
@@ -455,9 +451,9 @@ class PeriodicFramework:
             return None
         try:    # cells[h] - cells[t] + M c stays within (index + 3) (max |entry| + 1)
             _require_shift_room(max(self._shift_bound, int(np.abs(cells).max())), index + 1)
-            # each class holds one vertex per coset of M Z^2 (adj(M) c mod index)
-            # and each parent edge orbit one edge per coset: index of each
-            coset = orbit * index * index + (cells @ [[d, -b], [0, a]]) % index @ [index, 1]
+            # each class holds one vertex per coset of M Z^2 and each parent
+            # edge orbit one edge per coset: index of each
+            coset = orbit * index + sub.coset_index(*sub.reduce(cells[:, 0], cells[:, 1])[:2])
             rows = np.column_stack([orbit[tails], orbit[heads],
                                     cells[heads] - cells[tails] + shifts @ M.T])
             order = np.lexsort(_canonicalize(rows))
@@ -473,7 +469,7 @@ class PeriodicFramework:
         edge_orbit = (np.cumsum(new[:-1]) - 1)[np.argsort(order)]
         for arr in (M, orbit, cells, edge_orbit):
             arr.setflags(write=False)
-        return Relaxation(parent, M, Sublattice(a, b % d, d), orbit, cells, edge_orbit)
+        return Relaxation(parent, M, sub, orbit, cells, edge_orbit)
 
     @property
     def geometry_scale(self):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameworkError, NumericalError, _integer
+from .core import FrameworkError, NumericalError, Sublattice, _integer
 
 __all__ = [
     "RANK_RTOL",
@@ -491,7 +491,7 @@ class PeriodicStressCheck:
 def check_periodic_stress(fw, s):
     """Verify that s is a periodic stress, via both the per-generator sums
     and the equivalent rank-two tensor form."""
-    return _stress_check(_stress_terms(fw, fw.edge_vectors(), s), fw, 1, 0, 1)
+    return _stress_check(_stress_terms(fw, s), fw, Sublattice(1, 0, 1))
 
 
 def _stress_values(s, m):
@@ -502,12 +502,12 @@ def _stress_values(s, m):
     return s
 
 
-def _stress_terms(fw, evecs, s):
-    """What ``_stress_check`` reads of a stress on the edge orbits of ``fw``
-    with vectors ``evecs``, whatever the sublattice: the term sizes |s_k|
-    |e_k|, the balance residual, the sum of the sizes, the entries of
-    T = sum_k c_k (x) s_k e_k and max |Lambda T|."""
-    s = _stress_values(s, fw.m)
+def _stress_terms(fw, s):
+    """What ``_stress_check`` reads of a stress on the edge orbits of ``fw``,
+    whatever the sublattice: the term sizes |s_k| |e_k|, the balance
+    residual, the sum of the sizes, the entries of T = sum_k c_k (x) s_k e_k
+    and max |Lambda T|."""
+    s, evecs = _stress_values(s, fw.m), fw.edge_vectors()
     forces = s[:, None] * evecs
     # |s_k| |e_k|, the size of each term, for the relative tolerances
     sizes = np.abs(s) * np.linalg.norm(evecs, axis=1)
@@ -519,24 +519,16 @@ def _stress_terms(fw, evecs, s):
             (fw.shifts.T @ forces).ravel().tolist(), float(ten))
 
 
-def _copy_shifts(shifts, a, b, d):
-    """(m, ad, 2) shifts k'(r) of the coset copies r = (r1, r2) of orbits with
-    shifts c on the sublattice (a, b, d): r + c = q + M k'(r), q a coset."""
-    copies = np.empty((len(shifts), a, d, 2), dtype=int)
-    copies[..., 0] = k1 = (np.arange(a)[:, None] + shifts[:, :1, None]) // a
-    copies[..., 1] = (np.arange(d) + shifts[:, 1:, None] - b * k1) // d
-    return copies.reshape(len(shifts), a * d, 2)
-
-
-def _stress_check(terms, fw, a, b, d):
-    """``check_periodic_stress`` on the relaxation of ``fw`` to (a, b, d), or
-    on ``fw`` for (1, 0, 1), from its ``_stress_terms``.  With M = [[a, 0],
-    [b, d]] the copies of orbit k add up to adj(M) c_k and Lambda M adj(M) =
-    ad Lambda, so the residuals are closed forms in T.  Only the scales need
-    the copy shifts, and only once a residual exceeds STRESS_RTOL: below it,
-    max(1, scale) >= 1 passes.  Term sizes with no finite sum fail."""
+def _stress_check(terms, fw, sub):
+    """``check_periodic_stress`` on the relaxation of ``fw`` to ``sub``, or on
+    ``fw`` for (1, 0, 1), from its ``_stress_terms``.  With M = [[a, 0], [b,
+    d]] the copies of orbit k add up to adj(M) c_k and Lambda M adj(M) = ad
+    Lambda, so the residuals are closed forms in T.  Only the scales need the
+    copy shifts k'(r), r + c_k = q + M k'(r) as ``sub.reduce`` splits them, and
+    only once a residual exceeds STRESS_RTOL: below it, max(1, scale) >= 1
+    passes.  Term sizes with no finite sum fail."""
     sizes, eq_res, size_sum, (t11, t12, t21, t22), ten = terms
-    rho = a * d
+    a, b, d, rho = sub.a, sub.b, sub.d, sub.index
     # b = 0 leaves T_2 unmixed, where 0 times an infinite T_1 would read NaN
     u, v = (a * t21 - b * t11, a * t22 - b * t12) if b else (a * t21, a * t22)
     lat_res = d * math.sqrt(t11 * t11 + t12 * t12), math.sqrt(u * u + v * v)
@@ -545,9 +537,10 @@ def _stress_check(terms, fw, a, b, d):
     if lat_res[0] <= STRESS_RTOL and lat_res[1] <= STRESS_RTOL and ten_res <= STRESS_RTOL:
         ok_lat = ok_ten = True
     else:
-        copies = _copy_shifts(fw.shifts, a, b, d)
+        r1, r2 = np.divmod(np.arange(rho), d)
+        copies = np.stack(sub.reduce(r1 + fw.shifts[:, :1], r2 + fw.shifts[:, 1:])[2:], axis=2)
         lat_scale = sizes @ np.abs(copies).sum(axis=1)
-        periods = copies @ (fw.lattice @ np.array([[a, 0.0], [b, d]])).T
+        periods = copies @ (fw.lattice @ sub.matrix).T
         ten_scale = float(sizes @ np.linalg.norm(periods, axis=2).sum(axis=1))
         ok_lat = bool((np.array(lat_res) <= STRESS_RTOL * np.maximum(1.0, lat_scale)).all())
         ok_ten = ten_res <= STRESS_RTOL * max(1.0, ten_scale)

@@ -22,6 +22,31 @@ def test_no_imports_inside_functions():
     assert not found, found
 
 
+def test_no_unused_imports():
+    """Every name that a module of ``src/perimax`` other than ``__init__``
+    imports is read in that module or listed in its ``__all__``, so a
+    deleted reader leaves no stale import behind (no linter runs here)."""
+    unused = []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported, read, exported = {}, set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items()
+                   if name not in read | exported]
+    assert not unused, unused
+
+
 def test_direction_angles_in_one_place():
     """Every direction angle of the package comes from one ``arctan2`` call
     in ``topology``, so faces, pointedness and the path margin read corner

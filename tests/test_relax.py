@@ -587,25 +587,40 @@ def test_bound_frameworks_reach_every_refusal():
                              "degenerate place", "disconnected quo", "lattice out of r"}, outcomes
 
 
-def test_stress_persists_bound_decides_the_common_case(monkeypatch):
-    """The scalar bound settles the geometry of an ordinary sweep: with the
-    numpy path's ``_geometry_scale`` refusing every call, ``cubes`` relaxed
-    (1, 1, 2) still persists on every sublattice up to index 12, while the
-    two placements that only the relaxed scale refuses still reach it."""
-    def reached(*args):
-        raise AssertionError("numpy geometry path reached")
+def _moved(fw, angle, shift):
+    """The framework under the proper rigid motion by ``angle`` and ``shift``."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return PeriodicFramework(rot @ fw.lattice, fw.positions @ rot.T + shift,
+                             np.column_stack([fw.tails, fw.heads, fw.shifts]))
 
-    fw = relax(fixture("cubes"), Sublattice(1, 1, 2))
-    s = periodic_stress_space(fw)[0].values
-    monkeypatch.setattr(relax_module, "_geometry_scale", reached)
-    assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(12))
+
+def test_stress_persists_bound_decides_the_common_case(monkeypatch):
+    """The scalar bound settles the geometry of an ordinary sweep, so it
+    builds no relaxation: with ``relax`` refusing every call, ``cubes``
+    relaxed (1, 1, 2) and the inputs of the bench's ``ultra`` sweeps under a
+    rigid motion (``cubes`` relaxed (1, 0, 1), ``cubes`` and ``ultrarigid``
+    relaxed to each index-2 sublattice) still persist on every sublattice
+    up to index 12, while the two placements that only the relaxed scale
+    refuses still reach it."""
+    def reached(*args):
+        raise AssertionError("relaxation built")
+
+    swept = [relax(fixture("cubes"), Sublattice(1, 1, 2)),
+             _moved(fixture("cubes"), 2.0, [0.3, -0.7])]
+    swept += [_moved(relax(fixture(name), sub), 2.0, [0.3, -0.7])
+              for name in ("cubes", "ultrarigid") for sub in sublattices_of_index(2)]
+    stresses = [periodic_stress_space(fw)[0].values for fw in swept]
+    monkeypatch.setattr(relax_module, "relax", reached)
+    for fw, s in zip(swept, stresses):
+        assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(12)), fw
     for fw, sub in [
             (PeriodicFramework(np.eye(2), [[1.5e12, 0.0]], [(0, 0, (2, 0)), (0, 0, (0, 2))]),
              Sublattice(2, 0, 1)),
             (PeriodicFramework(1e12 * np.eye(2), [[0.0, 0.0], [1.5, 0.0]],
                                [(0, 0, (1, 0)), (0, 1, (1, 0)), (0, 1, (0, 0)), (0, 1, (0, 1)),
                                 (0, 0, (0, 1))]), Sublattice(1, 0, 2))]:
-        with pytest.raises(AssertionError, match="numpy geometry path reached"):
+        with pytest.raises(AssertionError, match="relaxation built"):
             stress_persists(fw, np.zeros(fw.m), sub)
 
 
@@ -627,17 +642,17 @@ def test_stress_persists_at_large_index_builds_no_copies():
 
 def test_copy_shifts_serve_only_undecided_scales(monkeypatch):
     """The copy shifts feed only the lattice and tensor scales, which decide
-    nothing while those residuals are within STRESS_RTOL: with the builder
-    refusing, a periodic stress still persists on every sublattice up to
-    index 12 and passes the direct check, and a stress perturbed by 1e-3
-    reaches the builder."""
+    nothing while those residuals are within STRESS_RTOL: with
+    ``Sublattice.reduce``, which splits off every copy's shift, refusing, a
+    periodic stress still persists on every sublattice up to index 12 and
+    passes the direct check, and a stress perturbed by 1e-3 reaches it."""
     fw = fixture("cubes")
     s = periodic_stress_space(fw)[0].values
 
     def refuse(*args):
         raise AssertionError("copy shifts built")
 
-    monkeypatch.setattr(rigidity_module, "_copy_shifts", refuse)
+    monkeypatch.setattr(Sublattice, "reduce", refuse)
     assert all(stress_persists(fw, s, sub) for sub in sublattices_up_to(12))
     assert check_periodic_stress(fw, s).ok
     perturbed = s + 1e-3 * np.random.default_rng(5).uniform(-1.0, 1.0, fw.m)
@@ -936,6 +951,31 @@ def test_probe_refuses_where_relax_finds_a_disconnected_quotient(name, max_index
         ultrarigidity_probe(fw, max_index)
     assert str(refused.value) == ("disconnected quotient graph: relaxation to sublattice "
                                   "(a=%d, b=%d, d=%d)" % (first.a, first.b, first.d))
+
+
+def test_joined_index_is_the_connectivity_of_relax():
+    """``fw._joined_index(a, b, d)`` exceeds 1 exactly where ``relax``
+    refuses the relaxation as a disconnected quotient graph, on every
+    sublattice up to index 12 of the fixtures and the one-vertex frameworks
+    above: ``stress_persists`` takes that refusal from ``relax`` and reads
+    every other relaxation as connected."""
+    frameworks = [fixture(name) for name in FIXTURE_NAMES] + [
+        _disconnecting(shifts)
+        for shifts in (((2, 0), (0, 1)), ((1, 0), (1, 3)), ((2, 3), (4, 1)), ((0, 3), (0, -6)))]
+    disconnected = Counter()
+    for fw in frameworks:
+        for sub in sublattices_up_to(12):
+            joined = fw._joined_index(sub.a, sub.b, sub.d)
+            try:
+                relax(fw, sub)
+            except FrameworkError as exc:
+                assert str(exc).startswith("disconnected quotient graph:"), (fw, sub, exc)
+                assert joined > 1, (fw, sub)
+                disconnected[True] += 1
+            else:
+                assert joined == 1, (fw, sub, joined)
+                disconnected[False] += 1
+    assert disconnected[True] and disconnected[False], disconnected
 
 
 def test_probe_refuses_straddling_character_block():
