@@ -160,8 +160,11 @@ def _require_spread(positions, squares, scale):
     # sqrt is monotone, so the shortest edge decides whether any is too short
     if math.sqrt(squares.min(initial=math.inf)) <= short:
         raise FrameworkError("zero-length edge orbit %d" % np.argmax(np.sqrt(squares) <= short))
-    if len(positions) >= 2 and np.abs(positions - positions[0]).max() <= short:
-        raise FrameworkError("degenerate placement: all vertex orbits coincide")
+    if len(positions) >= 2:    # orbits 0 and 1 farther apart than the cut settle it
+        (x0, y0), (x1, y1) = positions[:2].tolist()
+        if (max(abs(x1 - x0), abs(y1 - y0)) <= short
+                and np.abs(positions - positions[0]).max() <= short):
+            raise FrameworkError("degenerate placement: all vertex orbits coincide")
 
 
 def _canonicalize(rows):
@@ -406,10 +409,15 @@ class PeriodicFramework:
 
     @cached_property
     def _edge_geometry(self):
-        """The shortest edge length and the largest |position| entry as floats:
-        what the geometry bound of each relaxation reads."""
-        return (float(np.linalg.norm(self._edge_vectors, axis=1).min(initial=np.inf)),
-                float(np.abs(self._positions).max()))
+        """What the size check and geometry bound of each relaxation read, as
+        Python scalars: max(n, m), ``_shift_bound``, the shortest edge length,
+        the largest |position| entry, max(|l00| + |l01|, |l10| + |l11|) and
+        |l00 l11 - l01 l10|."""
+        (l00, l01), (l10, l11) = self._lattice.tolist()
+        return (max(self.n, self.m), self._shift_bound,
+                float(np.linalg.norm(self._edge_vectors, axis=1).min(initial=np.inf)),
+                float(np.abs(self._positions).max()),
+                max(abs(l00) + abs(l01), abs(l10) + abs(l11)), abs(l00 * l11 - l01 * l10))
 
     @cached_property
     def _shift_bound(self):

@@ -70,11 +70,11 @@ def sublattices_up_to(max_index):
 def _require_size(fw, sub):
     """The index of ``sub``; FrameworkError when index * max(n, m) > _MAX_UNFOLD
     or a shift sum of the relaxation could leave int64."""
-    index = sub.index
-    if index * max(fw.n, fw.m) > _MAX_UNFOLD:
+    index, (orbits, shift_bound) = sub.index, fw._edge_geometry[:2]
+    if index * orbits > _MAX_UNFOLD:
         raise FrameworkError("relaxation too large: index %d times %d orbits exceeds %d"
-                             % (index, max(fw.n, fw.m), _MAX_UNFOLD))
-    _require_shift_room(fw._shift_bound, index)
+                             % (index, orbits, _MAX_UNFOLD))
+    _require_shift_room(shift_bound, index)
     return index
 
 
@@ -137,11 +137,10 @@ def stress_persists(fw, s, sub):
     LATTICE_RANK_RTOL B away)."""
     _require_size(fw, sub)
     a, b, d = sub.a, sub.b, sub.d
-    shortest, largest = fw._edge_geometry
-    (l00, l01), (l10, l11) = fw.lattice.tolist()
-    bound = 2.0 * (largest + max(abs(l00) + abs(l01), abs(l10) + abs(l11)) * (a + b + d))
+    _, _, shortest, largest, reach, det = fw._edge_geometry
+    bound = 2.0 * (largest + reach * (a + b + d))
     if not (2.0 ** -400 < bound < 2.0 ** 500 and shortest > 2 * EDGE_LENGTH_RTOL * bound
-            and abs(l00 * l11 - l01 * l10) * a * d > 4 * LATTICE_RANK_RTOL * bound * bound
+            and det * a * d > 4 * LATTICE_RANK_RTOL * bound * bound
             and fw._joined_index(a, b, d) == 1):
         relax(fw, sub)    # raises whatever the relaxation refuses
     s = _stress_values(s, fw.m)

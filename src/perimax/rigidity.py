@@ -48,8 +48,8 @@ _MAX_PAIR_GRID = 1 << 20
 # sigma_min >= ~1e-4 sigma_max, far above RANK_RTOL.
 FULL_RANK_DELTA = 1e-8
 # Complex entries per chunk of character classes, of any orders: per class
-# its k x k Gram matrix, then the certificate's Cholesky factor of it or its
-# m x 2n block once built, and its phases with their integer turns; blocks
+# its k x k Gram matrix, which the certificate factors in place, its m x 2n
+# block once built, and its phases with their integer turns; blocks
 # built before the certificate add themselves and their conjugate copy, and
 # an edge-term table counts once.  About 1 MB together.  A Gram assembled
 # from edge terms differs from the product by O(m eps tr G), far below
@@ -177,17 +177,19 @@ def _full_rank(G):
     (``_character_blocks``) differs from the product by O(m eps tr(G)), far
     below that.  A Gram with a non-finite trace is never certified, nor one
     so small that FULL_RANK_DELTA tr(G) is not a normal float (subnormal
-    rounding would void the bound).  G is overwritten.  One stacked
-    factorization, rounding within the same O(k^2 eps tr(G)), settles every
-    matrix: a matrix it cannot factor reads NaN.  Only the lower triangle
-    and the diagonal are read."""
-    diagonal = np.arange(G.shape[1])
-    trace = G[:, diagonal, diagonal].real.sum(axis=1)
+    rounding would void the bound).  G is overwritten with its factor.  One
+    stacked factorization, rounding within the same O(k^2 eps tr(G)), settles
+    every matrix in place: a matrix it cannot factor reads NaN.  Only the
+    lower triangle and the diagonal are read."""
+    trace = np.einsum("jii->j", G).real
     ok = np.isfinite(trace) & (FULL_RANK_DELTA * trace >= np.finfo(float).tiny)
-    G[:, diagonal, diagonal] -= FULL_RANK_DELTA * np.where(ok, trace, 0.0)[:, None]
+    shift, real = FULL_RANK_DELTA * np.where(ok, trace, 0.0), G.real
+    for i in range(G.shape[1]):    # 1-d strided columns: no buffer as large as the stack
+        real[:, i, i] -= shift
     with np.errstate(invalid="ignore"):    # the flag of a matrix that fails
-        factor = _cholesky_lower(G)
-    return ok & ~np.isnan(factor[:, diagonal, diagonal]).any(axis=1)
+        _cholesky_lower(G, out=G)
+    # a factor's diagonal is real and not negative: its sum is NaN where an entry is
+    return ok & ~np.isnan(np.einsum("jii->j", G))
 
 
 def _read_rank(sv):
@@ -300,9 +302,10 @@ def _character_ranks(fw, classes):
     m, n = fw.m, fw.n
     build, tabulate = _character_blocks(fw)
     roots, start = _unit_roots(tuple(np.flatnonzero(np.bincount(classes[:, 0])).tolist()))
+    residues = fw.shifts.T % np.arange(1, classes[:, 0].max(initial=0) + 1)[:, None, None]
     k, rows = min(m, 2 * n), m + 1    # the rows of the edge-term table
-    # complex entries per class: its Gram, then the certificate's factor of
-    # it or its block once built, and its phases with their integer turns
+    # complex entries per class: its Gram, factored in place, its block
+    # once built, and its phases with their integer turns
     cells = k * k + 2 * m * n + 2 * m
     chunk = (_PROBE_CELLS - rows * k * k) // max(1, cells)
     grams = m >= 2 * n and min(chunk, len(classes)) >= rows and tabulate()
@@ -311,8 +314,8 @@ def _character_ranks(fw, classes):
     ranks = np.empty(len(classes), dtype=int)
     for lo in range(0, len(classes), chunk):
         N, x, y = (classes[lo:lo + chunk, i, None] for i in range(3))
-        # (x, y).c mod N, each shift reduced mod N before any product
-        turns = (x * (fw.shifts[:, 0] % N) + y * (fw.shifts[:, 1] % N)) % N
+        # (x, y).c mod N from row N - 1 of the shifts' residues, each below N before any product
+        turns = (x * residues[N[:, 0] - 1, 0] + y * residues[N[:, 0] - 1, 1]) % N
         at = start[N]
         if grams:
             _, ranks[lo:lo + chunk], block_gap = _svd_rank(

@@ -587,6 +587,26 @@ def test_bound_frameworks_reach_every_refusal():
                              "degenerate place", "disconnected quo", "lattice out of r"}, outcomes
 
 
+def test_edge_geometry_is_the_bound_terms():
+    """The record that the size check and the sweep's bound read holds, as
+    Python scalars, exactly the terms that they read: on the fixtures, their
+    relaxations to each sublattice of index <= 4 and the tiny, huge and
+    sheared inputs above, each float equals its definition in ``float.hex``."""
+    frameworks = [fixture(name) for name in FIXTURE_NAMES]
+    frameworks += [relax(fw, sub) for fw in frameworks[:] for sub in sublattices_up_to(4)]
+    frameworks += [fw for fw, _ in BOUND_FRAMEWORKS]
+    for fw in frameworks:
+        (l00, l01), (l10, l11) = fw.lattice.tolist()
+        orbits, shift_bound, *floats = fw._edge_geometry
+        assert (orbits, shift_bound) == (max(fw.n, fw.m), int(np.abs(fw.shifts).max(initial=0)))
+        assert type(orbits) is int and type(shift_bound) is int
+        want = (float(np.linalg.norm(fw.edge_vectors(), axis=1).min(initial=np.inf)),
+                float(np.abs(fw.positions).max()),
+                max(abs(l00) + abs(l01), abs(l10) + abs(l11)), abs(l00 * l11 - l01 * l10))
+        assert all(type(x) is float for x in floats)
+        assert [x.hex() for x in floats] == [x.hex() for x in want], fw
+
+
 def _moved(fw, angle, shift):
     """The framework under the proper rigid motion by ``angle`` and ``shift``."""
     c, s = np.cos(angle), np.sin(angle)

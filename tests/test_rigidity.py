@@ -1,6 +1,7 @@
 """Rigidity matrix, spectral dimensions, stress spaces and identities."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -499,6 +500,38 @@ def test_stacked_cholesky_reads_each_matrix(dtype):
     assert mask.tolist() == [kind == "pd" for kind in kinds]
 
 
+def test_full_rank_factors_in_place():
+    """The certificate factors its Gram stack in place: on 613 complex 6 x 6
+    Gram matrices, the classes of a ``ppt3`` chunk, it allocates under a
+    tenth of the stack, and on the planted stacks its mask is the one read
+    from a separate factor of the shifted copy, which G then holds bit for
+    bit."""
+    rng = np.random.default_rng(613)
+    A = rng.standard_normal((613, 8, 6)) + 1j * rng.standard_normal((613, 8, 6))
+    G = rigidity._gram(A)
+    tracemalloc.start()
+    try:
+        assert rigidity._full_rank(G).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.nbytes / 10, (peak, G.nbytes)
+    kinds = ["pd", "singular", "pd", "zero", "nonfinite", "pd", "nonfinite", "singular"]
+    diagonal = np.arange(5)
+    for dtype in (float, complex):
+        G = np.array([_planted_gram(rng, kind, 5, dtype) for kind in kinds])
+        trace = G[:, diagonal, diagonal].real.sum(axis=1)
+        ok = np.isfinite(trace) & (rigidity.FULL_RANK_DELTA * trace >= np.finfo(float).tiny)
+        shifted = G.copy()
+        shifted[:, diagonal, diagonal] -= rigidity.FULL_RANK_DELTA * np.where(ok, trace, 0.0)[:, None]
+        with np.errstate(invalid="ignore"):
+            L = rigidity._cholesky_lower(shifted)
+        mask = rigidity._full_rank(G)
+        assert mask.tolist() == (ok & ~np.isnan(L[:, diagonal, diagonal]).any(axis=1)).tolist()
+        assert mask.tolist() == [kind == "pd" for kind in kinds]
+        assert G.tobytes() == L.tobytes(), dtype
+
+
 @pytest.mark.parametrize("J, m, w", [(12, 7, 4), (9, 3, 5), (2, 11, 9), (1, 6, 6)])
 def test_certificate_mask_is_per_matrix(J, m, w):
     """One singular, zero or non-finite matrix added at either end of a
@@ -528,8 +561,8 @@ def test_one_factorization_per_chunk(name, sub, max_index, chunks, uncertified, 
     factored, ranked = [], []
     cholesky, svd_rank = rigidity._cholesky_lower, rigidity._svd_rank
 
-    def counted_cholesky(G):
-        L = cholesky(G)
+    def counted_cholesky(G, **out):
+        L = cholesky(G, **out)
         factored.append(int(np.isnan(L).all(axis=(1, 2)).sum()))
         return L
 
