@@ -147,10 +147,22 @@ def validate_geometry(lattice, positions, tails, heads, shifts):
     ``MAX_LATTICE_COLUMN``, a singular lattice, a zero-length edge or vertex
     orbits that all coincide."""
     scale = _geometry_scale(lattice, float(np.abs(positions).max()))
-    evecs = positions[heads] + shifts @ lattice.T - positions[tails]
+    evecs = _edge_vectors(lattice, positions, tails, heads, shifts)
     squares = np.einsum("ij,ij->i", evecs, evecs)
     _require_spread(positions, squares, scale)
     return scale, evecs, squares
+
+
+def _edge_vectors(lattice, positions, tails, heads, shifts):
+    """(m, 2) edge vectors p_head + Lambda c - p_tail: the one rounding of
+    an edge vector in the package, the one every framework stores."""
+    return positions.take(heads, 0) + shifts @ lattice.T - positions.take(tails, 0)
+
+
+def _dots(a, b):
+    """Row dot products a[i] @ b[i] from one stacked matmul, each rounded
+    as ``a[i] @ b[i]`` alone (an elementwise sum of products is not)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _require_spread(positions, squares, scale):
@@ -491,9 +503,7 @@ class PeriodicFramework:
         k = _integer(k, "edge orbit index")
         if not 0 <= k < self.m:
             raise FrameworkError("edge orbit index %d out of range" % k)
-        return (self._positions[self._heads[k]]
-                + self._lattice @ self._shifts[k]
-                - self._positions[self._tails[k]])
+        return self._edge_vectors[k].copy()
 
     def edge_vectors(self):
         """Read-only (m, 2) array of all realized edge vectors, as
@@ -535,19 +545,12 @@ def _tile_range(fw, tiles):
 
 
 def _lattice_vectors(lattice, shifts):
-    """Rows ``lattice @ t`` for the rows t of ``shifts``, from one stacked
-    2 x 2 matmul.  Each row rounds as ``lattice @ t`` alone does only
-    because numpy hands both products to the same BLAS kernel; a kernel
-    with fused multiply-adds (OpenBLAS on Haswell-class x86-64, say) rounds
-    otherwise than Python-scalar 2 x 2 products, and ``shifts @ lattice.T``
-    rounds some rows differently."""
+    """Lattice offsets Lambda t, one row per row t of ``shifts``, from one
+    stacked 2 x 2 matmul: relax cosets, lifted heights and copy endpoints,
+    terrain and SVG points.  Edge vectors round in ``_edge_vectors``, a
+    GEMM, instead; the two differ in some last bits, on purpose: the relax
+    outputs and the lift, terrain and ladder pins fix this one's bits."""
     return (lattice @ np.asarray(shifts, dtype=float)[:, :, None])[:, :, 0]
-
-
-def _edge_vector_rows(fw):
-    """(m, 2) edge vectors rounded as ``fw.edge_vector(k)`` rounds each."""
-    return (fw.positions[fw.heads] + _lattice_vectors(fw.lattice, fw.shifts)
-            - fw.positions[fw.tails])
 
 
 # -- JSON round trip -----------------------------------------------------

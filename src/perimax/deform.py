@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrameworkError, NumericalError, _geometry_scale, _integer, _require_spread,
-                   validate_geometry)
+from .core import (FrameworkError, NumericalError, _edge_vectors, _geometry_scale, _integer,
+                   _require_spread, validate_geometry)
 from .pseudotri import _certified
 from .rigidity import (_flex_system, _gauge_position, _lattice_rate, _lstsq, _oriented_flex,
                        _pair_grid, _pair_rates, pair_table)
@@ -227,7 +227,7 @@ def _constraints(fw, ref_sq):
 
     def residual(z):
         pos = z[:2 * n].reshape(n, 2)
-        evecs = pos.take(heads, 0) + shifts @ _lattice_rate(z, n).T - pos.take(tails, 0)
+        evecs = _edge_vectors(_lattice_rate(z, n), pos, tails, heads, shifts)
         squares = np.einsum("ij,ij->i", evecs, evecs)
         np.subtract(squares, ref_sq, out=F[:m])
         F[m:] = z[pinned]
@@ -455,17 +455,19 @@ def continue_path(fw, steps, ds=1e-2, cutoff=2):
     the crossing step after secant probes (``_locate``).  No verdict steers
     the path: they are judged once it is traced, in bounded stacked chunks
     (``_judged``), and errors surface in sample order.  ``steps`` is read
-    as an integer, and a zero or non-finite step length ``ds`` is refused
-    (FrameworkError).
+    as an integer, and a negative step count or a zero or non-finite step
+    length ``ds`` is refused (FrameworkError).
     """
     if not math.isfinite(ds):
         raise FrameworkError("step length ds must be finite, got %g" % ds)
     if ds == 0:
         raise FrameworkError("step length ds must be nonzero, got %g" % ds)
     steps = _integer(steps, "steps")
+    if steps < 0:
+        raise FrameworkError("steps must be >= 0, got %d" % steps)
     cert = _certified(fw)
     cfg = Configuration.from_framework(fw)
-    if steps <= 0:
+    if steps == 0:
         return DeformationPath([PathSample(0.0, cfg, cfg.gram(), None, None, None)],
                                "step count reached")
     table = _corner_table(fw, cert.faces)

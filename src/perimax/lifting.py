@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FrameworkError, NumericalError, _edge_vector_rows, _lattice_vectors,
-                   _tile_range)
+from .core import FrameworkError, NumericalError, _dots, _lattice_vectors, _tile_range
 from .rigidity import _stress_values
 
 __all__ = [
@@ -48,12 +47,6 @@ def _det2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _dots(a, b):
-    """Row dot products a[i] @ b[i] from one stacked matmul, each rounded
-    as ``a[i] @ b[i]`` alone (an elementwise sum of products is not)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 @dataclass
 class PeriodicLifting:
     """Per-face-orbit affine heights of a lattice-invariant terrain.
@@ -68,9 +61,8 @@ class PeriodicLifting:
 
     def height(self, lattice, face, shift, point):
         """Height over ``point`` read from the plane of face copy (face, shift)."""
-        t = np.asarray(shift, dtype=float)
-        return float(self.normals[face] @ point) + (
-            self.offsets[face] - float(self.normals[face] @ (lattice @ t)))
+        return float(_heights(self, lattice, np.array([face]), np.array([shift]),
+                              np.array([point], dtype=float))[0])
 
     def scaled(self, factor):
         return PeriodicLifting(self.normals * factor, self.offsets * factor)
@@ -87,7 +79,7 @@ def _heights(lifting, lattice, faces, shifts, points):
 def _edge_copy_endpoints(fw, orbits, copies):
     """Positions of the tails and heads of the edge copies ``orbits[i] @ copies[i]``."""
     p = fw.positions[fw.tails[orbits]] + _lattice_vectors(fw.lattice, copies)
-    return p, p + _edge_vector_rows(fw)[orbits]
+    return p, p + fw.edge_vectors()[orbits]
 
 
 def _height_scale(fw, lifting):
@@ -101,7 +93,7 @@ def compatibility_residual(fw, fc, lifting):
     """Largest height mismatch across any edge between its two faces."""
     p = fw.positions[fw.tails]
     worst = 0.0
-    for point in (p, p + _edge_vector_rows(fw)):
+    for point in (p, p + fw.edge_vectors()):
         hl = _heights(lifting, fw.lattice, fc.left_face, -fc.left_copy, point)
         hr = _heights(lifting, fw.lattice, fc.right_face, -fc.right_copy, point)
         worst = max(worst, float(np.abs(hl - hr).max(initial=0.0)))

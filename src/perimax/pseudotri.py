@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FrameworkError, NumericalError, PeriodicFramework, _canonicalize,
-                   _edge_rows, _integer, _lattice_vectors, canonical_edge)
+                   _dots, _edge_rows, _edge_vectors, _integer, canonical_edge)
 from .rigidity import (_checked_cutoff, _flex_system, _gauge_position, _lattice_rate,
                        _oriented_flex, count_identity_check, pair_table)
 from .topology import (FaceComplex, _corner_kinds, _corner_report, _crossing_pairs,
@@ -178,10 +178,9 @@ def _length_derivatives(fw, motion, table):
     motion = np.asarray(motion, dtype=float)
     tails, heads, c = table[:, 0], table[:, 1], table[:, 2:]
     vel = motion[:2 * n].reshape(n, 2)
-    e = fw.positions[heads] + _lattice_vectors(fw.lattice, c) - fw.positions[tails]
-    de = vel[heads] - vel[tails] + _lattice_vectors(_lattice_rate(motion, n), c)
-    e_de, e_e = np.matmul(e[:, None], np.stack([de, e], axis=2))[:, 0].T
-    return e_de / np.sqrt(e_e)
+    e = _edge_vectors(fw.lattice, fw.positions, tails, heads, c)
+    de = _edge_vectors(_lattice_rate(motion, n), vel, tails, heads, c)
+    return _dots(e, de) / np.sqrt(_dots(e, e))
 
 
 def pair_length_derivative(fw, motion, tail, head, shift):

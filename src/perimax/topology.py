@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EDGE_LENGTH_RTOL, FrameworkError, _edge_vector_rows, _lattice_vectors,
+from .core import (EDGE_LENGTH_RTOL, FrameworkError, _edge_vectors, _lattice_vectors,
                    _tile_range)
 
 __all__ = [
@@ -338,8 +338,8 @@ def _orbit_crossing_rows(fw, rows):
     heads = np.concatenate([fw.heads, rows[:, 1]])
     shifts = np.concatenate([fw.shifts, rows[:, 2:]])
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite length is refused
-        evecs = np.concatenate([fw.edge_vectors(), fw.positions[rows[:, 1]]
-                                + rows[:, 2:] @ fw.lattice.T - fw.positions[rows[:, 0]]])
+        evecs = np.concatenate([fw.edge_vectors(), _edge_vectors(
+            fw.lattice, fw.positions, rows[:, 0], rows[:, 1], rows[:, 2:])])
         lengths = np.linalg.norm(evecs, axis=1)
     if not np.isfinite(lengths).all():
         raise FrameworkError("crossing check out of range: edge orbit %d is too long to measure"
@@ -503,7 +503,7 @@ def render_svg(fw, fc, tiles):
     pts = fw.positions[vertex] + _lattice_vectors(lat, fc.copy[fc.order])
     pts = (pts + bases[:, None]).reshape(-1, 2)
     tail_pts = fw.positions[fw.tails] + bases[:, None]
-    ends = np.concatenate([tail_pts, tail_pts + _edge_vector_rows(fw)], axis=2).reshape(-1, 4)
+    ends = np.concatenate([tail_pts, tail_pts + fw.edge_vectors()], axis=2).reshape(-1, 4)
 
     box = pts if len(pts) else np.array([[0.0, 0.0], [1.0, 1.0]])
     (x0, y0), (x1, y1) = box.min(axis=0), box.max(axis=0)

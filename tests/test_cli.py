@@ -402,6 +402,15 @@ def test_negative_cutoff_exits_with_json(tmp_path, capsys):
         assert rep["kind"] == "validation" and "cutoff must be >= 0" in rep["error"]
 
 
+def test_negative_steps_exit_with_json(tmp_path, capsys):
+    """``deform --steps -1`` exits 2 with a validation report instead of a
+    one-sample path that claims its step count was reached."""
+    path = fixture_file(tmp_path, capsys, "ppt3")
+    code, rep = run(capsys, "deform", path, "--steps", "-1")
+    assert code == 2
+    assert rep == {"error": "steps must be >= 0, got -1", "kind": "validation"}
+
+
 def test_huge_cutoff_exits_with_json(tmp_path, capsys):
     """A cutoff whose pair table would not fit is refused with exit 2
     before any allocation, up to one past int64."""

@@ -317,6 +317,26 @@ def test_edge_vectors_kept_from_construction():
                 evecs[0, 0] = 0.0
 
 
+def test_edge_vector_is_the_stored_row():
+    """``fw.edge_vector(k)`` equals ``fw.edge_vectors()[k]`` bit for bit on
+    seeded random frameworks with shifts up to +-9 and lattices of any
+    scale: one rounding of each edge vector, not a second 2 x 2 product."""
+    rng = np.random.default_rng(45)
+    built = 0
+    for _ in range(3000):
+        lattice = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        shifts = rng.integers(-9, 10, (3, 2)).tolist()
+        edges = [(0, 1, shifts[0]), (1, 2, shifts[1]), (0, 2, shifts[2])]
+        try:
+            fw = PeriodicFramework(lattice, rng.standard_normal((3, 2)), edges)
+        except FrameworkError:
+            continue
+        built += 1
+        for k in range(fw.m):
+            assert fw.edge_vector(k).tobytes() == fw.edge_vectors()[k].tobytes(), (fw, k)
+    assert built > 2900
+
+
 def test_edge_vectors_square_grid():
     fw = parse_framework(SQUARE_GRID_DOC)
     assert np.allclose(fw.edge_vector(0), [1.0, 0.0])

@@ -338,6 +338,14 @@ def test_zero_step_path():
     assert path.samples[0].expansive is None
 
 
+def test_negative_step_count_refused():
+    """A negative step count is refused before the certificate, as a
+    negative cutoff is, not read as a zero-step path."""
+    for steps in (-1, -3, -3.0):
+        with pytest.raises(FrameworkError, match="steps must be >= 0, got -"):
+            continue_path(fixture("kagome"), steps=steps)
+
+
 def test_path_evaluates_pair_rates_once_per_sample(monkeypatch):
     """Each sample's expansive verdict comes from the rates of its final
     tangent: the shared rate kernel reads stacks of placements, and every

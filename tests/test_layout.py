@@ -76,6 +76,29 @@ def _call_sites(*names):
     return found
 
 
+def test_one_edge_vector_rule():
+    """``core._edge_vectors`` forms every edge vector p_head + Lambda c -
+    p_tail of the package: it is called in ``validate_geometry`` (so every
+    framework stores its rounding), the candidate orbits of
+    ``_orbit_crossing_rows``, the Newton residual of ``_constraints`` and
+    ``_length_derivatives`` (placement and rate); no second rounding ``_edge_vector_rows``
+    remains, and the row dot products ``_dots`` are defined once, in
+    ``core``, so a kernel-independent or exact rule has one place to go."""
+    assert _callers("_edge_vectors", "_edge_vector_rows") == {
+        "_edge_vectors": ["core.py:validate_geometry", "deform.py:_constraints",
+                          "pseudotri.py:_length_derivatives", "pseudotri.py:_length_derivatives",
+                          "topology.py:_orbit_crossing_rows"],
+        "_edge_vector_rows": []}
+    named, defined = [], []
+    for path in sorted(Path(perimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named += [path.name for node in ast.walk(tree) if "_edge_vector_rows" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
+        defined += [path.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_dots"]
+    assert named == [] and defined == ["core.py"], (named, defined)
+
+
 def test_one_crossing_broad_phase():
     """``_cell_candidates`` and ``_exact_crossings`` each have one call
     site in the package, so every crossing decision goes through the one

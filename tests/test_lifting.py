@@ -9,6 +9,7 @@ from perimax import (
     FIXTURES,
     FrameworkError,
     NumericalError,
+    PeriodicFramework,
     PeriodicLifting,
     check_periodic_stress,
     classify_folds,
@@ -23,7 +24,7 @@ from perimax import (
     trace_faces,
     vertex_heights,
 )
-from perimax.lifting import compatibility_residual
+from perimax.lifting import _edge_copy_endpoints, compatibility_residual
 from perimax.pseudotri import find_rigidifying_edges, pointedness_margin
 from perimax.topology import CORNER_ANGLE_TOL
 
@@ -300,6 +301,29 @@ def test_lifting_round_trip_on_cubes_relaxations(sub, data):
     for s in [*basis, np.array(coeffs) @ basis]:
         back = stress_from_lifting(fw, fc, lifting_from_stress(fw, fc, s, c0=c0))
         assert np.abs(back - s).max() <= 1e-9
+
+
+def sheared_cubes(k):
+    """``cubes`` in the lattice basis Lambda U, U = [[1, k], [0, 1]]: the
+    same infinite framework, with shifts U^-1 c of entries up to k + 1."""
+    fw = fixture("cubes")
+    unshear = np.array([[1, -k], [0, 1]])
+    return PeriodicFramework(fw.lattice @ np.array([[1.0, k], [0.0, 1.0]]), fw.positions,
+                             np.column_stack([fw.tails, fw.heads, fw.shifts @ unshear.T]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+def test_edge_copy_heads_use_stored_edge_vectors(k):
+    """The edge-copy heads the lifting reads are each tail plus the
+    framework's stored edge vector, bit for bit, so normal jumps and copy
+    endpoints use one rounding of each edge; sheared bases give shifts
+    whose two roundings of p_head + Lambda c - p_tail differ."""
+    fw = sheared_cubes(k)
+    fc = trace_faces(fw)
+    orbits = np.arange(fw.m)
+    for copies in (fc.left_copy, fc.right_copy):
+        p, q = _edge_copy_endpoints(fw, orbits, copies)
+        assert q.tobytes() == (p + fw.edge_vectors()[orbits]).tobytes()
 
 
 def _result_or_refusal(func, *args):
