@@ -131,17 +131,13 @@ def _tiles(text):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_analyze(args):
-    fw = _load(args.file)
+def cmd_analyze(args, fw):
     rep = count_identity_check(fw)
     noncrossing = check_noncrossing(fw)
     n_star = None
-    euler = None
     if noncrossing.ok:
-        fc = trace_faces(fw)
-        n_star = fc.n_faces
-        euler = fw.n - fw.m + n_star == 0
-    _emit({
+        n_star = trace_faces(fw).n_faces
+    return {
         "n": rep.n,
         "m": rep.m,
         "n_star": n_star,
@@ -149,17 +145,16 @@ def cmd_analyze(args):
         "delta": rep.delta,
         "phi": rep.phi,
         "noncrossing": noncrossing.ok,
-        "euler_ok": euler,
+        # trace_faces refuses every Euler violation: traced faces give n - m + n_star = 0
+        "euler_ok": True if noncrossing.ok else None,
         "stress_flex_identity": rep.stress_flex_identity,
         "stress_phi_identity": rep.stress_phi_identity,
-    })
-    return 0
+    }
 
 
-def cmd_ppt(args):
-    fw = _load(args.file)
+def cmd_ppt(args, fw):
     cert = certify_ppt(fw)
-    _emit({
+    return {
         "valid": cert.valid,
         "counts": {"n": cert.counts[0], "m": cert.counts[1], "n_star": cert.counts[2]},
         "pointed": cert.pointed,
@@ -167,15 +162,13 @@ def cmd_ppt(args):
         "stress_free": cert.stress_free,
         "flex_dim": cert.flex_dim,
         "failures": cert.failures,
-    })
-    return 0
+    }
 
 
-def cmd_stress(args):
-    fw = _load(args.file)
+def cmd_stress(args, fw):
     periodic = periodic_stress_space(fw)
     invariant = invariant_equilibrium_stress_space(fw)
-    _emit({
+    return {
         "sigma": len(periodic),
         "invariant_equilibrium_dim": len(invariant),
         "periodic_basis": [s.values.tolist() for s in periodic],
@@ -183,12 +176,10 @@ def cmd_stress(args):
             {"values": s.values.tolist(), "is_periodic": s.is_periodic}
             for s in invariant
         ],
-    })
-    return 0
+    }
 
 
-def cmd_lift(args):
-    fw = _load(args.file)
+def cmd_lift(args, fw):
     fc = trace_faces(fw)
     basis = periodic_stress_space(fw)
     if not basis:
@@ -203,7 +194,7 @@ def cmd_lift(args):
         with _writing(args) as fh:
             fh.write(terrain)
     folds = classify_folds(fw, s)
-    _emit({
+    return {
         "stress_index": args.stress_index,
         "c0": args.c0,
         "normals": lift.normals.tolist(),
@@ -211,22 +202,18 @@ def cmd_lift(args):
         "stress": s.tolist(),
         "folds": [f.fold for f in folds],
         "terrain": args.out,
-    })
-    return 0
+    }
 
 
-def cmd_svg(args):
-    fw = _load(args.file)
+def cmd_svg(args, fw):
     fc = trace_faces(fw)
     svg = render_svg(fw, fc, _tiles(args.tiles))
     with _writing(args) as fh:
         fh.write(svg)
-    _emit({"faces": fc.n_faces, "tiles": args.tiles, "out": args.out})
-    return 0
+    return {"faces": fc.n_faces, "tiles": args.tiles, "out": args.out}
 
 
-def cmd_relax(args):
-    fw = _load(args.file)
+def cmd_relax(args, fw):
     try:
         entries = [int(x) for x in args.matrix.split(",")]
         if len(entries) != 4:
@@ -237,19 +224,17 @@ def cmd_relax(args):
     sub = Sublattice.from_matrix([[entries[0], entries[2]], [entries[1], entries[3]]])
     unfolded = relax(fw, sub)
     _save_framework(unfolded, args)
-    _emit({
+    return {
         "sublattice": {"a": sub.a, "b": sub.b, "d": sub.d, "index": sub.index},
         "n": unfolded.n,
         "m": unfolded.m,
         "out": args.out,
-    })
-    return 0
+    }
 
 
-def cmd_ultra(args):
-    fw = _load(args.file)
+def cmd_ultra(args, fw):
     rep = ultrarigidity_probe(fw, args.max_index)
-    _emit({
+    return {
         "max_index": rep.max_index,
         "ultrarigid_up_to_bound": rep.ultrarigid,
         "note": "bounded falsifier: indices above max_index are not probed",
@@ -264,18 +249,16 @@ def cmd_ultra(args):
             "d": rep.first_failure.sublattice.d,
             "phi": rep.first_failure.phi,
         },
-    })
-    return 0
+    }
 
 
-def cmd_rigidify(args):
-    fw = _load(args.file)
+def cmd_rigidify(args, fw):
     cands = find_rigidifying_edges(fw, cutoff=args.cutoff)
     top = cands[0]
     new_fw = insert_edge_orbit(fw, top)
     if args.out:
         _save_framework(new_fw, args)
-    _emit({
+    return {
         "inserted": {"tail": top.tail, "head": top.head, "shift": list(top.shift),
                      "derivative": top.derivative},
         "candidates": [
@@ -284,12 +267,10 @@ def cmd_rigidify(args):
             for c in cands[:10]
         ],
         "out": args.out,
-    })
-    return 0
+    }
 
 
-def cmd_deform(args):
-    fw = _load(args.file)
+def cmd_deform(args, fw):
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
     unknown = set(checks) - {"expansive", "auxetic"}
     if unknown:
@@ -312,20 +293,18 @@ def cmd_deform(args):
     if args.out:
         with _writing(args) as fh:
             _write_report(fh, report)
-    _emit({"termination": path.termination, "samples": len(samples), "out": args.out})
-    return 0
+    return {"termination": path.termination, "samples": len(samples), "out": args.out}
 
 
-def cmd_fixture(args):
+def cmd_fixture(args, fw):
     params = {key: getattr(args, key) for key in ("theta", "alpha", "beta")
               if getattr(args, key) is not None}
     fw = fixtures_mod.fixture(args.name, **params)
     if args.out:
         _save_framework(fw, args)
-        _emit({"name": args.name, "n": fw.n, "m": fw.m, "out": args.out})
-    else:
-        sys.stdout.write(serialize_framework(fw) + "\n")
-    return 0
+        return {"name": args.name, "n": fw.n, "m": fw.m, "out": args.out}
+    sys.stdout.write(serialize_framework(fw) + "\n")
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -419,13 +398,16 @@ def main(argv=None):
             argv[at:at + 2] = [argv[at] + "=" + argv[at + 1]]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args, _load(args.file) if "file" in args else None)
     except FrameworkError as exc:
         _emit({"error": str(exc), "kind": "validation"})
         return EXIT_VALIDATION
     except NumericalError as exc:
         _emit({"error": str(exc), "kind": "numerical"})
         return EXIT_NUMERICAL
+    if report is not None:
+        _emit(report)
+    return 0
 
 
 if __name__ == "__main__":

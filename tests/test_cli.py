@@ -978,3 +978,51 @@ def test_huge_lattice_exits_with_json(entry):
         assert code == 2, command
         assert rep["kind"] == "validation" and "lattice out of range" in rep["error"]
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(perimax.FIXTURES))
+def test_fixture_stdout_and_out_file(tmp_path, capsys, name):
+    """``fixture NAME`` prints the framework document itself, byte for byte;
+    with ``--out`` it writes that text and prints a short report."""
+    text = perimax.serialize_framework(perimax.fixture(name)) + "\n"
+    assert main(["fixture", name]) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / ("%s.json" % name)
+    code, rep = run(capsys, "fixture", name, "--out", str(out), "--quiet")
+    fw = perimax.fixture(name)
+    assert (code, rep) == (0, {"name": name, "n": fw.n, "m": fw.m, "out": str(out)})
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_relax_report_and_document(tmp_path, capsys):
+    """``relax`` prints the sublattice and the unfolded counts, and writes
+    the serialized relaxation of the parsed file."""
+    path = fixture_file(tmp_path, capsys, "ppt3")
+    out = str(tmp_path / "relaxed.json")
+    code, rep = run(capsys, "relax", path, "--matrix", "2,1,0,2", "--out", out, "--quiet")
+    assert (code, rep) == (0, {"sublattice": {"a": 2, "b": 1, "d": 2, "index": 4},
+                               "n": 12, "m": 24, "out": out})
+    with open(path, encoding="utf-8") as fh:
+        parsed = perimax.parse_framework(fh.read())
+    expected = perimax.serialize_framework(perimax.relax(parsed, perimax.Sublattice(2, 1, 2)))
+    with open(out, encoding="utf-8") as fh:
+        assert fh.read() == expected + "\n"
+
+
+def test_deform_stdout_summary(tmp_path, capsys):
+    """``deform`` without ``--out`` prints its termination and sample count;
+    on a framework that is no certified pseudo-triangulation it exits 2 and
+    names every failed clause."""
+    for name, termination, samples in [
+            ("ppt3", "event: pointedness lost at vertex 1", 51),
+            ("kagome", "event: pointedness lost at vertex 0", 60)]:
+        code, rep = run(capsys, "deform", fixture_file(tmp_path, capsys, name), "--quiet")
+        assert (code, rep) == (0, {"termination": termination, "samples": samples,
+                                   "out": None}), name
+    code, rep = run(capsys, "deform", fixture_file(tmp_path, capsys, "cubes"), "--quiet")
+    assert (code, rep) == (2, {
+        "error": "not a certified pseudo-triangulation: vertex 0 is not pointed; "
+                 "vertex 1 is not pointed; vertex 2 is not pointed; face 0 has 4 corners; "
+                 "face 1 has 4 corners; face 2 has 4 corners; periodic stress space has "
+                 "dimension 1; flex dimension 2 != 1",
+        "kind": "validation"})

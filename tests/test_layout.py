@@ -251,6 +251,26 @@ def test_one_report_writer():
     assert found["_write_report"] == ["cli.py:_emit", "cli.py:cmd_deform"], found
 
 
+def test_one_request_cycle():
+    """``cli.main`` alone reads FILE and prints the report: ``_load`` is
+    called once and ``_emit`` three times (the report and each error kind),
+    all in ``main``.  Every ``cmd_*`` takes ``(args, fw)`` and returns its
+    report, never an exit code, so no subcommand reads, prints or exits on
+    its own."""
+    assert _callers("_load", "_emit") == {"_load": ["cli.py:main"],
+                                          "_emit": ["cli.py:main"] * 3}
+    path = Path(perimax.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    commands = [func for func in tree.body
+                if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")]
+    assert len(commands) == 10, [func.name for func in commands]
+    for func in commands:
+        assert [arg.arg for arg in func.args.args] == ["args", "fw"], func.name
+        returned = [node.value for node in ast.walk(func) if isinstance(node, ast.Return)]
+        assert returned and not any(isinstance(value, ast.Constant) and type(value.value) is int
+                                    for value in returned), func.name
+
+
 def _scoped_callers(*names):
     """{name: sorted ["file:function.inner", ...]} of every call of each
     function name in ``src/perimax``, by the chain of functions (lambdas
